@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.utils.indexing import concat_ragged
 from repro.utils.validate import check_contact_groups
 
 
@@ -32,11 +33,11 @@ def selective_blocks_from_groups(
     """
     groups = validate_groups(groups, n_nodes)
     in_group = np.zeros(n_nodes, dtype=bool)
-    for nodes in groups:
-        in_group[nodes] = True
-    blocks = [g.copy() for g in groups]
-    blocks.extend(np.array([v]) for v in np.flatnonzero(~in_group))
-    return blocks
+    if groups:
+        in_group[np.concatenate(groups)] = True
+    free = np.flatnonzero(~in_group)
+    # rows of an (n_free, 1) array: one singleton block per free node
+    return [g.copy() for g in groups] + list(free[:, None])
 
 
 def selective_block_supernodes(
@@ -44,8 +45,14 @@ def selective_block_supernodes(
 ) -> list[np.ndarray]:
     """DOF-level super-nodes for the selective blocks (``b`` DOF per node)."""
     blocks = selective_blocks_from_groups(groups, n_nodes)
-    offsets = np.arange(b)
-    return [(nodes[:, None] * b + offsets).reshape(-1) for nodes in blocks]
+    flat, offsets = concat_ragged(blocks)
+    dofs = (flat[:, None] * b + np.arange(b)).reshape(-1)
+    # free nodes (the vast majority) are the trailing size-1 blocks: their
+    # super-nodes are the rows of one (n_free, b) array, no per-block split
+    ngroups = len(groups)
+    cut = offsets[ngroups] * b
+    grouped = np.split(dofs[:cut], offsets[1:ngroups] * b) if ngroups else []
+    return grouped + list(dofs[cut:].reshape(-1, b))
 
 
 def detect_contact_groups(

@@ -2,12 +2,11 @@
 
 GeoFEM assembles coefficient matrices per domain without communication
 (section 2.1); here the whole mesh is assembled in one vectorized pass:
-all element matrices at once, then one sort-and-reduce into BCSR.
+all element matrices (in bounded batches), then one sort-and-reduce of
+their block triplets into BCSR.
 """
 
 from __future__ import annotations
-
-import time
 
 import numpy as np
 
@@ -16,14 +15,20 @@ from repro.fem.material import IsotropicElastic
 from repro.fem.mesh import Mesh
 from repro.obs import record_span
 from repro.sparse.bcsr import BCSRMatrix
+from repro.utils.timing import Laps
 from repro.utils.validate import check_finite_coords
 
 
-def assemble_stiffness(
+def stiffness_coo_blocks(
     mesh: Mesh,
     materials: IsotropicElastic | dict[int, IsotropicElastic] | None = None,
-) -> BCSRMatrix:
-    """Assemble the global elastic stiffness matrix of *mesh*.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Uncoalesced 3x3 block triplets of the elastic stiffness of *mesh*.
+
+    One triplet per (element, node pair): 64 per hexahedron, in element
+    order.  ``BCSRMatrix.from_coo_blocks`` sums them — alone for the
+    stiffness matrix, or together with the contact-penalty triplets so the
+    whole system is sorted and reduced once.
 
     Parameters
     ----------
@@ -32,7 +37,6 @@ def assemble_stiffness(
         ``mesh.material_ids`` values to materials.  Defaults to the
         paper's non-dimensional ``E = 1.0, nu = 0.3``.
     """
-    t0 = time.perf_counter()
     check_finite_coords(mesh.coords)
     if materials is None:
         materials = IsotropicElastic()
@@ -58,14 +62,31 @@ def assemble_stiffness(
     blocks = (
         ke.reshape(ne, 8, 3, 8, 3).transpose(0, 1, 3, 2, 4).reshape(ne * 64, 3, 3)
     )
+    return rows, cols, blocks
+
+
+def assemble_stiffness(
+    mesh: Mesh,
+    materials: IsotropicElastic | dict[int, IsotropicElastic] | None = None,
+) -> BCSRMatrix:
+    """Assemble the global elastic stiffness matrix of *mesh*.
+
+    *materials* as for :func:`stiffness_coo_blocks`.
+    """
+    laps = Laps()
+    rows, cols, blocks = stiffness_coo_blocks(mesh, materials)
+    laps.lap("assembly.element")
     out = BCSRMatrix.from_coo_blocks(mesh.n_nodes, rows, cols, blocks, b=3)
-    record_span(
-        "assembly",
-        time.perf_counter() - t0,
-        n_elem=mesh.n_elem,
-        n_nodes=mesh.n_nodes,
-    )
+    laps.lap("assembly.reduce")
+    record_assembly_span(mesh, laps)
     return out
+
+
+def record_assembly_span(mesh: Mesh, laps: Laps) -> None:
+    """Emit the ``assembly`` span with the phases timed in *laps*."""
+    record_span(
+        "assembly", laps.total, laps.phases, n_elem=mesh.n_elem, n_nodes=mesh.n_nodes
+    )
 
 
 def element_volumes(mesh: Mesh) -> np.ndarray:

@@ -12,6 +12,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.fem.mesh import Mesh
+from repro.sparse.bcsr import BCSRMatrix
 from repro.utils.validate import check_square_csr
 
 # Local node quadruples of the six faces of a hex8 element.
@@ -41,21 +42,30 @@ def all_dofs(nodes: np.ndarray) -> np.ndarray:
     return (nodes[:, None] * 3 + np.arange(3)).reshape(-1)
 
 
+def _fixed_mask(fixed_dofs: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted unique fixed DOF ids and their boolean mask over ``n`` DOFs."""
+    fixed_dofs = np.unique(np.asarray(fixed_dofs, dtype=np.int64))
+    if fixed_dofs.size and (fixed_dofs.min() < 0 or fixed_dofs.max() >= n):
+        raise ValueError("fixed DOF index out of range")
+    mask = np.zeros(n, dtype=bool)
+    mask[fixed_dofs] = True
+    return fixed_dofs, mask
+
+
 def apply_dirichlet(
     a, b: np.ndarray, fixed_dofs: np.ndarray, values: np.ndarray | float = 0.0
 ):
     """Symmetric elimination of Dirichlet DOFs.
 
-    Rows and columns of the fixed DOFs are zeroed (moving the column
-    contribution of nonzero prescribed values to the RHS) and the original
-    diagonal entry is restored, keeping the matrix SPD and sensibly
-    scaled.  Returns ``(a_mod, b_mod)`` as new objects.
+    Rows and columns of the fixed DOFs are dropped from the pattern
+    (moving the column contribution of nonzero prescribed values to the
+    RHS) and the original diagonal entry is kept, so the matrix stays SPD
+    and sensibly scaled.  Every fixed DOF must have a stored diagonal
+    entry.  Returns ``(a_mod, b_mod)`` as new objects.
     """
     a = check_square_csr(a)
     n = a.shape[0]
-    fixed_dofs = np.unique(np.asarray(fixed_dofs, dtype=np.int64))
-    if fixed_dofs.size and (fixed_dofs.min() < 0 or fixed_dofs.max() >= n):
-        raise ValueError("fixed DOF index out of range")
+    fixed_dofs, mask = _fixed_mask(fixed_dofs, n)
     vals = np.broadcast_to(np.asarray(values, dtype=np.float64), fixed_dofs.shape)
 
     b = np.asarray(b, dtype=np.float64).copy()
@@ -65,21 +75,49 @@ def apply_dirichlet(
         xfix[fixed_dofs] = vals
         b -= a @ xfix
 
-    diag = a.diagonal()
-    mask = np.zeros(n, dtype=bool)
-    mask[fixed_dofs] = True
+    # One keep-mask over the canonical CSR arrays: entries coupling two
+    # free DOFs, plus the whole diagonal.
+    counts = np.diff(a.indptr)
+    row_fixed = np.repeat(mask, counts)
+    on_diag = np.repeat(np.arange(n, dtype=a.indices.dtype), counts) == a.indices
+    if np.count_nonzero(on_diag & row_fixed) != fixed_dofs.size:
+        raise ValueError("a fixed DOF has no stored diagonal entry")
+    keep = on_diag | ~(row_fixed | mask[a.indices])
+    kept_before = np.concatenate(([0], np.cumsum(keep)))
+    a_mod = sp.csr_matrix(
+        (a.data[keep], a.indices[keep], kept_before[a.indptr]), shape=a.shape
+    )
+    a_mod.has_canonical_format = True  # a masked canonical matrix stays canonical
 
-    coo = a.tocoo()
-    keep = ~(mask[coo.row] | mask[coo.col])
-    rows = np.concatenate([coo.row[keep], fixed_dofs])
-    cols = np.concatenate([coo.col[keep], fixed_dofs])
-    data = np.concatenate([coo.data[keep], diag[fixed_dofs]])
-    a_mod = sp.csr_matrix((data, (rows, cols)), shape=a.shape)
-    a_mod.sum_duplicates()
-    a_mod.sort_indices()
-
-    b[fixed_dofs] = diag[fixed_dofs] * vals
+    b[fixed_dofs] = a.diagonal()[fixed_dofs] * vals
     return a_mod, b
+
+
+def apply_dirichlet_bcsr(k: BCSRMatrix, fixed_dofs: np.ndarray) -> BCSRMatrix:
+    """Block form of the matrix :func:`apply_dirichlet` returns.
+
+    Equal to ``BCSRMatrix.from_scipy(apply_dirichlet(k.to_csr(), ...)[0])``
+    but taken straight from the block arrays: eliminated entries become
+    zeros inside their block, and a block whose entries are all
+    eliminated (a fully fixed node coupled to another node) is dropped.
+    """
+    _, mask = _fixed_mask(fixed_dofs, k.ndof)
+    free = ~mask.reshape(k.n, k.b)
+    alive = free.any(axis=1)
+    brow = k.block_rows()
+    on_diag = brow == k.indices
+    keep = on_diag | (alive[brow] & alive[k.indices])
+    brow, bcol, on_diag = brow[keep], k.indices[keep], on_diag[keep]
+    values = k.values[keep]
+    # only blocks touching a constrained node change
+    constrained = ~free.all(axis=1)
+    hit = np.flatnonzero(constrained[brow] | constrained[bcol])
+    kept = free[brow[hit]][:, :, None] & free[bcol[hit]][:, None, :]
+    kept[on_diag[hit]] |= np.eye(k.b, dtype=bool)
+    values[hit] = np.where(kept, values[hit], 0.0)
+    indptr = np.zeros(k.n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(brow, minlength=k.n), out=indptr[1:])
+    return BCSRMatrix(n=k.n, b=k.b, indptr=indptr, indices=bcol, values=values)
 
 
 def boundary_faces(mesh: Mesh, node_set: np.ndarray) -> np.ndarray:
@@ -93,6 +131,13 @@ def boundary_faces(mesh: Mesh, node_set: np.ndarray) -> np.ndarray:
     faces = mesh.hexes[:, _HEX_FACES]  # (e, 6, 4)
     keep = in_set[faces].all(axis=2)
     return faces[keep]
+
+
+def _lump(ndof: int, conn: np.ndarray, share: np.ndarray) -> np.ndarray:
+    """Load vector giving every corner of ``conn[i]`` the 3-vector ``share[i]``."""
+    dofs = conn.T[:, :, None] * 3 + np.arange(3)  # (corners, cells, 3)
+    weights = np.broadcast_to(share, dofs.shape)
+    return np.bincount(dofs.reshape(-1), weights=weights.reshape(-1), minlength=ndof)
 
 
 def surface_load(
@@ -115,12 +160,8 @@ def surface_load(
     d1 = p[:, 2] - p[:, 0]
     d2 = p[:, 3] - p[:, 1]
     area = 0.5 * np.linalg.norm(np.cross(d1, d2), axis=1)
-    f = np.zeros(mesh.ndof)
     share = area[:, None] / 4.0 * traction[None, :]  # (f, 3)
-    for corner in range(4):
-        dofs = faces[:, corner, None] * 3 + np.arange(3)
-        np.add.at(f, dofs.reshape(-1), np.repeat(share, 1, axis=0).reshape(-1))
-    return f
+    return _lump(mesh.ndof, faces, share)
 
 
 def body_force(mesh: Mesh, force_density: np.ndarray) -> np.ndarray:
@@ -131,11 +172,5 @@ def body_force(mesh: Mesh, force_density: np.ndarray) -> np.ndarray:
     if force_density.shape != (3,):
         raise ValueError(f"force density must be a 3-vector, got {force_density.shape}")
     vol = element_volumes(mesh)
-    f = np.zeros(mesh.ndof)
     share = vol[:, None] / 8.0  # equal lumping over the 8 element nodes
-    for corner in range(8):
-        dofs = mesh.hexes[:, corner, None] * 3 + np.arange(3)
-        np.add.at(
-            f, dofs.reshape(-1), (share * force_density[None, :]).reshape(-1)
-        )
-    return f
+    return _lump(mesh.ndof, mesh.hexes, share * force_density[None, :])

@@ -15,6 +15,7 @@ import numpy as np
 
 from repro.core.selective_blocking import validate_groups
 from repro.sparse.bcsr import BCSRMatrix
+from repro.utils.indexing import concat_ragged, ranges
 
 
 def penalty_coo_blocks(
@@ -24,24 +25,14 @@ def penalty_coo_blocks(
     if lam < 0:
         raise ValueError(f"penalty must be non-negative, got {lam}")
     groups = validate_groups(groups, n_nodes)
-    rows_list, cols_list, vals = [], [], []
-    eye = np.eye(3)
-    for g in groups:
-        m = g.size
-        rows = np.repeat(g, m)
-        cols = np.tile(g, m)
-        coef = np.where(rows == cols, (m - 1) * lam, -lam)
-        rows_list.append(rows)
-        cols_list.append(cols)
-        vals.append(coef[:, None, None] * eye)
-    if not rows_list:
-        z = np.empty(0, dtype=np.int64)
-        return z, z.copy(), np.empty((0, 3, 3))
-    return (
-        np.concatenate(rows_list),
-        np.concatenate(cols_list),
-        np.concatenate(vals),
-    )
+    flat, offsets = concat_ragged(groups)
+    # every member paired with its whole group, member-major as in Fig. 24
+    sizes = np.diff(offsets)
+    m = np.repeat(sizes, sizes)  # group size, per member
+    rows = np.repeat(flat, m)
+    cols = flat[ranges(np.repeat(offsets[:-1], sizes), m)]
+    coef = np.where(rows == cols, (np.repeat(m, m) - 1) * lam, -lam)
+    return rows, cols, coef[:, None, None] * np.eye(3)
 
 
 def assemble_penalty_groups(

@@ -30,6 +30,17 @@ _XI_NODES = np.array(
 
 _GP = np.array([-1.0, 1.0]) / np.sqrt(3.0)
 
+# Non-zero pattern of the 6x3 strain-displacement block of one node
+# (Voigt order xx, yy, zz, xy, yz, zx): entry (row, comp) holds the
+# shape-function derivative along axis grad.
+_B_ROW = np.array([0, 1, 2, 3, 3, 4, 4, 5, 5])
+_B_COMP = np.array([0, 1, 2, 0, 1, 1, 2, 0, 2])
+_B_GRAD = np.array([0, 1, 2, 1, 0, 2, 1, 2, 0])
+
+# Elements per batch of the stiffness kernel: bounds the B / DB
+# temporaries (9 kB each per element) to a few MB whatever the mesh size.
+_CHUNK = 512
+
 
 def _gauss_points() -> np.ndarray:
     """(8, 3) Gauss point coordinates; all weights are 1."""
@@ -86,38 +97,41 @@ def hex8_stiffness(
             raise ValueError(f"per-element D must be ({ne}, 6, 6), got {dmat.shape}")
 
     dn = shape_gradients_reference()  # (gp, node, 3)
-    xyz = coords[hexes]  # (e, node, 3)
+    dn_t = np.ascontiguousarray(dn.transpose(0, 2, 1))  # (gp, 3, node)
+    ke = np.empty((ne, 24, 24))
+    bad = 0
+    for e0 in range(0, ne, _CHUNK):
+        e1 = min(e0 + _CHUNK, ne)
+        m = e1 - e0
+        xyz = coords[hexes[e0:e1]]  # (m, node, 3)
 
-    # Jacobian at each (element, gauss point): J = dN^T @ xyz
-    jac = np.einsum("gna,enb->egab", dn, xyz)  # (e, gp, 3, 3)
-    detj = np.linalg.det(jac)
-    if (detj <= 0).any():
-        bad = int(np.count_nonzero(detj <= 0))
+        # Jacobian at each (element, gauss point): J = dN^T @ xyz.  Its
+        # inverse transpose is the cofactor matrix (rows: cross products of
+        # the rows of J) over the determinant.
+        jac = np.matmul(dn_t, xyz[:, None])  # (m, gp, 3, 3)
+        cof = np.cross(jac[..., [1, 2, 0], :], jac[..., [2, 0, 1], :])
+        detj = (jac[..., 0, :] * cof[..., 0, :]).sum(axis=-1)
+        bad += int(np.count_nonzero(detj <= 0))
+        if bad:
+            continue  # only finish the count; the error is raised below
+        # Physical shape gradients: dN/dx = J^{-1} dN/dxi, as dN @ J^{-T}
+        grad = np.matmul(dn, cof / detj[..., None, None])  # (m, gp, node, 3)
+
+        # Strain-displacement rows stacked over Gauss points: B_all is
+        # (48, 24) per element, laid out (strain row, gp | node, comp) so
+        # D @ B_all is one (6, 6) @ (6, 192) product per element.
+        bmat = np.zeros((m, 6, 8, 8, 3))
+        bmat[:, _B_ROW, :, :, _B_COMP] = grad.transpose(3, 0, 1, 2)[_B_GRAD]
+        db = np.matmul(dmat[e0:e1], bmat.reshape(m, 6, 192)).reshape(m, 6, 8, 24)
+        db *= detj[:, None, :, None]
+
+        # K_e = B_all^T (D B_all |J|)  (weights = 1 for 2x2x2 Gauss)
+        k = np.matmul(
+            bmat.reshape(m, 48, 24).transpose(0, 2, 1), db.reshape(m, 48, 24)
+        )
+        # Enforce exact symmetry (floating point round-off accumulates here).
+        np.add(k, k.transpose(0, 2, 1), out=ke[e0:e1])
+    if bad:
         raise ValueError(f"{bad} (element, gauss point) pairs have non-positive Jacobian")
-    jinv = np.linalg.inv(jac)
-    # Physical shape gradients: dN/dx = J^{-1} dN/dxi (per element, gp, node)
-    grad = np.einsum("egab,gnb->egna", jinv, dn)  # (e, gp, node, 3)
-
-    # Strain-displacement matrix B (6 x 24) per (element, gp).
-    ke = np.zeros((ne, 24, 24))
-    bmat = np.zeros((ne, 8, 6, 24))
-    cols = np.arange(8) * 3
-    gx = grad[..., 0]
-    gy = grad[..., 1]
-    gz = grad[..., 2]
-    bmat[:, :, 0, cols + 0] = gx
-    bmat[:, :, 1, cols + 1] = gy
-    bmat[:, :, 2, cols + 2] = gz
-    bmat[:, :, 3, cols + 0] = gy
-    bmat[:, :, 3, cols + 1] = gx
-    bmat[:, :, 4, cols + 1] = gz
-    bmat[:, :, 4, cols + 2] = gy
-    bmat[:, :, 5, cols + 0] = gz
-    bmat[:, :, 5, cols + 2] = gx
-
-    # K_e = sum_gp B^T D B |J| (weights = 1 for 2x2x2 Gauss)
-    db = np.einsum("eij,egjk->egik", dmat, bmat)
-    ke = np.einsum("egji,egjk,eg->eik", bmat, db, detj)
-    # Enforce exact symmetry (floating point round-off accumulates here).
-    ke = 0.5 * (ke + ke.transpose(0, 2, 1))
+    ke *= 0.5
     return ke

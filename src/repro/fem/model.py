@@ -14,13 +14,21 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.fem.assembly import assemble_stiffness
-from repro.fem.bc import all_dofs, apply_dirichlet, body_force, component_dofs, surface_load
-from repro.fem.contact import add_penalty, assemble_penalty_groups
+from repro.fem.assembly import record_assembly_span, stiffness_coo_blocks
+from repro.fem.bc import (
+    all_dofs,
+    apply_dirichlet,
+    apply_dirichlet_bcsr,
+    body_force,
+    component_dofs,
+    surface_load,
+)
+from repro.fem.contact import assemble_penalty_groups, penalty_coo_blocks
 from repro.fem.material import IsotropicElastic
 from repro.fem.mesh import Mesh
 from repro.sparse.bcsr import BCSRMatrix
 from repro.sparse.patterns import csr_position_map, csr_union_pattern
+from repro.utils.timing import Laps
 
 
 @dataclass
@@ -66,9 +74,41 @@ def build_contact_problem(
         Apply ``u_x = 0`` at ``xmin`` and ``u_y = 0`` at ``ymin``
         (disabled for the Southwest Japan model, per section 5.1).
     """
-    k = assemble_stiffness(mesh, materials)
-    k = add_penalty(k, mesh.contact_groups, penalty)
+    f, fixed_dofs = _load_and_fixed_dofs(mesh, load, load_magnitude, symmetry)
 
+    # Stiffness and penalty triplets are sorted and summed together, the
+    # penalty last — the order ContactStructure.system reproduces.
+    laps = Laps()
+    rows, cols, blocks = stiffness_coo_blocks(mesh, materials)
+    laps.lap("assembly.element")
+    prows, pcols, pblocks = penalty_coo_blocks(mesh.contact_groups, penalty, mesh.n_nodes)
+    k = BCSRMatrix.from_coo_blocks(
+        mesh.n_nodes,
+        np.concatenate([rows, prows]),
+        np.concatenate([cols, pcols]),
+        np.concatenate([blocks, pblocks]),
+        b=3,
+    )
+    laps.lap("assembly.reduce")
+    a, b = apply_dirichlet(k.to_csr(), f, fixed_dofs)
+    a_bcsr = apply_dirichlet_bcsr(k, fixed_dofs)
+    laps.lap("assembly.dirichlet")
+    record_assembly_span(mesh, laps)
+    return ContactProblem(
+        mesh=mesh,
+        a=a,
+        a_bcsr=a_bcsr,
+        b=b,
+        groups=mesh.contact_groups,
+        penalty=penalty,
+        fixed_dofs=fixed_dofs,
+    )
+
+
+def _load_and_fixed_dofs(
+    mesh: Mesh, load: str, load_magnitude: float, symmetry: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Load vector and sorted fixed DOF ids of the section 5.1 set-up."""
     if load == "surface":
         f = surface_load(mesh, mesh.node_sets["zmax"], np.array([0.0, 0.0, -load_magnitude]))
     elif load == "body":
@@ -80,18 +120,7 @@ def build_contact_problem(
     if symmetry:
         fixed.append(component_dofs(mesh.node_sets["xmin"], 0))
         fixed.append(component_dofs(mesh.node_sets["ymin"], 1))
-    fixed_dofs = np.unique(np.concatenate(fixed))
-
-    a, b = apply_dirichlet(k.to_csr(), f, fixed_dofs)
-    return ContactProblem(
-        mesh=mesh,
-        a=a,
-        a_bcsr=BCSRMatrix.from_scipy(a, b=3),
-        b=b,
-        groups=mesh.contact_groups,
-        penalty=penalty,
-        fixed_dofs=fixed_dofs,
-    )
+    return f, np.unique(np.concatenate(fixed))
 
 
 @dataclass
@@ -158,24 +187,18 @@ def build_contact_structure(
     :meth:`ContactStructure.system` without re-assembling, re-eliminating
     or re-analyzing anything.
     """
-    k = assemble_stiffness(mesh, materials)
+    f, fixed_dofs = _load_and_fixed_dofs(mesh, load, load_magnitude, symmetry)
 
-    if load == "surface":
-        f = surface_load(mesh, mesh.node_sets["zmax"], np.array([0.0, 0.0, -load_magnitude]))
-    elif load == "body":
-        f = body_force(mesh, np.array([0.0, 0.0, -load_magnitude]))
-    else:
-        raise ValueError(f"unknown load type {load!r}")
-
-    fixed = [all_dofs(mesh.node_sets["zmin"])]
-    if symmetry:
-        fixed.append(component_dofs(mesh.node_sets["xmin"], 0))
-        fixed.append(component_dofs(mesh.node_sets["ymin"], 1))
-    fixed_dofs = np.unique(np.concatenate(fixed))
-
+    laps = Laps()
+    rows, cols, blocks = stiffness_coo_blocks(mesh, materials)
+    laps.lap("assembly.element")
+    k = BCSRMatrix.from_coo_blocks(mesh.n_nodes, rows, cols, blocks, b=3)
+    p1 = assemble_penalty_groups(mesh.contact_groups, 1.0, mesh.n_nodes)
+    laps.lap("assembly.reduce")
     a0, b = apply_dirichlet(k.to_csr(), f, fixed_dofs)
-    p1 = assemble_penalty_groups(mesh.contact_groups, 1.0, mesh.n_nodes).to_csr()
-    a1, _ = apply_dirichlet(p1, np.zeros(mesh.ndof), fixed_dofs)
+    a1, _ = apply_dirichlet(p1.to_csr(), np.zeros(mesh.ndof), fixed_dofs)
+    laps.lap("assembly.dirichlet")
+    record_assembly_span(mesh, laps)
 
     pattern = csr_union_pattern(a0, a1)
     return ContactStructure(

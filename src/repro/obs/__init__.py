@@ -170,11 +170,12 @@ def event(name: str, **attrs) -> None:
         s.tracer.event(name, **attrs)
 
 
-def record_span(name: str, seconds: float, **attrs) -> None:
-    """Attach an externally-timed region as a completed span."""
+def record_span(name: str, seconds: float, phases=(), **attrs) -> None:
+    """Attach an externally-timed region as a completed span, with its
+    consecutive ``(name, seconds)`` *phases* as child spans."""
     s = _SESSION
     if s is not None:
-        s.tracer.record_span(name, seconds, **attrs)
+        s.tracer.record_span(name, seconds, phases, **attrs)
 
 
 def metric_inc(name: str, value: float = 1.0, **labels) -> None:

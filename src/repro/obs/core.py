@@ -213,13 +213,18 @@ class Tracer:
                 self.roots.append(ev)
         return ev
 
-    def record_span(self, name: str, seconds: float, **attrs) -> Span:
+    def record_span(
+        self, name: str, seconds: float, phases=(), **attrs
+    ) -> Span:
         """Attach an already-measured region as a completed span.
 
         For phases that keep their own wall-clock bookkeeping (e.g.
         ``ICSymbolic.build_seconds``): the span is backdated so its
         duration equals *seconds*, and parented at the current position.
-        The region must not itself have opened child spans.
+        The region must not itself have opened child spans; what it
+        timed inside itself goes in *phases*, ``(name, seconds)`` pairs
+        of consecutive sub-regions, which become its child spans laid
+        end to end from its start.
         """
         st = self._stack()
         parent = st[-1] if st else None
@@ -232,6 +237,19 @@ class Tracer:
         )
         sp.t_end = sp.t_start
         sp.t_start -= float(seconds)
+        t = sp.t_start
+        for child_name, child_seconds in phases:
+            child = Span(
+                child_name,
+                {},
+                span_id=next(self._ids),
+                parent_id=sp.span_id,
+                tid=sp.tid,
+            )
+            child.t_start = t
+            t += float(child_seconds)
+            child.t_end = t
+            sp.children.append(child)
         if parent is not None:
             parent.children.append(sp)
         else:

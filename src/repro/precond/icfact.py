@@ -62,14 +62,10 @@ from repro.precond.base import Preconditioner
 from repro.resilience.taxonomy import PivotNudgeWarning
 from repro.reorder.coloring import Coloring
 from repro.reorder.cmrcm import cm_rcm
-from repro.reorder.graph import adjacency_from_pattern
 from repro.reorder.multicolor import multicolor
-from repro.sparse.vbr import (
-    VBRMatrix,
-    permutation_from_supernodes,
-    shape_buckets,
-    supernode_maps,
-)
+from repro.sparse.vbr import VBRMatrix, shape_buckets, supernode_maps
+from repro.utils.indexing import ranges, sorted_unique
+from repro.utils.timing import Laps
 from repro.utils.validate import check_square_csr
 
 __all__ = [
@@ -134,18 +130,6 @@ def _sorted_csr(m: sp.csr_matrix) -> sp.csr_matrix:
     return m
 
 
-def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Concatenated ``[s, s+1, ..., s+l-1]`` ranges, fully vectorized."""
-    lengths = np.asarray(lengths, dtype=np.int64)
-    total = int(lengths.sum())
-    if total == 0:
-        return np.empty(0, dtype=np.int64)
-    shift = np.concatenate(([0], np.cumsum(lengths)[:-1]))
-    return np.repeat(np.asarray(starts, dtype=np.int64) - shift, lengths) + np.arange(
-        total, dtype=np.int64
-    )
-
-
 def lower_fill_pattern(adj: sp.csr_matrix, level: int):
     """Strictly-lower sparsity pattern of IC(level) fill, plus the diagonal.
 
@@ -175,19 +159,13 @@ def lower_fill_pattern(adj: sp.csr_matrix, level: int):
     if level >= 2:
         keys.extend(_pairs_through_edges(indptr, indices, rows, cols, n))
 
-    allk = np.unique(np.concatenate(keys)) if keys else np.empty(0, dtype=np.int64)
-    r = allk // n
-    c = allk % n
-    # Append the diagonal and build CSR (diag is the largest column of a
-    # lower row, so ascending column order puts it last — as required).
-    r = np.concatenate([r, np.arange(n, dtype=np.int64)])
-    c = np.concatenate([c, np.arange(n, dtype=np.int64)])
-    order = np.lexsort((c, r))
-    r, c = r[order], c[order]
+    # The diagonal key r * n + r is the largest of row r's lower keys, so
+    # one ascending sort puts it last in each row — as required.
+    keys.append(np.arange(n, dtype=np.int64) * (n + 1))
+    allk = sorted_unique(np.concatenate(keys))
     out_indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(out_indptr, r + 1, 1)
-    np.cumsum(out_indptr, out=out_indptr)
-    return out_indptr, c
+    np.cumsum(np.bincount(allk // n, minlength=n), out=out_indptr[1:])
+    return out_indptr, allk % n
 
 
 def _pairs_through_vertices(indptr, indices, n, chunk=2048):
@@ -291,7 +269,7 @@ class ICSymbolic:
         sort_blocks_by_size: bool = True,
         coloring: str = "mc",
     ) -> None:
-        t0 = time.perf_counter()
+        laps = Laps()
         a = check_square_csr(a)
         if variant == "auto":
             variant = "dmod" if fill_level == 0 else "full"
@@ -303,8 +281,9 @@ class ICSymbolic:
         self.ndof = a.shape[0]
 
         # ---- ordering: color the super-node graph, sort by size in-color
-        snode_of0, _local0 = supernode_maps(supernodes, self.ndof)
-        adj0 = self._supernode_adjacency(a, snode_of0, len(supernodes))
+        nsuper = len(supernodes)
+        snode_of0, local = supernode_maps(supernodes, self.ndof)
+        adj0 = self._supernode_adjacency(a, snode_of0, nsuper)
         if coloring == "mc":
             col = multicolor(adj0, ncolors)
         elif coloring == "cmrcm":
@@ -312,28 +291,36 @@ class ICSymbolic:
         else:
             raise ValueError(f"unknown coloring method {coloring!r}")
         self.coloring: Coloring = col
-        sizes0 = np.array([len(s) for s in supernodes], dtype=np.int64)
+        sizes0 = np.bincount(snode_of0, minlength=nsuper)
         if sort_blocks_by_size:
-            order = np.lexsort((np.arange(len(supernodes)), -sizes0, col.colors))
+            order = np.lexsort((np.arange(nsuper), -sizes0, col.colors))
         else:
-            order = np.lexsort((np.arange(len(supernodes)), col.colors))
+            order = np.lexsort((np.arange(nsuper), col.colors))
         self.order = order.astype(np.int64)
-        reordered = [np.asarray(supernodes[s], dtype=np.int64) for s in order]
+        iorder = np.empty(nsuper, dtype=np.int64)
+        iorder[self.order] = np.arange(nsuper)
         self.sizes = sizes0[order]
-        self.perm_dof = permutation_from_supernodes(reordered)
-        self.iperm_dof = np.empty(self.ndof, dtype=np.int64)
-        self.iperm_dof[self.perm_dof] = np.arange(self.ndof)
+        # a DOF keeps its place inside its super-node; only the
+        # super-nodes move, so the old maps renumber into the new ones
+        snode_of = iorder[snode_of0]
+        offsets = np.concatenate(([0], np.cumsum(self.sizes)))
+        self.iperm_dof = offsets[snode_of] + local
+        self.perm_dof = np.empty(self.ndof, dtype=np.int64)
+        self.perm_dof[self.iperm_dof] = np.arange(self.ndof)
         colors_new = col.colors[order]
         self.ncolors = col.ncolors
+        laps.lap("ic_symbolic.ordering")
 
         # ---- filled lower pattern in the new numbering
-        snode_of, local = supernode_maps(reordered, self.ndof)
-        adj = self._supernode_adjacency(a, snode_of, len(reordered))
+        edges = adj0.tocoo()
+        adj = sp.csr_matrix(
+            (edges.data, (iorder[edges.row], iorder[edges.col])), shape=adj0.shape
+        )
         lp_indptr, lp_indices = lower_fill_pattern(adj, fill_level)
-        lp0_indptr, _lp0_indices = lower_fill_pattern(adj, 0)
         self.pattern = VBRMatrix.from_pattern(self.sizes, lp_indptr, lp_indices)
-        # number of *fill* blocks beyond the level-0 pattern (memory census)
-        self.nnz_fill = int(self.pattern.nnzb - lp0_indptr[-1])
+        # number of *fill* blocks beyond the level-0 pattern (one block per
+        # undirected edge plus the diagonal) — the memory census
+        self.nnz_fill = int(self.pattern.nnzb - (adj.nnz // 2 + nsuper))
 
         # ---- execution schedule
         if fill_level == 0:
@@ -348,6 +335,7 @@ class ICSymbolic:
         self.group_of = np.empty(self.pattern.N, dtype=np.int64)
         for g, members in enumerate(self.schedule):
             self.group_of[members] = g
+        laps.lap("ic_symbolic.pattern")
 
         # ---- values-only scatter map A -> L (the refactor fast path)
         self._a_indptr = a.indptr
@@ -373,16 +361,19 @@ class ICSymbolic:
         else:
             self.full_updates = self._build_full_updates()
             self.dmod_updates = None
+        laps.lap("ic_symbolic.maps")
 
         # ---- compiled substitution operator structures
         self._build_apply_structures()
+        laps.lap("ic_symbolic.apply_structs")
 
         _SETUP_COUNTERS["symbolic"] += 1
-        self.build_seconds = time.perf_counter() - t0
+        self.build_seconds = laps.total
         metric_inc("setup.symbolic")
         record_span(
             "ic_symbolic",
             self.build_seconds,
+            laps.phases,
             ndof=self.ndof,
             fill_level=self.fill_level,
             variant=self.variant,
@@ -397,11 +388,26 @@ class ICSymbolic:
     def _supernode_adjacency(
         a: sp.csr_matrix, snode_of: np.ndarray, n: int
     ) -> sp.csr_matrix:
-        coo = a.tocoo()
-        bi = snode_of[coo.row]
-        bj = snode_of[coo.col]
-        g = sp.csr_matrix((np.ones(bi.size, dtype=np.int8), (bi, bj)), shape=(n, n))
-        return adjacency_from_pattern(g)
+        """Symmetric 0/1 super-node graph of *a* (no self loops).
+
+        The three DOF columns of a node map to one super-node, so each
+        scalar row is first collapsed to its runs of equal block pairs
+        and only the run heads are sorted.
+        """
+        bi = np.repeat(snode_of, np.diff(a.indptr))
+        bj = snode_of[a.indices]
+        key = np.maximum(bi, bj) * n + np.minimum(bi, bj)
+        head = bi != bj
+        head[1:] &= key[1:] != key[:-1]
+        pairs = sorted_unique(key[head])
+        hi, lo = pairs // n, pairs % n
+        return sp.csr_matrix(
+            (
+                np.ones(2 * pairs.size, dtype=np.int8),
+                (np.concatenate([hi, lo]), np.concatenate([lo, hi])),
+            ),
+            shape=(n, n),
+        )
 
     def _level_schedule(self) -> list[np.ndarray]:
         """Wave decomposition of the filled lower-triangular DAG.
@@ -434,7 +440,7 @@ class ICSymbolic:
             assigned += frontier.size
             starts = col_ptr[frontier]
             lens = col_ptr[frontier + 1] - starts
-            hit = dep_rows[_ranges(starts, lens)]
+            hit = dep_rows[ranges(starts, lens)]
             deps[frontier] = -1  # retire, so flatnonzero never re-selects
             if hit.size:
                 deps -= np.bincount(hit, minlength=n)
@@ -453,18 +459,17 @@ class ICSymbolic:
         A is canonical CSR, so every kept entry lands in a distinct slot
         and the numeric scatter is a single fancy-index assignment.
         """
-        coo = a.tocoo()
-        bi = snode_of[coo.row]
-        bj = snode_of[coo.col]
+        counts = np.diff(a.indptr)
+        bi = np.repeat(snode_of, counts)
+        bj = snode_of[a.indices]
         keep = bi >= bj
-        src = np.flatnonzero(keep).astype(np.int64)
         bi, bj = bi[keep], bj[keep]
         pos = self.pattern.find_blocks(bi, bj)
         if (pos < 0).any():
             raise ValueError("CSR entry outside the VBR pattern")
-        li = local[coo.row[keep]]
-        lj = local[coo.col[keep]]
-        self.scatter_src = src
+        li = np.repeat(local, counts)[keep]
+        lj = local[a.indices[keep]]
+        self.scatter_src = np.flatnonzero(keep).astype(np.int64)
         self.scatter_dst = self.pattern.boff[pos] + li * self.sizes[bj] + lj
 
     def pattern_matches(self, a: sp.csr_matrix) -> bool:
@@ -652,7 +657,7 @@ class ICSymbolic:
         self.dinv_struct: list[tuple] = []
         all_rows, all_cols, all_src = [], [], []
         for g, members in enumerate(self.schedule):
-            dof = _ranges(L.offsets[members], self.sizes[members])
+            dof = ranges(L.offsets[members], self.sizes[members])
             ng = dof.size
             loc[dof] = np.arange(ng)
             if ng and int(dof[-1] - dof[0]) + 1 == ng:

@@ -55,7 +55,7 @@ class BCSRMatrix:
         blocks: np.ndarray,
         b: int = 3,
     ) -> "BCSRMatrix":
-        """Build from block triplets, summing duplicates.
+        """Build from block triplets, summing duplicates in input order.
 
         Every diagonal block is materialized (with zeros if absent) so the
         preconditioners can always address ``A[i, i]``.
@@ -66,25 +66,24 @@ class BCSRMatrix:
         if blocks.shape != (rows.size, b, b):
             raise ValueError(f"blocks must have shape ({rows.size}, {b}, {b}), got {blocks.shape}")
 
-        # Append explicit (possibly zero) diagonal blocks, then coalesce.
-        diag = np.arange(n, dtype=rows.dtype)
-        rows = np.concatenate([rows, diag])
-        cols = np.concatenate([cols, diag])
-        blocks = np.concatenate([blocks, np.zeros((n, b, b))])
+        # One sort finds the pattern (with every diagonal block present)
+        # and the slot of each triplet; duplicates are then summed slot by
+        # slot in the order given, so the result does not depend on what
+        # else shares the sort.
+        diag = np.arange(n, dtype=np.int64)
+        key = np.concatenate([rows.astype(np.int64) * n + cols, diag * (n + 1)])
+        uniq, slot = np.unique(key, return_inverse=True)
+        slot = slot[: rows.size]
+        values = np.empty((uniq.size, b, b))
+        for r in range(b):
+            for c in range(b):
+                values[:, r, c] = np.bincount(
+                    slot, weights=blocks[:, r, c], minlength=uniq.size
+                )
 
-        key = rows.astype(np.int64) * n + cols
-        order = np.argsort(key, kind="stable")
-        key = key[order]
-        blocks = blocks[order]
-        uniq, start = np.unique(key, return_index=True)
-        summed = np.add.reduceat(blocks, start, axis=0)
-
-        urows = (uniq // n).astype(np.int64)
-        ucols = (uniq % n).astype(np.int64)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, urows + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(n=n, b=b, indptr=indptr, indices=ucols, values=summed)
+        np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
+        return cls(n=n, b=b, indptr=indptr, indices=uniq % n, values=values)
 
     @classmethod
     def from_scipy(cls, a: sp.spmatrix | sp.sparray, b: int = 3) -> "BCSRMatrix":
@@ -138,8 +137,9 @@ class BCSRMatrix:
     def to_csr(self) -> sp.csr_matrix:
         """Scalar CSR copy (sorted, duplicate-free)."""
         csr = self.to_bsr().tocsr()
-        csr.sum_duplicates()
-        csr.sort_indices()
+        # block columns are sorted and unique within each row (class
+        # invariant), so the expanded rows are canonical already
+        csr.has_canonical_format = True
         return csr
 
     def toarray(self) -> np.ndarray:

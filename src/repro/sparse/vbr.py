@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from repro.utils.indexing import concat_ragged
 from repro.utils.validate import check_square_csr
 
 
@@ -114,7 +115,7 @@ class VBRMatrix:
         """
         a = check_square_csr(a)
         snode_of, local = supernode_maps(supernodes, a.shape[0])
-        sizes = np.array([len(s) for s in supernodes], dtype=np.int64)
+        sizes = np.fromiter((len(s) for s in supernodes), np.int64, len(supernodes))
         n = sizes.size
 
         coo = a.tocoo()
@@ -124,10 +125,8 @@ class VBRMatrix:
         bi, bj = bi[keep], bj[keep]
         key = bi * n + bj
         uniq = np.unique(key)
-        urows = uniq // n
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, urows + 1, 1)
-        np.cumsum(indptr, out=indptr)
+        np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
         m = cls.from_pattern(sizes, indptr, (uniq % n).astype(np.int64))
         m.scatter_csr(a, snode_of, local, lower_only=lower_only)
         return m
@@ -283,16 +282,22 @@ def supernode_maps(supernodes: list[np.ndarray], ndof: int):
     it belongs to and its position inside that super-node.  Raises if the
     lists do not partition ``0..ndof-1``.
     """
+    flat, offsets = concat_ragged(supernodes)
+    owner = np.repeat(np.arange(len(supernodes), dtype=np.int64), np.diff(offsets))
+    # owner is non-decreasing, so writing in reverse leaves each DOF's
+    # lowest claimant behind; a DOF claimed again by a later super-node
+    # is the overlap a one-by-one scan would trip over first
     snode_of = np.full(ndof, -1, dtype=np.int64)
-    local = np.full(ndof, -1, dtype=np.int64)
-    for i, dofs in enumerate(supernodes):
-        dofs = np.asarray(dofs, dtype=np.int64)
-        if (snode_of[dofs] >= 0).any():
-            raise ValueError(f"super-node {i} overlaps an earlier super-node")
-        snode_of[dofs] = i
-        local[dofs] = np.arange(dofs.size)
+    snode_of[flat[::-1]] = owner[::-1]
+    later = owner > snode_of[flat]
+    if later.any():
+        raise ValueError(
+            f"super-node {owner[later][0]} overlaps an earlier super-node"
+        )
     if (snode_of < 0).any():
         raise ValueError("super-nodes do not cover all DOFs")
+    local = np.empty(ndof, dtype=np.int64)
+    local[flat] = np.arange(flat.size, dtype=np.int64) - offsets[owner]
     return snode_of, local
 
 

@@ -46,3 +46,26 @@ class Timer:
     def reset(self) -> None:
         self.elapsed = 0.0
         self._t0 = None
+
+
+class Laps:
+    """Split one region into consecutive named phases.
+
+    ``lap(name)`` closes the phase running since construction or the
+    previous lap; ``phases`` is the ``(name, seconds)`` list and
+    ``total`` their sum — the shape :func:`repro.obs.record_span` takes
+    for a backdated span with child spans.
+    """
+
+    def __init__(self) -> None:
+        self.phases: list[tuple[str, float]] = []
+        self._last = time.perf_counter()
+
+    def lap(self, name: str) -> None:
+        now = time.perf_counter()
+        self.phases.append((name, now - self._last))
+        self._last = now
+
+    @property
+    def total(self) -> float:
+        return sum(seconds for _name, seconds in self.phases)

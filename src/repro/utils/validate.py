@@ -92,31 +92,58 @@ def check_contact_groups(
     contact pair — its penalty rows are singular and break the
     factorization much later) and a node claimed by *two* groups.
     Returns the groups coerced to int64.
+
+    All groups are checked at once on their concatenated node ids; the
+    error reported is the one a group-by-group scan would hit first
+    (lowest group, then shape -> range -> size -> duplicate -> overlap).
     """
-    seen = np.full(n_nodes, -1, dtype=np.int64)  # node -> owning group
-    out = []
-    for g, nodes in enumerate(groups):
-        nodes = check_index_array(
-            np.asarray(nodes, dtype=np.int64), n_nodes, f"contact group {g}"
-        )
-        if nodes.size < 2:
-            raise ValueError(f"contact group {g} has fewer than 2 nodes")
-        uniq, counts = np.unique(nodes, return_counts=True)
-        if (counts > 1).any():
-            dup = uniq[counts > 1]
-            raise ValueError(
-                f"contact group {g} lists node id(s) {dup.tolist()} more "
+    out = [np.asarray(nodes, dtype=np.int64) for nodes in groups]
+    # Groups before ``stop`` have passed every check made so far; a
+    # failure found later only counts if it sits in a lower group.
+    stop, error = len(out), None
+    not_1d = [g for g, nodes in enumerate(out) if nodes.ndim != 1]
+    if not_1d:
+        stop = not_1d[0]
+        error = f"contact group {stop} must be 1-D, got shape {out[stop].shape}"
+
+    sizes = np.fromiter((nodes.size for nodes in out[:stop]), np.int64, stop)
+    flat = np.concatenate(out[:stop]) if stop else np.empty(0, dtype=np.int64)
+    owner = np.repeat(np.arange(stop), sizes)
+    outside = owner[(flat < 0) | (flat >= n_nodes)]
+    small = np.flatnonzero(sizes < 2)
+    if outside.size and (not small.size or outside[0] <= small[0]):
+        stop = int(outside[0])
+        error = f"contact group {stop} has entries outside [0, {n_nodes})"
+    elif small.size:
+        stop = int(small[0])
+        error = f"contact group {stop} has fewer than 2 nodes"
+
+    flat, owner = flat[owner < stop], owner[owner < stop]
+    if flat.size and np.bincount(flat, minlength=n_nodes).max() > 1:
+        # owner is non-decreasing, so writing in reverse leaves each
+        # node's lowest claimant behind
+        first_owner = np.empty(n_nodes, dtype=np.int64)
+        first_owner[flat[::-1]] = owner[::-1]
+        key = np.sort(owner * n_nodes + flat)
+        repeated = key[1:][key[1:] == key[:-1]]
+        clashing = owner > first_owner[flat]
+        g_dup = int(repeated[0] // n_nodes) if repeated.size else stop
+        g_clash = int(owner[clashing][0]) if clashing.any() else stop
+        if g_dup <= g_clash:
+            dup = np.unique(repeated[repeated // n_nodes == g_dup] % n_nodes)
+            error = (
+                f"contact group {g_dup} lists node id(s) {dup.tolist()} more "
                 "than once — a degenerate contact pair; deduplicate the "
                 "pairing before assembly"
             )
-        clash = uniq[seen[uniq] >= 0]
-        if clash.size:
-            raise ValueError(
-                f"contact group {g} overlaps group {seen[clash[0]]} "
+        else:
+            clash = np.unique(flat[clashing & (owner == g_clash)])
+            error = (
+                f"contact group {g_clash} overlaps group {first_owner[clash[0]]} "
                 f"at node id(s) {clash.tolist()}"
             )
-        seen[uniq] = g
-        out.append(nodes)
+    if error is not None:
+        raise ValueError(error)
     return out
 
 

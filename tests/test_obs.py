@@ -296,6 +296,41 @@ class TestTracedSolveAgreement:
         assert num.duration == pytest.approx(m.numeric_seconds)
         assert sess.metrics.get("cg.solves", precond=m.name, converged=True) == 1
 
+    def test_setup_spans_carry_their_phases(self, block_problem_small):
+        """`repro trace` can say where set-up time went: assembly and the
+        symbolic phase each record their consecutive sub-phases as
+        children that tile the parent span exactly."""
+        from repro.fem.model import build_contact_problem
+
+        with obs.observe() as sess:
+            p = build_contact_problem(block_problem_small.mesh, penalty=1e6)
+            sb_bic0(p.a, p.groups)
+        (asm,) = sess.tracer.find("assembly")
+        assert [c.name for c in asm.children] == [
+            "assembly.element",
+            "assembly.reduce",
+            "assembly.dirichlet",
+        ]
+        assert asm.attrs["n_elem"] == p.mesh.n_elem
+        (sym,) = sess.tracer.find("ic_symbolic")
+        assert [c.name for c in sym.children] == [
+            "ic_symbolic.ordering",
+            "ic_symbolic.pattern",
+            "ic_symbolic.maps",
+            "ic_symbolic.apply_structs",
+        ]
+        for parent in (asm, sym):
+            kids = parent.children
+            assert all(c.parent_id == parent.span_id for c in kids)
+            assert sum(c.duration for c in kids) == pytest.approx(parent.duration)
+            assert kids[0].t_start == pytest.approx(parent.t_start)
+            assert kids[-1].t_end == pytest.approx(parent.t_end)
+            assert all(a.t_end == b.t_start for a, b in zip(kids, kids[1:]))
+        # the phases show up in the terminal summary and the Chrome trace
+        table = summary_table(sess.tracer, sess.metrics)
+        assert "assembly.reduce" in table and "ic_symbolic.maps" in table
+        _assert_chrome_well_formed(chrome_trace_events(sess.tracer))
+
     def test_parallel_cg_halo_census_matches_commlog(self, block_problem_small):
         p = block_problem_small
         part = partition_nodes_rcb(p.mesh.coords, 3)
