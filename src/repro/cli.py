@@ -18,7 +18,8 @@ Perfetto).
 partitions the model (RCB, ``--ndomains``) and solves over real forked
 worker processes (:mod:`repro.parallel.transport`); ``--rank-traces
 DIR`` makes each worker export a rank-tagged JSONL trace, merged into
-one Chrome timeline with ``repro trace --merge DIR/trace.rank*.jsonl``.
+one Chrome timeline (plus a per-rank compute/wait table) with ``repro
+trace --merge DIR/trace.rank*.jsonl``.
 """
 
 from __future__ import annotations
@@ -377,6 +378,7 @@ def _cmd_trace(args) -> int:
     if args.merge:
         out = obs.merge_rank_traces(args.merge, args.out)
         print(f"merged {len(args.merge)} rank trace(s) into {out}")
+        print(obs.rank_time_table(args.merge))
         return 0
     if args.requests:
         records = obs.load_jsonl_records(args.requests)

@@ -49,6 +49,7 @@ from repro.obs.export import (
     load_jsonl_records,
     merge_rank_traces,
     policy_table,
+    rank_time_table,
     requests_table,
     summary_table,
 )
@@ -68,6 +69,7 @@ __all__ = [
     "load_jsonl_records",
     "merge_rank_traces",
     "policy_table",
+    "rank_time_table",
     "requests_table",
     "metric_inc",
     "metric_observe",

@@ -31,6 +31,7 @@ __all__ = [
     "load_jsonl_records",
     "merge_rank_traces",
     "policy_table",
+    "rank_time_table",
     "requests_table",
     "summary_table",
 ]
@@ -88,38 +89,40 @@ def export_jsonl(
     return path
 
 
+def _rank_records(paths) -> list[tuple[int, float | None, dict]]:
+    """``(rank, file epoch t0, record)`` for every span/event of per-rank
+    JSONL files; a rank may have several files (one per solver epoch)."""
+    out = []
+    for i, p in enumerate(paths):
+        t0 = None
+        for rec in load_jsonl_records(p):
+            rank = int(rec.get("rank", i))
+            if rec.get("kind") == "meta":
+                t0 = float(rec["t0"])
+            elif rec.get("kind") in ("span", "event"):
+                out.append((rank, t0, rec))
+    return out
+
+
 def merge_rank_traces(paths, out) -> Path:
     """Merge per-rank JSONL traces into one Chrome trace-event file.
 
-    Input files are the ``trace.rank<r>.jsonl`` exports a process
-    transport's workers write on shutdown (``export_jsonl(...,
+    Input files are the ``trace.rank<r>*.jsonl`` exports a process
+    transport's workers write when their epoch ends (``export_jsonl(...,
     rank=r)``).  Each rank becomes its own ``pid`` lane (named
     ``rank <r>`` via process_name metadata); spans become complete
     ``X`` events.  When every file carries a ``meta`` record with its
     tracer epoch, timestamps are aligned on the shared monotonic clock,
-    so cross-rank concurrency (which worker served the exchange late)
-    reads directly off the merged timeline; files without one fall back
-    to their own relative time.  Returns the path written."""
+    so cross-rank concurrency (which rank kept its peers waiting) reads
+    directly off the merged timeline; files without one fall back to
+    their own relative time.  Returns the path written."""
     events: list[dict] = []
-    t0s: dict[int, float] = {}
-    records: list[tuple[int, dict]] = []
-    for i, p in enumerate(paths):
-        with Path(p).open() as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                rec = json.loads(line)
-                rank = int(rec.get("rank", i))
-                if rec.get("kind") == "meta":
-                    t0s[rank] = float(rec["t0"])
-                elif rec.get("kind") in ("span", "event"):
-                    records.append((rank, rec))
-    # align on the shared monotonic clock when every rank reported its
-    # epoch; the earliest epoch becomes the merged timeline's zero
-    base = min(t0s.values()) if t0s else 0.0
-    for rank, rec in records:
-        offset = t0s.get(rank, base) - base
+    records = _rank_records(paths)
+    # align on the shared monotonic clock; the earliest epoch becomes the
+    # merged timeline's zero
+    base = min((t0 for _, t0, _ in records if t0 is not None), default=0.0)
+    for rank, t0, rec in records:
+        offset = (base if t0 is None else t0) - base
         ts = (rec["t_start_s"] + offset) * 1e6
         common = {
             "name": rec["name"],
@@ -134,7 +137,7 @@ def merge_rank_traces(paths, out) -> Path:
             events.append(
                 {**common, "ph": "X", "dur": rec["duration_s"] * 1e6}
             )
-    for rank in sorted({r for r, _ in records} | set(t0s)):
+    for rank in sorted({r for r, _, _ in records}):
         events.append(
             {
                 "name": "process_name",
@@ -149,6 +152,36 @@ def merge_rank_traces(paths, out) -> Path:
         json.dumps({"traceEvents": events, "displayTimeUnit": "ms"}, indent=1)
     )
     return out
+
+
+def rank_time_table(paths) -> str:
+    """Where each rank's time went, from per-rank JSONL traces: seconds
+    computing, waiting for peers at halo exchanges and at allreduces,
+    and copying halos, plus the communication share — the comm/compute
+    split of the paper's Fig. 20, measured on a real run."""
+    cols = ("rank.compute", "halo", "allreduce", "halo_exchange")
+    totals: dict[int, dict[str, float]] = {}
+    for rank, _, rec in _rank_records(paths):
+        name = rec["name"]
+        if name == "rank.wait":
+            name = rec["attrs"].get("kind")
+        if name in cols and rec.get("duration_s") is not None:
+            row = totals.setdefault(rank, dict.fromkeys(cols, 0.0))
+            row[name] += rec["duration_s"]
+    if not totals:
+        return "(no rank.compute / rank.wait spans in trace)"
+    lines = [
+        f"{'rank':>4} {'compute s':>10} {'wait halo s':>12} "
+        f"{'wait allred s':>14} {'halo copy s':>12} {'comm %':>7}"
+    ]
+    for rank, row in sorted(totals.items()):
+        comm = sum(row.values()) - row["rank.compute"]
+        share = 100.0 * comm / sum(row.values()) if comm else 0.0
+        lines.append(
+            f"{rank:>4} {row['rank.compute']:>10.4f} {row['halo']:>12.4f} "
+            f"{row['allreduce']:>14.4f} {row['halo_exchange']:>12.4f} {share:>7.1f}"
+        )
+    return "\n".join(lines)
 
 
 def chrome_trace_events(

@@ -28,6 +28,11 @@ import numpy as np
 from repro.obs import metric_inc, metric_observe, session as obs_session, span
 from repro.parallel.partition import LocalDomain
 
+HALO = "halo"
+"""What a rank program (see :func:`repro.parallel.distributed.parallel_cg`)
+yields to ask for the boundary exchange of its halo vector; anything else
+it yields is its contribution to an allreduce."""
+
 PER_EXCHANGE_RETENTION = 4096
 """Default bound on :attr:`CommLog.per_exchange_bytes`.
 

@@ -1,11 +1,14 @@
-"""Distributed parallel CG over the emulated communicator.
+"""Distributed parallel CG: one SPMD body per rank.
 
-All ranks execute the textbook preconditioned CG in lockstep: a boundary
-exchange before every matrix-vector product, per-rank partial dot
-products combined by (emulated) allreduce, and a *localized*
-preconditioner applied to internal DOFs with no communication — exactly
-the GeoFEM solver of paper section 2.2.  In exact arithmetic the iterates
-coincide with a sequential CG preconditioned by
+Every rank executes the textbook preconditioned CG on its own domain: a
+boundary exchange before every matrix-vector product, per-rank partial
+dot products combined by allreduce, and a *localized* preconditioner
+applied to internal DOFs with no communication — exactly the GeoFEM
+solver of paper section 2.2.  The rank-local iteration is a generator
+that yields at each collective; the lockstep emulation advances all
+ranks inside this process, the process transport runs one of them in
+each forked worker.  In exact arithmetic the iterates coincide with a
+sequential CG preconditioned by
 :class:`~repro.precond.localized.LocalizedPreconditioner`; the tests
 assert that correspondence.
 
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dataclass_field
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -30,7 +34,7 @@ from repro.obs import (
     session as obs_session,
     span as obs_span,
 )
-from repro.parallel.comm import CommLog, LockstepComm
+from repro.parallel.comm import HALO, CommLog, LockstepComm
 from repro.parallel.partition import LocalDomain, build_domains
 from repro.precond.base import Preconditioner
 from repro.resilience.taxonomy import (
@@ -48,10 +52,12 @@ LocalPrecondFactory = Callable[[sp.csr_matrix, np.ndarray], Preconditioner]
 
 
 class _CommFaultDetected(Exception):
-    """Internal: raised by the exchange wrapper when the halo probe trips."""
+    """Internal: raised by a rank whose halo probe trips.  ``args`` is the
+    constructor argument, so the exception survives the pickle from a
+    rank worker to the driver."""
 
     def __init__(self, mismatch: float) -> None:
-        super().__init__(f"halo mismatch {mismatch}")
+        super().__init__(mismatch)
         self.mismatch = mismatch
 
 
@@ -287,10 +293,10 @@ class DistributedSystem:
     def comm_log(self) -> CommLog:
         return self.comm.log
 
-    # -- lifecycle (real transports own worker processes) ---------------
+    # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Release the transport's OS resources (workers, pipes).
+        """Tell the transport it will not be used again.
 
         A no-op for the lockstep emulation; idempotent everywhere, so the
         context-manager form is safe regardless of transport."""
@@ -318,6 +324,171 @@ def _clone_domain(dom: LocalDomain) -> LocalDomain:
     )
 
 
+class _KrylovState:
+    """Every rank's ``x``/``r``/``p``, halo-extended work vector, and the
+    residual history, allocated through *alloc* so that a process
+    transport can put them where its rank workers and the driver both
+    see them (``np.zeros`` otherwise).
+
+    ``iters[rank]`` is the number of iterations that rank has completed:
+    what the driver reports when a fault ends an epoch from outside."""
+
+    def __init__(self, domains: list[LocalDomain], max_iter: int, alloc) -> None:
+        b = domains[0].b
+        sizes = [dom.n_internal * b for dom in domains]
+        self.x, self.r, self.p = ([alloc(n) for n in sizes] for _ in "xrp")
+        # internal + external slots; every exchange fills all external ones
+        self.halo = [alloc(dom.n_local * b) for dom in domains]
+        self.history = alloc(max_iter + 1)
+        self.iters = alloc(len(domains))
+
+
+@dataclass
+class _Outcome:
+    """How a rank's CG ended.  Every rank decides from the same reduced
+    scalars, so every rank returns the same one."""
+
+    iterations: int
+    converged: bool
+    reason: FailureReason | None = None
+    detail: str = ""
+
+
+def _rank_cg(
+    rank: int,
+    system: DistributedSystem,
+    st: _KrylovState,
+    store,
+    resume,
+    *,
+    eps: float,
+    max_iter: int,
+    stagnation_window: int,
+    stagnation_rtol: float,
+    deadline: float | None,
+    halo_check: bool,
+):
+    """One rank's preconditioned CG: the SPMD body of paper section 2.2.
+
+    A generator that owns only rank-local data and yields at each
+    collective — :data:`~repro.parallel.comm.HALO` for the boundary
+    exchange of its halo vector (answered with the owner/ghost
+    mismatch), a float or a small vector for an allreduce (answered with
+    the global sum) — and returns an :class:`_Outcome`.  Whoever
+    advances it supplies the communication: :func:`_run_in_process`
+    steps all ranks through a ``LockstepComm``-shaped communicator, a
+    process-transport worker steps its own rank.  Every exchange is
+    followed by an allreduce before the next one, which is what lets a
+    transport reuse one halo buffer per rank.
+
+    Two comms optimizations over the textbook loop (the hot-path numbers
+    the paper's Fig. 20 latency model cares about): the halo-extended
+    work vector is allocated once per solve — every exchange overwrites
+    all its external slots — and ``r.r`` (convergence test) and ``r.z``
+    (CG beta) ride in one fused *vector* allreduce, 2 per iteration
+    instead of 3, which requires applying the preconditioner before the
+    convergence check; the iterates are unchanged.
+
+    *resume* is ``None`` for a fresh solve (``x0 = 0``) or the
+    :class:`~repro.resilience.checkpoint.CGCheckpoint` whose vectors
+    were just restored into *st*.
+    """
+    dom, m = system.domains[rank], system.preconds[rank]
+    x, r, p, halo, hist = st.x[rank], st.r[rank], st.p[rank], st.halo[rank], st.history
+    ni = x.size
+    reuse_z = _supports_out(m.apply)
+    # one rank speaks for the solve in the trace
+    sess = obs_session() if rank == 0 else None
+
+    def failed(reason: FailureReason, detail: str) -> _Outcome:
+        return _Outcome(it, False, reason, detail)
+
+    if resume is None:
+        x[:] = 0.0
+        r[:] = system.b_parts[rank]
+        z = m.apply(r)
+        rr, rz = yield np.array([r @ r, r @ z])
+        bnorm = np.sqrt(rr)
+        it = st.iters[rank] = 0
+        hist[0] = 1.0 if bnorm else 0.0
+        if hist[0] <= eps:
+            return _Outcome(0, True)
+        p[:] = z
+    else:
+        it, rz, bnorm, z = resume.iteration, resume.rz, resume.bnorm, None
+    while it < max_iter:
+        if store is not None and store.due(it) and (resume is None or it > resume.iteration):
+            store.save(rank, it, (x, r, p), rz, bnorm)
+        halo[:ni] = p
+        mismatch = yield HALO  # a process-transport rank always gets one
+        if halo_check and (mismatch > 0.0 or not np.isfinite(mismatch)):
+            raise _CommFaultDetected(mismatch)
+        q = dom.a_local @ halo
+        pq = yield float(p @ q)
+        if not np.isfinite(pq):
+            return failed(FailureReason.NAN_DETECTED, f"p.q = {pq}")
+        if pq <= 0:
+            return failed(FailureReason.BREAKDOWN_INDEFINITE, f"p.q = {pq:.3e}")
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+        it += 1
+        z = m.apply(r, out=z) if reuse_z and z is not None else m.apply(r)
+        # r.r (convergence) and r.z (beta) ride one vector allreduce; a
+        # wall-clock budget must be judged collectively, so it rides too
+        dots = [r @ r, r @ z]
+        if deadline is not None:
+            dots.append(float(time.perf_counter() > deadline))
+        sums = yield np.array(dots)
+        rr, rz_new = sums[0], sums[1]
+        relres = hist[it] = np.sqrt(rr) / bnorm
+        st.iters[rank] = it
+        if sess is not None:
+            sess.tracer.event("cg.iteration", it=it, relres=float(relres))
+            sess.metrics.inc("cg.iterations", solver="parallel_cg")
+        if not np.isfinite(relres):
+            return failed(FailureReason.NAN_DETECTED, "residual is NaN/Inf")
+        if relres <= eps:
+            return _Outcome(it, True)
+        if _stagnated(hist[: it + 1], stagnation_window, stagnation_rtol):
+            return failed(
+                FailureReason.STAGNATION,
+                f"no {1 - stagnation_rtol:.0%} improvement in "
+                f"{stagnation_window} iterations",
+            )
+        if deadline is not None and sums[2] > 0.0:
+            return failed(FailureReason.TIME_BUDGET, "budget exhausted")
+        beta = rz_new / rz
+        rz = rz_new
+        p *= beta
+        p += z
+    return failed(FailureReason.MAX_ITER, f"cap {max_iter}")
+
+
+def _run_in_process(comm, halo_check: bool, program, halo: list[np.ndarray]) -> list:
+    """Advance every rank's generator in lockstep through *comm*'s
+    collective surface; returns the ranks' outcomes."""
+    gens = [program(rank) for rank in range(comm.size)]
+    replies = [None] * len(gens)
+    while True:
+        requests, outcomes = [], []
+        for gen, reply in zip(gens, replies):
+            try:
+                requests.append(gen.send(reply))
+            except StopIteration as stop:
+                outcomes.append(stop.value)
+        if outcomes:  # the ranks stop together
+            return outcomes
+        if requests[0] is HALO:
+            comm.exchange_external(halo)
+            reply = comm.halo_mismatch(halo) if halo_check else 0.0
+        elif isinstance(requests[0], float):
+            reply = comm.allreduce_sum(requests)
+        else:
+            reply = comm.allreduce_sum_vec(requests)
+        replies = [reply] * len(gens)
+
+
 def parallel_cg(
     system: DistributedSystem,
     *,
@@ -331,288 +502,158 @@ def parallel_cg(
     max_rollbacks: int = 3,
     report: SolveReport | None = None,
 ) -> CGResult:
-    """Lockstep preconditioned CG on a distributed system.
+    """Preconditioned CG on a distributed system, one SPMD body per rank.
 
-    Two comms optimizations over the textbook loop (the hot-path numbers
-    the paper's Fig. 20 latency model cares about):
+    The iteration is written once, rank-locally (:func:`_rank_cg`).  On
+    a communicator that can run rank programs itself (the process
+    transport's ``run_ranks``: one forked worker per rank computes on
+    its own domain and meets its peers only at the collectives) the
+    ranks run concurrently; on any other communicator (lockstep, the
+    fault-injecting wrappers, mpi) they are advanced in lockstep inside
+    this process.  The reductions are rank-ordered either way, so the
+    iterates, the iteration count and the message census do not depend
+    on which it was.
 
-    - the halo-extended work vectors are allocated once per solve instead
-      of concatenated per matvec — every exchange overwrites all external
-      slots, so the buffers can be reused;
-    - the two post-update reductions ``r.r`` (convergence test) and
-      ``r.z`` (CG beta) ride in one fused *vector* allreduce, cutting the
-      allreduce count per iteration from 3 to 2.  This requires applying
-      the preconditioner before the convergence check; the iterates are
-      unchanged.
-
-    ``halo_check`` (default on) runs the owner/ghost agreement probe
-    (:meth:`LockstepComm.halo_mismatch`) after every boundary exchange
-    and aborts with ``reason=COMM_FAULT`` on any disagreement — the
-    detection side of the fault-injection harness
+    ``halo_check`` (default on) compares owner and ghost values after
+    every boundary exchange (:meth:`LockstepComm.halo_mismatch`, or the
+    process transport's sender/receiver checksums) and aborts with
+    ``reason=COMM_FAULT`` on any disagreement — the detection side of the
+    fault-injection harness
     (:class:`~repro.resilience.faults.FaultyComm`).  ``stagnation_window``,
     ``time_budget`` and ``report`` behave as in
     :func:`~repro.solvers.cg.cg_solve`.
 
     Checkpoint/rollback (DESIGN.md section 10): when
-    ``checkpoint_interval > 0`` the per-domain Krylov state is
-    snapshotted every that-many iterations
+    ``checkpoint_interval > 0`` every rank snapshots its Krylov state
+    every that-many iterations
     (:class:`~repro.resilience.checkpoint.CGCheckpointStore`), and a
-    detected fault *resumes* instead of aborting, up to ``max_rollbacks``
-    times:
+    detected fault ends the current *epoch* of rank programs and starts
+    the next one from the last snapshot every rank completed, up to
+    ``max_rollbacks`` times:
 
     - a transient ``COMM_FAULT`` (corrupted halo) rolls every rank back
-      to the last snapshot and re-executes — the retried exchanges are
-      clean, so the iterates rejoin the fault-free trajectory exactly;
+      and re-executes — the retried exchanges are clean, so the iterates
+      rejoin the fault-free trajectory exactly;
     - a :class:`~repro.resilience.taxonomy.CommTimeout` (a real
-      transport's deadline/retry budget exhausted while every peer stayed
-      alive) likewise rolls back and re-executes — no rank state was
-      lost, so no respawn is involved;
-    - a persistent :class:`~repro.resilience.taxonomy.RankFailure`
-      (heartbeat probe exhausted; see
-      :class:`~repro.resilience.faults.DeadRankComm`) first rebuilds the
-      dead rank via :meth:`DistributedSystem.recover_rank` — which
-      requires :meth:`DistributedSystem.enable_recovery` to have been
-      called — then rolls back and resumes.
+      transport's budget exhausted while every peer stayed alive)
+      likewise rolls back and re-executes — no rank state was lost, so
+      no respawn is involved;
+    - a persistent :class:`~repro.resilience.taxonomy.RankFailure` (a
+      dead worker process; :class:`~repro.resilience.faults.DeadRankComm`
+      in the emulation) first rebuilds the dead rank via
+      :meth:`DistributedSystem.recover_rank` — which requires
+      :meth:`DistributedSystem.enable_recovery` to have been called —
+      then rolls back and resumes.
 
     With the budget exhausted (or checkpointing off) behavior reverts to
     PR 2's fail-fast: the solve ends with the detection's reason.
     """
-    domains = system.domains
     comm = system.comm
-    nd = len(domains)
-    b = domains[0].b
-    ni = [dom.n_internal * b for dom in domains]
-    reuse_z = all(_supports_out(m.apply) for m in system.preconds)
     for d, bp in enumerate(system.b_parts):
         check_finite_vector(bp, f"b (domain {d})")
 
-    def detect(reason: FailureReason, it: int, detail: str = "") -> FailureReason:
+    def detect(reason: FailureReason, it: int, detail: str = "") -> None:
         if report is not None:
             report.record("detect", "parallel_cg", reason, iteration=it, detail=detail)
-        return reason
 
-    # halo-extended work vectors (internal + external slots), allocated
-    # once; exchange_external fills every external slot on each call
-    halo = [np.zeros(dom.n_local * b) for dom in domains]
-
-    def matvec(p_parts: list[np.ndarray]) -> list[np.ndarray]:
-        for d in range(nd):
-            halo[d][: ni[d]] = p_parts[d]
-        comm.exchange_external(halo)
-        if halo_check:
-            mismatch = comm.halo_mismatch(halo)
-            if mismatch > 0.0 or not np.isfinite(mismatch):
-                raise _CommFaultDetected(mismatch)
-        return [dom.a_local @ h for dom, h in zip(domains, halo)]
-
-    def dot(u_parts, v_parts) -> float:
-        return comm.allreduce_sum([float(u @ v) for u, v in zip(u_parts, v_parts)])
-
-    def dot2(u_parts, v_parts, s_parts, t_parts) -> np.ndarray:
-        """Two dot products fused into a single vector allreduce."""
-        return comm.allreduce_sum_vec(
-            [
-                np.array([u @ v, s @ t])
-                for u, v, s, t in zip(u_parts, v_parts, s_parts, t_parts)
-            ]
-        )
-
-    def precond(r_parts, z_parts=None):
-        if reuse_z and z_parts is not None:
-            return [
-                m.apply(rp, out=zp)
-                for m, rp, zp in zip(system.preconds, r_parts, z_parts)
-            ]
-        return [m.apply(rp) for m, rp in zip(system.preconds, r_parts)]
-
+    alloc = getattr(comm, "shared_array", np.zeros)
+    st = _KrylovState(system.domains, max_iter, alloc)
     store = None
     if checkpoint_interval:
         from repro.resilience.checkpoint import CGCheckpointStore
 
-        store = CGCheckpointStore(checkpoint_interval)
+        store = CGCheckpointStore([v.size for v in st.x], checkpoint_interval, alloc)
+    run = getattr(comm, "run_ranks", None) or partial(_run_in_process, comm, halo_check)
+    deadline = None if time_budget is None else time.perf_counter() + time_budget
     rollbacks = 0
-
-    x = [np.zeros_like(bp) for bp in system.b_parts]
+    resume = None
     timer = Timer()
-    reason: FailureReason | None = None
-    # captured once: the disabled path costs one `is None` test per iteration
-    sess = obs_session()
     with obs_span(
-        "parallel_cg", ranks=nd, ndof=system.ndof, eps=eps
-    ), timer:
-        t_start = time.perf_counter()
-        r = [bp.copy() for bp in system.b_parts]  # x0 = 0
-        z = precond(r)
-        rr, rz = dot2(r, r, r, z)
-        bnorm = np.sqrt(rr)
-        if bnorm == 0.0:
-            return CGResult(
-                x=system.gather_global(x),
-                iterations=0,
-                converged=True,
-                relative_residual=0.0,
-                solve_seconds=0.0,
+        "parallel_cg", ranks=len(system.domains), ndof=system.ndof, eps=eps
+    ), timer, obs_span("cg_iterations"):
+        while True:
+            program = partial(
+                _rank_cg,
+                system=system,
+                st=st,
+                store=store,
+                resume=resume,
+                eps=eps,
+                max_iter=max_iter,
+                stagnation_window=stagnation_window,
+                stagnation_rtol=stagnation_rtol,
+                deadline=deadline,
+                halo_check=halo_check,
             )
-        p = [zp.copy() for zp in z]
-        relres = np.sqrt(rr) / bnorm
-        history = [relres]
-        it = 0
-        converged = relres <= eps
-        def rollback() -> float:
-            """Restore the snapshot; returns the rolled-back iteration."""
-            nonlocal it, rz, relres
-            ck = store.restore(x, r, p)
-            it = ck.iteration
-            rz = ck.rz
-            del history[ck.history_len:]
-            relres = history[-1]
+            # One guard around the whole epoch: with a real transport any
+            # collective can fail.  A fault may leave x/r half-updated —
+            # harmless, because recovery always restores the full Krylov
+            # state from the snapshot.
+            dead = None
+            try:
+                out = run(program, st.halo)[0]
+            except RankFailure as fail:
+                reason, dead = FailureReason.RANK_FAILURE, fail.rank
+                detail = f"rank {fail.rank} unresponsive after {fail.probes} probes"
+            except CommTimeout as slow:
+                # peers alive, budget exhausted: no state was lost, so
+                # roll back and re-execute — no respawn
+                reason = FailureReason.COMM_TIMEOUT
+                detail = (
+                    f"{slow.op} missed deadline {slow.attempts}x "
+                    f"(rank(s) {slow.pending} alive but silent)"
+                )
+            except _CommFaultDetected as fault:
+                reason = FailureReason.COMM_FAULT
+                detail = f"owner/ghost mismatch {fault.mismatch:.3e}"
+            else:
+                if out.reason is not None:
+                    detect(out.reason, out.iterations, out.detail)
+                break
+            done = int(st.iters.max())
+            detect(reason, done, detail)
+            ck = None if store is None else store.latest
+            if (
+                ck is None
+                or rollbacks >= max_rollbacks
+                or (dead is not None and not system.can_recover)
+            ):
+                out = _Outcome(done, False, reason)
+                break
+            if dead is not None:
+                system.recover_rank(dead, report=report)
+            resume = store.restore(st.x, st.r, st.p)
+            st.iters[:] = resume.iteration
+            rollbacks += 1
             metric_inc("cg.rollbacks")
             if report is not None:
                 report.record(
                     "recover",
                     "parallel_cg",
-                    iteration=it,
-                    detail=f"rolled back to checkpointed iteration {it} "
-                    f"(rollback {rollbacks + 1}/{max_rollbacks})",
+                    iteration=resume.iteration,
+                    detail=f"rolled back to checkpointed iteration "
+                    f"{resume.iteration} (rollback {rollbacks}/{max_rollbacks})",
                 )
-            return it
 
-        with obs_span("cg_iterations"):
-            while not converged and it < max_iter:
-                if store is not None and store.due(it):
-                    store.save(it, x, r, p, rz, len(history))
-                # One guard around the whole iteration body: with a real
-                # transport, not just the matvec's exchange but *every*
-                # reduction (pq, fused rr/rz) can raise.  A mid-iteration
-                # failure may leave x/r half-updated — harmless, because
-                # every recovery path below goes through rollback(),
-                # which restores the full Krylov state from the snapshot.
-                try:
-                    q = matvec(p)
-                    pq = dot(p, q)
-                    if not np.isfinite(pq):
-                        reason = detect(FailureReason.NAN_DETECTED, it, f"p.q = {pq}")
-                        break
-                    if pq <= 0:
-                        reason = detect(
-                            FailureReason.BREAKDOWN_INDEFINITE, it, f"p.q = {pq:.3e}"
-                        )
-                        break
-                    alpha = rz / pq
-                    for d in range(nd):
-                        x[d] += alpha * p[d]
-                        r[d] -= alpha * q[d]
-                    it += 1
-                    z = precond(r, z)
-                    rr, rz_new = dot2(r, r, r, z)
-                except RankFailure as fail:
-                    reason = detect(
-                        FailureReason.RANK_FAILURE,
-                        it,
-                        f"rank {fail.rank} unresponsive after {fail.probes} probes",
-                    )
-                    if (
-                        store is not None
-                        and store.latest is not None
-                        and rollbacks < max_rollbacks
-                        and system.can_recover
-                    ):
-                        system.recover_rank(fail.rank, report=report)
-                        rollback()
-                        rollbacks += 1
-                        reason = None
-                        continue
-                    break
-                except CommTimeout as slow:
-                    # peers alive, deadline budget exhausted: no state was
-                    # lost, so roll back and re-execute — no respawn
-                    reason = detect(
-                        FailureReason.COMM_TIMEOUT,
-                        it,
-                        f"{slow.op} missed deadline {slow.attempts}x "
-                        f"(rank(s) {slow.pending} alive but silent)",
-                    )
-                    if (
-                        store is not None
-                        and store.latest is not None
-                        and rollbacks < max_rollbacks
-                    ):
-                        rollback()
-                        rollbacks += 1
-                        reason = None
-                        continue
-                    break
-                except _CommFaultDetected as fault:
-                    reason = detect(
-                        FailureReason.COMM_FAULT,
-                        it,
-                        f"owner/ghost mismatch {fault.mismatch:.3e}",
-                    )
-                    if (
-                        store is not None
-                        and store.latest is not None
-                        and rollbacks < max_rollbacks
-                    ):
-                        rollback()
-                        rollbacks += 1
-                        reason = None
-                        continue
-                    break
-                relres = np.sqrt(rr) / bnorm
-                history.append(relres)
-                if sess is not None:
-                    sess.tracer.event("cg.iteration", it=it, relres=float(relres))
-                    sess.metrics.inc("cg.iterations", solver="parallel_cg")
-                if not np.isfinite(relres):
-                    reason = detect(
-                        FailureReason.NAN_DETECTED, it, "residual is NaN/Inf"
-                    )
-                    break
-                if relres <= eps:
-                    converged = True
-                    break
-                if _stagnated(history, stagnation_window, stagnation_rtol):
-                    reason = detect(
-                        FailureReason.STAGNATION,
-                        it,
-                        f"no {1 - stagnation_rtol:.0%} improvement in "
-                        f"{stagnation_window} iterations",
-                    )
-                    break
-                if (
-                    time_budget is not None
-                    and time.perf_counter() - t_start > time_budget
-                ):
-                    reason = detect(
-                        FailureReason.TIME_BUDGET, it, f"budget {time_budget:.3g}s"
-                    )
-                    break
-                beta = rz_new / rz
-                rz = rz_new
-                for d in range(nd):
-                    p[d] *= beta
-                    p[d] += z[d]
-        if not converged and reason is None:
-            reason = detect(FailureReason.MAX_ITER, it, f"cap {max_iter}")
-
+    sess = obs_session()
     if sess is not None:
-        sess.metrics.inc("cg.solves", solver="parallel_cg", converged=converged)
+        sess.metrics.inc("cg.solves", solver="parallel_cg", converged=out.converged)
         sess.metrics.observe(
             "cg.solve_seconds", timer.elapsed, solver="parallel_cg"
         )
-        if reason is not None and reason.is_failure:
+        if out.reason is not None and out.reason.is_failure:
             sess.metrics.inc(
-                "cg.failures", solver="parallel_cg", reason=str(reason)
+                "cg.failures", solver="parallel_cg", reason=str(out.reason)
             )
 
     return CGResult(
-        x=system.gather_global(x),
-        iterations=it,
-        converged=converged,
-        relative_residual=float(relres),
+        x=system.gather_global(st.x),
+        iterations=out.iterations,
+        converged=out.converged,
+        relative_residual=float(st.history[out.iterations]),
         solve_seconds=timer.elapsed,
         setup_seconds=sum(m.setup_seconds for m in system.preconds),
-        history=np.asarray(history),
-        reason=reason,
+        history=st.history[: out.iterations + 1].copy(),
+        reason=out.reason,
         rollbacks=rollbacks,
     )

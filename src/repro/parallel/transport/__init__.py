@@ -6,14 +6,14 @@ the ``LockstepComm`` surface (``exchange_external``, ``allreduce_sum``,
 provides that surface over fabrics where the failure modes are real:
 
 - :mod:`~repro.parallel.transport.process_backend` — one forked OS
-  worker per rank, shared-memory halo buffers, a binary pipe tree for
-  allreduces.  SIGKILL a worker and the deadline/liveness machinery
-  detects a genuinely dead process;
+  worker per rank and solve, running that rank's CG on its own and
+  meeting its peers through shared memory.  SIGKILL a worker and the
+  driver finds a genuinely dead process;
 - :mod:`~repro.parallel.transport.mpi_backend` — optional mpi4py SPMD
   backend (guarded import, never a hard dependency);
 - :mod:`~repro.parallel.transport.policy` — the deadline / bounded-retry
-  / exponential-backoff engine every transport operation runs under, and
-  the ``RankFailure`` vs ``CommTimeout`` classification contract;
+  / exponential-backoff knobs whose budget bounds every wait, and the
+  ``RankFailure`` vs ``CommTimeout`` classification contract;
 - :mod:`~repro.parallel.transport.registry` — selection with the same
   precedence as the kernel registry: explicit argument > ``--transport``
   (:func:`set_transport`) > ``REPRO_TRANSPORT`` env var > ``lockstep``.

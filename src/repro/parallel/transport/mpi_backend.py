@@ -10,8 +10,10 @@ machine without MPI degrades instead of crashing.
 
 Execution model: **replicated driver, SPMD**.  Every MPI rank runs the
 identical driver script (standard SPMD launch: ``mpiexec -n 4 repro
-solve --transport mpi --ndomains 4``) and therefore holds all domain
-structures, but each rank *communicates* only its own domain's data:
+solve --transport mpi --ndomains 4``), holds all domain structures and
+advances every rank's CG program in lockstep
+(:func:`repro.parallel.distributed.parallel_cg`), but each rank
+*communicates* only its own domain's data:
 
 - ``exchange_external`` posts nonblocking receives for the rank's
   external DOFs and sends for its boundary DOFs (the GeoFEM SEND/RECV

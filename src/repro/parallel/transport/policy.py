@@ -1,10 +1,11 @@
 """Deadline / retry / backoff policy for real-process communication.
 
-Every transport operation — halo exchange, allreduce, heartbeat — runs
-under the same three-knob policy: a per-attempt *deadline*, a bounded
-number of *retries*, and an exponential *backoff* between attempts.  The
-engine (:func:`run_with_retry`) is deliberately pure: the clock and the
-sleep function are injectable, so the classification contract
+Every operation on worker processes runs under the same three-knob
+policy: a per-attempt *deadline*, a bounded number of *retries*, and an
+exponential *backoff* between attempts.  The engine
+(:func:`run_with_retry`, which the solver service's worker pool drives)
+is deliberately pure: the clock and the sleep function are injectable,
+so the classification contract
 
 - attempt completes (possibly only after retries) → result returned, the
   slow-but-alive peer is **absorbed** with no failure surfaced;
@@ -14,8 +15,9 @@ sleep function are injectable, so the classification contract
   :class:`CommTimeout` after ``max_retries + 1`` attempts
 
 is unit-testable against a fake clock without spawning a single process
-(``tests/test_transport_policy.py``).  The real transports feed it their
-genuine waiting/liveness primitives.
+(``tests/test_transport_policy.py``).  The process transport applies
+the same contract per epoch of rank workers, with :meth:`TransportPolicy.budget`
+as the bound (see :mod:`~repro.parallel.transport.process_backend`).
 """
 
 from __future__ import annotations
@@ -37,16 +39,18 @@ class TransportPolicy:
     ``max_retries`` the number of *re*-attempts after the first (so every
     operation gets ``max_retries + 1`` tries); ``backoff`` the sleep
     before the first retry, multiplied by ``backoff_factor`` for each
-    subsequent one.  ``tree_deadline`` bounds how long a worker blocks on
-    an inter-worker (pipe-tree) receive before abandoning the collective;
-    it defaults to ``deadline`` when left at 0.
+    subsequent one.
+
+    The process transport's rank workers cannot re-issue a collective
+    (they run autonomously), so there the knobs act through their sum:
+    :meth:`budget` bounds each wait of a rank on its peers, and how long
+    the driver lets an epoch go without any rank advancing.
     """
 
     deadline: float = 10.0
     max_retries: int = 2
     backoff: float = 0.05
     backoff_factor: float = 2.0
-    tree_deadline: float = 0.0
 
     def __post_init__(self) -> None:
         if self.deadline <= 0.0:
@@ -59,15 +63,6 @@ class TransportPolicy:
             raise ValueError(
                 f"backoff_factor must be >= 1, got {self.backoff_factor}"
             )
-        if self.tree_deadline < 0.0:
-            raise ValueError(
-                f"tree_deadline must be >= 0, got {self.tree_deadline}"
-            )
-
-    @property
-    def worker_deadline(self) -> float:
-        """How long a worker blocks on a tree receive (see above)."""
-        return self.tree_deadline if self.tree_deadline > 0.0 else self.deadline
 
     def budget(self) -> float:
         """Worst-case wall-clock of one operation: all attempts + backoffs."""

@@ -1,63 +1,60 @@
-"""Real-process transport: shared-memory halos, pipe-tree allreduces.
+"""Real-process transport: autonomous SPMD rank workers over shared memory.
 
-Architecture: **replicated driver, real workers**.  The driver process
-keeps executing the lockstep CG arithmetic for every domain — which is
-what makes the ``lockstep``/``process`` determinism gate bit-exact — but
-every halo exchange and every allreduce transits genuine OS processes:
+Architecture: **an epoch of rank workers per solve** (DESIGN.md section
+13).  The driver holds the domains, factors and right-hand sides;
+:meth:`ProcessTransport.run_ranks` forks one worker per rank, which
+inherits all of that, takes one CPU of the affinity mask and runs its
+rank program (the CG body of
+:func:`~repro.parallel.distributed.parallel_cg`) to the end by itself.
+The ranks meet only at the program's collectives, through shared memory
+(``multiprocessing.RawArray``) and one sequence counter per rank:
 
-- one forked worker per rank owns its domain's communication tables and
-  a per-rank :class:`~repro.parallel.comm.CommLog`;
-- halo values move through per-rank shared-memory buffers
-  (``multiprocessing.RawArray``): the driver publishes each rank's
-  internal DOFs, every worker gathers its external DOFs from its
-  neighbors' buffers (internal and external regions are disjoint, so the
-  concurrent reads/writes are race-free by construction) and acknowledges
-  over its command pipe;
-- allreduces run over a binary **pipe tree** between the workers
-  (parent of rank ``r`` is ``(r - 1) // 2``): contributions travel up as
-  rank-tagged pairs, the root orders them by rank and applies the exact
-  same ``np.sum`` reduction as :class:`~repro.parallel.comm.LockstepComm`
-  — the fixed reduction order that makes process-transport dot products
-  bit-identical to the emulation — and the result is broadcast back down.
+- **halo exchange** — a rank stores a checksum of every boundary region
+  a neighbor will read, publishes its next sequence number, waits for
+  the owners of its external DOFs to publish theirs and gathers those
+  DOFs from the owners' vectors (internal and external regions are
+  disjoint, so the concurrent reads and writes are race-free by
+  construction).  It checksums what it received against what the sender
+  stored: the owner/ghost probe, with zero additional messages;
+- **allreduce** — a rank stores its contribution in its row of a
+  double-buffered table, publishes, waits for everybody, and applies the
+  exact same rank-ordered ``np.sum`` as
+  :class:`~repro.parallel.comm.LockstepComm` — the fixed reduction order
+  that makes process-transport dot products bit-identical to the
+  emulation.
 
-Because the workers are real processes, the failure modes are real too:
+A wait is ``check → sched_yield → abort flag → deadline``: yielding
+instead of sleeping keeps a hand-over at microseconds, and lets more
+ranks than CPUs time-share instead of stalling.  The driver sleeps on
+the workers' result pipes for the whole epoch and only classifies how it
+ended:
 
-- a SIGKILLed worker (:meth:`ProcessTransport.inject_kill`, or any
-  external ``kill -9``) simply stops answering; the driver's deadline
-  expires, the liveness probe (``Process.is_alive`` on the actual OS
-  process) reports it dead, and
-  :class:`~repro.resilience.taxonomy.RankFailure` fires.  Recovery
-  (:meth:`~repro.parallel.distributed.DistributedSystem.recover_rank`)
-  calls :meth:`revive`, which forks a replacement worker onto the same
-  pipes and buffers;
-- a wedged-but-alive worker exhausts the retry/backoff budget of
-  :class:`~repro.parallel.transport.policy.TransportPolicy` and surfaces
-  as :class:`~repro.resilience.taxonomy.CommTimeout` — rollback, no
-  respawn;
-- a *merely slow* worker is absorbed by the retries and never becomes a
-  solver-visible failure.
+- a pipe reports EOF without a result — the worker died
+  (:meth:`ProcessTransport.inject_kill`, or any external ``kill -9``) →
+  the abort flag wakes the waiters and
+  :class:`~repro.resilience.taxonomy.RankFailure` fires.  Nothing needs
+  respawning: recovery rebuilds the rank's data in the driver and the
+  next epoch's fork inherits it;
+- a wait outlived :meth:`TransportPolicy.budget` with every process
+  alive → :class:`~repro.resilience.taxonomy.CommTimeout` — rollback, no
+  respawn.  A *merely slow* peer is absorbed by the wait;
+- a rank program raised (the halo probe tripped) → the exception is
+  re-raised in the driver.
 
-``halo_mismatch`` can no longer peek at owner buffers (they live in
-other processes' working sets): every worker piggybacks two checksums on
-its exchange acknowledgement — one over each payload it *received*, one
-over each payload its neighbors will have *read* from it — and the probe
-compares receiver-side against sender-side sums with zero additional
-messages.
-
-Every protocol message carries a monotonically increasing sequence
-number.  Retries re-issue under a fresh sequence, receivers drop stale
-messages and stash ahead-of-sequence ones, so a worker that wakes up
-late (or a replacement forked mid-solve) re-synchronizes instead of
-corrupting the next collective.
+The publish/consume order relies on stores becoming visible in program
+order (x86-TSO); a torn halo on a weaker machine would trip the checksum.
 """
 
 from __future__ import annotations
 
+import ctypes
 import multiprocessing as mp
 import os
+import pickle
 import signal
 import time
-from dataclasses import dataclass, field
+import traceback
+from collections import deque
 from multiprocessing.connection import Connection, wait as mp_wait
 from pathlib import Path
 
@@ -65,19 +62,23 @@ import numpy as np
 
 from repro import obs
 from repro.obs import metric_inc, span
-from repro.parallel.comm import CommLog
+from repro.parallel.comm import HALO, PER_EXCHANGE_RETENTION, CommLog
 from repro.parallel.partition import LocalDomain
-from repro.parallel.transport.policy import (
-    Incomplete,
-    TransportPolicy,
-    run_with_retry,
-)
+from repro.parallel.transport.policy import TransportPolicy
+from repro.resilience.taxonomy import CommTimeout, RankFailure
 
 __all__ = ["ProcessTransport", "is_available"]
 
+REDUCE_WIDTH = 8
+"""Widest allreduce contribution the shared table holds (CG needs 3)."""
+
+REAP_GRACE_S = 0.5
+"""How long an ended epoch waits for its workers to leave by themselves
+(they see the abort flag within one wait-loop turn) before SIGKILL."""
+
 
 def is_available() -> bool:
-    """The backend needs ``fork`` (workers inherit pipes and buffers)."""
+    """The backend needs ``fork`` (workers inherit domains and buffers)."""
     return "fork" in mp.get_all_start_methods()
 
 
@@ -90,32 +91,26 @@ def _checksum(data: np.ndarray) -> tuple[float, bool]:
     return float(np.sum(data)), bool(np.isfinite(data).all())
 
 
-@dataclass
-class _RankTables:
-    """One worker's communication tables in local-DOF form (precomputed
-    once in the driver so workers do no index arithmetic per exchange)."""
-
-    rank: int
-    # owner -> external DOF slots of *this* rank's vector to fill
-    recv_dofs: dict[int, np.ndarray] = field(default_factory=dict)
-    # owner -> DOF slots of the *owner's* vector to read (their boundary)
-    src_dofs: dict[int, np.ndarray] = field(default_factory=dict)
-    # neighbor -> internal DOF slots of this rank's vector the neighbor reads
-    send_dofs: dict[int, np.ndarray] = field(default_factory=dict)
-
-
-def _build_tables(domains: list[LocalDomain]) -> list[_RankTables]:
-    tables = []
-    for d, dom in enumerate(domains):
-        t = _RankTables(rank=d)
-        for owner, ext_local in dom.recv_tables.items():
-            t.recv_dofs[owner] = dom.local_dofs(ext_local)
-            peer = domains[owner]
-            t.src_dofs[owner] = peer.local_dofs(peer.send_tables[d])
-        for nbr, bnd_local in dom.send_tables.items():
-            t.send_dofs[nbr] = dom.local_dofs(bnd_local)
-        tables.append(t)
-    return tables
+def _openblas_thread_controls() -> list[tuple]:
+    """``(get_num_threads, set_num_threads)`` of every OpenBLAS loaded
+    into this process (numpy and scipy each ship one)."""
+    try:
+        with open("/proc/self/maps") as maps:
+            libs = {line.split()[-1] for line in maps if "openblas" in line}
+    except OSError:  # not Linux: nothing to look the libraries up in
+        return []
+    controls = []
+    for path in sorted(libs):
+        lib = ctypes.CDLL(path)
+        for prefix in ("", "scipy_"):
+            for suffix in ("", "64_"):
+                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+                set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+                if get is not None and set_ is not None:
+                    get.argtypes, get.restype = [], ctypes.c_int
+                    set_.argtypes, set_.restype = [ctypes.c_int], None
+                    controls.append((get, set_))
+    return controls
 
 
 # ----------------------------------------------------------------------
@@ -123,167 +118,148 @@ def _build_tables(domains: list[LocalDomain]) -> list[_RankTables]:
 # ----------------------------------------------------------------------
 
 
-class _TreeTimeout(Exception):
-    """A tree receive outlived the worker-side deadline."""
+class _Aborted(Exception):
+    """The epoch was called off (abort flag) while this rank waited."""
 
 
-class _OpSuperseded(Exception):
-    """A peer moved on to a newer sequence; abandon the current op."""
+class _RankLink:
+    """One rank's end of the shared-memory fabric (lives in its worker)."""
 
+    def __init__(self, rank: int, tr: "ProcessTransport", halo: list[np.ndarray]) -> None:
+        self.rank, self.tr, self.halo = rank, tr, halo
+        doms, dom = tr.domains, tr.domains[rank]
+        # owner -> (external DOF slots of this rank's vector to fill,
+        #           boundary DOF slots of the owner's vector to read)
+        self.recv = {
+            owner: (
+                dom.local_dofs(ext),
+                doms[owner].local_dofs(doms[owner].send_tables[rank]),
+            )
+            for owner, ext in sorted(dom.recv_tables.items())
+        }
+        # neighbor -> internal DOF slots of this rank's vector it reads
+        self.send = {n: dom.local_dofs(bnd) for n, bnd in dom.send_tables.items()}
+        self.owners = np.array(list(self.recv), dtype=np.int64)
+        self.everyone = np.arange(tr.size)
+        self.sizes = [dst.size * 8 for dst, _ in self.recv.values()]
+        self.log = CommLog(rank=rank)  # forwards comm.* metrics when tracing
+        self.budget = tr.policy.budget()
+        self.seq = 0
+        self.reductions = 0
 
-def _tree_recv(conn: Connection, seq: int, deadline: float, stash: list):
-    """Receive the tree message for *seq*, filtering stale / future ones.
+    def _publish_and_wait(self, kind: str, ranks: np.ndarray) -> None:
+        """Announce this rank's next sync, then wait for *ranks* to reach it."""
+        tr = self.tr
+        self.seq += 1
+        tr._seq[self.rank] = self.seq
+        with span("rank.wait", rank=self.rank, kind=kind):
+            end = time.monotonic() + self.budget
+            while True:
+                behind = tr._seq[ranks] < self.seq
+                if not behind.any():
+                    return
+                os.sched_yield()
+                if tr._abort[0]:
+                    raise _Aborted
+                if time.monotonic() > end:
+                    raise CommTimeout(
+                        kind, ranks[behind], tr.policy.max_retries + 1, self.budget
+                    )
 
-    Messages for an older sequence are dropped (their collective was
-    abandoned by the driver), messages for a newer one are stashed for
-    the command that will need them and the current op is aborted — the
-    peers have already been re-issued."""
-    for i, msg in enumerate(stash):
-        if msg[1] == seq:
-            return stash.pop(i)
-        if msg[1] > seq:
-            raise _OpSuperseded
-    end = time.monotonic() + deadline
-    while True:
-        remaining = end - time.monotonic()
-        if remaining <= 0.0:
-            raise _TreeTimeout
-        if not conn.poll(remaining):
-            raise _TreeTimeout
-        msg = conn.recv()
-        if msg[1] == seq:
-            return msg
-        if msg[1] > seq:
-            stash.append(msg)
-            raise _OpSuperseded
-        # stale (abandoned collective): drop and keep draining
+    def exchange(self) -> float:
+        """Boundary exchange of this rank's halo vector; returns the worst
+        receiver-vs-sender checksum disagreement (``inf`` on NaN/Inf)."""
+        tr, rank = self.tr, self.rank
+        index = int(tr._exchange_index[rank])
+        if tr._kill_plan.get(rank, index + 1) <= index:
+            os.kill(os.getpid(), signal.SIGKILL)
+        tr._exchange_index[rank] = index + 1
+        plan = tr._fault_plan.get((rank, index), {})
+        if plan.get("delay"):
+            time.sleep(plan["delay"])
+        mine = self.halo[rank]
+        for nbr, src in self.send.items():
+            tr._checksums[rank, nbr] = _checksum(mine[src])
+        self._publish_and_wait("halo", self.owners)
+        worst = 0.0
+        with span("halo_exchange", rank=rank) as sp:
+            for i, (owner, (dst, src)) in enumerate(self.recv.items()):
+                mine[dst] = self.halo[owner][src]
+                if i == 0 and plan.get("corrupt") == "nan":
+                    mine[dst[0]] = np.nan
+                elif i == 0 and plan.get("corrupt") == "bitflip":
+                    flipped = mine[dst[:1]].view(np.int64) ^ (np.int64(1) << 40)
+                    mine[dst[0]] = flipped.view(np.float64)[0]
+                rsum, rfinite = _checksum(mine[dst])
+                ssum, sfinite = tr._checksums[owner, rank]
+                if not (rfinite and sfinite):
+                    worst = float("inf")
+                worst = max(worst, abs(rsum - ssum))
+            tr._n_exchanges[rank] += 1
+            sp.set(messages=len(self.sizes), bytes=self.log.record_exchange(self.sizes))
+        return worst
+
+    def allreduce(self, contribution) -> float | np.ndarray:
+        """Global sum of one float, or one short vector, per rank."""
+        vec = np.atleast_1d(np.asarray(contribution, dtype=np.float64))
+        if vec.ndim != 1 or vec.size > REDUCE_WIDTH:
+            raise ValueError(
+                f"an allreduce contribution is a float or a 1-D vector of at "
+                f"most {REDUCE_WIDTH} entries, got shape {vec.shape}"
+            )
+        # two tables, alternating: a rank may write its row for reduction
+        # n+2 only after passing n+1, which everybody reached after
+        # reading n — so nobody's row is overwritten while being summed
+        self.reductions += 1
+        table = self.tr._reduce[self.reductions % 2]
+        table[self.rank, : vec.size] = vec
+        self._publish_and_wait("allreduce", self.everyone)
+        # a contiguous (ranks, k) stack summed over axis 0: the identical
+        # np.sum as LockstepComm — the bit-identity of the two transports
+        total = np.array(table[:, : vec.size]).sum(axis=0)
+        self.tr._n_allreduces[self.rank] += 1
+        self.log.record_allreduce()
+        return total if np.ndim(contribution) else float(total[0])
 
 
 def _worker_main(
-    rank: int,
-    tables: _RankTables,
-    bufs: list,
-    size: int,
-    cmd: Connection,
-    parent_conn: Connection | None,
-    child_conns: list[Connection],
-    policy: TransportPolicy,
-    trace_dir: str | None,
+    rank: int, tr: "ProcessTransport", program, halo: list[np.ndarray],
+    result: Connection, trace_file: Path | None,
 ) -> None:
-    """One rank's event loop: serve exchange/allreduce/heartbeat commands.
+    """One rank's epoch: advance its program, serving each collective it
+    yields, and send how it ended to the driver.
 
-    Runs in a forked child.  The worker inherits the driver's observability
-    session state, which belongs to another process — drop it and (when
-    per-rank tracing was requested) open this rank's own session, exported
-    as ``trace.rank<r>.jsonl`` on graceful shutdown.
+    Runs in a forked child.  The observability session it inherited
+    belongs to the driver — drop it and (when per-rank tracing was
+    requested) open this rank's own, exported as JSON lines on exit.
     """
     obs.disable()
-    sess = obs.enable() if trace_dir else None
-    views = [np.frombuffer(b, dtype=np.float64) for b in bufs]
-    log = CommLog(rank=rank)
-    log.max_neighbor_count = len(tables.recv_dofs)
-    faults: dict[int, dict] = {}
-    stash_parent: list = []
-    stash_children: list[list] = [[] for _ in child_conns]
-    tree_deadline = policy.worker_deadline
-
-    def do_exchange(seq: int, ex_idx: int) -> None:
-        plan = faults.pop(ex_idx, None)
-        if plan and plan.get("delay"):
-            time.sleep(float(plan["delay"]))
-        with span("halo_exchange", rank=rank) as sp:
-            for owner in sorted(tables.recv_dofs):
-                views[rank][tables.recv_dofs[owner]] = views[owner][
-                    tables.src_dofs[owner]
-                ]
-            if plan and plan.get("corrupt") and tables.recv_dofs:
-                owner = sorted(tables.recv_dofs)[0]
-                dst = tables.recv_dofs[owner]
-                if plan["corrupt"] == "nan":
-                    views[rank][dst[0]] = np.nan
-                else:  # bitflip
-                    raw = np.array([views[rank][dst[0]]])
-                    raw.view(np.int64)[0] ^= np.int64(1) << 40
-                    views[rank][dst[0]] = raw[0]
-            recv_ck = {
-                owner: _checksum(views[rank][dst])
-                for owner, dst in tables.recv_dofs.items()
-            }
-            send_ck = {
-                nbr: _checksum(views[rank][src])
-                for nbr, src in tables.send_dofs.items()
-            }
-            messages = [dst.size * 8 for dst in tables.recv_dofs.values()]
-            total = log.record_exchange(messages)
-            sp.set(messages=len(messages), bytes=total)
-        cmd.send(("ok", seq, (recv_ck, send_ck)))
-
-    def do_allreduce(seq: int, contrib: np.ndarray) -> None:
-        pairs = [(rank, np.asarray(contrib, dtype=np.float64))]
-        for i, cc in enumerate(child_conns):
-            msg = _tree_recv(cc, seq, tree_deadline, stash_children[i])
-            pairs.extend(msg[2])
-        if parent_conn is not None:
-            parent_conn.send(("up", seq, pairs))
-            msg = _tree_recv(parent_conn, seq, tree_deadline, stash_parent)
-            total = msg[2]
-        else:
-            pairs.sort(key=lambda t: t[0])
-            if [t[0] for t in pairs] != list(range(size)):
-                raise RuntimeError(
-                    f"allreduce seq {seq} gathered ranks "
-                    f"{[t[0] for t in pairs]}, expected 0..{size - 1}"
-                )
-            # identical stacking + np.sum as LockstepComm.allreduce_sum_vec:
-            # the fixed rank order at the root is what makes the process
-            # transport bit-identical to the lockstep emulation.
-            stacked = np.asarray([t[1] for t in pairs])
-            total = stacked.sum(axis=0)
-        for cc in child_conns:
-            cc.send(("down", seq, total))
-        log.record_allreduce()
-        cmd.send(("ok", seq, total))
-
-    while True:
+    sess = obs.enable() if trace_file else None
+    if hasattr(os, "sched_setaffinity"):
+        # unpinned, the kernel co-locates two ranks that keep waking each other
+        cpus = sorted(os.sched_getaffinity(0))
+        os.sched_setaffinity(0, {cpus[rank % len(cpus)]})
+    link = _RankLink(rank, tr, halo)
+    try:
+        gen, reply = program(rank), None
+        while True:
+            with span("rank.compute", rank=rank):
+                request = gen.send(reply)
+            reply = link.exchange() if request is HALO else link.allreduce(request)
+    except StopIteration as stop:
+        message = ("done", stop.value)
+    except _Aborted:
+        message = ("aborted", None)
+    except Exception as exc:  # boundary: the driver re-raises it
+        tr._abort[0] = 1  # nobody will meet the waiting peers
         try:
-            msg = cmd.recv()
-        except (EOFError, OSError):
-            break
-        op, seq = msg[0], msg[1]
-        try:
-            if op == "exchange":
-                do_exchange(seq, msg[2])
-            elif op == "allreduce":
-                do_allreduce(seq, msg[2])
-            elif op == "ping":
-                cmd.send(("ok", seq, rank))
-            elif op == "collect_log":
-                cmd.send(("ok", seq, log))
-            elif op == "inject":
-                faults[int(msg[2]["exchange"])] = dict(msg[2])
-            elif op == "stop":
-                if sess is not None:
-                    from repro.obs.export import export_jsonl
-
-                    export_jsonl(
-                        sess.tracer,
-                        Path(trace_dir) / f"trace.rank{rank}.jsonl",
-                        sess.metrics,
-                        rank=rank,
-                    )
-                cmd.send(("ok", seq, None))
-                break
-            else:
-                cmd.send(("err", seq, f"unknown op {op!r}"))
-        except _TreeTimeout:
-            cmd.send(("err", seq, "tree receive timed out"))
-        except _OpSuperseded:
-            cmd.send(("err", seq, "superseded by a newer sequence"))
-        except Exception as exc:  # keep serving; the driver decides
-            try:
-                cmd.send(("err", seq, f"{type(exc).__name__}: {exc}"))
-            except (BrokenPipeError, OSError):
-                break
+            pickle.loads(pickle.dumps(exc))
+        except Exception:  # would not survive the pipe as itself
+            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+        message = ("raised", (exc, traceback.format_exc()))
+    if sess is not None:
+        obs.export_jsonl(sess.tracer, trace_file, sess.metrics, rank=rank)
+    result.send(message)
 
 
 # ----------------------------------------------------------------------
@@ -292,20 +268,22 @@ def _worker_main(
 
 
 class ProcessTransport:
-    """Boundary exchanges and allreduces over one real worker per rank.
+    """Rank programs, boundary exchanges and allreduces on one real
+    worker process per rank.
 
-    Same surface as :class:`~repro.parallel.comm.LockstepComm`
+    :meth:`run_ranks` is what :func:`~repro.parallel.distributed.parallel_cg`
+    uses: one epoch of autonomous workers.  The
+    :class:`~repro.parallel.comm.LockstepComm` surface
     (``exchange_external`` / ``allreduce_sum`` / ``allreduce_sum_vec`` /
-    ``halo_mismatch`` / ``log``), plus the lifecycle a real fabric needs:
-    ``close()`` (also a context manager), ``revive(rank)`` respawn,
-    ``heartbeat()`` probing, genuine-SIGKILL and worker-delay fault
-    injection, and ``merged_worker_log()`` reducing the per-rank censuses
-    to the aggregate view.
+    ``halo_mismatch`` / ``log``) is kept on top of it — each call is an
+    epoch of one collective — together with genuine-SIGKILL and
+    worker-fault injection and ``merged_worker_log()``, which reduces
+    the per-rank censuses to the aggregate view.
 
-    ``policy`` bounds every operation (deadline / bounded retry /
-    exponential backoff); ``trace_dir`` makes each worker record its own
-    rank-tagged observability session, exported as one JSONL file per
-    rank on close (merge them with ``repro trace --merge``).
+    ``policy`` bounds every wait (see :class:`TransportPolicy`);
+    ``trace_dir`` makes each worker record its own rank-tagged
+    observability session, exported as one JSONL file per rank and epoch
+    (merge them with ``repro trace --merge``).
     """
 
     def __init__(
@@ -318,150 +296,192 @@ class ProcessTransport:
         if not is_available():
             raise RuntimeError(
                 "the process transport requires the 'fork' start method "
-                "(workers inherit pipes and shared buffers); this platform "
+                "(workers inherit domains and shared buffers); this platform "
                 "only offers " + str(mp.get_all_start_methods())
             )
         self.domains = domains
         self.policy = policy or TransportPolicy()
-        self.log = CommLog()
-        self.log.max_neighbor_count = max(
-            (len(d.recv_tables) for d in domains), default=0
-        )
-        self._trace_dir = None if trace_dir is None else str(trace_dir)
+        self._trace_dir = None if trace_dir is None else Path(trace_dir)
         if self._trace_dir is not None:
-            Path(self._trace_dir).mkdir(parents=True, exist_ok=True)
-
+            self._trace_dir.mkdir(parents=True, exist_ok=True)
         nd = len(domains)
-        self._tables = _build_tables(domains)
-        self._ni = [dom.n_internal * dom.b for dom in domains]
-        ctx = mp.get_context("fork")
-        self._ctx = ctx
-        self._bufs = [
-            ctx.RawArray("d", dom.n_local * dom.b) for dom in domains
-        ]
-        self._views = [np.frombuffer(b, dtype=np.float64) for b in self._bufs]
-        # command pipes (driver keeps BOTH ends alive: a respawned worker
-        # forked from the driver re-uses the same worker end, and a dead
-        # worker never EOFs the driver — liveness comes from the OS, not
-        # the pipe)
-        pipes = [ctx.Pipe(duplex=True) for _ in range(nd)]
-        self._cmd = [p[0] for p in pipes]
-        self._cmd_worker = [p[1] for p in pipes]
-        # binary pipe tree: edge (parent, child) for every rank > 0
-        self._tree_parent: list[Connection | None] = [None] * nd
-        self._tree_children: list[list[Connection]] = [[] for _ in range(nd)]
-        for child in range(1, nd):
-            parent = (child - 1) // 2
-            a, b = ctx.Pipe(duplex=True)
-            self._tree_children[parent].append(a)
-            self._tree_parent[child] = b
-        self._procs: list[mp.Process | None] = [None] * nd
-        self._seq = 0
-        self._last_checksums: tuple[list, list] | None = None
+        self._ctx = mp.get_context("fork")
+        self._blas = _openblas_thread_controls()
+        self._halo = [self.shared_array(dom.n_local * dom.b) for dom in domains]
+        # per rank: last published sync (reset every epoch); global index of
+        # its next exchange and its census (both count across epochs)
+        self._seq, self._exchange_index, self._n_exchanges, self._n_allreduces = (
+            self.shared_array(nd, np.int64) for _ in range(4)
+        )
+        self._abort = self.shared_array(1, np.int64)
+        self._reduce = self.shared_array(2 * nd * REDUCE_WIDTH).reshape(
+            2, nd, REDUCE_WIDTH
+        )
+        # [sender, receiver] -> (sum, finite) of the region receiver reads
+        self._checksums = self.shared_array(nd * nd * 2).reshape(nd, nd, 2)
+        self._procs: list = []
+        self._epochs = 0
+        self._last_mismatch = 0.0
         self._kill_plan: dict[int, int] = {}
-        self.exchange_count = 0
+        self._fault_plan: dict[tuple[int, int], dict] = {}
         self.timeout_count = 0
         self.kills: list[dict] = []
         self.revivals: list[dict] = []
         self._closed = False
-        for r in range(nd):
-            self._spawn(r)
-
-    # -- lifecycle ------------------------------------------------------
 
     @property
     def size(self) -> int:
         return len(self.domains)
 
-    def _spawn(self, rank: int) -> None:
-        proc = self._ctx.Process(
-            target=_worker_main,
-            args=(
-                rank,
-                self._tables[rank],
-                self._bufs,
-                self.size,
-                self._cmd_worker[rank],
-                self._tree_parent[rank],
-                self._tree_children[rank],
-                self.policy,
-                self._trace_dir,
-            ),
-            name=f"repro-transport-rank{rank}",
-            daemon=True,
-        )
-        proc.start()
-        self._procs[rank] = proc
+    def shared_array(self, n: int, dtype=np.float64) -> np.ndarray:
+        """A zeroed array that this process and every worker forked from
+        it afterwards see alike."""
+        code = "q" if dtype == np.int64 else "d"
+        return np.frombuffer(self._ctx.RawArray(code, int(n)), dtype=dtype)
+
+    # -- epochs ---------------------------------------------------------
+
+    def run_ranks(self, program, halo: list[np.ndarray]) -> list:
+        """Run ``program(rank)`` — a generator yielding collectives, see
+        :func:`~repro.parallel.distributed.parallel_cg` — in one forked
+        worker per rank; returns the ranks' return values.
+
+        *halo* holds every rank's halo-extended vector (from
+        :meth:`shared_array`): what ``yield HALO`` exchanges.  Raises
+        ``RankFailure`` / ``CommTimeout`` / whatever a rank raised; the
+        workers are always reaped before this returns, so their CPU time
+        is the caller's children's."""
+        if self._closed:
+            raise RuntimeError("the transport is closed")
+        self._seq[:] = 0
+        self._abort[0] = 0
+        # a failed epoch leaves the ranks at different exchanges
+        self._exchange_index[:] = self._exchange_index.max()
+        self._epochs += 1
+        tag = "" if self._epochs == 1 else f".epoch{self._epochs}"
+        readers, self._procs = [], []
+        # A rank is one CPU: its workers inherit a single-threaded BLAS (a
+        # thread pool inside a one-CPU rank spins against itself — 10x
+        # slower on a 44k-DOF solve; limiting it *in* the child spawns a
+        # pool thread that spins there for 0.1 s).  The driver sleeps
+        # through the epoch and gets its setting back after it.
+        blas_threads = [get() for get, _ in self._blas]
+        for _, set_threads in self._blas:
+            set_threads(1)
+        try:
+            for rank in range(self.size):
+                trace_file = self._trace_dir and (
+                    self._trace_dir / f"trace.rank{rank}{tag}.jsonl"
+                )
+                reader, writer = self._ctx.Pipe(duplex=False)
+                readers.append(reader)
+                proc = self._ctx.Process(
+                    target=_worker_main,
+                    args=(rank, self, program, halo, writer, trace_file),
+                    name=f"repro-transport-rank{rank}",
+                    daemon=True,
+                )
+                proc.start()
+                self._procs.append(proc)
+                # the worker holds the only write end now: its death is
+                # an EOF on the reader
+                writer.close()
+            return self._supervise(readers)
+        finally:
+            self._reap()
+            for reader in readers:
+                reader.close()
+            for (_, set_threads), n in zip(self._blas, blas_threads):
+                set_threads(n)
+
+    def _supervise(self, readers: list[Connection]) -> list:
+        """Sleep until every rank reported, or the epoch failed."""
+        t0 = time.monotonic()
+        budget = self.policy.budget()
+        waiting = {reader: rank for rank, reader in enumerate(readers)}
+        done: dict[int, object] = {}
+        progress = self._seq.copy()
+        while waiting:
+            ready = mp_wait(list(waiting), timeout=budget)
+            if not ready and (self._seq == progress).all():
+                # nothing ended for a whole budget and not even the
+                # sequence counters moved: a wedge nobody is waiting on
+                raise self._timed_out(
+                    CommTimeout(
+                        "epoch",
+                        sorted(waiting.values()),
+                        self.policy.max_retries + 1,
+                        time.monotonic() - t0,
+                    )
+                )
+            progress = self._seq.copy()
+            for reader in sorted(ready, key=waiting.get):
+                rank = waiting.pop(reader)
+                try:
+                    kind, payload = reader.recv()
+                except EOFError:  # the process is gone and left no result
+                    self._note_death(rank)
+                    raise RankFailure(rank, 1) from None
+                if kind == "done":
+                    done[rank] = payload
+                elif kind == "raised":
+                    exc, where = payload
+                    if isinstance(exc, CommTimeout):
+                        self._timed_out(exc)
+                    raise exc from RuntimeError(f"in rank {rank}'s worker:\n{where}")
+                # "aborted": a bystander; the rank that called it off follows
+        return [done[rank] for rank in range(self.size)]
+
+    def _timed_out(self, exc: CommTimeout) -> CommTimeout:
+        self.timeout_count += 1
+        metric_inc("comm.timeouts", op=exc.op)
+        return exc
+
+    def _note_death(self, rank: int) -> None:
+        """Record an injected kill that fired (an external one has no plan)."""
+        at = self._kill_plan.get(rank)
+        index = int(self._exchange_index[rank])
+        if at is not None and index >= at:
+            del self._kill_plan[rank]
+            self.kills.append({"rank": rank, "exchange": index})
+
+    def _reap(self) -> None:
+        """Join every worker of the epoch, SIGKILLing what will not leave."""
+        if any(proc.is_alive() for proc in self._procs):
+            self._abort[0] = 1
+        end = time.monotonic() + REAP_GRACE_S
+        for proc in self._procs:
+            proc.join(timeout=max(0.0, end - time.monotonic()))
+            if proc.is_alive():
+                proc.kill()
+                proc.join()
 
     def revive(self, rank: int) -> None:
-        """Fork a replacement worker for a dead rank onto the same fabric.
+        """The recovery hand-off of
+        :meth:`~repro.parallel.distributed.DistributedSystem.recover_rank`.
 
-        The recovery hand-off of
-        :meth:`~repro.parallel.distributed.DistributedSystem.recover_rank`:
-        the replacement inherits the rank's pipes and shared buffer from
-        the driver, so the surviving workers need no re-wiring; stale
-        protocol messages from the old incarnation are discarded by
-        sequence number."""
-        proc = self._procs[rank]
-        if proc is not None and proc.is_alive():
-            return
-        self._spawn(rank)
+        Nothing to fork here: the driver has rebuilt the rank's data and
+        the next epoch's worker inherits it; the snapshot the solve
+        resumes from is in shared memory and outlived the dead process."""
         self.revivals.append(
-            {"rank": int(rank), "exchange": self.exchange_count}
+            {"rank": int(rank), "exchange": int(self._exchange_index.max())}
         )
 
-    def close(self, timeout: float = 5.0) -> None:
-        """Stop every worker (graceful, then SIGKILL) and release pipes."""
-        if self._closed:
-            return
+    def close(self) -> None:
+        """Refuse further epochs (every epoch already reaped its workers)."""
         self._closed = True
-        seq = self._next_seq()
-        for r, proc in enumerate(self._procs):
-            if proc is not None and proc.is_alive():
-                try:
-                    self._cmd[r].send(("stop", seq))
-                except (BrokenPipeError, OSError):
-                    pass
-        deadline = time.monotonic() + timeout
-        for proc in self._procs:
-            if proc is not None:
-                proc.join(timeout=max(0.0, deadline - time.monotonic()))
-                if proc.is_alive():
-                    proc.kill()
-                    proc.join(timeout=1.0)
-        for conn in (
-            *self._cmd,
-            *self._cmd_worker,
-            *(c for c in self._tree_parent if c is not None),
-            *(c for cs in self._tree_children for c in cs),
-        ):
-            try:
-                conn.close()
-            except OSError:
-                pass
-
-    def __enter__(self) -> "ProcessTransport":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:
-        try:
-            self.close(timeout=0.5)
-        except Exception:
-            pass
 
     # -- fault injection (the robustness harness) -----------------------
 
     def inject_kill(self, rank: int, at_exchange: int) -> None:
         """SIGKILL the live worker for *rank* at halo exchange *at_exchange*.
 
-        This is a genuine ``kill -9`` of a running OS process, delivered
-        by the driver immediately before issuing that exchange — the
-        worker dies with whatever protocol state it had, and detection
-        must happen through deadlines and liveness probes like any
-        external kill."""
+        A genuine ``kill -9`` of a running OS process: the driver sleeps
+        through an epoch, so the rank delivers the signal to itself on
+        entering that exchange (a global index that keeps counting
+        across epochs, so the plan fires once).  It dies with whatever
+        state it had, and detection happens through its result pipe
+        like any external kill."""
         if not 0 <= rank < self.size:
             raise ValueError(f"rank {rank} outside 0..{self.size - 1}")
         self._kill_plan[int(rank)] = int(at_exchange)
@@ -476,156 +496,45 @@ class ProcessTransport:
     ) -> None:
         """Arm a worker-side fault for halo exchange *exchange*.
 
-        ``delay`` makes the worker sleep that many seconds before serving
-        the exchange (longer than the policy budget → ``CommTimeout``;
-        shorter → absorbed by retries).  ``corrupt`` ("nan" / "bitflip")
-        corrupts one received ghost value *after* the copy, so the
-        checksum piggyback must catch it end-to-end.  One-shot: the
-        rolled-back re-execution runs clean."""
+        ``delay`` makes the rank sleep that many seconds before it
+        publishes (longer than the policy budget → ``CommTimeout``;
+        shorter → absorbed by its peers' wait).  ``corrupt`` ("nan" /
+        "bitflip") corrupts one received ghost value *after* the copy, so
+        the checksums must catch it end-to-end.  One-shot: exchange
+        indices are global, the rolled-back re-execution runs clean."""
         if corrupt not in (None, "nan", "bitflip"):
             raise ValueError(f"unknown corruption {corrupt!r}")
-        self._cmd[rank].send(
-            ("inject", self._next_seq(),
-             {"exchange": int(exchange), "delay": float(delay),
-              "corrupt": corrupt})
-        )
+        self._fault_plan[(int(rank), int(exchange))] = {
+            "delay": float(delay), "corrupt": corrupt,
+        }
 
-    def _maybe_kill(self, ex_idx: int) -> None:
-        for rank, at in list(self._kill_plan.items()):
-            if ex_idx >= at:
-                del self._kill_plan[rank]
-                proc = self._procs[rank]
-                if proc is not None and proc.is_alive():
-                    os.kill(proc.pid, signal.SIGKILL)
-                    proc.join(timeout=5.0)
-                self.kills.append({"rank": rank, "exchange": ex_idx})
-
-    # -- protocol plumbing ----------------------------------------------
-
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
-    def _alive(self, rank: int) -> bool:
-        proc = self._procs[rank]
-        return proc is not None and proc.is_alive()
-
-    def _dead_ranks(self) -> list[int]:
-        return [r for r in range(self.size) if not self._alive(r)]
-
-    def _note_timeout(self, op: str, attempt: int, pending: tuple) -> None:
-        self.timeout_count += 1
-        metric_inc("comm.timeouts", op=op)
-
-    def _gather(self, seq: int, timeout: float) -> dict[int, object]:
-        """Collect every rank's reply for *seq* within *timeout* seconds.
-
-        Stale replies (abandoned attempts) are drained and dropped; an
-        ``err`` reply or a silent-and-dead rank aborts the attempt early
-        — waiting out the deadline on a corpse would only slow the
-        :class:`RankFailure` escalation."""
-        end = time.monotonic() + timeout
-        results: dict[int, object] = {}
-        errors: dict[int, str] = {}
-        pending = set(range(self.size))
-        while pending:
-            for r in list(pending):
-                conn = self._cmd[r]
-                while conn.poll(0):
-                    tag, s, payload = conn.recv()
-                    if s != seq:
-                        continue
-                    if tag == "ok":
-                        results[r] = payload
-                    else:
-                        errors[r] = str(payload)
-                    pending.discard(r)
-                    break
-            if not pending:
-                break
-            if errors or any(not self._alive(r) for r in pending):
-                raise Incomplete(sorted(pending | set(errors)))
-            remaining = end - time.monotonic()
-            if remaining <= 0.0:
-                raise Incomplete(sorted(pending))
-            mp_wait([self._cmd[r] for r in pending], timeout=min(remaining, 0.05))
-        if errors:
-            raise Incomplete(sorted(errors))
-        return results
-
-    def _collective(self, op: str, make_cmd) -> dict[int, object]:
-        """Issue *op* to every worker under the retry policy.
-
-        ``make_cmd(seq, rank)`` builds the command tuple; each retry
-        re-issues under a fresh sequence so late workers re-synchronize."""
-
-        def attempt(deadline: float, _attempt_idx: int):
-            seq = self._next_seq()
-            for r in range(self.size):
-                try:
-                    self._cmd[r].send(make_cmd(seq, r))
-                except (BrokenPipeError, OSError):
-                    pass  # dead rank: the liveness probe reports it
-            return self._gather(seq, deadline)
-
-        return run_with_retry(
-            op,
-            attempt,
-            dead_ranks=self._dead_ranks,
-            policy=self.policy,
-            on_timeout=self._note_timeout,
-        )
-
-    # -- LockstepComm surface -------------------------------------------
+    # -- LockstepComm surface: one collective per epoch -----------------
 
     def exchange_external(self, vectors: list[np.ndarray]) -> None:
         """Fill every domain's external DOF slots through the workers."""
         if len(vectors) != self.size:
             raise ValueError(f"expected {self.size} vectors, got {len(vectors)}")
-        ex_idx = self.exchange_count
-        self.exchange_count += 1
-        self._maybe_kill(ex_idx)
-        with span("halo_exchange", rank=-1, transport="process") as sp:
-            for d in range(self.size):
-                self._views[d][: self._ni[d]] = vectors[d][: self._ni[d]]
-            replies = self._collective(
-                "exchange", lambda seq, r: ("exchange", seq, ex_idx)
-            )
-            for d in range(self.size):
-                vectors[d][self._ni[d]:] = self._views[d][self._ni[d]:]
-            self._last_checksums = (
-                [replies[r][0] for r in range(self.size)],
-                [replies[r][1] for r in range(self.size)],
-            )
-            messages = [
-                dst.size * 8
-                for t in self._tables
-                for dst in t.recv_dofs.values()
-            ]
-            total = self.log.record_exchange(messages)
-            sp.set(messages=len(messages), bytes=total)
+
+        def one_exchange(rank):
+            return (yield HALO)
+
+        ni = [dom.n_internal * dom.b for dom in self.domains]
+        for shared, vec, n in zip(self._halo, vectors, ni):
+            shared[:n] = vec[:n]
+        self._last_mismatch = max(self.run_ranks(one_exchange, self._halo))
+        for shared, vec, n in zip(self._halo, vectors, ni):
+            vec[n:] = shared[n:]
 
     def halo_mismatch(self, vectors: list[np.ndarray]) -> float:
         """Receiver-vs-sender checksum disagreement of the last exchange.
 
-        The checksums were piggybacked on the exchange acknowledgements
-        (zero extra messages); unlike the lockstep probe this never
-        inspects another rank's buffer — it *cannot*, the buffers belong
-        to other processes."""
-        if self._last_checksums is None:
-            return 0.0
-        recv_cks, send_cks = self._last_checksums
-        worst = 0.0
-        for d in range(self.size):
-            for owner, (rsum, rfinite) in recv_cks[d].items():
-                ssum, sfinite = send_cks[owner][d]
-                if not (rfinite and sfinite):
-                    return float("inf")
-                worst = max(worst, abs(rsum - ssum))
-        return worst
+        Unlike the lockstep probe this never inspects another rank's
+        buffer: every receiver compared what it read with what the
+        sender stored (zero extra messages)."""
+        return self._last_mismatch
 
     def allreduce_sum_vec(self, contributions: list[np.ndarray]) -> np.ndarray:
-        """Element-wise global sum over the worker pipe tree."""
+        """Element-wise global sum of one short vector per rank."""
         if len(contributions) != self.size:
             raise ValueError(
                 f"expected {self.size} contributions, got {len(contributions)}"
@@ -633,43 +542,39 @@ class ProcessTransport:
         arrs = [np.asarray(c, dtype=np.float64) for c in contributions]
         if any(a.ndim != 1 or a.shape != arrs[0].shape for a in arrs):
             raise ValueError("each rank must contribute a 1-D vector of equal length")
-        replies = self._collective(
-            "allreduce", lambda seq, r: ("allreduce", seq, arrs[r])
-        )
-        total = replies[0]
-        for r in range(1, self.size):
-            if not np.array_equal(replies[r], total):
-                raise RuntimeError(
-                    f"allreduce disagreement: rank {r} returned {replies[r]}, "
-                    f"rank 0 returned {total}"
-                )
-        self.log.record_allreduce()
-        return np.asarray(total, dtype=np.float64).copy()
+
+        def one_allreduce(rank):
+            return (yield arrs[rank])
+
+        return self.run_ranks(one_allreduce, self._halo)[0]
 
     def allreduce_sum(self, contributions: list[float]) -> float:
-        """Global scalar sum (a 1-element vector allreduce on the tree)."""
-        vec = self.allreduce_sum_vec(
-            [np.array([float(c)]) for c in contributions]
+        """Global scalar sum (a 1-element vector allreduce)."""
+        return float(
+            self.allreduce_sum_vec([np.array([float(c)]) for c in contributions])[0]
         )
-        return float(vec[0])
-
-    # -- introspection ---------------------------------------------------
-
-    def heartbeat(self) -> dict[int, int]:
-        """Ping every worker under the retry policy; raises on a dead one."""
-        return self._collective("heartbeat", lambda seq, r: ("ping", seq))
 
     def merged_worker_log(self) -> CommLog:
-        """Collect every worker's census and merge to the aggregate view.
-
-        In a healthy run the merge equals the driver-side :attr:`log`
-        (and therefore the census :class:`LockstepComm` would report for
-        the same solve) — the property the transport tests assert."""
-        replies = self._collective("collect_log", lambda seq, r: ("collect_log", seq))
+        """The per-rank censuses, rebuilt from the workers' shared counters
+        and merged to the aggregate view — in a healthy run the census
+        :class:`LockstepComm` reports for the same solve."""
         merged = CommLog()
-        for r in range(self.size):
-            merged.merge(replies[r])
+        for rank, dom in enumerate(self.domains):
+            sizes = [ext.size * dom.b * 8 for ext in dom.recv_tables.values()]
+            n = int(self._n_exchanges[rank])
+            merged.merge(
+                CommLog(
+                    n_messages=n * len(sizes),
+                    bytes_sent=n * sum(sizes),
+                    n_allreduce=int(self._n_allreduces[rank]),
+                    max_neighbor_count=len(sizes),
+                    per_exchange_bytes=deque(
+                        [sum(sizes)] * min(n, PER_EXCHANGE_RETENTION),
+                        maxlen=PER_EXCHANGE_RETENTION,
+                    ),
+                    rank=rank,
+                )
+            )
         return merged
 
-    def worker_pids(self) -> list[int | None]:
-        return [None if p is None else p.pid for p in self._procs]
+    log = property(merged_worker_log)

@@ -3,15 +3,16 @@
 Two cooperating levels of protection for the paper's long solves:
 
 - **In-memory CG checkpoints** (:class:`CGCheckpointStore`): every *k*
-  iterations :func:`~repro.parallel.distributed.parallel_cg` snapshots
-  the per-domain Krylov state ``(x, r, p, rho, iteration)`` — three
-  vector copies per domain, negligible next to a matvec.  On a detected
-  communication fault or rank failure the solver rolls the *whole*
-  lockstep iteration back to the snapshot and resumes, instead of
+  iterations each rank of :func:`~repro.parallel.distributed.parallel_cg`
+  snapshots its Krylov state ``(x, r, p, rho, iteration)`` — three
+  vector copies, negligible next to a matvec.  On a detected
+  communication fault or rank failure the solver rolls *every* rank back
+  to the last snapshot all of them completed and resumes, instead of
   abandoning thousands of iterations.  In a real MPI run each rank's
   snapshot is replicated into a buddy rank's memory (diskless
   checkpointing), which is why a dead rank's slice survives its death;
-  the emulation models that by keeping the store outside the comm layer.
+  here the store lives outside the ranks (in shared memory on the
+  process transport), which models the same thing.
 
 - **Durable ALM journal** (:class:`AlmJournal`): the outer
   augmented-Lagrange loop's state ``(u, multipliers, penalty trail,
@@ -54,76 +55,87 @@ most a few dozen iterations, sparse enough that the copy cost disappears
 # ----------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CGCheckpoint:
-    """One consistent snapshot of the lockstep CG state.
+    """The scalars of one committed snapshot of the distributed CG state.
 
-    Taken at the top of an iteration, so ``(x, r, p, rz)`` is exactly
-    the state needed to re-enter the loop at ``iteration``."""
+    Taken at the top of an iteration, so the slot's ``(x, r, p)`` plus
+    ``rz`` and the right-hand-side norm are exactly what is needed to
+    re-enter the loop at ``iteration`` (the residual history up to there
+    has ``iteration + 1`` entries)."""
 
     iteration: int
-    x: list[np.ndarray]
-    r: list[np.ndarray]
-    p: list[np.ndarray]
     rz: float
-    history_len: int
+    bnorm: float
+    slot: int
 
 
 class CGCheckpointStore:
-    """Holds the most recent :class:`CGCheckpoint` (buddy-replicated).
+    """Rank-local, double-buffered snapshots of the distributed CG state.
 
-    ``interval`` is the snapshot spacing in iterations; ``due(it)`` says
-    whether the top of iteration *it* should snapshot.  The store counts
-    saves and restores so tests and reports can audit rollback traffic.
+    Every rank saves its own ``(x, r, p)`` — the SPMD form of a buddy
+    replica: the slots are allocated through *alloc*, which a process
+    transport points at shared memory, so a rank's snapshot outlives the
+    rank.  A snapshot is **committed** once every rank has stamped its
+    slot with the same iteration; a rank killed half-way through a save
+    leaves a stamp that disagrees, and :attr:`latest` falls back to the
+    other slot.  Two slots are enough because the ranks meet at a
+    collective every iteration: nobody starts snapshot ``k + interval``
+    before everybody finished snapshot ``k``.
+
+    ``sizes`` holds each rank's internal DOF count; ``interval`` is the
+    snapshot spacing in iterations, ``due(it)`` says whether the top of
+    iteration *it* should snapshot.
     """
 
-    def __init__(self, interval: int = DEFAULT_CHECKPOINT_INTERVAL) -> None:
+    def __init__(
+        self,
+        sizes: list[int],
+        interval: int = DEFAULT_CHECKPOINT_INTERVAL,
+        alloc=np.zeros,
+    ) -> None:
         if interval <= 0:
             raise ValueError(f"checkpoint interval must be positive, got {interval}")
         self.interval = int(interval)
-        self.latest: CGCheckpoint | None = None
-        self.saves = 0
-        self.restores = 0
+        self._vectors = [
+            [tuple(alloc(n) for _ in "xrp") for n in sizes] for _ in range(2)
+        ]
+        # per slot, per rank: (iteration stamp, rz, bnorm); stamp -1 = torn/empty
+        self._stamps = alloc(2 * len(sizes) * 3).reshape(2, len(sizes), 3)
+        self._stamps[:, :, 0] = -1.0
 
     def due(self, iteration: int) -> bool:
-        return self.latest is None or iteration % self.interval == 0
+        return iteration % self.interval == 0
 
-    def save(
-        self,
-        iteration: int,
-        x: list[np.ndarray],
-        r: list[np.ndarray],
-        p: list[np.ndarray],
-        rz: float,
-        history_len: int,
-    ) -> None:
-        self.latest = CGCheckpoint(
-            iteration=iteration,
-            x=[v.copy() for v in x],
-            r=[v.copy() for v in r],
-            p=[v.copy() for v in p],
-            rz=float(rz),
-            history_len=int(history_len),
-        )
-        self.saves += 1
+    def save(self, rank: int, iteration: int, xrp, rz: float, bnorm: float) -> None:
+        """Snapshot *rank*'s ``(x, r, p)`` at the top of *iteration*."""
+        slot = (iteration // self.interval) % 2
+        stamp = self._stamps[slot, rank]
+        stamp[0] = -1.0  # torn until the vectors are in
+        for dst, src in zip(self._vectors[slot][rank], xrp):
+            dst[:] = src
+        stamp[1:] = rz, bnorm
+        stamp[0] = iteration
 
-    def restore(
-        self,
-        x: list[np.ndarray],
-        r: list[np.ndarray],
-        p: list[np.ndarray],
-    ) -> CGCheckpoint:
-        """Copy the snapshot back into the live per-domain vectors."""
+    @property
+    def latest(self) -> CGCheckpoint | None:
+        """The newest snapshot every rank completed, if any."""
+        best = None
+        for slot, stamps in enumerate(self._stamps):
+            it = stamps[0, 0]
+            if it >= 0 and (stamps[:, 0] == it).all():
+                if best is None or it > best.iteration:
+                    best = CGCheckpoint(int(it), stamps[0, 1], stamps[0, 2], slot)
+        return best
+
+    def restore(self, x, r, p) -> CGCheckpoint:
+        """Copy the committed snapshot back into every rank's live vectors."""
         ck = self.latest
         if ck is None:
-            raise RuntimeError("no checkpoint has been saved")
-        for dst, src in zip(x, ck.x):
-            dst[:] = src
-        for dst, src in zip(r, ck.r):
-            dst[:] = src
-        for dst, src in zip(p, ck.p):
-            dst[:] = src
-        self.restores += 1
+            raise RuntimeError("no checkpoint has been committed")
+        for rank, saved in enumerate(self._vectors[ck.slot]):
+            for dst, src in zip((x[rank], r[rank], p[rank]), saved):
+                dst[:] = src
         return ck
 
 

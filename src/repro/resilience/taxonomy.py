@@ -134,7 +134,8 @@ class CommTimeout(RuntimeError):
     peer, not a dead one.  No rank state was lost, so the caller's
     correct response is a checkpoint rollback and re-execution, not a
     respawn.  Raised by the retry engine in
-    :mod:`repro.parallel.transport.policy`; caught by
+    :mod:`repro.parallel.transport.policy` and by the process transport's
+    rank workers and driver; caught by
     :func:`~repro.parallel.distributed.parallel_cg`, which maps it to
     :attr:`FailureReason.COMM_TIMEOUT`."""
 
@@ -150,6 +151,10 @@ class CommTimeout(RuntimeError):
         self.pending = tuple(int(r) for r in pending)
         self.attempts = int(attempts)
         self.elapsed = float(elapsed)
+
+    def __reduce__(self):
+        # a rank worker sends its timeout to the driver through a pipe
+        return CommTimeout, (self.op, self.pending, self.attempts, self.elapsed)
 
 
 class PivotNudgeWarning(RuntimeWarning):

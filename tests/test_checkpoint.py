@@ -115,15 +115,19 @@ def _system(problem, ndomains=3, factory=None):
 
 class TestCGCheckpointRollback:
     def test_store_save_restore(self):
-        store = CGCheckpointStore(interval=5)
-        x = [np.arange(3.0)]
-        r = [np.ones(3)]
-        p = [np.zeros(3)]
-        assert store.due(0)
-        store.save(4, x, r, p, 2.5, 3)
+        store = CGCheckpointStore([3, 2], interval=5)
+        x = [np.arange(3.0), np.arange(2.0)]
+        r = [np.ones(3), np.ones(2)]
+        p = [np.zeros(3), np.zeros(2)]
+        assert store.due(0) and store.latest is None
+        store.save(0, 5, (x[0], r[0], p[0]), 2.5, 7.0)
+        assert store.latest is None  # rank 1 has not saved: not committed
+        store.save(1, 5, (x[1], r[1], p[1]), 2.5, 7.0)
         x[0][:] = -1.0  # diverge after the snapshot
+        # a later snapshot only one rank completed must not win
+        store.save(0, 10, (x[0], r[0], p[0]), 9.0, 7.0)
         ck = store.restore(x, r, p)
-        assert ck.iteration == 4 and ck.rz == 2.5 and ck.history_len == 3
+        assert (ck.iteration, ck.rz, ck.bnorm) == (5, 2.5, 7.0)
         assert np.array_equal(x[0], np.arange(3.0))
         assert not store.due(4)
         assert store.due(5)

@@ -14,6 +14,7 @@ reference.  The two headline contracts:
 """
 
 import json
+import os
 import pickle
 from collections import deque
 
@@ -22,7 +23,7 @@ import pytest
 
 from repro.fem.generators import simple_block_model
 from repro.fem.model import build_contact_problem
-from repro.obs import merge_rank_traces
+from repro.obs import merge_rank_traces, rank_time_table
 from repro.parallel import (
     DistributedSystem,
     LockstepComm,
@@ -198,6 +199,94 @@ class TestParity:
         finally:
             sys_p.close()
 
+    def test_refactor_then_solve_matches_lockstep(self, problem, part):
+        """A values-only update between solves reaches the rank workers:
+        every epoch forks from the driver, so it inherits the new values."""
+        prob, mesh = problem
+        stiffer = build_contact_problem(mesh, penalty=1e6)
+        results = []
+        for transport in (None, "process"):
+            system = DistributedSystem.from_global(
+                prob.a, prob.b, part, _factory, transport=transport
+            )
+            try:
+                first = parallel_cg(system)
+                system.refactor(stiffer.a, 2.0 * stiffer.b)
+                results.append((first, parallel_cg(system)))
+            finally:
+                system.close()
+        (first_l, second_l), (first_p, second_p) = results
+        assert second_l.converged and second_l.iterations != first_l.iterations
+        assert np.array_equal(first_p.x, first_l.x)
+        assert second_p.iterations == second_l.iterations
+        assert np.array_equal(second_p.x, second_l.x)
+
+    @pytest.mark.skipif(
+        not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here"
+    )
+    def test_four_ranks_on_one_cpu_time_share(self, problem, part, lockstep_ref):
+        """Over-subscription degrades to time-sharing: the waits yield, so
+        four ranks pinned to the one allowed CPU finish, bit-identically.
+        A stall would end as COMM_TIMEOUT through the budget, not hang."""
+        _, ref = lockstep_ref
+        mask = os.sched_getaffinity(0)
+        os.sched_setaffinity(0, {min(mask)})
+        try:
+            system = _process_system(
+                problem, part, policy=TransportPolicy(deadline=20.0, max_retries=0)
+            )
+            try:
+                res = parallel_cg(system)
+            finally:
+                system.close()
+        finally:
+            os.sched_setaffinity(0, mask)
+        assert res.converged and res.iterations == ref.iterations
+        assert np.array_equal(res.x, ref.x)
+
+    def test_no_affinity_api_skips_pinning(
+        self, problem, part, lockstep_ref, monkeypatch
+    ):
+        _, ref = lockstep_ref
+        monkeypatch.delattr(os, "sched_setaffinity", raising=False)
+        system = _process_system(problem, part)
+        try:
+            res = parallel_cg(system)
+        finally:
+            system.close()
+        assert np.array_equal(res.x, ref.x)
+
+    def test_strong_scaling_census(self):
+        """The deterministic half of a strong-scaling study (no wall
+        clock): the block model on 1, 2 and 4 rank workers.  Iterations
+        grow with the rank count only as mildly as the paper's Table 1
+        (localized preconditioning), and every rank's own counters show
+        one exchange and two allreduces per iteration."""
+        from repro import contact_aware_partition, sb_bic0
+        from repro.experiments.workloads import block_problem
+        from repro.precond.localized import restrict_groups
+
+        p = block_problem(0.5, 1e6)
+        groups, n_nodes = p.groups, p.mesh.n_nodes
+
+        def factory(sub, nodes):
+            return sb_bic0(sub, restrict_groups(groups, nodes, n_nodes))
+
+        iterations = []
+        for ranks in (1, 2, 4):
+            part = contact_aware_partition(p.mesh.coords, groups, ranks)
+            with DistributedSystem.from_global(
+                p.a, p.b, part, factory, transport="process"
+            ) as system:
+                res = parallel_cg(system)
+                assert res.converged
+                n = res.iterations
+                assert system.comm._n_exchanges.tolist() == [n] * ranks
+                assert system.comm._n_allreduces.tolist() == [2 * n + 1] * ranks
+            iterations.append(n)
+        assert iterations == sorted(iterations)
+        assert iterations[-1] <= 1.5 * iterations[0]
+
     def test_from_global_env_var_route(self, problem, part, monkeypatch):
         prob, _ = problem
         monkeypatch.setenv(registry.ENV_VAR, "process")
@@ -305,11 +394,10 @@ class TestRealFailures:
                 for e in report.detections()
             )
             assert np.array_equal(res.x, ref.x)  # bit-exact recovery
-            # the replacement worker is a live OS process again
-            assert all(
-                pid is not None for pid in system.comm.worker_pids()
-            )
-            assert system.comm.heartbeat() == {0: 0, 1: 1, 2: 2, 3: 3}
+            # the replacement was the next epoch's fork, and every epoch
+            # reaps its workers: no process outlives the solve
+            assert system.comm._epochs == 2
+            assert not any(p.is_alive() for p in system.comm._procs)
         finally:
             system.close()
 
@@ -427,8 +515,19 @@ class TestLifecycle:
             assert len(meta) == 1 and meta[0]["rank"] == r
             spans = [x for x in recs if x["kind"] == "span"]
             assert spans and all(x["rank"] == r for x in spans)
-            assert {x["name"] for x in spans} == {"halo_exchange"}
+            assert {x["name"] for x in spans} == {
+                "halo_exchange", "rank.compute", "rank.wait",
+            }
             assert all(x["attrs"]["rank"] == r for x in spans)
+            # one wait per collective, tagged with its kind: 10 exchanges,
+            # 1 + 2 * 10 allreduces — the comm/compute split of Fig. 20
+            waits = [x["attrs"]["kind"] for x in spans if x["name"] == "rank.wait"]
+            assert waits.count("halo") == 10 and waits.count("allreduce") == 21
+            n_compute = sum(x["name"] == "rank.compute" for x in spans)
+            assert n_compute == len(waits) + 1
+        table = rank_time_table(files).splitlines()
+        assert table[0].split()[:2] == ["rank", "compute"]
+        assert [line.split()[0] for line in table[1:]] == ["0", "1", "2", "3"]
         merged = merge_rank_traces(files, tmp_path / "merged.json")
         doc = json.loads(merged.read_text())
         events = doc["traceEvents"]

@@ -58,19 +58,11 @@ class TestPolicyValidation:
             {"max_retries": -1},
             {"backoff": -0.1},
             {"backoff_factor": 0.5},
-            {"tree_deadline": -2.0},
         ],
     )
     def test_bad_knobs_rejected(self, kwargs):
         with pytest.raises(ValueError):
             TransportPolicy(**kwargs)
-
-    def test_worker_deadline_defaults_to_deadline(self):
-        assert TransportPolicy(deadline=3.0).worker_deadline == 3.0
-        assert (
-            TransportPolicy(deadline=3.0, tree_deadline=1.5).worker_deadline
-            == 1.5
-        )
 
     def test_budget_is_attempts_plus_backoffs(self):
         p = TransportPolicy(
