@@ -30,6 +30,7 @@ import sys
 from typing import Callable
 
 from repro import kernels, obs
+from repro.precond import FAMILY_TABLE
 
 from repro.experiments import (
     ablation_twolevel,
@@ -122,7 +123,6 @@ def _run_solve(args) -> int:
     """Shared body of the ``solve`` and ``trace`` commands."""
     from repro import cg_solve
     from repro.experiments.workloads import block_problem, swjapan_problem
-    from repro.precond import DiagonalScaling, bic, sb_bic0, scalar_ic0
 
     if getattr(args, "kernel_backend", None):
         active = kernels.set_backend(args.kernel_backend)
@@ -143,18 +143,7 @@ def _run_solve(args) -> int:
     if getattr(args, "policy", None):
         return _run_policy_solve(args, prob)
 
-    makers = {
-        "diag": lambda: DiagonalScaling(prob.a),
-        "ic0": lambda: scalar_ic0(prob.a),
-        "bic0": lambda: bic(prob.a, fill_level=0),
-        "bic1": lambda: bic(prob.a, fill_level=1),
-        "bic2": lambda: bic(prob.a, fill_level=2),
-        "sbbic0": lambda: sb_bic0(prob.a, prob.groups),
-    }
-    if args.precond not in makers:
-        print(f"unknown preconditioner {args.precond!r}", file=sys.stderr)
-        return 2
-    m = makers[args.precond]()
+    m = FAMILY_TABLE[args.precond].build(prob.a, prob.groups)
     res = cg_solve(prob.a, prob.b, m, max_iter=args.max_iter)
     print(f"model: {prob.ndof} DOF, penalty {args.penalty:g}, precond {m.name}")
     print(res)
@@ -198,27 +187,21 @@ def _run_distributed_solve(args, prob) -> int:
         partition_nodes_rcb,
     )
     from repro.parallel.transport import registry as transport_registry
-    from repro.precond import DiagonalScaling, bic, sb_bic0
     from repro.precond.localized import restrict_groups
 
-    n_nodes = prob.mesh.n_nodes
-    groups = prob.groups
-    makers = {
-        "diag": lambda sub, nodes: DiagonalScaling(sub),
-        "bic0": lambda sub, nodes: bic(sub, fill_level=0),
-        "bic1": lambda sub, nodes: bic(sub, fill_level=1),
-        "bic2": lambda sub, nodes: bic(sub, fill_level=2),
-        "sbbic0": lambda sub, nodes: sb_bic0(
-            sub, restrict_groups(groups, nodes, n_nodes)
-        ),
-    }
-    if args.precond not in makers:
+    family = FAMILY_TABLE[args.precond]
+    if not family.localized:
         print(
             f"preconditioner {args.precond!r} has no per-domain (localized) "
-            f"form; choose from {sorted(makers)}",
+            f"form; choose from {sorted(f.name for f in FAMILY_TABLE.values() if f.localized)}",
             file=sys.stderr,
         )
         return 2
+    n_nodes = prob.mesh.n_nodes
+
+    def factory(sub, nodes):
+        return family.build(sub, restrict_groups(prob.groups, nodes, n_nodes))
+
     transport_registry.set_transport(args.transport)
     resolved = transport_registry.active_transport()
     opts = {}
@@ -226,7 +209,7 @@ def _run_distributed_solve(args, prob) -> int:
         opts["trace_dir"] = args.rank_traces
     part = partition_nodes_rcb(prob.mesh.coords, args.ndomains)
     with DistributedSystem.from_global(
-        prob.a, prob.b, part, makers[args.precond], transport_opts=opts
+        prob.a, prob.b, part, factory, transport_opts=opts
     ) as system:
         res = parallel_cg(system, max_iter=args.max_iter)
         log = system.comm_log
@@ -420,7 +403,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--penalty", type=float, default=1e6)
         p.add_argument(
             "--precond", default="sbbic0",
-            choices=["diag", "ic0", "bic0", "bic1", "bic2", "sbbic0"],
+            choices=list(FAMILY_TABLE),
         )
         p.add_argument("--scale", type=float, default=1.0)
         p.add_argument("--max-iter", type=int, default=20000)
@@ -432,7 +415,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         p.add_argument(
             "--transport", default=None,
-            choices=["lockstep", "process", "mpi"],
+            choices=["lockstep", "process"],
             help="run the solve distributed over this communication "
             "fabric (default: sequential solve; $REPRO_TRANSPORT also "
             "selects one)",

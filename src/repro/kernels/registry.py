@@ -13,16 +13,16 @@ The registry resolves which backend serves a call:
 Requesting numba in an environment without it is not an error: the
 registry logs one warning and serves numpy — optional acceleration must
 never become a hard dependency (SNIPPETS.md Snippet 2's guarded-import
-idiom).  Resolution is a couple of dict lookups, cheap enough to run on
-every hot-path call, so backend switches take effect immediately.
+idiom).  The precedence and the warn-once fallback are
+:class:`repro.utils.selection.Selection`, shared with the transport
+registry.  Resolution is a couple of dict lookups, cheap enough to run
+on every hot-path call, so backend switches take effect immediately.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-
 from repro.kernels import numba_backend, numpy_backend
+from repro.utils.selection import Selection
 
 __all__ = [
     "ENV_VAR",
@@ -38,63 +38,37 @@ __all__ = [
 
 ENV_VAR = "REPRO_KERNEL_BACKEND"
 
-_LOG = logging.getLogger("repro.kernels")
 _BACKENDS = {"numpy": numpy_backend, "numba": numba_backend}
-_EXPLICIT: str | None = None
-_WARNED: set[str] = set()
+_SELECTION = Selection(
+    "kernel backend",
+    ENV_VAR,
+    # looked up per call, so a test can flip a backend's availability
+    {name: (lambda mod=mod: mod.is_available()) for name, mod in _BACKENDS.items()},
+    default="auto",
+    fallback="numpy",
+    logger="repro.kernels",
+    missing="not importable (pip install 'repro[jit]' to enable numba)",
+    auto=("numba", "numpy"),
+)
 
+available_backends = _SELECTION.available_names
+"""Names of the backends importable in this environment."""
 
-def available_backends() -> list[str]:
-    """Names of the backends importable in this environment."""
-    return [name for name, mod in _BACKENDS.items() if mod.is_available()]
+resolve_name = _SELECTION.resolve
+"""Resolve the backend *name* (or the configured default) to an
+available backend, falling back from numba to numpy with one logged
+warning when numba is not importable."""
 
+set_backend = _SELECTION.set
+"""Set the process-wide backend; ``None``/"auto" restores auto.  Returns
+the name that will actually serve calls (after fallback)."""
 
-def _validate(name: str) -> str:
-    name = name.strip().lower()
-    if name not in ("auto", *_BACKENDS):
-        raise ValueError(
-            f"unknown kernel backend {name!r}; choose from "
-            f"{['auto', *_BACKENDS]}"
-        )
-    return name
-
-
-def resolve_name(name: str | None = None) -> str:
-    """Resolve the backend *name* (or the configured default) to an
-    available backend, falling back from numba to numpy with one logged
-    warning when numba is not importable."""
-    req = name or _EXPLICIT or os.environ.get(ENV_VAR) or "auto"
-    req = _validate(req)
-    if req == "auto":
-        return "numba" if numba_backend.is_available() else "numpy"
-    if not _BACKENDS[req].is_available():
-        if req not in _WARNED:
-            _WARNED.add(req)
-            _LOG.warning(
-                "kernel backend %r requested but not importable; falling back "
-                "to the numpy backend (pip install 'repro[jit]' to enable numba)",
-                req,
-            )
-        return "numpy"
-    return req
+reset = _SELECTION.reset
 
 
 def get_backend(name: str | None = None):
     """The backend module serving *name* (default: configured/auto)."""
     return _BACKENDS[resolve_name(name)]
-
-
-def set_backend(name: str | None) -> str:
-    """Set the process-wide backend; ``None``/"auto" restores auto.
-
-    Returns the name that will actually serve calls (after fallback), so
-    callers can record what they really got.
-    """
-    global _EXPLICIT
-    _EXPLICIT = None if name is None else _validate(name)
-    if _EXPLICIT == "auto":
-        _EXPLICIT = None
-    return resolve_name()
 
 
 def active_backend() -> str:
@@ -112,21 +86,9 @@ def warmup(name: str | None = None) -> dict:
     return {"backend": resolved, "seconds": float(_BACKENDS[resolved].warmup())}
 
 
-def reset() -> None:
-    """Clear the explicit selection and fallback-warning memory (tests)."""
-    global _EXPLICIT
-    _EXPLICIT = None
-    _WARNED.clear()
-
-
 def describe() -> dict:
     """Environment census for bench metadata and obs span attributes."""
-    info: dict = {
-        "active": active_backend(),
-        "available": available_backends(),
-        "explicit": _EXPLICIT,
-        "env": os.environ.get(ENV_VAR),
-    }
+    info = _SELECTION.describe()
     if numba_backend.is_available():
         import numba
 

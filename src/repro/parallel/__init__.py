@@ -9,8 +9,8 @@ sequential solver bit-for-bit in exact arithmetic.
 The communicator is pluggable (:mod:`repro.parallel.transport`): the
 lockstep emulation by default, one forked OS worker process per rank
 (each running its rank's CG) with ``--transport process`` /
-``REPRO_TRANSPORT=process``, or mpi4py when present — all behind the same Comm surface, selected through
-:func:`~repro.parallel.transport.registry.create_transport`.
+``REPRO_TRANSPORT=process`` — both behind the same Comm surface, selected
+through :func:`~repro.parallel.transport.registry.create_transport`.
 """
 
 from repro.parallel.partition import (

@@ -29,11 +29,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from repro.obs import (
-    metric_inc,
-    session as obs_session,
-    span as obs_span,
-)
+from repro.obs import metric_inc, span as obs_span
 from repro.parallel.comm import HALO, CommLog, LockstepComm
 from repro.parallel.partition import LocalDomain, build_domains
 from repro.precond.base import Preconditioner
@@ -43,7 +39,13 @@ from repro.resilience.taxonomy import (
     RankFailure,
     SolveReport,
 )
-from repro.solvers.cg import CGResult, _stagnated, _supports_out, check_finite_vector
+from repro.solvers.cg import (
+    CGOutcome,
+    CGResult,
+    cg_program,
+    check_finite_vector,
+    record_solve_metrics,
+)
 from repro.sparse.patterns import position_matrix, positions_from_data
 from repro.utils.timing import Timer
 from repro.utils.validate import check_square_csr
@@ -343,126 +345,22 @@ class _KrylovState:
         self.iters = alloc(len(domains))
 
 
-@dataclass
-class _Outcome:
-    """How a rank's CG ended.  Every rank decides from the same reduced
-    scalars, so every rank returns the same one."""
+class _RankHistory:
+    """The ``append``-and-index surface :func:`cg_program` writes its
+    history through, over the solve's shared array: entry *n* lands in
+    ``st.history[n]`` and stamps ``st.iters[rank]``, so the driver reads
+    both after the rank is gone."""
 
-    iterations: int
-    converged: bool
-    reason: FailureReason | None = None
-    detail: str = ""
+    def __init__(self, st: _KrylovState, rank: int, start: int) -> None:
+        self.values, self.iters, self.rank, self.n = st.history, st.iters, rank, start
 
+    def append(self, relres: float) -> None:
+        self.values[self.n] = relres
+        self.iters[self.rank] = self.n
+        self.n += 1
 
-def _rank_cg(
-    rank: int,
-    system: DistributedSystem,
-    st: _KrylovState,
-    store,
-    resume,
-    *,
-    eps: float,
-    max_iter: int,
-    stagnation_window: int,
-    stagnation_rtol: float,
-    deadline: float | None,
-    halo_check: bool,
-):
-    """One rank's preconditioned CG: the SPMD body of paper section 2.2.
-
-    A generator that owns only rank-local data and yields at each
-    collective — :data:`~repro.parallel.comm.HALO` for the boundary
-    exchange of its halo vector (answered with the owner/ghost
-    mismatch), a float or a small vector for an allreduce (answered with
-    the global sum) — and returns an :class:`_Outcome`.  Whoever
-    advances it supplies the communication: :func:`_run_in_process`
-    steps all ranks through a ``LockstepComm``-shaped communicator, a
-    process-transport worker steps its own rank.  Every exchange is
-    followed by an allreduce before the next one, which is what lets a
-    transport reuse one halo buffer per rank.
-
-    Two comms optimizations over the textbook loop (the hot-path numbers
-    the paper's Fig. 20 latency model cares about): the halo-extended
-    work vector is allocated once per solve — every exchange overwrites
-    all its external slots — and ``r.r`` (convergence test) and ``r.z``
-    (CG beta) ride in one fused *vector* allreduce, 2 per iteration
-    instead of 3, which requires applying the preconditioner before the
-    convergence check; the iterates are unchanged.
-
-    *resume* is ``None`` for a fresh solve (``x0 = 0``) or the
-    :class:`~repro.resilience.checkpoint.CGCheckpoint` whose vectors
-    were just restored into *st*.
-    """
-    dom, m = system.domains[rank], system.preconds[rank]
-    x, r, p, halo, hist = st.x[rank], st.r[rank], st.p[rank], st.halo[rank], st.history
-    ni = x.size
-    reuse_z = _supports_out(m.apply)
-    # one rank speaks for the solve in the trace
-    sess = obs_session() if rank == 0 else None
-
-    def failed(reason: FailureReason, detail: str) -> _Outcome:
-        return _Outcome(it, False, reason, detail)
-
-    if resume is None:
-        x[:] = 0.0
-        r[:] = system.b_parts[rank]
-        z = m.apply(r)
-        rr, rz = yield np.array([r @ r, r @ z])
-        bnorm = np.sqrt(rr)
-        it = st.iters[rank] = 0
-        hist[0] = 1.0 if bnorm else 0.0
-        if hist[0] <= eps:
-            return _Outcome(0, True)
-        p[:] = z
-    else:
-        it, rz, bnorm, z = resume.iteration, resume.rz, resume.bnorm, None
-    while it < max_iter:
-        if store is not None and store.due(it) and (resume is None or it > resume.iteration):
-            store.save(rank, it, (x, r, p), rz, bnorm)
-        halo[:ni] = p
-        mismatch = yield HALO  # a process-transport rank always gets one
-        if halo_check and (mismatch > 0.0 or not np.isfinite(mismatch)):
-            raise _CommFaultDetected(mismatch)
-        q = dom.a_local @ halo
-        pq = yield float(p @ q)
-        if not np.isfinite(pq):
-            return failed(FailureReason.NAN_DETECTED, f"p.q = {pq}")
-        if pq <= 0:
-            return failed(FailureReason.BREAKDOWN_INDEFINITE, f"p.q = {pq:.3e}")
-        alpha = rz / pq
-        x += alpha * p
-        r -= alpha * q
-        it += 1
-        z = m.apply(r, out=z) if reuse_z and z is not None else m.apply(r)
-        # r.r (convergence) and r.z (beta) ride one vector allreduce; a
-        # wall-clock budget must be judged collectively, so it rides too
-        dots = [r @ r, r @ z]
-        if deadline is not None:
-            dots.append(float(time.perf_counter() > deadline))
-        sums = yield np.array(dots)
-        rr, rz_new = sums[0], sums[1]
-        relres = hist[it] = np.sqrt(rr) / bnorm
-        st.iters[rank] = it
-        if sess is not None:
-            sess.tracer.event("cg.iteration", it=it, relres=float(relres))
-            sess.metrics.inc("cg.iterations", solver="parallel_cg")
-        if not np.isfinite(relres):
-            return failed(FailureReason.NAN_DETECTED, "residual is NaN/Inf")
-        if relres <= eps:
-            return _Outcome(it, True)
-        if _stagnated(hist[: it + 1], stagnation_window, stagnation_rtol):
-            return failed(
-                FailureReason.STAGNATION,
-                f"no {1 - stagnation_rtol:.0%} improvement in "
-                f"{stagnation_window} iterations",
-            )
-        if deadline is not None and sums[2] > 0.0:
-            return failed(FailureReason.TIME_BUDGET, "budget exhausted")
-        beta = rz_new / rz
-        rz = rz_new
-        p *= beta
-        p += z
-    return failed(FailureReason.MAX_ITER, f"cap {max_iter}")
+    def __getitem__(self, key):
+        return self.values[key]
 
 
 def _run_in_process(comm, halo_check: bool, program, halo: list[np.ndarray]) -> list:
@@ -504,12 +402,13 @@ def parallel_cg(
 ) -> CGResult:
     """Preconditioned CG on a distributed system, one SPMD body per rank.
 
-    The iteration is written once, rank-locally (:func:`_rank_cg`).  On
-    a communicator that can run rank programs itself (the process
+    The iteration is :func:`~repro.solvers.cg.cg_program`, the same body
+    :func:`~repro.solvers.cg.cg_solve` runs for one rank.  On a
+    communicator that can run rank programs itself (the process
     transport's ``run_ranks``: one forked worker per rank computes on
     its own domain and meets its peers only at the collectives) the
     ranks run concurrently; on any other communicator (lockstep, the
-    fault-injecting wrappers, mpi) they are advanced in lockstep inside
+    fault-injecting wrappers) they are advanced in lockstep inside
     this process.  The reductions are rank-ordered either way, so the
     iterates, the iteration count and the message census do not depend
     on which it was.
@@ -567,24 +466,54 @@ def parallel_cg(
     deadline = None if time_budget is None else time.perf_counter() + time_budget
     rollbacks = 0
     resume = None
+
+    def program(rank: int):
+        """Rank *rank*'s :func:`~repro.solvers.cg.cg_program` for the
+        epoch that starts now (from *resume*, when a rollback set it).
+
+        What is distributed about it is the matrix-vector product: the
+        rank copies its direction into the halo-extended work vector —
+        allocated once per solve, every exchange overwrites all its
+        external slots — yields :data:`~repro.parallel.comm.HALO` for
+        the boundary exchange (answered with the owner/ghost mismatch)
+        and multiplies its rows.  Every exchange is followed by an
+        allreduce before the next one, which is what lets a transport
+        reuse one halo buffer per rank."""
+        dom, halo = system.domains[rank], st.halo[rank]
+        ni = st.x[rank].size
+
+        def matvec(v):
+            halo[:ni] = v
+            mismatch = yield HALO  # a process-transport rank always gets one
+            if halo_check and (mismatch > 0.0 or not np.isfinite(mismatch)):
+                raise _CommFaultDetected(mismatch)
+            return dom.a_local @ halo
+
+        return cg_program(
+            matvec,
+            system.preconds[rank],
+            system.b_parts[rank],
+            st.x[rank],
+            st.r[rank],
+            st.p[rank],
+            _RankHistory(st, rank, 0 if resume is None else resume.iteration + 1),
+            eps=eps,
+            max_iter=max_iter,
+            stagnation_window=stagnation_window,
+            stagnation_rtol=stagnation_rtol,
+            deadline=deadline,
+            store=store,
+            rank=rank,
+            resume=resume,
+            # one rank speaks for the solve in the trace
+            labels={"solver": "parallel_cg"} if rank == 0 else None,
+        )
+
     timer = Timer()
     with obs_span(
         "parallel_cg", ranks=len(system.domains), ndof=system.ndof, eps=eps
     ), timer, obs_span("cg_iterations"):
         while True:
-            program = partial(
-                _rank_cg,
-                system=system,
-                st=st,
-                store=store,
-                resume=resume,
-                eps=eps,
-                max_iter=max_iter,
-                stagnation_window=stagnation_window,
-                stagnation_rtol=stagnation_rtol,
-                deadline=deadline,
-                halo_check=halo_check,
-            )
             # One guard around the whole epoch: with a real transport any
             # collective can fail.  A fault may leave x/r half-updated —
             # harmless, because recovery always restores the full Krylov
@@ -618,7 +547,7 @@ def parallel_cg(
                 or rollbacks >= max_rollbacks
                 or (dead is not None and not system.can_recover)
             ):
-                out = _Outcome(done, False, reason)
+                out = CGOutcome(done, False, reason)
                 break
             if dead is not None:
                 system.recover_rank(dead, report=report)
@@ -635,16 +564,7 @@ def parallel_cg(
                     f"{resume.iteration} (rollback {rollbacks}/{max_rollbacks})",
                 )
 
-    sess = obs_session()
-    if sess is not None:
-        sess.metrics.inc("cg.solves", solver="parallel_cg", converged=out.converged)
-        sess.metrics.observe(
-            "cg.solve_seconds", timer.elapsed, solver="parallel_cg"
-        )
-        if out.reason is not None and out.reason.is_failure:
-            sess.metrics.inc(
-                "cg.failures", solver="parallel_cg", reason=str(out.reason)
-            )
+    record_solve_metrics(out, timer.elapsed, solver="parallel_cg")
 
     return CGResult(
         x=system.gather_global(st.x),

@@ -9,8 +9,6 @@ provides that surface over fabrics where the failure modes are real:
   worker per rank and solve, running that rank's CG on its own and
   meeting its peers through shared memory.  SIGKILL a worker and the
   driver finds a genuinely dead process;
-- :mod:`~repro.parallel.transport.mpi_backend` — optional mpi4py SPMD
-  backend (guarded import, never a hard dependency);
 - :mod:`~repro.parallel.transport.policy` — the deadline / bounded-retry
   / exponential-backoff knobs whose budget bounds every wait, and the
   ``RankFailure`` vs ``CommTimeout`` classification contract;

@@ -12,22 +12,23 @@ gets:
 3. the ``REPRO_TRANSPORT`` environment variable,
 4. default: ``lockstep``.
 
-Requesting an unavailable transport (``mpi`` without mpi4py, ``process``
-on a fork-less platform) is not an error: one logged warning, then the
-lockstep emulation serves the solve — optional fabrics must never become
-hard dependencies.  Unlike kernel backends, transports are stateful
+Requesting an unavailable transport (``process`` on a fork-less
+platform) is not an error: one logged warning, then the lockstep
+emulation serves the solve — optional fabrics must never become hard
+dependencies; an unknown name (``mpi``: there is no such transport) is.
+The precedence and the fallback are
+:class:`repro.utils.selection.Selection`, shared with the kernel
+registry.  Unlike kernel backends, transports are stateful
 objects bound to a domain decomposition, so the registry exposes a
 factory (:func:`create_transport`) rather than module handles.
 """
 
 from __future__ import annotations
 
-import logging
-import os
-
 from repro.parallel.comm import LockstepComm
 from repro.parallel.partition import LocalDomain
-from repro.parallel.transport import mpi_backend, process_backend
+from repro.parallel.transport import process_backend
+from repro.utils.selection import Selection
 
 __all__ = [
     "ENV_VAR",
@@ -42,62 +43,30 @@ __all__ = [
 
 ENV_VAR = "REPRO_TRANSPORT"
 
-_LOG = logging.getLogger("repro.parallel.transport")
-_AVAILABILITY = {
-    "lockstep": lambda: True,
-    "process": process_backend.is_available,
-    "mpi": mpi_backend.is_available,
-}
-_EXPLICIT: str | None = None
-_WARNED: set[str] = set()
+_SELECTION = Selection(
+    "transport",
+    ENV_VAR,
+    {"lockstep": lambda: True, "process": process_backend.is_available},
+    default="lockstep",
+    fallback="lockstep",
+    logger="repro.parallel.transport",
+    missing="the 'fork' start method is unavailable",
+)
 
+available_transports = _SELECTION.available_names
+"""Names of the transports usable in this environment."""
 
-def available_transports() -> list[str]:
-    """Names of the transports usable in this environment."""
-    return [name for name, ok in _AVAILABILITY.items() if ok()]
+resolve_name = _SELECTION.resolve
+"""Resolve *name* (or the configured default) to a usable transport,
+falling back to ``lockstep`` with one logged warning when the request is
+not available on this machine."""
 
+set_transport = _SELECTION.set
+"""Set the process-wide transport; ``None`` restores the default.
+Returns the name that will actually serve (after fallback)."""
 
-def _validate(name: str) -> str:
-    name = name.strip().lower()
-    if name not in _AVAILABILITY:
-        raise ValueError(
-            f"unknown transport {name!r}; choose from {list(_AVAILABILITY)}"
-        )
-    return name
-
-
-def resolve_name(name: str | None = None) -> str:
-    """Resolve *name* (or the configured default) to a usable transport,
-    falling back to ``lockstep`` with one logged warning when the request
-    is not available on this machine."""
-    req = name or _EXPLICIT or os.environ.get(ENV_VAR) or "lockstep"
-    req = _validate(req)
-    if not _AVAILABILITY[req]():
-        if req not in _WARNED:
-            _WARNED.add(req)
-            hint = (
-                "mpi4py is not importable"
-                if req == "mpi"
-                else "the 'fork' start method is unavailable"
-            )
-            _LOG.warning(
-                "transport %r requested but %s; falling back to the "
-                "lockstep emulation",
-                req,
-                hint,
-            )
-        return "lockstep"
-    return req
-
-
-def set_transport(name: str | None) -> str:
-    """Set the process-wide transport; ``None`` restores the default.
-
-    Returns the name that will actually serve (after fallback), so
-    callers can record what they really got."""
-    global _EXPLICIT
-    _EXPLICIT = None if name is None else _validate(name)
-    return resolve_name()
+reset = _SELECTION.reset
+describe = _SELECTION.describe
 
 
 def active_transport() -> str:
@@ -111,29 +80,9 @@ def create_transport(
     """Build the resolved transport over *domains*.
 
     ``opts`` are forwarded to the backend constructor (``policy`` /
-    ``trace_dir`` for ``process``, ``comm`` for ``mpi``); lockstep takes
-    none and silently ignores them — the knobs configure real fabrics,
-    the emulation has nothing to configure."""
-    resolved = resolve_name(name)
-    if resolved == "process":
+    ``trace_dir`` for ``process``); lockstep takes none and silently
+    ignores them — the knobs configure real fabrics, the emulation has
+    nothing to configure."""
+    if resolve_name(name) == "process":
         return process_backend.ProcessTransport(domains, **opts)
-    if resolved == "mpi":
-        return mpi_backend.MpiTransport(domains, **opts)
     return LockstepComm(domains)
-
-
-def reset() -> None:
-    """Clear the explicit selection and fallback-warning memory (tests)."""
-    global _EXPLICIT
-    _EXPLICIT = None
-    _WARNED.clear()
-
-
-def describe() -> dict:
-    """Environment census for CLI output and trace metadata."""
-    return {
-        "active": active_transport(),
-        "available": available_transports(),
-        "explicit": _EXPLICIT,
-        "env": os.environ.get(ENV_VAR),
-    }

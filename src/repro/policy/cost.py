@@ -38,13 +38,15 @@ from repro.perfmodel.hybrid import estimate_iteration_time
 from repro.perfmodel.kernels import SolverOpCensus, VectorWork
 from repro.perfmodel.machines import EARTH_SIMULATOR, MachineModel
 from repro.policy.probes import ProblemProbe
+from repro.precond.families import FAMILY_TABLE
 
 __all__ = ["CandidateCost", "FAMILIES", "applicable_families", "candidate_costs"]
 
-FAMILIES = ("sbbic0", "bic0", "ic0", "diag")
-"""Ladder-leading preconditioner families, strongest first.  Names match
-the serve protocol's ``precond`` values so policy decisions drop
-straight into :class:`~repro.serve.protocol.SolveRequest`."""
+FAMILIES = tuple(f.name for f in reversed(FAMILY_TABLE.values()) if f.ranked)
+"""Ladder-leading preconditioner families, strongest first.  The names
+are the family table's, like the serve protocol's ``precond`` values, so
+policy decisions drop straight into
+:class:`~repro.serve.protocol.SolveRequest`."""
 
 # spectrum compression of level-0 IC relative to plain Jacobi scaling —
 # a Table 2-shaped prior (block form slightly stronger than scalar)

@@ -34,11 +34,8 @@ from repro.perfmodel.machines import EARTH_SIMULATOR, MachineModel
 from repro.policy.cost import CandidateCost, applicable_families, candidate_costs
 from repro.policy.history import PolicyHistory
 from repro.policy.probes import ProblemProbe, probe_problem
-from repro.precond.bic import bic
-from repro.precond.diagonal import DiagonalScaling
-from repro.precond.ic0 import scalar_ic0
-from repro.precond.sbbic import sb_bic0
-from repro.resilience.resilient import FallbackStage
+from repro.precond.families import family_of_stage
+from repro.resilience.resilient import FallbackStage, build_ladder
 
 __all__ = [
     "POLICY_MODES",
@@ -48,32 +45,6 @@ __all__ = [
 ]
 
 POLICY_MODES = ("static", "cost", "learned")
-
-_STAGE_FAMILY = {
-    "SB-BIC(0)": "sbbic0",
-    "BIC(0)": "bic0",
-    "IC(0) scalar": "ic0",
-    "Diagonal": "diag",
-    # serve-protocol family names pass through unchanged, so outcome
-    # recording works from both ladder stage names and resolved requests
-    "sbbic0": "sbbic0",
-    "bic0": "bic0",
-    "ic0": "ic0",
-    "diag": "diag",
-}
-
-
-def family_of_stage(stage_name: str) -> str | None:
-    """Map a ladder stage name back to its policy family.
-
-    Shifted retries count toward their base family (``BIC(0)+shift0.01``
-    -> ``bic0``): the shift schedule is part of the rung the policy
-    chose, not a separate choice to learn.
-    """
-    base = stage_name.split("+", 1)[0]
-    if base.startswith("IC(0)"):
-        return "ic0"
-    return _STAGE_FAMILY.get(base)
 
 
 @dataclass
@@ -275,72 +246,18 @@ class SolverPolicy:
     ) -> tuple[list[FallbackStage], PolicyDecision]:
         """Build a ResilientSolver ladder in the decided order.
 
-        Same contract as :func:`~repro.resilience.resilient.default_ladder`
-        — including the shared BIC-family cache (every BIC/IC rung after
-        the first refactors the cached numeric object in place) and a
-        Diagonal rung that is always last, so no decision can remove the
-        unbreakable backstop.
+        :func:`~repro.resilience.resilient.build_ladder` with the
+        decision's order, shift schedule and color count — so the shared
+        IC symbolic cache and the Diagonal rung that is always last (no
+        decision can remove the unbreakable backstop) are those of
+        :func:`~repro.resilience.resilient.default_ladder`.
         """
         if decision is None:
             decision = self.decide(a, contact_groups, cache_key=cache_key)
-        a = sp.csr_matrix(a)
-        dbar = float(np.abs(a.diagonal()).mean()) or 1.0
-        groups = list(contact_groups) if contact_groups else []
-        blocked = a.shape[0] % b == 0
-
-        cache: dict = {}  # shared BIC-family symbolic + last factorization
-
-        def bic_rung(shift: float, label: str):
-            m = cache.get("m")
-            if m is not None:
-                m.refactor(shift=shift)
-                m.name = label
-                return m
-            if blocked:
-                m = bic(
-                    a, fill_level=0, b=b, shift=shift,
-                    ncolors=decision.ncolors, symbolic=cache.get("sym"),
-                )
-            else:
-                m = scalar_ic0(
-                    a, shift=shift, ncolors=decision.ncolors,
-                    symbolic=cache.get("sym"),
-                )
-            m.name = label
-            cache["sym"] = m.symbolic
-            cache["m"] = m
-            return m
-
-        stages: list[FallbackStage] = []
-        for family in decision.order:
-            if family == "sbbic0":
-                if not groups:
-                    continue
-                stages.append(
-                    FallbackStage(
-                        "SB-BIC(0)",
-                        lambda: sb_bic0(a, groups, b=b, ncolors=decision.ncolors),
-                    )
-                )
-            elif family in ("bic0", "ic0"):
-                plain = "BIC(0)" if blocked else "IC(0) scalar"
-                stages.append(FallbackStage(plain, lambda: bic_rung(0.0, plain)))
-                for alpha in decision.shifts:
-                    label = f"{'BIC(0)' if blocked else 'IC(0)'}+shift{alpha:g}"
-                    stages.append(
-                        FallbackStage(
-                            label,
-                            lambda shift=alpha * dbar, label=label: bic_rung(
-                                shift, label
-                            ),
-                        )
-                    )
-            elif family == "diag":
-                if stages and stages[-1].name == "Diagonal":
-                    continue
-                stages.append(FallbackStage("Diagonal", lambda: DiagonalScaling(a)))
-        if not stages or stages[-1].name != "Diagonal":
-            stages.append(FallbackStage("Diagonal", lambda: DiagonalScaling(a)))
+        stages = build_ladder(
+            a, contact_groups, decision.order,
+            b=b, shifts=decision.shifts, ncolors=decision.ncolors,
+        )
         return stages, decision
 
     # -- learning ----------------------------------------------------------

@@ -11,7 +11,9 @@ All of Table 2's preconditioners are here:
 - :class:`~repro.precond.localized.LocalizedPreconditioner` — the
   domain-wise (block Jacobi) localization used in parallel runs.
 
-They all delegate to one engine,
+:data:`~repro.precond.families.FAMILY_TABLE` is the one place their
+CLI / protocol / ladder names are listed.  The IC variants all delegate
+to one engine,
 :class:`~repro.precond.icfact.BlockICFactorization`: a color-wise batched
 incomplete Cholesky over variable-size super-node blocks.
 """
@@ -29,8 +31,12 @@ from repro.precond.bic import bic
 from repro.precond.sbbic import sb_bic0
 from repro.precond.localized import LocalizedPreconditioner
 from repro.precond.twolevel import TwoLevelPreconditioner
+from repro.precond.families import FAMILY_TABLE, Family, family_of_stage
 
 __all__ = [
+    "FAMILY_TABLE",
+    "Family",
+    "family_of_stage",
     "TwoLevelPreconditioner",
     "Preconditioner",
     "IdentityPreconditioner",

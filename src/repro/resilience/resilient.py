@@ -27,14 +27,11 @@ import scipy.sparse as sp
 
 from repro.obs import metric_inc, span as obs_span
 from repro.precond.base import Preconditioner
-from repro.precond.bic import bic
-from repro.precond.diagonal import DiagonalScaling
-from repro.precond.ic0 import scalar_ic0
-from repro.precond.sbbic import sb_bic0
+from repro.precond.families import FAMILY_TABLE
 from repro.resilience.taxonomy import FailureReason, PivotNudgeWarning, SolveReport
 from repro.solvers.cg import CGResult, cg_solve, check_finite_vector
 
-__all__ = ["FallbackStage", "ResilientSolver", "default_ladder"]
+__all__ = ["FallbackStage", "ResilientSolver", "build_ladder", "default_ladder"]
 
 
 @dataclass
@@ -47,6 +44,78 @@ class FallbackStage:
     singular factorization) — a raising stage is skipped, not fatal."""
 
 
+def build_ladder(
+    a,
+    contact_groups: list[np.ndarray] | None,
+    order: tuple[str, ...],
+    *,
+    b: int = 3,
+    shifts: tuple[float, ...] = (0.01, 0.1),
+    ncolors: int = 0,
+) -> list[FallbackStage]:
+    """The escalation ladder leading with the families in *order*.
+
+    ``sbbic0`` becomes an SB-BIC(0) rung when contact groups exist;
+    ``bic0`` / ``ic0`` become the level-0 IC rung the matrix admits
+    (BIC(0), or scalar IC(0) when the dimension is not a multiple of
+    *b*) followed by its shifted retries, Manteuffel-style
+    ``alpha * dbar * I`` added to the pivots (``dbar`` = mean
+    |diagonal|); ``diag`` becomes diagonal scaling — which is also
+    always the last rung, whatever *order* says, so no caller can remove
+    the rung that cannot break.
+
+    The IC rungs (plain + every shifted retry) share one level-0
+    symbolic pattern phase: escalating to a shifted rung refactors the
+    previously built factorization with the new ``shift`` (numeric-only),
+    or — if the plain rung never got built — runs the numeric phase on
+    the cached symbolic object.  Only the first of them reached ever
+    pays for ordering/pattern/schedule construction.
+    """
+    a = sp.csr_matrix(a)
+    dbar = float(np.abs(a.diagonal()).mean()) or 1.0
+    groups = list(contact_groups) if contact_groups else []
+    blocked = a.shape[0] % b == 0
+    sb, diag = FAMILY_TABLE["sbbic0"], FAMILY_TABLE["diag"]
+    ic = FAMILY_TABLE["bic0" if blocked else "ic0"]
+    ic_kw = {"ncolors": ncolors, "b": b} if blocked else {"ncolors": ncolors}
+
+    cache: dict = {}  # shared IC symbolic + last factorization
+
+    def ic_rung(shift: float, label: str):
+        m = cache.get("m")
+        if m is not None:
+            # same matrix, same pattern — only the pivot shift changed
+            m.refactor(shift=shift)
+        else:
+            m = ic.build(a, None, symbolic=cache.get("sym"), shift=shift, **ic_kw)
+            cache["sym"] = m.symbolic
+            cache["m"] = m
+        m.name = label
+        return m
+
+    stages: list[FallbackStage] = []
+    for family in (*order, diag.name):  # the backstop, unless already last
+        if family == sb.name and groups:
+            stages.append(
+                FallbackStage(
+                    sb.stage, lambda: sb.build(a, groups, b=b, ncolors=ncolors)
+                )
+            )
+        elif family in ("bic0", "ic0"):
+            stages.append(FallbackStage(ic.stage, lambda: ic_rung(0.0, ic.stage)))
+            for alpha in shifts:
+                label = f"{ic.stage.split()[0]}+shift{alpha:g}"
+                stages.append(
+                    FallbackStage(
+                        label,
+                        lambda shift=alpha * dbar, label=label: ic_rung(shift, label),
+                    )
+                )
+        elif family == diag.name and not (stages and stages[-1].name == diag.stage):
+            stages.append(FallbackStage(diag.stage, lambda: diag.build(a, None)))
+    return stages
+
+
 def default_ladder(
     a,
     contact_groups: list[np.ndarray] | None = None,
@@ -54,63 +123,13 @@ def default_ladder(
     b: int = 3,
     shifts: tuple[float, ...] = (0.01, 0.1),
 ) -> list[FallbackStage]:
-    """The standard escalation ladder for a (possibly contact) system.
-
-    SB-BIC(0) first when contact groups exist (the paper's most robust
-    option), then BIC(0), then shifted retries with Manteuffel-style
-    ``alpha * dbar * I`` added to the pivots (``dbar`` = mean |diagonal|),
-    and diagonal scaling as the rung that cannot break.  Matrices whose
-    dimension is not a multiple of *b* use scalar IC(0) rungs instead of
-    BIC(0).
-
-    The BIC-family rungs (plain + every shifted retry) share one level-0
-    symbolic pattern phase: escalating to a shifted rung refactors the
-    previously built factorization with the new ``shift`` (numeric-only),
-    or — if the plain rung never got built — runs the numeric phase on
-    the cached symbolic object.  Only the first BIC-family rung reached
-    ever pays for ordering/pattern/schedule construction.
-    """
-    a = sp.csr_matrix(a)
-    ndof = a.shape[0]
-    dbar = float(np.abs(a.diagonal()).mean()) or 1.0
-    stages: list[FallbackStage] = []
-    if contact_groups:
-        groups = list(contact_groups)
-        stages.append(
-            FallbackStage("SB-BIC(0)", lambda: sb_bic0(a, groups, b=b))
-        )
-    blocked = ndof % b == 0
-
-    cache: dict = {}  # shared BIC-family symbolic + last factorization
-
-    def bic_rung(shift: float, label: str):
-        m = cache.get("m")
-        if m is not None:
-            # same matrix, same pattern — only the pivot shift changed
-            m.refactor(shift=shift)
-            m.name = label
-            return m
-        if blocked:
-            m = bic(a, fill_level=0, b=b, shift=shift, symbolic=cache.get("sym"))
-        else:
-            m = scalar_ic0(a, shift=shift, symbolic=cache.get("sym"))
-        m.name = label
-        cache["sym"] = m.symbolic
-        cache["m"] = m
-        return m
-
-    plain = "BIC(0)" if blocked else "IC(0) scalar"
-    stages.append(FallbackStage(plain, lambda: bic_rung(0.0, plain)))
-    for alpha in shifts:
-        label = f"{'BIC(0)' if blocked else 'IC(0)'}+shift{alpha:g}"
-        stages.append(
-            FallbackStage(
-                label,
-                lambda shift=alpha * dbar, label=label: bic_rung(shift, label),
-            )
-        )
-    stages.append(FallbackStage("Diagonal", lambda: DiagonalScaling(a)))
-    return stages
+    """The standard escalation ladder for a (possibly contact) system:
+    the paper's static order, SB-BIC(0) (its most robust option) first
+    when contact groups exist, then BIC(0) and its shifted retries, then
+    diagonal scaling (see :func:`build_ladder`)."""
+    return build_ladder(
+        a, contact_groups, ("sbbic0", "bic0", "diag"), b=b, shifts=shifts
+    )
 
 
 _ESCALATABLE = frozenset(

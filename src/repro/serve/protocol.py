@@ -50,16 +50,17 @@ from typing import Any
 
 import numpy as np
 
+from repro.precond.families import FAMILY_TABLE
 from repro.utils.validate import check_finite_array
 
 _JOB_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,80}$")
 
 MODELS = ("block", "swjapan")
-PRECONDS = ("diag", "ic0", "bic0", "bic1", "bic2", "sbbic0", "auto")
-"""``auto`` defers the choice to the session's solver policy
-(:mod:`repro.policy`): the request is resolved to a concrete family at
-solve time from probes, cost predictions, and the workspace's recorded
-outcome history."""
+PRECONDS = (*FAMILY_TABLE, "auto")
+"""The family table's names plus ``auto``, which defers the choice to
+the session's solver policy (:mod:`repro.policy`): the request is
+resolved to a concrete family at solve time from probes, cost
+predictions, and the workspace's recorded outcome history."""
 
 CHAOS_ENV = "REPRO_SERVE_CHAOS"
 """Environment variable gating the ``chaos`` request field (fault

@@ -44,7 +44,7 @@ import scipy.sparse as sp
 from repro import kernels, obs
 from repro.fem.model import ContactStructure
 from repro.policy import PolicyHistory, SolverPolicy
-from repro.precond import DiagonalScaling, bic, sb_bic0, scalar_ic0
+from repro.precond import FAMILY_TABLE, DiagonalScaling
 from repro.precond.icfact import record_cache_eviction, setup_counters
 from repro.resilience.checkpoint import fingerprint_arrays
 from repro.resilience.taxonomy import FailureReason
@@ -126,18 +126,6 @@ def _structure_builders() -> dict[str, Callable[[float], ContactStructure]]:
     return {"block": block_structure, "swjapan": swjapan_structure}
 
 
-def _build_preconditioner(precond: str, a, groups, symbolic=None):
-    if precond == "diag":
-        return DiagonalScaling(a)
-    if precond == "ic0":
-        return scalar_ic0(a, symbolic=symbolic)
-    if precond == "sbbic0":
-        return sb_bic0(a, groups, symbolic=symbolic)
-    if precond.startswith("bic"):
-        return bic(a, fill_level=int(precond[3:]), symbolic=symbolic)
-    raise ProtocolError(f"unknown preconditioner {precond!r}")
-
-
 class Workspace:
     """The cached-setup store behind a :class:`SolverSession`.
 
@@ -211,7 +199,7 @@ class Workspace:
         symbolic = self.symbolics.get(key) if precond != "diag" else None
         event = "numeric" if symbolic is not None else "build"
         with obs.span("serve.build_preconditioner", precond=precond, mode=event):
-            m = _build_preconditioner(precond, a, groups, symbolic=symbolic)
+            m = FAMILY_TABLE[precond].build(a, groups, symbolic=symbolic)
         if precond != "diag" and symbolic is None:
             self.symbolics.put(key, m.symbolic)
         self.factors.put(key, (m, fingerprint))

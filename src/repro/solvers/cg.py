@@ -7,7 +7,10 @@ residual history and per-phase timings that the benches report, and flags
 non-convergence the way the paper's tables do ("No Conv.") — but, unlike
 the paper's tables, it also records *why* via
 :class:`~repro.resilience.taxonomy.FailureReason` (breakdown vs NaN vs
-stagnation vs iteration cap), so failure rows are diagnosable.
+stagnation vs iteration cap), so failure rows are diagnosable.  The
+iteration exists once, rank-locally, as :func:`cg_program`: :func:`cg_solve`
+runs it for one rank that owns the whole matrix,
+:func:`~repro.parallel.distributed.parallel_cg` runs it per domain.
 """
 
 from __future__ import annotations
@@ -48,14 +51,14 @@ def check_finite_vector(v: np.ndarray, name: str) -> np.ndarray:
     return v
 
 
-def _stagnated(history: list[float], window: int, rtol: float) -> bool:
-    """True when the best residual of the last *window* iterations failed
-    to improve on the best before it by at least a factor ``rtol``."""
-    if window <= 0 or len(history) <= window:
+def _stagnated(history, it: int, window: int, rtol: float) -> bool:
+    """True when the best residual of the last *window* entries of
+    ``history[: it + 1]`` failed to improve on the best before them by
+    at least a factor ``rtol``."""
+    if window <= 0 or it < window:
         return False
-    recent = min(history[-window:])
-    before = min(history[:-window])
-    return recent > rtol * before
+    split = it + 1 - window
+    return min(history[split : it + 1]) > rtol * min(history[:split])
 
 
 @dataclass
@@ -106,6 +109,151 @@ class CGResult:
         )
 
 
+@dataclass
+class CGOutcome:
+    """How a rank's CG ended.  Every rank decides from the same reduced
+    scalars, so every rank returns the same one."""
+
+    iterations: int
+    converged: bool
+    reason: FailureReason | None = None
+    detail: str = ""
+
+
+def cg_program(
+    matvec,
+    m: Preconditioner,
+    b: np.ndarray,
+    x: np.ndarray,
+    r: np.ndarray,
+    p: np.ndarray,
+    history,
+    *,
+    eps: float,
+    max_iter: int,
+    stagnation_window: int,
+    stagnation_rtol: float,
+    deadline: float | None = None,
+    x0: np.ndarray | None = None,
+    store=None,
+    rank: int = 0,
+    resume=None,
+    labels: dict | None = None,
+):
+    """One rank's preconditioned CG: the SPMD body of paper section 2.2,
+    and the only place the iteration and its detectors are written.
+
+    A generator over what its rank owns — the rows of ``b`` / ``x`` /
+    ``r`` / ``p``, the preconditioner *m* on them, and *matvec*, itself a
+    generator function so that a distributed rank can meet its
+    neighbours inside it — that yields at each collective (a float or a
+    small vector, to be answered with the global sum) and returns a
+    :class:`CGOutcome`.  Whoever advances it supplies the communication:
+    :func:`cg_solve` is the one-rank case and hands every value straight
+    back, :func:`~repro.parallel.distributed.parallel_cg` runs one
+    program per domain.
+
+    ``r.r`` (convergence test) and ``r.z`` (CG beta) ride in one fused
+    *vector* allreduce, 2 per iteration instead of 3 (the latency the
+    paper's Fig. 20 model cares about).  That requires applying the
+    preconditioner before the convergence check — a converged solve pays
+    one apply it does not use; the iterates are unchanged.  A wall-clock
+    *deadline* must be judged collectively, so it rides there too.
+
+    *history* gets every iteration's relative residual by ``append`` and
+    is read back by index.  *x0* is an optional start iterate (``b.b``
+    then joins the first reduction), *store* an optional
+    :class:`~repro.resilience.checkpoint.CGCheckpointStore` this rank
+    snapshots into, *resume* the checkpoint whose vectors were just
+    restored into ``x`` / ``r`` / ``p``, and *labels* the metric labels
+    of the one rank that speaks for the solve in the trace.
+    """
+    reuse_z = _supports_out(m.apply)
+    sess = obs_session() if labels is not None else None
+
+    def failed(reason: FailureReason, detail: str) -> CGOutcome:
+        return CGOutcome(it, False, reason, detail)
+
+    if resume is None:
+        it = 0
+        if x0 is None:
+            x[:] = 0.0
+            r[:] = b
+        else:
+            x[:] = x0
+            r[:] = b - (yield from matvec(x))
+        z = m.apply(r)
+        dots = [r @ r, r @ z]
+        if x0 is not None:
+            dots.append(b @ b)
+        sums = yield np.array(dots)
+        rz = sums[1]
+        bnorm = np.sqrt(sums[0] if x0 is None else sums[2])  # r = b from zero
+        if not bnorm:  # A x = 0 is solved by 0, whatever x0 was
+            x[:] = 0.0
+        history.append(np.sqrt(sums[0]) / bnorm if bnorm else 0.0)
+        if history[0] <= eps:
+            return CGOutcome(0, True)
+        p[:] = z
+    else:
+        it, rz, bnorm, z = resume.iteration, resume.rz, resume.bnorm, None
+    while it < max_iter:
+        if store is not None and store.due(it) and (resume is None or it > resume.iteration):
+            store.save(rank, it, (x, r, p), rz, bnorm)
+        q = yield from matvec(p)
+        pq = yield float(p @ q)
+        if not np.isfinite(pq):
+            return failed(FailureReason.NAN_DETECTED, f"p.q = {pq}")
+        if pq <= 0:
+            # matrix or preconditioner lost positive definiteness
+            return failed(FailureReason.BREAKDOWN_INDEFINITE, f"p.q = {pq:.3e}")
+        alpha = rz / pq
+        x += alpha * p
+        r -= alpha * q
+        it += 1
+        # z's buffer is recycled across iterations when the preconditioner
+        # supports it; p is updated in place — the loop body then allocates
+        # nothing beyond the matvec output
+        z = m.apply(r, out=z) if reuse_z and z is not None else m.apply(r)
+        dots = [r @ r, r @ z]
+        if deadline is not None:
+            dots.append(float(time.perf_counter() > deadline))
+        sums = yield np.array(dots)
+        relres = np.sqrt(sums[0]) / bnorm
+        history.append(relres)
+        if sess is not None:
+            sess.tracer.event("cg.iteration", it=it, relres=float(relres))
+            sess.metrics.inc("cg.iterations", **labels)
+        if not np.isfinite(relres):
+            return failed(FailureReason.NAN_DETECTED, "residual is NaN/Inf")
+        if relres <= eps:
+            return CGOutcome(it, True)
+        if _stagnated(history, it, stagnation_window, stagnation_rtol):
+            return failed(
+                FailureReason.STAGNATION,
+                f"no {1 - stagnation_rtol:.0%} improvement in "
+                f"{stagnation_window} iterations",
+            )
+        if deadline is not None and sums[2] > 0.0:
+            return failed(FailureReason.TIME_BUDGET, "budget exhausted")
+        beta = sums[1] / rz
+        rz = sums[1]
+        p *= beta
+        p += z
+    return failed(FailureReason.MAX_ITER, f"cap {max_iter}")
+
+
+def record_solve_metrics(out: CGOutcome, seconds: float, **labels) -> None:
+    """The per-solve obs metrics every CG entry point emits."""
+    sess = obs_session()
+    if sess is None:
+        return
+    sess.metrics.inc("cg.solves", converged=out.converged, **labels)
+    sess.metrics.observe("cg.solve_seconds", seconds, **labels)
+    if out.reason is not None and out.reason.is_failure:
+        sess.metrics.inc("cg.failures", reason=str(out.reason), **labels)
+
+
 def cg_solve(
     a,
     b: np.ndarray,
@@ -149,129 +297,61 @@ def cg_solve(
         Optional :class:`~repro.resilience.taxonomy.SolveReport`; every
         failure detection is appended to it.
     """
-    matvec = _as_matvec(a)
+    a_matvec = _as_matvec(a)
     b = check_finite_vector(b, "b")
     n = b.size
     m = preconditioner if preconditioner is not None else IdentityPreconditioner()
     if max_iter is None:
         max_iter = max(1000, 10 * n)
+    x0 = None if x0 is None else check_finite_vector(x0, "x0")
 
-    if x0 is None:
-        x = np.zeros(n)
-    else:
-        x = check_finite_vector(x0, "x0").copy()
-    bnorm = float(np.linalg.norm(b))
-    if bnorm == 0.0:
-        return CGResult(
-            x=np.zeros(n),
-            iterations=0,
-            converged=True,
-            relative_residual=0.0,
-            solve_seconds=0.0,
-            setup_seconds=m.setup_seconds,
-        )
+    def matvec(v):  # the whole matrix is this rank's: no neighbour to meet
+        return a_matvec(v)
+        yield
 
-    def detect(reason: FailureReason, it: int, detail: str = "") -> FailureReason:
-        if report is not None:
-            report.record("detect", "cg", reason, iteration=it, detail=detail)
-        return reason
-
-    reuse_z = _supports_out(m.apply)
-    timer = Timer()
-    history = []
-    reason: FailureReason | None = None
-    # captured once: the disabled path costs one `is None` test per iteration
-    sess = obs_session()
+    x, r, p = np.empty(n), np.empty(n), np.empty(n)
+    history: list = []
     pname = getattr(m, "name", type(m).__name__)
+    timer = Timer()
     with obs_span(
         "cg_solve",
         ndof=n,
         precond=pname,
         eps=eps,
         kernel_backend=kernels.active_backend(),
-    ), timer:
-        t_start = time.perf_counter()
-        r = b - matvec(x)
-        z = m.apply(r)
-        p = z.copy()
-        rz = float(r @ z)
-        relres = float(np.linalg.norm(r)) / bnorm
-        history.append(relres)
-        it = 0
-        converged = relres <= eps
-        with obs_span("cg_iterations"):
-            while not converged and it < max_iter:
-                q = matvec(p)
-                pq = float(p @ q)
-                if not np.isfinite(pq):
-                    reason = detect(FailureReason.NAN_DETECTED, it, f"p.q = {pq}")
-                    break
-                if pq <= 0:
-                    # matrix or preconditioner lost positive definiteness
-                    reason = detect(
-                        FailureReason.BREAKDOWN_INDEFINITE, it, f"p.q = {pq:.3e}"
-                    )
-                    break
-                alpha = rz / pq
-                x += alpha * p
-                r -= alpha * q
-                it += 1
-                relres = float(np.linalg.norm(r)) / bnorm
-                history.append(relres)
-                if sess is not None:
-                    sess.tracer.event("cg.iteration", it=it, relres=relres)
-                    sess.metrics.inc("cg.iterations", precond=pname)
-                if not np.isfinite(relres):
-                    reason = detect(
-                        FailureReason.NAN_DETECTED, it, "residual is NaN/Inf"
-                    )
-                    break
-                if relres <= eps:
-                    converged = True
-                    break
-                if _stagnated(history, stagnation_window, stagnation_rtol):
-                    reason = detect(
-                        FailureReason.STAGNATION,
-                        it,
-                        f"no {1 - stagnation_rtol:.0%} improvement in "
-                        f"{stagnation_window} iterations",
-                    )
-                    break
-                if (
-                    time_budget is not None
-                    and time.perf_counter() - t_start > time_budget
-                ):
-                    reason = detect(
-                        FailureReason.TIME_BUDGET, it, f"budget {time_budget:.3g}s"
-                    )
-                    break
-                # z's buffer is recycled across iterations when the
-                # preconditioner supports it; p is updated in place — the
-                # loop body then allocates nothing beyond the matvec output
-                z = m.apply(r, out=z) if reuse_z else m.apply(r)
-                rz_new = float(r @ z)
-                beta = rz_new / rz
-                rz = rz_new
-                p *= beta
-                p += z
-        if not converged and reason is None:
-            reason = detect(FailureReason.MAX_ITER, it, f"cap {max_iter}")
-
-    if sess is not None:
-        sess.metrics.inc("cg.solves", precond=pname, converged=converged)
-        sess.metrics.observe("cg.solve_seconds", timer.elapsed, precond=pname)
-        if reason is not None and reason.is_failure:
-            sess.metrics.inc("cg.failures", precond=pname, reason=str(reason))
+    ), timer, obs_span("cg_iterations"):
+        program = cg_program(
+            matvec, m, b, x, r, p, history,
+            eps=eps,
+            max_iter=max_iter,
+            stagnation_window=stagnation_window,
+            stagnation_rtol=stagnation_rtol,
+            deadline=None if time_budget is None else time.perf_counter() + time_budget,
+            x0=x0,
+            labels={"precond": pname},
+        )
+        # one rank: the global sum of every collective is the value itself
+        try:
+            reply = next(program)
+            while True:
+                reply = program.send(reply)
+        except StopIteration as stop:
+            out: CGOutcome = stop.value
+    if out.reason is not None and report is not None:
+        report.record(
+            "detect", "cg", out.reason, iteration=out.iterations, detail=out.detail
+        )
+    record_solve_metrics(out, timer.elapsed, precond=pname)
 
     return CGResult(
         x=x,
-        iterations=it,
-        converged=converged,
-        relative_residual=relres,
+        iterations=out.iterations,
+        converged=out.converged,
+        relative_residual=float(history[-1]),
         solve_seconds=timer.elapsed,
         setup_seconds=m.setup_seconds,
         history=np.asarray(history) if record_history else np.empty(0),
-        reason=reason,
+        reason=out.reason,
     )
 
 

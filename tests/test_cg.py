@@ -4,7 +4,12 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import tracemalloc
+
+from repro.parallel import DistributedSystem, parallel_cg
 from repro.precond import DiagonalScaling
+from repro.precond.base import IdentityPreconditioner
+from repro.resilience import FailureReason, SolveReport
 from repro.solvers.cg import cg_solve
 from repro.sparse.bcsr import BCSRMatrix
 
@@ -122,3 +127,108 @@ def test_property_residual_matches_reported(n, seed):
     res = cg_solve(a, b, eps=1e-9)
     true_rel = np.linalg.norm(b - a @ res.x) / np.linalg.norm(b)
     assert np.isclose(true_rel, res.relative_residual, rtol=1e-6, atol=1e-12)
+
+
+# ----------------------------------------------------------------------
+# one CG body: cg_solve is the one-rank case of parallel_cg's program
+# ----------------------------------------------------------------------
+
+
+def _one_domain(a, b):
+    """The whole system as a single-rank distributed one (scalar blocks,
+    so any dimension partitions)."""
+    return DistributedSystem.from_global(
+        a, b, np.zeros(b.size, dtype=np.int64),
+        lambda sub, nodes: IdentityPreconditioner(), b=1,
+    )
+
+
+def _nan_operator():
+    a = spd(12, 7).tolil()
+    a[3, 3] = np.nan
+    return a.tocsr(), np.ones(12)
+
+
+def _ill_conditioned():
+    """Demanding a 50% residual drop every 5 iterations on this diagonal
+    must trip the stagnation window."""
+    return sp.diags(np.logspace(0, 13, 200)).tocsr(), np.random.default_rng(0).normal(size=200)
+
+
+STOP_CASES = {
+    # name: (system, solver options, reason, detail, iterations)
+    "nan": (_nan_operator, {}, FailureReason.NAN_DETECTED, "p.q = nan", 0),
+    "indefinite": (
+        lambda: (sp.diags([1.0, -1.0, 2.0]).tocsr(), np.ones(3)),
+        {"max_iter": 50}, FailureReason.BREAKDOWN_INDEFINITE, "p.q = -", None,
+    ),
+    "stagnation": (
+        _ill_conditioned,
+        {"eps": 1e-15, "max_iter": 5000, "stagnation_window": 5, "stagnation_rtol": 0.5},
+        FailureReason.STAGNATION, "no 50% improvement in 5 iterations", None,
+    ),
+    "time_budget": (
+        lambda: (spd(50, 5, density=0.2), np.ones(50)),
+        {"eps": 1e-30, "time_budget": 0.0}, FailureReason.TIME_BUDGET, "budget exhausted", 1,
+    ),
+    "max_iter": (
+        lambda: (spd(50, 5, density=0.2), np.ones(50)),
+        {"eps": 1e-16, "max_iter": 2}, FailureReason.MAX_ITER, "cap 2", 2,
+    ),
+}
+
+
+class TestOneBody:
+    @pytest.mark.parametrize("case", sorted(STOP_CASES))
+    def test_stop_condition_same_from_both_entry_points(self, case):
+        make, opts, reason, detail, iterations = STOP_CASES[case]
+        a, b = make()
+        seq_report, par_report = SolveReport(), SolveReport()
+        seq = cg_solve(a, b, report=seq_report, **opts)
+        par = parallel_cg(_one_domain(a, b), report=par_report, **opts)
+        for res, report, stage in ((seq, seq_report, "cg"), (par, par_report, "parallel_cg")):
+            assert not res.converged and res.reason is reason
+            (event,) = report.detections()
+            assert (event.stage, event.reason, event.iteration) == (stage, reason, res.iterations)
+            assert event.detail.startswith(detail)
+        assert seq_report.detections()[0].detail == par_report.detections()[0].detail
+        assert seq.iterations == par.iterations
+        if iterations is not None:
+            assert seq.iterations == iterations
+        assert seq.iterations < opts.get("max_iter", 5000) or reason is FailureReason.MAX_ITER
+        assert np.array_equal(seq.x, par.x)
+        assert np.array_equal(seq.history, par.history)
+        assert seq.relative_residual == par.relative_residual
+
+    def test_x0_warm_start(self):
+        """A start iterate changes the first residual, not the scale it
+        is measured against (``b.b`` joins the first reduction), and a
+        zero right-hand side is solved by zero whatever ``x0`` was."""
+        a, b = spd(30, 3), np.random.default_rng(4).normal(size=30)
+        x0 = np.random.default_rng(5).normal(size=30)
+        warm = cg_solve(a, b, x0=x0, eps=1e-12)
+        assert warm.converged and np.allclose(a @ warm.x, b, atol=1e-9)
+        r0 = b - a @ x0
+        assert warm.history[0] == np.sqrt(r0 @ r0) / np.sqrt(b @ b)
+        exact = cg_solve(a, b, x0=warm.x, eps=1e-9)
+        assert exact.converged and exact.iterations == 0
+        assert np.array_equal(exact.x, warm.x)
+        for res in (cg_solve(a, np.zeros(30), x0=x0), parallel_cg(_one_domain(a, np.zeros(30)))):
+            assert res.converged and res.iterations == 0 and not res.x.any()
+            assert res.relative_residual == 0.0
+
+    def test_default_max_iter_allocates_no_buffer_of_that_size(self):
+        """``max_iter`` defaults to ``10 n``: a history array sized for it
+        would be ten vectors before the first iteration."""
+        n = 100_000
+        a = sp.diags(np.tile([1.0, 2.0, 3.0, 4.0], n // 4)).tocsr()
+        b = np.ones(n)
+        cg_solve(sp.eye(8).tocsr(), np.ones(8))  # imports, caches
+        tracemalloc.start()
+        try:
+            res = cg_solve(a, b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert res.converged and res.iterations <= 4
+        assert peak < 10 * n * 8

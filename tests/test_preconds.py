@@ -123,3 +123,27 @@ class TestWrapperValidation:
         assert bic(p.a, fill_level=2).name == "BIC(2)"
         assert sb_bic0(p.a, p.groups).name == "SB-BIC(0)"
         assert scalar_ic0(p.a).name == "IC(0) scalar"
+
+
+class TestFamilyTable:
+    """One table names the families for the CLI, the serve protocol, the
+    policy and the ladder (repro.precond.families)."""
+
+    def test_every_protocol_name_builds_and_maps_back(self, block_problem_small):
+        from repro.policy import FAMILIES, family_of_stage
+        from repro.precond import FAMILY_TABLE
+        from repro.serve.protocol import PRECONDS
+
+        p = block_problem_small
+        assert PRECONDS[-1] == "auto" and set(PRECONDS[:-1]) == set(FAMILY_TABLE)
+        assert set(FAMILIES) < set(FAMILY_TABLE)
+        for name in PRECONDS[:-1]:
+            family = FAMILY_TABLE[name]
+            m = family.build(p.a, p.groups)
+            assert m.name == family.stage
+            # an outcome recorded under the protocol name, the stage label
+            # or a shifted retry's label lands on the same family
+            assert family_of_stage(m.name) == name == family_of_stage(name)
+            assert family_of_stage(f"{family.stage}+shift0.01") == name
+            assert _solve(p, m).converged
+        assert family_of_stage("auto") is None

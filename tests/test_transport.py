@@ -112,18 +112,15 @@ class TestRegistry:
         with pytest.raises(ValueError, match="unknown transport"):
             registry.resolve_name("carrier-pigeon")
 
-    def test_mpi_without_mpi4py_falls_back_with_one_warning(self, caplog):
-        try:
-            import mpi4py  # noqa: F401
-
-            pytest.skip("mpi4py present; fallback path not reachable")
-        except ImportError:
-            pass
-        with caplog.at_level("WARNING", logger="repro.parallel.transport"):
-            assert registry.resolve_name("mpi") == "lockstep"
-            assert registry.resolve_name("mpi") == "lockstep"
-        warnings = [r for r in caplog.records if "falling back" in r.message]
-        assert len(warnings) == 1  # warn-once
+    def test_mpi_is_not_a_transport(self, monkeypatch):
+        """The replicated-driver mpi backend is gone: its name is an
+        error everywhere, not a warning and a silent lockstep run."""
+        assert registry.available_transports() == ["lockstep", "process"]
+        with pytest.raises(ValueError, match="unknown transport 'mpi'"):
+            registry.resolve_name("mpi")
+        monkeypatch.setenv(registry.ENV_VAR, "mpi")
+        with pytest.raises(ValueError, match="unknown transport"):
+            registry.active_transport()
 
     def test_create_transport_types(self, problem, part):
         prob, _ = problem

@@ -168,3 +168,58 @@ class TestCheckContactGroups:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             check_contact_groups([np.array([0, 9])], 4)
+
+
+class TestSelection:
+    """The precedence / fallback rule the kernel and transport registries
+    share, on a stand-in set of implementations."""
+
+    @pytest.fixture
+    def sel(self):
+        from repro.utils.selection import Selection
+
+        self.usable = {"plain": True, "fast": True}
+        return Selection(
+            "widget",
+            "REPRO_TEST_WIDGET",
+            {name: (lambda name=name: self.usable[name]) for name in self.usable},
+            default="auto",
+            fallback="plain",
+            logger="repro.test_widget",
+            missing="not built here",
+            auto=("fast", "plain"),
+        )
+
+    def test_explicit_beats_set_beats_env_beats_default(self, sel, monkeypatch):
+        assert sel.resolve() == "fast"  # auto: first available
+        monkeypatch.setenv("REPRO_TEST_WIDGET", "plain")
+        assert sel.resolve() == "plain"
+        assert sel.set("fast") == "fast"
+        assert sel.resolve("plain") == "plain"
+        assert sel.set("auto") == "plain" and sel.explicit is None  # back to env
+        assert sel.describe() == {
+            "active": "plain", "available": ["plain", "fast"],
+            "explicit": None, "env": "plain",
+        }
+
+    def test_unknown_name_is_an_error_from_every_source(self, sel, monkeypatch):
+        with pytest.raises(ValueError, match="unknown widget 'turbo'; choose from"):
+            sel.resolve("turbo")
+        with pytest.raises(ValueError, match="unknown widget"):
+            sel.set("turbo")
+        monkeypatch.setenv("REPRO_TEST_WIDGET", "turbo")
+        with pytest.raises(ValueError, match="unknown widget"):
+            sel.resolve()
+
+    def test_unavailable_falls_back_and_warns_once_until_reset(self, sel, caplog):
+        self.usable["fast"] = False
+        assert sel.resolve() == "plain"  # auto skips it silently
+        with caplog.at_level("WARNING", logger="repro.test_widget"):
+            assert sel.set("fast") == "plain"
+            assert sel.resolve() == "plain"
+            assert len(caplog.records) == 1
+            assert "'fast' requested but not built here" in caplog.records[0].getMessage()
+            sel.reset()
+            assert sel.resolve("fast") == "plain"
+            assert len(caplog.records) == 2
+        assert sel.available_names() == ["plain"]
