@@ -17,8 +17,9 @@ Penalty is 1e4 here, not the paper's 1e6: the parity gate compares two
 penalty-row eigenvalues sets how far the two converged answers may
 drift apart (1e6 lands near 2e-10 — above the gate; 1e4 near 2.5e-12).
 
-``scripts/bench_serve_dump.py`` records the same measurements in
-``BENCH_serve.json`` with the same floors.
+These floors are gates only; the numbers themselves are tracked by
+``bench/run.py --workload serve_mixed --trace 1`` (``serve.hit_latency_s``
+/ ``serve.miss_latency_s``, ``solvers.block_cg_s_per_rhs``).
 """
 
 from __future__ import annotations

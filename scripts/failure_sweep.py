@@ -33,7 +33,7 @@ transport** (:mod:`repro.parallel.transport`), where nothing is
 simulated: the ``rank_kill`` leg SIGKILLs a live worker OS process
 mid-solve (detection via deadline + ``Process.is_alive``, recovery via a
 forked replacement on the same pipes), a ``comm_timeout`` leg wedges a
-worker past the whole deadline/retry budget (detected as
+worker past the whole wait budget (detected as
 ``COMM_TIMEOUT``, recovered by rollback without a respawn), and the
 ``process_kill`` leg forks the ALM outer loop as a genuine child process
 and SIGKILLs it after a journaled cycle.  Recovery in process mode
@@ -236,9 +236,9 @@ def run_sweep(
     if transport == "process":
         from repro.parallel.transport import TransportPolicy
 
-        # small budget so the sweep doesn't wait out the default 10s
-        # deadline; the injected 4x-budget wedge must trip COMM_TIMEOUT
-        policy = TransportPolicy(deadline=0.6, max_retries=1, backoff=0.05)
+        # small budget so the sweep doesn't wait out the default 30 s;
+        # the injected 4x-budget wedge must trip COMM_TIMEOUT
+        policy = TransportPolicy(budget=1.25)
         for pname, factory in factories.items():
             for seed in seeds:
                 victim = int(np.random.default_rng(seed).integers(ndomains))
@@ -251,7 +251,7 @@ def run_sweep(
                     transport_opts={"policy": policy},
                 )
                 system.comm.inject_worker_fault(
-                    victim, exchange=kill_slots[0], delay=4 * policy.budget()
+                    victim, exchange=kill_slots[0], delay=4 * policy.budget
                 )
                 report = SolveReport()
                 res = parallel_cg(system, checkpoint_interval=4, report=report)

@@ -27,58 +27,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import sys
-from typing import Callable
 
 from repro import kernels, obs
+from repro.experiments import EXPERIMENTS
 from repro.precond import FAMILY_TABLE
-
-from repro.experiments import (
-    ablation_twolevel,
-    smooth_convergence,
-    fig02_penalty_tradeoff,
-    fig05_work_ratio,
-    fig07_cebe_tradeoff,
-    fig15_storage_formats,
-    fig16_19_weak_scaling,
-    fig20_latency_fractions,
-    fig26_27_single_node,
-    fig28_29_selective_details,
-    fig30_32_multi_node,
-    table01_localized_ic0,
-    table02_precond_comparison,
-    table03_partitioning,
-    table04_fig09_scaling,
-    tableA_eigen,
-)
-
-EXPERIMENTS: dict[str, tuple[str, Callable]] = {
-    "fig02": ("ALM penalty trade-off", lambda scale: fig02_penalty_tradeoff.run(scale=scale)),
-    "table01": ("localized IC(0), 1-32 PEs", lambda scale: table01_localized_ic0.run()),
-    "fig05": ("work ratio, fixed size/PE", lambda scale: fig05_work_ratio.run()),
-    "table02": ("preconditioner comparison", lambda scale: table02_precond_comparison.run(scale=scale)),
-    "table03": ("partitioning strategies", lambda scale: table03_partitioning.run(scale=scale)),
-    "table04": ("preconditioner scaling", lambda scale: table04_fig09_scaling.run(scale=scale)),
-    "fig07": ("CEBE cluster trade-off", lambda scale: fig07_cebe_tradeoff.run(scale=scale)),
-    "fig15": ("storage formats", lambda scale: fig15_storage_formats.run()),
-    "fig16-18": ("weak scaling GFLOPS", lambda scale: fig16_19_weak_scaling.run_gflops()),
-    "fig19": ("hybrid vs flat iterations", lambda scale: fig16_19_weak_scaling.run_iterations()),
-    "fig20": ("latency fractions", lambda scale: fig20_latency_fractions.run()),
-    "fig26": ("color sweep, block model", lambda scale: fig26_27_single_node.run("block", scale=scale)),
-    "fig27": ("color sweep, SW Japan", lambda scale: fig26_27_single_node.run("swjapan", scale=scale)),
-    "fig28": ("block-size sorting", lambda scale: fig28_29_selective_details.run_blocksort(scale=scale)),
-    "fig29": ("imbalance + dummies", lambda scale: fig28_29_selective_details.run_imbalance(scale=scale)),
-    "fig30": ("multi-node color sweep", lambda scale: fig30_32_multi_node.run_ten_nodes(scale=scale, nodes=4)),
-    "fig32": ("speed-up, 13 vs 30 colors", lambda scale: fig30_32_multi_node.run_speedup(scale=scale)),
-    "tableA": ("eigenvalue analysis", lambda scale: tableA_eigen.run(scale=scale)),
-    "smooth": (
-        "convergence smoothness profile",
-        lambda scale: smooth_convergence.run(scale=scale),
-    ),
-    "ablation-twolevel": (
-        "two-level coarse correction ablation",
-        lambda scale: ablation_twolevel.run(scale=scale),
-    ),
-}
 
 
 def _export_trace(sess: obs.ObsSession, path: str) -> None:
@@ -103,8 +55,8 @@ def _maybe_observe(trace_path: str | None):
 
 def _cmd_list(_args) -> int:
     width = max(len(k) for k in EXPERIMENTS)
-    for key, (desc, _) in EXPERIMENTS.items():
-        print(f"{key.ljust(width)}  {desc}")
+    for exp in EXPERIMENTS.values():
+        print(f"{exp.key.ljust(width)}  {exp.title}")
     return 0
 
 
@@ -112,9 +64,12 @@ def _cmd_run(args) -> int:
     if args.experiment not in EXPERIMENTS:
         print(f"unknown experiment {args.experiment!r}; try 'list'", file=sys.stderr)
         return 2
-    _, fn = EXPERIMENTS[args.experiment]
+    exp = EXPERIMENTS[args.experiment]
+    kwargs = dict(exp.kwargs)
+    if args.scale is not None and "scale" in kwargs:
+        kwargs["scale"] = args.scale
     with _maybe_observe(getattr(args, "trace", None)):
-        table = fn(args.scale)
+        table = exp.run(**kwargs)
     table.print()
     return 0 if table.all_claims_hold else 1
 
@@ -390,7 +345,10 @@ def main(argv: list[str] | None = None) -> int:
 
     p_run = sub.add_parser("run", help="run one experiment harness")
     p_run.add_argument("experiment")
-    p_run.add_argument("--scale", type=float, default=1.0)
+    p_run.add_argument(
+        "--scale", type=float, default=None,
+        help="resize a mesh campaign (default: its EXPERIMENTS.md size)",
+    )
     p_run.add_argument(
         "--trace", default=None, metavar="PATH",
         help="export an observability trace of the run "

@@ -27,8 +27,10 @@ Backend selection precedence (first match wins):
 
 JIT compilation is paid once per process (or never, thanks to
 ``cache=True``): call :func:`warmup` before timing anything so compile
-time never pollutes solves or benchmarks.  ``BENCH_kernels.json`` and
-the ``repro.obs`` spans record which backend actually ran.
+time never pollutes solves or benchmarks.  The ``repro.obs`` spans
+record which backend actually ran; ``bench/run.py --trace 1`` tracks the
+kernels against the host roofline (``kernels.substitution_roofline_frac``,
+``precond.apply_s_per_call``).
 """
 
 from repro.kernels.plans import FlatSweep, SubstitutionPlan

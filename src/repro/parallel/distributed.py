@@ -529,7 +529,7 @@ def parallel_cg(
                 # roll back and re-execute — no respawn
                 reason = FailureReason.COMM_TIMEOUT
                 detail = (
-                    f"{slow.op} missed deadline {slow.attempts}x "
+                    f"{slow.op} outlived its {slow.elapsed:.3g}s budget "
                     f"(rank(s) {slow.pending} alive but silent)"
                 )
             except _CommFaultDetected as fault:

@@ -9,9 +9,9 @@ provides that surface over fabrics where the failure modes are real:
   worker per rank and solve, running that rank's CG on its own and
   meeting its peers through shared memory.  SIGKILL a worker and the
   driver finds a genuinely dead process;
-- :mod:`~repro.parallel.transport.policy` — the deadline / bounded-retry
-  / exponential-backoff knobs whose budget bounds every wait, and the
-  ``RankFailure`` vs ``CommTimeout`` classification contract;
+- :mod:`~repro.parallel.transport.policy` — the budget that bounds
+  every wait, and the ``RankFailure`` vs ``CommTimeout`` classification
+  contract;
 - :mod:`~repro.parallel.transport.registry` — selection with the same
   precedence as the kernel registry: explicit argument > ``--transport``
   (:func:`set_transport`) > ``REPRO_TRANSPORT`` env var > ``lockstep``.
@@ -19,11 +19,7 @@ provides that surface over fabrics where the failure modes are real:
 See DESIGN.md section 13 for the architecture.
 """
 
-from repro.parallel.transport.policy import (
-    Incomplete,
-    TransportPolicy,
-    run_with_retry,
-)
+from repro.parallel.transport.policy import TransportPolicy
 from repro.parallel.transport.process_backend import ProcessTransport
 from repro.parallel.transport.registry import (
     ENV_VAR,
@@ -38,7 +34,6 @@ from repro.parallel.transport.registry import (
 
 __all__ = [
     "ENV_VAR",
-    "Incomplete",
     "ProcessTransport",
     "TransportPolicy",
     "active_transport",
@@ -47,6 +42,5 @@ __all__ = [
     "describe",
     "reset",
     "resolve_name",
-    "run_with_retry",
     "set_transport",
 ]

@@ -35,7 +35,7 @@ ended:
   :class:`~repro.resilience.taxonomy.RankFailure` fires.  Nothing needs
   respawning: recovery rebuilds the rank's data in the driver and the
   next epoch's fork inherits it;
-- a wait outlived :meth:`TransportPolicy.budget` with every process
+- a wait outlived ``TransportPolicy.budget`` with every process
   alive → :class:`~repro.resilience.taxonomy.CommTimeout` — rollback, no
   respawn.  A *merely slow* peer is absorbed by the wait;
 - a rank program raised (the halo probe tripped) → the exception is
@@ -143,7 +143,7 @@ class _RankLink:
         self.everyone = np.arange(tr.size)
         self.sizes = [dst.size * 8 for dst, _ in self.recv.values()]
         self.log = CommLog(rank=rank)  # forwards comm.* metrics when tracing
-        self.budget = tr.policy.budget()
+        self.budget = tr.policy.budget
         self.seq = 0
         self.reductions = 0
 
@@ -162,9 +162,7 @@ class _RankLink:
                 if tr._abort[0]:
                     raise _Aborted
                 if time.monotonic() > end:
-                    raise CommTimeout(
-                        kind, ranks[behind], tr.policy.max_retries + 1, self.budget
-                    )
+                    raise CommTimeout(kind, ranks[behind], self.budget)
 
     def exchange(self) -> float:
         """Boundary exchange of this rank's halo vector; returns the worst
@@ -397,7 +395,7 @@ class ProcessTransport:
     def _supervise(self, readers: list[Connection]) -> list:
         """Sleep until every rank reported, or the epoch failed."""
         t0 = time.monotonic()
-        budget = self.policy.budget()
+        budget = self.policy.budget
         waiting = {reader: rank for rank, reader in enumerate(readers)}
         done: dict[int, object] = {}
         progress = self._seq.copy()
@@ -410,7 +408,6 @@ class ProcessTransport:
                     CommTimeout(
                         "epoch",
                         sorted(waiting.values()),
-                        self.policy.max_retries + 1,
                         time.monotonic() - t0,
                     )
                 )

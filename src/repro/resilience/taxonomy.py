@@ -67,8 +67,8 @@ class FailureReason(Enum):
     the heartbeat probe in the exchange path exhausted its retries."""
 
     COMM_TIMEOUT = "comm_timeout"
-    """A communication operation missed its deadline on every retry while
-    the peer process stayed alive (overloaded node, paging storm, stalled
+    """A communication operation outlived its wait budget while the
+    peer process stayed alive (overloaded node, paging storm, stalled
     NIC).  Unlike ``RANK_FAILURE`` no state was lost, so the recovery is a
     checkpoint rollback without a respawn."""
 
@@ -125,36 +125,31 @@ class RankFailure(RuntimeError):
 
 
 class CommTimeout(RuntimeError):
-    """A communication operation exhausted its deadline/retry budget while
-    every peer process was still alive.
+    """A communication operation exhausted its wait budget while every
+    peer process was still alive.
 
     The transport layer's complement to :class:`RankFailure`: the peers
     are alive (liveness probes succeed) but the operation never completed
-    inside ``deadline * (1 + max_retries)`` — an overloaded or wedged
-    peer, not a dead one.  No rank state was lost, so the caller's
-    correct response is a checkpoint rollback and re-execution, not a
-    respawn.  Raised by the retry engine in
-    :mod:`repro.parallel.transport.policy` and by the process transport's
-    rank workers and driver; caught by
+    inside ``TransportPolicy.budget`` — an overloaded or wedged peer, not
+    a dead one.  No rank state was lost, so the caller's correct response
+    is a checkpoint rollback and re-execution, not a respawn.  Raised by
+    the process transport's rank workers and driver; caught by
     :func:`~repro.parallel.distributed.parallel_cg`, which maps it to
     :attr:`FailureReason.COMM_TIMEOUT`."""
 
-    def __init__(
-        self, op: str, pending: tuple[int, ...], attempts: int, elapsed: float
-    ) -> None:
+    def __init__(self, op: str, pending: tuple[int, ...], elapsed: float) -> None:
         ranks = ",".join(str(r) for r in pending) or "?"
         super().__init__(
-            f"{op} incomplete after {attempts} attempt(s) over {elapsed:.3g}s "
+            f"{op} incomplete after {elapsed:.3g}s "
             f"(rank(s) {ranks} alive but silent)"
         )
         self.op = op
         self.pending = tuple(int(r) for r in pending)
-        self.attempts = int(attempts)
         self.elapsed = float(elapsed)
 
     def __reduce__(self):
         # a rank worker sends its timeout to the driver through a pipe
-        return CommTimeout, (self.op, self.pending, self.attempts, self.elapsed)
+        return CommTimeout, (self.op, self.pending, self.elapsed)
 
 
 class PivotNudgeWarning(RuntimeWarning):

@@ -19,15 +19,12 @@ Two worker modes share one dispatch contract:
   its stale result and exits whenever it wakes), and a replacement
   thread is spawned so capacity never decays.
 - ``"process"`` — forked worker processes, each with its own lazy
-  :class:`~repro.serve.session.SolverSession`.  Dispatch runs under the
-  transport retry engine of PR 7
-  (:func:`~repro.parallel.transport.policy.run_with_retry`): a worker
-  that dies mid-solve surfaces as
-  :class:`~repro.resilience.taxonomy.RankFailure` → ``WORKER_CRASH`` +
-  respawn; one that wedges past the deadline surfaces as
-  :class:`~repro.resilience.taxonomy.CommTimeout` → SIGKILL + respawn +
-  ``REQUEST_TIMEOUT``.  Process mode buys genuine kill-ability and
-  crash isolation at the price of per-child setup caches.
+  :class:`~repro.serve.session.SolverSession`.  The dispatcher polls the
+  worker's pipe up to the group's deadline: a worker that dies mid-solve
+  → ``WORKER_CRASH`` + respawn; one still alive but silent at the
+  deadline → SIGKILL + respawn + ``REQUEST_TIMEOUT``.  Process mode buys
+  genuine kill-ability and crash isolation at the price of per-child
+  setup caches.
 
 Either way a fault is *contained*: the afflicted group's jobs get
 structured terminal responses (never exceptions), a quarantine record
@@ -49,8 +46,7 @@ from dataclasses import dataclass, field
 from typing import Any
 
 from repro import obs
-from repro.parallel.transport.policy import Incomplete, TransportPolicy, run_with_retry
-from repro.resilience.taxonomy import CommTimeout, FailureReason, RankFailure
+from repro.resilience.taxonomy import FailureReason
 from repro.serve.admission import AdmissionController, QuarantineRecord, rejection_response
 from repro.serve.protocol import SolveRequest, SolveResponse
 from repro.serve.session import SolverSession
@@ -58,10 +54,6 @@ from repro.serve.session import SolverSession
 __all__ = ["WorkerPool"]
 
 _WEDGE_DEFAULT_S = 30.0
-_NO_DEADLINE_PROCESS_S = 3600.0
-"""Process-mode dispatch budget when no request names a deadline — the
-transport policy needs a finite per-attempt deadline to classify a dead
-child, and an hour is "forever" at solver timescales."""
 
 
 @dataclass
@@ -447,37 +439,25 @@ class WorkerPool:
         try:
             slot = self._slots[wid]
             sub = [task.prepared[i]["req"] for i in task.idxs]
-            deadline_s = _NO_DEADLINE_PROCESS_S
-            if task.deadline is not None:
-                deadline_s = max(1e-3, task.deadline - time.monotonic())
             try:
                 slot.conn.send(sub)
-            except (BrokenPipeError, OSError):
-                self._process_crash(task, wid, "worker pipe already dead at dispatch")
+                # no deadline: wait until the answer or the child's EOF
+                timeout = None
+                if task.deadline is not None:
+                    timeout = max(1e-3, task.deadline - time.monotonic())
+                answered = slot.conn.poll(timeout)
+                out = slot.conn.recv() if answered else None
+            except (EOFError, OSError):
+                self._process_crash(task, wid, "worker pipe broke mid-solve")
                 return
-            policy = TransportPolicy(
-                deadline=deadline_s, max_retries=0, backoff=0.0
-            )
-
-            def attempt(d: float, _a: int):
-                if slot.conn.poll(d):
-                    return slot.conn.recv()
-                raise Incomplete([wid])
-
-            try:
-                out = run_with_retry(
-                    "serve.group", attempt,
-                    dead_ranks=lambda: [wid] if not slot.proc.is_alive() else [],
-                    policy=policy,
-                )
-            except RankFailure:
+            if not answered and not slot.proc.is_alive():
                 self._process_crash(
                     task, wid,
                     f"worker process died mid-solve (exit {slot.proc.exitcode})",
                 )
                 return
-            except CommTimeout:
-                slot.proc.kill()  # wedged past deadline: kill, then respawn
+            if not answered:  # alive but silent at the deadline
+                slot.proc.kill()
                 slot.proc.join(timeout=2.0)
                 with task.lock:
                     if task.state == "pending":
@@ -491,9 +471,6 @@ class WorkerPool:
                     self._stats["timeouts"] += 1
                 obs.metric_inc("serve.pool.timeouts")
                 self._respawn(wid)
-                return
-            except (EOFError, OSError):
-                self._process_crash(task, wid, "worker pipe broke mid-solve")
                 return
             with task.lock:
                 if task.state == "pending":

@@ -45,7 +45,7 @@ from repro import kernels, obs
 from repro.fem.model import ContactStructure
 from repro.policy import PolicyHistory, SolverPolicy
 from repro.precond import FAMILY_TABLE, DiagonalScaling
-from repro.precond.icfact import record_cache_eviction, setup_counters
+from repro.precond.icfact import record_cache_eviction
 from repro.resilience.checkpoint import fingerprint_arrays
 from repro.resilience.taxonomy import FailureReason
 from repro.serve.protocol import ProtocolError, SolveRequest, SolveResponse
@@ -88,16 +88,20 @@ class LRUCache:
             self.hits += 1
             return value
 
-    def put(self, key: Any, value: Any) -> None:
+    def put(self, key: Any, value: Any) -> int:
+        """Insert; returns how many entries that evicted."""
         with self._lock:
             if key in self._data:
                 self._data.move_to_end(key)
             self._data[key] = value
+            evicted = 0
             while len(self._data) > self.capacity:
                 self._data.popitem(last=False)
+                evicted += 1
                 self.evictions += 1
                 record_cache_eviction()
                 obs.metric_inc("serve.cache.evictions", cache=self.name)
+            return evicted
 
     def __len__(self) -> int:
         with self._lock:
@@ -174,36 +178,48 @@ class Workspace:
     # -- preconditioner --------------------------------------------------
 
     def preconditioner(self, model: str, scale: float, precond: str, a, groups,
-                       fingerprint: str) -> tuple[Any, str]:
-        """Return ``(m, event)`` with event one of:
+                       fingerprint: str) -> tuple[Any, str, dict[str, int]]:
+        """Return ``(m, event, setups)`` with event one of:
 
         - ``"hit"``      — cached factor, fingerprint matched: 0 setups;
         - ``"refactor"`` — cached factor, new values: numeric only;
         - ``"numeric"``  — no factor but cached symbolic: numeric only;
         - ``"build"``    — cold: symbolic + numeric.
+
+        ``setups`` is the census of what *this call* did — symbolic and
+        numeric phases read off the factor's own counters, plus the
+        cache entries its inserts evicted — so concurrent groups never
+        see each other's work in it.
         """
         key = (model, scale, precond)
         entry = self.factors.get(key)
+        if entry is not None and entry[1] == fingerprint:
+            return entry[0], "hit", {"symbolic": 0, "numeric": 0, "evictions": 0}
+        symbolic_built = evicted = 0
         if entry is not None:
-            m, cached_fp = entry
-            if cached_fp == fingerprint:
-                return m, "hit"
+            m, event = entry[0], "refactor"
+            # DiagonalScaling has no setup phases to count
+            numeric_before = getattr(m, "numeric_setup_count", 0)
             with obs.span("serve.refactor", precond=precond):
                 if precond == "diag":
                     m = DiagonalScaling(a)
                 else:
                     m.refactor(a)
-            self.factors.put(key, (m, fingerprint))
-            return m, "refactor"
-
-        symbolic = self.symbolics.get(key) if precond != "diag" else None
-        event = "numeric" if symbolic is not None else "build"
-        with obs.span("serve.build_preconditioner", precond=precond, mode=event):
-            m = FAMILY_TABLE[precond].build(a, groups, symbolic=symbolic)
-        if precond != "diag" and symbolic is None:
-            self.symbolics.put(key, m.symbolic)
-        self.factors.put(key, (m, fingerprint))
-        return m, event
+        else:
+            symbolic = self.symbolics.get(key) if precond != "diag" else None
+            event = "numeric" if symbolic is not None else "build"
+            numeric_before = 0
+            with obs.span("serve.build_preconditioner", precond=precond, mode=event):
+                m = FAMILY_TABLE[precond].build(a, groups, symbolic=symbolic)
+            if precond != "diag" and symbolic is None:
+                symbolic_built = 1
+                evicted = self.symbolics.put(key, m.symbolic)
+        evicted += self.factors.put(key, (m, fingerprint))
+        return m, event, {
+            "symbolic": symbolic_built,
+            "numeric": getattr(m, "numeric_setup_count", 0) - numeric_before,
+            "evictions": evicted,
+        }
 
     def stats(self) -> dict[str, dict[str, int]]:
         return {
@@ -394,7 +410,6 @@ class SolverSession:
         first = prepared[idxs[0]]
         req0: SolveRequest = first["req"]
         s: ContactStructure = first["s"]
-        before = setup_counters()
         t0 = time.perf_counter()
         try:
             with self._lock_for(("factor", req0.model, req0.scale, precond)):
@@ -408,12 +423,12 @@ class SolverSession:
                         a = sp.csr_matrix(
                             (a.data.copy(), a.indices, a.indptr), shape=a.shape
                         )
-                m, f_event = self.workspace.preconditioner(
+                m, f_event, setups = self.workspace.preconditioner(
                     req0.model, req0.scale, precond, a, s.groups, fp
                 )
                 return self._solve_group_body(
                     fp, precond, eps, max_iter, idxs, prepared, responses,
-                    s, a, m, f_event, before, t0,
+                    s, a, m, f_event, setups, t0,
                 )
         except Exception as exc:
             err = f"{type(exc).__name__}: {exc}"
@@ -424,7 +439,7 @@ class SolverSession:
             return
 
     def _solve_group_body(self, fp, precond, eps, max_iter, idxs, prepared,
-                          responses, s, a, m, f_event, before, t0) -> None:
+                          responses, s, a, m, f_event, setups, t0) -> None:
         first = prepared[idxs[0]]
         try:
             # Dedup exact-duplicate RHS: solve unique columns only.
@@ -471,8 +486,6 @@ class SolverSession:
                 decision, precond,
                 seconds=wall, converged=all(conv), iterations=int(total_iters),
             )
-        after = setup_counters()
-        setups = {k: after[k] - before[k] for k in after}
         cache = {"structure": first["s_event"], "factor": f_event}
         ncoal = len(idxs)
 

@@ -6,9 +6,9 @@ share one operator/preconditioner into a single *blocked* solve: all
 every matvec is a sparse-times-dense-block product (one pass over the
 matrix for ``s`` vectors instead of ``s`` passes) and the block Krylov
 space — spanned by every column's residual — converges in fewer
-iterations than any single-vector solve.  That is where the measured
-``BENCH_serve.json`` throughput win over sequential :func:`cg_solve`
-comes from.
+iterations than any single-vector solve.  That is where the throughput
+win over sequential :func:`cg_solve` comes from (tracked as the bench
+metric ``solvers.block_cg_s_per_rhs``).
 
 Block CG's classic failure mode is a (near-)singular ``P^T A P`` or
 ``Z^T R`` once columns converge or become linearly dependent.  This

@@ -1,3 +1,6 @@
+import inspect
+from pathlib import Path
+
 import pytest
 
 from repro.cli import EXPERIMENTS, main
@@ -7,7 +10,8 @@ class TestCLI:
     def test_list(self, capsys):
         assert main(["list"]) == 0
         out = capsys.readouterr().out
-        assert "table02" in out and "fig26" in out
+        assert [ln.split()[0] for ln in out.splitlines()] == list(EXPERIMENTS)
+        assert {"table02", "fig26", "fig31", "tableA-swjapan"} <= set(EXPERIMENTS)
 
     def test_run_experiment(self, capsys):
         code = main(["run", "fig05"])
@@ -34,8 +38,32 @@ class TestCLI:
             main(["solve", "--model", "venus"])
 
     def test_every_experiment_registered_is_callable(self):
-        for key, (desc, fn) in EXPERIMENTS.items():
-            assert callable(fn) and desc
+        for key, exp in EXPERIMENTS.items():
+            assert exp.key == key and exp.title
+            # its report kwargs name real parameters of the harness
+            inspect.signature(exp.run).bind(**exp.kwargs)
+
+    def test_experiments_md_has_one_section_per_index_entry(self):
+        md = (Path(__file__).resolve().parent.parent / "EXPERIMENTS.md").read_text()
+        sections = [ln[3:] for ln in md.splitlines() if ln.startswith("## ")]
+        assert sections == [exp.title for exp in EXPERIMENTS.values()]
+
+    def test_run_scale_resizes_mesh_campaigns_only(self, monkeypatch, capsys):
+        seen = []
+        table = EXPERIMENTS["fig05"].run()
+        for key in ("fig28", "fig05"):
+            monkeypatch.setitem(
+                EXPERIMENTS, key,
+                EXPERIMENTS[key]._replace(run=lambda **kw: seen.append(kw) or table),
+            )
+        assert main(["run", "fig28"]) == 0
+        assert main(["run", "fig28", "--scale", "0.5"]) == 0
+        assert main(["run", "fig05", "--scale", "0.5"]) == 0
+        assert seen == [
+            {"model": "block", "scale": 0.9},
+            {"model": "block", "scale": 0.5},
+            {},
+        ]
 
     def test_requires_subcommand(self):
         with pytest.raises(SystemExit):

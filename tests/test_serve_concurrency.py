@@ -432,6 +432,53 @@ class TestWorkerPoolProcess:
             pool.close()
 
 
+    def test_crash_and_wedge_leave_sibling_groups_untouched(self, session):
+        """One batch: a crashed child, a wedged child, a healthy group."""
+        serial = session.solve_batch([_req(job_id="pfine", precond="bic0")])
+        pool = WorkerPool(session, workers=3, mode="process")
+        try:
+            out = pool.solve_batch([
+                _req(job_id="pboom", chaos={"kind": "crash"}),
+                _req(job_id="pstuck", deadline_s=0.5,
+                     chaos={"kind": "wedge", "seconds": 10.0}),
+                _req(job_id="pfine", precond="bic0"),
+            ])
+            by_id = {r.job_id: r for r in out}
+            assert by_id["pboom"].reason == "worker_crash"
+            assert by_id["pstuck"].reason == "request_timeout"
+            assert by_id["pfine"].ok and by_id["pfine"].converged
+            assert by_id["pfine"].x_sha256 == serial[0].x_sha256
+            stats = pool.stats()
+            assert (stats["crashes"], stats["timeouts"]) == (1, 1)
+            assert stats["replaced_workers"] == 2
+            # both replacements serve
+            again = pool.solve_batch(
+                [_req(job_id=f"pafter-{p}", precond=p) for p in POOL_PRECONDS]
+            )
+            assert all(r.ok and r.converged for r in again)
+        finally:
+            pool.close()
+
+
+@pytest.mark.parametrize("mode", ["thread", "process"])
+def test_pooled_setups_census_matches_serial(mode):
+    """Each response's ``setups`` counts its own group's work only, however
+    many cold groups build their factors concurrently."""
+    def batch():
+        return [
+            _req(job_id=f"cold-{p}", precond=p)
+            for p in ("sbbic0", "bic0", "bic1", "ic0")
+        ]
+
+    serial = SolverSession(warm_kernels=False).solve_batch(batch())
+    assert [r.setups for r in serial] == [
+        {"symbolic": 1, "numeric": 1, "evictions": 0}
+    ] * 4
+    with WorkerPool(SolverSession(warm_kernels=False), workers=4, mode=mode) as pool:
+        pooled = pool.solve_batch(batch())
+    assert [r.setups for r in pooled] == [r.setups for r in serial]
+
+
 # -- queue + pool integration --------------------------------------------------
 
 

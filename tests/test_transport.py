@@ -230,7 +230,7 @@ class TestParity:
         os.sched_setaffinity(0, {min(mask)})
         try:
             system = _process_system(
-                problem, part, policy=TransportPolicy(deadline=20.0, max_retries=0)
+                problem, part, policy=TransportPolicy(budget=20.0)
             )
             try:
                 res = parallel_cg(system)
@@ -375,7 +375,7 @@ class TestRealFailures:
     ):
         _, ref = lockstep_ref
         system = _process_system(
-            problem, part, policy=TransportPolicy(deadline=3.0, max_retries=1)
+            problem, part, policy=TransportPolicy(budget=6.0)
         )
         try:
             system.enable_recovery()
@@ -400,7 +400,7 @@ class TestRealFailures:
 
     def test_sigkill_without_recovery_store_fails_fast(self, problem, part):
         system = _process_system(
-            problem, part, policy=TransportPolicy(deadline=2.0, max_retries=0)
+            problem, part, policy=TransportPolicy(budget=2.0)
         )
         try:
             system.comm.inject_kill(1, at_exchange=3)
@@ -414,11 +414,11 @@ class TestRealFailures:
         self, problem, part, lockstep_ref
     ):
         _, ref = lockstep_ref
-        policy = TransportPolicy(deadline=0.5, max_retries=1, backoff=0.05)
+        policy = TransportPolicy(budget=1.05)
         system = _process_system(problem, part, policy=policy)
         try:
             system.comm.inject_worker_fault(
-                1, exchange=6, delay=3 * policy.budget()
+                1, exchange=6, delay=3 * policy.budget
             )
             report = SolveReport()
             res = parallel_cg(system, checkpoint_interval=4, report=report)
@@ -439,7 +439,7 @@ class TestRealFailures:
         """A delay inside one deadline is not a solver-visible failure."""
         _, ref = lockstep_ref
         system = _process_system(
-            problem, part, policy=TransportPolicy(deadline=5.0, max_retries=2)
+            problem, part, policy=TransportPolicy(budget=15.0)
         )
         try:
             system.comm.inject_worker_fault(0, exchange=4, delay=0.8)
