@@ -5,7 +5,9 @@ Japan fault model, homogeneous box — the last has no contact groups, so
 its best preconditioner is structurally different from the contact
 cases').  Every case is solved through four *fixed* escalation ladders
 (the paper's default order plus one ladder forced to lead with each
-family), then twice through the learned policy:
+family), once through the cost model alone (``cold_cost``: no history
+at all, which is what the first request of a served traffic class gets),
+then twice through the learned policy:
 
 - **pass 1** — the fixed-sweep outcomes as recorded history, but a cold
   probe cache: every decision pays its probe;
@@ -21,7 +23,15 @@ Gates:
 - per-case fixed winners differ across the sweep — otherwise the gates
   above are vacuous.  The box wastes two block factorizations under the
   paper's SB-BIC-first default order, which is the existence proof for
-  choosing the ladder per problem instead of statically.
+  choosing the ladder per problem instead of statically,
+- ``cold_cost`` <= 1.25x the best fixed ladder's total: the learned
+  passes start from a history pre-loaded with all four fixed arms, a
+  luxury serving never has, so the cost model must be near the best
+  fixed order on its own,
+- per family, the cost model's set-up / iteration ratio is within 3x of
+  this host's (``test_setup_to_iteration_ratio_matches_host``): the one
+  number the ranking of a cheap-set-up family against an expensive one
+  depends on, checked where a wall clock belongs.
 """
 
 from __future__ import annotations
@@ -30,13 +40,21 @@ import time
 
 import pytest
 
-from repro import kernels
+from repro import cg_solve, kernels
 from repro.experiments.workloads import (
     block_problem,
     homogeneous_box_problem,
     swjapan_problem,
 )
-from repro.policy import PolicyDecision, PolicyHistory, SolverPolicy, family_of_stage
+from repro.policy import (
+    PolicyDecision,
+    PolicyHistory,
+    SolverPolicy,
+    candidate_costs,
+    family_of_stage,
+    probe_problem,
+)
+from repro.precond import FAMILY_TABLE
 from repro.resilience.resilient import ResilientSolver
 
 SCALE = 0.4
@@ -87,7 +105,7 @@ def sweep():
     for name, prob in cases.items():  # probe once per case, outside the fixed-arm timers
         policy.probe(prob.a, prob.groups, cache_key=name)
 
-    totals = {arm: 0.0 for arm in (*FIXED_ARMS, "pass1", "pass2")}
+    totals = {arm: 0.0 for arm in (*FIXED_ARMS, "cold_cost", "pass1", "pass2")}
     wall_s: dict[str, dict[str, float]] = {name: {} for name in cases}
 
     def book(arm, name, wall, res):
@@ -112,13 +130,24 @@ def sweep():
             )
             book(arm, name, wall, res)
 
+    def decided_solve(policy, name, prob):
+        t0 = time.perf_counter()
+        decision = policy.decide(prob.a, prob.groups, cache_key=name)
+        _, res, led = timed_ladder_solve(policy, name, prob, decision)
+        return time.perf_counter() - t0, res, led, decision  # decide() time included
+
+    # the cost model with nothing recorded; probes cached like the fixed arms'
+    cold = SolverPolicy("cost", shifts=SHIFTS)
+    for name, prob in cases.items():
+        cold.probe(prob.a, prob.groups, cache_key=name)
+    for name, prob in cases.items():
+        wall, res, _, _ = decided_solve(cold, name, prob)
+        book("cold_cost", name, wall, res)
+
     learned = SolverPolicy("learned", history=history, shifts=SHIFTS)
     for arm in ("pass1", "pass2"):
         for name, prob in cases.items():
-            t0 = time.perf_counter()
-            decision = learned.decide(prob.a, prob.groups, cache_key=name)
-            _, res, led = timed_ladder_solve(learned, name, prob, decision)
-            wall = time.perf_counter() - t0  # decide() time included
+            wall, res, led, decision = decided_solve(learned, name, prob)
             learned.record_outcome(
                 decision, led,
                 seconds=wall, converged=res.converged, iterations=res.iterations,
@@ -127,7 +156,7 @@ def sweep():
 
     print()
     for arm, total in totals.items():
-        print(f"{arm:<8} total {total * 1e3:8.1f} ms")
+        print(f"{arm:<9} total {total * 1e3:8.1f} ms")
     return totals, wall_s
 
 
@@ -163,3 +192,38 @@ def test_sweep_winners_actually_differ(sweep):
         min(FIXED_ARMS, key=lambda arm: row[arm]) for row in wall_s.values()
     }
     assert len(winners) >= 2, f"single fixed winner {winners} across the sweep"
+
+
+def test_cold_cost_model_near_best_fixed_ladder(sweep):
+    totals, _ = sweep
+    best_fixed = min(totals[arm] for arm in FIXED_ARMS)
+    assert totals["cold_cost"] <= 1.25 * best_fixed, (
+        f"cost model without history {totals['cold_cost'] * 1e3:.0f} ms vs "
+        f"best fixed {best_fixed * 1e3:.0f} ms"
+    )
+
+
+@pytest.fixture(
+    scope="module",
+    params=[(block_problem, 0.8), (swjapan_problem, 2.0)],
+    ids=["block0.8", "swjapan2.0"],
+)
+def sized_problem(request):
+    kernels.warmup()
+    make, scale = request.param
+    prob = make(scale, 1.0e6)
+    return prob, probe_problem(prob.a, prob.groups)
+
+
+@pytest.mark.parametrize("family", ["sbbic0", "bic0", "ic0", "diag"])
+def test_setup_to_iteration_ratio_matches_host(sized_problem, family):
+    """Predicted set-up, in the family's own iterations, vs this host."""
+    prob, probe = sized_problem
+    (cost,) = candidate_costs(probe, families=(family,))
+    predicted = cost.setup_seconds / cost.per_iter_seconds
+    builds = [FAMILY_TABLE[family].build(prob.a, prob.groups) for _ in range(2)]
+    setup_s = min(m.setup_seconds for m in builds)  # cold: symbolic + numeric
+    res = cg_solve(prob.a, prob.b, builds[-1], max_iter=200, record_history=False)
+    measured = setup_s / (res.solve_seconds / res.iterations)
+    print(f"\n{family}: set-up = {predicted:.1f} iterations predicted, {measured:.1f} measured")
+    assert measured / 3.0 <= predicted <= 3.0 * measured

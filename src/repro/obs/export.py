@@ -346,15 +346,28 @@ def _policy_spans(source, names: set[str]) -> list[dict]:
     ]
 
 
+def _ratio(measured, predicted) -> str:
+    """``measured / predicted``; a dash when the span carries no
+    prediction (a rung the decision did not price, or a trace written
+    before outcomes recorded them)."""
+    if not predicted or measured is None:
+        return "-"
+    return f"{measured / predicted:.2f}"
+
+
 def policy_table(source) -> str:
     """Per-decision view of the solver policy's activity in a trace.
 
     *source* is either a live :class:`Tracer` or an iterable of flat
     JSONL records.  One line per ``policy.decide`` span (mode, decided
     order, provenance), followed by one line per ``policy.outcome`` span
-    (which family actually ran, whether it converged, measured wall
-    time) — the at-a-glance answer to "what did the policy choose and
-    was it right".
+    (which family actually ran, whether it converged, measured
+    iterations and wall time, each with the cost model's prediction and
+    the measured / predicted ratio beside it) — the at-a-glance answer
+    to "what did the policy choose, was it right, and how wrong was its
+    cost prediction".  Predicted seconds are the modeled machine's, so
+    that ratio is a host constant times the model's error: compare it
+    across rows, not with 1.
     """
     decides = _policy_spans(source, {"policy.decide"})
     outcomes = _policy_spans(source, {"policy.outcome"})
@@ -380,16 +393,24 @@ def policy_table(source) -> str:
         ]
     if outcomes:
         outcomes.sort(key=lambda r: r.get("t_start_s") or 0.0)
-        rows = [("fingerprint", "choice", "stage", "conv", "iters", "wall ms")]
+        rows = [("fingerprint", "choice", "stage", "conv", "iters", "pred",
+                 "m/p", "wall ms", "pred ms", "m/p")]
         for r in outcomes:
             at = r.get("attrs", {})
+            wall = r.get("duration_s") or 0.0
+            pred_iters = at.get("predicted_iterations")
+            pred_s = at.get("predicted_seconds")
             rows.append((
                 str(at.get("fingerprint", "?")),
                 str(at.get("choice", "?")),
                 str(at.get("stage", "") or "-"),
                 "y" if at.get("converged") else "n",
                 str(at.get("iterations", "?")),
-                f"{1e3 * (r.get('duration_s') or 0.0):.1f}",
+                str(pred_iters or "-"),
+                _ratio(at.get("iterations"), pred_iters),
+                f"{1e3 * wall:.1f}",
+                f"{1e3 * pred_s:.3g}" if pred_s else "-",
+                _ratio(wall, pred_s),
             ))
         widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
         if lines:

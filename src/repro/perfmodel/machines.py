@@ -50,10 +50,6 @@ class VectorPipeline:
         rates = self.r_inf * ll / (ll + self.n_half)
         return float((ll * flops_per_element / rates).sum() + ll.size * self.loop_startup_seconds)
 
-    def time_scalar(self, flops: float) -> float:
-        """Seconds for non-vectorized execution of the given flop count."""
-        return flops / self.scalar_flops
-
 
 @dataclass(frozen=True)
 class Interconnect:

@@ -4,21 +4,29 @@ For each preconditioner family the policy could lead with, predict
 
     total = setup + risk * iterations * per_iteration
 
+with both cost terms in **one unit**: a *matvec-shaped pass* — one sweep
+of 2 flops over the ``probe.nnz`` stored entries — priced through the
+machine model (:func:`repro.perfmodel.hybrid.estimate_iteration_time`).
+The model's seconds are the Earth Simulator's, not this host's; that is
+harmless for a ranking only as long as every term of the sum is on the
+same scale, which is why set-up is counted in passes too instead of
+being priced on a different execution unit.
+
 - **per-iteration time** prices a synthetic operation census (matvec +
   substitution passes + in-block solves + BLAS-1, built from the probe's
-  ``nnz`` / ``ndof`` / group census) through the machine model
-  (:func:`repro.perfmodel.hybrid.estimate_iteration_time`).  The
-  absolute scale is the modeled machine's, not this host's — only the
-  *ranking* matters, and recorded history (measured wall seconds on the
-  real host) overrides it as traffic accumulates.
+  ``nnz`` / ``ndof`` / group census).
+- **set-up time** is ``SETUP_PASSES[family]`` matvec-shaped passes: the
+  symbolic and numeric phases of a cold build, *measured* in units of
+  one CSR matvec of the same operator (provenance at the table).
 - **iteration count** is CG theory, ``~ 0.5 sqrt(kappa_eff) ln(2/eps)``,
   with a per-family effective condition number shaped by the paper's
   Table 2 / Appendix A: IC-type preconditioning compresses the spectrum
   by a family factor, and *selective blocking* additionally removes the
   penalty-induced part of the conditioning (the inter-zone ``lambda``
-  rows sit inside exactly-solved blocks), so its ``kappa_eff`` is the
-  penalty-free remainder.  Diagonal scaling keeps the probe's kappa
-  as-is (the probe already measured the Jacobi-scaled operator).
+  rows sit inside exactly-solved blocks), so its ``kappa_eff`` is that
+  of the penalty-free operator — a function of the mesh size, not of
+  ``lambda``.  Diagonal scaling keeps the probe's kappa as-is (the probe
+  already measured the Jacobi-scaled operator).
 - **risk** inflates families that Table 2 shows failing outright at
   high penalty (scalar IC collapses first, BIC(0) later, SB-BIC(0)
   survives to ``1e10``): a failing first rung costs its whole setup and
@@ -36,11 +44,17 @@ import numpy as np
 
 from repro.perfmodel.hybrid import estimate_iteration_time
 from repro.perfmodel.kernels import SolverOpCensus, VectorWork
-from repro.perfmodel.machines import EARTH_SIMULATOR, MachineModel
+from repro.perfmodel.machines import EARTH_SIMULATOR
 from repro.policy.probes import ProblemProbe
 from repro.precond.families import FAMILY_TABLE
 
-__all__ = ["CandidateCost", "FAMILIES", "applicable_families", "candidate_costs"]
+__all__ = [
+    "CandidateCost",
+    "FAMILIES",
+    "SETUP_PASSES",
+    "applicable_families",
+    "candidate_costs",
+]
 
 FAMILIES = tuple(f.name for f in reversed(FAMILY_TABLE.values()) if f.ranked)
 """Ladder-leading preconditioner families, strongest first.  The names
@@ -48,12 +62,47 @@ are the family table's, like the serve protocol's ``precond`` values, so
 policy decisions drop straight into
 :class:`~repro.serve.protocol.SolveRequest`."""
 
+SETUP_PASSES = {
+    "sbbic0": {"symbolic": 240, "numeric": 75},
+    "bic0": {"symbolic": 200, "numeric": 60},
+    "ic0": {"symbolic": 550, "numeric": 70},
+    "diag": {"symbolic": 0, "numeric": 3},
+}
+"""Cold set-up cost per family and phase, in matvec-shaped passes.
+
+Measured, not derived: ``symbolic_seconds`` / ``numeric_seconds`` of the
+built factor divided by the seconds of one CSR ``a @ x`` on the same
+operator (best of 3 builds, one BLAS thread, numpy kernel backend), on
+block 0.8 / 1.0 / 1.5 and swjapan 1.0 / 1.5 / 2.0 at ``lambda = 1e6``
+(2.2k-19.9k DOF).  Ranges seen: SB-BIC(0) 137-360 / 43-126, BIC(0)
+130-306 / 39-94, scalar IC(0) 348-828 / 37-113, Diagonal 0 / 1.4-5; the
+high ends are the 2.2k-DOF problems, where Python dispatch dominates.
+Below ~1k DOF every count roughly doubles — and so does the cost of an
+iteration, so the set-up/iteration ratio the ranking depends on holds
+(SB-BIC(0) 67-90, BIC(0) 59-85, IC(0) 92-194, Diagonal 1.4-2.4
+iterations per set-up across the whole range).  The counts belong to
+this implementation's colour-batched numpy factorization; re-measure
+them when the set-up path changes (DESIGN.md section 15 has the table
+and ``benchmarks/test_bench_policy.py`` the 3x host check).
+"""
+
 # spectrum compression of level-0 IC relative to plain Jacobi scaling —
 # a Table 2-shaped prior (block form slightly stronger than scalar)
 _IC_KAPPA_DIVISOR = {"ic0": 8.0, "bic0": 20.0, "sbbic0": 20.0}
+# Jacobi-scaled kappa of the *penalty-free* operator per nodes^(2/3) (the
+# h^-2 law of a 3-D second-order elliptic problem).  SB-BIC(0) iterates
+# like BIC(0) on the penalty-free problem at every lambda (Appendix A;
+# here 26/31, 67/66, 85/78, 48/40, 72/78, 108/93 SB-BIC(0) at 1e6 vs
+# BIC(0) at lambda=1, 396-6.6k DOF), and those counts imply 6.6-16.4
+# through the iteration formula below.  kappa / penalty_ratio is not a
+# substitute: the probe's 16-step Lanczos kappa saturates (4.5e4 from
+# lambda=1e6 to 1e8 on block 0.8) while penalty_ratio keeps growing, so
+# the quotient falls below 1 on every contact problem.
+_PENALTY_FREE_KAPPA = 10.0
 # penalty_ratio beyond which a family's factorization starts to break
 # down (Table 2: scalar IC first, BIC later, SB-BIC effectively never)
 _RISK_KNEE = {"ic0": 1e5, "bic0": 1e7}
+_NPE = 8  # the census spreads every loop over one node's PEs
 
 
 @dataclass(frozen=True)
@@ -84,19 +133,24 @@ def applicable_families(probe: ProblemProbe) -> tuple[str, ...]:
     return tuple(fams)
 
 
-def _census(probe: ProblemProbe, family: str, npe: int = 8) -> SolverOpCensus:
-    """Synthetic per-iteration census of one CG iteration, one node."""
+def _matvec_pass(probe: ProblemProbe) -> VectorWork:
+    """One sweep of 2 flops over the stored entries — the unit both
+    set-up and iterations are priced in."""
+    return VectorWork(np.full(_NPE, probe.nnz / _NPE, dtype=np.float64), 2.0)
+
+
+def _iteration_phases(probe: ProblemProbe, family: str) -> list[VectorWork]:
+    """Synthetic census of one CG iteration, one node."""
     phases = [
-        # block matvec: 2 flops per stored scalar entry
-        VectorWork(np.full(npe, probe.nnz / npe, dtype=np.float64), 2.0),
+        _matvec_pass(probe),
         # BLAS-1: 3 dots + 3 daxpy over ndof
-        VectorWork(np.full(6 * npe, probe.ndof / npe, dtype=np.float64), 2.0),
+        VectorWork(np.full(6 * _NPE, probe.ndof / _NPE, dtype=np.float64), 2.0),
     ]
     if family in ("ic0", "bic0", "sbbic0"):
         # forward + backward substitution over the lower half
         phases.append(
             VectorWork(
-                np.full(2 * npe, 0.5 * probe.nnz / npe, dtype=np.float64), 2.0
+                np.full(2 * _NPE, 0.5 * probe.nnz / _NPE, dtype=np.float64), 2.0
             )
         )
     if family == "sbbic0" and probe.n_groups:
@@ -104,40 +158,32 @@ def _census(probe: ProblemProbe, family: str, npe: int = 8) -> SolverOpCensus:
         mean_block = 3.0 * probe.group_dofs / (3.0 * probe.n_groups)
         phases.append(
             VectorWork(
-                np.full(2 * npe, probe.group_dofs / npe, dtype=np.float64),
+                np.full(2 * _NPE, probe.group_dofs / _NPE, dtype=np.float64),
                 2.0 * mean_block,
             )
         )
     if family == "diag":
         phases.append(
-            VectorWork(np.full(npe, probe.ndof / npe, dtype=np.float64), 1.0)
+            VectorWork(np.full(_NPE, probe.ndof / _NPE, dtype=np.float64), 1.0)
         )
-    return SolverOpCensus(ndof_node=probe.ndof, pe_per_node=npe, phases=phases)
+    return phases
 
 
-def _setup_flops(probe: ProblemProbe, family: str) -> float:
-    if family == "diag":
-        return float(probe.ndof)
-    # ordering + pattern + numeric phases, ~linear in stored entries;
-    # scalar IC pays more per-entry overhead than the blocked form
-    flops = 40.0 * probe.nnz * (1.5 if family == "ic0" else 1.0)
-    if family == "sbbic0" and probe.n_groups:
-        # dense LU of each selective block: (2/3) s^3 with s = 3 nodes
-        mean_dofs = probe.group_dofs / probe.n_groups
-        flops += probe.n_groups * (2.0 / 3.0) * mean_dofs**3
-    return flops
+def _seconds(probe: ProblemProbe, phases: list[VectorWork]) -> float:
+    census = SolverOpCensus(ndof_node=probe.ndof, pe_per_node=_NPE, phases=phases)
+    return estimate_iteration_time(census, EARTH_SIMULATOR, "hybrid", 1).total_seconds
 
 
 def _kappa_eff(probe: ProblemProbe, family: str) -> float:
     kappa = max(probe.kappa_scaled, 1.0)
     if family == "diag":
         return kappa
-    divisor = _IC_KAPPA_DIVISOR[family]
     if family == "sbbic0":
         # selective blocking absorbs the penalty-induced conditioning:
-        # what is left is the geometric remainder
-        kappa = max(kappa / max(probe.penalty_ratio, 1.0), 1.0)
-    return max(kappa / divisor, 1.0)
+        # what is left is the penalty-free operator's, set by mesh size
+        # (and never more than BIC(0) faces: it only enlarges the blocks)
+        kappa = min(kappa, _PENALTY_FREE_KAPPA * (probe.ndof / 3.0) ** (2.0 / 3.0))
+    return max(kappa / _IC_KAPPA_DIVISOR[family], 1.0)
 
 
 def _risk(probe: ProblemProbe, family: str) -> float:
@@ -151,21 +197,20 @@ def candidate_costs(
     probe: ProblemProbe,
     *,
     eps: float = 1e-8,
-    machine: MachineModel = EARTH_SIMULATOR,
     families: tuple[str, ...] | None = None,
 ) -> list[CandidateCost]:
     """Price every applicable family; cheapest predicted total first."""
     fams = families if families is not None else applicable_families(probe)
     log_term = float(np.log(2.0 / eps))
+    pass_seconds = _seconds(probe, [_matvec_pass(probe)])
     out = []
     for family in fams:
-        t = estimate_iteration_time(_census(probe, family), machine, "hybrid", 1)
         iters = max(int(np.ceil(0.5 * np.sqrt(_kappa_eff(probe, family)) * log_term)), 3)
         out.append(
             CandidateCost(
                 family=family,
-                setup_seconds=machine.pe.time_scalar(_setup_flops(probe, family)),
-                per_iter_seconds=t.total_seconds,
+                setup_seconds=sum(SETUP_PASSES[family].values()) * pass_seconds,
+                per_iter_seconds=_seconds(probe, _iteration_phases(probe, family)),
                 predicted_iterations=iters,
                 risk=_risk(probe, family),
             )

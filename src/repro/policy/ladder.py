@@ -16,13 +16,17 @@ Three modes:
 - ``cost`` — rank rungs by the cost model's predicted seconds
   (:func:`repro.policy.cost.candidate_costs`) from a cheap probe.
 - ``learned`` — lead with the best *recorded* family for the problem's
-  fingerprint (:class:`repro.policy.history.PolicyHistory`); fall back
-  to the cost ranking on cold classes.
+  fingerprint (:class:`repro.policy.history.PolicyHistory`) once the
+  cost ranking's own leader has a record there too; until then (cold
+  classes, or a history that has only ever seen one family) the cost
+  ranking stands.
 """
 
 from __future__ import annotations
 
+import threading
 import time
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Any
 
@@ -30,7 +34,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro import obs
-from repro.perfmodel.machines import EARTH_SIMULATOR, MachineModel
 from repro.policy.cost import CandidateCost, applicable_families, candidate_costs
 from repro.policy.history import PolicyHistory
 from repro.policy.probes import ProblemProbe, probe_problem
@@ -45,6 +48,12 @@ __all__ = [
 ]
 
 POLICY_MODES = ("static", "cost", "learned")
+
+PROBE_CACHE_SIZE = 256
+"""Probes a policy keeps (least recently used goes first).  A serving
+process sees one key per distinct operator — every new penalty is one —
+for as long as it lives; a probe is ~100 bytes and a few matvecs to
+redo, so the bound only has to exceed the working set of live traffic."""
 
 
 @dataclass
@@ -67,6 +76,11 @@ class PolicyDecision:
     @property
     def fingerprint(self) -> str | None:
         return self.probe.fingerprint() if self.probe is not None else None
+
+    def cost_of(self, family: str) -> CandidateCost | None:
+        """What the cost model predicted for *family* (None when the
+        decision priced nothing, as in static mode)."""
+        return next((c for c in self.costs if c.family == family), None)
 
     def explain(self) -> str:
         """Multi-line account of the decision for ``repro policy explain``."""
@@ -97,6 +111,7 @@ class PolicyDecision:
         return "\n".join(lines)
 
     def to_dict(self) -> dict[str, Any]:
+        lead = self.cost_of(self.order[0])
         return {
             "mode": self.mode,
             "order": list(self.order),
@@ -105,6 +120,8 @@ class PolicyDecision:
             "checkpoint_interval": self.checkpoint_interval,
             "fingerprint": self.fingerprint,
             "source": self.source,
+            "predicted_iterations": lead.predicted_iterations if lead else None,
+            "predicted_seconds": lead.predicted_seconds if lead else None,
         }
 
 
@@ -112,8 +129,9 @@ class SolverPolicy:
     """Choose how to solve a problem before paying for a preconditioner.
 
     Thread-compatible with the serve session's locking discipline: the
-    probe cache is keyed by the caller's structure key, and the
-    underlying :class:`PolicyHistory` is itself thread-safe.
+    probe cache is keyed by the caller's structure key and bounded
+    (:data:`PROBE_CACHE_SIZE`, LRU), and the underlying
+    :class:`PolicyHistory` is itself thread-safe.
 
     Parameters
     ----------
@@ -122,8 +140,6 @@ class SolverPolicy:
     history:
         Shared outcome store; required for ``learned`` to ever deviate
         from the cost ranking (a fresh one is created if omitted).
-    machine:
-        Machine model used for cost-ranking (relative units only).
     """
 
     def __init__(
@@ -131,7 +147,6 @@ class SolverPolicy:
         mode: str = "cost",
         *,
         history: PolicyHistory | None = None,
-        machine: MachineModel = EARTH_SIMULATOR,
         eps: float = 1e-8,
         lanczos_iters: int = 16,
         shifts: tuple[float, ...] = (0.01, 0.1),
@@ -140,11 +155,11 @@ class SolverPolicy:
             raise ValueError(f"unknown policy mode {mode!r}; expected one of {POLICY_MODES}")
         self.mode = mode
         self.history = history if history is not None else PolicyHistory()
-        self.machine = machine
         self.eps = eps
         self.lanczos_iters = lanczos_iters
         self.shifts = tuple(shifts)
-        self._probe_cache: dict[Any, ProblemProbe] = {}
+        self._probe_cache: OrderedDict[Any, ProblemProbe] = OrderedDict()
+        self._probe_cache_lock = threading.Lock()
 
     # -- probing -----------------------------------------------------------
 
@@ -155,11 +170,18 @@ class SolverPolicy:
         *,
         cache_key: Any = None,
     ) -> ProblemProbe:
-        if cache_key is not None and cache_key in self._probe_cache:
-            return self._probe_cache[cache_key]
+        if cache_key is None:
+            return probe_problem(a, contact_groups, lanczos_iters=self.lanczos_iters)
+        with self._probe_cache_lock:
+            p = self._probe_cache.get(cache_key)
+            if p is not None:
+                self._probe_cache.move_to_end(cache_key)
+                return p
         p = probe_problem(a, contact_groups, lanczos_iters=self.lanczos_iters)
-        if cache_key is not None:
+        with self._probe_cache_lock:
             self._probe_cache[cache_key] = p
+            while len(self._probe_cache) > PROBE_CACHE_SIZE:
+                self._probe_cache.popitem(last=False)
         return p
 
     # -- deciding ----------------------------------------------------------
@@ -177,21 +199,11 @@ class SolverPolicy:
             decision = self._decide_static(a, contact_groups)
         else:
             probe = self.probe(a, contact_groups, cache_key=cache_key)
-            costs = candidate_costs(
-                probe, eps=self.eps, machine=self.machine
-            )
+            costs = candidate_costs(probe, eps=self.eps)
             order = tuple(c.family for c in costs)
             source = "cost model ranking"
             if self.mode == "learned":
-                best = self.history.best(probe.fingerprint())
-                if best is not None and best in order:
-                    order = (best, *[f for f in order if f != best])
-                    source = (
-                        f"recorded history for {probe.fingerprint()} "
-                        f"(cost model for the tail)"
-                    )
-                else:
-                    source = "cost model ranking (no history for this fingerprint)"
+                order, source = self._learned_order(order, probe.fingerprint())
             lead_iters = next(
                 c.predicted_iterations for c in costs if c.family == order[0]
             )
@@ -214,6 +226,33 @@ class SolverPolicy:
             source=decision.source,
         )
         return decision
+
+    def _learned_order(
+        self, order: tuple[str, ...], fingerprint: str
+    ) -> tuple[tuple[str, ...], str]:
+        """Promote the best recorded family — when that is a comparison.
+
+        Serving records only the family it led with, so a class's history
+        can hold a single family for ever (a first choice, or a file
+        persisted under an older cost model).  Such a record says how
+        long that family took, not that it beats the cost model's leader;
+        it displaces the leader only once the leader has been measured on
+        this fingerprint too.
+        """
+        recorded = self.history.stats_for(fingerprint)
+        if not recorded:
+            return order, "cost model ranking (no history for this fingerprint)"
+        if order[0] not in recorded:
+            return order, (
+                f"cost model ranking (history for {fingerprint} has never "
+                f"measured its leader {order[0]})"
+            )
+        best = self.history.best(fingerprint)
+        if best not in order:
+            return order, f"cost model ranking (recorded best {best} not applicable)"
+        return (best, *[f for f in order if f != best]), (
+            f"recorded history for {fingerprint} (cost model for the tail)"
+        )
 
     def _decide_static(self, a, contact_groups) -> PolicyDecision:
         a = sp.csr_matrix(a)
@@ -284,6 +323,12 @@ class SolverPolicy:
         self.history.record(
             fp, family, seconds=seconds, converged=converged, iterations=iterations
         )
+        # what the cost model said about this family, next to what happened
+        cost = decision.cost_of(family)
+        predicted = {} if cost is None else {
+            "predicted_iterations": cost.predicted_iterations,
+            "predicted_seconds": cost.predicted_seconds,
+        }
         obs.record_span(
             "policy.outcome",
             seconds,
@@ -292,4 +337,5 @@ class SolverPolicy:
             stage=stage_name,
             converged=converged,
             iterations=iterations,
+            **predicted,
         )
