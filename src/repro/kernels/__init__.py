@@ -7,8 +7,9 @@ color-wise independent rows), the block sparse matrix-vector products,
 and the color-bucketed numeric factorization updates.  This package owns
 those kernels behind a tiny registry with two interchangeable backends:
 
-- ``numpy`` — the batched/bucketed numpy+scipy implementations that grew
-  in PR 1/3 (always available; the fallback and the parity baseline);
+- ``numpy`` — batched/bucketed numpy for the factorization updates and
+  direct calls of scipy's compiled CSR kernels for the sweeps and the
+  matvecs (always available; the fallback and the parity baseline);
 - ``numba`` — flat-array ``@njit(parallel=True, cache=True)`` kernels
   that dispatch independent color groups to ``prange`` workers, giving
   true multi-core execution within a rank.  numba is an *optional*
@@ -24,6 +25,10 @@ Backend selection precedence (first match wins):
    ``--kernel-backend`` flag lands here);
 3. the ``REPRO_KERNEL_BACKEND`` environment variable;
 4. ``auto`` — numba when importable, else numpy.
+
+Both backends sweep the same :class:`SubstitutionPlan`
+(:mod:`repro.kernels.plans`): one flat layout, structure fixed by the
+symbolic phase, data refilled in place by every numeric phase.
 
 JIT compilation is paid once per process (or never, thanks to
 ``cache=True``): call :func:`warmup` before timing anything so compile

@@ -2,8 +2,9 @@
 
 All kernels are flat-array ``@njit(parallel=True, cache=True)`` loops
 over the position-as-data structures the symbolic phase already extracts
-(DESIGN.md section 9): CSR triples, concatenated group operators, and
-row-segmented gather/scatter index maps.  Parallelism follows the
+(DESIGN.md section 9): CSR triples, the flat substitution plan
+(:mod:`repro.kernels.plans` — the same arrays the numpy backend sweeps),
+and row-segmented gather/scatter index maps.  Parallelism follows the
 paper's section 4.2 invariant — rows inside one color group (or level
 wave) are independent — so each group is a ``prange`` over rows with a
 sequential loop across groups, the RAINBOW ``sweep_worker`` pattern.
@@ -71,6 +72,16 @@ def _csr_matvec_kernel(indptr, indices, data, x, y):
 
 
 @_jit
+def _csr_matvecs_kernel(indptr, indices, data, x, y):
+    for i in prange(indptr.size - 1):
+        for c in range(x.shape[1]):
+            s = 0.0
+            for jj in range(indptr[i], indptr[i + 1]):
+                s += data[jj] * x[indices[jj], c]
+            y[i, c] = s
+
+
+@_jit
 def _substitution_kernel(
     dptr, dind, ddat, rp,
     fptr, find, fdat, frow, fgptr,
@@ -82,22 +93,21 @@ def _substitution_kernel(
         for jj in range(dptr[i], dptr[i + 1]):
             s += ddat[jj] * rp[dind[jj]]
         y[i] = s
-    ngroups = fgptr.size - 1
-    # forward sweep: groups in order, rows of one group in parallel
-    # (operator columns only reference earlier groups' finished values)
-    for g in range(ngroups):
+    # each direction stores its groups in sweep order and its operator
+    # values negated: groups in sequence, rows of one group in parallel
+    # (operator columns only reference groups already swept)
+    for g in range(fgptr.size - 1):
         for t in prange(fgptr[g], fgptr[g + 1]):
             s = 0.0
             for jj in range(fptr[t], fptr[t + 1]):
                 s += fdat[jj] * y[find[jj]]
-            y[frow[t]] -= s
-    # backward sweep: groups reversed (columns reference later groups)
-    for g in range(ngroups - 1, -1, -1):
+            y[frow[t]] += s
+    for g in range(bgptr.size - 1):
         for t in prange(bgptr[g], bgptr[g + 1]):
             s = 0.0
             for jj in range(bptr[t], bptr[t + 1]):
                 s += bdat[jj] * y[bind[jj]]
-            y[brow[t]] -= s
+            y[brow[t]] += s
 
 
 @_jit
@@ -216,14 +226,13 @@ def _csr64(a):
 
 
 def apply_substitution(plan, rp: np.ndarray) -> np.ndarray:
-    dptr, dind, ddat, fwd, bwd = plan.flat()
-    y = np.empty(plan.ndof)
+    fwd, bwd = plan.fwd, plan.bwd
     _substitution_kernel(
-        dptr, dind, ddat, rp,
+        plan.dinv_indptr, plan.dinv_indices, plan.dinv_data, rp,
         fwd.indptr, fwd.indices, fwd.data, fwd.rows, fwd.group_ptr,
-        bwd.indptr, bwd.indices, bwd.data, bwd.rows, bwd.group_ptr, y,
+        bwd.indptr, bwd.indices, bwd.data, bwd.rows, bwd.group_ptr, plan.y,
     )
-    return y
+    return plan.y
 
 
 def csr_matvec(a, x: np.ndarray) -> np.ndarray:
@@ -231,6 +240,16 @@ def csr_matvec(a, x: np.ndarray) -> np.ndarray:
     x = np.ascontiguousarray(x, dtype=np.float64)
     y = np.empty(a.shape[0])
     _csr_matvec_kernel(indptr, indices, np.asarray(a.data, dtype=np.float64), x, y)
+    return y
+
+
+def csr_matvecs(a, x: np.ndarray) -> np.ndarray:
+    if x.ndim != 2 or x.shape[0] != a.shape[1]:
+        raise ValueError(f"x must have shape ({a.shape[1]}, s), got {x.shape}")
+    indptr, indices = _csr64(a)
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    y = np.empty((a.shape[0], x.shape[1]))
+    _csr_matvecs_kernel(indptr, indices, np.asarray(a.data, dtype=np.float64), x, y)
     return y
 
 
@@ -277,14 +296,19 @@ def warmup(force: bool = False) -> float:
     if not HAVE_NUMBA or (_warmed and not force):
         return 0.0
     t0 = time.perf_counter()
+    i32 = lambda *v: np.asarray(v, dtype=np.int32)  # noqa: E731
     i64 = lambda *v: np.asarray(v, dtype=np.int64)  # noqa: E731
     f64 = lambda *v: np.asarray(v, dtype=np.float64)  # noqa: E731
 
     _csr_matvec_kernel(i64(0, 1, 2), i64(0, 1), f64(1.0, 1.0), f64(1.0, 2.0), np.empty(2))
+    _csr_matvecs_kernel(
+        i64(0, 1, 2), i64(0, 1), f64(1.0, 1.0), np.ones((2, 2)), np.empty((2, 2))
+    )
+    # the plan's index arrays are int32 (FlatSweep.rows stays int64)
     _substitution_kernel(
-        i64(0, 1, 2), i64(0, 1), f64(1.0, 1.0), f64(1.0, 2.0),
-        i64(0, 1), i64(0), f64(0.5), i64(1), i64(0, 1),
-        i64(0, 1), i64(1), f64(0.5), i64(0), i64(0, 1), np.empty(2),
+        i32(0, 1, 2), i32(0, 1), f64(1.0, 1.0), f64(1.0, 2.0),
+        i32(0, 0, 1), i32(0), f64(-0.5), i64(0, 1), i64(0, 1, 2),
+        i32(0, 0, 1), i32(1), f64(-0.5), i64(1, 0), i64(0, 1, 2), np.empty(2),
     )
     _bcsr_matvec_kernel(
         i64(0, 1), i64(0), np.ones((1, 2, 2)), f64(1.0, 1.0), np.zeros(2), 2

@@ -1,18 +1,44 @@
 """Pure numpy/scipy kernel backend (always available).
 
-These are the batched/bucketed implementations that previously lived
-inline in ``precond/icfact.py`` and ``sparse/{bcsr,vbr}.py`` — numpy
-fancy-indexing plus batched ``matmul``/native scipy matvecs play the
-role of the Earth Simulator's vector pipelines.  They are the fallback
-when numba is absent and the parity baseline the numba backend is tested
-against.
+Batched numpy fancy-indexing plus ``matmul`` serve the factorization
+update sweeps, and the sparse products — the substitution sweep, ``A p``
+and ``A P`` — are **direct calls of scipy's compiled CSR kernels**
+(``scipy.sparse._sparsetools.csr_matvec`` / ``csr_matvecs``), not
+``op @ y``: one ``M^{-1} r`` is 1 + 2 x colours products of a few
+hundred rows each, and at that size scipy's ``__matmul__`` dispatch
+(``_matmul_dispatch``, ``isscalarlike``, a fresh ``np.zeros``, then a
+second ``y[sel] -= tmp`` pass) costs as much as the kernel it wraps —
+the per-colour fixed overhead of the paper's Figs. 26-29, with Python
+dispatch in the place of OpenMP synchronisation.
+
+What the kernels do, and what this module relies on (pinned by
+``tests/test_kernels.py::TestSparsetoolsContract``):
+
+- they *accumulate*: ``csr_matvec(m, n, indptr, indices, data, x, y)``
+  computes ``y += A x`` (``csr_matvecs`` likewise on row-major panels);
+- they index ``indices`` / ``data`` by the absolute offsets stored in
+  ``indptr``, so ``indptr[lo:hi + 1]`` over the *full* ``indices`` /
+  ``data`` is rows ``lo..hi`` of the matrix, no rebasing;
+- ``x`` and ``y`` may be the same buffer when no row being written is a
+  column being read;
+- inputs of another dtype or stride are converted by the wrapper on
+  every call (correct, but a copy per call — callers normalise once per
+  solve instead); an output of the wrong dtype raises.
+
+They check no bounds, so every entry point here validates the operand
+shape before passing pointers.  These are the fallback when numba is
+absent and the parity baseline the numba backend is tested against.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import _sparsetools
 
 NAME = "numpy"
+
+_csr_matvec = _sparsetools.csr_matvec
+_csr_matvecs = _sparsetools.csr_matvecs
 
 
 def is_available() -> bool:
@@ -30,30 +56,65 @@ def warmup() -> float:
 
 
 def apply_substitution(plan, rp: np.ndarray) -> np.ndarray:
-    """Sweep the compiled per-group CSR operators with native matvecs.
+    """Sweep the plan with one direct kernel call per group.
 
-    Seed with the whole-vector diagonal solve, then in place:
-    forward  ``y_g = Dinv_g r_g - (Dinv_g L_g) y``   (columns: earlier groups)
-    backward ``z_g = y_g - (Dinv_g L_g^T) z``        (columns: later groups)
+    Seed with the whole-vector diagonal solve ``y = Dinv r``, then
+    accumulate the (negated) group operators in place: ``y_g += op_g y``
+    forward, then backward.  A contiguous group is written through the
+    view ``y[sel]``; a level-schedule wave goes through the plan's
+    scratch and one ``y[sel] += w``.  Returns ``plan.y`` (valid until
+    the plan is swept again).
     """
-    y = plan.dinv_all @ rp
-    for sel, op in zip(plan.sels, plan.fwd_ops):
-        if op is not None:
-            y[sel] -= op @ y
-    for sel, op in zip(reversed(plan.sels), reversed(plan.bwd_ops)):
-        if op is not None:
-            y[sel] -= op @ y
+    n = plan.ndof
+    if rp.shape != (n,):
+        raise ValueError(f"rp must have shape ({n},), got {rp.shape}")
+    y = plan.y
+    y.fill(0.0)
+    _csr_matvec(n, n, plan.dinv_indptr, plan.dinv_indices, plan.dinv_data, rp, y)
+    for sweep in (plan.fwd, plan.bwd):
+        indices, data = sweep.indices, sweep.data
+        for nrows, ptr, sel in sweep.steps:
+            if type(sel) is slice:
+                _csr_matvec(nrows, n, ptr, indices, data, y, y[sel])
+            else:
+                w = plan.work[:nrows]
+                w.fill(0.0)
+                _csr_matvec(nrows, n, ptr, indices, data, y, w)
+                y[sel] += w
     return y
 
 
 def apply_substitution_block(plan, rp: np.ndarray) -> np.ndarray:
-    """Sweep an ``(ndof, s)`` residual block in one pass per group.
+    """:func:`apply_substitution` for an ``(ndof, s)`` residual block.
 
-    The per-group CSR operators multiply dense ``(rows, s)`` panels
-    natively, so this is :func:`apply_substitution` verbatim — one read
-    of each operator serves every column (the multi-RHS win the serve
-    layer's block-CG batches for)."""
-    return apply_substitution(plan, rp)
+    ``csr_matvecs`` multiplies dense row-major panels, so one read of
+    each operator serves every column (the multi-RHS win the serve
+    layer's block-CG batches for).  Returns a fresh ``(ndof, s)`` array;
+    the waves' scratch panel is allocated once per call.
+
+    The loop is :func:`apply_substitution`'s written out a second time
+    on purpose: the two kernels differ by one positional argument, and
+    passing it through ``*args`` in a shared loop measured +2-3 % per
+    vector sweep (0.1-0.2 us on each ~1 us colour call).
+    """
+    n = plan.ndof
+    if rp.ndim != 2 or rp.shape[0] != n:
+        raise ValueError(f"rp must have shape ({n}, s), got {rp.shape}")
+    s = rp.shape[1]
+    y = np.zeros((n, s))
+    _csr_matvecs(n, n, s, plan.dinv_indptr, plan.dinv_indices, plan.dinv_data, rp, y)
+    work = np.empty((plan.work.size, s))
+    for sweep in (plan.fwd, plan.bwd):
+        indices, data = sweep.indices, sweep.data
+        for nrows, ptr, sel in sweep.steps:
+            if type(sel) is slice:
+                _csr_matvecs(nrows, n, s, ptr, indices, data, y, y[sel])
+            else:
+                w = work[:nrows]
+                w.fill(0.0)
+                _csr_matvecs(nrows, n, s, ptr, indices, data, y, w)
+                y[sel] += w
+    return y
 
 
 # ----------------------------------------------------------------------
@@ -62,8 +123,23 @@ def apply_substitution_block(plan, rp: np.ndarray) -> np.ndarray:
 
 
 def csr_matvec(a, x: np.ndarray) -> np.ndarray:
-    """Scalar CSR matvec (scipy native)."""
-    return a @ x
+    """``A x`` for a scipy CSR matrix (square or not) and a flat vector."""
+    m, n = a.shape
+    if x.shape != (n,):
+        raise ValueError(f"x must have shape ({n},), got {x.shape}")
+    y = np.zeros(m)
+    _csr_matvec(m, n, a.indptr, a.indices, a.data, x, y)
+    return y
+
+
+def csr_matvecs(a, x: np.ndarray) -> np.ndarray:
+    """``A X`` for an ``(n, s)`` block: one pass over *a* for all columns."""
+    m, n = a.shape
+    if x.ndim != 2 or x.shape[0] != n:
+        raise ValueError(f"x must have shape ({n}, s), got {x.shape}")
+    y = np.zeros((m, x.shape[1]))
+    _csr_matvecs(m, n, x.shape[1], a.indptr, a.indices, a.data, x, y)
+    return y
 
 
 def bcsr_matvec(mat, x: np.ndarray) -> np.ndarray:

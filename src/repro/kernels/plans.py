@@ -1,125 +1,103 @@
-"""Backend-neutral execution plans for the substitution kernels.
+"""The one execution plan of the substitution kernels.
 
-The numeric phase of :class:`~repro.precond.icfact.BlockICFactorization`
-compiles the per-group substitution operators ``Dinv_g L_g`` /
-``Dinv_g L_g^T`` (scalar CSR, rows in group-local numbering, columns
-over the whole permuted vector) plus the whole-vector block-diagonal
-solve ``Dinv``.  A :class:`SubstitutionPlan` packages those operators in
-the two layouts the backends consume:
+``M^{-1} r`` with ``M = (D + L) D^{-1} (D + L)^T`` is, in the permuted
+numbering, a whole-vector block-diagonal solve ``y = Dinv r`` followed by
+one in-place update per schedule group in each direction:
 
-- the **scipy layout** (``sels`` + per-group ``csr_matrix`` handles) the
-  numpy backend sweeps with one native matvec per group — unchanged from
-  the PR 1 fast path;
-- the **flat layout** (:class:`FlatSweep`): all group operators
-  concatenated into single CSR arrays with a ``group_ptr`` row-range
-  table and a ``rows`` map back to global DOF rows.  A JIT kernel then
-  runs the whole sweep in one call — sequential over groups, parallel
-  (``prange``) over the independent rows inside each group.
+    forward   y_g -= (Dinv_g L_g)   y      (columns: earlier groups)
+    backward  y_g -= (Dinv_g L_g^T) y      (columns: later groups)
 
-The flat layout is built lazily (:meth:`SubstitutionPlan.flat`) so a
-numpy-only process never pays the concatenation.
+A :class:`SubstitutionPlan` holds exactly that, in one layout every
+backend reads: per direction a :class:`FlatSweep` — the folded group
+operators concatenated into a single CSR in *sweep order* (the backward
+sweep stores the last group first, so both directions stream their
+arrays front to back) — plus the CSR of the whole-vector ``Dinv``.
+
+*Structure* (``indptr``, ``indices``, ``rows``, ``group_ptr``) is fixed
+once by the symbolic phase (:meth:`ICSymbolic._build_apply_structures`)
+and shared by every factorization built on that pattern; *data* belongs
+to one factorization, is allocated once and refilled in place by every
+numeric (re)factorization.  Operator values are stored **negated**, so a
+group update is a pure accumulate ``y_g += op_g y`` — the form the
+compiled ``csr_matvec`` kernels have (``y += A x``) — and because no
+operator has a column inside its own rows (asserted by the symbolic
+phase) the accumulate may read and write the same vector.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
-import scipy.sparse as sp
 
 __all__ = ["FlatSweep", "SubstitutionPlan"]
 
 
-def _group_dofs(sel, ndof: int) -> np.ndarray:
-    """Global DOF rows of one schedule group (``sel`` is slice or array)."""
-    if isinstance(sel, slice):
-        start = 0 if sel.start is None else sel.start
-        stop = ndof if sel.stop is None else sel.stop
-        return np.arange(start, stop, dtype=np.int64)
-    return np.asarray(sel, dtype=np.int64)
-
-
-@dataclass
 class FlatSweep:
-    """One sweep direction's group operators, concatenated.
+    """One sweep direction: every group's operator in one CSR.
 
-    Concatenated row ``t`` belongs to schedule group ``g`` iff
-    ``group_ptr[g] <= t < group_ptr[g + 1]`` and updates global DOF
-    ``rows[t]``; its matrix entries are
+    Concatenated row ``t`` belongs to the ``g``-th group *of the sweep*
+    iff ``group_ptr[g] <= t < group_ptr[g + 1]`` and updates DOF
+    ``rows[t]`` of the permuted vector; its entries are
     ``indices/data[indptr[t]:indptr[t + 1]]`` with columns indexing the
-    whole permuted vector.  Groups whose operator is empty occupy an
-    empty row range, so the group count is preserved.
+    whole permuted vector and ``data`` holding ``-(Dinv_g L_g)``.  A
+    group without entries keeps its (empty) rows, so the group count is
+    that of the schedule.
+
+    ``steps`` is the sweep as direct-kernel-call arguments, one tuple
+    ``(nrows, indptr_slice, sel)`` per non-empty group: the compiled
+    kernels index ``indices``/``data`` by the absolute offsets in
+    ``indptr``, so a slice of it needs no rebasing.  ``sel`` is a
+    ``slice`` when the group's DOFs are contiguous (every colour of a
+    multicolour ordering is) and the index array ``rows[lo:hi]``
+    otherwise (level-schedule waves of BIC(1)/(2)).
     """
 
-    indptr: np.ndarray
-    indices: np.ndarray
-    data: np.ndarray
-    rows: np.ndarray
-    group_ptr: np.ndarray
+    def __init__(
+        self,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        rows: np.ndarray,
+        group_ptr: np.ndarray,
+    ) -> None:
+        self.indptr, self.indices, self.rows, self.group_ptr = (
+            indptr, indices, rows, group_ptr,
+        )
+        self.data = np.zeros(indices.size)
+        self.steps: list[tuple] = []
+        for lo, hi in zip(group_ptr[:-1].tolist(), group_ptr[1:].tolist()):
+            if indptr[hi] == indptr[lo]:
+                continue
+            sel = rows[lo:hi]
+            if (np.diff(sel) == 1).all():
+                sel = slice(int(sel[0]), int(sel[0]) + hi - lo)
+            self.steps.append((hi - lo, indptr[lo : hi + 1], sel))
 
 
-def _flatten(sels: list, ops: list, ndof: int) -> FlatSweep:
-    ngroups = len(ops)
-    group_ptr = np.zeros(ngroups + 1, dtype=np.int64)
-    ptr_parts = [np.zeros(1, dtype=np.int64)]
-    ind_parts: list[np.ndarray] = []
-    dat_parts: list[np.ndarray] = []
-    row_parts: list[np.ndarray] = []
-    nnz = 0
-    nrows = 0
-    for g, (sel, op) in enumerate(zip(sels, ops)):
-        if op is not None:
-            dofs = _group_dofs(sel, ndof)
-            if op.shape[0] != dofs.size:
-                raise AssertionError(
-                    f"group {g}: operator has {op.shape[0]} rows, "
-                    f"selection has {dofs.size} DOFs"
-                )
-            ptr_parts.append(op.indptr[1:].astype(np.int64) + nnz)
-            ind_parts.append(op.indices.astype(np.int64))
-            dat_parts.append(np.asarray(op.data, dtype=np.float64))
-            row_parts.append(dofs)
-            nnz += int(op.nnz)
-            nrows += dofs.size
-        group_ptr[g + 1] = nrows
-    return FlatSweep(
-        indptr=np.concatenate(ptr_parts),
-        indices=(
-            np.concatenate(ind_parts) if ind_parts else np.empty(0, dtype=np.int64)
-        ),
-        data=np.concatenate(dat_parts) if dat_parts else np.empty(0, dtype=np.float64),
-        rows=np.concatenate(row_parts) if row_parts else np.empty(0, dtype=np.int64),
-        group_ptr=group_ptr,
-    )
-
-
-@dataclass
 class SubstitutionPlan:
-    """All operator data one ``M^{-1} r`` application needs.
+    """Everything one ``M^{-1} r`` application reads and writes.
 
-    Rebuilt by every numeric (re)factorization — the structures are
-    pattern-constant but the data arrays are not.  ``sels``, ``fwd_ops``,
-    ``bwd_ops`` and ``dinv_all`` are the scipy layout; :meth:`flat`
-    yields (and caches) the flat layout for the JIT backends.
+    ``dinv_indptr`` / ``dinv_indices`` / ``dinv_data`` are the CSR of the
+    whole-vector block-diagonal ``Dinv`` (``dinv_data`` *is* the
+    factorization's inverse-diagonal array: blocks stored row-major in
+    DOF order are already in CSR order), ``fwd`` / ``bwd`` the two
+    :class:`FlatSweep` directions.  ``y`` is the sweep's result vector
+    and ``work`` the scratch of the non-contiguous groups, both
+    allocated once: a sweep allocates nothing, and its result is valid
+    until the next sweep of the same plan.
     """
 
-    ndof: int
-    sels: list
-    fwd_ops: list
-    bwd_ops: list
-    dinv_all: sp.csr_matrix
-    _flat: tuple | None = field(default=None, repr=False, compare=False)
-
-    def flat(self) -> tuple:
-        """``(dinv_indptr, dinv_indices, dinv_data, fwd, bwd)`` with
-        ``fwd``/``bwd`` as :class:`FlatSweep` (built once, then cached)."""
-        if self._flat is None:
-            d = self.dinv_all
-            self._flat = (
-                d.indptr.astype(np.int64),
-                d.indices.astype(np.int64),
-                np.asarray(d.data, dtype=np.float64),
-                _flatten(self.sels, self.fwd_ops, self.ndof),
-                _flatten(self.sels, self.bwd_ops, self.ndof),
-            )
-        return self._flat
+    def __init__(
+        self,
+        dinv_indptr: np.ndarray,
+        dinv_indices: np.ndarray,
+        dinv_data: np.ndarray,
+        fwd: FlatSweep,
+        bwd: FlatSweep,
+    ) -> None:
+        self.ndof = dinv_indptr.size - 1
+        self.dinv_indptr, self.dinv_indices, self.dinv_data = (
+            dinv_indptr, dinv_indices, dinv_data,
+        )
+        self.fwd, self.bwd = fwd, bwd
+        self.y = np.zeros(self.ndof)
+        scattered = [n for n, _ptr, sel in fwd.steps + bwd.steps if type(sel) is not slice]
+        self.work = np.zeros(max(scattered, default=0))

@@ -1,8 +1,9 @@
 """Kernel backend registry: selection, fallback, warmup.
 
 A *backend* is a module exposing the uniform kernel interface
-(``apply_substitution``, ``csr_matvec``, ``bcsr_matvec``, ``vbr_matvec``,
-``dmod_update``, ``full_update``, ``warmup``, ``is_available``, ``NAME``).
+(``apply_substitution``, ``csr_matvec``, ``csr_matvecs``, ``bcsr_matvec``,
+``vbr_matvec``, ``dmod_update``, ``full_update``, ``warmup``,
+``is_available``, ``NAME``).
 The registry resolves which backend serves a call:
 
 1. explicit per-call argument (``get_backend("numpy")``),
@@ -15,8 +16,14 @@ registry logs one warning and serves numpy — optional acceleration must
 never become a hard dependency (SNIPPETS.md Snippet 2's guarded-import
 idiom).  The precedence and the warn-once fallback are
 :class:`repro.utils.selection.Selection`, shared with the transport
-registry.  Resolution is a couple of dict lookups, cheap enough to run
-on every hot-path call, so backend switches take effect immediately.
+registry.  A resolution reads the environment, validates the name and
+probes availability, so the hot paths resolve once where a unit of work
+starts, not per kernel call: ``cg_solve`` / ``block_cg_solve`` / each
+``parallel_cg`` rank program pick the backend of ``A p`` when the solve
+starts, and ``BlockICFactorization.refactor`` picks the one its update
+sweeps and every following ``apply`` run on (recorded as
+``kernel_backend``).  A switch therefore takes effect at the next solve
+and, for a factorization that already exists, at its next ``refactor``.
 """
 
 from __future__ import annotations

@@ -42,6 +42,7 @@ from repro.resilience.taxonomy import (
 from repro.solvers.cg import (
     CGOutcome,
     CGResult,
+    _as_matvec,
     cg_program,
     check_finite_vector,
     record_solve_metrics,
@@ -476,10 +477,12 @@ def parallel_cg(
         allocated once per solve, every exchange overwrites all its
         external slots — yields :data:`~repro.parallel.comm.HALO` for
         the boundary exchange (answered with the owner/ghost mismatch)
-        and multiplies its rows.  Every exchange is followed by an
-        allreduce before the next one, which is what lets a transport
-        reuse one halo buffer per rank."""
-        dom, halo = system.domains[rank], st.halo[rank]
+        and multiplies its rows (kernel backend resolved here, once per
+        rank program).  Every exchange is followed by an allreduce
+        before the next one, which is what lets a transport reuse one
+        halo buffer per rank."""
+        halo = st.halo[rank]
+        a_matvec = _as_matvec(system.domains[rank].a_local)
         ni = st.x[rank].size
 
         def matvec(v):
@@ -487,7 +490,7 @@ def parallel_cg(
             mismatch = yield HALO  # a process-transport rank always gets one
             if halo_check and (mismatch > 0.0 or not np.isfinite(mismatch)):
                 raise _CommFaultDetected(mismatch)
-            return dom.a_local @ halo
+            return a_matvec(halo)
 
         return cg_program(
             matvec,

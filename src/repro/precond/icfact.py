@@ -37,14 +37,15 @@ Setup is split into two phases (DESIGN.md section 9).  The *symbolic*
 phase (:class:`ICSymbolic`) depends only on the sparsity pattern of A and
 the super-node partition: ordering, fill pattern, VBR layout, execution
 schedule, the index maps driving the numeric update sweeps, and the
-compiled CSR *structures* of the substitution operators.  The *numeric*
-phase scatters A's values, runs the update sweeps and re-gathers the
-operator data arrays — :meth:`BlockICFactorization.refactor` repeats it
-on new values (a penalty update, a Manteuffel shift escalation) without
-redoing any pattern work.  One symbolic object can be shared by any
-number of factorizations via the ``symbolic=`` constructor argument; the
-invalidation rule is simple: a changed sparsity pattern requires a new
-symbolic object (``refactor`` raises on a pattern mismatch).
+*structure* of the flat substitution plan (:mod:`repro.kernels.plans`).
+The *numeric* phase scatters A's values, runs the update sweeps and
+refills the plan's data in place — :meth:`BlockICFactorization.refactor`
+repeats it on new values (a penalty update, a Manteuffel shift
+escalation) without redoing any pattern work.  One symbolic object can
+be shared by any number of factorizations via the ``symbolic=``
+constructor argument; the invalidation rule is simple: a changed
+sparsity pattern requires a new symbolic object (``refactor`` raises on
+a pattern mismatch).
 """
 
 from __future__ import annotations
@@ -56,7 +57,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro import kernels
-from repro.kernels import SubstitutionPlan
+from repro.kernels import FlatSweep, SubstitutionPlan
 from repro.obs import metric_inc, record_span
 from repro.precond.base import Preconditioner
 from repro.resilience.taxonomy import PivotNudgeWarning
@@ -85,6 +86,22 @@ __all__ = [
 # "evictions" — an evicted symbolic pattern is a future symbolic setup,
 # so the two belong in the same census.
 _SETUP_COUNTERS = {"symbolic": 0, "numeric": 0, "evictions": 0}
+
+
+def _canonical_csr(a) -> sp.csr_matrix:
+    """*a* itself when it already is a canonical square ``csr_matrix``,
+    else :func:`check_square_csr`'s coercion of it.
+
+    ``check_square_csr`` wraps even a canonical operand in a new
+    ``csr_matrix`` (sharing its arrays); the numeric phase promises to
+    build no scipy object, and a factor that holds the caller's matrix
+    instead of a second handle on its arrays measured 50 MB less
+    resident peak on the ``cold_solve`` benchmark (217 vs 267 MB; same
+    Python-level allocations, the arrays are just freed in one place).
+    """
+    if isinstance(a, sp.csr_matrix) and a.has_canonical_format and a.shape[0] == a.shape[1]:
+        return a
+    return check_square_csr(a)
 
 
 def setup_counters() -> dict[str, int]:
@@ -120,14 +137,6 @@ def _scatter_add(vec: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
         vec += np.bincount(idx, weights=vals, minlength=vec.size)
     else:
         np.add.at(vec, idx, vals)
-
-
-def _sorted_csr(m: sp.csr_matrix) -> sp.csr_matrix:
-    """Canonicalize a CSR product for deterministic, fast matvecs."""
-    m = m.tocsr()
-    m.sum_duplicates()
-    m.sort_indices()
-    return m
 
 
 def lower_fill_pattern(adj: sp.csr_matrix, level: int):
@@ -219,7 +228,14 @@ def _pairs_through_edges(indptr, indices, rows, cols, n, chunk=4096):
 
 def _positions_from_float(data: np.ndarray) -> np.ndarray:
     """Recover the 1-based integer positions smuggled through float data."""
-    return np.asarray(np.rint(data), dtype=np.int64) - 1
+    pos = np.rint(data).astype(np.int64)
+    pos -= 1
+    return pos
+
+
+# blocks per batched product of the fold: its gathers, operands and
+# result (a few hundred KB at 3 x 3) then stay in cache between the steps
+_FOLD_CHUNK = 2048
 
 
 def _row_segments(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -247,8 +263,8 @@ class ICSymbolic:
     - the values-only scatter map from A's CSR entries into L's blocks,
     - the index maps driving the numeric factorization sweeps (diagonal
       inversion buckets, dmod diagonal updates, full-variant triples),
-    - the compiled CSR *structures* of the per-group substitution
-      operators (values are gathered by the numeric phase).
+    - the structure of the flat substitution plan and the gather maps
+      the numeric phase refills its data through.
 
     One symbolic object can drive any number of numeric factorizations —
     across ALM penalty updates, Manteuffel shift escalations and
@@ -270,7 +286,7 @@ class ICSymbolic:
         coloring: str = "mc",
     ) -> None:
         laps = Laps()
-        a = check_square_csr(a)
+        a = _canonical_csr(a)
         if variant == "auto":
             variant = "dmod" if fill_level == 0 else "full"
         if variant == "dmod" and fill_level != 0:
@@ -629,170 +645,162 @@ class ICSymbolic:
         return out
 
     # ------------------------------------------------------------------
-    # compiled substitution operator structures
+    # structure of the substitution plan
     # ------------------------------------------------------------------
 
-    def _build_apply_structures(self) -> None:
-        """Fix the CSR structures of the per-group substitution operators.
+    def _structural_mask(self) -> np.ndarray:
+        """Which stored scalars of L can ever be nonzero.
 
-        Mirrors the operator compilation of the numeric phase (see
-        :meth:`BlockICFactorization._build_apply_ops`) but carries 1-based
-        source *positions* through the COO->CSR canonicalization instead
-        of values, so each operator is reduced to ``(indptr, indices,
-        gather-index)`` — the numeric phase only gathers data arrays.
+        L's dense blocks pad what A stores: an entry is live if A
+        scatters a value into it or — full variant — an update
+        ``V_ij -= V_ik D_k^{-1} V_jk^T`` can reach it (row ``r`` of
+        ``V_ik`` and row ``c`` of ``V_jk`` both live, ``D_k^{-1}`` taken
+        as dense).  Groups are walked in schedule order, so a group's
+        column blocks are final when it updates later ones.
+        """
+        mask = np.zeros(self.pattern.data.size, dtype=bool)
+        mask[self.scatter_dst] = True
+        for buckets in self.full_updates or ():
+            for si, sk, sj, flat_ik, flat_jk, _dk, flat_ij, _order, _seg in buckets:
+                live_i = mask[flat_ik].reshape(-1, si, sk).any(axis=2)
+                live_j = mask[flat_jk].reshape(-1, sj, sk).any(axis=2)
+                hit = live_i[:, :, None] & live_j[:, None, :]
+                mask[flat_ij.reshape(-1, si, sj)[hit]] = True
+        return mask
+
+    def _build_apply_structures(self) -> None:
+        """Fix the structure of the flat substitution plan and the maps
+        that refill its data (:mod:`repro.kernels.plans`).
+
+        The folded operator of off-diagonal block ``(i, k)`` is the
+        dense product ``Dinv_i L_ik`` in the forward sweep (rows of
+        ``i``) and ``Dinv_k L_ik^T`` in the backward sweep (rows of
+        ``k``); of it the plan keeps the boolean product of the
+        structural patterns — ``Dinv`` dense, ``L`` as
+        :meth:`_structural_mask` says — i.e. the columns whose ``L``
+        column (forward) or row (backward) is live.
+
+        The numeric phase walks ``fold_buckets`` — runs ``(si, sk, m)``
+        of *m* same-shape blocks, at most ``_FOLD_CHUNK`` so that its
+        temporaries stay cache-sized — gathering each run's ``L``
+        entries through ``fold_l`` and its ``Dinv`` blocks, whole, out
+        of the per-size stacks (``dinv_stacks[s]`` gathers the size-*s*
+        blocks, ``fold_rowslot`` / ``fold_colslot`` say which one a
+        block needs), multiplies them batched into one array of
+        products, and ``fwd_gather`` / ``bwd_gather`` pick the kept
+        entries out of it in CSR order.  The backward product is formed
+        as ``L_ik Dinv_k^T``, its transpose, so every operand is
+        contiguous; its gather undoes the transposition.
         """
         n = self.ndof
         L = self.pattern
+        sizes, offsets = self.sizes, L.offsets
         brow = L.block_rows()
-        offdiag = self._offdiag_positions()
-        shape_r = self.sizes[brow]
-        shape_c = self.sizes[L.indices]
-        row_group = self.group_of[brow[offdiag]]
-        col_group = self.group_of[L.indices[offdiag]]
+        # the plan's index arrays are int32 whenever that holds them
+        fits = max(n, L.data.size) <= np.iinfo(np.int32).max
+        idx = np.int32 if fits else np.int64
 
-        loc = np.empty(n, dtype=np.int64)
-        self.group_sel: list = []  # slice (contiguous group) or index array
-        self.fwd_struct: list[tuple | None] = []
-        self.bwd_struct: list[tuple | None] = []
-        self.dinv_struct: list[tuple] = []
-        all_rows, all_cols, all_src = [], [], []
-        for g, members in enumerate(self.schedule):
-            dof = ranges(L.offsets[members], self.sizes[members])
-            ng = dof.size
-            loc[dof] = np.arange(ng)
-            if ng and int(dof[-1] - dof[0]) + 1 == ng:
-                self.group_sel.append(slice(int(dof[0]), int(dof[0]) + ng))
-            else:
-                self.group_sel.append(dof)
-            dstruct = self._compile_dinv_struct(members, loc, ng)
-            self.dinv_struct.append(dstruct)
-            self.fwd_struct.append(
-                self._compile_blocks_struct(
-                    offdiag[row_group == g], loc, ng, shape_r, shape_c, transpose=False
-                )
+        # whole-vector Dinv: block i is stored row-major at dinv_off[i],
+        # blocks in DOF order, which already is the CSR data order
+        row_len = np.repeat(sizes, sizes)
+        self.dinv_indptr = np.concatenate(([0], np.cumsum(row_len))).astype(idx)
+        self.dinv_indices = ranges(np.repeat(offsets[:-1], sizes), row_len).astype(idx)
+
+        slot = np.empty(sizes.size, dtype=np.int64)
+        self.dinv_stacks: dict[int, np.ndarray] = {}
+        for s, _s, nodes in shape_buckets(sizes, sizes, np.arange(sizes.size)):
+            slot[nodes] = np.arange(nodes.size)
+            self.dinv_stacks[s] = self.dinv_off[nodes, None] + np.arange(s * s)
+
+        buckets = list(shape_buckets(sizes[brow], sizes[L.indices], self._offdiag_positions()))
+        pos = np.concatenate([p for _si, _sk, p in buckets]) if buckets else brow[:0]
+        self.fold_rowslot, self.fold_colslot = slot[brow[pos]], slot[L.indices[pos]]
+        total = int(sum(si * sk * p.size for si, sk, p in buckets))
+        self.fold_l = np.empty(total, dtype=np.int64)
+        self.fold_buckets: list[tuple[int, int, int]] = []
+        mask = self._structural_mask()
+        # per shape bucket: its span of product entries and their shape,
+        # the DOFs of the blocks' rows / columns (as product rows /
+        # columns), and which rows / columns of the L blocks are live
+        spans = []
+        e0 = 0
+        for si, sk, p in buckets:
+            e1 = e0 + si * sk * p.size
+            np.add(
+                L.boff[p, None], np.arange(si * sk), out=self.fold_l[e0:e1].reshape(-1, si * sk)
             )
-            self.bwd_struct.append(
-                self._compile_blocks_struct(
-                    offdiag[col_group == g], loc, ng, shape_r, shape_c, transpose=True
-                )
+            live = mask[self.fold_l[e0:e1]].reshape(-1, si, sk)
+            spans.append((
+                slice(e0, e1),
+                (p.size, si, sk),
+                offsets[brow[p], None, None] + np.arange(si)[:, None],
+                offsets[L.indices[p], None, None] + np.arange(sk),
+                live.any(axis=2, keepdims=True),
+                live.any(axis=1, keepdims=True),
+            ))
+            self.fold_buckets += [
+                (si, sk, min(_FOLD_CHUNK, p.size - c)) for c in range(0, p.size, _FOLD_CHUNK)
+            ]
+            e0 = e1
+
+        # The sweep accumulates into y_g while reading y.  Block (i, k)
+        # gives the rows of i columns of k going forward and the rows of
+        # k columns of i going backward: legal in place iff k's group
+        # comes strictly before i's in the schedule.
+        if (self.group_of[L.indices[pos]] >= self.group_of[brow[pos]]).any():
+            raise AssertionError(
+                "substitution operator has a column inside its own group's "
+                "rows or in a group not yet swept"
             )
-            # re-express Dinv_g in global DOF numbering; all groups merge
-            # into the one whole-vector diagonal solve seeding the sweep
-            dptr, dind, dsrc, _shape = dstruct
-            grows = np.repeat(np.arange(ng, dtype=np.int64), np.diff(dptr))
-            all_rows.append(dof[grows])
-            all_cols.append(dof[dind])
-            all_src.append(dsrc)
-        src = (
-            np.concatenate(all_src) if all_src else np.empty(0, dtype=np.int64)
-        )
-        if src.size:
-            m = sp.csr_matrix(
-                (
-                    src.astype(np.float64) + 1.0,
-                    (np.concatenate(all_rows), np.concatenate(all_cols)),
-                ),
-                shape=(n, n),
-            )
+
+        # Every product entry becomes a COO entry whose "value" is its
+        # 1-based position — 0 when the structure drops it, which the CSR
+        # canonicalization then eliminates.  Product entry [b, a] of a
+        # block is (Dinv_i L_ik)[b, a] forward, kept when L's column a is
+        # live, and (Dinv_k L_ik^T)[a, b] backward, kept when L's row b is.
+        dofs = [ranges(offsets[members], sizes[members]) for members in self.schedule]
+        rows, cols, src = np.empty(total, idx), np.empty(total, idx), np.empty(total)
+
+        def compile_sweep(forward: bool) -> tuple[tuple, np.ndarray]:
+            """``FlatSweep`` structure and data gather of one direction."""
+            order = dofs if forward else dofs[::-1]
+            sweep_rows = np.concatenate(order) if order else np.empty(0, dtype=np.int64)
+            where = np.empty(n, dtype=idx)  # DOF -> concatenated row
+            where[sweep_rows] = np.arange(n)
+            for span, shape, dof_i, dof_k, live_row, live_col in spans:
+                r, c, kept = (dof_i, dof_k, live_col) if forward else (dof_k, dof_i, live_row)
+                rows[span].reshape(shape)[...] = where[r]
+                cols[span].reshape(shape)[...] = c
+                at = np.arange(span.start + 1.0, span.stop + 1.0).reshape(shape)
+                np.multiply(at, kept, out=src[span].reshape(shape))
+            m = sp.csr_matrix((src, (rows, cols)), shape=(n, n))
             m.sum_duplicates()
+            if m.nnz != total:
+                raise AssertionError("compiled operator structure has colliding entries")
+            m.eliminate_zeros()
             m.sort_indices()
-            if m.nnz != src.size:
-                raise AssertionError("dinv_all structure has colliding entries")
-            self.dinv_all_struct = (
-                m.indptr,
-                m.indices,
-                _positions_from_float(m.data),
-                (n, n),
+            group_ptr = np.concatenate(([0], np.cumsum([d.size for d in order])))
+            struct = (
+                m.indptr.astype(idx, copy=False),
+                m.indices.astype(idx, copy=False),
+                sweep_rows,
+                group_ptr.astype(np.int64),
             )
-        else:
-            empty = sp.csr_matrix((n, n))
-            self.dinv_all_struct = (
-                empty.indptr,
-                empty.indices,
-                np.empty(0, dtype=np.int64),
-                (n, n),
-            )
+            return struct, _positions_from_float(m.data)
 
-    def _compile_blocks_struct(
-        self,
-        pos: np.ndarray,
-        loc: np.ndarray,
-        ng: int,
-        shape_r: np.ndarray,
-        shape_c: np.ndarray,
-        *,
-        transpose: bool,
-    ) -> tuple | None:
-        """Structure of the scalar CSR of (optionally transposed) VBR
-        blocks at *pos*, rows renumbered into the 0..ng group-local range,
-        plus the gather index producing its data from ``L.data``."""
-        if pos.size == 0:
-            return None
-        L = self.pattern
-        rows_l, cols_l, srcs = [], [], []
-        for sr, sc, p in shape_buckets(shape_r, shape_c, pos):
-            roff = L.offsets[L.block_rows_[p]]
-            coff = L.offsets[L.indices[p]]
-            zsc = np.zeros((1, 1, sc), dtype=np.int64)
-            zsr = np.zeros((1, sr, 1), dtype=np.int64)
-            rr = roff[:, None, None] + np.arange(sr)[None, :, None] + zsc
-            cc = coff[:, None, None] + np.arange(sc)[None, None, :] + zsr
-            if transpose:
-                rows_l.append(loc[cc].reshape(-1))
-                cols_l.append(rr.reshape(-1))
-            else:
-                rows_l.append(loc[rr].reshape(-1))
-                cols_l.append(cc.reshape(-1))
-            srcs.append((L.boff[p, None] + np.arange(sr * sc)).reshape(-1))
-        src = np.concatenate(srcs)
-        m = sp.csr_matrix(
-            (
-                src.astype(np.float64) + 1.0,
-                (np.concatenate(rows_l), np.concatenate(cols_l)),
-            ),
-            shape=(ng, self.ndof),
-        )
-        m.sum_duplicates()
-        m.sort_indices()
-        if m.nnz != src.size:
-            raise AssertionError("compiled operator structure has colliding entries")
-        return (m.indptr, m.indices, _positions_from_float(m.data), (ng, self.ndof))
+        self.fwd_struct, self.fwd_gather = compile_sweep(True)
+        self.bwd_struct, self.bwd_gather = compile_sweep(False)
 
-    def _compile_dinv_struct(
-        self, members: np.ndarray, loc: np.ndarray, ng: int
-    ) -> tuple:
-        """Structure of the group's block-diagonal inverse-D operator plus
-        the gather index producing its data from the dinv array."""
-        L = self.pattern
-        rows_l, cols_l, srcs = [], [], []
-        for s, _sc, rows in shape_buckets(self.sizes, self.sizes, members):
-            base = L.offsets[rows]
-            zs = np.zeros((1, 1, s), dtype=np.int64)
-            rr = base[:, None, None] + np.arange(s)[None, :, None] + zs
-            cc = base[:, None, None] + np.arange(s)[None, None, :] + zs.transpose(
-                0, 2, 1
-            )
-            rows_l.append(loc[rr].reshape(-1))
-            cols_l.append(loc[cc].reshape(-1))
-            srcs.append((self.dinv_off[rows, None] + np.arange(s * s)).reshape(-1))
-        src = (
-            np.concatenate(srcs) if srcs else np.empty(0, dtype=np.int64)
+    def new_plan(self, dinv: np.ndarray) -> SubstitutionPlan:
+        """Fresh plan sharing this pattern's structure arrays; its
+        ``Dinv`` data is *dinv* itself, its sweep data its own."""
+        return SubstitutionPlan(
+            self.dinv_indptr,
+            self.dinv_indices,
+            dinv,
+            FlatSweep(*self.fwd_struct),
+            FlatSweep(*self.bwd_struct),
         )
-        if src.size == 0:
-            empty = sp.csr_matrix((ng, ng))
-            return (empty.indptr, empty.indices, src, (ng, ng))
-        d = sp.csr_matrix(
-            (
-                src.astype(np.float64) + 1.0,
-                (np.concatenate(rows_l), np.concatenate(cols_l)),
-            ),
-            shape=(ng, ng),
-        )
-        d.sum_duplicates()
-        d.sort_indices()
-        if d.nnz != src.size:
-            raise AssertionError("dinv structure has colliding entries")
-        return (d.indptr, d.indices, _positions_from_float(d.data), (ng, ng))
 
 
 class BlockICFactorization(Preconditioner):
@@ -843,7 +851,7 @@ class BlockICFactorization(Preconditioner):
         symbolic: ICSymbolic | None = None,
     ) -> None:
         t0 = time.perf_counter()
-        a = check_square_csr(a)
+        a = _canonical_csr(a)
         if symbolic is None:
             if supernodes is None:
                 raise ValueError(
@@ -893,11 +901,12 @@ class BlockICFactorization(Preconditioner):
         self._group_of = symbolic.group_of
         self._diag_pos = symbolic.diag_pos
         self._dinv_off = symbolic.dinv_off
-        self._group_sel = symbolic.group_sel
 
-        # numeric state (per-instance)
+        # numeric state (per-instance): allocated here, refilled in place
+        # by every refactor
         self.L = symbolic.new_vbr()
         self._dinv = np.zeros(symbolic.dinv_size)
+        self._plan = symbolic.new_plan(self._dinv)
         self._rp = np.empty(self.ndof)
         self._shift = float(shift)
         self.numeric_setup_count = 0
@@ -928,11 +937,11 @@ class BlockICFactorization(Preconditioner):
 
         Returns ``self`` so call sites can chain or rebind.
         """
-        t0 = time.perf_counter()
+        laps = Laps()
         if a is None:
             a = self._a
         else:
-            a = check_square_csr(a)
+            a = _canonical_csr(a)
         if check_pattern and not self.symbolic.pattern_matches(a):
             raise ValueError(
                 "matrix sparsity pattern differs from the cached symbolic "
@@ -946,32 +955,36 @@ class BlockICFactorization(Preconditioner):
         # values-only scatter of A's lower triangle into L's blocks
         self.L.data[:] = 0.0
         self.L.data[sym.scatter_dst] = a.data[sym.scatter_src]
+        laps.lap("ic_numeric.scatter")
 
         # the backend is resolved once per factorization: the update
-        # sweeps and the compiled-operator fold all run on it
-        backend = kernels.get_backend()
-        self.kernel_backend = backend.NAME
+        # sweeps run on it, and so does every apply until the next refactor
+        self._backend = kernels.get_backend()
+        self.kernel_backend = self._backend.NAME
         self.breakdown_count = 0
         self.nudged_block_sizes: list[int] = []
         if self.variant == "dmod":
-            self._factor_dmod(backend)
+            self._factor_dmod()
         else:
-            self._factor_full(backend)
+            self._factor_full()
         self._warn_on_pivot_nudges()
+        laps.lap("ic_numeric.factor")
         self._build_apply_ops()
+        laps.lap("ic_numeric.fold")
         # the lazy reference/apply_m structures cache gathered block
         # *values*; drop them so they rebuild from the new factor
         for attr in ("_fwd", "_bwd", "_diag_apply"):
             self.__dict__.pop(attr, None)
         self.numeric_setup_count += 1
         _SETUP_COUNTERS["numeric"] += 1
-        self.numeric_seconds = time.perf_counter() - t0
+        self.numeric_seconds = laps.total
         metric_inc("setup.numeric")
         if self.breakdown_count:
             metric_inc("setup.pivot_nudges", self.breakdown_count)
         record_span(
             "ic_numeric",
             self.numeric_seconds,
+            laps.phases,
             precond=self.name,
             shift=self._shift,
             pivot_nudges=self.breakdown_count,
@@ -998,27 +1011,27 @@ class BlockICFactorization(Preconditioner):
             inv = np.linalg.inv(blocks)
             self._dinv[dst.reshape(-1)] = inv.reshape(-1)
 
-    def _factor_dmod(self, backend) -> None:
+    def _factor_dmod(self) -> None:
         """GeoFEM pseudo-IC(0): refactorize diagonals only.
 
         The per-bucket update sweep (gather / matmul / scatter over the
         index maps fixed in the symbolic phase) is dispatched through the
-        kernel *backend* — batched numpy, or a ``prange`` over
+        kernel backend — batched numpy, or a ``prange`` over
         destination-row segments under numba.
         """
         data = self.L.data
         for g in range(len(self.schedule)):
             for bucket in self.symbolic.dmod_updates[g]:
-                backend.dmod_update(data, self._dinv, bucket)
+                self._backend.dmod_update(data, self._dinv, bucket)
             self._invert_group_diag(g)
 
-    def _factor_full(self, backend) -> None:
+    def _factor_full(self) -> None:
         """True block IC(k): update off-diagonal and fill blocks too."""
         data = self.L.data
         for g in range(len(self.schedule)):
             self._invert_group_diag(g)
             for bucket in self.symbolic.full_updates[g]:
-                backend.full_update(data, self._dinv, bucket)
+                self._backend.full_update(data, self._dinv, bucket)
 
     @property
     def pivot_nudge_count(self) -> int:
@@ -1080,70 +1093,69 @@ class BlockICFactorization(Preconditioner):
     # ------------------------------------------------------------------
 
     def _build_apply_ops(self) -> None:
-        """Numeric data of the compiled per-group substitution kernels.
+        """Refill the substitution plan's data in place (the *fold*).
 
-        The CSR structures were fixed once in the symbolic phase (see
-        :meth:`ICSymbolic._build_apply_structures`); here only the value
-        arrays are gathered and the per-group fold ``Dinv_g @ L_g`` /
-        ``Dinv_g @ L_g^T`` is recomputed, leaving one native matvec per
-        group in each sweep.  Work vectors are preallocated at
-        construction and reused by every :meth:`apply` call
-        (allocation-free hot path).
+        The plan's structure and the gather maps were fixed once in the
+        symbolic phase (:meth:`ICSymbolic._build_apply_structures`); here
+        each run of same-shape blocks is one batched ``matmul`` of its
+        gathered ``L`` entries with its (negated) ``Dinv`` blocks —
+        ``-Dinv_i L_ik`` forward, ``L_ik (-Dinv_k^T)`` backward — and
+        one gather per direction writes the kept entries into the plan's
+        own ``data`` arrays.  One product array serves both directions
+        in turn, so a refactor's transient memory is one dense copy of
+        the strictly-lower factor.  ``Dinv`` needs nothing: the plan
+        reads ``self._dinv`` itself.
         """
-        sym = self.symbolic
-        self._fwd_ops: list[sp.csr_matrix | None] = []
-        self._bwd_ops: list[sp.csr_matrix | None] = []
-        for g in range(len(self.schedule)):
-            dptr, dind, dsrc, dshape = sym.dinv_struct[g]
-            dinv_g = sp.csr_matrix((self._dinv[dsrc], dind, dptr), shape=dshape)
-            for structs, ops in (
-                (sym.fwd_struct, self._fwd_ops),
-                (sym.bwd_struct, self._bwd_ops),
-            ):
-                st = structs[g]
-                if st is None:
-                    ops.append(None)
+        sym, plan = self.symbolic, self._plan
+        neg = {s: -self._dinv[flat].reshape(-1, s, s) for s, flat in sym.dinv_stacks.items()}
+        neg_t = {s: np.ascontiguousarray(d.transpose(0, 2, 1)) for s, d in neg.items()}
+        prod = np.empty(sym.fold_l.size)
+        for forward, sweep, gather in (
+            (True, plan.fwd, sym.fwd_gather),
+            (False, plan.bwd, sym.bwd_gather),
+        ):
+            e0 = b0 = 0
+            for si, sk, m in sym.fold_buckets:
+                e1, b1 = e0 + m * si * sk, b0 + m
+                lb = np.take(self.L.data, sym.fold_l[e0:e1]).reshape(m, si, sk)
+                out = prod[e0:e1].reshape(m, si, sk)
+                if forward:
+                    np.matmul(neg[si][sym.fold_rowslot[b0:b1]], lb, out=out)
                 else:
-                    ptr, ind, src, shape = st
-                    mat = sp.csr_matrix((self.L.data[src], ind, ptr), shape=shape)
-                    ops.append(_sorted_csr(dinv_g @ mat))
-        aptr, aind, asrc, ashape = sym.dinv_all_struct
-        self._dinv_all = sp.csr_matrix((self._dinv[asrc], aind, aptr), shape=ashape)
-        self._plan = SubstitutionPlan(
-            ndof=self.ndof,
-            sels=self._group_sel,
-            fwd_ops=self._fwd_ops,
-            bwd_ops=self._bwd_ops,
-            dinv_all=self._dinv_all,
-        )
+                    np.matmul(lb, neg_t[sk][sym.fold_colslot[b0:b1]], out=out)
+                e0, b0 = e1, b1
+            # the gather indexes inside ``prod`` by construction: "clip"
+            # only spares np.take its bounds-checking copy of ``out``
+            np.take(prod, gather, out=sweep.data, mode="clip")
 
     def warmup(self) -> "BlockICFactorization":
         """Pay every lazy/one-time cost now, off the timed path.
 
-        Triggers the active backend's JIT compilation, the flat-plan
-        concatenation, and one full apply, so steady-state measurements
-        (and latency-sensitive first solves) see none of them.  Returns
-        ``self`` for chaining.
+        Triggers the active backend's JIT compilation and one full
+        apply, so steady-state measurements (and latency-sensitive first
+        solves) see neither.  Returns ``self`` for chaining.
         """
         kernels.warmup()
         self.apply(np.zeros(self.ndof))
         return self
 
     def apply(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``z = M^{-1} r`` via the compiled per-group substitution kernels.
+        """``z = M^{-1} r`` by one sweep of the substitution plan.
 
-        The sweep itself is served by the active kernel backend
-        (:mod:`repro.kernels`): per-group scipy CSR matvecs on numpy, one
-        flat ``prange``-parallel kernel call on numba.  Passing ``out``
-        reuses the caller's buffer for the result; internal work vectors
-        are preallocated, so repeated applies do no O(ndof) allocation
-        beyond the sweep output.
+        The sweep is served by the kernel backend the last
+        :meth:`refactor` resolved (:mod:`repro.kernels`): one direct
+        compiled ``csr_matvec`` call per group on numpy, one flat
+        ``prange``-parallel kernel call on numba.  Passing ``out``
+        reuses the caller's buffer for the result (it may alias *r*);
+        the permuted input and the sweep vector are preallocated, so an
+        apply with ``out`` allocates nothing.
         """
         r = np.asarray(r, dtype=np.float64)
         if r.shape != (self.ndof,):
             raise ValueError(f"r must have shape ({self.ndof},), got {r.shape}")
-        np.take(r, self.perm_dof, out=self._rp)
-        y = kernels.get_backend().apply_substitution(self._plan, self._rp)
+        # perm_dof is a permutation: "clip" only spares the bounds pass
+        r.take(self.perm_dof, out=self._rp, mode="clip")
+        y = self._backend.apply_substitution(self._plan, self._rp)
         if out is None:
             out = np.empty(self.ndof)
         out[self.perm_dof] = y
@@ -1155,7 +1167,7 @@ class BlockICFactorization(Preconditioner):
         """``Z = M^{-1} R`` for an ``(ndof, s)`` block of residuals.
 
         Backends exposing a block substitution sweep (numpy: the same
-        per-group CSR operators applied to dense ``(rows, s)`` panels)
+        plan swept with ``csr_matvecs`` over dense ``(rows, s)`` panels)
         serve all *s* columns in one pass over the factor — the operator
         is read once per group instead of once per column, which is what
         the multi-RHS block-CG solver of :mod:`repro.solvers.block_cg`
@@ -1170,8 +1182,7 @@ class BlockICFactorization(Preconditioner):
             )
         if out is None:
             out = np.empty_like(r)
-        backend = kernels.get_backend()
-        block_fn = getattr(backend, "apply_substitution_block", None)
+        block_fn = getattr(self._backend, "apply_substitution_block", None)
         if block_fn is None:
             for j in range(r.shape[1]):
                 out[:, j] = self.apply(np.ascontiguousarray(r[:, j]))

@@ -40,7 +40,7 @@ from repro import kernels
 from repro.obs import session as obs_session, span as obs_span
 from repro.precond.base import IdentityPreconditioner, Preconditioner
 from repro.resilience.taxonomy import FailureReason, SolveReport
-from repro.solvers.cg import check_finite_vector
+from repro.solvers.cg import _float64_csr, check_finite_vector
 from repro.utils.timing import Timer
 
 __all__ = ["BlockCGResult", "block_cg_solve"]
@@ -99,13 +99,14 @@ class BlockCGResult:
 def _as_block_matvec(a):
     """Matvec adapter for ``(n, s)`` blocks: one pass over *a* per call.
 
-    scipy CSR serves dense blocks natively; a
+    scipy CSR goes through the kernel backend's block product (resolved
+    once per solve, like :func:`~repro.solvers.cg._as_matvec`); a
     :class:`~repro.sparse.bcsr.BCSRMatrix` goes through its cached BSR
     handle; anything exposing only a vector ``matvec`` falls back to a
     column loop (correct, loses the blocking win)."""
     if sp.issparse(a):
-        a_csr = a.tocsr()
-        return lambda v: a_csr @ v
+        a_csr, csr_matvecs = _float64_csr(a), kernels.get_backend().csr_matvecs
+        return lambda v: csr_matvecs(a_csr, v)
     if hasattr(a, "to_bsr"):
         bsr = a.to_bsr()
         return lambda v: bsr @ v

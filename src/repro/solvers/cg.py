@@ -355,19 +355,27 @@ def cg_solve(
     )
 
 
+def _float64_csr(a) -> sp.csr_matrix:
+    """*a* as float64 CSR — what the compiled kernels take without a
+    conversion copy per product; a no-op for the matrices the stack builds."""
+    a = a.tocsr()
+    return a if a.dtype == np.float64 else a.astype(np.float64)
+
+
 def _as_matvec(a):
     """Uniform matvec adapter for the matrix types the stack uses.
 
     Sparse products go through the kernel registry
-    (:mod:`repro.kernels`), resolved per call so a backend switch takes
-    effect mid-session; the numpy backend serves the native scipy
-    products, numba a row-parallel JIT kernel.
+    (:mod:`repro.kernels`).  The backend is resolved, and the matrix
+    normalised, here — once per solve, not per product: a backend switch
+    takes effect at the next solve.
     """
     if sp.issparse(a):
-        a_csr = a.tocsr()
-        return lambda v: kernels.get_backend().csr_matvec(a_csr, v)
+        a_csr, csr_matvec = _float64_csr(a), kernels.get_backend().csr_matvec
+        return lambda v: csr_matvec(a_csr, v)
     if hasattr(a, "to_bsr"):  # BCSRMatrix: block matvec is the fast path
-        return lambda v: kernels.get_backend().bcsr_matvec(a, v)
+        bcsr_matvec = kernels.get_backend().bcsr_matvec
+        return lambda v: bcsr_matvec(a, v)
     if hasattr(a, "matvec"):
         return a.matvec
     if isinstance(a, np.ndarray):

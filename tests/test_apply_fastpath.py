@@ -1,8 +1,8 @@
 """Compiled-CSR substitution fast path vs the bucketed reference oracle.
 
-``BlockICFactorization.apply`` runs pre-compiled scipy CSR kernels;
-``reference_apply`` keeps the original per-bucket gather/matmul/scatter
-loops.  These tests pin the two paths together across every
+``BlockICFactorization.apply`` sweeps the flat substitution plan with
+direct calls of scipy's compiled CSR kernels; ``reference_apply`` keeps
+the original per-bucket gather/matmul/scatter loops.  These tests pin the two paths together across every
 preconditioner family the paper uses, on random SPD block systems and on
 a real contact problem with a large penalty.
 """

@@ -13,22 +13,32 @@ Three layers of coverage:
    to plain-Python kernels when numba is absent (identity ``_jit``,
    ``prange = range``), so its *logic* is exercised here even in a
    numpy-only environment.
-3. **Plan layouts** — the lazily-built :class:`FlatSweep` concatenation
-   must describe exactly the same operators as the scipy layout.
+3. **The substitution plan** — one flat layout, filled in place: it
+   holds exactly ``-(Dinv_g L_g)`` / ``-(Dinv_g L_g^T)``, a refactor
+   rewrites its arrays without allocating, its structure is a superset
+   of what scipy's SpGEMM would keep, and the symbolic phase refuses a
+   schedule whose sweep could not run in place.
+4. **The private scipy kernels** — what ``_sparsetools.csr_matvec`` /
+   ``csr_matvecs`` must keep doing for the numpy backend to be right,
+   and the inputs they do not take as they come.
 """
 
+import functools
 import logging
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro import kernels
+from repro import DistributedSystem, kernels, parallel_cg
+from repro.experiments.workloads import block_problem, swjapan_problem
 from repro.fem.generators import simple_block_model
 from repro.fem.model import build_contact_problem
 from repro.kernels import numba_backend, numpy_backend, registry
 from repro.precond import bic, sb_bic0, scalar_ic0
-from repro.solvers.cg import cg_solve
+from repro.precond.icfact import ICSymbolic
+from repro.solvers.block_cg import _as_block_matvec, block_cg_solve
+from repro.solvers.cg import _as_matvec, cg_solve
 from repro.sparse.bcsr import BCSRMatrix
 from repro.sparse.vbr import VBRMatrix
 
@@ -166,6 +176,37 @@ class TestRegistry:
         assert "kernel backend: numpy" in capsys.readouterr().out
 
 
+    @pytest.mark.parametrize("solver", ["cg", "block_cg", "parallel_cg"])
+    def test_resolutions_per_solve_do_not_grow_with_iterations(
+        self, solver, monkeypatch
+    ):
+        """The registry is consulted when a solve (or a refactor) starts,
+        never inside the CG loop: a 3-iteration and a 20-iteration solve
+        resolve the backend equally often."""
+        p = build_contact_problem(simple_block_model(3, 3, 2, 3, 3), penalty=1e6)
+        m = sb_bic0(p.a, p.groups)
+        rhs = np.column_stack([p.b, p.b[::-1]])
+        one = DistributedSystem.from_global(
+            p.a, p.b, np.zeros(p.mesh.n_nodes, dtype=np.int64), lambda sub, nodes: m
+        )
+        solve = {
+            "cg": lambda cap: cg_solve(p.a, p.b, m, max_iter=cap),
+            "block_cg": lambda cap: block_cg_solve(p.a, rhs, m, max_iter=cap),
+            "parallel_cg": lambda cap: parallel_cg(one, max_iter=cap),
+        }[solver]
+        calls = []
+        resolve = registry.resolve_name
+        monkeypatch.setattr(
+            registry, "resolve_name", lambda name=None: calls.append(name) or resolve(name)
+        )
+        counts = []
+        for cap in (3, 20):
+            calls.clear()
+            assert solve(cap).iterations == cap
+            counts.append(len(calls))
+        assert counts[0] == counts[1] <= 2
+
+
 # ----------------------------------------------------------------------
 # cross-backend parity vs the bucketed reference oracle
 # ----------------------------------------------------------------------
@@ -221,23 +262,43 @@ class TestApplyParity:
 
     @pytest.mark.parametrize("backend", sorted(BACKEND_MODULES))
     def test_diagonal_matrix_empty_groups(self, backend):
-        """A diagonal matrix compiles no substitution operators at all:
-        every group's fwd/bwd op is None (empty FlatSweep row ranges),
+        """A diagonal matrix has no substitution operators at all: every
+        group's row range in both FlatSweeps is empty (no sweep steps),
         and M^{-1} r must reduce to the exact diagonal solve."""
         d = np.linspace(1.0, 5.0, 24)
         a = sp.diags(d).tocsr()
         m = scalar_ic0(a)
+        assert m._plan.fwd.steps == m._plan.bwd.steps == []
         r = np.random.default_rng(3).normal(size=24)
         got = backend_apply(BACKEND_MODULES[backend], m, r)
         assert_close(got, r / d)
         assert_close(got, m.reference_apply(r))
 
-    def test_registry_dispatch_equals_direct_module_call(self):
-        a = spd_csr(36, 13)
-        m = bic(a, fill_level=1)
+    def test_registry_dispatch_equals_direct_module_call(self, monkeypatch):
+        """``apply`` is the sweep of the backend the registry named at
+        the factor's last ``refactor``: switching the registry under a
+        live factor changes nothing until it is re-factored, and then
+        ``apply`` is the new backend's sweep, to the bit."""
+        monkeypatch.setattr(numba_backend, "is_available", lambda: True)
+        swept = []
+        for mod in (numpy_backend, numba_backend):
+            sweep = mod.apply_substitution
+            monkeypatch.setattr(
+                mod, "apply_substitution",
+                lambda plan, rp, mod=mod, sweep=sweep: swept.append(mod.NAME) or sweep(plan, rp),
+            )
+        kernels.set_backend("numba")
+        m = bic(spd_csr(36, 13), fill_level=1)
         r = np.random.default_rng(5).normal(size=36)
         kernels.set_backend("numpy")
-        assert np.array_equal(m.apply(r), backend_apply(numpy_backend, m, r))
+        for bound, refactor in (("numba", False), ("numpy", True)):
+            if refactor:
+                m.refactor()
+            swept.clear()
+            z = m.apply(r)
+            assert (m.kernel_backend, swept) == (bound, [bound])
+            assert np.array_equal(z, backend_apply(BACKEND_MODULES[bound], m, r))
+            assert_close(z, m.reference_apply(r))
 
 
 class TestFactorizationParity:
@@ -314,52 +375,335 @@ class TestMatvecParity:
 
 
 # ----------------------------------------------------------------------
-# plan layouts
+# the substitution plan
 # ----------------------------------------------------------------------
 
 
+def sweep_matrix(m, sweep):
+    """One sweep direction of *m*'s plan as a matrix in DOF coordinates
+    (sign restored), explicit zeros kept."""
+    n = m.ndof
+    rows = sweep.rows[np.repeat(np.arange(n), np.diff(sweep.indptr))]
+    return sp.csr_matrix((-sweep.data, (rows, sweep.indices)), shape=(n, n))
+
+
+def spgemm_fold(m):
+    """``Dinv L`` and ``Dinv L^T`` (strictly-lower blocks) the way the
+    plan used to be built: scipy SpGEMM, which drops exact zeros."""
+    n = m.ndof
+    block_of = np.repeat(np.arange(m.sizes.size), m.sizes)
+    low = m.factor_csr().tocoo()
+    off = block_of[low.row] != block_of[low.col]
+    low = sp.csr_matrix((low.data[off], (low.row[off], low.col[off])), shape=(n, n))
+    dinv = sp.block_diag(
+        [m._dinv[o : o + k * k].reshape(k, k) for o, k in zip(m._dinv_off, m.sizes)],
+        format="csr",
+    )
+    return dinv @ low, dinv @ low.T.tocsr()
+
+
+PLAN_FAMILIES = {
+    "sbbic0": lambda p: sb_bic0(p.a, p.groups),
+    "bic0": lambda p: bic(p.a, fill_level=0),
+    "bic1": lambda p: bic(p.a, fill_level=1),
+    "bic2": lambda p: bic(p.a, fill_level=2),
+    "ic0-scalar": lambda p: scalar_ic0(p.a),
+    "sbbic0-shifted": lambda p: sb_bic0(p.a, p.groups, shift=0.05),
+}
+
+
+class _Fixture:
+    """An ``spd_csr`` matrix dressed as a problem (no contact groups)."""
+
+    def __init__(self, ndof, seed):
+        self.a, self.groups, self.ndof = spd_csr(ndof, seed), [], ndof
+
+
+PLAN_PROBLEMS = {
+    "block-0.8": lambda: block_problem(0.8),
+    "swjapan-1.0": lambda: swjapan_problem(1.0),
+    "spd-36": lambda: _Fixture(36, 41),
+    "spd-45": lambda: _Fixture(45, 42),
+}
+
+
+@pytest.fixture(scope="module")
+def plan_problems():
+    """Each problem is assembled once for the module."""
+    return functools.cache(lambda name: PLAN_PROBLEMS[name]())
+
+
 class TestFlatSweep:
-    def test_flat_layout_matches_scipy_layout(self):
-        a = spd_csr(36, 31)
-        plan = bic(a, fill_level=1)._plan
-        dptr, dind, ddat, fwd, bwd = plan.flat()
-        got = sp.csr_matrix((ddat, dind, dptr), shape=(plan.ndof, plan.ndof))
-        assert_close(got.toarray(), plan.dinv_all.toarray(), rtol=0.0)
-        for sweep, ops in ((fwd, plan.fwd_ops), (bwd, plan.bwd_ops)):
-            assert sweep.group_ptr.size == len(ops) + 1
-            assert sweep.rows.size == int(sweep.group_ptr[-1])
-            assert sweep.indptr.size == sweep.rows.size + 1
-            t = 0
-            for g, op in enumerate(ops):
-                lo, hi = int(sweep.group_ptr[g]), int(sweep.group_ptr[g + 1])
-                if op is None:
-                    assert lo == hi
-                    continue
-                assert hi - lo == op.shape[0]
-                for local in range(op.shape[0]):
-                    s, e = sweep.indptr[t], sweep.indptr[t + 1]
-                    assert np.array_equal(sweep.indices[s:e],
-                                          op.indices[op.indptr[local]:op.indptr[local + 1]])
-                    assert np.array_equal(sweep.data[s:e],
-                                          op.data[op.indptr[local]:op.indptr[local + 1]])
-                    t += 1
+    @pytest.mark.parametrize("problem", sorted(PLAN_PROBLEMS))
+    @pytest.mark.parametrize("family", sorted(PLAN_FAMILIES))
+    def test_apply_and_apply_block_match_reference(
+        self, family, problem, plan_problems, monkeypatch
+    ):
+        """Every family, vector and 8-column block, both backends, on the
+        two serve-sized models and the random fixtures.  (numba has no
+        block sweep — ``apply_block`` loops over ``apply`` — so its
+        8-column case runs on the fixtures only.)"""
+        p = plan_problems(problem)
+        m = PLAN_FAMILIES[family](p)
+        rng = np.random.default_rng(12)
+        r, block = rng.normal(size=p.ndof), rng.normal(size=(p.ndof, 8))
+        want = m.reference_apply(r)
+        want_block = np.column_stack([m.reference_apply(c) for c in block.T])
+        for backend in (numpy_backend, numba_backend):
+            monkeypatch.setattr(m, "_backend", backend)
+            assert_close(m.apply(r), want)
+            if backend is numpy_backend or problem.startswith("spd"):
+                assert_close(m.apply_block(block), want_block)
 
-    def test_flat_is_cached(self):
-        plan = bic(spd_csr(24, 32), fill_level=0)._plan
-        assert plan.flat() is plan.flat()
+    def test_flat_layout_is_the_dense_fold(self):
+        """The plan holds exactly ``-(Dinv_g L_g)`` / ``-(Dinv_g L_g^T)``:
+        forward groups in schedule order, backward groups reversed."""
+        m = bic(spd_csr(36, 31), fill_level=1)
+        plan, n = m._plan, m.ndof
+        dinv = sp.csr_matrix(
+            (plan.dinv_data, plan.dinv_indices, plan.dinv_indptr), shape=(n, n)
+        )
+        fwd_ref, bwd_ref = spgemm_fold(m)
+        group_dofs = [
+            np.concatenate([np.arange(*m.L.offsets[i : i + 2]) for i in members])
+            for members in m.schedule
+        ]
+        for sweep, ref, order in (
+            (plan.fwd, fwd_ref, group_dofs),
+            (plan.bwd, bwd_ref, group_dofs[::-1]),
+        ):
+            assert sweep.group_ptr.size == len(m.schedule) + 1
+            assert sweep.indptr.size == n + 1 and sweep.data.size == sweep.indices.size
+            assert np.array_equal(sweep.rows, np.concatenate(order))
+            assert np.array_equal(
+                np.diff(sweep.group_ptr), [dofs.size for dofs in order]
+            )
+            assert_close(sweep_matrix(m, sweep).toarray(), ref.toarray())
+        assert dinv.nnz == int((m.sizes**2).sum())
+        for i, block in enumerate(m.diag_blocks_dense()):
+            lo, hi = m.L.offsets[i : i + 2]
+            assert_close(dinv[lo:hi, lo:hi].toarray(), np.linalg.inv(block))
 
-    def test_refactor_rebuilds_plan(self):
+    def test_refactor_refills_plan_in_place(self):
+        """``a1 -> a2 -> a1`` applies like a fresh factor at ``a1``, to
+        the bit, and no plan array is reallocated on the way."""
         a1 = spd_csr(30, 33)
         a2 = a1.copy()  # same pattern, different values (still SPD)
         a2.setdiag(a1.diagonal() * 2.0)
         m = bic(a1, fill_level=0)
-        first = m._plan
-        m.refactor(a2)
-        assert m._plan is not first
+        plan = m._plan
+        buffers = (plan.fwd.data, plan.bwd.data, plan.dinv_data, plan.y, plan.work)
         r = np.random.default_rng(8).normal(size=30)
+        at_a1 = m.apply(r).copy()
+        m.refactor(a2)
+        assert not np.array_equal(m.apply(r), at_a1)
         assert_close(m.apply(r), m.reference_apply(r))
+        m.refactor(a1)
+        assert m._plan is plan
+        assert all(
+            now is then
+            for now, then in zip(
+                (plan.fwd.data, plan.bwd.data, plan.dinv_data, plan.y, plan.work), buffers
+            )
+        )
+        assert plan.dinv_data is m._dinv
+        assert np.array_equal(m.apply(r), at_a1)
+        assert np.array_equal(m.apply(r), bic(a1, fill_level=0).apply(r))
+
+    @pytest.mark.parametrize("model", ["swjapan-1.0", "block-0.8"])
+    def test_refactor_constructs_no_sparse_matrix(self, model, plan_problems, monkeypatch):
+        """The numeric phase only gathers, multiplies and scatters: no
+        scipy sparse object is built (the SpGEMM fold built 66 on
+        swjapan 1.0 and 73 on block 0.8)."""
+        from scipy.sparse import _compressed
+
+        p = plan_problems(model)
+        m = sb_bic0(p.a, p.groups)
+        built = []
+        init = _compressed._cs_matrix.__init__
+        monkeypatch.setattr(
+            _compressed._cs_matrix,
+            "__init__",
+            lambda self, *a, **kw: built.append(type(self).__name__) or init(self, *a, **kw),
+        )
+        m.refactor(p.a)
+        assert built == []
+
+    @pytest.mark.parametrize(
+        "model, scale, spread",
+        [("swjapan", 1.0, 1.0), ("swjapan", 2.0, 1.0), ("block", 0.8, 1.055), ("block", 1.5, 1.03)],
+    )
+    def test_structure_covers_the_spgemm_fold(self, model, scale, spread):
+        """The structural pattern misses nothing SpGEMM kept, and keeps
+        little more.  SpGEMM kept fwd+bwd 132 246 / 914 904 entries on
+        swjapan 1.0 / 2.0 and 188 794 / 1 283 914 on block 0.8 / 1.5;
+        the structure matches swjapan exactly and is 5.3 % / 2.8 %
+        larger on the block model, whose ``A`` stores 3 884 / 14 246
+        exact zeros — live entries to a pattern-only symbolic phase.
+        The bounds are those measured values, not the 1.02 first asked
+        for, so a structural regression cannot hide under them."""
+        p = {"swjapan": swjapan_problem, "block": block_problem}[model](scale)
+        m = sb_bic0(p.a, p.groups)
+        kept = stored = 0
+        for sweep, ref in zip((m._plan.fwd, m._plan.bwd), spgemm_fold(m)):
+            ours = sweep_matrix(m, sweep)
+            assert abs(ours - ref).max() <= 1e-13 * abs(ref).max()
+            pattern = ours.copy()
+            pattern.data[:] = 1.0
+            ref.data[:] = 1.0
+            assert (ref - ref.multiply(pattern)).nnz == 0
+            kept, stored = kept + ref.nnz, stored + sweep.data.size
+        assert kept <= stored <= spread * kept
+
+    def test_in_place_invariant_is_asserted(self):
+        """Merging two dependent colours into one group puts operator
+        columns inside the group's own rows: the symbolic phase must
+        refuse to build a plan for it."""
+        a = spd_csr(36, 34)
+        sym = ICSymbolic(a, [np.arange(i, i + 3) for i in range(0, 36, 3)])
+        assert len(sym.schedule) > 2
+        sym._build_apply_structures()  # the real schedule passes
+        sym.schedule = [np.sort(np.concatenate(sym.schedule[:2])), *sym.schedule[2:]]
+        for g, members in enumerate(sym.schedule):
+            sym.group_of[members] = g
+        with pytest.raises(AssertionError, match="column inside its own group"):
+            sym._build_apply_structures()
 
     def test_precond_warmup_chains(self):
         m = bic(spd_csr(24, 35), fill_level=0)
         assert m.warmup() is m
-        assert m._plan._flat is not None or kernels.active_backend() == "numpy"
+
+
+# ----------------------------------------------------------------------
+# the private scipy kernels under the numpy backend
+# ----------------------------------------------------------------------
+
+
+class TestSparsetoolsContract:
+    """What ``numpy_backend`` relies on from ``scipy.sparse._sparsetools``.
+    A scipy release that changes it fails here, by name, instead of as a
+    bad preconditioner."""
+
+    A = sp.csr_matrix(
+        np.array(
+            [
+                [4.0, 0.0, 1.0, 0.0, 0.0],
+                [0.0, 3.0, 0.0, 2.0, 0.0],
+                [1.0, 0.0, 5.0, 0.0, 1.5],
+                [0.0, 2.0, 0.0, 6.0, 0.0],
+                [0.5, 0.0, 1.5, 0.0, 7.0],
+            ]
+        )
+    )
+
+    def test_csr_matvec_accumulates_and_honours_indptr_slices(self):
+        from scipy.sparse._sparsetools import csr_matvec
+
+        a, x = self.A, np.arange(1.0, 6.0)
+        y = np.full(5, 10.0)
+        csr_matvec(5, 5, a.indptr, a.indices, a.data, x, y)
+        assert np.array_equal(y, 10.0 + a.toarray() @ x)
+        # rows 2..3 through an indptr slice over the *full* indices/data
+        y = np.full(2, -1.0)
+        csr_matvec(2, 5, a.indptr[2:5], a.indices, a.data, x, y)
+        assert np.array_equal(y, -1.0 + (a.toarray() @ x)[2:4])
+        # in place: rows 3..4 read x[1], x[3] of the vector they update?
+        # no — rows 0..1 of a matrix with columns 2.. only, the sweep's case
+        low = sp.csr_matrix(np.array([[0, 0, 1.0, 2.0], [0, 0, 3.0, 4.0]]))
+        v = np.array([1.0, 1.0, 10.0, 100.0])
+        csr_matvec(2, 4, low.indptr, low.indices, low.data, v, v[:2])
+        assert np.array_equal(v, [211.0, 431.0, 10.0, 100.0])
+
+    def test_csr_matvecs_accumulates_and_honours_indptr_slices(self):
+        from scipy.sparse._sparsetools import csr_matvecs
+
+        a, x = self.A, np.arange(15.0).reshape(5, 3)
+        y = np.full((5, 3), 10.0)
+        csr_matvecs(5, 5, 3, a.indptr, a.indices, a.data, x, y)
+        assert np.array_equal(y, 10.0 + a.toarray() @ x)
+        y = np.zeros((5, 3))
+        csr_matvecs(2, 5, 3, a.indptr[2:5], a.indices, a.data, x, y[2:4])
+        assert np.array_equal(y[2:4], (a.toarray() @ x)[2:4])
+        assert not y[:2].any() and not y[4:].any()
+
+
+def int64_indexed(a):
+    """*a* with int64 index arrays (the constructor would narrow them)."""
+    a = a.copy()
+    a.indices, a.indptr = a.indices.astype(np.int64), a.indptr.astype(np.int64)
+    assert a.indices.dtype == a.indptr.dtype == np.int64
+    return a
+
+
+class TestKernelInputs:
+    """Inputs the compiled kernels do not take as they come: normalised
+    once per solve where that matters, and never a wrong answer."""
+
+    def test_matvec_operands(self):
+        a = spd_csr(40, 51)
+        x = np.random.default_rng(0).normal(size=40)
+        want = a @ x
+        a_i64 = int64_indexed(a)
+        a_f32 = a.astype(np.float32)
+        strided = np.repeat(x, 2)[::2]
+        assert not strided.flags.c_contiguous
+        for backend in (numpy_backend, numba_backend):
+            assert_close(backend.csr_matvec(a_i64, x), want)
+            assert_close(backend.csr_matvec(a, strided), want)
+            assert_close(backend.csr_matvec(a, x.astype(np.float32)), want, rtol=1e-6)
+            got = backend.csr_matvec(a_f32, x)
+            assert got.dtype == np.float64
+            assert_close(got, a_f32.astype(np.float64) @ x)
+        assert_close(_as_matvec(a_i64)(x), want)
+        assert_close(_as_matvec(a_f32)(x), a_f32.astype(np.float64) @ x)
+        assert_close(_as_matvec(a.tocsc())(strided), want)
+
+    def test_matvec_rejects_a_wrong_size_operand(self):
+        """The kernels check no bounds: the wrappers must."""
+        a = spd_csr(12, 52)
+        with pytest.raises(ValueError, match="shape"):
+            numpy_backend.csr_matvec(a, np.ones(11))
+        with pytest.raises(ValueError, match="shape"):
+            numpy_backend.csr_matvecs(a, np.ones((13, 2)))
+        with pytest.raises(ValueError, match="shape"):
+            numpy_backend.csr_matvecs(a, np.ones(12))
+        rect = a[:5]
+        assert_close(numpy_backend.csr_matvec(rect, np.ones(12)), rect @ np.ones(12))
+
+    def test_block_matvec_operands(self):
+        a = spd_csr(30, 53)
+        rng = np.random.default_rng(1)
+        for block in (
+            rng.normal(size=(30, 1)),
+            rng.normal(size=(30, 4)),
+            np.asfortranarray(rng.normal(size=(30, 3))),
+            rng.normal(size=(30, 6))[:, ::2],
+        ):
+            want = a @ block
+            for backend in (numpy_backend, numba_backend):
+                got = backend.csr_matvecs(a, block)
+                assert got.shape == want.shape
+                assert_close(got, want)
+            assert_close(_as_block_matvec(a.astype(np.float32))(block),
+                         a.astype(np.float32).astype(np.float64) @ block)
+
+    @pytest.mark.parametrize("fill_level", [0, 1])
+    def test_apply_operands(self, fill_level):
+        """float32 / strided residuals, ``out=`` aliasing ``r``, an
+        ``(n, 1)`` block and an int64-index matrix through ``apply``."""
+        a = spd_csr(30, 54)
+        a_i64 = int64_indexed(a)
+        r = np.random.default_rng(2).normal(size=30)
+        for m in (bic(a, fill_level=fill_level), bic(a_i64, fill_level=fill_level)):
+            want = m.reference_apply(r)
+            assert_close(m.apply(np.repeat(r, 2)[::2]), want)
+            r32 = r.astype(np.float32)
+            assert_close(m.apply(r32), m.reference_apply(r32.astype(np.float64)))
+            alias = r.copy()
+            assert m.apply(alias, out=alias) is alias
+            assert_close(alias, want)
+            column = r[:, None].copy()
+            assert m.apply_block(column).shape == (30, 1)
+            assert_close(m.apply_block(column)[:, 0], want)
+            assert_close(m.apply_block(np.asfortranarray(np.column_stack([r, 2 * r])))[:, 1],
+                         2 * want)

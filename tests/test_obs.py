@@ -297,14 +297,15 @@ class TestTracedSolveAgreement:
         assert sess.metrics.get("cg.solves", precond=m.name, converged=True) == 1
 
     def test_setup_spans_carry_their_phases(self, block_problem_small):
-        """`repro trace` can say where set-up time went: assembly and the
-        symbolic phase each record their consecutive sub-phases as
-        children that tile the parent span exactly."""
+        """`repro trace` can say where set-up time went: assembly, the
+        symbolic phase and the numeric phase each record their
+        consecutive sub-phases as children that tile the parent span
+        exactly."""
         from repro.fem.model import build_contact_problem
 
         with obs.observe() as sess:
             p = build_contact_problem(block_problem_small.mesh, penalty=1e6)
-            sb_bic0(p.a, p.groups)
+            m = sb_bic0(p.a, p.groups)
         (asm,) = sess.tracer.find("assembly")
         assert [c.name for c in asm.children] == [
             "assembly.element",
@@ -319,7 +320,14 @@ class TestTracedSolveAgreement:
             "ic_symbolic.maps",
             "ic_symbolic.apply_structs",
         ]
-        for parent in (asm, sym):
+        (num,) = sess.tracer.find("ic_numeric")
+        assert [c.name for c in num.children] == [
+            "ic_numeric.scatter",
+            "ic_numeric.factor",
+            "ic_numeric.fold",
+        ]
+        assert num.attrs["kernel_backend"] == m.kernel_backend
+        for parent in (asm, sym, num):
             kids = parent.children
             assert all(c.parent_id == parent.span_id for c in kids)
             assert sum(c.duration for c in kids) == pytest.approx(parent.duration)
@@ -329,6 +337,7 @@ class TestTracedSolveAgreement:
         # the phases show up in the terminal summary and the Chrome trace
         table = summary_table(sess.tracer, sess.metrics)
         assert "assembly.reduce" in table and "ic_symbolic.maps" in table
+        assert "ic_numeric.fold" in table
         _assert_chrome_well_formed(chrome_trace_events(sess.tracer))
 
     def test_parallel_cg_halo_census_matches_commlog(self, block_problem_small):
