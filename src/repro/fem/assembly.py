@@ -9,6 +9,7 @@ their block triplets into BCSR.
 from __future__ import annotations
 
 import numpy as np
+import scipy.sparse as sp
 
 from repro.fem.hex8 import hex8_stiffness
 from repro.fem.material import IsotropicElastic
@@ -65,6 +66,57 @@ def stiffness_coo_blocks(
     return rows, cols, blocks
 
 
+# A stiffness scalar is a sum of 8 Gauss-point terms in each of at most 8
+# elements sharing the node pair, so the round-off of an analytically
+# zero coupling is bounded by 64 eps of the terms' size, sqrt(k_ii k_jj).
+# Measured |k_ij| / sqrt(k_ii k_jj) of the stored off-diagonals: on the
+# block model 1.5 (0.6) a third of them lie at or below 9.7e-16 (3.8e-16)
+# and the next one is 5.7e-3; the Southwest Japan model 2.0 (0.7) stores
+# nothing below 6.1e-7 (1.5e-5).  The bound is 1.4e-14.
+ROUNDOFF_TERMS = 64
+
+
+def stiffness_diagonal(
+    n_nodes: int, rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray
+) -> np.ndarray:
+    """``(n_nodes, 3)`` diagonal of the stiffness the block triplets sum
+    to, added in the order :meth:`BCSRMatrix.from_coo_blocks` adds them."""
+    on = np.flatnonzero(rows == cols)
+    return np.stack(
+        [np.bincount(rows[on], weights=blocks[on, c, c], minlength=n_nodes) for c in range(3)],
+        axis=1,
+    )
+
+
+def stored_scalars(k: BCSRMatrix, diag: np.ndarray) -> np.ndarray:
+    """``(nnzb, b, b)`` mask of the scalars of stiffness *k* worth storing.
+
+    The one rule of what ``fem`` keeps of a stiffness matrix: a scalar is
+    dropped when it is indistinguishable from the round-off of its own
+    sum, ``|k_ij| <= ROUNDOFF_TERMS * eps * sqrt(k_ii k_jj)`` with the
+    ``(n, b)`` stiffness diagonal *diag* — passed in, so that a matrix
+    that already carries a contact penalty is judged as its stiffness
+    part and the kept pattern does not depend on the penalty.  Diagonal
+    scalars always stay, and ``(i, j)`` stays when either triangle
+    passes, so the pattern is symmetric whatever the round-off did.
+    """
+    brow = k.block_rows()
+    with np.errstate(divide="ignore", invalid="ignore"):  # a zero diagonal keeps what is non-zero
+        inv = 1.0 / np.sqrt(diag)
+        rel = np.einsum("pr,pc->prc", inv[brow], inv[k.indices])
+        rel *= np.abs(k.values)
+        keep = rel > ROUNDOFF_TERMS * np.finfo(np.float64).eps
+    # block (j, i) of every block (i, j): CSC order of a symmetric block
+    # pattern lists the transposes in CSR order
+    mirror = sp.csr_matrix((np.arange(k.nnzb), k.indices, k.indptr), shape=(k.n, k.n)).tocsc()
+    if not (np.array_equal(mirror.indptr, k.indptr) and np.array_equal(mirror.indices, k.indices)):
+        raise ValueError("stiffness block pattern is not symmetric")
+    flat = keep.reshape(k.nnzb, k.b * k.b)
+    flat |= flat.take(mirror.data, axis=0)[:, np.arange(k.b * k.b).reshape(k.b, k.b).T.ravel()]
+    keep[brow == k.indices] |= np.eye(k.b, dtype=bool)
+    return keep
+
+
 def assemble_stiffness(
     mesh: Mesh,
     materials: IsotropicElastic | dict[int, IsotropicElastic] | None = None,
@@ -82,10 +134,10 @@ def assemble_stiffness(
     return out
 
 
-def record_assembly_span(mesh: Mesh, laps: Laps) -> None:
+def record_assembly_span(mesh: Mesh, laps: Laps, **attrs) -> None:
     """Emit the ``assembly`` span with the phases timed in *laps*."""
     record_span(
-        "assembly", laps.total, laps.phases, n_elem=mesh.n_elem, n_nodes=mesh.n_nodes
+        "assembly", laps.total, laps.phases, n_elem=mesh.n_elem, n_nodes=mesh.n_nodes, **attrs
     )
 
 

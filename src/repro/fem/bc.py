@@ -93,31 +93,22 @@ def apply_dirichlet(
     return a_mod, b
 
 
-def apply_dirichlet_bcsr(k: BCSRMatrix, fixed_dofs: np.ndarray) -> BCSRMatrix:
-    """Block form of the matrix :func:`apply_dirichlet` returns.
-
-    Equal to ``BCSRMatrix.from_scipy(apply_dirichlet(k.to_csr(), ...)[0])``
-    but taken straight from the block arrays: eliminated entries become
-    zeros inside their block, and a block whose entries are all
-    eliminated (a fully fixed node coupled to another node) is dropped.
-    """
+def dirichlet_scalars(k: BCSRMatrix, fixed_dofs: np.ndarray) -> np.ndarray:
+    """``(nnzb, b, b)`` mask of the scalars of *k* that symmetric
+    elimination of *fixed_dofs* leaves in place — the keep-mask of
+    :func:`apply_dirichlet` in block form: the whole diagonal and every
+    coupling of two free DOFs."""
     _, mask = _fixed_mask(fixed_dofs, k.ndof)
     free = ~mask.reshape(k.n, k.b)
-    alive = free.any(axis=1)
     brow = k.block_rows()
-    on_diag = brow == k.indices
-    keep = on_diag | (alive[brow] & alive[k.indices])
-    brow, bcol, on_diag = brow[keep], k.indices[keep], on_diag[keep]
-    values = k.values[keep]
-    # only blocks touching a constrained node change
+    keep = np.ones(k.values.shape, dtype=bool)
+    # only blocks touching a constrained node lose anything
     constrained = ~free.all(axis=1)
-    hit = np.flatnonzero(constrained[brow] | constrained[bcol])
-    kept = free[brow[hit]][:, :, None] & free[bcol[hit]][:, None, :]
-    kept[on_diag[hit]] |= np.eye(k.b, dtype=bool)
-    values[hit] = np.where(kept, values[hit], 0.0)
-    indptr = np.zeros(k.n + 1, dtype=np.int64)
-    np.cumsum(np.bincount(brow, minlength=k.n), out=indptr[1:])
-    return BCSRMatrix(n=k.n, b=k.b, indptr=indptr, indices=bcol, values=values)
+    hit = np.flatnonzero(constrained[brow] | constrained[k.indices])
+    kept = free[brow[hit]][:, :, None] & free[k.indices[hit]][:, None, :]
+    kept[brow[hit] == k.indices[hit]] |= np.eye(k.b, dtype=bool)
+    keep[hit] = kept
+    return keep
 
 
 def boundary_faces(mesh: Mesh, node_set: np.ndarray) -> np.ndarray:

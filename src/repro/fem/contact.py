@@ -35,6 +35,18 @@ def penalty_coo_blocks(
     return rows, cols, coef[:, None, None] * np.eye(3)
 
 
+def penalty_scalars(k: BCSRMatrix, groups: list[np.ndarray]) -> np.ndarray:
+    """``(nnzb, 3, 3)`` mask of the scalars of *k* the penalty of *groups*
+    writes, whatever its magnitude: the diagonal of every block coupling
+    two members of one group (the other six scalars of a ``lambda * I``
+    block are explicit zeros nobody needs to store)."""
+    flat, offsets = concat_ragged(groups)
+    group_of = np.full(k.n, -1, dtype=np.int64)
+    group_of[flat] = np.repeat(np.arange(len(groups)), np.diff(offsets))
+    gi = group_of[k.block_rows()]
+    return ((gi >= 0) & (gi == group_of[k.indices]))[:, None, None] & np.eye(3, dtype=bool)
+
+
 def assemble_penalty_groups(
     groups: list[np.ndarray], lam: float, n_nodes: int
 ) -> BCSRMatrix:

@@ -14,20 +14,24 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.fem.assembly import record_assembly_span, stiffness_coo_blocks
+from repro.fem.assembly import (
+    record_assembly_span,
+    stiffness_coo_blocks,
+    stiffness_diagonal,
+    stored_scalars,
+)
 from repro.fem.bc import (
     all_dofs,
-    apply_dirichlet,
-    apply_dirichlet_bcsr,
     body_force,
     component_dofs,
+    dirichlet_scalars,
     surface_load,
 )
-from repro.fem.contact import assemble_penalty_groups, penalty_coo_blocks
+from repro.fem.contact import assemble_penalty_groups, penalty_coo_blocks, penalty_scalars
 from repro.fem.material import IsotropicElastic
 from repro.fem.mesh import Mesh
 from repro.sparse.bcsr import BCSRMatrix
-from repro.sparse.patterns import csr_position_map, csr_union_pattern
+from repro.sparse.patterns import csr_position_map
 from repro.utils.timing import Laps
 
 
@@ -74,10 +78,29 @@ def build_contact_problem(
         Apply ``u_x = 0`` at ``xmin`` and ``u_y = 0`` at ``ymin``
         (disabled for the Southwest Japan model, per section 5.1).
     """
-    f, fixed_dofs = _load_and_fixed_dofs(mesh, load, load_magnitude, symmetry)
+    k, keep, a, b, fixed_dofs = _assemble(mesh, penalty, materials, load, load_magnitude, symmetry)
+    return ContactProblem(
+        mesh=mesh,
+        a=a,
+        a_bcsr=k.restricted(keep),
+        b=b,
+        groups=mesh.contact_groups,
+        penalty=penalty,
+        fixed_dofs=fixed_dofs,
+    )
 
-    # Stiffness and penalty triplets are sorted and summed together, the
-    # penalty last — the order ContactStructure.system reproduces.
+
+def _assemble(mesh: Mesh, penalty: float, materials, load, load_magnitude, symmetry):
+    """Stiffness plus *penalty* times the group Laplacian in blocks, the
+    mask of its scalars the eliminated system stores, and that system:
+    ``(k, keep, a, b, fixed_dofs)``.
+
+    Stiffness and penalty triplets are sorted and summed together, the
+    penalty last (what :meth:`ContactStructure.system` reproduces).  The
+    mask — :func:`stored_scalars` of the stiffness part, what the penalty
+    writes, minus what the elimination removes — ignores *penalty*.
+    """
+    f, fixed_dofs = _load_and_fixed_dofs(mesh, load, load_magnitude, symmetry)
     laps = Laps()
     rows, cols, blocks = stiffness_coo_blocks(mesh, materials)
     laps.lap("assembly.element")
@@ -89,20 +112,16 @@ def build_contact_problem(
         np.concatenate([blocks, pblocks]),
         b=3,
     )
+    keep = stored_scalars(k, stiffness_diagonal(mesh.n_nodes, rows, cols, blocks))
+    keep |= penalty_scalars(k, mesh.contact_groups)
+    dropped = keep.size - int(np.count_nonzero(keep))
     laps.lap("assembly.reduce")
-    a, b = apply_dirichlet(k.to_csr(), f, fixed_dofs)
-    a_bcsr = apply_dirichlet_bcsr(k, fixed_dofs)
+    keep &= dirichlet_scalars(k, fixed_dofs)
+    a = k.to_csr(keep)
+    f[fixed_dofs] = 0.0  # homogeneous conditions: nothing moves to the right-hand side
     laps.lap("assembly.dirichlet")
-    record_assembly_span(mesh, laps)
-    return ContactProblem(
-        mesh=mesh,
-        a=a,
-        a_bcsr=a_bcsr,
-        b=b,
-        groups=mesh.contact_groups,
-        penalty=penalty,
-        fixed_dofs=fixed_dofs,
-    )
+    record_assembly_span(mesh, laps, nnz_stored=a.nnz, nnz_dropped=dropped)
+    return k, keep, a, f, fixed_dofs
 
 
 def _load_and_fixed_dofs(
@@ -131,11 +150,14 @@ class ContactStructure:
     penalty lambda: ``A(lambda) = A0 + lambda * A1`` with ``A0`` the
     eliminated stiffness and ``A1`` the eliminated unit-penalty Laplacian
     (elimination is linear, so it distributes over the sum).  Everything
-    here — meshing, assembly, elimination, the union sparsity pattern and
-    its position maps — is penalty-independent, which is exactly what the
-    serve workspace caches: a request at a new penalty re-gathers values
-    into the fixed pattern (:meth:`system`) and numerically refactors the
-    preconditioner, with zero pattern work.
+    here — meshing, assembly, elimination, the system's sparsity pattern
+    and the place of the penalty entries in it — is penalty-independent,
+    which is exactly what the serve workspace caches: a request at a new
+    penalty re-gathers values into the fixed pattern (:meth:`system`) and
+    numerically refactors the preconditioner, with zero pattern work.
+
+    ``a0`` lives on the system's pattern (explicit zeros where only the
+    penalty writes); ``a1`` is the penalty's own entries, at ``map1``.
 
     ``system`` always writes into the *same* CSR object, so an IC-family
     ``refactor`` hits its identity pattern-check fast path; callers must
@@ -149,7 +171,6 @@ class ContactStructure:
     b: np.ndarray
     fixed_dofs: np.ndarray
     pattern: sp.csr_matrix
-    map0: np.ndarray
     map1: np.ndarray
 
     @property
@@ -162,12 +183,12 @@ class ContactStructure:
 
     def system(self, penalty: float) -> sp.csr_matrix:
         """Values-only materialization of ``A(penalty)`` on the cached
-        union pattern (two fancy-index gathers, no allocation)."""
+        pattern (one copy and one fancy-index update, no allocation of
+        the operator's size)."""
         if penalty < 0:
             raise ValueError(f"penalty must be non-negative, got {penalty}")
         a = self.pattern
-        a.data[:] = 0.0
-        a.data[self.map0] = self.a0.data
+        a.data[:] = self.a0.data
         a.data[self.map1] += penalty * self.a1.data
         return a
 
@@ -187,20 +208,12 @@ def build_contact_structure(
     :meth:`ContactStructure.system` without re-assembling, re-eliminating
     or re-analyzing anything.
     """
-    f, fixed_dofs = _load_and_fixed_dofs(mesh, load, load_magnitude, symmetry)
-
-    laps = Laps()
-    rows, cols, blocks = stiffness_coo_blocks(mesh, materials)
-    laps.lap("assembly.element")
-    k = BCSRMatrix.from_coo_blocks(mesh.n_nodes, rows, cols, blocks, b=3)
+    # the system at penalty zero is the stiffness on the system's pattern
+    _k, _keep, a0, b, fixed_dofs = _assemble(mesh, 0.0, materials, load, load_magnitude, symmetry)
     p1 = assemble_penalty_groups(mesh.contact_groups, 1.0, mesh.n_nodes)
-    laps.lap("assembly.reduce")
-    a0, b = apply_dirichlet(k.to_csr(), f, fixed_dofs)
-    a1, _ = apply_dirichlet(p1.to_csr(), np.zeros(mesh.ndof), fixed_dofs)
-    laps.lap("assembly.dirichlet")
-    record_assembly_span(mesh, laps)
-
-    pattern = csr_union_pattern(a0, a1)
+    a1 = p1.to_csr(penalty_scalars(p1, mesh.contact_groups) & dirichlet_scalars(p1, fixed_dofs))
+    pattern = sp.csr_matrix((np.zeros_like(a0.data), a0.indices, a0.indptr), shape=a0.shape)
+    pattern.has_canonical_format = True
     return ContactStructure(
         mesh=mesh,
         groups=mesh.contact_groups,
@@ -209,6 +222,5 @@ def build_contact_structure(
         b=b,
         fixed_dofs=fixed_dofs,
         pattern=pattern,
-        map0=csr_position_map(pattern, a0),
         map1=csr_position_map(pattern, a1),
     )

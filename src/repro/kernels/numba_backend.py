@@ -82,32 +82,33 @@ def _csr_matvecs_kernel(indptr, indices, data, x, y):
 
 
 @_jit
-def _substitution_kernel(
-    dptr, dind, ddat, rp,
-    fptr, find, fdat, frow, fgptr,
-    bptr, bind, bdat, brow, bgptr, y,
-):
-    # seed: whole-vector block-diagonal solve  y = Dinv r  (fully parallel)
-    for i in prange(dptr.size - 1):
-        s = 0.0
-        for jj in range(dptr[i], dptr[i + 1]):
-            s += ddat[jj] * rp[dind[jj]]
-        y[i] = s
-    # each direction stores its groups in sweep order and its operator
-    # values negated: groups in sequence, rows of one group in parallel
-    # (operator columns only reference groups already swept)
-    for g in range(fgptr.size - 1):
-        for t in prange(fgptr[g], fgptr[g + 1]):
-            s = 0.0
-            for jj in range(fptr[t], fptr[t + 1]):
+def _substitution_kernel(dptr, dind, ddat, fptr, find, fdat, bptr, bind, bdat, gptr, t, y):
+    # operator values are stored negated; groups in sequence, rows of one
+    # group in parallel (operator columns only reference groups already
+    # swept).  forward: t_g += (-L_g) y, then y_g = Dinv_g t_g
+    for g in range(gptr.size - 1):
+        for i in prange(gptr[g], gptr[g + 1]):
+            s = t[i]
+            for jj in range(fptr[i], fptr[i + 1]):
                 s += fdat[jj] * y[find[jj]]
-            y[frow[t]] += s
-    for g in range(bgptr.size - 1):
-        for t in prange(bgptr[g], bgptr[g + 1]):
+            t[i] = s
+        for i in prange(gptr[g], gptr[g + 1]):
             s = 0.0
-            for jj in range(bptr[t], bptr[t + 1]):
+            for jj in range(dptr[i], dptr[i + 1]):
+                s += ddat[jj] * t[dind[jj]]
+            y[i] = s
+    # backward: t_g = (-L_g^T) y, then y_g += Dinv_g t_g
+    for g in range(gptr.size - 2, -1, -1):
+        for i in prange(gptr[g], gptr[g + 1]):
+            s = 0.0
+            for jj in range(bptr[i], bptr[i + 1]):
                 s += bdat[jj] * y[bind[jj]]
-            y[brow[t]] += s
+            t[i] = s
+        for i in prange(gptr[g], gptr[g + 1]):
+            s = y[i]
+            for jj in range(dptr[i], dptr[i + 1]):
+                s += ddat[jj] * t[dind[jj]]
+            y[i] = s
 
 
 @_jit
@@ -225,12 +226,12 @@ def _csr64(a):
     return cached
 
 
-def apply_substitution(plan, rp: np.ndarray) -> np.ndarray:
+def apply_substitution(plan) -> np.ndarray:
     fwd, bwd = plan.fwd, plan.bwd
     _substitution_kernel(
-        plan.dinv_indptr, plan.dinv_indices, plan.dinv_data, rp,
-        fwd.indptr, fwd.indices, fwd.data, fwd.rows, fwd.group_ptr,
-        bwd.indptr, bwd.indices, bwd.data, bwd.rows, bwd.group_ptr, plan.y,
+        plan.dinv_indptr, plan.dinv_indices, plan.dinv_data,
+        fwd.indptr, fwd.indices, fwd.data,
+        bwd.indptr, bwd.indices, bwd.data, plan.group_ptr, plan.t, plan.y,
     )
     return plan.y
 
@@ -304,11 +305,11 @@ def warmup(force: bool = False) -> float:
     _csr_matvecs_kernel(
         i64(0, 1, 2), i64(0, 1), f64(1.0, 1.0), np.ones((2, 2)), np.empty((2, 2))
     )
-    # the plan's index arrays are int32 (FlatSweep.rows stays int64)
+    # the plan's index arrays are int32 (group_ptr stays int64)
     _substitution_kernel(
-        i32(0, 1, 2), i32(0, 1), f64(1.0, 1.0), f64(1.0, 2.0),
-        i32(0, 0, 1), i32(0), f64(-0.5), i64(0, 1), i64(0, 1, 2),
-        i32(0, 0, 1), i32(1), f64(-0.5), i64(1, 0), i64(0, 1, 2), np.empty(2),
+        i32(0, 1, 2), i32(0, 1), f64(1.0, 1.0),
+        i32(0, 0, 1), i32(0), f64(-0.5),
+        i32(0, 1, 1), i32(1), f64(-0.5), i64(0, 1, 2), f64(1.0, 2.0), np.empty(2),
     )
     _bcsr_matvec_kernel(
         i64(0, 1), i64(0), np.ones((1, 2, 2)), f64(1.0, 1.0), np.zeros(2), 2

@@ -4,7 +4,7 @@ Batched numpy fancy-indexing plus ``matmul`` serve the factorization
 update sweeps, and the sparse products — the substitution sweep, ``A p``
 and ``A P`` — are **direct calls of scipy's compiled CSR kernels**
 (``scipy.sparse._sparsetools.csr_matvec`` / ``csr_matvecs``), not
-``op @ y``: one ``M^{-1} r`` is 1 + 2 x colours products of a few
+``op @ y``: one ``M^{-1} r`` is 4 x colours products of a few
 hundred rows each, and at that size scipy's ``__matmul__`` dispatch
 (``_matmul_dispatch``, ``isscalarlike``, a fresh ``np.zeros``, then a
 second ``y[sel] -= tmp`` pass) costs as much as the kernel it wraps —
@@ -19,8 +19,8 @@ What the kernels do, and what this module relies on (pinned by
 - they index ``indices`` / ``data`` by the absolute offsets stored in
   ``indptr``, so ``indptr[lo:hi + 1]`` over the *full* ``indices`` /
   ``data`` is rows ``lo..hi`` of the matrix, no rebasing;
-- ``x`` and ``y`` may be the same buffer when no row being written is a
-  column being read;
+- they touch nothing but ``y``, which may be a view of a longer vector
+  (a group's rows), and rows without entries leave it as it was;
 - inputs of another dtype or stride are converted by the wrapper on
   every call (correct, but a copy per call — callers normalise once per
   solve instead); an output of the wrong dtype raises.
@@ -55,32 +55,26 @@ def warmup() -> float:
 # ----------------------------------------------------------------------
 
 
-def apply_substitution(plan, rp: np.ndarray) -> np.ndarray:
-    """Sweep the plan with one direct kernel call per group.
+def apply_substitution(plan) -> np.ndarray:
+    """Sweep the plan with two direct kernel calls per group.
 
-    Seed with the whole-vector diagonal solve ``y = Dinv r``, then
-    accumulate the (negated) group operators in place: ``y_g += op_g y``
-    forward, then backward.  A contiguous group is written through the
-    view ``y[sel]``; a level-schedule wave goes through the plan's
-    scratch and one ``y[sel] += w``.  Returns ``plan.y`` (valid until
-    the plan is swept again).
+    ``plan.t`` holds the permuted residual and is consumed.  Forward,
+    group after group: ``t_g += (-L_g) y`` then ``y_g = Dinv_g t_g``;
+    backward, from the last group, on a zeroed ``t``:
+    ``t_g += (-L_g^T) y`` then ``y_g += Dinv_g t_g``.  Every call reads
+    one vector and accumulates into the other.  Returns ``plan.y``
+    (valid until the plan is swept again).
     """
-    n = plan.ndof
-    if rp.shape != (n,):
-        raise ValueError(f"rp must have shape ({n},), got {rp.shape}")
-    y = plan.y
+    n, t, y = plan.ndof, plan.t, plan.y
     y.fill(0.0)
-    _csr_matvec(n, n, plan.dinv_indptr, plan.dinv_indices, plan.dinv_data, rp, y)
-    for sweep in (plan.fwd, plan.bwd):
+    dinv_indices, dinv_data = plan.dinv_indices, plan.dinv_data
+    for sweep, steps in ((plan.fwd, plan.fwd_steps), (plan.bwd, plan.bwd_steps)):
         indices, data = sweep.indices, sweep.data
-        for nrows, ptr, sel in sweep.steps:
-            if type(sel) is slice:
-                _csr_matvec(nrows, n, ptr, indices, data, y, y[sel])
-            else:
-                w = plan.work[:nrows]
-                w.fill(0.0)
-                _csr_matvec(nrows, n, ptr, indices, data, y, w)
-                y[sel] += w
+        for nrows, lptr, dptr, tg, yg in steps:
+            if lptr is not None:
+                _csr_matvec(nrows, n, lptr, indices, data, y, tg)
+            _csr_matvec(nrows, n, dptr, dinv_indices, dinv_data, t, yg)
+        t.fill(0.0)
     return y
 
 
@@ -89,8 +83,9 @@ def apply_substitution_block(plan, rp: np.ndarray) -> np.ndarray:
 
     ``csr_matvecs`` multiplies dense row-major panels, so one read of
     each operator serves every column (the multi-RHS win the serve
-    layer's block-CG batches for).  Returns a fresh ``(ndof, s)`` array;
-    the waves' scratch panel is allocated once per call.
+    layer's block-CG batches for).  *rp* must be a C-contiguous float64
+    panel the caller gives up: it is the sweep's ``t``.  Returns a fresh
+    ``(ndof, s)`` array.
 
     The loop is :func:`apply_substitution`'s written out a second time
     on purpose: the two kernels differ by one positional argument, and
@@ -101,19 +96,15 @@ def apply_substitution_block(plan, rp: np.ndarray) -> np.ndarray:
     if rp.ndim != 2 or rp.shape[0] != n:
         raise ValueError(f"rp must have shape ({n}, s), got {rp.shape}")
     s = rp.shape[1]
-    y = np.zeros((n, s))
-    _csr_matvecs(n, n, s, plan.dinv_indptr, plan.dinv_indices, plan.dinv_data, rp, y)
-    work = np.empty((plan.work.size, s))
-    for sweep in (plan.fwd, plan.bwd):
+    t, y = rp, np.zeros((n, s))
+    dinv_indices, dinv_data = plan.dinv_indices, plan.dinv_data
+    for sweep, steps in zip((plan.fwd, plan.bwd), plan.steps(t, y)):
         indices, data = sweep.indices, sweep.data
-        for nrows, ptr, sel in sweep.steps:
-            if type(sel) is slice:
-                _csr_matvecs(nrows, n, s, ptr, indices, data, y, y[sel])
-            else:
-                w = work[:nrows]
-                w.fill(0.0)
-                _csr_matvecs(nrows, n, s, ptr, indices, data, y, w)
-                y[sel] += w
+        for nrows, lptr, dptr, tg, yg in steps:
+            if lptr is not None:
+                _csr_matvecs(nrows, n, s, lptr, indices, data, y, tg)
+            _csr_matvecs(nrows, n, s, dptr, dinv_indices, dinv_data, t, yg)
+        t.fill(0.0)
     return y
 
 

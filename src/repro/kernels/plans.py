@@ -1,27 +1,30 @@
 """The one execution plan of the substitution kernels.
 
-``M^{-1} r`` with ``M = (D + L) D^{-1} (D + L)^T`` is, in the permuted
-numbering, a whole-vector block-diagonal solve ``y = Dinv r`` followed by
-one in-place update per schedule group in each direction:
+``M^{-1} r`` with ``M = (D + L) D^{-1} (D + L)^T`` is one pass over the
+schedule groups in each direction, and every pass streams the factor's
+own off-diagonal entries plus ``Dinv`` — GeoFEM's ``AL`` / ``AU`` /
+``D~^{-1}`` sweep (paper section 3, DESIGN.md section 7):
 
-    forward   y_g -= (Dinv_g L_g)   y      (columns: earlier groups)
-    backward  y_g -= (Dinv_g L_g^T) y      (columns: later groups)
+    forward   t_g += (-L_g)   y ;  y_g  = Dinv_g t_g     (t starts as r)
+    backward  t_g += (-L_g^T) y ;  y_g += Dinv_g t_g     (t starts as 0)
 
 A :class:`SubstitutionPlan` holds exactly that, in one layout every
-backend reads: per direction a :class:`FlatSweep` — the folded group
-operators concatenated into a single CSR in *sweep order* (the backward
-sweep stores the last group first, so both directions stream their
-arrays front to back) — plus the CSR of the whole-vector ``Dinv``.
+backend reads: the CSR of ``-L`` (:attr:`fwd`) and of ``-L^T``
+(:attr:`bwd`) — the *live* strictly-lower entries of the factor, nothing
+folded into them — the CSR of the block-diagonal ``Dinv``, and the row
+ranges of the schedule groups.  Rows and columns are numbered in *sweep
+order* (group after group; the colour ordering of a multicolour
+schedule as it is, a level-schedule's waves renumbered), so every group
+is a contiguous row range of all three matrices and of both vectors.
 
-*Structure* (``indptr``, ``indices``, ``rows``, ``group_ptr``) is fixed
-once by the symbolic phase (:meth:`ICSymbolic._build_apply_structures`)
-and shared by every factorization built on that pattern; *data* belongs
-to one factorization, is allocated once and refilled in place by every
-numeric (re)factorization.  Operator values are stored **negated**, so a
-group update is a pure accumulate ``y_g += op_g y`` — the form the
-compiled ``csr_matvec`` kernels have (``y += A x``) — and because no
-operator has a column inside its own rows (asserted by the symbolic
-phase) the accumulate may read and write the same vector.
+*Structure* (``indptr``, ``indices``, ``group_ptr``) is fixed once by
+the symbolic phase (:meth:`ICSymbolic._build_apply_structures`) and
+shared by every factorization built on that pattern; *data* belongs to
+one factorization, is allocated once and refilled in place by every
+numeric (re)factorization.  Off-diagonal values are stored **negated**,
+so a group update is the accumulate ``t_g += op_g y`` the compiled
+kernels have; a group's operator only has columns in groups already
+swept (asserted by the symbolic phase).
 """
 
 from __future__ import annotations
@@ -32,61 +35,42 @@ __all__ = ["FlatSweep", "SubstitutionPlan"]
 
 
 class FlatSweep:
-    """One sweep direction: every group's operator in one CSR.
+    """One sweep direction: the CSR of ``-L`` or ``-L^T`` in sweep order.
 
-    Concatenated row ``t`` belongs to the ``g``-th group *of the sweep*
-    iff ``group_ptr[g] <= t < group_ptr[g + 1]`` and updates DOF
-    ``rows[t]`` of the permuted vector; its entries are
-    ``indices/data[indptr[t]:indptr[t + 1]]`` with columns indexing the
-    whole permuted vector and ``data`` holding ``-(Dinv_g L_g)``.  A
-    group without entries keeps its (empty) rows, so the group count is
-    that of the schedule.
-
-    ``steps`` is the sweep as direct-kernel-call arguments, one tuple
-    ``(nrows, indptr_slice, sel)`` per non-empty group: the compiled
-    kernels index ``indices``/``data`` by the absolute offsets in
-    ``indptr``, so a slice of it needs no rebasing.  ``sel`` is a
-    ``slice`` when the group's DOFs are contiguous (every colour of a
-    multicolour ordering is) and the index array ``rows[lo:hi]``
-    otherwise (level-schedule waves of BIC(1)/(2)).
+    Row ``t`` updates entry ``t`` of the sweep vectors; its entries are
+    ``indices/data[indptr[t]:indptr[t + 1]]``.  ``data`` is this
+    factorization's own; a refactor refills it in place.
     """
 
-    def __init__(
-        self,
-        indptr: np.ndarray,
-        indices: np.ndarray,
-        rows: np.ndarray,
-        group_ptr: np.ndarray,
-    ) -> None:
-        self.indptr, self.indices, self.rows, self.group_ptr = (
-            indptr, indices, rows, group_ptr,
-        )
+    def __init__(self, indptr: np.ndarray, indices: np.ndarray) -> None:
+        self.indptr, self.indices = indptr, indices
         self.data = np.zeros(indices.size)
-        self.steps: list[tuple] = []
-        for lo, hi in zip(group_ptr[:-1].tolist(), group_ptr[1:].tolist()):
-            if indptr[hi] == indptr[lo]:
-                continue
-            sel = rows[lo:hi]
-            if (np.diff(sel) == 1).all():
-                sel = slice(int(sel[0]), int(sel[0]) + hi - lo)
-            self.steps.append((hi - lo, indptr[lo : hi + 1], sel))
 
 
 class SubstitutionPlan:
     """Everything one ``M^{-1} r`` application reads and writes.
 
     ``dinv_indptr`` / ``dinv_indices`` / ``dinv_data`` are the CSR of the
-    whole-vector block-diagonal ``Dinv`` (``dinv_data`` *is* the
-    factorization's inverse-diagonal array: blocks stored row-major in
-    DOF order are already in CSR order), ``fwd`` / ``bwd`` the two
-    :class:`FlatSweep` directions.  ``y`` is the sweep's result vector
-    and ``work`` the scratch of the non-contiguous groups, both
-    allocated once: a sweep allocates nothing, and its result is valid
-    until the next sweep of the same plan.
+    block-diagonal ``Dinv`` (``dinv_data`` *is* the factorization's
+    inverse-diagonal array: its blocks are stored row-major in sweep
+    order, which is CSR order), ``fwd`` / ``bwd`` the two
+    :class:`FlatSweep` directions, ``group_ptr`` the row range of every
+    schedule group.  ``t`` takes the permuted residual and is consumed
+    by the sweep; ``y`` is its result, valid until the next sweep of the
+    same plan.  Both are allocated once: a sweep allocates nothing.
+
+    ``fwd_steps`` / ``bwd_steps`` are the sweep as direct-kernel-call
+    arguments, one tuple ``(nrows, l_indptr, d_indptr, t_g, y_g)`` per
+    group in sweep order: the compiled kernels index ``indices`` /
+    ``data`` by the absolute offsets in ``indptr``, so a slice of it
+    needs no rebasing; ``t_g`` / ``y_g`` are the group's views of the
+    two vectors.  ``l_indptr`` is ``None`` for a group without
+    off-diagonal entries, which going backward is left out.
     """
 
     def __init__(
         self,
+        group_ptr: np.ndarray,
         dinv_indptr: np.ndarray,
         dinv_indices: np.ndarray,
         dinv_data: np.ndarray,
@@ -94,10 +78,28 @@ class SubstitutionPlan:
         bwd: FlatSweep,
     ) -> None:
         self.ndof = dinv_indptr.size - 1
+        self.group_ptr = group_ptr
         self.dinv_indptr, self.dinv_indices, self.dinv_data = (
             dinv_indptr, dinv_indices, dinv_data,
         )
         self.fwd, self.bwd = fwd, bwd
+        self.t = np.zeros(self.ndof)
         self.y = np.zeros(self.ndof)
-        scattered = [n for n, _ptr, sel in fwd.steps + bwd.steps if type(sel) is not slice]
-        self.work = np.zeros(max(scattered, default=0))
+        bounds = group_ptr.tolist()
+        self._groups = [
+            [
+                (None if lptr[hi] == lptr[lo] else lptr[lo : hi + 1], dinv_indptr[lo : hi + 1], lo, hi)
+                for lo, hi in zip(bounds[:-1], bounds[1:])
+            ]
+            for lptr in (fwd.indptr, bwd.indptr)
+        ]
+        self._groups[1] = [group for group in self._groups[1][::-1] if group[0] is not None]
+        self.fwd_steps, self.bwd_steps = self.steps(self.t, self.y)
+
+    def steps(self, t: np.ndarray, y: np.ndarray) -> list[list[tuple]]:
+        """Forward and backward kernel-call arguments for the sweep
+        vectors (or row-major panels) *t* and *y*."""
+        return [
+            [(hi - lo, lptr, dptr, t[lo:hi], y[lo:hi]) for lptr, dptr, lo, hi in groups]
+            for groups in self._groups
+        ]

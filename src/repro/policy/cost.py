@@ -63,9 +63,9 @@ policy decisions drop straight into
 :class:`~repro.serve.protocol.SolveRequest`."""
 
 SETUP_PASSES = {
-    "sbbic0": {"symbolic": 240, "numeric": 75},
-    "bic0": {"symbolic": 200, "numeric": 60},
-    "ic0": {"symbolic": 550, "numeric": 70},
+    "sbbic0": {"symbolic": 200, "numeric": 45},
+    "bic0": {"symbolic": 185, "numeric": 40},
+    "ic0": {"symbolic": 430, "numeric": 28},
     "diag": {"symbolic": 0, "numeric": 3},
 }
 """Cold set-up cost per family and phase, in matvec-shaped passes.
@@ -74,16 +74,18 @@ Measured, not derived: ``symbolic_seconds`` / ``numeric_seconds`` of the
 built factor divided by the seconds of one CSR ``a @ x`` on the same
 operator (best of 3 builds, one BLAS thread, numpy kernel backend), on
 block 0.8 / 1.0 / 1.5 and swjapan 1.0 / 1.5 / 2.0 at ``lambda = 1e6``
-(2.2k-19.9k DOF).  Ranges seen: SB-BIC(0) 137-360 / 43-126, BIC(0)
-130-306 / 39-94, scalar IC(0) 348-828 / 37-113, Diagonal 0 / 1.4-5; the
-high ends are the 2.2k-DOF problems, where Python dispatch dominates.
-Below ~1k DOF every count roughly doubles — and so does the cost of an
-iteration, so the set-up/iteration ratio the ranking depends on holds
-(SB-BIC(0) 67-90, BIC(0) 59-85, IC(0) 92-194, Diagonal 1.4-2.4
-iterations per set-up across the whole range).  The counts belong to
-this implementation's colour-batched numpy factorization; re-measure
-them when the set-up path changes (DESIGN.md section 15 has the table
-and ``benchmarks/test_bench_policy.py`` the 3x host check).
+(2.2k-19.9k DOF); the table holds the medians.  Ranges seen: SB-BIC(0)
+129-236 / 28-58, BIC(0) 125-214 / 26-48, scalar IC(0) 365-541 / 24-35,
+Diagonal 0 / 1.9-4.8; the high ends are the block problems, whose
+matvec — the unit — got up to 46 % cheaper when the assembly stopped
+storing round-off zeros, the low ends swjapan 1.5 / 2.0.  The
+set-up/iteration ratio the ranking depends on: SB-BIC(0) 49-93, BIC(0)
+50-88, IC(0) 111-165, Diagonal 1.7-3.1 iterations per set-up across the
+range.  The counts belong to this implementation's colour-batched
+numpy factorization (numeric phase: update sweeps plus one gather, no
+fold); re-measure them when the set-up path changes (DESIGN.md
+section 15 has the table and ``benchmarks/test_bench_policy.py`` the 3x
+host check).
 """
 
 # spectrum compression of level-0 IC relative to plain Jacobi scaling —

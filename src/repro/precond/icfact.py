@@ -226,18 +226,6 @@ def _pairs_through_edges(indptr, indices, rows, cols, n, chunk=4096):
     return out
 
 
-def _positions_from_float(data: np.ndarray) -> np.ndarray:
-    """Recover the 1-based integer positions smuggled through float data."""
-    pos = np.rint(data).astype(np.int64)
-    pos -= 1
-    return pos
-
-
-# blocks per batched product of the fold: its gathers, operands and
-# result (a few hundred KB at 3 x 3) then stay in cache between the steps
-_FOLD_CHUNK = 2048
-
-
 def _row_segments(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable-sort *keys* and return ``(order, seg_ptr)`` segment bounds.
 
@@ -351,6 +339,8 @@ class ICSymbolic:
         self.group_of = np.empty(self.pattern.N, dtype=np.int64)
         for g, members in enumerate(self.schedule):
             self.group_of[members] = g
+        # super-nodes in the order the substitution sweeps visit them
+        self.sweep = np.concatenate(groups) if groups else self.order[:0]
         laps.lap("ic_symbolic.pattern")
 
         # ---- values-only scatter map A -> L (the refactor fast path)
@@ -364,9 +354,11 @@ class ICSymbolic:
             self.pattern.indices[self.diag_pos], np.arange(self.pattern.N)
         ):
             raise AssertionError("diagonal block is not last in some lower row")
-        sz2 = self.sizes * self.sizes
-        self.dinv_off = np.concatenate([[0], np.cumsum(sz2)]).astype(np.int64)
-        self.dinv_size = int(self.dinv_off[-1])
+        # inverse diagonal blocks, row-major, laid out in sweep order
+        ends = np.cumsum(self.sizes[self.sweep] ** 2)
+        self.dinv_size = int(ends[-1]) if ends.size else 0
+        self.dinv_off = np.full(self.pattern.N + 1, self.dinv_size, dtype=np.int64)
+        self.dinv_off[self.sweep] = ends - self.sizes[self.sweep] ** 2
 
         # ---- numeric-sweep index maps (gathers/scatters precomputed so
         # the numeric phase is pure fancy-index + batched matmul)
@@ -672,129 +664,73 @@ class ICSymbolic:
         """Fix the structure of the flat substitution plan and the maps
         that refill its data (:mod:`repro.kernels.plans`).
 
-        The folded operator of off-diagonal block ``(i, k)`` is the
-        dense product ``Dinv_i L_ik`` in the forward sweep (rows of
-        ``i``) and ``Dinv_k L_ik^T`` in the backward sweep (rows of
-        ``k``); of it the plan keeps the boolean product of the
-        structural patterns — ``Dinv`` dense, ``L`` as
-        :meth:`_structural_mask` says — i.e. the columns whose ``L``
-        column (forward) or row (backward) is live.
-
-        The numeric phase walks ``fold_buckets`` — runs ``(si, sk, m)``
-        of *m* same-shape blocks, at most ``_FOLD_CHUNK`` so that its
-        temporaries stay cache-sized — gathering each run's ``L``
-        entries through ``fold_l`` and its ``Dinv`` blocks, whole, out
-        of the per-size stacks (``dinv_stacks[s]`` gathers the size-*s*
-        blocks, ``fold_rowslot`` / ``fold_colslot`` say which one a
-        block needs), multiplies them batched into one array of
-        products, and ``fwd_gather`` / ``bwd_gather`` pick the kept
-        entries out of it in CSR order.  The backward product is formed
-        as ``L_ik Dinv_k^T``, its transpose, so every operand is
-        contiguous; its gather undoes the transposition.
+        The plan numbers rows and columns in sweep order — the DOFs of
+        schedule group after schedule group (``plan_perm`` composes that
+        with the ordering's own permutation) — and holds, row by row,
+        the strictly-lower scalars of ``L`` that :meth:`_structural_mask`
+        calls live: ``fwd_gather`` lists their slots in ``L.data`` in
+        the CSR order of ``L``, ``bwd_gather`` in that of ``L^T``, and
+        the numeric phase copies them out, negated, as they are.
         """
         n = self.ndof
         L = self.pattern
         sizes, offsets = self.sizes, L.offsets
-        brow = L.block_rows()
         # the plan's index arrays are int32 whenever that holds them
         fits = max(n, L.data.size) <= np.iinfo(np.int32).max
         idx = np.int32 if fits else np.int64
 
-        # whole-vector Dinv: block i is stored row-major at dinv_off[i],
-        # blocks in DOF order, which already is the CSR data order
-        row_len = np.repeat(sizes, sizes)
-        self.dinv_indptr = np.concatenate(([0], np.cumsum(row_len))).astype(idx)
-        self.dinv_indices = ranges(np.repeat(offsets[:-1], sizes), row_len).astype(idx)
-
-        slot = np.empty(sizes.size, dtype=np.int64)
-        self.dinv_stacks: dict[int, np.ndarray] = {}
-        for s, _s, nodes in shape_buckets(sizes, sizes, np.arange(sizes.size)):
-            slot[nodes] = np.arange(nodes.size)
-            self.dinv_stacks[s] = self.dinv_off[nodes, None] + np.arange(s * s)
-
-        buckets = list(shape_buckets(sizes[brow], sizes[L.indices], self._offdiag_positions()))
-        pos = np.concatenate([p for _si, _sk, p in buckets]) if buckets else brow[:0]
-        self.fold_rowslot, self.fold_colslot = slot[brow[pos]], slot[L.indices[pos]]
-        total = int(sum(si * sk * p.size for si, sk, p in buckets))
-        self.fold_l = np.empty(total, dtype=np.int64)
-        self.fold_buckets: list[tuple[int, int, int]] = []
-        mask = self._structural_mask()
-        # per shape bucket: its span of product entries and their shape,
-        # the DOFs of the blocks' rows / columns (as product rows /
-        # columns), and which rows / columns of the L blocks are live
-        spans = []
-        e0 = 0
-        for si, sk, p in buckets:
-            e1 = e0 + si * sk * p.size
-            np.add(
-                L.boff[p, None], np.arange(si * sk), out=self.fold_l[e0:e1].reshape(-1, si * sk)
-            )
-            live = mask[self.fold_l[e0:e1]].reshape(-1, si, sk)
-            spans.append((
-                slice(e0, e1),
-                (p.size, si, sk),
-                offsets[brow[p], None, None] + np.arange(si)[:, None],
-                offsets[L.indices[p], None, None] + np.arange(sk),
-                live.any(axis=2, keepdims=True),
-                live.any(axis=1, keepdims=True),
-            ))
-            self.fold_buckets += [
-                (si, sk, min(_FOLD_CHUNK, p.size - c)) for c in range(0, p.size, _FOLD_CHUNK)
-            ]
-            e0 = e1
-
-        # The sweep accumulates into y_g while reading y.  Block (i, k)
-        # gives the rows of i columns of k going forward and the rows of
-        # k columns of i going backward: legal in place iff k's group
-        # comes strictly before i's in the schedule.
-        if (self.group_of[L.indices[pos]] >= self.group_of[brow[pos]]).any():
+        # Block (i, k) gives the rows of i columns of k going forward and
+        # the rows of k columns of i going backward: a sweep finds them
+        # final iff k's group comes strictly before i's in the schedule.
+        off = self._offdiag_positions()
+        if (self.group_of[L.indices[off]] >= self.group_of[L.block_rows()[off]]).any():
             raise AssertionError(
                 "substitution operator has a column inside its own group's "
                 "rows or in a group not yet swept"
             )
 
-        # Every product entry becomes a COO entry whose "value" is its
-        # 1-based position — 0 when the structure drops it, which the CSR
-        # canonicalization then eliminates.  Product entry [b, a] of a
-        # block is (Dinv_i L_ik)[b, a] forward, kept when L's column a is
-        # live, and (Dinv_k L_ik^T)[a, b] backward, kept when L's row b is.
-        dofs = [ranges(offsets[members], sizes[members]) for members in self.schedule]
-        rows, cols, src = np.empty(total, idx), np.empty(total, idx), np.empty(total)
+        sweep = self.sweep
+        dofs = ranges(offsets[sweep], sizes[sweep])  # plan row -> DOF of L
+        where = np.empty(n, dtype=np.int64)  # DOF of L -> plan row
+        where[dofs] = np.arange(n)
+        start = where[offsets[:-1]]  # first plan row of every block
+        self.plan_perm = self.perm_dof[dofs]
+        self.group_ptr = np.concatenate(
+            ([0], np.cumsum([sizes[members].sum() for members in self.schedule], dtype=np.int64))
+        )
 
-        def compile_sweep(forward: bool) -> tuple[tuple, np.ndarray]:
-            """``FlatSweep`` structure and data gather of one direction."""
-            order = dofs if forward else dofs[::-1]
-            sweep_rows = np.concatenate(order) if order else np.empty(0, dtype=np.int64)
-            where = np.empty(n, dtype=idx)  # DOF -> concatenated row
-            where[sweep_rows] = np.arange(n)
-            for span, shape, dof_i, dof_k, live_row, live_col in spans:
-                r, c, kept = (dof_i, dof_k, live_col) if forward else (dof_k, dof_i, live_row)
-                rows[span].reshape(shape)[...] = where[r]
-                cols[span].reshape(shape)[...] = c
-                at = np.arange(span.start + 1.0, span.stop + 1.0).reshape(shape)
-                np.multiply(at, kept, out=src[span].reshape(shape))
-            m = sp.csr_matrix((src, (rows, cols)), shape=(n, n))
-            m.sum_duplicates()
-            if m.nnz != total:
-                raise AssertionError("compiled operator structure has colliding entries")
-            m.eliminate_zeros()
-            m.sort_indices()
-            group_ptr = np.concatenate(([0], np.cumsum([d.size for d in order])))
-            struct = (
-                m.indptr.astype(idx, copy=False),
-                m.indices.astype(idx, copy=False),
-                sweep_rows,
-                group_ptr.astype(np.int64),
-            )
-            return struct, _positions_from_float(m.data)
+        # Dinv: block after block in sweep order, which dinv_off follows
+        row_len = np.repeat(sizes[sweep], sizes[sweep])
+        self.dinv_indptr = np.concatenate(([0], np.cumsum(row_len))).astype(idx)
+        self.dinv_indices = ranges(np.repeat(start[sweep], sizes[sweep]), row_len).astype(idx)
 
-        self.fwd_struct, self.fwd_gather = compile_sweep(True)
-        self.bwd_struct, self.bwd_gather = compile_sweep(False)
+        # Scalar row r of block row i reads sizes[k] consecutive slots of
+        # each of its off-diagonal blocks (i, k), the diagonal block
+        # being the last of the row: one segment per (plan row, block).
+        block = np.repeat(sweep, sizes[sweep])
+        nseg = np.diff(L.indptr)[block] - 1
+        pos = ranges(L.indptr[block], nseg)
+        width = sizes[L.indices[pos]]
+        slots = ranges(L.boff[pos] + np.repeat(dofs - offsets[block], nseg) * width, width)
+        live = np.flatnonzero(self._structural_mask()[slots])
+        row_width = np.bincount(
+            L.block_rows()[off], weights=sizes[L.indices[off]], minlength=L.N
+        ).astype(np.int64)
+        row_ends = np.cumsum(row_width[block])
+        indptr = np.concatenate(([0], np.searchsorted(live, row_ends))).astype(idx)
+        indices = ranges(start[L.indices[pos]], width).take(live).astype(idx)
+        # L^T: scipy's transposition carries the slots along as data
+        fwd = sp.csr_matrix((slots.take(live), indices, indptr), shape=(n, n))
+        bwd = fwd.tocsc()
+        self.fwd_struct, self.fwd_gather = (indptr, indices), fwd.data
+        self.bwd_struct = (bwd.indptr.astype(idx, copy=False), bwd.indices.astype(idx, copy=False))
+        self.bwd_gather = bwd.data
 
     def new_plan(self, dinv: np.ndarray) -> SubstitutionPlan:
         """Fresh plan sharing this pattern's structure arrays; its
         ``Dinv`` data is *dinv* itself, its sweep data its own."""
         return SubstitutionPlan(
+            self.group_ptr,
             self.dinv_indptr,
             self.dinv_indices,
             dinv,
@@ -907,7 +843,7 @@ class BlockICFactorization(Preconditioner):
         self.L = symbolic.new_vbr()
         self._dinv = np.zeros(symbolic.dinv_size)
         self._plan = symbolic.new_plan(self._dinv)
-        self._rp = np.empty(self.ndof)
+        self._plan_perm = symbolic.plan_perm
         self._shift = float(shift)
         self.numeric_setup_count = 0
         self.refactor(a, check_pattern=check)
@@ -970,7 +906,7 @@ class BlockICFactorization(Preconditioner):
         self._warn_on_pivot_nudges()
         laps.lap("ic_numeric.factor")
         self._build_apply_ops()
-        laps.lap("ic_numeric.fold")
+        laps.lap("ic_numeric.gather")
         # the lazy reference/apply_m structures cache gathered block
         # *values*; drop them so they rebuild from the new factor
         for attr in ("_fwd", "_bwd", "_diag_apply"):
@@ -1085,48 +1021,21 @@ class BlockICFactorization(Preconditioner):
         flat = self._dinv_off[snodes, None] + np.arange(s * s)
         return self._dinv[flat].reshape(-1, s, s)
 
-    def _offdiag_positions(self) -> np.ndarray:
-        return self.symbolic._offdiag_positions()
-
     # ------------------------------------------------------------------
     # application  z = M^{-1} r
     # ------------------------------------------------------------------
 
     def _build_apply_ops(self) -> None:
-        """Refill the substitution plan's data in place (the *fold*).
-
-        The plan's structure and the gather maps were fixed once in the
-        symbolic phase (:meth:`ICSymbolic._build_apply_structures`); here
-        each run of same-shape blocks is one batched ``matmul`` of its
-        gathered ``L`` entries with its (negated) ``Dinv`` blocks —
-        ``-Dinv_i L_ik`` forward, ``L_ik (-Dinv_k^T)`` backward — and
-        one gather per direction writes the kept entries into the plan's
-        own ``data`` arrays.  One product array serves both directions
-        in turn, so a refactor's transient memory is one dense copy of
-        the strictly-lower factor.  ``Dinv`` needs nothing: the plan
-        reads ``self._dinv`` itself.
-        """
+        """Refill the substitution plan's data in place: the live
+        strictly-lower entries of ``L``, negated, through the gather
+        maps of the symbolic phase.  ``Dinv`` needs nothing — the plan
+        reads ``self._dinv`` itself."""
         sym, plan = self.symbolic, self._plan
-        neg = {s: -self._dinv[flat].reshape(-1, s, s) for s, flat in sym.dinv_stacks.items()}
-        neg_t = {s: np.ascontiguousarray(d.transpose(0, 2, 1)) for s, d in neg.items()}
-        prod = np.empty(sym.fold_l.size)
-        for forward, sweep, gather in (
-            (True, plan.fwd, sym.fwd_gather),
-            (False, plan.bwd, sym.bwd_gather),
-        ):
-            e0 = b0 = 0
-            for si, sk, m in sym.fold_buckets:
-                e1, b1 = e0 + m * si * sk, b0 + m
-                lb = np.take(self.L.data, sym.fold_l[e0:e1]).reshape(m, si, sk)
-                out = prod[e0:e1].reshape(m, si, sk)
-                if forward:
-                    np.matmul(neg[si][sym.fold_rowslot[b0:b1]], lb, out=out)
-                else:
-                    np.matmul(lb, neg_t[sk][sym.fold_colslot[b0:b1]], out=out)
-                e0, b0 = e1, b1
-            # the gather indexes inside ``prod`` by construction: "clip"
+        for sweep, gather in ((plan.fwd, sym.fwd_gather), (plan.bwd, sym.bwd_gather)):
+            # the gather indexes inside ``L.data`` by construction: "clip"
             # only spares np.take its bounds-checking copy of ``out``
-            np.take(prod, gather, out=sweep.data, mode="clip")
+            np.take(self.L.data, gather, out=sweep.data, mode="clip")
+            np.negative(sweep.data, out=sweep.data)
 
     def warmup(self) -> "BlockICFactorization":
         """Pay every lazy/one-time cost now, off the timed path.
@@ -1143,22 +1052,23 @@ class BlockICFactorization(Preconditioner):
         """``z = M^{-1} r`` by one sweep of the substitution plan.
 
         The sweep is served by the kernel backend the last
-        :meth:`refactor` resolved (:mod:`repro.kernels`): one direct
-        compiled ``csr_matvec`` call per group on numpy, one flat
+        :meth:`refactor` resolved (:mod:`repro.kernels`): two direct
+        compiled ``csr_matvec`` calls per group on numpy, one flat
         ``prange``-parallel kernel call on numba.  Passing ``out``
         reuses the caller's buffer for the result (it may alias *r*);
-        the permuted input and the sweep vector are preallocated, so an
-        apply with ``out`` allocates nothing.
+        the plan's two sweep vectors are preallocated, so an apply with
+        ``out`` allocates nothing.
         """
         r = np.asarray(r, dtype=np.float64)
         if r.shape != (self.ndof,):
             raise ValueError(f"r must have shape ({self.ndof},), got {r.shape}")
-        # perm_dof is a permutation: "clip" only spares the bounds pass
-        r.take(self.perm_dof, out=self._rp, mode="clip")
-        y = self._backend.apply_substitution(self._plan, self._rp)
+        plan = self._plan
+        # plan_perm is a permutation: "clip" only spares the bounds pass
+        r.take(self._plan_perm, out=plan.t, mode="clip")
+        y = self._backend.apply_substitution(plan)
         if out is None:
             out = np.empty(self.ndof)
-        out[self.perm_dof] = y
+        out[self._plan_perm] = y
         return out
 
     def apply_block(
@@ -1187,8 +1097,8 @@ class BlockICFactorization(Preconditioner):
             for j in range(r.shape[1]):
                 out[:, j] = self.apply(np.ascontiguousarray(r[:, j]))
             return out
-        y = block_fn(self._plan, r[self.perm_dof, :])
-        out[self.perm_dof, :] = y
+        y = block_fn(self._plan, r.take(self._plan_perm, axis=0))
+        out[self._plan_perm, :] = y
         return out
 
     # -- bucketed reference path (correctness oracle) -------------------
@@ -1200,7 +1110,7 @@ class BlockICFactorization(Preconditioner):
         if hasattr(self, "_fwd"):
             return
         brow = self.L.block_rows()
-        offdiag = self._offdiag_positions()
+        offdiag = self.symbolic._offdiag_positions()
         shape_r = self.sizes[brow]
         shape_c = self.sizes[self.L.indices]
         group_of = self._group_of

@@ -74,12 +74,12 @@ class BCSRMatrix:
         key = np.concatenate([rows.astype(np.int64) * n + cols, diag * (n + 1)])
         uniq, slot = np.unique(key, return_inverse=True)
         slot = slot[: rows.size]
-        values = np.empty((uniq.size, b, b))
-        for r in range(b):
-            for c in range(b):
-                values[:, r, c] = np.bincount(
-                    slot, weights=blocks[:, r, c], minlength=uniq.size
-                )
+        # slot-by-triplet selection matrix times the triplets: one compiled
+        # pass adds whole blocks, ``values[slot[t]] += 1.0 * blocks[t]`` for
+        # t = 0, 1, ... (the per-component ``bincount`` order, to the bit)
+        nt = rows.size
+        select = sp.csc_matrix((np.ones(nt), slot, np.arange(nt + 1)), shape=(uniq.size, nt))
+        values = (select @ blocks.reshape(nt, b * b)).reshape(uniq.size, b, b)
 
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
@@ -134,13 +134,37 @@ class BCSRMatrix:
             )
         return self._bsr_cache
 
-    def to_csr(self) -> sp.csr_matrix:
-        """Scalar CSR copy (sorted, duplicate-free)."""
+    def to_csr(self, keep: np.ndarray | None = None) -> sp.csr_matrix:
+        """Scalar CSR copy (sorted, duplicate-free); with the
+        ``(nnzb, b, b)`` mask *keep*, of the scalars it marks only."""
+        shape = (self.ndof, self.ndof)
         csr = self.to_bsr().tocsr()
+        if keep is not None:
+            kept = np.flatnonzero(
+                sp.bsr_matrix((keep, self.indices, self.indptr), shape=shape).tocsr().data
+            )
+            csr = sp.csr_matrix(
+                (csr.data.take(kept), csr.indices.take(kept), np.searchsorted(kept, csr.indptr)),
+                shape=shape,
+            )
         # block columns are sorted and unique within each row (class
         # invariant), so the expanded rows are canonical already
         csr.has_canonical_format = True
         return csr
+
+    def restricted(self, keep: np.ndarray) -> "BCSRMatrix":
+        """The matrix :meth:`to_csr` gives under *keep*, in blocks: other
+        scalars become zeros inside their block, and an off-diagonal
+        block that keeps nothing is dropped."""
+        alive = np.flatnonzero(keep.any(axis=(1, 2)) | (self.block_rows() == self.indices))
+        values = np.where(keep.take(alive, axis=0), self.values.take(alive, axis=0), 0.0)
+        return BCSRMatrix(
+            n=self.n,
+            b=self.b,
+            indptr=np.searchsorted(alive, self.indptr),
+            indices=self.indices.take(alive),
+            values=values,
+        )
 
     def toarray(self) -> np.ndarray:
         return self.to_bsr().toarray()

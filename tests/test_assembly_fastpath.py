@@ -26,7 +26,7 @@ from repro.experiments.workloads import (
     swjapan_structure,
     table2_block_mesh,
 )
-from repro.fem.assembly import assemble_stiffness
+from repro.fem.assembly import assemble_stiffness, stored_scalars
 from repro.fem.bc import (
     all_dofs,
     apply_dirichlet,
@@ -39,7 +39,9 @@ from repro.fem.generators import simple_block_model
 from repro.fem.hex8 import hex8_stiffness, shape_gradients_reference
 from repro.fem.material import IsotropicElastic
 from repro.fem.model import build_contact_problem
+from repro.precond import sb_bic0
 from repro.precond.icfact import ICSymbolic
+from repro.solvers.cg import cg_solve
 from repro.sparse.bcsr import BCSRMatrix
 from repro.sparse.vbr import supernode_maps
 from repro.utils.validate import check_contact_groups
@@ -158,6 +160,26 @@ def _reference_apply_dirichlet(a, b, fixed_dofs, values=0.0):
     return a_mod, b
 
 
+def _reference_stored(a, k_stiff, groups) -> sp.csr_matrix:
+    """What the assembly keeps of the eliminated system *a*, judged entry
+    by entry in scalar space: the diagonal, what the contact penalty
+    writes, and a stiffness coupling unless both ``k_ij`` and ``k_ji``
+    are within 64 eps of ``sqrt(k_ii k_jj)`` (stiffness *k_stiff* alone,
+    before elimination and without the penalty)."""
+    group_of = np.full(a.shape[0] // 3, -1)
+    for g, members in enumerate(groups):
+        group_of[members] = g
+    kd = k_stiff.diagonal()
+    coo = sp.csr_matrix(a).tocoo()
+    rows, cols, vals = [], [], []
+    for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+        bound = 64 * np.finfo(float).eps * np.sqrt(kd[i] * kd[j])
+        tied = group_of[i // 3] >= 0 and group_of[i // 3] == group_of[j // 3] and i % 3 == j % 3
+        if i == j or tied or abs(k_stiff[i, j]) > bound or abs(k_stiff[j, i]) > bound:
+            rows.append(i), cols.append(j), vals.append(v)
+    return sp.csr_matrix((vals, (rows, cols)), shape=a.shape)
+
+
 def _fixed_dofs(mesh, symmetry: bool) -> np.ndarray:
     fixed = [all_dofs(mesh.node_sets["zmin"])]
     if symmetry:
@@ -186,14 +208,17 @@ class TestSinglePassAssembly:
             mesh, penalty=penalty, materials=materials, load=load, symmetry=symmetry
         )
 
-        k = add_penalty(assemble_stiffness(mesh, materials), mesh.contact_groups, penalty)
+        stiffness = assemble_stiffness(mesh, materials)
+        k = add_penalty(stiffness, mesh.contact_groups, penalty)
         f = (
             surface_load(mesh, mesh.node_sets["zmax"], np.array([0.0, 0.0, -1.0]))
             if load == "surface"
             else body_force(mesh, np.array([0.0, 0.0, -1.0]))
         )
         fixed = _fixed_dofs(mesh, symmetry)
-        a_ref, b_ref = _reference_apply_dirichlet(k.to_csr(), f, fixed)
+        a_full, b_ref = _reference_apply_dirichlet(k.to_csr(), f, fixed)
+        a_ref = _reference_stored(a_full, stiffness.to_csr().todok(), mesh.contact_groups)
+        assert a_ref.nnz <= a_full.nnz
 
         assert np.array_equal(p.a.indptr, a_ref.indptr)
         assert np.array_equal(p.a.indices, a_ref.indices)
@@ -237,13 +262,107 @@ def test_affine_system_is_bitwise_the_direct_assembly(structure, problem):
     """``A0 + lambda * A1`` and the one-pass assembly add the penalty last
     to the same stiffness sums, so they agree to the bit."""
     s = structure(0.6)
-    for penalty in (1e2, 4.2e6, 1e10):
+    for penalty in (1e2, 1e6, 4.2e6, 1e10):
         p = problem(0.6, penalty)
         a = s.system(penalty)
         assert np.array_equal(a.indptr, p.a.indptr)
         assert np.array_equal(a.indices, p.a.indices)
         assert np.array_equal(a.data, p.a.data)
         assert np.array_equal(s.b, p.b)
+
+
+# ---------------------------------------------------------------------
+# the one rule of what the assembly stores
+# ---------------------------------------------------------------------
+
+
+def _stored_fraction(mesh) -> float:
+    k = assemble_stiffness(mesh)
+    diag = k.diagonal_blocks()[:, np.arange(3), np.arange(3)]
+    return float(stored_scalars(k, diag).mean())
+
+
+class TestStoredScalars:
+    @pytest.mark.parametrize("scale", [0.7, 2.0])
+    def test_swjapan_stiffness_is_stored_whole(self, scale):
+        """No coupling of the curved model is round-off: the smallest
+        relative magnitude is 1.5e-5 / 6.1e-7, eight decades above the
+        bound."""
+        assert _stored_fraction(swjapan_mesh(scale)) == 1.0
+
+    @pytest.mark.parametrize("scale", [0.6, 1.5])
+    def test_block_system_drops_a_third(self, scale):
+        """The axis-aligned block model used to store the quadrature
+        round-off of its analytically zero couplings (<= 9.7e-16
+        relative, then nothing below 5.7e-3) and the penalty blocks'
+        explicit zeros: 30-36 % of the system's scalars."""
+        p = block_problem(scale)
+        k = add_penalty(assemble_stiffness(p.mesh), p.mesh.contact_groups, p.penalty)
+        unpruned, _ = apply_dirichlet(k.to_csr(), p.b, p.fixed_dofs)
+        assert 0.30 <= 1.0 - p.a.nnz / unpruned.nnz <= 0.36
+        assert abs(unpruned - p.a).max() <= 64 * np.finfo(float).eps * abs(p.a.diagonal()).max()
+
+    @pytest.mark.parametrize("problem", [block_problem, swjapan_problem])
+    def test_pattern_ignores_the_penalty_and_is_symmetric(self, problem):
+        systems = [problem(0.6, penalty) for penalty in (1e2, 1e6, 1e10)]
+        a = systems[0].a
+        for p in systems[1:]:
+            assert np.array_equal(p.a.indptr, a.indptr)
+            assert np.array_equal(p.a.indices, a.indices)
+        pattern = sp.csr_matrix((np.ones(a.nnz), a.indices, a.indptr), shape=a.shape)
+        assert (pattern - pattern.T).nnz == 0
+        # every diagonal is stored; an eliminated row stores nothing else
+        assert (pattern.diagonal() == 1.0).all()
+        fixed = systems[0].fixed_dofs
+        assert fixed.size and (np.diff(a.indptr)[fixed] == 1).all()
+        assert (pattern[:, fixed].sum(axis=0) == 1).all()
+
+    def test_threshold_decides_per_scalar_and_keeps_both_triangles(self):
+        """Diagonals stay, a coupling goes only when both triangles are
+        within the bound, and the judgement uses the diagonal passed in."""
+        eps = np.finfo(float).eps
+        k = BCSRMatrix.from_coo_blocks(
+            2,
+            [0, 1, 0, 1],
+            [0, 1, 1, 0],
+            np.array([
+                np.diag([4.0, 1.0, 0.0]),
+                np.eye(3),
+                [[60 * eps, 200 * eps, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 1e-300]],
+                [[60 * eps, 0.0, 0.0], [60 * eps, 0.0, 0.0], [0.0, 0.0, 0.0]],
+            ]),
+        )
+        diag = np.array([[4.0, 1.0, 0.0], [1.0, 1.0, 1.0]])
+        d00, d01, d10, d11 = stored_scalars(k, diag)  # blocks in (row, column) order
+        assert np.array_equal(d00, np.eye(3, dtype=bool)) and np.array_equal(d11, d00)
+        # x0-x1: 60 eps <= 64 eps * sqrt(4 * 1) in both triangles -> dropped;
+        # x0-y1: 200 eps passes above, so the 60 eps below stays with it;
+        # z0-z1: anything non-zero beats the zero diagonal of z0
+        upper = np.zeros((3, 3), dtype=bool)
+        upper[0, 1] = upper[2, 2] = True
+        assert np.array_equal(d01, upper) and np.array_equal(d10, upper.T)
+        # judged with the diagonal passed in: a millionth of it, and 60 eps counts
+        assert stored_scalars(k, 1e-6 * diag)[1].sum() == 3
+
+
+@pytest.mark.parametrize("penalty", [1e2, 1e6, 1e10])
+def test_pruned_system_answers_the_unpruned_operator(penalty):
+    """Solve the system as assembled, directly and by SB-BIC(0) CG at the
+    harness tolerance; measure the residual against the multi-pass
+    reference operator that keeps every scalar."""
+    p = block_problem(0.8, penalty)
+    k = add_penalty(assemble_stiffness(p.mesh), p.mesh.contact_groups, penalty)
+    a_full, b_full = _reference_apply_dirichlet(k.to_csr(), p.b, p.fixed_dofs)
+    assert a_full.nnz > 1.3 * p.a.nnz and np.array_equal(b_full, p.b)
+    size = np.linalg.norm(p.b)
+    x = spsolve(p.a.tocsc(), p.b)
+    own, full = np.linalg.norm(p.b - p.a @ x), np.linalg.norm(p.b - a_full @ x)
+    assert abs(full - own) <= 1e-6 * own + 1e-14 * size
+    result = cg_solve(p.a, p.b, sb_bic0(p.a, p.groups), eps=1e-8)
+    assert result.converged
+    if penalty <= 1e6:  # above, no solver's residual gets there (1.2e-4 for the direct one)
+        assert full <= 1e-7 * size
+        assert np.linalg.norm(p.b - a_full @ result.x) <= 1e-7 * size
 
 
 def test_from_coo_blocks_sums_duplicates_in_input_order():

@@ -313,6 +313,9 @@ class TestTracedSolveAgreement:
             "assembly.dirichlet",
         ]
         assert asm.attrs["n_elem"] == p.mesh.n_elem
+        # what the system stores, and what the round-off rule dropped
+        assert asm.attrs["nnz_stored"] == p.a.nnz
+        assert 0 < asm.attrs["nnz_dropped"] < p.a.nnz
         (sym,) = sess.tracer.find("ic_symbolic")
         assert [c.name for c in sym.children] == [
             "ic_symbolic.ordering",
@@ -324,7 +327,7 @@ class TestTracedSolveAgreement:
         assert [c.name for c in num.children] == [
             "ic_numeric.scatter",
             "ic_numeric.factor",
-            "ic_numeric.fold",
+            "ic_numeric.gather",
         ]
         assert num.attrs["kernel_backend"] == m.kernel_backend
         for parent in (asm, sym, num):
@@ -337,7 +340,7 @@ class TestTracedSolveAgreement:
         # the phases show up in the terminal summary and the Chrome trace
         table = summary_table(sess.tracer, sess.metrics)
         assert "assembly.reduce" in table and "ic_symbolic.maps" in table
-        assert "ic_numeric.fold" in table
+        assert "ic_numeric.gather" in table
         _assert_chrome_well_formed(chrome_trace_events(sess.tracer))
 
     def test_parallel_cg_halo_census_matches_commlog(self, block_problem_small):
