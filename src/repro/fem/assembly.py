@@ -2,8 +2,9 @@
 
 GeoFEM assembles coefficient matrices per domain without communication
 (section 2.1); here the whole mesh is assembled in one vectorized pass:
-all element matrices (in bounded batches), then one sort-and-reduce of
-their block triplets into BCSR.
+one sort of the node pairs fixes the BCSR pattern, then the element
+matrices — one per distinct element shape, in bounded batches — are
+summed into it as they are produced.
 """
 
 from __future__ import annotations
@@ -11,7 +12,8 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.fem.hex8 import hex8_stiffness
+from repro.fem.contact import penalty_coo_blocks
+from repro.fem.hex8 import distinct_elements, stiffness_batches
 from repro.fem.material import IsotropicElastic
 from repro.fem.mesh import Mesh
 from repro.obs import record_span
@@ -20,16 +22,41 @@ from repro.utils.timing import Laps
 from repro.utils.validate import check_finite_coords
 
 
-def stiffness_coo_blocks(
-    mesh: Mesh,
-    materials: IsotropicElastic | dict[int, IsotropicElastic] | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Uncoalesced 3x3 block triplets of the elastic stiffness of *mesh*.
+def _constitutive_table(
+    mesh: Mesh, materials: IsotropicElastic | dict[int, IsotropicElastic] | None
+) -> tuple[np.ndarray, np.ndarray]:
+    """``(dtable, which)``: the distinct 6x6 constitutive matrices and the
+    one each element takes (all zeros under a single material)."""
+    if materials is None:
+        materials = IsotropicElastic()
+    if isinstance(materials, IsotropicElastic):
+        return materials.elasticity_matrix()[None], np.zeros(mesh.n_elem, dtype=np.int64)
+    ids, which = np.unique(mesh.material_ids, return_inverse=True)
+    missing = set(ids.tolist()) - {int(mid) for mid in materials}
+    if missing:
+        raise ValueError(f"materials missing for ids {sorted(missing)}")
+    table = {int(mid): mat for mid, mat in materials.items()}
+    return np.stack([table[mid].elasticity_matrix() for mid in ids.tolist()]), which
 
-    One triplet per (element, node pair): 64 per hexahedron, in element
-    order.  ``BCSRMatrix.from_coo_blocks`` sums them — alone for the
-    stiffness matrix, or together with the contact-penalty triplets so the
-    whole system is sorted and reduced once.
+
+def assemble_blocks(
+    mesh: Mesh,
+    materials: IsotropicElastic | dict[int, IsotropicElastic] | None,
+    groups: list[np.ndarray],
+    penalty: float,
+    laps: Laps,
+) -> tuple[BCSRMatrix, np.ndarray, int]:
+    """Elastic stiffness of *mesh* plus *penalty* times the Laplacian of
+    the contact *groups*, reduced while it is produced.
+
+    The slot of every (element, node pair) and every penalty pair comes
+    first, from connectivity alone; then the element matrices are added
+    into their slots batch by batch (:func:`stiffness_batches`, one
+    kernel run per distinct element shape) in mesh order, the penalty
+    last — the order of one sum over all the triplets, which are never
+    held together.  Returns the matrix, the ``(n_nodes, 3)`` diagonal of
+    its stiffness part (read before the penalty pass) and the number of
+    distinct element shapes; *laps* times the slot and element phases.
 
     Parameters
     ----------
@@ -39,31 +66,23 @@ def stiffness_coo_blocks(
         paper's non-dimensional ``E = 1.0, nu = 0.3``.
     """
     check_finite_coords(mesh.coords)
-    if materials is None:
-        materials = IsotropicElastic()
-    ne = mesh.n_elem
-    if isinstance(materials, IsotropicElastic):
-        dmat: IsotropicElastic | np.ndarray = materials
-    else:
-        table = {}
-        for mid, mat in materials.items():
-            table[int(mid)] = mat.elasticity_matrix()
-        missing = set(np.unique(mesh.material_ids).tolist()) - set(table)
-        if missing:
-            raise ValueError(f"materials missing for ids {sorted(missing)}")
-        dmat = np.empty((ne, 6, 6))
-        for mid, d in table.items():
-            dmat[mesh.material_ids == mid] = d
-
-    ke = hex8_stiffness(mesh.coords, mesh.hexes, dmat)
-
-    # Explode element matrices into 3x3 node-pair blocks.
-    rows = np.repeat(mesh.hexes, 8, axis=1).reshape(-1)
-    cols = np.tile(mesh.hexes, (1, 8)).reshape(-1)
-    blocks = (
-        ke.reshape(ne, 8, 3, 8, 3).transpose(0, 1, 3, 2, 4).reshape(ne * 64, 3, 3)
+    dtable, material = _constitutive_table(mesh, materials)
+    rows, cols = mesh.node_adjacency_pairs()  # 64 per hexahedron, in element order
+    prows, pcols, pblocks = penalty_coo_blocks(groups, penalty, mesh.n_nodes)
+    k, slot = BCSRMatrix.from_block_pairs(
+        mesh.n_nodes, np.concatenate([rows, prows]), np.concatenate([cols, pcols])
     )
-    return rows, cols, blocks
+    laps.lap("assembly.slots")
+    first, inverse = distinct_elements(mesh.coords, mesh.hexes, material)
+    batches = stiffness_batches(mesh.coords[mesh.hexes[first]], dtable[material[first]], inverse)
+    for e0, e1, ke, which in batches:
+        # element matrices as 3x3 node-pair blocks, then one per element
+        blocks = ke.reshape(-1, 8, 3, 8, 3).transpose(0, 1, 3, 2, 4).reshape(-1, 64, 3, 3)
+        k.add_blocks(slot[64 * e0 : 64 * e1], blocks.take(which, axis=0).reshape(-1, 3, 3))
+    diag = k.to_bsr().diagonal().reshape(mesh.n_nodes, 3)
+    laps.lap("assembly.element")
+    k.add_blocks(slot[rows.size :], pblocks)
+    return k, diag, first.size
 
 
 # A stiffness scalar is a sum of 8 Gauss-point terms in each of at most 8
@@ -74,18 +93,6 @@ def stiffness_coo_blocks(
 # and the next one is 5.7e-3; the Southwest Japan model 2.0 (0.7) stores
 # nothing below 6.1e-7 (1.5e-5).  The bound is 1.4e-14.
 ROUNDOFF_TERMS = 64
-
-
-def stiffness_diagonal(
-    n_nodes: int, rows: np.ndarray, cols: np.ndarray, blocks: np.ndarray
-) -> np.ndarray:
-    """``(n_nodes, 3)`` diagonal of the stiffness the block triplets sum
-    to, added in the order :meth:`BCSRMatrix.from_coo_blocks` adds them."""
-    on = np.flatnonzero(rows == cols)
-    return np.stack(
-        [np.bincount(rows[on], weights=blocks[on, c, c], minlength=n_nodes) for c in range(3)],
-        axis=1,
-    )
 
 
 def stored_scalars(k: BCSRMatrix, diag: np.ndarray) -> np.ndarray:
@@ -123,21 +130,24 @@ def assemble_stiffness(
 ) -> BCSRMatrix:
     """Assemble the global elastic stiffness matrix of *mesh*.
 
-    *materials* as for :func:`stiffness_coo_blocks`.
+    *materials* as for :func:`assemble_blocks`.
     """
     laps = Laps()
-    rows, cols, blocks = stiffness_coo_blocks(mesh, materials)
-    laps.lap("assembly.element")
-    out = BCSRMatrix.from_coo_blocks(mesh.n_nodes, rows, cols, blocks, b=3)
-    laps.lap("assembly.reduce")
-    record_assembly_span(mesh, laps)
-    return out
+    k, _diag, n_shapes = assemble_blocks(mesh, materials, [], 0.0, laps)
+    record_assembly_span(mesh, laps, n_shapes)
+    return k
 
 
-def record_assembly_span(mesh: Mesh, laps: Laps, **attrs) -> None:
+def record_assembly_span(mesh: Mesh, laps: Laps, n_shapes: int, **attrs) -> None:
     """Emit the ``assembly`` span with the phases timed in *laps*."""
     record_span(
-        "assembly", laps.total, laps.phases, n_elem=mesh.n_elem, n_nodes=mesh.n_nodes, **attrs
+        "assembly",
+        laps.total,
+        laps.phases,
+        n_elem=mesh.n_elem,
+        n_shapes=n_shapes,
+        n_nodes=mesh.n_nodes,
+        **attrs,
     )
 
 

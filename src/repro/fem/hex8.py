@@ -65,6 +65,88 @@ def shape_gradients_reference() -> np.ndarray:
     return dn
 
 
+def distinct_elements(
+    coords: np.ndarray, hexes: np.ndarray, material_ids: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """One representative per distinct element: ``(first, inverse)``.
+
+    Two elements are the same when their node coordinates relative to
+    their first node and their material id agree to the byte — what the
+    stiffness kernel reads (:func:`stiffness_batches` takes its
+    Jacobians from those local coordinates), so they share ``K_e``.
+    ``first`` lists one element per distinct key, ``inverse[e]`` is the
+    place in ``first`` of the one that stands for element ``e``.  A
+    uniform grid has one key per material; a curved mesh one per element.
+    """
+    xyz = coords[hexes]
+    ne = hexes.shape[0]
+    key = np.empty((ne, 22))
+    key[:, :21] = (xyz[:, 1:] - xyz[:, :1]).reshape(ne, 21)
+    key[:, 21] = 0 if material_ids is None else material_ids
+    _, first, inverse = np.unique(
+        key.view(np.dtype((np.void, key.strides[0]))).ravel(),
+        return_index=True,
+        return_inverse=True,
+    )
+    return first, inverse
+
+
+def stiffness_batches(xyz: np.ndarray, dmat: np.ndarray, inverse: np.ndarray):
+    """Element stiffness matrices, one bounded batch of elements at a time.
+
+    *xyz* ``(n_shapes, 8, 3)`` and *dmat* ``(n_shapes, 6, 6)`` are the
+    node coordinates and constitutive matrices of the distinct elements,
+    ``inverse[e]`` the one element ``e`` is (:func:`distinct_elements`).
+    Yields ``(e0, e1, k, which)`` over the elements in order, ``_CHUNK``
+    at a time: the ``K_e`` of elements ``e0 .. e1`` are ``k[which]``,
+    with *k* ``(m, 24, 24)`` computed once per distinct element of the
+    batch.  Nothing of the mesh's size is held between batches.
+    """
+    dn = shape_gradients_reference()  # (gp, node, 3)
+    dn_t = np.ascontiguousarray(dn.transpose(0, 2, 1))  # (gp, 3, node)
+    bad = 0
+    for e0 in range(0, inverse.size, _CHUNK):
+        e1 = min(e0 + _CHUNK, inverse.size)
+        shapes, which = np.unique(inverse[e0:e1], return_inverse=True)
+        m = shapes.size
+        local = xyz[shapes]  # (m, node, 3)
+        local = local - local[:, :1]
+
+        # Jacobian at each (element, gauss point): J = dN^T @ xyz, from
+        # coordinates relative to the element's first node (the shape
+        # gradients sum to zero, so a translation changes nothing but the
+        # rounding — and equal shapes then give equal bits).  Its inverse
+        # transpose is the cofactor matrix (rows: cross products of the
+        # rows of J) over the determinant.
+        jac = np.matmul(dn_t, local[:, None])  # (m, gp, 3, 3)
+        cof = np.cross(jac[..., [1, 2, 0], :], jac[..., [2, 0, 1], :])
+        detj = (jac[..., 0, :] * cof[..., 0, :]).sum(axis=-1)
+        bad += int(np.count_nonzero(detj[which] <= 0))
+        if bad:
+            continue  # only finish the count; the error is raised below
+        # Physical shape gradients: dN/dx = J^{-1} dN/dxi, as dN @ J^{-T}
+        grad = np.matmul(dn, cof / detj[..., None, None])  # (m, gp, node, 3)
+
+        # Strain-displacement rows stacked over Gauss points: B_all is
+        # (48, 24) per element, laid out (strain row, gp | node, comp) so
+        # D @ B_all is one (6, 6) @ (6, 192) product per element.
+        bmat = np.zeros((m, 6, 8, 8, 3))
+        bmat[:, _B_ROW, :, :, _B_COMP] = grad.transpose(3, 0, 1, 2)[_B_GRAD]
+        db = np.matmul(dmat[shapes], bmat.reshape(m, 6, 192)).reshape(m, 6, 8, 24)
+        db *= detj[:, None, :, None]
+
+        # K_e = B_all^T (D B_all |J|)  (weights = 1 for 2x2x2 Gauss)
+        k = np.matmul(
+            bmat.reshape(m, 48, 24).transpose(0, 2, 1), db.reshape(m, 48, 24)
+        )
+        # Enforce exact symmetry (floating point round-off accumulates here).
+        k = k + k.transpose(0, 2, 1)
+        k *= 0.5
+        yield e0, e1, k, which
+    if bad:
+        raise ValueError(f"{bad} (element, gauss point) pairs have non-positive Jacobian")
+
+
 def hex8_stiffness(
     coords: np.ndarray,
     hexes: np.ndarray,
@@ -90,48 +172,14 @@ def hex8_stiffness(
     hexes = np.asarray(hexes, dtype=np.int64)
     ne = hexes.shape[0]
     if isinstance(material, IsotropicElastic):
-        dmat = np.broadcast_to(material.elasticity_matrix(), (ne, 6, 6))
+        first, inverse = distinct_elements(coords, hexes)
+        dmat = np.broadcast_to(material.elasticity_matrix(), (first.size, 6, 6))
     else:
         dmat = np.asarray(material, dtype=np.float64)
         if dmat.shape != (ne, 6, 6):
             raise ValueError(f"per-element D must be ({ne}, 6, 6), got {dmat.shape}")
-
-    dn = shape_gradients_reference()  # (gp, node, 3)
-    dn_t = np.ascontiguousarray(dn.transpose(0, 2, 1))  # (gp, 3, node)
+        first = inverse = np.arange(ne)  # its own D makes every element distinct
     ke = np.empty((ne, 24, 24))
-    bad = 0
-    for e0 in range(0, ne, _CHUNK):
-        e1 = min(e0 + _CHUNK, ne)
-        m = e1 - e0
-        xyz = coords[hexes[e0:e1]]  # (m, node, 3)
-
-        # Jacobian at each (element, gauss point): J = dN^T @ xyz.  Its
-        # inverse transpose is the cofactor matrix (rows: cross products of
-        # the rows of J) over the determinant.
-        jac = np.matmul(dn_t, xyz[:, None])  # (m, gp, 3, 3)
-        cof = np.cross(jac[..., [1, 2, 0], :], jac[..., [2, 0, 1], :])
-        detj = (jac[..., 0, :] * cof[..., 0, :]).sum(axis=-1)
-        bad += int(np.count_nonzero(detj <= 0))
-        if bad:
-            continue  # only finish the count; the error is raised below
-        # Physical shape gradients: dN/dx = J^{-1} dN/dxi, as dN @ J^{-T}
-        grad = np.matmul(dn, cof / detj[..., None, None])  # (m, gp, node, 3)
-
-        # Strain-displacement rows stacked over Gauss points: B_all is
-        # (48, 24) per element, laid out (strain row, gp | node, comp) so
-        # D @ B_all is one (6, 6) @ (6, 192) product per element.
-        bmat = np.zeros((m, 6, 8, 8, 3))
-        bmat[:, _B_ROW, :, :, _B_COMP] = grad.transpose(3, 0, 1, 2)[_B_GRAD]
-        db = np.matmul(dmat[e0:e1], bmat.reshape(m, 6, 192)).reshape(m, 6, 8, 24)
-        db *= detj[:, None, :, None]
-
-        # K_e = B_all^T (D B_all |J|)  (weights = 1 for 2x2x2 Gauss)
-        k = np.matmul(
-            bmat.reshape(m, 48, 24).transpose(0, 2, 1), db.reshape(m, 48, 24)
-        )
-        # Enforce exact symmetry (floating point round-off accumulates here).
-        np.add(k, k.transpose(0, 2, 1), out=ke[e0:e1])
-    if bad:
-        raise ValueError(f"{bad} (element, gauss point) pairs have non-positive Jacobian")
-    ke *= 0.5
+    for e0, e1, k, which in stiffness_batches(coords[hexes[first]], dmat, inverse):
+        k.take(which, axis=0, out=ke[e0:e1])
     return ke

@@ -10,16 +10,12 @@ unit body force in ``-z`` (Southwest Japan model).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
 
-from repro.fem.assembly import (
-    record_assembly_span,
-    stiffness_coo_blocks,
-    stiffness_diagonal,
-    stored_scalars,
-)
+from repro.fem.assembly import assemble_blocks, record_assembly_span, stored_scalars
 from repro.fem.bc import (
     all_dofs,
     body_force,
@@ -27,7 +23,7 @@ from repro.fem.bc import (
     dirichlet_scalars,
     surface_load,
 )
-from repro.fem.contact import assemble_penalty_groups, penalty_coo_blocks, penalty_scalars
+from repro.fem.contact import assemble_penalty_groups, penalty_scalars
 from repro.fem.material import IsotropicElastic
 from repro.fem.mesh import Mesh
 from repro.sparse.bcsr import BCSRMatrix
@@ -39,14 +35,15 @@ from repro.utils.timing import Laps
 class ContactProblem:
     """Assembled SPD linear system for a contact model.
 
-    ``a`` is the scalar CSR (BCs applied) used by preconditioner set-up;
-    ``a_bcsr`` the block view used for fast matvecs; ``groups`` the
-    contact groups driving selective blocking.
+    ``a`` is the scalar CSR (BCs applied) every solve and preconditioner
+    set-up reads; ``groups`` the contact groups driving selective
+    blocking.  ``a_bcsr`` is the same operator in dense 3x3 blocks, for
+    the experiments that count or colour node blocks — built from ``a``
+    when first read, since no solve reads it.
     """
 
     mesh: Mesh
     a: sp.csr_matrix
-    a_bcsr: BCSRMatrix
     b: np.ndarray
     groups: list[np.ndarray]
     penalty: float
@@ -55,6 +52,10 @@ class ContactProblem:
     @property
     def ndof(self) -> int:
         return int(self.a.shape[0])
+
+    @cached_property
+    def a_bcsr(self) -> BCSRMatrix:
+        return BCSRMatrix.from_scipy(self.a, b=3)
 
 
 def build_contact_problem(
@@ -78,11 +79,10 @@ def build_contact_problem(
         Apply ``u_x = 0`` at ``xmin`` and ``u_y = 0`` at ``ymin``
         (disabled for the Southwest Japan model, per section 5.1).
     """
-    k, keep, a, b, fixed_dofs = _assemble(mesh, penalty, materials, load, load_magnitude, symmetry)
+    a, b, fixed_dofs = _assemble(mesh, penalty, materials, load, load_magnitude, symmetry)
     return ContactProblem(
         mesh=mesh,
         a=a,
-        a_bcsr=k.restricted(keep),
         b=b,
         groups=mesh.contact_groups,
         penalty=penalty,
@@ -91,37 +91,28 @@ def build_contact_problem(
 
 
 def _assemble(mesh: Mesh, penalty: float, materials, load, load_magnitude, symmetry):
-    """Stiffness plus *penalty* times the group Laplacian in blocks, the
-    mask of its scalars the eliminated system stores, and that system:
-    ``(k, keep, a, b, fixed_dofs)``.
+    """The eliminated system of stiffness plus *penalty* times the group
+    Laplacian, on the scalars worth storing: ``(a, b, fixed_dofs)``.
 
-    Stiffness and penalty triplets are sorted and summed together, the
-    penalty last (what :meth:`ContactStructure.system` reproduces).  The
-    mask — :func:`stored_scalars` of the stiffness part, what the penalty
-    writes, minus what the elimination removes — ignores *penalty*.
+    The penalty is added last to the stiffness sums (what
+    :meth:`ContactStructure.system` reproduces).  The mask of stored
+    scalars — :func:`stored_scalars` of the stiffness part, what the
+    penalty writes, minus what the elimination removes — ignores
+    *penalty*.
     """
     f, fixed_dofs = _load_and_fixed_dofs(mesh, load, load_magnitude, symmetry)
     laps = Laps()
-    rows, cols, blocks = stiffness_coo_blocks(mesh, materials)
-    laps.lap("assembly.element")
-    prows, pcols, pblocks = penalty_coo_blocks(mesh.contact_groups, penalty, mesh.n_nodes)
-    k = BCSRMatrix.from_coo_blocks(
-        mesh.n_nodes,
-        np.concatenate([rows, prows]),
-        np.concatenate([cols, pcols]),
-        np.concatenate([blocks, pblocks]),
-        b=3,
-    )
-    keep = stored_scalars(k, stiffness_diagonal(mesh.n_nodes, rows, cols, blocks))
+    k, diag, n_shapes = assemble_blocks(mesh, materials, mesh.contact_groups, penalty, laps)
+    keep = stored_scalars(k, diag)
     keep |= penalty_scalars(k, mesh.contact_groups)
     dropped = keep.size - int(np.count_nonzero(keep))
-    laps.lap("assembly.reduce")
+    laps.lap("assembly.mask")
     keep &= dirichlet_scalars(k, fixed_dofs)
     a = k.to_csr(keep)
     f[fixed_dofs] = 0.0  # homogeneous conditions: nothing moves to the right-hand side
     laps.lap("assembly.dirichlet")
-    record_assembly_span(mesh, laps, nnz_stored=a.nnz, nnz_dropped=dropped)
-    return k, keep, a, f, fixed_dofs
+    record_assembly_span(mesh, laps, n_shapes, nnz_stored=a.nnz, nnz_dropped=dropped)
+    return a, f, fixed_dofs
 
 
 def _load_and_fixed_dofs(
@@ -209,7 +200,7 @@ def build_contact_structure(
     or re-analyzing anything.
     """
     # the system at penalty zero is the stiffness on the system's pattern
-    _k, _keep, a0, b, fixed_dofs = _assemble(mesh, 0.0, materials, load, load_magnitude, symmetry)
+    a0, b, fixed_dofs = _assemble(mesh, 0.0, materials, load, load_magnitude, symmetry)
     p1 = assemble_penalty_groups(mesh.contact_groups, 1.0, mesh.n_nodes)
     a1 = p1.to_csr(penalty_scalars(p1, mesh.contact_groups) & dirichlet_scalars(p1, fixed_dofs))
     pattern = sp.csr_matrix((np.zeros_like(a0.data), a0.indices, a0.indptr), shape=a0.shape)

@@ -8,9 +8,9 @@ and row-segmented gather/scatter index maps.  Parallelism follows the
 paper's section 4.2 invariant — rows inside one color group (or level
 wave) are independent — so each group is a ``prange`` over rows with a
 sequential loop across groups, the RAINBOW ``sweep_worker`` pattern.
-Scatter targets of the factorization updates are pre-segmented by
-destination row in the symbolic phase, making the ``prange`` over
-segments write-conflict-free.
+Scatter targets of the factorization updates are segmented by
+destination block on a bucket's first dispatch here (``_row_segments``),
+making the ``prange`` over segments write-conflict-free.
 
 The numba import is guarded: when numba is missing, :func:`is_available`
 returns False and the registry silently serves the numpy backend.  The
@@ -274,13 +274,33 @@ def vbr_matvec(mat, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def _row_segments(segments: list, dst: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(order, seg_ptr)`` of a shape bucket, derived on first use and
+    kept in the bucket's *segments* slot.
+
+    Updates hitting one destination block (the rows of *dst*, told apart
+    by their first slot) land in one contiguous segment of ``order``, in
+    their given order; the parallel kernels dispatch one worker per
+    segment so they never race.
+    """
+    if not segments:
+        keys = dst[:, 0]
+        order = np.argsort(keys, kind="stable")
+        sk = keys[order]
+        bounds = np.concatenate([[0], np.flatnonzero(np.diff(sk)) + 1, [sk.size]])
+        segments[:] = order.astype(np.int64), bounds.astype(np.int64)
+    return segments
+
+
 def dmod_update(data: np.ndarray, dinv: np.ndarray, bucket: tuple) -> None:
-    si, sk, flat_ik, dflat_k, diag_dst, order, seg_ptr = bucket
+    si, sk, flat_ik, dflat_k, diag_dst, segments = bucket
+    order, seg_ptr = _row_segments(segments, diag_dst)
     _dmod_update_kernel(data, dinv, si, sk, flat_ik, dflat_k, diag_dst, order, seg_ptr)
 
 
 def full_update(data: np.ndarray, dinv: np.ndarray, bucket: tuple) -> None:
-    si, sk, sj, flat_ik, flat_jk, dflat_k, flat_ij, order, seg_ptr = bucket
+    si, sk, sj, flat_ik, flat_jk, dflat_k, flat_ij, segments = bucket
+    order, seg_ptr = _row_segments(segments, flat_ij)
     _full_update_kernel(
         data, dinv, si, sk, sj, flat_ik, flat_jk, dflat_k, flat_ij, order, seg_ptr
     )

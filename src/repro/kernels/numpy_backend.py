@@ -164,10 +164,10 @@ def dmod_update(data: np.ndarray, dinv: np.ndarray, bucket: tuple) -> None:
     """Batched dmod diagonal recurrence ``D_i -= A_ik D_k^{-1} A_ik^T``.
 
     ``bucket`` is one shape bucket of
-    :meth:`~repro.precond.icfact.ICSymbolic._build_dmod_updates`; the
-    trailing row-segmentation arrays are only needed by the JIT backend.
+    :meth:`~repro.precond.icfact.ICSymbolic._build_dmod_updates`; its
+    trailing row-segmentation slot belongs to the JIT backend.
     """
-    si, sk, flat_ik, dflat_k, diag_dst, _order, _seg_ptr = bucket
+    si, sk, flat_ik, dflat_k, diag_dst, _segments = bucket
     aik = data[flat_ik].reshape(-1, si, sk)
     dk = dinv[dflat_k].reshape(-1, sk, sk)
     upd = np.matmul(np.matmul(aik, dk), aik.transpose(0, 2, 1))
@@ -176,7 +176,7 @@ def dmod_update(data: np.ndarray, dinv: np.ndarray, bucket: tuple) -> None:
 
 def full_update(data: np.ndarray, dinv: np.ndarray, bucket: tuple) -> None:
     """Batched full block-IC update ``V_ij -= V_ik D_k^{-1} V_jk^T``."""
-    si, sk, sj, flat_ik, flat_jk, dflat_k, flat_ij, _order, _seg_ptr = bucket
+    si, sk, sj, flat_ik, flat_jk, dflat_k, flat_ij, _segments = bucket
     vik = data[flat_ik].reshape(-1, si, sk)
     vjk = data[flat_jk].reshape(-1, sj, sk)
     dk = dinv[dflat_k].reshape(-1, sk, sk)

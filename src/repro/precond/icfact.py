@@ -226,19 +226,6 @@ def _pairs_through_edges(indptr, indices, rows, cols, n, chunk=4096):
     return out
 
 
-def _row_segments(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable-sort *keys* and return ``(order, seg_ptr)`` segment bounds.
-
-    Entries sharing a key land in one contiguous segment of ``order``;
-    the parallel factorization kernels dispatch one worker per segment so
-    updates hitting the same destination block never race.
-    """
-    order = np.argsort(keys, kind="stable")
-    sk = keys[order]
-    bounds = np.concatenate([[0], np.flatnonzero(np.diff(sk)) + 1, [sk.size]])
-    return order.astype(np.int64), bounds.astype(np.int64)
-
-
 class ICSymbolic:
     """Pattern-only ("symbolic") phase of the block incomplete Cholesky.
 
@@ -287,7 +274,8 @@ class ICSymbolic:
         # ---- ordering: color the super-node graph, sort by size in-color
         nsuper = len(supernodes)
         snode_of0, local = supernode_maps(supernodes, self.ndof)
-        adj0 = self._supernode_adjacency(a, snode_of0, nsuper)
+        runs = self._block_runs(a, snode_of0)
+        adj0 = self._supernode_adjacency(runs[0], runs[1], nsuper)
         if coloring == "mc":
             col = multicolor(adj0, ncolors)
         elif coloring == "cmrcm":
@@ -346,7 +334,8 @@ class ICSymbolic:
         # ---- values-only scatter map A -> L (the refactor fast path)
         self._a_indptr = a.indptr
         self._a_indices = a.indices
-        self._build_scatter_map(a, snode_of, local)
+        self._build_scatter_map(a, iorder, runs, local)
+        del runs
 
         # ---- diagonal block storage layout
         self.diag_pos = self.pattern.indptr[1:] - 1
@@ -386,28 +375,57 @@ class ICSymbolic:
             fill_level=self.fill_level,
             variant=self.variant,
             ncolors=self.ncolors,
+            symbolic_bytes=self.memory_bytes(),
         )
+
+    def memory_bytes(self) -> int:
+        """Bytes of every array this object keeps alive, each counted
+        once — the pattern, the schedule, the numeric-sweep maps and the
+        plan structure; the index arrays of A it only borrows are not."""
+        seen = {id(self._a_indptr), id(self._a_indices)}
+
+        def walk(obj) -> int:
+            if isinstance(obj, np.ndarray):
+                if id(obj) in seen:
+                    return 0
+                seen.add(id(obj))
+                return obj.nbytes
+            if isinstance(obj, (list, tuple)):
+                return sum(map(walk, obj))
+            return sum(map(walk, vars(obj).values())) if hasattr(obj, "__dict__") else 0
+
+        return walk(self)
 
     # ------------------------------------------------------------------
     # structure helpers
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _supernode_adjacency(
-        a: sp.csr_matrix, snode_of: np.ndarray, n: int
-    ) -> sp.csr_matrix:
-        """Symmetric 0/1 super-node graph of *a* (no self loops).
+    def _block_runs(a: sp.csr_matrix, snode_of: np.ndarray):
+        """Runs of consecutive stored scalars of one row of *a* inside one
+        super-node block: ``(bi, bj, start, row)``, one entry per run.
 
-        The three DOF columns of a node map to one super-node, so each
-        scalar row is first collapsed to its runs of equal block pairs
-        and only the run heads are sorted.
+        The DOF columns of a node map to one super-node, so a scalar
+        row's entries come in runs of equal ``(bi, bj)``: whatever is
+        looked up per block — the adjacency, the scatter map — is looked
+        up on the run heads, a third of the scalars on 3-DOF nodes.
         """
-        bi = np.repeat(snode_of, np.diff(a.indptr))
+        counts = np.diff(a.indptr)
         bj = snode_of[a.indices]
-        key = np.maximum(bi, bj) * n + np.minimum(bi, bj)
-        head = bi != bj
-        head[1:] &= key[1:] != key[:-1]
-        pairs = sorted_unique(key[head])
+        head = np.ones(bj.size, dtype=bool)
+        np.not_equal(bj[1:], bj[:-1], out=head[1:])
+        head[a.indptr[:-1][counts > 0]] = True
+        start = np.flatnonzero(head)
+        row = np.repeat(np.arange(a.shape[0]), counts)[start]
+        return snode_of[row], bj[start], start, row
+
+    @staticmethod
+    def _supernode_adjacency(bi: np.ndarray, bj: np.ndarray, n: int) -> sp.csr_matrix:
+        """Symmetric 0/1 graph (no self loops) of the super-node pairs
+        ``(bi, bj)`` — the block runs of the matrix."""
+        off = bi != bj
+        bi, bj = bi[off], bj[off]
+        pairs = sorted_unique(np.maximum(bi, bj) * n + np.minimum(bi, bj))
         hi, lo = pairs // n, pairs % n
         return sp.csr_matrix(
             (
@@ -461,24 +479,30 @@ class ICSymbolic:
         p = np.arange(self.pattern.nnzb, dtype=np.int64)
         return p[self.pattern.indices != self.pattern.block_rows()]
 
-    def _build_scatter_map(self, a: sp.csr_matrix, snode_of, local) -> None:
+    def _build_scatter_map(self, a: sp.csr_matrix, iorder, runs, local) -> None:
         """Map each lower-triangular entry of A to its slot in L's data.
 
-        A is canonical CSR, so every kept entry lands in a distinct slot
-        and the numeric scatter is a single fancy-index assignment.
+        *runs* are the block runs of *a* (:meth:`_block_runs`), *iorder*
+        takes their super-nodes to the new numbering: the block of a run
+        is looked up once and repeated over its scalars.  A is canonical
+        CSR, so every kept entry lands in a distinct slot and the numeric
+        scatter is a single fancy-index assignment.
         """
-        counts = np.diff(a.indptr)
-        bi = np.repeat(snode_of, counts)
-        bj = snode_of[a.indices]
-        keep = bi >= bj
-        bi, bj = bi[keep], bj[keep]
-        pos = self.pattern.find_blocks(bi, bj)
+        bi, bj, start, row = runs
+        bi, bj = iorder[bi], iorder[bj]
+        length = np.diff(np.append(start, a.nnz))
+        lower = np.flatnonzero(bi >= bj)
+        bj, start, length = bj[lower], start[lower], length[lower]
+        pos = self.pattern.find_blocks(bi[lower], bj)
         if (pos < 0).any():
             raise ValueError("CSR entry outside the VBR pattern")
-        li = np.repeat(local, counts)[keep]
-        lj = local[a.indices[keep]]
-        self.scatter_src = np.flatnonzero(keep).astype(np.int64)
-        self.scatter_dst = self.pattern.boff[pos] + li * self.sizes[bj] + lj
+        src = ranges(start, length)
+        dst = np.repeat(self.pattern.boff[pos] + local[row[lower]] * self.sizes[bj], length)
+        dst += local[a.indices[src]]
+        # both stay intp: numpy casts a narrower index array to intp on
+        # every use, in a temporary as large as the map (+1.2 ms and two
+        # transients of nnz(L) per refactor at 20k DOF, measured)
+        self.scatter_src, self.scatter_dst = src, dst
 
     def pattern_matches(self, a: sp.csr_matrix) -> bool:
         """True iff *a* has exactly the pattern this object was built from."""
@@ -516,10 +540,10 @@ class ICSymbolic:
         """Per group: gather/scatter maps of the dmod diagonal recurrence
         ``D_i -= A_ik D_k^{-1} A_ik^T`` (k in earlier groups).
 
-        Each shape bucket carries a destination-row segmentation
-        (``order``, ``seg_ptr`` from :func:`_row_segments`) so the JIT
-        backend can parallelize over rows without scatter races; the
-        numpy backend ignores it.
+        Each shape bucket ends in an empty list: the slot where the JIT
+        backend keeps the destination-row segmentation it derives from
+        ``diag_dst`` on its first dispatch (the numpy backend has no use
+        for one).
         """
         L = self.pattern
         offdiag = self._offdiag_positions()
@@ -537,10 +561,7 @@ class ICSymbolic:
                 flat_ik = L.boff[pos, None] + np.arange(si * sk)
                 dflat_k = self.dinv_off[ks, None] + np.arange(sk * sk)
                 diag_dst = L.boff[self.diag_pos[rows], None] + np.arange(si * si)
-                order, seg_ptr = _row_segments(rows)
-                bucket.append(
-                    (int(si), int(sk), flat_ik, dflat_k, diag_dst, order, seg_ptr)
-                )
+                bucket.append((int(si), int(sk), flat_ik, dflat_k, diag_dst, []))
             out.append(bucket)
         return out
 
@@ -629,11 +650,9 @@ class ICSymbolic:
             flat_jk = L.boff[pjk[idx], None] + np.arange(sj * sk)
             dflat_k = self.dinv_off[tk[idx], None] + np.arange(sk * sk)
             flat_ij = L.boff[pij[idx], None] + np.arange(si * sj)
-            # destination-block segmentation for race-free prange scatter
-            uorder, seg_ptr = _row_segments(pij[idx])
-            out[g].append(
-                (si, sk, sj, flat_ik, flat_jk, dflat_k, flat_ij, uorder, seg_ptr)
-            )
+            # the trailing list: destination-block segmentation of the JIT
+            # backend, as in the dmod buckets
+            out[g].append((si, sk, sj, flat_ik, flat_jk, dflat_k, flat_ij, []))
         return out
 
     # ------------------------------------------------------------------
@@ -650,10 +669,10 @@ class ICSymbolic:
         as dense).  Groups are walked in schedule order, so a group's
         column blocks are final when it updates later ones.
         """
-        mask = np.zeros(self.pattern.data.size, dtype=bool)
+        mask = np.zeros(int(self.pattern.boff[-1]), dtype=bool)
         mask[self.scatter_dst] = True
         for buckets in self.full_updates or ():
-            for si, sk, sj, flat_ik, flat_jk, _dk, flat_ij, _order, _seg in buckets:
+            for si, sk, sj, flat_ik, flat_jk, _dk, flat_ij, _segments in buckets:
                 live_i = mask[flat_ik].reshape(-1, si, sk).any(axis=2)
                 live_j = mask[flat_jk].reshape(-1, sj, sk).any(axis=2)
                 hit = live_i[:, :, None] & live_j[:, None, :]
@@ -675,8 +694,9 @@ class ICSymbolic:
         n = self.ndof
         L = self.pattern
         sizes, offsets = self.sizes, L.offsets
-        # the plan's index arrays are int32 whenever that holds them
-        fits = max(n, L.data.size) <= np.iinfo(np.int32).max
+        # the plan's index arrays are int32 whenever that holds them, and
+        # so are the gather maps that ride through the transposition
+        fits = max(n, int(L.boff[-1])) <= np.iinfo(np.int32).max
         idx = np.int32 if fits else np.int64
 
         # Block (i, k) gives the rows of i columns of k going forward and
@@ -720,7 +740,7 @@ class ICSymbolic:
         indptr = np.concatenate(([0], np.searchsorted(live, row_ends))).astype(idx)
         indices = ranges(start[L.indices[pos]], width).take(live).astype(idx)
         # L^T: scipy's transposition carries the slots along as data
-        fwd = sp.csr_matrix((slots.take(live), indices, indptr), shape=(n, n))
+        fwd = sp.csr_matrix((slots.take(live).astype(idx), indices, indptr), shape=(n, n))
         bwd = fwd.tocsc()
         self.fwd_struct, self.fwd_gather = (indptr, indices), fwd.data
         self.bwd_struct = (bwd.indptr.astype(idx, copy=False), bwd.indices.astype(idx, copy=False))
@@ -991,6 +1011,7 @@ class BlockICFactorization(Preconditioner):
             "numeric_setups": self.numeric_setup_count,
             "symbolic_seconds": self.symbolic_seconds,
             "numeric_seconds": self.numeric_seconds,
+            "symbolic_bytes": self.symbolic.memory_bytes(),
         }
 
     def _warn_on_pivot_nudges(self) -> None:

@@ -35,21 +35,25 @@ def greedy_color(adj: sp.csr_matrix, order: np.ndarray | None = None) -> np.ndar
         which empirically keeps the palette small on FEM graphs.
     """
     n = adj.shape[0]
-    indptr, indices = adj.indptr, adj.indices
     if order is None:
-        order = np.argsort(-np.diff(indptr), kind="stable")
-    colors = np.full(n, -1, dtype=np.int64)
+        order = np.argsort(-np.diff(adj.indptr), kind="stable")
+    # the walk runs on Python lists: per vertex, a numpy slice, mask and
+    # fancy assignment cost more than the handful of neighbours they serve
+    indptr, indices = adj.indptr.tolist(), adj.indices.tolist()
+    colors = [-1] * n
     # `mark[c] == v` means color c is used by a neighbor of the vertex v
-    # currently being colored; avoids clearing a set per vertex.
-    mark = np.full(n + 1, -1, dtype=np.int64)
-    for v in order:
-        nbr_colors = colors[indices[indptr[v] : indptr[v + 1]]]
-        mark[nbr_colors[nbr_colors >= 0]] = v
+    # currently being colored; avoids clearing a set per vertex.  The
+    # last slot (index -1) takes the uncolored neighbors and is never
+    # read: a vertex sees at most n - 1 colors.
+    mark = [-1] * (n + 1)
+    for v in np.asarray(order).tolist():
+        for u in indices[indptr[v] : indptr[v + 1]]:
+            mark[colors[u]] = v
         c = 0
         while mark[c] == v:
             c += 1
         colors[v] = c
-    return colors
+    return np.array(colors, dtype=np.int64)
 
 
 def multicolor(adj: sp.csr_matrix, ncolors: int = 0) -> Coloring:

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from repro import kernels
 from repro.utils.validate import check_index_array, check_permutation
@@ -47,6 +48,47 @@ class BCSRMatrix:
     # -- construction ---------------------------------------------------
 
     @classmethod
+    def from_block_pairs(
+        cls, n: int, rows: np.ndarray, cols: np.ndarray, b: int = 3
+    ) -> tuple["BCSRMatrix", np.ndarray]:
+        """Zero matrix on the pattern of the block pairs ``(rows, cols)``,
+        and the slot of each pair in its ``values``.
+
+        Every diagonal block is in the pattern (whether listed or not) so
+        the preconditioners can always address ``A[i, i]``.  The pattern
+        comes from the pairs alone: what is summed into the slots later
+        (:meth:`add_blocks`) never has to exist all at once.
+        """
+        rows = check_index_array(np.asarray(rows), n, "block rows")
+        cols = check_index_array(np.asarray(cols), n, "block cols")
+        # one sort finds the pattern and the slot of each pair
+        diag = np.arange(n, dtype=np.int64)
+        key = np.concatenate([rows.astype(np.int64) * n + cols, diag * (n + 1)])
+        uniq, slot = np.unique(key, return_inverse=True)
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
+        mat = cls(n=n, b=b, indptr=indptr, indices=uniq % n, values=np.zeros((uniq.size, b, b)))
+        return mat, slot[: rows.size]
+
+    def add_blocks(self, slot: np.ndarray, blocks: np.ndarray) -> None:
+        """``values[slot[t]] += blocks[t]`` for ``t = 0, 1, ...``, in that
+        order whatever else was or will be added — so a sum does not
+        depend on how its terms were batched.
+
+        One compiled pass adds whole blocks: the slot-by-block selection
+        matrix (a single ``1.0`` per column) times the blocks,
+        accumulated into ``values`` in place.
+        """
+        nt, b = slot.size, self.b
+        blocks = np.ascontiguousarray(blocks, dtype=np.float64)
+        if blocks.shape != (nt, b, b):
+            raise ValueError(f"blocks must have shape ({nt}, {b}, {b}), got {blocks.shape}")
+        _sparsetools.csc_matvecs(
+            self.nnzb, nt, b * b, np.arange(nt + 1, dtype=slot.dtype), slot, np.ones(nt),
+            blocks.reshape(-1), self.values.reshape(-1),
+        )
+
+    @classmethod
     def from_coo_blocks(
         cls,
         n: int,
@@ -55,35 +97,10 @@ class BCSRMatrix:
         blocks: np.ndarray,
         b: int = 3,
     ) -> "BCSRMatrix":
-        """Build from block triplets, summing duplicates in input order.
-
-        Every diagonal block is materialized (with zeros if absent) so the
-        preconditioners can always address ``A[i, i]``.
-        """
-        rows = check_index_array(np.asarray(rows), n, "block rows")
-        cols = check_index_array(np.asarray(cols), n, "block cols")
-        blocks = np.asarray(blocks, dtype=np.float64)
-        if blocks.shape != (rows.size, b, b):
-            raise ValueError(f"blocks must have shape ({rows.size}, {b}, {b}), got {blocks.shape}")
-
-        # One sort finds the pattern (with every diagonal block present)
-        # and the slot of each triplet; duplicates are then summed slot by
-        # slot in the order given, so the result does not depend on what
-        # else shares the sort.
-        diag = np.arange(n, dtype=np.int64)
-        key = np.concatenate([rows.astype(np.int64) * n + cols, diag * (n + 1)])
-        uniq, slot = np.unique(key, return_inverse=True)
-        slot = slot[: rows.size]
-        # slot-by-triplet selection matrix times the triplets: one compiled
-        # pass adds whole blocks, ``values[slot[t]] += 1.0 * blocks[t]`` for
-        # t = 0, 1, ... (the per-component ``bincount`` order, to the bit)
-        nt = rows.size
-        select = sp.csc_matrix((np.ones(nt), slot, np.arange(nt + 1)), shape=(uniq.size, nt))
-        values = (select @ blocks.reshape(nt, b * b)).reshape(uniq.size, b, b)
-
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
-        return cls(n=n, b=b, indptr=indptr, indices=uniq % n, values=values)
+        """Build from block triplets, summing duplicates in input order."""
+        mat, slot = cls.from_block_pairs(n, rows, cols, b)
+        mat.add_blocks(slot, blocks)
+        return mat
 
     @classmethod
     def from_scipy(cls, a: sp.spmatrix | sp.sparray, b: int = 3) -> "BCSRMatrix":
@@ -138,33 +155,21 @@ class BCSRMatrix:
         """Scalar CSR copy (sorted, duplicate-free); with the
         ``(nnzb, b, b)`` mask *keep*, of the scalars it marks only."""
         shape = (self.ndof, self.ndof)
-        csr = self.to_bsr().tocsr()
-        if keep is not None:
+        if keep is None:
+            csr = self.to_bsr().tocsr()
+        else:
             kept = np.flatnonzero(
                 sp.bsr_matrix((keep, self.indices, self.indptr), shape=shape).tocsr().data
             )
-            csr = sp.csr_matrix(
-                (csr.data.take(kept), csr.indices.take(kept), np.searchsorted(kept, csr.indptr)),
-                shape=shape,
-            )
+            # array by array, so the full expansion goes as the kept part comes
+            csr = self.to_bsr().tocsr()
+            csr.data = csr.data.take(kept)
+            csr.indices = csr.indices.take(kept)
+            csr.indptr = np.searchsorted(kept, csr.indptr).astype(csr.indices.dtype)
         # block columns are sorted and unique within each row (class
         # invariant), so the expanded rows are canonical already
         csr.has_canonical_format = True
         return csr
-
-    def restricted(self, keep: np.ndarray) -> "BCSRMatrix":
-        """The matrix :meth:`to_csr` gives under *keep*, in blocks: other
-        scalars become zeros inside their block, and an off-diagonal
-        block that keeps nothing is dropped."""
-        alive = np.flatnonzero(keep.any(axis=(1, 2)) | (self.block_rows() == self.indices))
-        values = np.where(keep.take(alive, axis=0), self.values.take(alive, axis=0), 0.0)
-        return BCSRMatrix(
-            n=self.n,
-            b=self.b,
-            indptr=np.searchsorted(alive, self.indptr),
-            indices=self.indices.take(alive),
-            values=values,
-        )
 
     def toarray(self) -> np.ndarray:
         return self.to_bsr().toarray()

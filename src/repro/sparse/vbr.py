@@ -60,7 +60,8 @@ class VBRMatrix:
         ``(nnzb + 1,)`` offset of each block in ``data``; block ``p`` is
         ``data[boff[p]:boff[p+1]]`` reshaped to ``(sizes[row], sizes[col])``.
     data:
-        Flat block storage (row-major within each block).
+        Flat block storage (row-major within each block); ``None`` on a
+        pattern-only object (:meth:`from_pattern`).
     """
 
     sizes: np.ndarray
@@ -68,7 +69,7 @@ class VBRMatrix:
     indptr: np.ndarray
     indices: np.ndarray
     boff: np.ndarray
-    data: np.ndarray
+    data: np.ndarray | None = None
     block_rows_: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
@@ -82,7 +83,8 @@ class VBRMatrix:
     def from_pattern(
         cls, sizes: np.ndarray, indptr: np.ndarray, indices: np.ndarray
     ) -> "VBRMatrix":
-        """Zero-valued VBR with the given super-node sizes and pattern."""
+        """Pattern-only VBR with the given super-node sizes and block
+        pattern: no value storage (:meth:`empty_like` allocates it)."""
         sizes = np.asarray(sizes, dtype=np.int64)
         indptr = np.asarray(indptr, dtype=np.int64)
         indices = np.asarray(indices, dtype=np.int64)
@@ -96,7 +98,6 @@ class VBRMatrix:
             indptr=indptr,
             indices=indices,
             boff=boff,
-            data=np.zeros(int(boff[-1])),
         )
 
     @classmethod
@@ -127,7 +128,7 @@ class VBRMatrix:
         uniq = np.unique(key)
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
-        m = cls.from_pattern(sizes, indptr, (uniq % n).astype(np.int64))
+        m = cls.from_pattern(sizes, indptr, (uniq % n).astype(np.int64)).empty_like()
         m.scatter_csr(a, snode_of, local, lower_only=lower_only)
         return m
 
@@ -173,7 +174,7 @@ class VBRMatrix:
             indptr=self.indptr,
             indices=self.indices,
             boff=self.boff,
-            data=np.zeros_like(self.data),
+            data=np.zeros(int(self.boff[-1])),
         )
 
     # -- structure -------------------------------------------------------
@@ -227,7 +228,7 @@ class VBRMatrix:
 
     def memory_bytes(self) -> int:
         return (
-            self.data.nbytes
+            (0 if self.data is None else self.data.nbytes)
             + self.indices.nbytes
             + self.indptr.nbytes
             + self.boff.nbytes

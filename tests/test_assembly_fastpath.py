@@ -9,11 +9,15 @@ so a vectorization slip cannot hide behind the code it replaced.
 
 from __future__ import annotations
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from scipy.sparse.linalg import spsolve
 
+from repro import obs
 from repro.core.selective_blocking import (
     selective_block_supernodes,
     selective_blocks_from_groups,
@@ -36,10 +40,10 @@ from repro.fem.bc import (
 )
 from repro.fem.contact import add_penalty, penalty_coo_blocks
 from repro.fem.generators import simple_block_model
-from repro.fem.hex8 import hex8_stiffness, shape_gradients_reference
+from repro.fem.hex8 import distinct_elements, hex8_stiffness, shape_gradients_reference
 from repro.fem.material import IsotropicElastic
 from repro.fem.model import build_contact_problem
-from repro.precond import sb_bic0
+from repro.precond import bic, sb_bic0, scalar_ic0
 from repro.precond.icfact import ICSymbolic
 from repro.solvers.cg import cg_solve
 from repro.sparse.bcsr import BCSRMatrix
@@ -86,6 +90,7 @@ def _warped_mesh(seed: int = 3):
 class TestElementKernel:
     def test_matches_gauss_point_loop_on_warped_hexes(self):
         coords, hexes = _warped_mesh()
+        assert distinct_elements(coords, hexes)[0].size == hexes.shape[0]  # nothing to share
         ke = hex8_stiffness(coords, hexes, SOFT)
         d = SOFT.elasticity_matrix()
         for e, conn in enumerate(hexes):
@@ -122,6 +127,31 @@ class TestElementKernel:
         monkeypatch.setattr(hex8, "_CHUNK", 4)
         with pytest.raises(ValueError, match=r"^16 \(element, gauss point\) pairs"):
             hex8.hex8_stiffness(coords, flipped, SOFT)
+
+    def test_uniform_grid_has_one_matrix_per_material(self):
+        """Fig. 23's block model: every element of one material gets the
+        same bytes, two materials give two matrices — and the assembled
+        sum is that of the per-element Gauss-point loop."""
+        mesh = simple_block_model(3, 2, 2, 2, 3)
+        ke = hex8_stiffness(mesh.coords, mesh.hexes, SOFT)
+        assert (ke == ke[0]).all()
+        assert distinct_elements(mesh.coords, mesh.hexes)[0].size == 1
+
+        mesh.material_ids = np.arange(mesh.n_elem) % 2
+        materials = {0: SOFT, 1: STIFF}
+        first, inverse = distinct_elements(mesh.coords, mesh.hexes, mesh.material_ids)
+        assert first.size == 2 and np.array_equal(mesh.material_ids[first][inverse], mesh.material_ids)
+        with obs.observe() as sess:
+            k = assemble_stiffness(mesh, materials)
+        (span,) = sess.tracer.find("assembly")
+        assert (span.attrs["n_elem"], span.attrs["n_shapes"]) == (mesh.n_elem, 2)
+        dense = np.zeros((mesh.ndof, mesh.ndof))
+        for conn, mid in zip(mesh.hexes, mesh.material_ids):
+            dofs = (3 * conn[:, None] + np.arange(3)).ravel()
+            dense[np.ix_(dofs, dofs)] += _reference_element_stiffness(
+                mesh.coords[conn], materials[mid].elasticity_matrix()
+            )
+        assert np.abs(k.toarray() - dense).max() <= 1e-12 * np.abs(dense).max()
 
 
 # ---------------------------------------------------------------------
@@ -230,11 +260,20 @@ class TestSinglePassAssembly:
         assert p.a.has_canonical_format
         assert sp.csr_matrix((p.a.data, p.a.indices, p.a.indptr)).has_canonical_format
 
-        # the block view is the same matrix, with the tobsr() pattern
-        blk = BCSRMatrix.from_scipy(p.a, b=3)
-        assert np.array_equal(p.a_bcsr.indptr, blk.indptr)
-        assert np.array_equal(p.a_bcsr.indices, blk.indices)
-        assert np.array_equal(p.a_bcsr.values, blk.values)
+        # the block view — built when first read — is the same matrix in
+        # dense blocks: unstored scalars zero, every diagonal block there,
+        # an off-diagonal block that stores nothing dropped
+        assert "a_bcsr" not in vars(p)
+        blocks = {}
+        coo = p.a.tocoo()
+        for i, j, v in zip(coo.row.tolist(), coo.col.tolist(), coo.data.tolist()):
+            blocks.setdefault((i // 3, j // 3), np.zeros((3, 3)))[i % 3, j % 3] = v
+        pairs = sorted(blocks)
+        assert p.a_bcsr is vars(p)["a_bcsr"]
+        assert np.array_equal(p.a_bcsr.block_rows(), [i for i, _ in pairs])
+        assert np.array_equal(p.a_bcsr.indices, [j for _, j in pairs])
+        assert np.array_equal(p.a_bcsr.values, [blocks[ij] for ij in pairs])
+        assert {(i, i) for i in range(mesh.n_nodes)} <= set(pairs)
 
     def test_prescribed_values_move_to_the_rhs(self, model, symmetry):
         mesh, materials, _load = model()
@@ -384,6 +423,61 @@ def test_from_coo_blocks_sums_duplicates_in_input_order():
     assert set(zip(range(n), range(n))) <= set(zip(m.block_rows(), m.indices))
 
 
+def test_add_blocks_continues_one_sum_whatever_the_batching():
+    """The streamed reducer: blocks added batch by batch give the bits
+    of one pass over all of them, and of the triplet-by-triplet loop."""
+    rng = np.random.default_rng(8)
+    n, nt = 6, 200
+    rows, cols = rng.integers(0, n, nt), rng.integers(0, n, nt)
+    blocks = rng.standard_normal((nt, 3, 3)) * 10.0 ** rng.integers(-8, 8, (nt, 1, 1))
+    whole = BCSRMatrix.from_coo_blocks(n, rows, cols, blocks)
+    m, slot = BCSRMatrix.from_block_pairs(n, rows, cols)
+    assert not m.values.any() and np.array_equal(m.indices, whole.indices)
+    for t0 in range(0, nt, 7):
+        m.add_blocks(slot[t0 : t0 + 7], blocks[t0 : t0 + 7])
+    loop = np.zeros_like(m.values)
+    for t in range(nt):
+        loop[slot[t]] += blocks[t]
+    assert np.array_equal(m.values, whole.values) and np.array_equal(m.values, loop)
+    with pytest.raises(ValueError, match="blocks must have shape"):
+        m.add_blocks(slot[:3], blocks[:4])
+
+
+def test_assembled_system_is_independent_of_batch_size(monkeypatch):
+    """Element batches stream into one ordered sum: the seams between
+    them (and between distinct-shape groups inside them) must not show."""
+    import repro.fem.hex8 as hex8
+
+    mesh, materials, load = _swjapan_small()
+    kwargs = dict(penalty=1e6, materials=materials, load=load, symmetry=False)
+    whole = build_contact_problem(mesh, **kwargs)
+    k = assemble_stiffness(mesh, materials)
+    monkeypatch.setattr(hex8, "_CHUNK", 7)
+    assert np.array_equal(build_contact_problem(mesh, **kwargs).a.data, whole.a.data)
+    assert np.array_equal(assemble_stiffness(mesh, materials).values, k.values)
+
+
+def test_build_contact_problem_holds_no_triplet_arrays():
+    """The streamed assembly never holds what is about to be summed away:
+    at block 1.5 (19 890 DOF) the call peaks at 4.4 times the 10.0 MB it
+    returns (44 MB above its start; 83 MB = 3.8 times 21.8 MB when the
+    whole-mesh element matrices, their triplet copy and the copy joined
+    with the penalty triplets existed, 24 MB each)."""
+    mesh = table2_block_mesh(1.5)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        p = build_contact_problem(mesh, penalty=1e6)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    returned = p.a.data.nbytes + p.a.indices.nbytes + p.a.indptr.nbytes + p.b.nbytes
+    assert returned <= held - start <= 1.05 * returned  # the system and nothing else
+    assert "a_bcsr" not in vars(p)  # no solve reads it: not built, not held
+    assert peak - start <= 50e6
+    assert peak - start <= 5.0 * returned
+
+
 def test_penalty_triplets_match_group_loop():
     groups = [np.array([4, 1]), np.array([7, 2, 9]), np.array([0, 3, 5, 8])]
     lam = 2.5e4
@@ -508,6 +602,64 @@ class TestSymbolicAnalysis:
         assert np.array_equal(sym.scatter_src, src)
         assert np.array_equal(sym.scatter_dst, dst)
         assert sym.nnz_fill == 0
+
+    @pytest.mark.parametrize(
+        "family, scatter, gathers, plan",
+        [
+            ("ic0", "d183edf0eaea4bec", "fec5c218b6e384b8", "e2c15433d37159c8"),
+            ("bic0", "a4aad5b6aa38327c", "08b0e6751ccf64f3", "4015c83c4ba6ab6c"),
+            ("bic1", "e4690458dac2eecb", "95f076c489be2083", "95902323b9826f1a"),
+            ("sbbic0", "3c63e418aed5af57", "88c7280b3066a5c2", "ac6a0436b9a6ad5e"),
+        ],
+    )
+    def test_maps_are_those_of_the_per_scalar_lookup(
+        self, small_problem, family, scatter, gathers, plan
+    ):
+        """Scatter map, gather maps and plan structure, digested at the
+        commit before the run-head lookup and the int32 gather maps
+        (PR 21): the same numbers."""
+        p = small_problem
+        make = {
+            "ic0": lambda: scalar_ic0(p.a),
+            "bic0": lambda: bic(p.a, fill_level=0),
+            "bic1": lambda: bic(p.a, fill_level=1),
+            "sbbic0": lambda: sb_bic0(p.a, p.groups),
+        }[family]
+        sym = make().symbolic
+
+        def digest(*arrays):
+            h = hashlib.sha256()
+            for a in arrays:
+                h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
+            return h.hexdigest()[:16]
+
+        assert digest(sym.scatter_src, sym.scatter_dst) == scatter
+        assert digest(sym.fwd_gather, sym.bwd_gather) == gathers
+        assert digest(
+            sym.plan_perm, sym.group_ptr, sym.dinv_indptr, sym.dinv_indices,
+            *sym.fwd_struct, *sym.bwd_struct,
+        ) == plan
+        # the gather maps ride through the plan's transposition in its
+        # index dtype; the scatter maps index by fancy assignment, where a
+        # narrower array would be cast to intp on every refactor
+        assert sym.fwd_gather.dtype == sym.bwd_gather.dtype == sym.fwd_struct[1].dtype == np.int32
+        assert sym.scatter_src.dtype == sym.scatter_dst.dtype == np.intp
+
+    def test_symbolic_object_accounts_for_what_it_keeps(self, small_problem):
+        """``memory_bytes`` counts every array once, none of A's; nothing
+        is kept for a backend that is not running (the row segmentation
+        of the JIT kernels) or for values the pattern does not have."""
+        p = small_problem
+        m = sb_bic0(p.a, p.groups)
+        sym = m.symbolic
+        assert sym.pattern.data is None and m.L.data.size == sym.pattern.boff[-1]
+        assert all(bucket[-1] == [] for group in sym.dmod_updates for bucket in group)
+        maps = [sym.scatter_src, sym.scatter_dst, sym.fwd_gather, sym.bwd_gather]
+        updates = [x for group in sym.dmod_updates for b in group for x in b[2:5]]
+        total = sym.memory_bytes()
+        assert total == m.factorization_stats()["symbolic_bytes"]
+        assert sum(x.nbytes for x in maps + updates) < total
+        assert total < 8 * 12 * p.a.nnz  # a few times A, not tens
 
     @pytest.mark.parametrize("fill_level", [1, 2])
     def test_fill_census_counts_blocks_beyond_level0(self, small_problem, fill_level):

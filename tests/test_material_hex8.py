@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from repro.fem.hex8 import hex8_stiffness, shape_gradients_reference
+from repro.fem.hex8 import distinct_elements, hex8_stiffness, shape_gradients_reference
 from repro.fem.material import IsotropicElastic
 
 UNIT_CUBE = np.array(
@@ -122,3 +122,39 @@ class TestHex8Stiffness:
         coords = UNIT_CUBE + rng.uniform(-0.15, 0.15, size=(8, 3))
         ke = hex8_stiffness(coords, np.arange(8)[None, :], IsotropicElastic())[0]
         assert np.all(np.linalg.eigvalsh(ke) > -1e-10)
+
+
+class TestDistinctElements:
+    """One stiffness per distinct (shape, material): which elements share."""
+
+    def test_translated_copies_share_one_representative(self):
+        """A warped element repeated at another place, among others."""
+        rng = np.random.default_rng(4)
+        # coordinates on a 1/1024 grid, so that a shift by integers is exact
+        # and the copy's local coordinates are the same bytes
+        warped = UNIT_CUBE + rng.integers(-100, 100, (8, 3)) / 1024.0
+        other = UNIT_CUBE + rng.integers(-100, 100, (8, 3)) / 1024.0
+        shift = np.array([4.0, -2.0, 8.0])
+        coords = np.vstack([warped, other + 16.0, warped + shift])
+        hexes = np.arange(24).reshape(3, 8)
+        first, inverse = distinct_elements(coords, hexes)
+        assert sorted(first.tolist()) == [0, 1]
+        assert inverse[0] == inverse[2] != inverse[1]
+        ke = hex8_stiffness(coords, hexes, IsotropicElastic())
+        assert np.array_equal(ke[0], ke[2]) and not np.array_equal(ke[0], ke[1])
+        # the shared matrix is the one the element gets on its own
+        assert np.array_equal(ke[2], hex8_stiffness(coords, hexes[2:], IsotropicElastic())[0])
+
+    def test_material_id_is_part_of_the_key(self):
+        coords = np.vstack([UNIT_CUBE, UNIT_CUBE + 2.0])
+        hexes = np.arange(16).reshape(2, 8)
+        assert distinct_elements(coords, hexes)[0].size == 1
+        first, inverse = distinct_elements(coords, hexes, np.array([0, 1]))
+        assert first.size == 2 and inverse[0] != inverse[1]
+
+    def test_a_shape_is_what_the_kernel_reads(self):
+        """Far from the origin the Jacobian sees the same element: local
+        coordinates, not the rounding of ``dN^T @ xyz`` at 1e6."""
+        near = hex8_stiffness(UNIT_CUBE, np.arange(8)[None, :], IsotropicElastic())[0]
+        far = hex8_stiffness(UNIT_CUBE + 2.0**20, np.arange(8)[None, :], IsotropicElastic())[0]
+        assert np.array_equal(near, far)

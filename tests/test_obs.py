@@ -308,11 +308,14 @@ class TestTracedSolveAgreement:
             m = sb_bic0(p.a, p.groups)
         (asm,) = sess.tracer.find("assembly")
         assert [c.name for c in asm.children] == [
+            "assembly.slots",
             "assembly.element",
-            "assembly.reduce",
+            "assembly.mask",
             "assembly.dirichlet",
         ]
         assert asm.attrs["n_elem"] == p.mesh.n_elem
+        # a uniform grid under one material shares one element matrix
+        assert asm.attrs["n_shapes"] == 1
         # what the system stores, and what the round-off rule dropped
         assert asm.attrs["nnz_stored"] == p.a.nnz
         assert 0 < asm.attrs["nnz_dropped"] < p.a.nnz
@@ -323,6 +326,9 @@ class TestTracedSolveAgreement:
             "ic_symbolic.maps",
             "ic_symbolic.apply_structs",
         ]
+        # what the symbolic object keeps, as the factor's census reports it
+        assert sym.attrs["symbolic_bytes"] == m.symbolic.memory_bytes() > 0
+        assert m.factorization_stats()["symbolic_bytes"] == sym.attrs["symbolic_bytes"]
         (num,) = sess.tracer.find("ic_numeric")
         assert [c.name for c in num.children] == [
             "ic_numeric.scatter",
@@ -339,7 +345,7 @@ class TestTracedSolveAgreement:
             assert all(a.t_end == b.t_start for a, b in zip(kids, kids[1:]))
         # the phases show up in the terminal summary and the Chrome trace
         table = summary_table(sess.tracer, sess.metrics)
-        assert "assembly.reduce" in table and "ic_symbolic.maps" in table
+        assert "assembly.element" in table and "ic_symbolic.maps" in table
         assert "ic_numeric.gather" in table
         _assert_chrome_well_formed(chrome_trace_events(sess.tracer))
 

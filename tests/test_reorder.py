@@ -54,6 +54,62 @@ class TestGreedyColor:
         assert colors.max() + 1 == n
 
 
+def _numpy_loop_greedy_color(adj, order=None):
+    """The colouring loop as it was before it walked Python lists: one
+    numpy slice, mask and fancy assignment per vertex."""
+    n = adj.shape[0]
+    indptr, indices = adj.indptr, adj.indices
+    if order is None:
+        order = np.argsort(-np.diff(indptr), kind="stable")
+    colors = np.full(n, -1, dtype=np.int64)
+    mark = np.full(n + 1, -1, dtype=np.int64)
+    for v in order:
+        nbr_colors = colors[indices[indptr[v] : indptr[v + 1]]]
+        mark[nbr_colors[nbr_colors >= 0]] = v
+        c = 0
+        while mark[c] == v:
+            c += 1
+        colors[v] = c
+    return colors
+
+
+class TestGreedyColorIsTheNumpyLoop:
+    """Same visit order, same smallest-available rule: identical arrays."""
+
+    @pytest.mark.parametrize("model, scale", [("block", 0.8), ("swjapan", 1.0)])
+    def test_on_supernode_graphs(self, model, scale):
+        from repro.experiments.workloads import block_problem, swjapan_problem
+        from repro.precond import sb_bic0
+
+        p = {"block": block_problem, "swjapan": swjapan_problem}[model](scale)
+        sym = sb_bic0(p.a, p.groups).symbolic
+        # the graph the symbolic phase coloured, back in its own numbering
+        lower = sp.csr_matrix(
+            (np.ones(sym.pattern.nnzb), sym.pattern.indices, sym.pattern.indptr),
+            shape=(sym.pattern.N, sym.pattern.N),
+        )
+        adj = adjacency_from_pattern(lower)[sym.order.argsort()][:, sym.order.argsort()]
+        adj.sort_indices()
+        colors = greedy_color(adj)
+        assert colors.dtype == np.int64
+        assert np.array_equal(colors, _numpy_loop_greedy_color(adj))
+        assert np.array_equal(colors, sym.coloring.colors)
+
+    @given(
+        n=st.integers(1, 40),
+        p=st.floats(0.0, 0.6),
+        seed=st.integers(0, 10_000),
+        given_order=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_on_random_symmetric_graphs(self, n, p, seed, given_order):
+        adj = random_graph(n, p, seed)
+        order = np.random.default_rng(seed).permutation(n) if given_order else None
+        colors = greedy_color(adj, order)
+        assert np.array_equal(colors, _numpy_loop_greedy_color(adj, order))
+        Coloring(colors=colors, ncolors=int(colors.max()) + 1).validate(adj)
+
+
 class TestMulticolor:
     def test_minimal_palette_by_default(self):
         adj = grid_graph(6, 6)
