@@ -24,7 +24,13 @@ Asserted invariants:
    lines → immediate error answers (``poisoned_payload`` where the
    admission layer is the one refusing);
 4. the admission/quarantine counters in ``{"cmd": "stats"}`` reflect
-   the faults.
+   the faults;
+5. **kill -9 mid-flight**: a server killed while a batch is being solved
+   (its requests already in the job log, its results not yet) gives up
+   the journal directory's lock with its life, and a second server
+   started with ``--resume`` on the same directory finishes every
+   journaled job; the log then holds, for each, a result with the serial
+   replay's digest.
 
 Modes: ``--quick`` (CI tier: fewer clients, thread pool only) or the
 full sweep (``--clients`` clients, thread *and* process pools).  Exits
@@ -60,7 +66,7 @@ PAYLOAD_BUDGET = 2048  # bytes; a full-length explicit RHS (~2.4 KB) is over
 
 
 def start_server(sock_path: str, journal_dir: str, mode: str,
-                 workers: int) -> subprocess.Popen:
+                 workers: int, extra: tuple[str, ...] = ()) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
     env["REPRO_SERVE_CHAOS"] = "1"
@@ -71,7 +77,7 @@ def start_server(sock_path: str, journal_dir: str, mode: str,
          "--journal-dir", journal_dir,
          "--default-deadline", "60",
          "--max-payload-bytes", str(PAYLOAD_BUDGET),
-         "--write-timeout", "10"],
+         "--write-timeout", "10", *extra],
         env=env, cwd=str(ROOT),
         stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
     )
@@ -271,6 +277,74 @@ def run_pass(mode: str, clients: int, solves_per_client: int,
     return fails
 
 
+def run_kill_pass(mode: str, solves: int, ref: dict[float, str]) -> list[str]:
+    """kill -9 between the request commit and the result commit, then
+    ``--resume``; returns invariant violations."""
+    fails: list[str] = []
+    tmp = tempfile.mkdtemp(prefix=f"chaos-kill-{mode}-")
+    journal = os.path.join(tmp, "journal")
+    log_path = os.path.join(journal, "jobs.log")
+    batch = [well_formed(0, k) for k in range(solves)]
+    # one slow request holds the batch in flight while the rest are solved
+    batch.append({"id": "c0-slow", "scale": SCALE, "penalty": PENALTIES[0],
+                  "chaos": {"kind": "wedge", "seconds": 1.5}})
+    first = start_server(os.path.join(tmp, "a.sock"), journal, mode, workers=2)
+    client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+    try:
+        client.connect(os.path.join(tmp, "a.sock"))
+        client.sendall(("\n".join(json.dumps(r) for r in batch) + "\n\n").encode())
+        deadline = time.time() + 60
+        while time.time() < deadline and not (
+                os.path.exists(log_path) and os.path.getsize(log_path) > 0):
+            time.sleep(0.01)
+        time.sleep(0.3)  # requests durable, workers busy, no result on record
+        first.kill()
+        first.wait(timeout=30)
+    finally:
+        client.close()
+    if not os.path.exists(log_path) or os.path.getsize(log_path) == 0:
+        return [f"[{mode}] kill leg: the batch was never journaled"]
+
+    second = start_server(os.path.join(tmp, "b.sock"), journal, mode, workers=2,
+                          extra=("--resume",))
+    try:
+        out = talk(os.path.join(tmp, "b.sock"),
+                   [json.dumps({"cmd": "stats"}), json.dumps({"cmd": "shutdown"})])
+        stats = next(r["stats"] for r in out if r.get("cmd") == "stats")
+        journal_stats = stats.get("journal", {})
+        if journal_stats.get("records") != 2 * len(batch):
+            fails.append(f"[{mode}] kill leg: log holds {journal_stats.get('records')} "
+                         f"records, expected {2 * len(batch)}: {journal_stats}")
+        print(f"chaos_serve:   resumed {len(batch)} in-flight job(s); journal {journal_stats}",
+              flush=True)
+        second.wait(timeout=60)
+        if second.returncode != 0:
+            fails.append(f"[{mode}] kill leg: resumed server exit code "
+                         f"{second.returncode}: {second.stderr.read()[-800:]}")
+        from repro.io.joblog import JobLog
+
+        log = JobLog(journal)  # the clean exit released the lock too
+        try:
+            for request in batch:
+                job_id = request["id"]
+                answer = log.read("res", job_id)[1]["response"] if log.has("res", job_id) else None
+                if answer is None or not (answer["ok"] and answer["converged"]):
+                    fails.append(f"[{mode}] kill leg: {job_id} not recovered: {answer}")
+                elif answer["x_sha256"] != ref[request["penalty"]]:
+                    fails.append(f"[{mode}] kill leg: {job_id} digest differs from "
+                                 "the serial replay — NOT bit-identical")
+        finally:
+            log.close()
+    except Exception as exc:  # noqa: BLE001
+        fails.append(f"[{mode}] kill leg failed: {type(exc).__name__}: {exc}; "
+                     f"server said: {second.stderr.read()[-800:] if second.poll() is not None else ''}")
+    finally:
+        if second.poll() is None:
+            second.kill()
+            second.wait()
+    return fails
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
@@ -296,6 +370,8 @@ def main() -> int:
             f"{args.solves_per_client} solves + faults ...", flush=True,
         )
         fails += run_pass(mode, clients, args.solves_per_client, wedge_s, ref)
+        print(f"chaos_serve: {mode} pool, kill -9 mid-flight + --resume ...", flush=True)
+        fails += run_kill_pass(mode, args.solves_per_client, ref)
 
     wall = time.time() - t0
     if fails:
@@ -307,7 +383,8 @@ def main() -> int:
     print(
         f"chaos_serve: PASS in {wall:.1f}s — {n_well} well-formed requests "
         f"all terminal + bit-identical to serial replay; every injected "
-        f"crash/wedge/poison isolated and classified ({', '.join(modes)})"
+        f"crash/wedge/poison isolated and classified; kill -9 mid-flight "
+        f"resumed from the job log ({', '.join(modes)})"
     )
     return 0
 

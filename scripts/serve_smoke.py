@@ -13,8 +13,10 @@ caching contract end to end:
   cache hits);
 - same-batch requests sharing an operator are coalesced into one
   blocked solve;
+- the job log took **two commits per batch** (requests before the
+  solve, results after), whatever the batch held;
 - the exported observability trace contains one ``serve.job`` span per
-  request.
+  request and one ``journal.commit`` span per commit.
 
 The request script is written to the server's stdin in full and stdin
 is closed before reading — responses flush at blank-line batch
@@ -132,6 +134,22 @@ def check_trace(trace_path: Path, failures: list[str]) -> None:
     expected = sum(len(b) for b in BATCHES)
     if len(spans) != expected:
         failures.append(f"trace has {len(spans)} serve.job spans, expected {expected}")
+    commits = [r for r in jobs if r.get("kind") == "span" and r.get("name") == "journal.commit"]
+    if [c["attrs"]["records"] for c in commits] != [len(b) for b in BATCHES for _ in "ab"]:
+        failures.append(
+            "trace's journal.commit spans are not one request and one result "
+            f"commit per batch: {[c['attrs'] for c in commits]}"
+        )
+
+
+def check_journal(journal: dict, failures: list[str]) -> None:
+    requests = sum(len(b) for b in BATCHES)
+    want = {"records": 2 * requests, "commits": 2 * len(BATCHES),
+            "syncs": 2 * len(BATCHES) + 1,  # + the directory, once, at creation
+            "torn_tail_records": 0}
+    got = {k: journal.get(k) for k in want}
+    if got != want:
+        failures.append(f"journal census {got}, expected {want}")
 
 
 def main(argv=None) -> int:
@@ -187,6 +205,8 @@ def main(argv=None) -> int:
         check_trace(trace_path, failures)
         if stats_line is None:
             failures.append("no stats response observed")
+        else:
+            check_journal(stats_line["stats"]["journal"], failures)
 
         for job_id in sorted(responses):
             r = responses[job_id]
@@ -198,6 +218,7 @@ def main(argv=None) -> int:
         if stats_line is not None:
             caches = stats_line["stats"]["session"]["caches"]
             print(f"  caches: {json.dumps(caches)}")
+            print(f"  journal: {json.dumps(stats_line['stats']['journal'])}")
 
         if failures:
             for f in failures:

@@ -196,7 +196,7 @@ def _cmd_solve(args) -> int:
 def _build_queue(args):
     """Assemble session + admission + optional pool + queue from serve args.
 
-    Returns ``(queue, pool)`` — the caller owns closing the pool."""
+    Returns ``(queue, pool)`` — the caller owns closing both."""
     from repro.serve import (
         AdmissionController, AdmissionPolicy, JobQueue, RetentionPolicy,
         SolverSession, WorkerPool,
@@ -254,6 +254,7 @@ def _cmd_serve(args) -> int:
     finally:
         if pool is not None:
             pool.close()
+        queue.close()
     return 0
 
 
@@ -275,6 +276,7 @@ def _cmd_batch(args) -> int:
     finally:
         if pool is not None:
             pool.close()
+        queue.close()
     if args.out is not None:
         print(f"responses written to {args.out}", file=sys.stderr)
     return 0 if all(j.state == "done" for j in jobs) else 1
@@ -500,13 +502,13 @@ def main(argv: list[str] | None = None) -> int:
         )
         p.add_argument(
             "--retention-keep", type=int, default=None, metavar="N",
-            help="compact the journal down to the N most recent finished "
-            "jobs after each batch (default: keep everything)",
+            help="keep the N most recent finished jobs, in the job log and "
+            "in memory, after each batch (default: keep everything)",
         )
         p.add_argument(
             "--retention-max-bytes", type=int, default=None, metavar="B",
-            help="compact oldest finished journal pairs once the journal "
-            "directory exceeds B bytes (default: unbounded)",
+            help="drop oldest finished jobs (down to B/2) once the job log "
+            "file exceeds B bytes (default: unbounded)",
         )
         p.add_argument(
             "--policy-mode", default="learned",

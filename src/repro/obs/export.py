@@ -433,19 +433,18 @@ def requests_table(source) -> str:
     requests the serving layer refused or quarantined — the failure
     reason (``overloaded``, ``request_timeout``, ``worker_crash``,
     ``poisoned_payload``) — the at-a-glance answer to "why was this
-    request slow (or refused)".
+    request slow (or refused)".  A last line sums the trace's
+    ``journal.commit`` spans: what durability cost those requests.
     """
+    names = ("serve.job", "journal.commit")
     if isinstance(source, Tracer):
-        recs = [
-            _flat(s, source.t0)
-            for s in source.iter_spans()
-            if s.kind == "span" and s.name == "serve.job"
-        ]
+        spans = [_flat(s, source.t0) for s in source.iter_spans()
+                 if s.kind == "span" and s.name in names]
     else:
-        recs = [
-            r for r in source
-            if r.get("kind") == "span" and r.get("name") == "serve.job"
-        ]
+        spans = [r for r in source
+                 if r.get("kind") == "span" and r.get("name") in names]
+    recs = [r for r in spans if r["name"] == "serve.job"]
+    commits = [r for r in spans if r["name"] == "journal.commit"]
     if not recs:
         return "(no serve.job spans in trace)"
     recs.sort(key=lambda r: (r.get("t_start_s") or 0.0, r["attrs"].get("job_id", "")))
@@ -475,7 +474,19 @@ def requests_table(source) -> str:
             str(at.get("reason", "") or ""),
         ))
     widths = [max(len(row[c]) for row in rows) for c in range(len(header))]
-    return "\n".join(
+    lines = [
         "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
         for row in rows
-    )
+    ]
+    if commits:
+        # what durability cost these requests: one line, since a commit
+        # serves a whole batch and belongs to no single job
+        seconds = sorted(r.get("duration_s") or 0.0 for r in commits)
+        lines.append(
+            f"journal: {len(commits)} commits, "
+            f"{sum(r['attrs'].get('records', 0) for r in commits)} records, "
+            f"{sum(r['attrs'].get('bytes', 0) for r in commits)} B, "
+            f"{1e3 * sum(seconds):.1f} ms "
+            f"(median {1e3 * seconds[len(seconds) // 2]:.2f} ms per commit)"
+        )
+    return "\n".join(lines)

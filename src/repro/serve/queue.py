@@ -6,16 +6,19 @@ Life of a job:
 1. ``submit`` — screen through the admission controller (bounded depth →
    ``OVERLOADED``, oversized payload → ``POISONED_PAYLOAD``; a refused
    request gets its structured terminal response immediately and is
-   never journaled); assign an id; if a completed result journal for
-   that id already exists, short-circuit to it (idempotent retry), else
-   mark the job pending;
+   never journaled); assign an id; if the job log already holds a result
+   for that id, short-circuit to it (idempotent retry), else mark the
+   job pending;
 2. ``process`` — claim pending jobs, refuse any whose deadline expired
-   while queued (``REQUEST_TIMEOUT``), journal the rest durably (via
-   :mod:`repro.io.journal`: checksummed, atomically replaced), **then**
-   group + coalesce + solve — through the worker pool when one is
-   attached, else the session — **then** journal each result;
-3. ``resume`` — scan the journal directory for requests without results,
-   re-submit them, process.
+   while queued (``REQUEST_TIMEOUT``), make the requests of the rest
+   durable in **one commit** of the job log
+   (:class:`repro.io.joblog.JobLog`: checksummed records appended with
+   one write and one ``fsync``), **then** group + coalesce + solve —
+   through the worker pool when one is attached, else the session —
+   **then** make all their results durable in one more commit, and only
+   then return: two syncs per call, whatever the batch size;
+3. ``resume`` — walk the log's index, re-submit every journaled request
+   (finished ones short-circuit to their recorded answer), process.
 
 Determinism contract: requests are journaled *before* any solving, and
 ``process`` always works through pending jobs in job-id order, grouping
@@ -23,27 +26,32 @@ by solve key in first-appearance order.  A replay after a crash therefore
 reassembles exactly the coalesced solves of the original run — same
 groups, same RHS column order — so resumed answers are bit-for-bit what
 the uninterrupted server would have returned.  A worker pool preserves
-this: concurrency is across groups, never inside one.
+this: concurrency is across groups, never inside one.  Group commit does
+not touch it: which jobs run together is decided before the commit and
+the log's record order plays no part in a replay.
 
 Concurrency: ``submit``/``process`` are thread-safe (the socket front end
 runs one thread per connection).  Without a pool, concurrent ``process``
 calls serialize on an internal lock — the session's serial path mutates
 shared operator values in place and must stay single-consumer; with a
-pool, they overlap freely (the pool snapshots per-group values).
+pool, they overlap freely (the pool snapshots per-group values).  The log
+takes whole commits under its own lock.  One queue per journal
+directory: the log holds a ``flock`` until :meth:`JobQueue.close`.
 
-Journal retention (:class:`RetentionPolicy`): unbounded request/result
-journals are how a long-lived server fills a disk.  After each
-``process``, finished req+res pairs beyond ``keep_last`` (or over
-``max_bytes`` total) are deleted oldest-first; compaction counters ride
-in ``stats()``.  A compacted job loses its idempotent-retry
-short-circuit — that is the documented trade.
+Journal retention (:class:`RetentionPolicy`): an unbounded job log is
+how a long-lived server fills a disk — and an unbounded job table its
+memory.  After each ``process``, finished jobs beyond ``keep_last`` (or
+over the ``max_bytes`` budget) are dropped oldest-first from the log's
+index *and* from the queue's job table; the log rewrites its file once
+dead bytes outweigh live ones.  A dropped job loses its idempotent-retry
+short-circuit (its id solves again) — that is the documented trade.
 
 Policy persistence: with a journal directory, the workspace's learned
 policy history (fingerprint -> family -> observed cost, see
 :mod:`repro.policy.history`) is loaded from ``policy_history.json`` at
 construction and saved back after any ``process`` that recorded new
-outcomes.  The file is not a journal (no ``.jnl`` suffix), so retention
-compaction and usage accounting never touch it.  Note the determinism
+outcomes.  It is a plain file beside the log, so retention and usage
+accounting never touch it.  Note the determinism
 caveat for ``precond="auto"`` requests: the family is resolved at solve
 time, so a journal *replay* with a richer history than the original run
 may legally choose a different (better-informed) family — the recorded
@@ -51,10 +59,10 @@ result short-circuit still guarantees completed jobs replay their
 original answer.
 
 Crash injection for tests (``REPRO_SERVE_CRASH`` env var):
-``after-journal`` hard-exits once the pending requests are journaled but
-before solving; ``before-result`` hard-exits after solving but before any
-result journal is written.  Both are windows a real crash could hit; in
-both, ``resume`` must recover every in-flight job.
+``after-journal`` hard-exits once the pending requests are durable but
+before solving; ``before-result`` hard-exits after solving but before the
+result commit.  Both are windows a real crash could hit; in both,
+``resume`` must recover every in-flight job.
 """
 
 from __future__ import annotations
@@ -70,15 +78,13 @@ from typing import Any
 
 import numpy as np
 
-from repro.io.journal import read_journal, write_journal
+from repro.io.joblog import Entry, JobLog
 from repro.serve.admission import AdmissionController
 from repro.serve.protocol import ProtocolError, SolveRequest, SolveResponse
 from repro.serve.session import SolverSession
 
 __all__ = ["Job", "JobQueue", "RetentionPolicy"]
 
-_REQ_SUFFIX = ".req.jnl"
-_RES_SUFFIX = ".res.jnl"
 CRASH_ENV = "REPRO_SERVE_CRASH"
 
 
@@ -92,10 +98,11 @@ def _crash_hook(stage: str) -> None:
 class RetentionPolicy:
     """Journal compaction knobs; None disables that bound.
 
-    ``keep_last`` keeps at most that many *finished* jobs' journal pairs;
-    ``max_bytes`` additionally deletes oldest finished pairs until the
-    journal directory fits the byte budget.  In-flight jobs (request
-    journal without a result) are never compacted — they are exactly what
+    ``keep_last`` keeps at most that many *finished* jobs (their request
+    and result records, and their entry in the queue's job table);
+    ``max_bytes`` additionally drops oldest finished jobs whenever the
+    log file outgrows the byte budget.  In-flight jobs (a request record
+    without a result) are never dropped — they are exactly what
     ``resume`` exists to recover."""
 
     keep_last: int | None = None
@@ -121,7 +128,7 @@ class Job:
     journaled: bool = False
 
 
-# -- request <-> journal codec -------------------------------------------
+# -- job <-> log record codec ----------------------------------------------
 
 
 def _request_journal_parts(req: SolveRequest) -> tuple[dict[str, np.ndarray], dict]:
@@ -144,13 +151,54 @@ def _request_from_journal(arrays: dict[str, np.ndarray], meta: dict) -> SolveReq
     return SolveRequest.from_dict(d)
 
 
+def _request_entry(job: Job) -> Entry:
+    arrays, meta = _request_journal_parts(job.request)
+    return job.job_id, arrays, {"request": meta}
+
+
+def _result_entry(job: Job) -> Entry:
+    resp = job.response
+    assert resp is not None
+    arrays: dict[str, np.ndarray] = {}
+    if resp.x is not None:
+        arrays["x"] = np.asarray(resp.x)
+    resp_meta: dict[str, Any] = {
+        "ok": resp.ok,
+        "converged": resp.converged,
+        "iterations": resp.iterations,
+        "relative_residual": resp.relative_residual,
+        "ndof": resp.ndof,
+        "fingerprint": resp.fingerprint,
+        "coalesced": resp.coalesced,
+        "wall_seconds": resp.wall_seconds,
+        "cache": resp.cache,
+        "setups": resp.setups,
+        "x_sha256": resp.x_sha256,
+    }
+    if resp.error is not None:
+        resp_meta["error"] = resp.error
+    if resp.reason is not None:
+        resp_meta["reason"] = resp.reason
+    _, req_meta = _request_journal_parts(job.request)
+    return job.job_id, arrays, {"request": req_meta, "response": resp_meta}
+
+
+def write_journal(log: JobLog, kind: str, jobs: list[Job]) -> None:
+    """Make the request (``"req"``) or result (``"res"``) records of *jobs*
+    durable in one commit of *log*.  Every durable write of the queue goes
+    through this module-level name (the bench harness wraps it by name),
+    so a traced ``io.journal_write`` is one commit, not one job."""
+    entry = _request_entry if kind == "req" else _result_entry
+    log.commit(kind, [entry(job) for job in jobs])
+
+
 class JobQueue:
     """Thread-safe queue in front of a :class:`SolverSession` or
     :class:`~repro.serve.pool.WorkerPool`.
 
     ``journal_dir=None`` disables durability (pure in-memory serving);
-    with a directory, every admitted job is journaled before it runs and
-    every finished job's answer is journaled after.
+    with a directory, every admitted job is in the directory's job log
+    before it runs and every finished job's answer is after.
     """
 
     def __init__(self, session: SolverSession | None = None,
@@ -164,39 +212,42 @@ class JobQueue:
         self.retention = retention if retention is not None else RetentionPolicy()
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
         self._policy_path: Path | None = None
+        self._log: JobLog | None = None
         if self.journal_dir is not None:
-            self.journal_dir.mkdir(parents=True, exist_ok=True)
+            self._log = JobLog(self.journal_dir)
             self._policy_path = self.journal_dir / "policy_history.json"
             if self._policy_path.exists():
                 hist = self.session.workspace.policy_history
                 hist.merge_dict(json.loads(self._policy_path.read_text()))
                 hist.dirty = False
         self._jobs: dict[str, Job] = {}
+        # Jobs that reached each state: pending/running are current,
+        # the terminal states cumulative (retention drops finished jobs
+        # from the table, not from the tally).
+        self._states = dict.fromkeys(
+            ("pending", "running", "done", "failed", "rejected"), 0
+        )
         self._counter = 0
         self._lock = threading.RLock()
         self._serial_process_lock = threading.Lock()
-        self._compacted_files = 0
-        self._compacted_bytes = 0
 
-    # -- paths ------------------------------------------------------------
+    def close(self) -> None:
+        """Release the job log and its directory lock; idempotent."""
+        if self._log is not None:
+            self._log.close()
 
-    def _req_path(self, job_id: str) -> Path:
-        assert self.journal_dir is not None
-        return self.journal_dir / f"{job_id}{_REQ_SUFFIX}"
-
-    def _res_path(self, job_id: str) -> Path:
-        assert self.journal_dir is not None
-        return self.journal_dir / f"{job_id}{_RES_SUFFIX}"
+    def _move(self, job: Job, state: str) -> None:
+        with self._lock:
+            self._states[job.state] -= 1
+            self._states[state] += 1
+            job.state = state
 
     # -- submission --------------------------------------------------------
 
     def depth(self) -> int:
         """Jobs pending or running — the admission back-pressure signal."""
         with self._lock:
-            return sum(
-                1 for j in self._jobs.values()
-                if j.state in ("pending", "running")
-            )
+            return self._states["pending"] + self._states["running"]
 
     def submit(self, request: SolveRequest) -> Job:
         # Server-side receipt stamp: deadlines count from the moment the
@@ -207,40 +258,41 @@ class JobQueue:
         # simulating a long front-end wait) is preserved.
         if request.submitted_at is None:
             request.submitted_at = time.monotonic()
+        log = self._log
         with self._lock:
             job_id = request.job_id
             if job_id is None:
                 while True:
                     self._counter += 1
                     job_id = f"job-{self._counter:06d}"
-                    if job_id not in self._jobs:
+                    # an id journaled by an earlier life of this directory
+                    # belongs to that job, not to this one
+                    if job_id not in self._jobs and not (
+                            log is not None and log.has("req", job_id)):
                         break
                 request.job_id = job_id
             elif job_id in self._jobs:
                 raise ProtocolError(f"duplicate job id {job_id!r}")
 
             job = Job(job_id=job_id, request=request)
+            rejection = None
             if self.admission is not None:
                 rejection = self.admission.screen_submit(request, self.depth())
-                if rejection is not None:
-                    job.response = rejection
-                    job.state = "rejected"
-                    self._jobs[job_id] = job
-                    return job
-            if self.journal_dir is not None and self._res_path(job_id).exists():
-                response = self._load_result(job_id, request)
-                if response is not None:
-                    job.response = response
-                    job.state = "done" if response.ok else "failed"
-                    job.journaled = True
+            if rejection is not None:
+                job.response, job.state = rejection, "rejected"
+            elif log is not None and log.has("res", job_id):
+                job.response = self._load_result(job_id, request)
+                job.state = "done" if job.response.ok else "failed"
+                job.journaled = True
+            self._states[job.state] += 1
             self._jobs[job_id] = job
             return job
 
-    def _load_result(self, job_id: str, request: SolveRequest) -> SolveResponse | None:
-        """Idempotent-retry short circuit: a completed journal with a
+    def _load_result(self, job_id: str, request: SolveRequest) -> SolveResponse:
+        """Idempotent-retry short circuit: a recorded result with a
         matching request replays the recorded answer without solving.
         A *different* request under the same id is refused loudly."""
-        arrays, meta = read_journal(self._res_path(job_id))
+        arrays, meta = self._log.read("res", job_id)
         recorded = meta.get("request", {})
         current = _request_journal_parts(request)[1]
         # return_x is presentation-only; priority/deadline_s are
@@ -291,7 +343,7 @@ class JobQueue:
                 key=lambda j: j.job_id,
             )
             for job in claimed:
-                job.state = "running"
+                self._move(job, "running")
         if not claimed:
             return []
 
@@ -301,7 +353,7 @@ class JobQueue:
             with self._lock:  # crash hooks bypass this via os._exit
                 for job in claimed:
                     if job.state == "running":
-                        job.state = "pending"
+                        self._move(job, "pending")
             raise
 
     def _run_claimed(self, claimed: list[Job]) -> list[Job]:
@@ -314,15 +366,15 @@ class JobQueue:
                 rejection = self.admission.screen_dispatch(job.request)
             if rejection is not None:
                 job.response = rejection
-                job.state = "rejected"
+                self._move(job, "rejected")
             else:
                 to_solve.append(job)
 
-        if to_solve and self.journal_dir is not None:
-            for job in to_solve:
-                if not job.journaled:
-                    arrays, meta = _request_journal_parts(job.request)
-                    write_journal(self._req_path(job.job_id), arrays, meta)
+        if to_solve and self._log is not None:
+            fresh = [job for job in to_solve if not job.journaled]
+            if fresh:
+                write_journal(self._log, "req", fresh)
+                for job in fresh:
                     job.journaled = True
             _crash_hook("after-journal")
 
@@ -336,15 +388,16 @@ class JobQueue:
                     responses = self.session.solve_batch(
                         [j.request for j in to_solve]
                     )
-            if self.journal_dir is not None:
-                _crash_hook("before-result")
             for job, resp in zip(to_solve, responses):
                 job.response = resp
-                job.state = "done" if resp.ok else "failed"
-                if self.journal_dir is not None:
-                    self._journal_result(job)
+            if self._log is not None:
+                _crash_hook("before-result")
+                write_journal(self._log, "res", to_solve)
+            # terminal only once the answer is durable
+            for job, resp in zip(to_solve, responses):
+                self._move(job, "done" if resp.ok else "failed")
 
-        if self.journal_dir is not None and self.retention.enabled:
+        if self.retention.enabled:
             self.compact()
         if self._policy_path is not None:
             hist = self.session.workspace.policy_history
@@ -352,126 +405,57 @@ class JobQueue:
                 hist.save(self._policy_path)
         return claimed
 
-    def _journal_result(self, job: Job) -> None:
-        resp = job.response
-        assert resp is not None
-        arrays: dict[str, np.ndarray] = {}
-        if resp.x is not None:
-            arrays["x"] = np.asarray(resp.x)
-        resp_meta: dict[str, Any] = {
-            "ok": resp.ok,
-            "converged": resp.converged,
-            "iterations": resp.iterations,
-            "relative_residual": resp.relative_residual,
-            "ndof": resp.ndof,
-            "fingerprint": resp.fingerprint,
-            "coalesced": resp.coalesced,
-            "wall_seconds": resp.wall_seconds,
-            "cache": resp.cache,
-            "setups": resp.setups,
-            "x_sha256": resp.x_sha256,
-        }
-        if resp.error is not None:
-            resp_meta["error"] = resp.error
-        if resp.reason is not None:
-            resp_meta["reason"] = resp.reason
-        _, req_meta = _request_journal_parts(job.request)
-        write_journal(
-            self._res_path(job.job_id), arrays,
-            {"request": req_meta, "response": resp_meta},
-        )
-
     # -- retention ---------------------------------------------------------
 
     def compact(self) -> int:
-        """Delete oldest finished journal pairs per the retention policy.
+        """Drop oldest finished jobs per the retention policy, from the
+        log's index and from the job table; returns how many.
 
-        Returns the number of files removed; counters accumulate into
-        ``stats()["journal"]``."""
-        if self.journal_dir is None or not self.retention.enabled:
+        ``keep_last`` is exact at every call.  ``max_bytes`` acts when
+        the log *file* outgrows the budget, and then drops down to half
+        of it: the log rewrites its file only once dead bytes outweigh
+        live ones, so dropping to the budget itself would leave a file
+        that is over it again one batch later — and copied in full each
+        time.  Counters ride in ``stats()["journal"]``."""
+        if self._log is None or not self.retention.enabled:
             return 0
         with self._lock:
-            finished: list[tuple[float, str, Path, Path]] = []
-            total_bytes = 0
-            for req_path in self.journal_dir.glob(f"*{_REQ_SUFFIX}"):
-                job_id = req_path.name[: -len(_REQ_SUFFIX)]
-                res_path = self._res_path(job_id)
-                size = req_path.stat().st_size
-                total_bytes += size
-                if res_path.exists():
-                    size += res_path.stat().st_size
-                    total_bytes += res_path.stat().st_size
-                    finished.append(
-                        (res_path.stat().st_mtime, job_id, req_path, res_path)
-                    )
-            finished.sort()  # oldest first
-
-            drop: list[tuple[float, str, Path, Path]] = []
-            if self.retention.keep_last is not None:
-                excess = len(finished) - self.retention.keep_last
-                if excess > 0:
-                    drop = finished[:excess]
-                    finished = finished[excess:]
-            if self.retention.max_bytes is not None:
-                dropped_bytes = sum(
-                    p.stat().st_size for _, _, rq, rs in drop for p in (rq, rs)
-                )
-                while finished and total_bytes - dropped_bytes > self.retention.max_bytes:
-                    entry = finished.pop(0)
-                    dropped_bytes += sum(
-                        p.stat().st_size for p in (entry[2], entry[3])
-                    )
-                    drop.append(entry)
-
-            removed = 0
-            for _, job_id, req_path, res_path in drop:
-                for p in (req_path, res_path):
-                    try:
-                        n = p.stat().st_size
-                        p.unlink()
-                        removed += 1
-                        self._compacted_files += 1
-                        self._compacted_bytes += n
-                    except OSError:
-                        pass
-            return removed
-
-    def _journal_usage(self) -> dict[str, int]:
-        files = 0
-        nbytes = 0
-        if self.journal_dir is not None:
-            for p in self.journal_dir.glob("*.jnl"):
-                try:
-                    nbytes += p.stat().st_size
-                    files += 1
-                except OSError:
-                    pass
-        return {
-            "files": files,
-            "bytes": nbytes,
-            "compacted_files": self._compacted_files,
-            "compacted_bytes": self._compacted_bytes,
-        }
+            finished = self._log.finished()  # oldest first
+            keep_last, max_bytes = self.retention.keep_last, self.retention.max_bytes
+            ndrop = 0
+            if keep_last is not None:
+                ndrop = max(0, len(finished) - keep_last)
+            if max_bytes is not None:
+                usage = self._log.stats()
+                if usage["bytes"] > max_bytes:
+                    live = usage["live_bytes"] - sum(n for _, n in finished[:ndrop])
+                    while ndrop < len(finished) and live > max_bytes // 2:
+                        live -= finished[ndrop][1]
+                        ndrop += 1
+            dropped = [job_id for job_id, _ in finished[:ndrop]]
+            self._log.drop(dropped)
+            for job_id in dropped:
+                self._jobs.pop(job_id, None)
+            return len(dropped)
 
     # -- recovery ----------------------------------------------------------
 
     def resume(self) -> list[Job]:
-        """Recover in-flight jobs from the journal directory.
+        """Recover the jobs on record in the journal directory.
 
-        Every request journal without a matching (or with a complete)
-        result journal is re-submitted; completed ones short-circuit to
-        their recorded answer, the rest re-solve deterministically.
-        Returns the recovered jobs in job-id order.
+        Every journaled request not already in the job table is
+        re-submitted; those with a recorded result short-circuit to it,
+        the rest re-solve deterministically.  Returns the recovered jobs
+        in job-id order.
         """
-        if self.journal_dir is None:
+        if self._log is None:
             return []
         recovered: list[Job] = []
-        for req_path in sorted(self.journal_dir.glob(f"*{_REQ_SUFFIX}")):
-            job_id = req_path.name[: -len(_REQ_SUFFIX)]
+        for job_id in self._log.job_ids():
             if job_id in self._jobs:
                 continue
-            arrays, meta = read_journal(req_path)
-            request = _request_from_journal(arrays, meta)
+            arrays, meta = self._log.read("req", job_id)
+            request = _request_from_journal(arrays, meta["request"])
             request.job_id = job_id
             job = self.submit(request)
             job.journaled = True
@@ -490,15 +474,10 @@ class JobQueue:
 
     def stats(self) -> dict[str, Any]:
         with self._lock:
-            states: dict[str, int] = {
-                "pending": 0, "running": 0, "done": 0, "failed": 0,
-                "rejected": 0,
-            }
-            for j in self._jobs.values():
-                states[j.state] = states.get(j.state, 0) + 1
+            states = dict(self._states)
         out: dict[str, Any] = {"jobs": states, "session": self.session.stats()}
-        if self.journal_dir is not None:
-            out["journal"] = self._journal_usage()
+        if self._log is not None:
+            out["journal"] = self._log.stats()
         if self.admission is not None:
             out["admission"] = self.admission.stats()
         if self.pool is not None:

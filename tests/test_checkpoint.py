@@ -7,7 +7,14 @@ import pytest
 from repro.fem.assembly import assemble_stiffness
 from repro.fem.bc import all_dofs, apply_dirichlet, component_dofs, surface_load
 from repro.fem.nonlinear import solve_nonlinear_contact
-from repro.io import JOURNAL_VERSION, JournalError, read_journal, write_journal
+from repro.io import (
+    JOURNAL_VERSION,
+    JournalError,
+    decode_record,
+    encode_record,
+    read_journal,
+    write_journal,
+)
 from repro.parallel import DistributedSystem, parallel_cg, partition_nodes_rcb
 from repro.precond import DiagonalScaling, bic
 from repro.resilience import (
@@ -72,6 +79,45 @@ class TestJournalContainer:
         path.write_bytes(bytes(raw))
         with pytest.raises(JournalError, match="version"):
             read_journal(path)
+
+
+class TestRecordCodec:
+    """The container format itself: what a journal file and a job-log
+    entry are both made of."""
+
+    def test_round_trip_arrays_and_meta(self):
+        arrays = {"u": np.arange(12.0).reshape(3, 4), "ids": np.array([3, 1, 4])}
+        meta = {"cycle": 3, "penalty": 1e4, "nested": {"a": [1, None]}}
+        got_arrays, got_meta = decode_record(encode_record(arrays, meta))
+        assert set(got_arrays) == {"u", "ids"}
+        assert np.array_equal(got_arrays["u"], arrays["u"])
+        assert got_arrays["ids"].dtype == arrays["ids"].dtype
+        assert got_meta == meta
+        assert decode_record(encode_record({}))[1] == {}
+
+    def test_a_journal_file_is_one_record(self, tmp_path):
+        arrays, meta = {"u": np.ones(5)}, {"k": 1}
+        write_journal(tmp_path / "j.bin", arrays, meta)
+        assert (tmp_path / "j.bin").read_bytes() == encode_record(arrays, meta)
+        # records laid end to end stay separable by their own headers
+        two = encode_record(arrays, meta) + encode_record({}, {"k": 2})
+        first = len(encode_record(arrays, meta))
+        assert decode_record(two[:first])[1] == {"k": 1}
+        assert decode_record(two[first:])[1] == {"k": 2}
+        with pytest.raises(JournalError, match="appended to"):
+            decode_record(two)
+
+    def test_reserved_key_and_pickle_refused(self):
+        with pytest.raises(ValueError, match="reserved"):
+            encode_record({"__meta_json__": np.zeros(1)}, {})
+        # an object array would need pickle to load: never executed
+        record = encode_record({"o": np.array([{"a": 1}], dtype=object)}, {})
+        with pytest.raises(ValueError, match="[Pp]ickle"):
+            decode_record(record)
+
+    def test_where_names_the_source(self):
+        with pytest.raises(JournalError, match="jobs.log @ byte 96: .*too short"):
+            decode_record(b"REPRO", "jobs.log @ byte 96")
 
 
 class TestAlmJournal:

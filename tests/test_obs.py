@@ -440,3 +440,37 @@ class TestTracedSolveAgreement:
         n_pairs = _assert_chrome_well_formed(doc)
         assert n_pairs > 0
         assert doc["otherData"]["metrics"]["counters"]["comm.exchanges"]
+
+
+class TestJournalCommitSpan:
+    def test_one_span_per_commit_with_records_and_bytes(self, tmp_path):
+        from repro.io.joblog import JobLog
+
+        log = JobLog(tmp_path)
+        with obs.observe() as sess:
+            log.commit("req", [(f"j{i}", {"v": np.ones(3)}, {}) for i in range(4)])
+            log.commit("res", [("j0", {}, {"ok": True})])
+        stats = log.stats()
+        log.close()
+        spans = sess.tracer.find("journal.commit")
+        assert [s.attrs["kind"] for s in spans] == ["req", "res"]
+        assert [s.attrs["records"] for s in spans] == [4, 1]
+        assert sum(s.attrs["bytes"] for s in spans) == stats["bytes"]
+        hist = sess.metrics.histogram("journal.sync_seconds")
+        assert hist["count"] == 2 == stats["commits"]
+        assert hist["min"] >= 0.0 and hist["total"] <= sum(s.duration for s in spans)
+
+    def test_queue_process_is_two_commits_around_the_solve(self, tmp_path):
+        from repro.serve import JobQueue, SolveRequest, SolverSession
+
+        queue = JobQueue(SolverSession(warm_kernels=False), journal_dir=tmp_path)
+        with obs.observe() as sess:
+            for i in range(3):
+                queue.submit(SolveRequest(model="block", scale=0.25, penalty=1e4,
+                                          rhs={"seed": i}))
+            queue.process()
+        queue.close()
+        names = [s.name for s in sorted(sess.tracer.iter_spans(), key=lambda s: s.t_start)
+                 if s.name in ("journal.commit", "serve.job")]
+        assert names[0] == names[-1] == "journal.commit"
+        assert names.count("journal.commit") == 2 and names.count("serve.job") == 3

@@ -511,6 +511,7 @@ class TestServeIntegration:
         assert hist_path.exists()
         doc = json.loads(hist_path.read_text())
         assert doc["outcomes"]  # at least one recorded class
+        q.close()
 
         # a fresh queue over the same journal dir starts warm
         q2 = JobQueue(session=SolverSession(warm_kernels=False),
@@ -518,6 +519,7 @@ class TestServeIntegration:
         assert len(q2.session.workspace.policy_history) >= 1
         q2.submit(self._req("persist-2"))
         assert q2.process()[0].response.ok
+        q2.close()
 
 
 class TestPolicyTableExporter:

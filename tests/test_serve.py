@@ -8,7 +8,8 @@ The acceptance properties of the serving tentpole live here:
   the process-wide setup census;
 - a server killed between journaling and solving resumes from the
   journal and returns bit-for-bit the answers of an uninterrupted run;
-- completed jobs replay idempotently from their result journal.
+- completed jobs replay idempotently from their recorded result in the
+  job log.
 """
 
 from __future__ import annotations
@@ -200,24 +201,33 @@ class TestQueue:
         job = q.submit(_req(job_id="j1"))
         q.process()
         first = job.response
-        assert (tmp_path / "j1.req.jnl").exists()
-        assert (tmp_path / "j1.res.jnl").exists()
+        assert (tmp_path / "jobs.log").exists()
+        journal = q.stats()["journal"]
+        assert journal["records"] == 2 and journal["commits"] == 2
+        q.close()
 
-        # a fresh queue (new process in real life) replays from the journal
+        # a fresh queue (new process in real life) replays from the log,
+        # whose index it rebuilt by scanning the file
         q2 = JobQueue(journal_dir=tmp_path)
+        assert q2.stats()["journal"]["records"] == 2
         job2 = q2.submit(_req(job_id="j1"))
         assert job2.state == "done" and job2.response.resumed
         assert job2.response.x_sha256 == first.x_sha256
-        # ... without solving anything
+        # ... without solving or writing anything
         assert q2.session.jobs_served == 0
+        assert q2.stats()["journal"]["commits"] == 0
+        q2.close()
 
     def test_conflicting_retry_rejected(self, tmp_path):
         q = JobQueue(journal_dir=tmp_path)
         q.submit(_req(job_id="j1", penalty=1e6))
         q.process()
+        q.close()
         q2 = JobQueue(journal_dir=tmp_path)
         with pytest.raises(ProtocolError, match="different request"):
             q2.submit(_req(job_id="j1", penalty=1e4))
+        assert q2.depth() == 0 and q2.job("j1") is None  # the refusal left no trace
+        q2.close()
 
     def test_duplicate_live_id_rejected(self):
         q = JobQueue()
@@ -226,24 +236,23 @@ class TestQueue:
             q.submit(_req(job_id="j1"))
 
     def test_resume_recovers_unsolved_requests(self, tmp_path):
-        # Simulate a crash after journaling: write request journals by
-        # hand (through a queue that never processes) and resume fresh.
-        q = JobQueue(journal_dir=tmp_path)
-        for i in range(3):
-            q.submit(_req(job_id=f"j{i}", rhs={"seed": i}))
-        # journal the requests without solving
-        from repro.serve.queue import _request_journal_parts
-        from repro.io.journal import write_journal
+        # Simulate a crash after journaling: commit the request records
+        # by hand (through a queue that never processes) and resume fresh.
+        from repro.serve.queue import write_journal
 
-        for job in (q.job(f"j{i}") for i in range(3)):
-            arrays, meta = _request_journal_parts(job.request)
-            write_journal(tmp_path / f"{job.job_id}.req.jnl", arrays, meta)
+        q = JobQueue(journal_dir=tmp_path)
+        jobs = [q.submit(_req(job_id=f"j{i}", rhs={"seed": i})) for i in range(3)]
+        write_journal(q._log, "req", jobs)
+        q.close()
 
         q2 = JobQueue(journal_dir=tmp_path)
         recovered = q2.resume()
         assert [j.job_id for j in recovered] == ["j0", "j1", "j2"]
         assert all(j.state == "done" for j in recovered)
         assert all(j.response.resumed for j in recovered)
+        # one result commit; the requests were already on record
+        assert q2.stats()["journal"]["commits"] == 1
+        q2.close()
 
     def test_failed_request_fails_only_its_job(self):
         q = JobQueue()
@@ -294,14 +303,17 @@ for i in range(4):
         crashed = self._run(tmp_path, tmp_path / "crash", crash="after-journal")
         assert crashed.returncode == 17  # os._exit(17) in the crash hook
         jdir = tmp_path / "crash"
-        assert len(list(jdir.glob("*.req.jnl"))) == 4
-        assert not list(jdir.glob("*.res.jnl"))
 
         q = JobQueue(journal_dir=jdir)
+        # the dead server's flock died with it; its one request commit is
+        # all the log holds
+        assert q._log.job_ids() == sorted(reference)
+        assert q._log.finished() == []
         recovered = {j.job_id: j for j in q.resume()}
         assert set(recovered) == set(reference)
         for job_id, sha in reference.items():
             assert recovered[job_id].response.x_sha256 == sha
+        q.close()
 
     def test_crash_before_result_then_resume_bitwise(self, tmp_path):
         ref = self._run(tmp_path, tmp_path / "ref2")
@@ -313,6 +325,7 @@ for i in range(4):
         recovered = {j.job_id: j for j in q.resume()}
         for job_id, sha in reference.items():
             assert recovered[job_id].response.x_sha256 == sha
+        q.close()
 
 
 class TestServerFrontends:
@@ -370,3 +383,14 @@ class TestServerFrontends:
         obs.export_jsonl(sess.tracer, path, sess.metrics)
         table2 = obs.requests_table(obs.load_jsonl_records(path))
         assert "t1" in table2
+        assert "journal:" not in table  # nothing was journaled
+
+        with obs.observe() as sess:
+            q = JobQueue(journal_dir=tmp_path / "j")
+            q.submit(_req(job_id="t2"))
+            q.process()
+            q.close()
+        obs.export_jsonl(sess.tracer, path, sess.metrics)
+        for source in (sess.tracer, obs.load_jsonl_records(path)):
+            last = obs.requests_table(source).splitlines()[-1]
+            assert last.startswith("journal: 2 commits, 2 records, ")

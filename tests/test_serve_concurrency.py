@@ -12,8 +12,8 @@ The robustness properties of the concurrency tentpole live here:
 - the admission front refuses work *structurally*: full queue →
   ``overloaded``, oversized payload → ``poisoned_payload``, deadline
   expired while queued → ``request_timeout`` — never an exception;
-- journal retention compacts finished request/result pairs without ever
-  touching an in-flight job's request journal.
+- journal retention drops finished request/result pairs from the job log
+  without ever touching an in-flight job's request record.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import time
 import numpy as np
 import pytest
 
-from repro.io.journal import write_journal
 from repro.serve import (
     AdmissionController,
     AdmissionPolicy,
@@ -34,7 +33,7 @@ from repro.serve import (
     SolverSession,
     WorkerPool,
 )
-from repro.serve.queue import _request_journal_parts
+from repro.serve.queue import Job, write_journal
 
 SCALE = 0.25  # smallest block model: fast enough for per-test batches
 POOL_PRECONDS = ("sbbic0", "bic0", "ic0")
@@ -138,7 +137,8 @@ class TestAdmission:
         job = queue.submit(_req(job_id="adm-big", rhs=[1.0] * 100))
         assert job.state == "rejected"
         assert job.response.reason == "poisoned_payload"
-        assert list(tmp_path.glob("*.jnl")) == []  # never journaled
+        assert queue.stats()["journal"]["records"] == 0  # never journaled
+        queue.close()
 
     def test_deadline_expired_in_queue_refused_at_dispatch(self, session):
         admission = AdmissionController(AdmissionPolicy())
@@ -262,13 +262,18 @@ class TestRetention:
         for i in range(3):
             queue.submit(_req(job_id=f"ret-{i}"))
             queue.process()
-            time.sleep(0.02)  # distinct mtimes order the compaction
-        pairs = sorted(p.name for p in tmp_path.glob("*.jnl"))
-        assert pairs == ["ret-2.req.jnl", "ret-2.res.jnl"]
+            # index-exact: only the newest finished job is on record,
+            # whatever the file still holds
+            assert queue._log.finished()[0][0] == f"ret-{i}"
+            assert queue.stats()["journal"]["records"] == 2
+        # disk-amortised: the file was rewritten once, when the two
+        # dropped jobs outweighed the kept one
         journal = queue.stats()["journal"]
-        assert journal["files"] == 2
-        assert journal["compacted_files"] == 4
+        assert journal["compactions"] == 1
         assert journal["compacted_bytes"] > 0
+        assert journal["bytes"] == journal["live_bytes"] \
+            == (tmp_path / "jobs.log").stat().st_size
+        queue.close()
 
     def test_max_bytes_budget(self, session, tmp_path):
         queue = JobQueue(
@@ -277,19 +282,28 @@ class TestRetention:
         )
         queue.submit(_req(job_id="ret-b"))
         queue.process()
-        assert list(tmp_path.glob("*.jnl")) == []
+        journal = queue.stats()["journal"]
+        assert journal["records"] == 0 and journal["bytes"] == 0
+        assert (tmp_path / "jobs.log").stat().st_size == 0
+        queue.close()
 
     def test_inflight_request_journal_never_compacted(self, session, tmp_path):
         queue = JobQueue(
             session=session, journal_dir=tmp_path,
             retention=RetentionPolicy(keep_last=0),
         )
-        # a request journal without a result is exactly what resume()
-        # recovers — compaction must leave it alone
-        arrays, meta = _request_journal_parts(_req(job_id="inflight"))
-        write_journal(queue._req_path("inflight"), arrays, meta)
-        queue.compact()
-        assert queue._req_path("inflight").exists()
+        # a request record without a result is exactly what resume()
+        # recovers — compaction must leave it alone, in the index and
+        # through the rewrite the finished job's dead bytes trigger
+        write_journal(queue._log, "req", [Job("inflight", _req(job_id="inflight"))])
+        queue.submit(_req(job_id="finished"))
+        queue.process()
+        assert queue.stats()["journal"]["compactions"] == 1
+        assert queue._log.job_ids() == ["inflight"]
+        queue.close()
+        reopened = JobQueue(session=session, journal_dir=tmp_path)
+        assert [j.job_id for j in reopened.resume()] == ["inflight"]
+        reopened.close()
 
 
 # -- worker pool: thread mode -------------------------------------------------
@@ -496,9 +510,11 @@ class TestQueueWithPool:
             st = queue.stats()
         finally:
             pool.close()
+            queue.close()
         assert st["jobs"]["done"] == 1
-        assert {"files", "bytes", "compacted_files", "compacted_bytes"} \
-            <= set(st["journal"])
+        assert {"records", "bytes", "live_bytes", "commits", "syncs",
+                "torn_tail_records", "compactions", "compacted_bytes"} \
+            == set(st["journal"])
         assert {"admitted", "rejected", "deadline_expired", "quarantined"} \
             <= set(st["admission"])
         assert {"dispatched", "completed", "timeouts", "crashes",
