@@ -40,7 +40,7 @@ import time
 
 import pytest
 
-from repro import cg_solve, kernels
+from repro import cg_solve
 from repro.experiments.workloads import (
     block_problem,
     homogeneous_box_problem,
@@ -97,7 +97,6 @@ def timed_ladder_solve(policy: SolverPolicy, name: str, prob, decision):
 @pytest.fixture(scope="module")
 def sweep():
     """Run the sweep once: per-arm totals and per-case wall times."""
-    kernels.warmup()  # JIT compile outside every timer
     cases = build_cases()
     history = PolicyHistory()
     policy = SolverPolicy("cost", history=history, shifts=SHIFTS)
@@ -209,7 +208,6 @@ def test_cold_cost_model_near_best_fixed_ladder(sweep):
     ids=["block0.8", "swjapan2.0"],
 )
 def sized_problem(request):
-    kernels.warmup()
     make, scale = request.param
     prob = make(scale, 1.0e6)
     return prob, probe_problem(prob.a, prob.groups)

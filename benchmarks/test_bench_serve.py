@@ -30,7 +30,6 @@ import time
 import numpy as np
 import pytest
 
-from repro import kernels
 from repro.experiments.workloads import block_structure
 from repro.precond import sb_bic0
 from repro.serve import SolveRequest, SolverSession, WorkerPool
@@ -54,12 +53,7 @@ def best_of(fn, *, reps: int) -> float:
 
 
 @pytest.fixture(scope="module")
-def warmed():
-    kernels.warmup()
-
-
-@pytest.fixture(scope="module")
-def operator(warmed):
+def operator():
     """One structure, one materialized A(penalty), one SB-BIC(0) factor."""
     s = block_structure(SCALE)
     a = s.system(PENALTY)
@@ -128,14 +122,14 @@ def test_bench_block_cg_solve(benchmark, operator, rhs_block):
     )
 
 
-def test_warm_request_skips_setup_and_beats_cold_3x(warmed):
+def test_warm_request_skips_setup_and_beats_cold_3x():
     """SolverSession: warm repeat = 0 setup phases and >= 3x lower latency."""
     req = SolveRequest(job_id="gate", model="block", scale=SCALE,
                        penalty=PENALTY, precond="sbbic0", rhs="model")
     cold_s = float("inf")
     session = None
     for _ in range(2):
-        session = SolverSession(warm_kernels=False)
+        session = SolverSession()
         t0 = time.perf_counter()
         resp = session.solve(req)
         cold_s = min(cold_s, time.perf_counter() - t0)
@@ -153,7 +147,7 @@ def test_warm_request_skips_setup_and_beats_cold_3x(warmed):
     )
 
 
-def test_pooled_groups_throughput_and_identity(warmed):
+def test_pooled_groups_throughput_and_identity():
     """4 independent factor groups through WorkerPool(4) vs serial.
 
     Distinct preconds give distinct factor fingerprints, so the pool can
@@ -169,7 +163,7 @@ def test_pooled_groups_throughput_and_identity(warmed):
             for p in POOL_PRECONDS
         ]
 
-    session = SolverSession(warm_kernels=False)
+    session = SolverSession()
     serial_ref = session.solve_batch(batch())  # warm every factor group
     assert all(r.ok and r.converged for r in serial_ref)
 

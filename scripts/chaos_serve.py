@@ -155,7 +155,7 @@ def serial_reference() -> dict[float, str]:
     from repro.serve.protocol import SolveRequest
     from repro.serve.session import SolverSession
 
-    session = SolverSession(warm_kernels=False)
+    session = SolverSession()
     ref: dict[float, str] = {}
     for pen in sorted(set(PENALTIES)):
         resp = session.solve(SolveRequest(

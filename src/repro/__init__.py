@@ -29,7 +29,8 @@ Layers (see DESIGN.md):
 - ``repro.analysis`` — spectra of the preconditioned operator.
 - ``repro.experiments`` — one harness per table/figure of the paper.
 - ``repro.obs`` — unified observability: spans, metrics, trace export.
-- ``repro.kernels`` — multi-backend hot-loop kernels (numpy / numba JIT).
+- ``repro.kernels`` — the substitution sweeps and sparse products, direct
+  calls of scipy's compiled CSR kernels over one flat plan.
 """
 
 from repro import kernels, obs

@@ -28,7 +28,7 @@ import argparse
 import contextlib
 import sys
 
-from repro import kernels, obs
+from repro import obs
 from repro.experiments import EXPERIMENTS
 from repro.precond import FAMILY_TABLE
 
@@ -78,11 +78,6 @@ def _run_solve(args) -> int:
     """Shared body of the ``solve`` and ``trace`` commands."""
     from repro import cg_solve
     from repro.experiments.workloads import block_problem, swjapan_problem
-
-    if getattr(args, "kernel_backend", None):
-        active = kernels.set_backend(args.kernel_backend)
-        kernels.warmup()  # pay JIT compile before anything is timed
-        print(f"kernel backend: {active}")
 
     if args.model == "block":
         prob = block_problem(args.scale, penalty=args.penalty)
@@ -202,8 +197,6 @@ def _build_queue(args):
         SolverSession, WorkerPool,
     )
 
-    if args.kernel_backend:
-        kernels.set_backend(args.kernel_backend)
     session = SolverSession(
         capacity=args.capacity,
         policy_mode=getattr(args, "policy_mode", "learned"),
@@ -368,12 +361,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--scale", type=float, default=1.0)
         p.add_argument("--max-iter", type=int, default=20000)
         p.add_argument(
-            "--kernel-backend", default=None,
-            choices=["auto", "numpy", "numba"],
-            help="kernel backend for the hot loops (default: "
-            f"${kernels.ENV_VAR} or auto = numba when importable)",
-        )
-        p.add_argument(
             "--transport", default=None,
             choices=["lockstep", "process"],
             help="run the solve distributed over this communication "
@@ -464,11 +451,6 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument(
             "--resume", action="store_true",
             help="before serving, recover in-flight jobs from --journal-dir",
-        )
-        p.add_argument(
-            "--kernel-backend", default=None,
-            choices=["auto", "numpy", "numba"],
-            help="kernel backend for the hot loops",
         )
         p.add_argument(
             "--trace", default=None, metavar="PATH",

@@ -8,8 +8,7 @@ own off-diagonal entries plus ``Dinv`` — GeoFEM's ``AL`` / ``AU`` /
     forward   t_g += (-L_g)   y ;  y_g  = Dinv_g t_g     (t starts as r)
     backward  t_g += (-L_g^T) y ;  y_g += Dinv_g t_g     (t starts as 0)
 
-A :class:`SubstitutionPlan` holds exactly that, in one layout every
-backend reads: the CSR of ``-L`` (:attr:`fwd`) and of ``-L^T``
+A :class:`SubstitutionPlan` holds exactly that, in one flat layout: the CSR of ``-L`` (:attr:`fwd`) and of ``-L^T``
 (:attr:`bwd`) — the *live* strictly-lower entries of the factor, nothing
 folded into them — the CSR of the block-diagonal ``Dinv``, and the row
 ranges of the schedule groups.  Rows and columns are numbered in *sweep

@@ -477,10 +477,9 @@ def parallel_cg(
         allocated once per solve, every exchange overwrites all its
         external slots — yields :data:`~repro.parallel.comm.HALO` for
         the boundary exchange (answered with the owner/ghost mismatch)
-        and multiplies its rows (kernel backend resolved here, once per
-        rank program).  Every exchange is followed by an allreduce
-        before the next one, which is what lets a transport reuse one
-        halo buffer per rank."""
+        and multiplies its rows.  Every exchange is followed by an
+        allreduce before the next one, which is what lets a transport
+        reuse one halo buffer per rank."""
         halo = st.halo[rank]
         a_matvec = _as_matvec(system.domains[rank].a_local)
         ni = st.x[rank].size

@@ -12,9 +12,9 @@ provides that surface over fabrics where the failure modes are real:
 - :mod:`~repro.parallel.transport.policy` — the budget that bounds
   every wait, and the ``RankFailure`` vs ``CommTimeout`` classification
   contract;
-- :mod:`~repro.parallel.transport.registry` — selection with the same
-  precedence as the kernel registry: explicit argument > ``--transport``
-  (:func:`set_transport`) > ``REPRO_TRANSPORT`` env var > ``lockstep``.
+- :mod:`~repro.parallel.transport.registry` — selection by one
+  precedence: explicit argument > ``--transport`` (:func:`set_transport`)
+  > ``REPRO_TRANSPORT`` env var > ``lockstep``.
 
 See DESIGN.md section 13 for the architecture.
 """

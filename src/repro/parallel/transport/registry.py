@@ -1,7 +1,6 @@
 """Transport registry: which fabric carries the solver's communication.
 
-Mirror of the kernel-backend registry (:mod:`repro.kernels.registry`),
-for the communication layer.  A *transport* is anything exposing the
+A *transport* is anything exposing the
 ``LockstepComm`` surface (``exchange_external`` / ``allreduce_sum`` /
 ``allreduce_sum_vec`` / ``halo_mismatch`` / ``log``); the registry
 resolves which one a :class:`~repro.parallel.distributed.DistributedSystem`
@@ -17,8 +16,7 @@ platform) is not an error: one logged warning, then the lockstep
 emulation serves the solve — optional fabrics must never become hard
 dependencies; an unknown name (``mpi``: there is no such transport) is.
 The precedence and the fallback are
-:class:`repro.utils.selection.Selection`, shared with the kernel
-registry.  Unlike kernel backends, transports are stateful
+:class:`repro.utils.selection.Selection`.  Transports are stateful
 objects bound to a domain decomposition, so the registry exposes a
 factory (:func:`create_transport`) rather than module handles.
 """

@@ -72,7 +72,7 @@ SETUP_PASSES = {
 
 Measured, not derived: ``symbolic_seconds`` / ``numeric_seconds`` of the
 built factor divided by the seconds of one CSR ``a @ x`` on the same
-operator (best of 3 builds, one BLAS thread, numpy kernel backend), on
+operator (best of 3 builds, one BLAS thread), on
 block 0.8 / 1.0 / 1.5 and swjapan 1.0 / 1.5 / 2.0 at ``lambda = 1e6``
 (2.2k-19.9k DOF); the table holds the medians.  Ranges seen: SB-BIC(0)
 129-236 / 28-58, BIC(0) 125-214 / 26-48, scalar IC(0) 365-541 / 24-35,

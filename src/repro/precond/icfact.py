@@ -56,8 +56,12 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 
-from repro import kernels
-from repro.kernels import FlatSweep, SubstitutionPlan
+from repro.kernels import (
+    FlatSweep,
+    SubstitutionPlan,
+    apply_substitution,
+    apply_substitution_block,
+)
 from repro.obs import metric_inc, record_span
 from repro.precond.base import Preconditioner
 from repro.resilience.taxonomy import PivotNudgeWarning
@@ -538,13 +542,7 @@ class ICSymbolic:
 
     def _build_dmod_updates(self) -> list[list[tuple]]:
         """Per group: gather/scatter maps of the dmod diagonal recurrence
-        ``D_i -= A_ik D_k^{-1} A_ik^T`` (k in earlier groups).
-
-        Each shape bucket ends in an empty list: the slot where the JIT
-        backend keeps the destination-row segmentation it derives from
-        ``diag_dst`` on its first dispatch (the numpy backend has no use
-        for one).
-        """
+        ``D_i -= A_ik D_k^{-1} A_ik^T`` (k in earlier groups)."""
         L = self.pattern
         offdiag = self._offdiag_positions()
         brow = L.block_rows()
@@ -561,7 +559,7 @@ class ICSymbolic:
                 flat_ik = L.boff[pos, None] + np.arange(si * sk)
                 dflat_k = self.dinv_off[ks, None] + np.arange(sk * sk)
                 diag_dst = L.boff[self.diag_pos[rows], None] + np.arange(si * si)
-                bucket.append((int(si), int(sk), flat_ik, dflat_k, diag_dst, []))
+                bucket.append((int(si), int(sk), flat_ik, dflat_k, diag_dst))
             out.append(bucket)
         return out
 
@@ -650,9 +648,7 @@ class ICSymbolic:
             flat_jk = L.boff[pjk[idx], None] + np.arange(sj * sk)
             dflat_k = self.dinv_off[tk[idx], None] + np.arange(sk * sk)
             flat_ij = L.boff[pij[idx], None] + np.arange(si * sj)
-            # the trailing list: destination-block segmentation of the JIT
-            # backend, as in the dmod buckets
-            out[g].append((si, sk, sj, flat_ik, flat_jk, dflat_k, flat_ij, []))
+            out[g].append((si, sk, sj, flat_ik, flat_jk, dflat_k, flat_ij))
         return out
 
     # ------------------------------------------------------------------
@@ -672,7 +668,7 @@ class ICSymbolic:
         mask = np.zeros(int(self.pattern.boff[-1]), dtype=bool)
         mask[self.scatter_dst] = True
         for buckets in self.full_updates or ():
-            for si, sk, sj, flat_ik, flat_jk, _dk, flat_ij, _segments in buckets:
+            for si, sk, sj, flat_ik, flat_jk, _dk, flat_ij in buckets:
                 live_i = mask[flat_ik].reshape(-1, si, sk).any(axis=2)
                 live_j = mask[flat_jk].reshape(-1, sj, sk).any(axis=2)
                 hit = live_i[:, :, None] & live_j[:, None, :]
@@ -757,6 +753,31 @@ class ICSymbolic:
             FlatSweep(*self.fwd_struct),
             FlatSweep(*self.bwd_struct),
         )
+
+
+# One shape bucket of the numeric update sweep per call: a gather, a
+# batched matmul and a scatter over the index maps of the symbolic phase.
+# A call's transients are freed when it returns, before the next bucket
+# gathers (a dmod refactor allocates nothing of the factor's size).
+
+
+def _dmod_update(data: np.ndarray, dinv: np.ndarray, bucket: tuple) -> None:
+    """Batched dmod diagonal recurrence ``D_i -= A_ik D_k^{-1} A_ik^T``."""
+    si, sk, flat_ik, dflat_k, diag_dst = bucket
+    aik = data[flat_ik].reshape(-1, si, sk)
+    dk = dinv[dflat_k].reshape(-1, sk, sk)
+    upd = np.matmul(np.matmul(aik, dk), aik.transpose(0, 2, 1))
+    np.add.at(data, diag_dst.reshape(-1), -upd.reshape(-1))
+
+
+def _full_update(data: np.ndarray, dinv: np.ndarray, bucket: tuple) -> None:
+    """Batched full block-IC update ``V_ij -= V_ik D_k^{-1} V_jk^T``."""
+    si, sk, sj, flat_ik, flat_jk, dflat_k, flat_ij = bucket
+    vik = data[flat_ik].reshape(-1, si, sk)
+    vjk = data[flat_jk].reshape(-1, sj, sk)
+    dk = dinv[dflat_k].reshape(-1, sk, sk)
+    upd = np.matmul(np.matmul(vik, dk), vjk.transpose(0, 2, 1))
+    np.add.at(data, flat_ij.reshape(-1), -upd.reshape(-1))
 
 
 class BlockICFactorization(Preconditioner):
@@ -913,10 +934,6 @@ class BlockICFactorization(Preconditioner):
         self.L.data[sym.scatter_dst] = a.data[sym.scatter_src]
         laps.lap("ic_numeric.scatter")
 
-        # the backend is resolved once per factorization: the update
-        # sweeps run on it, and so does every apply until the next refactor
-        self._backend = kernels.get_backend()
-        self.kernel_backend = self._backend.NAME
         self.breakdown_count = 0
         self.nudged_block_sizes: list[int] = []
         if self.variant == "dmod":
@@ -944,7 +961,6 @@ class BlockICFactorization(Preconditioner):
             precond=self.name,
             shift=self._shift,
             pivot_nudges=self.breakdown_count,
-            kernel_backend=self.kernel_backend,
         )
         return self
 
@@ -968,17 +984,11 @@ class BlockICFactorization(Preconditioner):
             self._dinv[dst.reshape(-1)] = inv.reshape(-1)
 
     def _factor_dmod(self) -> None:
-        """GeoFEM pseudo-IC(0): refactorize diagonals only.
-
-        The per-bucket update sweep (gather / matmul / scatter over the
-        index maps fixed in the symbolic phase) is dispatched through the
-        kernel backend — batched numpy, or a ``prange`` over
-        destination-row segments under numba.
-        """
+        """GeoFEM pseudo-IC(0): refactorize diagonals only."""
         data = self.L.data
         for g in range(len(self.schedule)):
             for bucket in self.symbolic.dmod_updates[g]:
-                self._backend.dmod_update(data, self._dinv, bucket)
+                _dmod_update(data, self._dinv, bucket)
             self._invert_group_diag(g)
 
     def _factor_full(self) -> None:
@@ -987,7 +997,7 @@ class BlockICFactorization(Preconditioner):
         for g in range(len(self.schedule)):
             self._invert_group_diag(g)
             for bucket in self.symbolic.full_updates[g]:
-                self._backend.full_update(data, self._dinv, bucket)
+                _full_update(data, self._dinv, bucket)
 
     @property
     def pivot_nudge_count(self) -> int:
@@ -1058,24 +1068,11 @@ class BlockICFactorization(Preconditioner):
             np.take(self.L.data, gather, out=sweep.data, mode="clip")
             np.negative(sweep.data, out=sweep.data)
 
-    def warmup(self) -> "BlockICFactorization":
-        """Pay every lazy/one-time cost now, off the timed path.
-
-        Triggers the active backend's JIT compilation and one full
-        apply, so steady-state measurements (and latency-sensitive first
-        solves) see neither.  Returns ``self`` for chaining.
-        """
-        kernels.warmup()
-        self.apply(np.zeros(self.ndof))
-        return self
-
     def apply(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``z = M^{-1} r`` by one sweep of the substitution plan.
 
-        The sweep is served by the kernel backend the last
-        :meth:`refactor` resolved (:mod:`repro.kernels`): two direct
-        compiled ``csr_matvec`` calls per group on numpy, one flat
-        ``prange``-parallel kernel call on numba.  Passing ``out``
+        Two direct compiled ``csr_matvec`` calls per group
+        (:func:`repro.kernels.apply_substitution`).  Passing ``out``
         reuses the caller's buffer for the result (it may alias *r*);
         the plan's two sweep vectors are preallocated, so an apply with
         ``out`` allocates nothing.
@@ -1086,7 +1083,7 @@ class BlockICFactorization(Preconditioner):
         plan = self._plan
         # plan_perm is a permutation: "clip" only spares the bounds pass
         r.take(self._plan_perm, out=plan.t, mode="clip")
-        y = self._backend.apply_substitution(plan)
+        y = apply_substitution(plan)
         if out is None:
             out = np.empty(self.ndof)
         out[self._plan_perm] = y
@@ -1097,13 +1094,12 @@ class BlockICFactorization(Preconditioner):
     ) -> np.ndarray:
         """``Z = M^{-1} R`` for an ``(ndof, s)`` block of residuals.
 
-        Backends exposing a block substitution sweep (numpy: the same
-        plan swept with ``csr_matvecs`` over dense ``(rows, s)`` panels)
-        serve all *s* columns in one pass over the factor — the operator
-        is read once per group instead of once per column, which is what
+        The same plan swept with ``csr_matvecs`` over dense ``(rows, s)``
+        panels (:func:`repro.kernels.apply_substitution_block`) serves
+        all *s* columns in one pass over the factor — the operator is
+        read once per group instead of once per column, which is what
         the multi-RHS block-CG solver of :mod:`repro.solvers.block_cg`
-        leans on.  Other backends fall back to column-wise :meth:`apply`
-        (identical results, no panel win)."""
+        leans on."""
         r = np.asarray(r, dtype=np.float64)
         if r.ndim == 1:
             return self.apply(r, out=out)
@@ -1113,12 +1109,7 @@ class BlockICFactorization(Preconditioner):
             )
         if out is None:
             out = np.empty_like(r)
-        block_fn = getattr(self._backend, "apply_substitution_block", None)
-        if block_fn is None:
-            for j in range(r.shape[1]):
-                out[:, j] = self.apply(np.ascontiguousarray(r[:, j]))
-            return out
-        y = block_fn(self._plan, r.take(self._plan_perm, axis=0))
+        y = apply_substitution_block(self._plan, r.take(self._plan_perm, axis=0))
         out[self._plan_perm, :] = y
         return out
 

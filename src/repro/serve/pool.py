@@ -114,10 +114,9 @@ def _close_inherited_sockets(keep: frozenset[int]) -> None:
 def _process_worker_main(conn) -> None:
     """Child loop: receive a group's requests, solve, send responses.
 
-    The session is built lazily on first work (the fork already carries
-    warmed kernels).  Chaos is enacted here so the *parent* observes a
-    genuine child death / silence, exercising the same classification
-    path a real fault would take."""
+    The session is built lazily on first work.  Chaos is enacted here
+    so the *parent* observes a genuine child death / silence, exercising
+    the same classification path a real fault would take."""
     _close_inherited_sockets(frozenset({conn.fileno()}))
     session: SolverSession | None = None
     while True:
@@ -134,7 +133,7 @@ def _process_worker_main(conn) -> None:
                     os._exit(19)
                 time.sleep(float(r.chaos.get("seconds", _WEDGE_DEFAULT_S)))
         if session is None:
-            session = SolverSession(warm_kernels=False)
+            session = SolverSession()
         try:
             out = session.solve_batch(list(reqs))
         except Exception as exc:  # keep the worker alive for the next group

@@ -41,7 +41,7 @@ from typing import Any, Callable
 import numpy as np
 import scipy.sparse as sp
 
-from repro import kernels, obs
+from repro import obs
 from repro.fem.model import ContactStructure
 from repro.policy import PolicyHistory, SolverPolicy
 from repro.precond import FAMILY_TABLE, DiagonalScaling
@@ -247,7 +247,7 @@ def _sha256(x: np.ndarray) -> str:
 
 
 class SolverSession:
-    """A long-lived solving context: workspace + warmed kernels.
+    """A long-lived solving context: the workspace caches and the policy.
 
     ``solve_batch`` is the coalescing entry point the queue uses; a
     single ``solve`` is just a batch of one.  The batch pipeline is
@@ -276,16 +276,14 @@ class SolverSession:
     arrays, so the IC ``refactor`` identity fast path still hits.
     """
 
-    def __init__(self, capacity: int = 8, warm_kernels: bool = True,
-                 policy_mode: str = "learned", **tier_capacities) -> None:
+    def __init__(self, capacity: int = 8, policy_mode: str = "learned",
+                 **tier_capacities) -> None:
         self.workspace = Workspace(capacity, **tier_capacities)
         # resolves precond="auto" requests; shares the workspace history so
         # learned decisions see every outcome this session has recorded
         self.policy = SolverPolicy(
             policy_mode, history=self.workspace.policy_history
         )
-        self.kernel_backend = kernels.active_backend()
-        self.warmup_seconds = float(kernels.warmup()["seconds"]) if warm_kernels else 0.0
         self.jobs_served = 0
         self._stats_lock = threading.Lock()
         self._key_locks: dict[tuple, threading.RLock] = {}
@@ -525,8 +523,6 @@ class SolverSession:
 
     def stats(self) -> dict[str, Any]:
         return {
-            "kernel_backend": self.kernel_backend,
-            "warmup_seconds": self.warmup_seconds,
             "jobs_served": self.jobs_served,
             "caches": self.workspace.stats(),
             "policy": {

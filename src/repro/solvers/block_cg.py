@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro import kernels
+from repro.kernels import csr_matvecs
 from repro.obs import session as obs_session, span as obs_span
 from repro.precond.base import IdentityPreconditioner, Preconditioner
 from repro.resilience.taxonomy import FailureReason, SolveReport
@@ -99,13 +99,14 @@ class BlockCGResult:
 def _as_block_matvec(a):
     """Matvec adapter for ``(n, s)`` blocks: one pass over *a* per call.
 
-    scipy CSR goes through the kernel backend's block product (resolved
-    once per solve, like :func:`~repro.solvers.cg._as_matvec`); a
+    scipy CSR goes through the compiled block product
+    (:func:`repro.kernels.csr_matvecs`; normalised once per solve, like
+    :func:`~repro.solvers.cg._as_matvec`); a
     :class:`~repro.sparse.bcsr.BCSRMatrix` goes through its cached BSR
     handle; anything exposing only a vector ``matvec`` falls back to a
     column loop (correct, loses the blocking win)."""
     if sp.issparse(a):
-        a_csr, csr_matvecs = _float64_csr(a), kernels.get_backend().csr_matvecs
+        a_csr = _float64_csr(a)
         return lambda v: csr_matvecs(a_csr, v)
     if hasattr(a, "to_bsr"):
         bsr = a.to_bsr()
@@ -235,7 +236,6 @@ def block_cg_solve(
         nrhs=s,
         precond=pname,
         eps=eps,
-        kernel_backend=kernels.active_backend(),
     ), timer:
         matvec = _as_block_matvec(a)
         r = b - matvec(x)

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro import kernels
+from repro.kernels import csr_matvec
 from repro.obs import session as obs_session, span as obs_span
 from repro.precond.base import IdentityPreconditioner, Preconditioner
 from repro.resilience.taxonomy import FailureReason, SolveReport
@@ -318,7 +318,6 @@ def cg_solve(
         ndof=n,
         precond=pname,
         eps=eps,
-        kernel_backend=kernels.active_backend(),
     ), timer, obs_span("cg_iterations"):
         program = cg_program(
             matvec, m, b, x, r, p, history,
@@ -365,17 +364,16 @@ def _float64_csr(a) -> sp.csr_matrix:
 def _as_matvec(a):
     """Uniform matvec adapter for the matrix types the stack uses.
 
-    Sparse products go through the kernel registry
-    (:mod:`repro.kernels`).  The backend is resolved, and the matrix
-    normalised, here — once per solve, not per product: a backend switch
-    takes effect at the next solve.
+    Sparse products are direct compiled-kernel calls
+    (:func:`repro.kernels.csr_matvec`); the matrix is normalised here —
+    once per solve, not per product.
     """
     if sp.issparse(a):
-        a_csr, csr_matvec = _float64_csr(a), kernels.get_backend().csr_matvec
+        a_csr = _float64_csr(a)
         return lambda v: csr_matvec(a_csr, v)
-    if hasattr(a, "to_bsr"):  # BCSRMatrix: block matvec is the fast path
-        bcsr_matvec = kernels.get_backend().bcsr_matvec
-        return lambda v: bcsr_matvec(a, v)
+    if hasattr(a, "to_bsr"):  # BCSRMatrix: the scipy BSR product is the fast path
+        bsr = a.to_bsr()
+        return lambda v: bsr @ v
     if hasattr(a, "matvec"):
         return a.matvec
     if isinstance(a, np.ndarray):

@@ -15,7 +15,6 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from repro import kernels
 from repro.utils.validate import check_index_array, check_permutation
 
 
@@ -177,15 +176,12 @@ class BCSRMatrix:
     # -- operations ------------------------------------------------------
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Matrix-vector product on a flat DOF vector of length ``n * b``.
-
-        Dispatched through the kernel registry: the scipy BSR product on
-        the numpy backend, a block-row-parallel JIT kernel on numba.
-        """
+        """Matrix-vector product on a flat DOF vector of length ``n * b``,
+        through the cached scipy BSR handle."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.ndof,):
             raise ValueError(f"x must have shape ({self.ndof},), got {x.shape}")
-        return kernels.get_backend().bcsr_matvec(self, x)
+        return self.to_bsr() @ x
 
     def diagonal_blocks(self) -> np.ndarray:
         """``(n, b, b)`` array of diagonal blocks (copies)."""

@@ -238,17 +238,22 @@ class VBRMatrix:
     # -- numerics ----------------------------------------------------------
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Block-sparse matrix-vector product in the VBR DOF numbering.
-
-        Dispatched through the kernel registry: shape-bucketed batched
-        numpy, or a supernode-row-parallel JIT kernel on numba.
-        """
-        from repro import kernels
-
+        """Block-sparse matrix-vector product in the VBR DOF numbering,
+        batched per block shape (Fig. 22 idiom)."""
         x = np.asarray(x, dtype=np.float64)
         if x.shape != (self.ndof,):
             raise ValueError(f"x must have shape ({self.ndof},), got {x.shape}")
-        return kernels.get_backend().vbr_matvec(self, x)
+        y = np.zeros(self.ndof)
+        all_pos = np.arange(self.nnzb, dtype=np.int64)
+        shape_r = self.sizes[self.block_rows_]
+        shape_c = self.sizes[self.indices]
+        for sr, sc, pos in shape_buckets(shape_r, shape_c, all_pos):
+            blocks = self.gather(pos, sr, sc)
+            xseg = x[self.offsets[self.indices[pos], None] + np.arange(sc)]
+            contrib = np.einsum("mrc,mc->mr", blocks, xseg)
+            rows = self.offsets[self.block_rows_[pos], None] + np.arange(sr)
+            np.add.at(y, rows.reshape(-1), contrib.reshape(-1))
+        return y
 
     def to_csr(self) -> sp.csr_matrix:
         """Expand to scalar CSR (in the VBR DOF numbering)."""

@@ -1,12 +1,12 @@
 """Named-implementation selection with one precedence rule.
 
-The kernel-backend and transport registries choose among named
-implementations the same way: an explicit per-call name beats the
-process-wide choice (a CLI flag), which beats an environment variable,
-which beats the default; an unknown name is an error, and a known one
-that cannot run on this machine is served by a fallback after one logged
-warning — optional acceleration must never become a hard dependency.
-:class:`Selection` is that rule, written once.
+The transport registry chooses among named implementations by one rule:
+an explicit per-call name beats the process-wide choice (a CLI flag),
+which beats an environment variable, which beats the default; an
+unknown name is an error, and a known one that cannot run on this
+machine is served by a fallback after one logged warning — an optional
+fabric must never become a hard dependency.  :class:`Selection` is that
+rule.
 """
 
 from __future__ import annotations
@@ -24,10 +24,7 @@ class Selection:
     *available* maps every known name to a zero-argument availability
     probe (called on each resolution, so tests can flip it); *fallback*
     serves a request whose probe says no, with *missing* explaining why
-    in the one warning logged to *logger*.  With *auto* — names in order
-    of preference — the pseudo-name ``"auto"`` is accepted too and means
-    "the first available of these"; setting it process-wide is the same
-    as setting nothing.
+    in the one warning logged to *logger*.
     """
 
     def __init__(
@@ -40,11 +37,9 @@ class Selection:
         fallback: str,
         logger: str,
         missing: str,
-        auto: tuple[str, ...] = (),
     ) -> None:
         self.what, self.env_var, self.available = what, env_var, available
-        self.default, self.fallback, self.missing, self.auto = default, fallback, missing, auto
-        self.names = [*(["auto"] if auto else []), *available]
+        self.default, self.fallback, self.missing = default, fallback, missing
         self.explicit: str | None = None
         self._log = logging.getLogger(logger)
         self._warned: set[str] = set()
@@ -55,8 +50,8 @@ class Selection:
 
     def validate(self, name: str) -> str:
         name = name.strip().lower()
-        if name not in self.names:
-            raise ValueError(f"unknown {self.what} {name!r}; choose from {self.names}")
+        if name not in self.available:
+            raise ValueError(f"unknown {self.what} {name!r}; choose from {list(self.available)}")
         return name
 
     def resolve(self, name: str | None = None) -> str:
@@ -64,9 +59,8 @@ class Selection:
         req = self.validate(
             name or self.explicit or os.environ.get(self.env_var) or self.default
         )
-        for candidate in self.auto if req == "auto" else (req,):
-            if self.available[candidate]():
-                return candidate
+        if self.available[req]():
+            return req
         if req not in self._warned:
             self._warned.add(req)
             self._log.warning(
@@ -79,8 +73,7 @@ class Selection:
         """Set the process-wide choice (``None`` clears it); returns the
         name that will actually serve, so callers can record what they
         really got."""
-        name = None if name is None else self.validate(name)
-        self.explicit = None if name == "auto" else name
+        self.explicit = None if name is None else self.validate(name)
         return self.resolve()
 
     def reset(self) -> None:

@@ -646,14 +646,14 @@ class TestSymbolicAnalysis:
         assert sym.scatter_src.dtype == sym.scatter_dst.dtype == np.intp
 
     def test_symbolic_object_accounts_for_what_it_keeps(self, small_problem):
-        """``memory_bytes`` counts every array once, none of A's; nothing
-        is kept for a backend that is not running (the row segmentation
-        of the JIT kernels) or for values the pattern does not have."""
+        """``memory_bytes`` counts every array once, none of A's; a dmod
+        bucket keeps its two shapes and three index maps, and nothing is
+        kept for values the pattern does not have."""
         p = small_problem
         m = sb_bic0(p.a, p.groups)
         sym = m.symbolic
         assert sym.pattern.data is None and m.L.data.size == sym.pattern.boff[-1]
-        assert all(bucket[-1] == [] for group in sym.dmod_updates for bucket in group)
+        assert all(len(bucket) == 5 for group in sym.dmod_updates for bucket in group)
         maps = [sym.scatter_src, sym.scatter_dst, sym.fwd_gather, sym.bwd_gather]
         updates = [x for group in sym.dmod_updates for b in group for x in b[2:5]]
         total = sym.memory_bytes()

@@ -428,7 +428,7 @@ class TestGroupCommit:
 
 class TestReplay:
     def test_torn_result_resolves_bit_identically(self, tmp_path):
-        session = SolverSession(warm_kernels=False)
+        session = SolverSession()
         queue = JobQueue(session=session, journal_dir=tmp_path / "whole")
         for i in range(3):
             queue.submit(_req(job_id=f"t{i}", rhs={"seed": i}))
@@ -499,7 +499,7 @@ class TestReplay:
 
 class TestConcurrentCommits:
     def test_pooled_queue_under_six_threads_records_every_job_once(self, tmp_path):
-        session = SolverSession(warm_kernels=False)
+        session = SolverSession()
         session.solve_batch([_req(job_id="warm")])
         pool = WorkerPool(session, workers=2, mode="thread")
         queue = JobQueue(session=session, journal_dir=tmp_path, pool=pool)

@@ -1,18 +1,13 @@
-"""The kernel registry (repro.kernels): selection, fallback, parity.
+"""The kernel module (repro.kernels): sweeps, products and their plan.
 
-Three layers of coverage:
+Four layers of coverage:
 
-1. **Registry semantics** — backend resolution precedence (explicit arg >
-   ``set_backend`` > ``REPRO_KERNEL_BACKEND`` > auto), the numba -> numpy
-   fallback with exactly one logged warning, and the uniform
-   warmup/describe surface.
-2. **Cross-backend parity** — every backend's kernels against the
-   bucketed ``reference_apply`` oracle (and each other) to <= 1e-13,
-   across preconditioner families, color counts, input dtypes, and the
-   diagonal-only / empty-group edge cases.  The numba backend degrades
-   to plain-Python kernels when numba is absent (identity ``_jit``,
-   ``prange = range``), so its *logic* is exercised here even in a
-   numpy-only environment.
+1. **Parity** — the substitution sweep against the bucketed
+   ``reference_apply`` oracle to <= 1e-13, across preconditioner
+   families, color counts, input dtypes, and the diagonal-only /
+   empty-group edge case; the CSR, BCSR and VBR products against
+   scipy's.
+2. **The bench entry points** — ``get_backend()`` and ``describe()``.
 3. **The substitution plan** — one flat layout, filled in place: it
    holds exactly the negated live strictly-lower entries of the factor
    (and their transpose) in sweep order, a refactor rewrites its arrays
@@ -20,41 +15,28 @@ Three layers of coverage:
    phase refuses a schedule whose sweep would read a group not yet
    swept.
 4. **The private scipy kernels** — what ``_sparsetools.csr_matvec`` /
-   ``csr_matvecs`` must keep doing for the numpy backend to be right,
-   and the inputs they do not take as they come.
+   ``csr_matvecs`` must keep doing for the sweeps to be right, and the
+   inputs they do not take as they come.
 """
 
 import dataclasses
 import functools
-import logging
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from repro import DistributedSystem, kernels, parallel_cg
+from repro import kernels
 from repro.experiments.workloads import block_problem, swjapan_problem
 from repro.fem.generators import simple_block_model
 from repro.fem.model import build_contact_problem
-from repro.kernels import numba_backend, numpy_backend, registry
 from repro.precond import bic, sb_bic0, scalar_ic0
 from repro.precond.icfact import ICSymbolic
-from repro.solvers.block_cg import _as_block_matvec, block_cg_solve
-from repro.solvers.cg import _as_matvec, cg_solve
+from repro.solvers.block_cg import _as_block_matvec
+from repro.solvers.cg import _as_matvec
 from repro.sparse.bcsr import BCSRMatrix
 from repro.sparse.vbr import VBRMatrix
-
-BACKEND_MODULES = {"numpy": numpy_backend, "numba": numba_backend}
-
-
-@pytest.fixture(autouse=True)
-def clean_registry(monkeypatch):
-    """Isolate every test from process-wide backend state."""
-    monkeypatch.delenv(kernels.ENV_VAR, raising=False)
-    kernels.reset()
-    yield
-    kernels.reset()
 
 
 def spd_csr(ndof, seed, density=0.25):
@@ -68,150 +50,13 @@ def spd_csr(ndof, seed, density=0.25):
     return a
 
 
-def backend_apply(mod, m, r):
-    """Drive one factorization apply through a specific backend module."""
-    m._plan.t[:] = np.asarray(r, dtype=np.float64)[m._plan_perm]
-    out = np.empty(m.ndof)
-    out[m._plan_perm] = mod.apply_substitution(m._plan)
-    return out
-
-
 def assert_close(got, want, rtol=1e-13):
     scale = max(1.0, float(np.linalg.norm(want)))
     assert float(np.linalg.norm(got - want)) <= rtol * scale
 
 
 # ----------------------------------------------------------------------
-# registry semantics
-# ----------------------------------------------------------------------
-
-
-class TestRegistry:
-    def test_numpy_always_available(self):
-        assert "numpy" in kernels.available_backends()
-        assert numpy_backend.is_available()
-
-    def test_auto_prefers_numba_when_importable(self, monkeypatch):
-        monkeypatch.setattr(numba_backend, "is_available", lambda: True)
-        assert kernels.resolve_name() == "numba"
-        monkeypatch.setattr(numba_backend, "is_available", lambda: False)
-        assert kernels.resolve_name() == "numpy"
-
-    def test_env_var_selects_backend(self, monkeypatch):
-        monkeypatch.setattr(numba_backend, "is_available", lambda: True)
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        assert kernels.active_backend() == "numpy"
-
-    def test_set_backend_beats_env(self, monkeypatch):
-        monkeypatch.setattr(numba_backend, "is_available", lambda: True)
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        assert kernels.set_backend("numba") == "numba"
-        assert kernels.active_backend() == "numba"
-        assert kernels.get_backend() is numba_backend
-
-    def test_explicit_arg_beats_set_backend(self, monkeypatch):
-        monkeypatch.setattr(numba_backend, "is_available", lambda: True)
-        kernels.set_backend("numba")
-        assert kernels.resolve_name("numpy") == "numpy"
-        assert kernels.get_backend("numpy") is numpy_backend
-
-    def test_set_backend_none_or_auto_restores_auto(self, monkeypatch):
-        kernels.set_backend("numpy")
-        monkeypatch.setattr(numba_backend, "is_available", lambda: True)
-        assert kernels.active_backend() == "numpy"
-        kernels.set_backend(None)
-        assert kernels.active_backend() == "numba"
-        kernels.set_backend("numpy")
-        kernels.set_backend("auto")
-        assert kernels.active_backend() == "numba"
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.set_backend("cuda")
-        with pytest.raises(ValueError, match="unknown kernel backend"):
-            kernels.resolve_name("fortran")
-
-    def test_fallback_to_numpy_warns_once(self, monkeypatch, caplog):
-        """Requesting numba without numba serves numpy, one warning total."""
-        monkeypatch.setattr(numba_backend, "is_available", lambda: False)
-        kernels.set_backend("numba")
-        with caplog.at_level(logging.WARNING, logger="repro.kernels"):
-            assert kernels.active_backend() == "numpy"
-            assert kernels.get_backend() is numpy_backend
-            kernels.get_backend()  # second resolution: no second warning
-        warnings = [r for r in caplog.records if "falling back" in r.message]
-        assert len(warnings) == 1
-        assert "numba" in warnings[0].getMessage()
-
-    def test_fallback_dispatch_is_silent_and_correct(self, monkeypatch, caplog):
-        """A whole solve under a failed numba request runs on numpy."""
-        monkeypatch.setattr(numba_backend, "is_available", lambda: False)
-        monkeypatch.setenv(kernels.ENV_VAR, "numba")
-        a = spd_csr(36, 3)
-        with caplog.at_level(logging.WARNING, logger="repro.kernels"):
-            m = bic(a, fill_level=0)
-            assert m.kernel_backend == "numpy"
-            r = np.random.default_rng(0).normal(size=36)
-            assert_close(m.apply(r), m.reference_apply(r))
-        assert sum("falling back" in r.message for r in caplog.records) == 1
-
-    def test_warmup_reports_backend(self):
-        info = kernels.warmup("numpy")
-        assert info == {"backend": "numpy", "seconds": 0.0}
-
-    def test_describe_census(self, monkeypatch):
-        monkeypatch.setenv(kernels.ENV_VAR, "numpy")
-        kernels.set_backend("numpy")
-        info = kernels.describe()
-        assert info["active"] == "numpy"
-        assert info["explicit"] == "numpy"
-        assert info["env"] == "numpy"
-        assert "numpy" in info["available"]
-
-    def test_cli_flag_sets_backend(self, capsys):
-        from repro.cli import main
-
-        rc = main(
-            ["solve", "--model", "block", "--scale", "0.3",
-             "--kernel-backend", "numpy"]
-        )
-        assert rc == 0
-        assert "kernel backend: numpy" in capsys.readouterr().out
-
-
-    @pytest.mark.parametrize("solver", ["cg", "block_cg", "parallel_cg"])
-    def test_resolutions_per_solve_do_not_grow_with_iterations(
-        self, solver, monkeypatch
-    ):
-        """The registry is consulted when a solve (or a refactor) starts,
-        never inside the CG loop: a 3-iteration and a 20-iteration solve
-        resolve the backend equally often."""
-        p = build_contact_problem(simple_block_model(3, 3, 2, 3, 3), penalty=1e6)
-        m = sb_bic0(p.a, p.groups)
-        rhs = np.column_stack([p.b, p.b[::-1]])
-        one = DistributedSystem.from_global(
-            p.a, p.b, np.zeros(p.mesh.n_nodes, dtype=np.int64), lambda sub, nodes: m
-        )
-        solve = {
-            "cg": lambda cap: cg_solve(p.a, p.b, m, max_iter=cap),
-            "block_cg": lambda cap: block_cg_solve(p.a, rhs, m, max_iter=cap),
-            "parallel_cg": lambda cap: parallel_cg(one, max_iter=cap),
-        }[solver]
-        calls = []
-        resolve = registry.resolve_name
-        monkeypatch.setattr(
-            registry, "resolve_name", lambda name=None: calls.append(name) or resolve(name)
-        )
-        counts = []
-        for cap in (3, 20):
-            calls.clear()
-            assert solve(cap).iterations == cap
-            counts.append(len(calls))
-        assert counts[0] == counts[1] <= 2
-
-
-# ----------------------------------------------------------------------
-# cross-backend parity vs the bucketed reference oracle
+# parity vs the bucketed reference oracle
 # ----------------------------------------------------------------------
 
 FAMILIES = {
@@ -223,48 +68,40 @@ FAMILIES = {
 
 
 class TestApplyParity:
-    @pytest.mark.parametrize("backend", sorted(BACKEND_MODULES))
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_matches_reference(self, family, backend):
+    def test_matches_reference(self, family):
         a = spd_csr(36, hash(family) % 1000)
         m = FAMILIES[family](a)
         rng = np.random.default_rng(4)
         for _ in range(3):
             r = rng.normal(size=36)
-            assert_close(backend_apply(BACKEND_MODULES[backend], m, r),
-                         m.reference_apply(r))
+            assert_close(m.apply(r), m.reference_apply(r))
 
-    @pytest.mark.parametrize("backend", sorted(BACKEND_MODULES))
     @pytest.mark.parametrize("ncolors", [0, 2, 5])
-    def test_color_counts(self, ncolors, backend):
+    def test_color_counts(self, ncolors):
         """Parity must hold for every multicolor schedule width."""
         a = spd_csr(45, 7 + ncolors)
         m = bic(a, fill_level=0, ncolors=ncolors)
         r = np.random.default_rng(1).normal(size=45)
-        assert_close(backend_apply(BACKEND_MODULES[backend], m, r),
-                     m.reference_apply(r))
+        assert_close(m.apply(r), m.reference_apply(r))
 
-    @pytest.mark.parametrize("backend", sorted(BACKEND_MODULES))
-    def test_sbbic_contact_problem(self, backend):
+    def test_sbbic_contact_problem(self):
         p = build_contact_problem(simple_block_model(3, 3, 2, 3, 3), penalty=1e6)
         m = sb_bic0(p.a, p.groups)
         rng = np.random.default_rng(11)
         for r in (rng.normal(size=p.ndof), p.b):
-            assert_close(backend_apply(BACKEND_MODULES[backend], m, r),
-                         m.reference_apply(r))
+            assert_close(m.apply(r), m.reference_apply(r))
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_input_dtypes(self, dtype):
-        """apply() casts once; both backends then see identical float64."""
+        """apply() casts once; the sweep then sees float64."""
         a = spd_csr(30, 9)
         m = bic(a, fill_level=0)
         r = np.random.default_rng(2).normal(size=30).astype(dtype)
         want = m.reference_apply(np.asarray(r, dtype=np.float64))
         assert_close(m.apply(r), want)
-        assert_close(backend_apply(numba_backend, m, r), want)
 
-    @pytest.mark.parametrize("backend", sorted(BACKEND_MODULES))
-    def test_diagonal_matrix_empty_groups(self, backend):
+    def test_diagonal_matrix_empty_groups(self):
         """A diagonal matrix has no off-diagonal entries at all: the
         forward sweep is its ``Dinv`` calls alone, the backward sweep has
         no step, and M^{-1} r must reduce to the exact diagonal solve."""
@@ -275,84 +112,22 @@ class TestApplyParity:
         assert [step[1] for step in m._plan.fwd_steps] == [None] * len(m.schedule)
         assert m._plan.bwd_steps == []
         r = np.random.default_rng(3).normal(size=24)
-        got = backend_apply(BACKEND_MODULES[backend], m, r)
+        got = m.apply(r)
         assert_close(got, r / d)
         assert_close(got, m.reference_apply(r))
-
-    def test_registry_dispatch_equals_direct_module_call(self, monkeypatch):
-        """``apply`` is the sweep of the backend the registry named at
-        the factor's last ``refactor``: switching the registry under a
-        live factor changes nothing until it is re-factored, and then
-        ``apply`` is the new backend's sweep, to the bit."""
-        monkeypatch.setattr(numba_backend, "is_available", lambda: True)
-        swept = []
-        for mod in (numpy_backend, numba_backend):
-            sweep = mod.apply_substitution
-            monkeypatch.setattr(
-                mod, "apply_substitution",
-                lambda plan, mod=mod, sweep=sweep: swept.append(mod.NAME) or sweep(plan),
-            )
-        kernels.set_backend("numba")
-        m = bic(spd_csr(36, 13), fill_level=1)
-        r = np.random.default_rng(5).normal(size=36)
-        kernels.set_backend("numpy")
-        for bound, refactor in (("numba", False), ("numpy", True)):
-            if refactor:
-                m.refactor()
-            swept.clear()
-            z = m.apply(r)
-            assert (m.kernel_backend, swept) == (bound, [bound])
-            assert np.array_equal(z, backend_apply(BACKEND_MODULES[bound], m, r))
-            assert_close(z, m.reference_apply(r))
-
-
-class TestFactorizationParity:
-    """Both backends' numeric update kernels must build the same factor."""
-
-    @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_factor_values_agree(self, family, monkeypatch):
-        a = spd_csr(36, hash(family) % 500)
-        kernels.set_backend("numpy")
-        m_np = FAMILIES[family](a)
-        monkeypatch.setattr(numba_backend, "is_available", lambda: True)
-        kernels.set_backend("numba")
-        m_nb = FAMILIES[family](a)
-        assert m_np.kernel_backend == "numpy"
-        assert m_nb.kernel_backend == "numba"
-        # summation order differs (batched BLAS vs serial loops): allow a
-        # few ulps, far tighter than any preconditioner quality margin
-        r = np.random.default_rng(6).normal(size=36)
-        assert_close(m_nb.apply(r), m_np.apply(r), rtol=1e-12)
-
-    def test_refactor_through_numba_kernels(self, monkeypatch):
-        """Numeric-only refactorization on the pure-Python JIT kernels."""
-        p = build_contact_problem(simple_block_model(2, 2, 2, 2, 2), penalty=1e4)
-        p2 = build_contact_problem(simple_block_model(2, 2, 2, 2, 2), penalty=1e6)
-        m = sb_bic0(p.a, p.groups)
-        monkeypatch.setattr(numba_backend, "is_available", lambda: True)
-        kernels.set_backend("numba")
-        m.refactor(p2.a)
-        assert m.kernel_backend == "numba"
-        m_ref = sb_bic0(p2.a, p2.groups)
-        r = np.random.default_rng(7).normal(size=p.ndof)
-        assert_close(m.apply(r), m_ref.reference_apply(r), rtol=1e-12)
 
 
 class TestMatvecParity:
     def test_csr_matvec(self):
         a = spd_csr(50, 21)
         x = np.random.default_rng(0).normal(size=50)
-        want = a @ x
-        assert_close(numpy_backend.csr_matvec(a, x), want)
-        assert_close(numba_backend.csr_matvec(a, x), want)
+        assert_close(kernels.csr_matvec(a, x), a @ x)
 
     def test_bcsr_matvec(self):
         a = spd_csr(36, 22)
         mat = BCSRMatrix.from_scipy(a, b=3)
         x = np.random.default_rng(1).normal(size=36)
-        want = a @ x
-        assert_close(numpy_backend.bcsr_matvec(mat, x), want)
-        assert_close(numba_backend.bcsr_matvec(mat, x), want)
+        assert_close(mat.matvec(x), a @ x)
 
     def test_vbr_matvec_variable_blocks(self):
         a = spd_csr(20, 23)
@@ -362,21 +137,27 @@ class TestMatvecParity:
         ]
         mat = VBRMatrix.from_csr(a, supernodes)
         x = np.random.default_rng(2).normal(size=20)
-        want = mat.to_csr() @ x
-        assert_close(numpy_backend.vbr_matvec(mat, x), want)
-        assert_close(numba_backend.vbr_matvec(mat, x), want)
+        assert_close(mat.matvec(x), mat.to_csr() @ x)
 
-    def test_cg_solution_backend_invariant(self, monkeypatch):
-        p = build_contact_problem(simple_block_model(2, 2, 2, 2, 2), penalty=1e5)
-        kernels.set_backend("numpy")
-        res_np = cg_solve(p.a, p.b, sb_bic0(p.a, p.groups))
-        monkeypatch.setattr(numba_backend, "is_available", lambda: True)
-        kernels.set_backend("numba")
-        res_nb = cg_solve(p.a, p.b, sb_bic0(p.a, p.groups))
-        assert res_np.converged and res_nb.converged
-        assert abs(res_np.iterations - res_nb.iterations) <= 1
-        assert np.allclose(res_np.x, res_nb.x,
-                           atol=1e-8 * max(1.0, np.abs(res_np.x).max()))
+
+class TestBenchEntryPoints:
+    """``bench/`` calls ``kernels.get_backend().csr_matvec`` and stamps
+    ``kernels.describe()`` into every result."""
+
+    def test_get_backend_is_the_sweeps_module(self):
+        a = spd_csr(20, 24)
+        x = np.random.default_rng(3).normal(size=20)
+        assert kernels.get_backend() is kernels.sweeps
+        assert np.array_equal(kernels.get_backend().csr_matvec(a, x), kernels.csr_matvec(a, x))
+
+    def test_describe_is_json_ready(self):
+        import json
+
+        import scipy
+
+        info = kernels.describe()
+        assert json.loads(json.dumps(info)) == info
+        assert info["scipy"] == scipy.__version__
 
 
 # ----------------------------------------------------------------------
@@ -437,24 +218,17 @@ def plan_problems():
 class TestFlatSweep:
     @pytest.mark.parametrize("problem", sorted(PLAN_PROBLEMS))
     @pytest.mark.parametrize("family", sorted(PLAN_FAMILIES))
-    def test_apply_and_apply_block_match_reference(
-        self, family, problem, plan_problems, monkeypatch
-    ):
-        """Every family, vector and 8-column block, both backends, on the
-        two serve-sized models and the random fixtures.  (numba has no
-        block sweep — ``apply_block`` loops over ``apply`` — so its
-        8-column case runs on the fixtures only.)"""
+    def test_apply_and_apply_block_match_reference(self, family, problem, plan_problems):
+        """Every family, vector and 8-column block, on the two
+        serve-sized models and the random fixtures."""
         p = plan_problems(problem)
         m = PLAN_FAMILIES[family](p)
         rng = np.random.default_rng(12)
         r, block = rng.normal(size=p.ndof), rng.normal(size=(p.ndof, 8))
         want = m.reference_apply(r)
         want_block = np.column_stack([m.reference_apply(c) for c in block.T])
-        for backend in (numpy_backend, numba_backend):
-            monkeypatch.setattr(m, "_backend", backend)
-            assert_close(m.apply(r), want)
-            if backend is numpy_backend or problem.startswith("spd"):
-                assert_close(m.apply_block(block), want_block)
+        assert_close(m.apply(r), want)
+        assert_close(m.apply_block(block), want_block)
 
     @pytest.mark.parametrize(
         "model, scale, entries",
@@ -581,18 +355,14 @@ class TestFlatSweep:
         with pytest.raises(AssertionError, match="column inside its own group"):
             sym._build_apply_structures()
 
-    def test_precond_warmup_chains(self):
-        m = bic(spd_csr(24, 35), fill_level=0)
-        assert m.warmup() is m
-
 
 # ----------------------------------------------------------------------
-# the private scipy kernels under the numpy backend
+# the private scipy kernels
 # ----------------------------------------------------------------------
 
 
 class TestSparsetoolsContract:
-    """What ``numpy_backend`` relies on from ``scipy.sparse._sparsetools``.
+    """What :mod:`repro.kernels.sweeps` relies on from ``scipy.sparse._sparsetools``.
     A scipy release that changes it fails here, by name, instead of as a
     bad preconditioner."""
 
@@ -675,13 +445,12 @@ class TestKernelInputs:
         a_f32 = a.astype(np.float32)
         strided = np.repeat(x, 2)[::2]
         assert not strided.flags.c_contiguous
-        for backend in (numpy_backend, numba_backend):
-            assert_close(backend.csr_matvec(a_i64, x), want)
-            assert_close(backend.csr_matvec(a, strided), want)
-            assert_close(backend.csr_matvec(a, x.astype(np.float32)), want, rtol=1e-6)
-            got = backend.csr_matvec(a_f32, x)
-            assert got.dtype == np.float64
-            assert_close(got, a_f32.astype(np.float64) @ x)
+        assert_close(kernels.csr_matvec(a_i64, x), want)
+        assert_close(kernels.csr_matvec(a, strided), want)
+        assert_close(kernels.csr_matvec(a, x.astype(np.float32)), want, rtol=1e-6)
+        got = kernels.csr_matvec(a_f32, x)
+        assert got.dtype == np.float64
+        assert_close(got, a_f32.astype(np.float64) @ x)
         assert_close(_as_matvec(a_i64)(x), want)
         assert_close(_as_matvec(a_f32)(x), a_f32.astype(np.float64) @ x)
         assert_close(_as_matvec(a.tocsc())(strided), want)
@@ -690,13 +459,13 @@ class TestKernelInputs:
         """The kernels check no bounds: the wrappers must."""
         a = spd_csr(12, 52)
         with pytest.raises(ValueError, match="shape"):
-            numpy_backend.csr_matvec(a, np.ones(11))
+            kernels.csr_matvec(a, np.ones(11))
         with pytest.raises(ValueError, match="shape"):
-            numpy_backend.csr_matvecs(a, np.ones((13, 2)))
+            kernels.csr_matvecs(a, np.ones((13, 2)))
         with pytest.raises(ValueError, match="shape"):
-            numpy_backend.csr_matvecs(a, np.ones(12))
+            kernels.csr_matvecs(a, np.ones(12))
         rect = a[:5]
-        assert_close(numpy_backend.csr_matvec(rect, np.ones(12)), rect @ np.ones(12))
+        assert_close(kernels.csr_matvec(rect, np.ones(12)), rect @ np.ones(12))
 
     def test_block_matvec_operands(self):
         a = spd_csr(30, 53)
@@ -708,10 +477,9 @@ class TestKernelInputs:
             rng.normal(size=(30, 6))[:, ::2],
         ):
             want = a @ block
-            for backend in (numpy_backend, numba_backend):
-                got = backend.csr_matvecs(a, block)
-                assert got.shape == want.shape
-                assert_close(got, want)
+            got = kernels.csr_matvecs(a, block)
+            assert got.shape == want.shape
+            assert_close(got, want)
             assert_close(_as_block_matvec(a.astype(np.float32))(block),
                          a.astype(np.float32).astype(np.float64) @ block)
 

@@ -335,7 +335,6 @@ class TestTracedSolveAgreement:
             "ic_numeric.factor",
             "ic_numeric.gather",
         ]
-        assert num.attrs["kernel_backend"] == m.kernel_backend
         for parent in (asm, sym, num):
             kids = parent.children
             assert all(c.parent_id == parent.span_id for c in kids)
@@ -463,7 +462,7 @@ class TestJournalCommitSpan:
     def test_queue_process_is_two_commits_around_the_solve(self, tmp_path):
         from repro.serve import JobQueue, SolveRequest, SolverSession
 
-        queue = JobQueue(SolverSession(warm_kernels=False), journal_dir=tmp_path)
+        queue = JobQueue(SolverSession(), journal_dir=tmp_path)
         with obs.observe() as sess:
             for i in range(3):
                 queue.submit(SolveRequest(model="block", scale=0.25, penalty=1e4,

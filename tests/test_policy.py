@@ -475,7 +475,7 @@ class TestServeIntegration:
                             penalty=penalty, precond="auto", rhs="model")
 
     def test_auto_precond_resolves_and_solves(self):
-        session = SolverSession(warm_kernels=False)
+        session = SolverSession()
         resp = session.solve(self._req("auto-1"))
         assert resp.ok and resp.converged
         assert len(session.workspace.policy_history) >= 1
@@ -486,7 +486,7 @@ class TestServeIntegration:
     def test_auto_answers_with_selective_blocking(self):
         """serve_mixed's auto request: swjapan 1.0 at lambda ~ 1e6 needs
         ~70 SB-BIC(0) iterations, ~2 100 under Diagonal scaling."""
-        session = SolverSession(warm_kernels=False)
+        session = SolverSession()
         resp = session.solve(SolveRequest(
             job_id="auto-swjapan", model="swjapan", scale=1.0,
             penalty=1.03e6, precond="auto", rhs={"seed": 7}))
@@ -496,13 +496,13 @@ class TestServeIntegration:
         assert [list(by_family) for by_family in outcomes.values()] == [["sbbic0"]]
 
     def test_static_policy_mode_session(self):
-        session = SolverSession(warm_kernels=False, policy_mode="static")
+        session = SolverSession(policy_mode="static")
         resp = session.solve(self._req("auto-static"))
         assert resp.ok and resp.converged
         assert session.stats()["policy"]["mode"] == "static"
 
     def test_queue_persists_history_next_to_journal(self, tmp_path):
-        q = JobQueue(session=SolverSession(warm_kernels=False),
+        q = JobQueue(session=SolverSession(),
                      journal_dir=tmp_path)
         q.submit(self._req("persist-1"))
         jobs = q.process()
@@ -514,7 +514,7 @@ class TestServeIntegration:
         q.close()
 
         # a fresh queue over the same journal dir starts warm
-        q2 = JobQueue(session=SolverSession(warm_kernels=False),
+        q2 = JobQueue(session=SolverSession(),
                       journal_dir=tmp_path)
         assert len(q2.session.workspace.policy_history) >= 1
         q2.submit(self._req("persist-2"))

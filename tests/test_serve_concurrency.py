@@ -49,7 +49,7 @@ def _req(**kw) -> SolveRequest:
 def session() -> SolverSession:
     """One warm session shared across tests (it is thread-safe; pools
     attach to it rather than owning it)."""
-    s = SolverSession(warm_kernels=False)
+    s = SolverSession()
     s.solve_batch([_req(job_id=f"warm-{p}", precond=p) for p in POOL_PRECONDS])
     return s
 
@@ -484,11 +484,11 @@ def test_pooled_setups_census_matches_serial(mode):
             for p in ("sbbic0", "bic0", "bic1", "ic0")
         ]
 
-    serial = SolverSession(warm_kernels=False).solve_batch(batch())
+    serial = SolverSession().solve_batch(batch())
     assert [r.setups for r in serial] == [
         {"symbolic": 1, "numeric": 1, "evictions": 0}
     ] * 4
-    with WorkerPool(SolverSession(warm_kernels=False), workers=4, mode=mode) as pool:
+    with WorkerPool(SolverSession(), workers=4, mode=mode) as pool:
         pooled = pool.solve_batch(batch())
     assert [r.setups for r in pooled] == [r.setups for r in serial]
 

@@ -37,7 +37,7 @@ def _req_line(job_id: str, **kw) -> str:
 
 @pytest.fixture(scope="module")
 def session() -> SolverSession:
-    s = SolverSession(warm_kernels=False)
+    s = SolverSession()
     s.solve(SolveRequest(job_id="warm", model="block", scale=SCALE,
                          penalty=1e4, precond="sbbic0"))
     return s

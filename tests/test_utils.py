@@ -171,8 +171,9 @@ class TestCheckContactGroups:
 
 
 class TestSelection:
-    """The precedence / fallback rule the kernel and transport registries
-    share, on a stand-in set of implementations."""
+    """The precedence / fallback rule of the transport registry, on a
+    stand-in set of implementations shaped like it: the default is the
+    fallback."""
 
     @pytest.fixture
     def sel(self):
@@ -183,23 +184,22 @@ class TestSelection:
             "widget",
             "REPRO_TEST_WIDGET",
             {name: (lambda name=name: self.usable[name]) for name in self.usable},
-            default="auto",
+            default="plain",
             fallback="plain",
             logger="repro.test_widget",
             missing="not built here",
-            auto=("fast", "plain"),
         )
 
     def test_explicit_beats_set_beats_env_beats_default(self, sel, monkeypatch):
-        assert sel.resolve() == "fast"  # auto: first available
-        monkeypatch.setenv("REPRO_TEST_WIDGET", "plain")
         assert sel.resolve() == "plain"
-        assert sel.set("fast") == "fast"
-        assert sel.resolve("plain") == "plain"
-        assert sel.set("auto") == "plain" and sel.explicit is None  # back to env
+        monkeypatch.setenv("REPRO_TEST_WIDGET", "fast")
+        assert sel.resolve() == "fast"
+        assert sel.set("plain") == "plain"
+        assert sel.resolve("fast") == "fast"
+        assert sel.set(None) == "fast" and sel.explicit is None  # back to env
         assert sel.describe() == {
-            "active": "plain", "available": ["plain", "fast"],
-            "explicit": None, "env": "plain",
+            "active": "fast", "available": ["plain", "fast"],
+            "explicit": None, "env": "fast",
         }
 
     def test_unknown_name_is_an_error_from_every_source(self, sel, monkeypatch):
@@ -207,13 +207,15 @@ class TestSelection:
             sel.resolve("turbo")
         with pytest.raises(ValueError, match="unknown widget"):
             sel.set("turbo")
+        with pytest.raises(ValueError, match="unknown widget 'auto'"):
+            sel.set("auto")
         monkeypatch.setenv("REPRO_TEST_WIDGET", "turbo")
         with pytest.raises(ValueError, match="unknown widget"):
             sel.resolve()
 
     def test_unavailable_falls_back_and_warns_once_until_reset(self, sel, caplog):
         self.usable["fast"] = False
-        assert sel.resolve() == "plain"  # auto skips it silently
+        assert sel.resolve() == "plain"
         with caplog.at_level("WARNING", logger="repro.test_widget"):
             assert sel.set("fast") == "plain"
             assert sel.resolve() == "plain"
