@@ -32,9 +32,9 @@ Asserted invariants:
    journaled job; the log then holds, for each, a result with the serial
    replay's digest.
 
-Modes: ``--quick`` (CI tier: fewer clients, thread pool only) or the
-full sweep (``--clients`` clients, thread *and* process pools).  Exits
-nonzero listing every violated invariant.
+The pool's workers are forked processes.  ``--quick`` (CI tier: fewer
+clients, shorter wedges) or the full sweep (``--clients`` clients).
+Exits nonzero listing every violated invariant.
 
 Usage::
 
@@ -65,15 +65,15 @@ WEDGE_DEADLINE_S = 1.0
 PAYLOAD_BUDGET = 2048  # bytes; a full-length explicit RHS (~2.4 KB) is over
 
 
-def start_server(sock_path: str, journal_dir: str, mode: str,
-                 workers: int, extra: tuple[str, ...] = ()) -> subprocess.Popen:
+def start_server(sock_path: str, journal_dir: str, workers: int,
+                 extra: tuple[str, ...] = ()) -> subprocess.Popen:
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC)
     env["REPRO_SERVE_CHAOS"] = "1"
     proc = subprocess.Popen(
         [sys.executable, "-m", "repro.cli", "serve",
          "--socket", sock_path,
-         "--workers", str(workers), "--worker-mode", mode,
+         "--workers", str(workers),
          "--journal-dir", journal_dir,
          "--default-deadline", "60",
          "--max-payload-bytes", str(PAYLOAD_BUDGET),
@@ -167,13 +167,13 @@ def serial_reference() -> dict[float, str]:
     return ref
 
 
-def run_pass(mode: str, clients: int, solves_per_client: int,
+def run_pass(clients: int, solves_per_client: int,
              wedge_s: float, ref: dict[float, str]) -> list[str]:
     """One server lifetime under chaos; returns invariant violations."""
     fails: list[str] = []
-    tmp = tempfile.mkdtemp(prefix=f"chaos-{mode}-")
+    tmp = tempfile.mkdtemp(prefix="chaos-")
     sock_path = os.path.join(tmp, "serve.sock")
-    proc = start_server(sock_path, os.path.join(tmp, "journal"), mode, workers=4)
+    proc = start_server(sock_path, os.path.join(tmp, "journal"), workers=4)
     results: list[list[dict] | Exception] = [None] * clients  # type: ignore
 
     def drive(cid: int) -> None:
@@ -195,10 +195,10 @@ def run_pass(mode: str, clients: int, solves_per_client: int,
 
     for cid, res in enumerate(results):
         if isinstance(res, Exception):
-            fails.append(f"[{mode}] client {cid} died: {type(res).__name__}: {res}")
+            fails.append(f"client {cid} died: {type(res).__name__}: {res}")
             continue
         if res is None:
-            fails.append(f"[{mode}] client {cid} never completed")
+            fails.append(f"client {cid} never completed")
             continue
         by_id = {r["id"]: r for r in res if isinstance(r, dict) and "id" in r}
         anon = [r for r in res if not (isinstance(r, dict) and "id" in r)]
@@ -206,38 +206,38 @@ def run_pass(mode: str, clients: int, solves_per_client: int,
             jid = f"c{cid}-w{k}"
             r = by_id.get(jid)
             if r is None:
-                fails.append(f"[{mode}] well-formed {jid} got no terminal response")
+                fails.append(f"well-formed {jid} got no terminal response")
                 continue
             if not (r.get("ok") and r.get("converged")):
-                fails.append(f"[{mode}] well-formed {jid} did not converge: {r}")
+                fails.append(f"well-formed {jid} did not converge: {r}")
                 continue
             pen = PENALTIES[(cid + k) % len(PENALTIES)]
             if r.get("x_sha256") != ref[pen]:
                 fails.append(
-                    f"[{mode}] {jid} digest {r.get('x_sha256', '')[:12]} != "
+                    f"{jid} digest {r.get('x_sha256', '')[:12]} != "
                     f"serial replay {ref[pen][:12]} — NOT bit-identical"
                 )
         flavor = cid % 3
         if flavor == 0:
             r = by_id.get(f"c{cid}-crash")
             if r is None or r.get("reason") != "worker_crash":
-                fails.append(f"[{mode}] crash request misclassified: {r}")
+                fails.append(f"crash request misclassified: {r}")
         elif flavor == 1:
             r = by_id.get(f"c{cid}-wedge")
             if r is None or r.get("reason") != "request_timeout":
-                fails.append(f"[{mode}] wedge request misclassified: {r}")
+                fails.append(f"wedge request misclassified: {r}")
         else:
             if not any("invalid JSON" in str(r.get("error", "")) for r in anon):
-                fails.append(f"[{mode}] garbage JSON line was not answered")
+                fails.append("garbage JSON line was not answered")
             r = by_id.get(f"c{cid}-nan")
             if r is None or r.get("ok") or "non-finite" not in str(r.get("error", "")):
-                fails.append(f"[{mode}] NaN rhs not refused: {r}")
+                fails.append(f"NaN rhs not refused: {r}")
             r = by_id.get(f"c{cid}-shape")
             if r is None or r.get("ok") or r.get("reason") != "poisoned_payload":
-                fails.append(f"[{mode}] wrong-length rhs not refused: {r}")
+                fails.append(f"wrong-length rhs not refused: {r}")
             r = by_id.get(f"c{cid}-big")
             if r is None or r.get("ok") or r.get("reason") != "poisoned_payload":
-                fails.append(f"[{mode}] oversized rhs not refused: {r}")
+                fails.append(f"oversized rhs not refused: {r}")
 
     # Counters + clean shutdown on a fresh connection.
     try:
@@ -249,46 +249,46 @@ def run_pass(mode: str, clients: int, solves_per_client: int,
         n_wedge = sum(1 for c in range(clients) if c % 3 == 1)
         if adm.get("quarantined", 0) < n_crash + n_wedge:
             fails.append(
-                f"[{mode}] quarantined={adm.get('quarantined')} < "
+                f"quarantined={adm.get('quarantined')} < "
                 f"{n_crash + n_wedge} injected worker faults"
             )
         if n_wedge and not adm.get("rejected", {}).get("request_timeout") \
            and not stats.get("pool", {}).get("timeouts"):
-            fails.append(f"[{mode}] no timeout recorded anywhere: {adm}")
+            fails.append(f"no timeout recorded anywhere: {adm}")
         pool_stats = stats.get("pool", {})
         if n_crash and pool_stats.get("crashes", 0) < n_crash:
             fails.append(
-                f"[{mode}] pool crashes={pool_stats.get('crashes')} < {n_crash}"
+                f"pool crashes={pool_stats.get('crashes')} < {n_crash}"
             )
     except Exception as exc:  # noqa: BLE001
-        fails.append(f"[{mode}] stats/shutdown failed: {type(exc).__name__}: {exc}")
+        fails.append(f"stats/shutdown failed: {type(exc).__name__}: {exc}")
 
     try:
         proc.wait(timeout=60)
     except subprocess.TimeoutExpired:
         proc.kill()
-        fails.append(f"[{mode}] server did not exit after shutdown")
+        fails.append("server did not exit after shutdown")
     else:
         if proc.returncode != 0:
             fails.append(
-                f"[{mode}] server exit code {proc.returncode}: "
+                f"server exit code {proc.returncode}: "
                 f"{proc.stderr.read()[-800:]}"
             )
     return fails
 
 
-def run_kill_pass(mode: str, solves: int, ref: dict[float, str]) -> list[str]:
+def run_kill_pass(solves: int, ref: dict[float, str]) -> list[str]:
     """kill -9 between the request commit and the result commit, then
     ``--resume``; returns invariant violations."""
     fails: list[str] = []
-    tmp = tempfile.mkdtemp(prefix=f"chaos-kill-{mode}-")
+    tmp = tempfile.mkdtemp(prefix="chaos-kill-")
     journal = os.path.join(tmp, "journal")
     log_path = os.path.join(journal, "jobs.log")
     batch = [well_formed(0, k) for k in range(solves)]
     # one slow request holds the batch in flight while the rest are solved
     batch.append({"id": "c0-slow", "scale": SCALE, "penalty": PENALTIES[0],
                   "chaos": {"kind": "wedge", "seconds": 1.5}})
-    first = start_server(os.path.join(tmp, "a.sock"), journal, mode, workers=2)
+    first = start_server(os.path.join(tmp, "a.sock"), journal, workers=2)
     client = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     try:
         client.connect(os.path.join(tmp, "a.sock"))
@@ -303,9 +303,9 @@ def run_kill_pass(mode: str, solves: int, ref: dict[float, str]) -> list[str]:
     finally:
         client.close()
     if not os.path.exists(log_path) or os.path.getsize(log_path) == 0:
-        return [f"[{mode}] kill leg: the batch was never journaled"]
+        return ["kill leg: the batch was never journaled"]
 
-    second = start_server(os.path.join(tmp, "b.sock"), journal, mode, workers=2,
+    second = start_server(os.path.join(tmp, "b.sock"), journal, workers=2,
                           extra=("--resume",))
     try:
         out = talk(os.path.join(tmp, "b.sock"),
@@ -313,13 +313,13 @@ def run_kill_pass(mode: str, solves: int, ref: dict[float, str]) -> list[str]:
         stats = next(r["stats"] for r in out if r.get("cmd") == "stats")
         journal_stats = stats.get("journal", {})
         if journal_stats.get("records") != 2 * len(batch):
-            fails.append(f"[{mode}] kill leg: log holds {journal_stats.get('records')} "
+            fails.append(f"kill leg: log holds {journal_stats.get('records')} "
                          f"records, expected {2 * len(batch)}: {journal_stats}")
         print(f"chaos_serve:   resumed {len(batch)} in-flight job(s); journal {journal_stats}",
               flush=True)
         second.wait(timeout=60)
         if second.returncode != 0:
-            fails.append(f"[{mode}] kill leg: resumed server exit code "
+            fails.append(f"kill leg: resumed server exit code "
                          f"{second.returncode}: {second.stderr.read()[-800:]}")
         from repro.io.joblog import JobLog
 
@@ -329,14 +329,14 @@ def run_kill_pass(mode: str, solves: int, ref: dict[float, str]) -> list[str]:
                 job_id = request["id"]
                 answer = log.read("res", job_id)[1]["response"] if log.has("res", job_id) else None
                 if answer is None or not (answer["ok"] and answer["converged"]):
-                    fails.append(f"[{mode}] kill leg: {job_id} not recovered: {answer}")
+                    fails.append(f"kill leg: {job_id} not recovered: {answer}")
                 elif answer["x_sha256"] != ref[request["penalty"]]:
-                    fails.append(f"[{mode}] kill leg: {job_id} digest differs from "
+                    fails.append(f"kill leg: {job_id} digest differs from "
                                  "the serial replay — NOT bit-identical")
         finally:
             log.close()
     except Exception as exc:  # noqa: BLE001
-        fails.append(f"[{mode}] kill leg failed: {type(exc).__name__}: {exc}; "
+        fails.append(f"kill leg failed: {type(exc).__name__}: {exc}; "
                      f"server said: {second.stderr.read()[-800:] if second.poll() is not None else ''}")
     finally:
         if second.poll() is None:
@@ -348,30 +348,27 @@ def run_kill_pass(mode: str, solves: int, ref: dict[float, str]) -> list[str]:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--quick", action="store_true",
-                    help="CI tier: 4 clients, thread mode only, short wedges")
+                    help="CI tier: 4 clients, short wedges")
     ap.add_argument("--clients", type=int, default=8,
-                    help="concurrent clients per pass (full mode; >= 8 for "
-                    "the acceptance sweep)")
+                    help="concurrent clients (full sweep; >= 8 for the "
+                    "acceptance sweep)")
     ap.add_argument("--solves-per-client", type=int, default=3)
     args = ap.parse_args()
 
     clients = 4 if args.quick else max(args.clients, 3)
     wedge_s = 3.0 if args.quick else 6.0
-    modes = ["thread"] if args.quick else ["thread", "process"]
 
     t0 = time.time()
     print(f"chaos_serve: serial reference replay (scale {SCALE}) ...", flush=True)
     ref = serial_reference()
 
-    fails: list[str] = []
-    for mode in modes:
-        print(
-            f"chaos_serve: {mode} pool, {clients} clients x "
-            f"{args.solves_per_client} solves + faults ...", flush=True,
-        )
-        fails += run_pass(mode, clients, args.solves_per_client, wedge_s, ref)
-        print(f"chaos_serve: {mode} pool, kill -9 mid-flight + --resume ...", flush=True)
-        fails += run_kill_pass(mode, args.solves_per_client, ref)
+    print(
+        f"chaos_serve: {clients} clients x {args.solves_per_client} solves "
+        f"+ faults ...", flush=True,
+    )
+    fails = run_pass(clients, args.solves_per_client, wedge_s, ref)
+    print("chaos_serve: kill -9 mid-flight + --resume ...", flush=True)
+    fails += run_kill_pass(args.solves_per_client, ref)
 
     wall = time.time() - t0
     if fails:
@@ -379,12 +376,12 @@ def main() -> int:
         for f in fails:
             print(f"  FAIL {f}")
         return 1
-    n_well = clients * args.solves_per_client * len(modes)
+    n_well = clients * args.solves_per_client
     print(
         f"chaos_serve: PASS in {wall:.1f}s — {n_well} well-formed requests "
         f"all terminal + bit-identical to serial replay; every injected "
         f"crash/wedge/poison isolated and classified; kill -9 mid-flight "
-        f"resumed from the job log ({', '.join(modes)})"
+        "resumed from the job log"
     )
     return 0
 

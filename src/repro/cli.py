@@ -208,10 +208,7 @@ def _build_queue(args):
     ))
     pool = None
     if args.workers > 0:
-        pool = WorkerPool(
-            session, workers=args.workers, mode=args.worker_mode,
-            admission=admission,
-        )
+        pool = WorkerPool(session, workers=args.workers, admission=admission)
     retention = RetentionPolicy(
         keep_last=args.retention_keep, max_bytes=args.retention_max_bytes
     )
@@ -459,13 +456,8 @@ def main(argv: list[str] | None = None) -> int:
         )
         p.add_argument(
             "--workers", type=int, default=0, metavar="N",
-            help="dispatch independent solve groups to N concurrent "
-            "workers (default 0 = serial in-process solving)",
-        )
-        p.add_argument(
-            "--worker-mode", default="thread", choices=["thread", "process"],
-            help="worker flavor: threads (shared caches) or forked "
-            "processes (crash isolation); default thread",
+            help="dispatch independent solve groups to N forked worker "
+            "processes (default 0 = serial in-process solving)",
         )
         p.add_argument(
             "--max-queue-depth", type=int, default=256, metavar="N",

@@ -17,9 +17,9 @@ The hardened concurrency layer rides on top: an
 and payload size and enforces per-request deadlines (structured
 ``overloaded`` / ``request_timeout`` / ``poisoned_payload`` refusals,
 never exceptions), and a :class:`~repro.serve.pool.WorkerPool` fans
-independent fingerprint groups out to concurrent workers — threads, or
-forked processes for genuine crash isolation — while quarantining
-requests that crash or wedge a worker.  ``scripts/chaos_serve.py``
+independent fingerprint groups out to forked worker processes — crash
+isolated and kill-able at a deadline — while quarantining requests that
+crash or wedge a worker.  ``scripts/chaos_serve.py``
 drives the whole stack under injected faults.
 
 Entry points: ``repro serve`` (JSONL over stdio or a unix socket),

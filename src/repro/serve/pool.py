@@ -4,45 +4,41 @@ deadlines, fault isolation, and worker replacement.
 The coalescing batch pipeline (:class:`~repro.serve.session.SolverSession`)
 already partitions a batch into *independent* groups — distinct operator
 fingerprint / preconditioner / stopping criteria.  This module dispatches
-those groups to concurrent workers instead of a serial loop, which is the
-whole concurrency story: parallelism across groups, never inside one, so
-pooled answers stay bit-identical to a serial run (each group still runs
-the exact serial solve path, on a snapshot of the operator values).
+those groups to forked worker processes instead of a serial loop, which
+is the whole concurrency story: parallelism across groups, never inside
+one, so pooled answers stay bit-identical to a serial run (each child
+runs the exact serial solve path on its own lazy
+:class:`~repro.serve.session.SolverSession`).
 
-Two worker modes share one dispatch contract:
+The parent prepares and groups the batch — resolving ``precond="auto"``
+to a family with its own policy — and ships each group's requests with
+that family filled in, so a child never decides again; the group's
+outcome comes back in its responses and is recorded in the parent's
+policy history.  One dispatch thread per group polls the child's pipe up
+to the group's deadline: a child that dies mid-solve → ``WORKER_CRASH``
++ respawn; one still alive but silent at the deadline → SIGKILL +
+respawn + ``REQUEST_TIMEOUT``.  Threads would share the parent's caches
+but not the CPU (``_sparsetools`` holds the GIL) and could not stop a
+wedged solve; forked children are kill-able and crash-isolated at the
+price of per-child set-up caches.
 
-- ``"thread"`` (default) — worker threads inside the serving process.
-  Groups solve under the session's keyed locks with ``snapshot=True``.
-  Python threads cannot be killed, so a worker that wedges past a
-  request deadline is **abandoned**: its task is settled as
-  ``REQUEST_TIMEOUT``, the worker lands in a retired set (it discards
-  its stale result and exits whenever it wakes), and a replacement
-  thread is spawned so capacity never decays.
-- ``"process"`` — forked worker processes, each with its own lazy
-  :class:`~repro.serve.session.SolverSession`.  The dispatcher polls the
-  worker's pipe up to the group's deadline: a worker that dies mid-solve
-  → ``WORKER_CRASH`` + respawn; one still alive but silent at the
-  deadline → SIGKILL + respawn + ``REQUEST_TIMEOUT``.  Process mode buys
-  genuine kill-ability and crash isolation at the price of per-child
-  setup caches.
-
-Either way a fault is *contained*: the afflicted group's jobs get
-structured terminal responses (never exceptions), a quarantine record
-lands in the admission controller, and every other in-flight group keeps
-solving.  Faults are injected for the chaos harness via the protocol's
-``chaos`` field (gated on ``REPRO_SERVE_CHAOS``), which also forces the
-carrying request into a private group so a crash can only take down its
-own job.
+A fault is *contained*: the afflicted group's jobs get structured
+terminal responses (never exceptions), a quarantine record lands in the
+admission controller, and every other in-flight group keeps solving.
+Faults are injected for the chaos harness via the protocol's ``chaos``
+field (gated on ``REPRO_SERVE_CHAOS``), which also forces the carrying
+request into a private group so a crash can only take down its own job.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import os
 import queue as _queue
 import stat
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 from repro import obs
@@ -58,19 +54,13 @@ _WEDGE_DEFAULT_S = 30.0
 
 @dataclass
 class _Task:
-    """One group dispatch: where to solve, where the answers go."""
+    """One group dispatch: what to solve, where the answers go."""
 
-    key: tuple
     idxs: list[int]
     prepared: list
     responses: list
-    scratch: list
-    args: tuple  # (fp, precond, eps, max_iter)
+    precond: str  # the group's resolved family
     deadline: float | None  # absolute monotonic, None = unbounded
-    state: str = "pending"  # -> "done" | "timeout"
-    worker: str | None = None
-    lock: threading.Lock = field(default_factory=threading.Lock)
-    done: threading.Event = field(default_factory=threading.Event)
 
 
 class _ProcSlot:
@@ -154,7 +144,7 @@ def _process_worker_main(conn) -> None:
 
 
 class WorkerPool:
-    """Dispatch independent solve groups to concurrent workers.
+    """Dispatch independent solve groups to forked worker processes.
 
     Drop-in for ``SolverSession.solve_batch`` from the queue's point of
     view: same request-order responses, same coalescing semantics, plus
@@ -165,19 +155,15 @@ class WorkerPool:
         self,
         session: SolverSession,
         workers: int = 2,
-        mode: str = "thread",
         admission: AdmissionController | None = None,
         solve_timeout_s: float | None = None,
     ) -> None:
         if workers < 1:
             raise ValueError(f"pool needs >= 1 worker, got {workers}")
-        if mode not in ("thread", "process"):
-            raise ValueError(f"mode must be 'thread' or 'process', got {mode!r}")
         if solve_timeout_s is not None and solve_timeout_s <= 0:
             raise ValueError(f"solve_timeout_s must be positive, got {solve_timeout_s}")
         self.session = session
         self.workers = int(workers)
-        self.mode = mode
         self.admission = admission
         self.solve_timeout_s = solve_timeout_s
         self._lock = threading.Lock()
@@ -187,23 +173,15 @@ class WorkerPool:
             "crashes": 0, "replaced_workers": 0,
         }
         self._per_worker: dict[str, int] = {}
-        if mode == "thread":
-            self._tasks: _queue.Queue = _queue.Queue()
-            self._retired: set[str] = set()
-            self._threads: dict[str, threading.Thread] = {}
-            self._spawn_seq = 0
-            for _ in range(self.workers):
-                self._spawn_thread_worker()
-        else:
-            import multiprocessing as mp
+        import multiprocessing as mp
 
-            self._ctx = mp.get_context("fork")
-            self._free: _queue.Queue = _queue.Queue()
-            self._slots: dict[int, _ProcSlot] = {}
-            for wid in range(self.workers):
-                self._slots[wid] = _ProcSlot(self._ctx, wid)
-                self._free.put(wid)
-        obs.metric_set("serve.pool.workers", self.workers, mode=mode)
+        self._ctx = mp.get_context("fork")
+        self._free: _queue.Queue = _queue.Queue()
+        self._slots: dict[int, _ProcSlot] = {}
+        for wid in range(self.workers):
+            self._slots[wid] = _ProcSlot(self._ctx, wid)
+            self._free.put(wid)
+        obs.metric_set("serve.pool.workers", self.workers)
 
     # -- public API --------------------------------------------------------
 
@@ -223,27 +201,19 @@ class WorkerPool:
             if deadline is None and self.solve_timeout_s is not None:
                 deadline = now + self.solve_timeout_s
             tasks.append(_Task(
-                key=key, idxs=idxs, prepared=prepared, responses=responses,
-                scratch=[None] * len(responses), args=key[:4], deadline=deadline,
+                idxs=idxs, prepared=prepared, responses=responses,
+                precond=key[1], deadline=deadline,
             ))
         with self._lock:
             self._stats["dispatched"] += len(tasks)
-        if self.mode == "thread":
-            for task in tasks:
-                self._tasks.put(task)
-            for task in tasks:
-                self._await_thread_task(task)
-        else:
-            threads = [
-                threading.Thread(
-                    target=self._dispatch_process_group, args=(task,), daemon=True
-                )
-                for task in tasks
-            ]
-            for t in threads:
-                t.start()
-            for t in threads:
-                t.join()
+        threads = [
+            threading.Thread(target=self._dispatch, args=(task,), daemon=True)
+            for task in tasks
+        ]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
         self.session.count_served(responses)
         return [r for r in responses if r is not None]
 
@@ -251,7 +221,6 @@ class WorkerPool:
         with self._lock:
             out: dict[str, Any] = dict(self._stats)
             out["per_worker"] = dict(self._per_worker)
-        out["mode"] = self.mode
         out["workers"] = self.workers
         return out
 
@@ -261,27 +230,16 @@ class WorkerPool:
             if self._closed:
                 return
             self._closed = True
-        if self.mode == "thread":
-            with self._lock:
-                live = [
-                    name for name, t in self._threads.items()
-                    if t.is_alive() and name not in self._retired
-                ]
-            for _ in live:
-                self._tasks.put(None)
-            for name in live:
-                self._threads[name].join(timeout=2.0)
-        else:
-            for slot in self._slots.values():
-                try:
-                    slot.conn.send(None)
-                except (BrokenPipeError, OSError):
-                    pass
-            for slot in self._slots.values():
+        for slot in self._slots.values():
+            try:
+                slot.conn.send(None)
+            except (BrokenPipeError, OSError):
+                pass
+        for slot in self._slots.values():
+            slot.proc.join(timeout=2.0)
+            if slot.proc.is_alive():
+                slot.proc.kill()
                 slot.proc.join(timeout=2.0)
-                if slot.proc.is_alive():
-                    slot.proc.kill()
-                    slot.proc.join(timeout=2.0)
 
     def __enter__(self) -> "WorkerPool":
         return self
@@ -289,155 +247,17 @@ class WorkerPool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    # -- shared accounting -------------------------------------------------
+    # -- one group ---------------------------------------------------------
 
-    def _quarantine(self, job_id: str, reason: FailureReason, detail: str) -> None:
-        if self.admission is not None:
-            self.admission.quarantine(
-                QuarantineRecord(job_id=job_id, reason=reason.value, detail=detail)
-            )
-
-    def _fail_task(
-        self, task: _Task, reason: FailureReason, detail: str
-    ) -> None:
-        """Settle every job of a faulted group with a structured answer.
-
-        Caller must hold ``task.lock`` and have checked state is pending.
-        """
-        for i in task.idxs:
-            job_id = task.prepared[i]["job_id"]
-            task.responses[i] = rejection_response(job_id, reason, detail)
-            self._quarantine(job_id, reason, detail)
-
-    def _tally(self, worker: str) -> None:
-        with self._lock:
-            self._stats["completed"] += 1
-            self._per_worker[worker] = self._per_worker.get(worker, 0) + 1
-        obs.metric_inc("serve.pool.groups", worker=worker)
-
-    # -- thread mode -------------------------------------------------------
-
-    def _spawn_thread_worker(self) -> str:
-        with self._lock:
-            self._spawn_seq += 1
-            name = f"w{self._spawn_seq}"
-        t = threading.Thread(
-            target=self._thread_worker_main, args=(name,),
-            name=f"serve-pool-{name}", daemon=True,
-        )
-        self._threads[name] = t
-        t.start()
-        return name
-
-    def _thread_worker_main(self, name: str) -> None:
-        while True:
-            task = self._tasks.get()
-            if task is None:
-                return
-            with task.lock:
-                if task.state != "pending":
-                    continue  # expired while queued; dispatcher answered
-                task.worker = name
-            chaos = task.prepared[task.idxs[0]]["req"].chaos
-            if chaos is not None and chaos["kind"] == "crash":
-                with task.lock:
-                    if task.state == "pending":
-                        detail = "chaos: worker crashed holding the request"
-                        self._fail_task(task, FailureReason.WORKER_CRASH, detail)
-                        task.state = "done"
-                        task.done.set()
-                self._note_crash_and_replace(name)
-                return  # the "crashed" thread really does die
-            if chaos is not None and chaos["kind"] == "wedge":
-                time.sleep(float(chaos.get("seconds", _WEDGE_DEFAULT_S)))
-            with task.lock:
-                if task.state != "pending":
-                    # Wedged past the deadline: dispatcher already answered
-                    # REQUEST_TIMEOUT and retired us.
-                    if self._is_retired(name):
-                        return
-                    continue
-            try:
-                fp, precond, eps, max_iter = task.args
-                self.session._solve_group(
-                    fp, precond, eps, max_iter, task.idxs,
-                    task.prepared, task.scratch, snapshot=True,
-                )
-            except Exception as exc:  # _solve_group shields; belt-and-braces
-                with task.lock:
-                    if task.state == "pending":
-                        self._fail_task(
-                            task, FailureReason.WORKER_CRASH,
-                            f"worker raised: {type(exc).__name__}: {exc}",
-                        )
-                        task.state = "done"
-                        task.done.set()
-                self._note_crash_and_replace(name)
-                return
-            with task.lock:
-                if task.state == "pending":
-                    for i in task.idxs:
-                        task.responses[i] = task.scratch[i]
-                    task.state = "done"
-                    task.done.set()
-                    self._tally(name)
-            if self._is_retired(name):
-                return  # late finish of an abandoned worker
-
-    def _is_retired(self, name: str) -> bool:
-        with self._lock:
-            return name in self._retired
-
-    def _note_crash_and_replace(self, name: str) -> None:
-        with self._lock:
-            self._stats["crashes"] += 1
-            self._stats["replaced_workers"] += 1
-            self._threads.pop(name, None)
-            closed = self._closed
-        obs.metric_inc("serve.pool.crashes")
-        if not closed:
-            self._spawn_thread_worker()
-
-    def _await_thread_task(self, task: _Task) -> None:
-        timeout = None
-        if task.deadline is not None:
-            timeout = max(0.0, task.deadline - time.monotonic())
-        if task.done.wait(timeout):
-            return
-        abandoned: str | None = None
-        with task.lock:
-            if task.state != "pending":
-                return  # finished in the race window
-            task.state = "timeout"
-            abandoned = task.worker
-            where = (
-                "mid-solve (worker abandoned)" if abandoned
-                else "in the pool queue"
-            )
-            self._fail_task(
-                task, FailureReason.REQUEST_TIMEOUT,
-                f"deadline expired {where}",
-            )
-            task.done.set()
-        with self._lock:
-            self._stats["timeouts"] += 1
-        obs.metric_inc("serve.pool.timeouts")
-        if abandoned is not None:
-            with self._lock:
-                self._retired.add(abandoned)
-                self._stats["replaced_workers"] += 1
-                closed = self._closed
-            obs.metric_inc("serve.pool.replaced")
-            if not closed:
-                self._spawn_thread_worker()
-
-    # -- process mode ------------------------------------------------------
-
-    def _dispatch_process_group(self, task: _Task) -> None:
+    def _dispatch(self, task: _Task) -> None:
         wid = self._free.get()
         try:
             slot = self._slots[wid]
-            sub = [task.prepared[i]["req"] for i in task.idxs]
+            # the parent's policy chose the family: the child solves that
+            sub = [
+                dataclasses.replace(task.prepared[i]["req"], precond=task.precond)
+                for i in task.idxs
+            ]
             try:
                 slot.conn.send(sub)
                 # no deadline: wait until the answer or the child's EOF
@@ -447,10 +267,10 @@ class WorkerPool:
                 answered = slot.conn.poll(timeout)
                 out = slot.conn.recv() if answered else None
             except (EOFError, OSError):
-                self._process_crash(task, wid, "worker pipe broke mid-solve")
+                self._crash(task, wid, "worker pipe broke mid-solve")
                 return
             if not answered and not slot.proc.is_alive():
-                self._process_crash(
+                self._crash(
                     task, wid,
                     f"worker process died mid-solve (exit {slot.proc.exitcode})",
                 )
@@ -458,35 +278,42 @@ class WorkerPool:
             if not answered:  # alive but silent at the deadline
                 slot.proc.kill()
                 slot.proc.join(timeout=2.0)
-                with task.lock:
-                    if task.state == "pending":
-                        task.state = "timeout"
-                        self._fail_task(
-                            task, FailureReason.REQUEST_TIMEOUT,
-                            "deadline expired mid-solve (worker killed)",
-                        )
-                        task.done.set()
+                self._fail_task(
+                    task, FailureReason.REQUEST_TIMEOUT,
+                    "deadline expired mid-solve (worker killed)",
+                )
                 with self._lock:
                     self._stats["timeouts"] += 1
                 obs.metric_inc("serve.pool.timeouts")
                 self._respawn(wid)
                 return
-            with task.lock:
-                if task.state == "pending":
-                    for j, i in enumerate(task.idxs):
-                        task.responses[i] = out[j]
-                    task.state = "done"
-                    task.done.set()
+            for j, i in enumerate(task.idxs):
+                task.responses[i] = out[j]
+            self.session.record_group_outcome(
+                task.prepared[task.idxs[0]]["decision"], task.precond, out
+            )
             self._tally(f"p{wid}")
         finally:
             self._free.put(wid)
 
-    def _process_crash(self, task: _Task, wid: int, detail: str) -> None:
-        with task.lock:
-            if task.state == "pending":
-                self._fail_task(task, FailureReason.WORKER_CRASH, detail)
-                task.state = "done"
-                task.done.set()
+    def _fail_task(self, task: _Task, reason: FailureReason, detail: str) -> None:
+        """Settle every job of a faulted group with a structured answer."""
+        for i in task.idxs:
+            job_id = task.prepared[i]["job_id"]
+            task.responses[i] = rejection_response(job_id, reason, detail)
+            if self.admission is not None:
+                self.admission.quarantine(
+                    QuarantineRecord(job_id=job_id, reason=reason.value, detail=detail)
+                )
+
+    def _tally(self, worker: str) -> None:
+        with self._lock:
+            self._stats["completed"] += 1
+            self._per_worker[worker] = self._per_worker.get(worker, 0) + 1
+        obs.metric_inc("serve.pool.groups", worker=worker)
+
+    def _crash(self, task: _Task, wid: int, detail: str) -> None:
+        self._fail_task(task, FailureReason.WORKER_CRASH, detail)
         with self._lock:
             self._stats["crashes"] += 1
         obs.metric_inc("serve.pool.crashes")

@@ -34,7 +34,7 @@ Concurrency: ``submit``/``process`` are thread-safe (the socket front end
 runs one thread per connection).  Without a pool, concurrent ``process``
 calls serialize on an internal lock — the session's serial path mutates
 shared operator values in place and must stay single-consumer; with a
-pool, they overlap freely (the pool snapshots per-group values).  The log
+pool, they overlap freely (each group solves in a forked worker).  The log
 takes whole commits under its own lock.  One queue per journal
 directory: the log holds a ``flock`` until :meth:`JobQueue.close`.
 

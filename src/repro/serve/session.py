@@ -39,7 +39,6 @@ from collections import OrderedDict
 from typing import Any, Callable
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import obs
 from repro.fem.model import ContactStructure
@@ -72,7 +71,7 @@ class LRUCache:
         self.misses = 0
         self.evictions = 0
         self._data: OrderedDict[Any, Any] = OrderedDict()
-        # Concurrent pool workers share the workspace tiers; an RLock is
+        # Concurrent connection threads share the workspace tiers; an RLock is
         # enough because entries are never mutated in place under the
         # lock, only looked up / inserted / evicted.
         self._lock = threading.RLock()
@@ -250,30 +249,28 @@ class SolverSession:
     """A long-lived solving context: the workspace caches and the policy.
 
     ``solve_batch`` is the coalescing entry point the queue uses; a
-    single ``solve`` is just a batch of one.  The batch pipeline is
-    exposed in three phases — :meth:`prepare_batch`,
-    :meth:`group_batch`, :meth:`_solve_group` — so the worker pool
-    (:mod:`repro.serve.pool`) can dispatch independent groups to
-    concurrent workers while reusing the exact serial solve path (which
-    is what keeps pooled answers bit-identical to a serial run).
+    single ``solve`` is just a batch of one.  A batch runs in three
+    phases — :meth:`prepare_batch`, :meth:`group_batch`, one solve per
+    group.  The worker pool (:mod:`repro.serve.pool`) runs the first two
+    here and ships each group to a forked child whose own session runs
+    the exact serial solve path (which is what keeps pooled answers
+    bit-identical to a serial run); each group's outcome comes back
+    through :meth:`record_group_outcome`.
 
     Concurrency contract: every workspace tier is individually
-    thread-safe, and :meth:`_solve_group` serializes on two keyed locks
+    thread-safe, and the session serializes on two keyed locks
 
-    - a *structure* lock per ``(model, scale)`` — held only while
+    - a *structure* lock per ``(model, scale)`` — held while
       :meth:`~repro.fem.model.ContactStructure.system` writes values into
-      the shared union-pattern CSR (and, under ``snapshot=True``, while
-      those values are copied out);
+      the shared union-pattern CSR, and while the ``auto`` probe reads
+      them (connection threads run :meth:`prepare_batch` concurrently);
+      a group solve reads them after, so whole batches stay
+      single-consumer (:class:`~repro.serve.queue.JobQueue` serializes
+      them when no pool is attached);
     - a *factor* lock per ``(model, scale, precond)`` — held for the
       whole group solve, because the cached factorization object is
       ``refactor``-ed **in place** on a penalty change and must not be
       re-valued while another group is applying it.
-
-    Groups with distinct factor keys run fully concurrently; groups
-    sharing one are serialized (they share a mutable factor, so they are
-    not independent).  Pool workers pass ``snapshot=True`` so each group
-    iterates on its own value array; snapshots share the pattern's index
-    arrays, so the IC ``refactor`` identity fast path still hits.
     """
 
     def __init__(self, capacity: int = 8, policy_mode: str = "learned",
@@ -403,8 +400,7 @@ class SolverSession:
     # -- one coalesced group ---------------------------------------------
 
     def _solve_group(self, fp: str, precond: str, eps: float, max_iter: int | None,
-                     idxs: list[int], prepared: list, responses: list,
-                     *, snapshot: bool = False) -> None:
+                     idxs: list[int], prepared: list, responses: list) -> None:
         first = prepared[idxs[0]]
         req0: SolveRequest = first["req"]
         s: ContactStructure = first["s"]
@@ -413,14 +409,6 @@ class SolverSession:
             with self._lock_for(("factor", req0.model, req0.scale, precond)):
                 with self._lock_for(("structure", req0.model, req0.scale)):
                     a = s.system(req0.penalty)
-                    if snapshot:
-                        # Private value array for this group (concurrent
-                        # groups re-materialize the shared pattern);
-                        # index arrays are shared, so the factorization's
-                        # pattern identity fast path still applies.
-                        a = sp.csr_matrix(
-                            (a.data.copy(), a.indices, a.indptr), shape=a.shape
-                        )
                 m, f_event, setups = self.workspace.preconditioner(
                     req0.model, req0.scale, precond, a, s.groups, fp
                 )
@@ -463,7 +451,9 @@ class SolverSession:
                 bres = block_cg_solve(a, np.column_stack(cols), m, eps=eps,
                                       max_iter=max_iter, record_history=False)
                 xs = [bres.x[:, j] for j in range(len(cols))]
-                iters = list(bres.column_iterations)
+                # a column that never converged ran every block iteration
+                iters = [k if k >= 0 else bres.iterations
+                         for k in bres.column_iterations]
                 relres = list(bres.relative_residuals)
                 conv = list(bres.converged_columns)
                 total_iters = bres.iterations
@@ -476,14 +466,6 @@ class SolverSession:
             return
 
         wall = time.perf_counter() - t0
-        decision = first.get("decision")
-        if decision is not None:
-            # one outcome per coalesced group: the policy chose once, the
-            # group paid once
-            self.policy.record_outcome(
-                decision, precond,
-                seconds=wall, converged=all(conv), iterations=int(total_iters),
-            )
         cache = {"structure": first["s_event"], "factor": f_event}
         ncoal = len(idxs)
 
@@ -516,10 +498,32 @@ class SolverSession:
                 symbolic_setups=setups.get("symbolic", 0),
                 numeric_setups=setups.get("numeric", 0),
             )
+        self.record_group_outcome(
+            first.get("decision"), precond, [responses[i] for i in idxs]
+        )
         obs.metric_inc("serve.groups")
         obs.metric_inc("serve.jobs", ncoal)
         if ncoal > 1:
             obs.metric_inc("serve.coalesced_jobs", ncoal)
+
+    def record_group_outcome(self, decision, precond: str,
+                             responses: list[SolveResponse]) -> None:
+        """Fold one coalesced group's outcome into the policy history.
+
+        One outcome per group — the policy chose once, the group paid
+        once — read off the group's responses: its wall seconds, whether
+        every column converged, and the most iterations a column ran.
+        A group a pool worker solved is recorded by the session that
+        decided it, exactly as one solved here.  A request that named
+        its family (no *decision*) or a failed group records nothing."""
+        if decision is None or not all(r.ok for r in responses):
+            return
+        self.policy.record_outcome(
+            decision, precond,
+            seconds=responses[0].wall_seconds,
+            converged=all(r.converged for r in responses),
+            iterations=max(r.iterations for r in responses),
+        )
 
     def stats(self) -> dict[str, Any]:
         return {

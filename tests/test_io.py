@@ -1,70 +1,11 @@
 import numpy as np
 import pytest
 
-from repro.fem.generators import box_mesh, simple_block_model
+from repro.fem.generators import simple_block_model
 from repro.fem.model import build_contact_problem
-from repro.io import read_local_data, read_mesh, write_local_data, write_mesh
+from repro.io import read_local_data, write_local_data
 from repro.parallel import LockstepComm, partition_nodes_rcb
 from repro.parallel.partition import build_domains
-
-
-class TestMeshIO:
-    def test_roundtrip_full(self, tmp_path):
-        mesh = simple_block_model(3, 3, 2, 3, 3)
-        path = tmp_path / "block.msh"
-        write_mesh(mesh, path)
-        back = read_mesh(path)
-        assert np.allclose(back.coords, mesh.coords)
-        assert np.array_equal(back.hexes, mesh.hexes)
-        assert np.array_equal(back.material_ids, mesh.material_ids)
-        assert set(back.node_sets) == set(mesh.node_sets)
-        for name in mesh.node_sets:
-            assert np.array_equal(back.node_sets[name], mesh.node_sets[name])
-        assert len(back.contact_groups) == len(mesh.contact_groups)
-        for a, b in zip(back.contact_groups, mesh.contact_groups):
-            assert np.array_equal(a, b)
-
-    def test_roundtrip_no_contact(self, tmp_path):
-        mesh = box_mesh(2, 2, 2)
-        path = tmp_path / "box.msh"
-        write_mesh(mesh, path)
-        back = read_mesh(path)
-        assert back.contact_groups == []
-        assert back.n_elem == mesh.n_elem
-
-    def test_comments_and_blank_lines_ignored(self, tmp_path):
-        mesh = box_mesh(1, 1, 1)
-        path = tmp_path / "c.msh"
-        write_mesh(mesh, path)
-        text = path.read_text()
-        path.write_text("# header comment\n\n" + text.replace("!NODE\n", "!NODE  # nodes\n", 1))
-        back = read_mesh(path)
-        assert back.n_nodes == 8
-
-    def test_solve_from_reloaded_mesh(self, tmp_path):
-        """A reloaded mesh produces the identical linear system."""
-        mesh = simple_block_model(2, 2, 2, 2, 2)
-        path = tmp_path / "m.msh"
-        write_mesh(mesh, path)
-        back = read_mesh(path)
-        p1 = build_contact_problem(mesh, penalty=1e4)
-        p2 = build_contact_problem(back, penalty=1e4)
-        assert np.allclose((p1.a - p2.a).data if (p1.a - p2.a).nnz else 0.0, 0.0)
-        assert np.allclose(p1.b, p2.b)
-
-    def test_rejects_wrong_element_type(self, tmp_path):
-        path = tmp_path / "bad.msh"
-        path.write_text("!MESH 1 0\n!NODE\n0 0 0\n!ELEMENT TET4\n")
-        with pytest.raises(ValueError, match="element type"):
-            read_mesh(path)
-
-    def test_rejects_unknown_section(self, tmp_path):
-        mesh = box_mesh(1, 1, 1)
-        path = tmp_path / "u.msh"
-        write_mesh(mesh, path)
-        path.write_text(path.read_text() + "!WEIRD 1\n")
-        with pytest.raises(ValueError, match="unknown section"):
-            read_mesh(path)
 
 
 class TestDistIO:

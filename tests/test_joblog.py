@@ -501,7 +501,7 @@ class TestConcurrentCommits:
     def test_pooled_queue_under_six_threads_records_every_job_once(self, tmp_path):
         session = SolverSession()
         session.solve_batch([_req(job_id="warm")])
-        pool = WorkerPool(session, workers=2, mode="thread")
+        pool = WorkerPool(session, workers=2)
         queue = JobQueue(session=session, journal_dir=tmp_path, pool=pool)
         threads_n, batches_n = 6, 20
         errors: list[BaseException] = []

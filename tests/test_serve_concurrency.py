@@ -3,8 +3,8 @@ fault isolation, journal retention.
 
 The robustness properties of the concurrency tentpole live here:
 
-- pooled solves (thread and process mode) are **bit-identical** to the
-  serial batch path — concurrency is across groups, never inside one;
+- pooled solves (forked workers) are **bit-identical** to the serial
+  batch path — concurrency is across groups, never inside one;
 - a crashed or wedged worker settles only its own group's jobs (with a
   structured ``worker_crash`` / ``request_timeout`` answer + quarantine
   record) while every other group keeps solving, and the pool replaces
@@ -259,12 +259,16 @@ class TestRetention:
             session=session, journal_dir=tmp_path,
             retention=RetentionPolicy(keep_last=1),
         )
-        for i in range(3):
-            queue.submit(_req(job_id=f"ret-{i}"))
+        # Each id one character longer than the last, so one dropped job
+        # never outweighs the next on its own: the records otherwise
+        # differ only by the repr length of ``wall_seconds``, a byte
+        # either way, which would decide the batch that rewrites.
+        for job_id in ("ret-0", "ret-01", "ret-002"):
+            queue.submit(_req(job_id=job_id))
             queue.process()
             # index-exact: only the newest finished job is on record,
             # whatever the file still holds
-            assert queue._log.finished()[0][0] == f"ret-{i}"
+            assert queue._log.finished()[0][0] == job_id
             assert queue.stats()["journal"]["records"] == 2
         # disk-amortised: the file was rewritten once, when the two
         # dropped jobs outweighed the kept one
@@ -306,98 +310,16 @@ class TestRetention:
         reopened.close()
 
 
-# -- worker pool: thread mode -------------------------------------------------
+# -- worker pool: forked workers ---------------------------------------------
 
 
-class TestWorkerPoolThread:
+class TestWorkerPoolProcess:
     def test_constructor_validates(self, session):
         with pytest.raises(ValueError):
             WorkerPool(session, workers=0)
         with pytest.raises(ValueError):
-            WorkerPool(session, mode="fiber")
-        with pytest.raises(ValueError):
             WorkerPool(session, solve_timeout_s=0.0)
 
-    def test_pooled_answers_bit_identical_to_serial(self, session):
-        def batch():
-            return [
-                _req(job_id=f"bit-{p}", precond=p) for p in POOL_PRECONDS
-            ]
-
-        serial = session.solve_batch(batch())
-        with WorkerPool(session, workers=3, mode="thread") as pool:
-            pooled = pool.solve_batch(batch())
-        assert all(r.ok and r.converged for r in pooled)
-        assert [r.x_sha256 for r in pooled] == [r.x_sha256 for r in serial]
-        assert [r.job_id for r in pooled] == [r.job_id for r in serial]
-
-    def test_crash_isolated_to_its_own_group(self, session):
-        admission = AdmissionController(AdmissionPolicy())
-        pool = WorkerPool(session, workers=2, mode="thread",
-                          admission=admission)
-        try:
-            out = pool.solve_batch([
-                _req(job_id="ok-1"),
-                _req(job_id="boom", chaos={"kind": "crash"}),
-                _req(job_id="ok-2", precond="bic0"),
-            ])
-            by_id = {r.job_id: r for r in out}
-            assert by_id["ok-1"].ok and by_id["ok-1"].converged
-            assert by_id["ok-2"].ok and by_id["ok-2"].converged
-            assert not by_id["boom"].ok
-            assert by_id["boom"].reason == "worker_crash"
-            # the fault is observable and capacity was restored
-            assert admission.stats()["quarantined"] >= 1
-            stats = pool.stats()
-            assert stats["crashes"] == 1
-            assert stats["replaced_workers"] >= 1
-            # the pool keeps serving after the fault
-            again = pool.solve_batch([_req(job_id="after-crash")])
-            assert again[0].ok and again[0].converged
-        finally:
-            pool.close()
-
-    def test_wedged_worker_abandoned_at_deadline(self, session):
-        admission = AdmissionController(AdmissionPolicy())
-        pool = WorkerPool(session, workers=2, mode="thread",
-                          admission=admission)
-        try:
-            t0 = time.monotonic()
-            out = pool.solve_batch([
-                _req(job_id="stuck", deadline_s=0.3,
-                     chaos={"kind": "wedge", "seconds": 5.0}),
-                _req(job_id="fine"),
-            ])
-            elapsed = time.monotonic() - t0
-            by_id = {r.job_id: r for r in out}
-            assert not by_id["stuck"].ok
-            assert by_id["stuck"].reason == "request_timeout"
-            assert by_id["fine"].ok and by_id["fine"].converged
-            assert elapsed < 4.0  # answered at the deadline, not the wedge
-            assert pool.stats()["timeouts"] == 1
-            assert pool.stats()["replaced_workers"] >= 1
-        finally:
-            pool.close()
-
-    def test_per_worker_tallies_sum_to_completed(self, session):
-        with WorkerPool(session, workers=2, mode="thread") as pool:
-            pool.solve_batch(
-                [_req(job_id=f"tally-{p}", precond=p) for p in POOL_PRECONDS]
-            )
-            stats = pool.stats()
-        assert sum(stats["per_worker"].values()) == stats["completed"] == 3
-        assert stats["mode"] == "thread" and stats["workers"] == 2
-
-    def test_close_is_idempotent(self, session):
-        pool = WorkerPool(session, workers=1, mode="thread")
-        pool.close()
-        pool.close()
-
-
-# -- worker pool: process mode ------------------------------------------------
-
-
-class TestWorkerPoolProcess:
     def test_pooled_answers_bit_identical_to_serial(self, session):
         def batch():
             return [
@@ -406,15 +328,15 @@ class TestWorkerPoolProcess:
             ]
 
         serial = session.solve_batch(batch())
-        with WorkerPool(session, workers=2, mode="process") as pool:
+        with WorkerPool(session, workers=2) as pool:
             pooled = pool.solve_batch(batch())
         assert all(r.ok and r.converged for r in pooled)
         assert [r.x_sha256 for r in pooled] == [r.x_sha256 for r in serial]
+        assert [r.job_id for r in pooled] == [r.job_id for r in serial]
 
     def test_child_death_classified_and_respawned(self, session):
         admission = AdmissionController(AdmissionPolicy())
-        pool = WorkerPool(session, workers=1, mode="process",
-                          admission=admission)
+        pool = WorkerPool(session, workers=1, admission=admission)
         try:
             out = pool.solve_batch(
                 [_req(job_id="pboom", chaos={"kind": "crash"})]
@@ -430,7 +352,7 @@ class TestWorkerPoolProcess:
             pool.close()
 
     def test_wedged_child_killed_at_deadline(self, session):
-        pool = WorkerPool(session, workers=1, mode="process")
+        pool = WorkerPool(session, workers=1)
         try:
             t0 = time.monotonic()
             out = pool.solve_batch([
@@ -445,11 +367,10 @@ class TestWorkerPoolProcess:
         finally:
             pool.close()
 
-
     def test_crash_and_wedge_leave_sibling_groups_untouched(self, session):
         """One batch: a crashed child, a wedged child, a healthy group."""
         serial = session.solve_batch([_req(job_id="pfine", precond="bic0")])
-        pool = WorkerPool(session, workers=3, mode="process")
+        pool = WorkerPool(session, workers=3)
         try:
             out = pool.solve_batch([
                 _req(job_id="pboom", chaos={"kind": "crash"}),
@@ -473,9 +394,55 @@ class TestWorkerPoolProcess:
         finally:
             pool.close()
 
+    def test_per_worker_tallies_sum_to_completed(self, session):
+        with WorkerPool(session, workers=2) as pool:
+            pool.solve_batch(
+                [_req(job_id=f"tally-{p}", precond=p) for p in POOL_PRECONDS]
+            )
+            stats = pool.stats()
+        assert sum(stats["per_worker"].values()) == stats["completed"] == 3
+        assert stats["workers"] == 2
 
-@pytest.mark.parametrize("mode", ["thread", "process"])
-def test_pooled_setups_census_matches_serial(mode):
+    def test_close_is_idempotent(self, session):
+        pool = WorkerPool(session, workers=1)
+        pool.close()
+        pool.close()
+
+    def test_pooled_auto_outcomes_learned_in_the_parent(self):
+        """``precond: "auto"`` is decided by the parent's policy, so its
+        history must learn from pooled groups as from serial ones — while
+        the solving itself happens in the children, whose set-up caches
+        are their own."""
+        def batch():
+            return [
+                _req(job_id=f"pauto-{k}", penalty=pen, precond="auto")
+                for k, pen in enumerate((1e4, 2e4, 4e4))
+            ]
+
+        def learned(session):
+            return {
+                fp: {fam: (st["runs"], st["failures"], st["total_iterations"])
+                     for fam, st in by_family.items()}
+                for fp, by_family in
+                session.workspace.policy_history.to_dict()["outcomes"].items()
+            }
+
+        serial_session = SolverSession(policy_mode="learned")
+        serial = serial_session.solve_batch(batch())
+        parent = SolverSession(policy_mode="learned")
+        with WorkerPool(parent, workers=3) as pool:
+            pooled = pool.solve_batch(batch())
+        assert all(r.ok and r.converged for r in pooled)
+        assert [r.x_sha256 for r in pooled] == [r.x_sha256 for r in serial]
+        assert sum(runs for by_family in learned(parent).values()
+                   for runs, _, _ in by_family.values()) == 3
+        assert learned(parent) == learned(serial_session)
+        assert len(parent.workspace.factors) == 0  # solved in the children
+
+
+# The case id names the pool's worker substrate: forked processes.
+@pytest.mark.parametrize("workers", [pytest.param(4, id="process")])
+def test_pooled_setups_census_matches_serial(workers):
     """Each response's ``setups`` counts its own group's work only, however
     many cold groups build their factors concurrently."""
     def batch():
@@ -488,7 +455,7 @@ def test_pooled_setups_census_matches_serial(mode):
     assert [r.setups for r in serial] == [
         {"symbolic": 1, "numeric": 1, "evictions": 0}
     ] * 4
-    with WorkerPool(SolverSession(), workers=4, mode=mode) as pool:
+    with WorkerPool(SolverSession(), workers=workers) as pool:
         pooled = pool.solve_batch(batch())
     assert [r.setups for r in pooled] == [r.setups for r in serial]
 
@@ -498,7 +465,7 @@ def test_pooled_setups_census_matches_serial(mode):
 
 class TestQueueWithPool:
     def test_stats_shape_has_every_section(self, session, tmp_path):
-        pool = WorkerPool(session, workers=2, mode="thread")
+        pool = WorkerPool(session, workers=2)
         queue = JobQueue(
             session=session, journal_dir=tmp_path, pool=pool,
             admission=AdmissionController(AdmissionPolicy()),
@@ -526,7 +493,7 @@ class TestQueueWithPool:
             serial_q.submit(_req(job_id=f"sq-{i}", rhs={"seed": i}))
         serial_jobs = serial_q.process()
 
-        pool = WorkerPool(session, workers=2, mode="thread")
+        pool = WorkerPool(session, workers=2)
         pooled_q = JobQueue(session=session, pool=pool)
         try:
             for i in range(4):
