@@ -12,8 +12,9 @@ are bit-exact by construction).  Three failure legs:
     mid-solve (its halo state is destroyed).  The heartbeat probe raises
     :class:`~repro.resilience.taxonomy.RankFailure`; :func:`parallel_cg`
     rebuilds the dead rank from its durable local data
-    (``DistributedSystem.enable_recovery``) with a numeric-only refactor
-    on the cached symbolic pattern, rolls back to the last in-memory
+    (``DistributedSystem.enable_recovery``) — a numeric-only refactor on
+    the cached symbolic pattern here, a full set-up in the replacement
+    worker on the process transport — rolls back to the last in-memory
     checkpoint, and resumes — local failure, local recovery.
 
 ``rollback``
@@ -30,11 +31,13 @@ are bit-exact by construction).  Three failure legs:
 
 ``--transport process`` re-runs the matrix over the **real-process
 transport** (:mod:`repro.parallel.transport`), where nothing is
-simulated: the ``rank_kill`` leg SIGKILLs a live worker OS process
-mid-solve (detection via deadline + ``Process.is_alive``, recovery via a
-forked replacement on the same pipes), a ``comm_timeout`` leg wedges a
-worker past the whole wait budget (detected as
-``COMM_TIMEOUT``, recovered by rollback without a respawn), and the
+simulated: the ``rank_kill`` leg SIGKILLs a live rank worker OS process
+mid-solve (detection via EOF on its pipe, recovery via one replacement
+worker forked for that rank alone, which rebuilds its factor because the
+symbolic pattern died with the old one), a ``comm_timeout`` leg wedges a
+worker past the whole wait budget (detected as ``COMM_TIMEOUT`` and
+recovered by rollback; the transport replaces the wedged worker when it
+has not returned to its command loop within the reap grace), and the
 ``process_kill`` leg forks the ALM outer loop as a genuine child process
 and SIGKILLs it after a journaled cycle.  Recovery in process mode
 demands **bit-exact** agreement with the undisturbed lockstep run

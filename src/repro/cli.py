@@ -18,7 +18,7 @@ Perfetto).
 partitions the model (RCB, ``--ndomains``) and solves over real forked
 worker processes (:mod:`repro.parallel.transport`); ``--rank-traces
 DIR`` makes each worker export a rank-tagged JSONL trace, merged into
-one Chrome timeline (plus a per-rank compute/wait table) with ``repro
+one Chrome timeline (plus a per-rank set-up/compute/wait table) with ``repro
 trace --merge DIR/trace.rank*.jsonl``.
 """
 

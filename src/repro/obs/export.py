@@ -91,7 +91,8 @@ def export_jsonl(
 
 def _rank_records(paths) -> list[tuple[int, float | None, dict]]:
     """``(rank, file epoch t0, record)`` for every span/event of per-rank
-    JSONL files; a rank may have several files (one per solver epoch)."""
+    JSONL files; a rank may have several files (one per worker process,
+    when a dead or wedged one was replaced)."""
     out = []
     for i, p in enumerate(paths):
         t0 = None
@@ -108,7 +109,7 @@ def merge_rank_traces(paths, out) -> Path:
     """Merge per-rank JSONL traces into one Chrome trace-event file.
 
     Input files are the ``trace.rank<r>*.jsonl`` exports a process
-    transport's workers write when their epoch ends (``export_jsonl(...,
+    transport's workers rewrite after every command (``export_jsonl(...,
     rank=r)``).  Each rank becomes its own ``pid`` lane (named
     ``rank <r>`` via process_name metadata); spans become complete
     ``X`` events.  When every file carries a ``meta`` record with its
@@ -156,10 +157,11 @@ def merge_rank_traces(paths, out) -> Path:
 
 def rank_time_table(paths) -> str:
     """Where each rank's time went, from per-rank JSONL traces: seconds
-    computing, waiting for peers at halo exchanges and at allreduces,
-    and copying halos, plus the communication share — the comm/compute
-    split of the paper's Fig. 20, measured on a real run."""
-    cols = ("rank.compute", "halo", "allreduce", "halo_exchange")
+    building its own factor, computing, waiting for peers at halo
+    exchanges and at allreduces, and copying halos, plus the
+    communication share of the solve — the comm/compute split of the
+    paper's Fig. 20, measured on a real run, with set-up beside it."""
+    cols = ("rank.setup", "rank.compute", "halo", "allreduce", "halo_exchange")
     totals: dict[int, dict[str, float]] = {}
     for rank, _, rec in _rank_records(paths):
         name = rec["name"]
@@ -171,15 +173,17 @@ def rank_time_table(paths) -> str:
     if not totals:
         return "(no rank.compute / rank.wait spans in trace)"
     lines = [
-        f"{'rank':>4} {'compute s':>10} {'wait halo s':>12} "
+        f"{'rank':>4} {'setup s':>9} {'compute s':>10} {'wait halo s':>12} "
         f"{'wait allred s':>14} {'halo copy s':>12} {'comm %':>7}"
     ]
     for rank, row in sorted(totals.items()):
-        comm = sum(row.values()) - row["rank.compute"]
-        share = 100.0 * comm / sum(row.values()) if comm else 0.0
+        solve = sum(row.values()) - row["rank.setup"]
+        comm = solve - row["rank.compute"]
+        share = 100.0 * comm / solve if comm else 0.0
         lines.append(
-            f"{rank:>4} {row['rank.compute']:>10.4f} {row['halo']:>12.4f} "
-            f"{row['allreduce']:>14.4f} {row['halo_exchange']:>12.4f} {share:>7.1f}"
+            f"{rank:>4} {row['rank.setup']:>9.4f} {row['rank.compute']:>10.4f} "
+            f"{row['halo']:>12.4f} {row['allreduce']:>14.4f} "
+            f"{row['halo_exchange']:>12.4f} {share:>7.1f}"
         )
     return "\n".join(lines)
 

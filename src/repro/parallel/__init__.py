@@ -7,8 +7,9 @@ Fig. 8, and a genuinely distributed parallel CG whose iterates match the
 sequential solver bit-for-bit in exact arithmetic.
 
 The communicator is pluggable (:mod:`repro.parallel.transport`): the
-lockstep emulation by default, one forked OS worker process per rank
-(each running its rank's CG) with ``--transport process`` /
+lockstep emulation by default, one resident forked OS worker process
+per rank (each building its rank's factor and running its CG) with
+``--transport process`` /
 ``REPRO_TRANSPORT=process`` — both behind the same Comm surface, selected
 through :func:`~repro.parallel.transport.registry.create_transport`.
 """

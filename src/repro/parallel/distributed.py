@@ -5,9 +5,11 @@ boundary exchange before every matrix-vector product, per-rank partial
 dot products combined by allreduce, and a *localized* preconditioner
 applied to internal DOFs with no communication — exactly the GeoFEM
 solver of paper section 2.2.  The rank-local iteration is a generator
-that yields at each collective; the lockstep emulation advances all
-ranks inside this process, the process transport runs one of them in
-each forked worker.  In exact arithmetic the iterates coincide with a
+(:func:`rank_cg`) that yields at each collective; the lockstep emulation
+advances all ranks inside this process, the process transport runs one
+of them in each rank's resident worker — the same worker that built
+that rank's factor, side by side with its peers, and keeps it for every
+solve.  In exact arithmetic the iterates coincide with a
 sequential CG preconditioned by
 :class:`~repro.precond.localized.LocalizedPreconditioner`; the tests
 assert that correspondence.
@@ -23,7 +25,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dataclass_field
-from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -64,9 +65,80 @@ class _CommFaultDetected(Exception):
         self.mismatch = mismatch
 
 
+def _rows_dof(dom: LocalDomain) -> np.ndarray:
+    """Global DOF ids of a domain's internal rows."""
+    return (dom.internal_nodes[:, None] * dom.b + np.arange(dom.b)).reshape(-1)
+
+
+def _internal_block(dom: LocalDomain) -> sp.csr_matrix:
+    """A domain's rows restricted to its own DOFs: external couplings
+    dropped, the localized preconditioning of paper section 2.2."""
+    return dom.a_local[:, : dom.n_internal * dom.b].tocsr()
+
+
+def _localized_setup(dom: LocalDomain, factory: LocalPrecondFactory):
+    """One rank's set-up: its internal block and the factory's
+    preconditioner on it.  No communication."""
+    internal = _internal_block(dom)
+    return internal, factory(internal, dom.internal_nodes)
+
+
+def _localized_refactor(dom, internal, m, factory) -> Preconditioner:
+    """Bring one rank's preconditioner to the values now in ``dom.a_local``:
+    numeric-only when it can refactor, else the factory again.  The
+    internal block's entries are the row entries left of the first
+    external column (``a_local`` keeps its rows' columns sorted)."""
+    internal.data[:] = dom.a_local.data[dom.a_local.indices < dom.n_internal * dom.b]
+    if hasattr(m, "refactor"):
+        m.refactor(internal)
+        return m
+    return factory(internal, dom.internal_nodes)
+
+
+@dataclass(frozen=True)
+class RankHandle:
+    """The driver's view of a localized preconditioner that lives in a
+    rank worker (process transport): what :class:`CGResult` and
+    :meth:`DistributedSystem.enable_recovery` read of a factor.  It has
+    no ``symbolic``: the pattern lives, and dies, with its worker."""
+
+    name: str
+    setup_seconds: float
+    stats: dict
+
+    @classmethod
+    def of(cls, m: Preconditioner) -> "RankHandle":
+        stats = m.factorization_stats() if hasattr(m, "factorization_stats") else {}
+        return cls(getattr(m, "name", type(m).__name__), m.setup_seconds, stats)
+
+    def factorization_stats(self) -> dict:
+        return dict(self.stats)
+
+
+# -- commands a rank worker runs: fn(rank, state, *args) -----------------
+
+
+def _worker_refactor(rank: int, state, values: list[np.ndarray]) -> RankHandle:
+    state.dom.a_local.data[:] = values[rank]
+    state.precond = _localized_refactor(
+        state.dom, state.internal, state.precond, state.factory
+    )
+    return RankHandle.of(state.precond)
+
+
+def _worker_cg(rank: int, state, *args):
+    return rank_cg(rank, state.dom, state.precond, *args)
+
+
 @dataclass
 class DistributedSystem:
-    """A partitioned SPD system ready for :func:`parallel_cg`."""
+    """A partitioned SPD system ready for :func:`parallel_cg`.
+
+    On the lockstep emulation ``preconds`` holds the per-domain
+    preconditioners and ``local_internals`` the blocks they factor; on
+    the process transport both live in the rank workers, ``preconds``
+    holds a :class:`RankHandle` per rank and ``local_internals`` is
+    empty (:attr:`resident`)."""
 
     domains: list[LocalDomain]
     comm: LockstepComm
@@ -79,8 +151,12 @@ class DistributedSystem:
     local_internals: list[sp.csr_matrix] = dataclass_field(default_factory=list)
     _a_pattern: tuple[np.ndarray, np.ndarray] | None = None
     _a_maps: list[np.ndarray] | None = None
-    _internal_maps: list[np.ndarray] | None = None
     _recovery: dict | None = None
+
+    @property
+    def resident(self) -> bool:
+        """Whether the factors live in rank workers rather than here."""
+        return hasattr(self.comm, "run")
 
     @classmethod
     def from_global(
@@ -99,7 +175,9 @@ class DistributedSystem:
         The preconditioner factory receives each domain's *internal*
         sub-matrix (external couplings dropped — the localized
         preconditioning of section 2.2) plus the global ids of the
-        domain's nodes.
+        domain's nodes.  On the process transport each rank worker calls
+        it for its own rank, at the same time as its peers; an exception
+        or warning it raises there reaches this call.
 
         ``transport`` selects the communication fabric through the
         registry (:mod:`repro.parallel.transport.registry`): explicit
@@ -115,14 +193,28 @@ class DistributedSystem:
         a = check_square_csr(a)
         domains = build_domains(a, node_domain, b=b)
         comm = create_transport(domains, transport, **(transport_opts or {}))
-        preconds, b_parts, local_internals = [], [], []
-        for dom in domains:
-            ni_dof = dom.n_internal * b
-            local_internal = dom.a_local[:, :ni_dof].tocsr()
-            local_internals.append(local_internal)
-            preconds.append(precond_factory(local_internal, dom.internal_nodes))
-            rows_dof = (dom.internal_nodes[:, None] * b + np.arange(b)).reshape(-1)
-            b_parts.append(np.asarray(b_vec, dtype=np.float64)[rows_dof])
+        b_vec = np.asarray(b_vec, dtype=np.float64)
+        b_parts = [b_vec[_rows_dof(dom)] for dom in domains]
+        local_internals, preconds = [], []
+        if hasattr(comm, "start"):
+
+            def setup(rank, state):  # runs in rank's worker, inherited by fork
+                state.dom, state.factory = domains[rank], precond_factory
+                state.internal, state.precond = _localized_setup(
+                    state.dom, precond_factory
+                )
+                return RankHandle.of(state.precond)
+
+            try:
+                preconds = comm.start(setup)
+            except BaseException:
+                comm.close()
+                raise
+        else:
+            for dom in domains:
+                internal, m = _localized_setup(dom, precond_factory)
+                local_internals.append(internal)
+                preconds.append(m)
         return cls(
             domains=domains,
             comm=comm,
@@ -149,7 +241,8 @@ class DistributedSystem:
         pipeline; afterwards every refactorization is a fancy-index
         gather per domain plus a numeric-only preconditioner refactor
         (full factory rebuild only for preconditioners that do not
-        expose ``refactor``).
+        expose ``refactor``).  On the process transport the refactors
+        run in the rank workers, side by side, on the factors they kept.
         """
         a = check_square_csr(a)
         indptr, indices = self._a_pattern
@@ -162,41 +255,31 @@ class DistributedSystem:
                 "build a new DistributedSystem with from_global instead"
             )
         if self._a_maps is None:
-            self._build_value_maps(a)
+            # gather maps global a.data -> each domain's a_local.data
+            pos_domains = build_domains(position_matrix(a), self.node_domain, b=self.b)
+            self._a_maps = [
+                positions_from_data(pdom.a_local.data, dom.a_local.nnz)
+                for pdom, dom in zip(pos_domains, self.domains)
+            ]
         with obs_span("system_refactor", ranks=len(self.domains)):
-            for d, dom in enumerate(self.domains):
-                dom.a_local.data[:] = a.data[self._a_maps[d]]
-                li = self.local_internals[d]
-                li.data[:] = a.data[self._internal_maps[d]]
-                m = self.preconds[d]
-                if hasattr(m, "refactor"):
-                    m.refactor(li)
-                else:
-                    self.preconds[d] = self.precond_factory(li, dom.internal_nodes)
+            for dom, a_map in zip(self.domains, self._a_maps):
+                dom.a_local.data[:] = a.data[a_map]
+            if self.resident:
+                alloc = self.comm.scratch()
+                values = [alloc(dom.a_local.nnz) for dom in self.domains]
+                for dst, dom in zip(values, self.domains):
+                    dst[:] = dom.a_local.data
+                self.preconds = self.comm.run(_worker_refactor, values)
+            else:
+                for d, dom in enumerate(self.domains):
+                    self.preconds[d] = _localized_refactor(
+                        dom, self.local_internals[d], self.preconds[d],
+                        self.precond_factory,
+                    )
         if b_vec is not None:
             b_vec = np.asarray(b_vec, dtype=np.float64)
-            for d, dom in enumerate(self.domains):
-                rows_dof = (
-                    dom.internal_nodes[:, None] * self.b + np.arange(self.b)
-                ).reshape(-1)
-                self.b_parts[d] = b_vec[rows_dof]
+            self.b_parts = [b_vec[_rows_dof(dom)] for dom in self.domains]
         return self
-
-    def _build_value_maps(self, a: sp.csr_matrix) -> None:
-        """Gather maps global ``a.data`` -> each domain's local arrays."""
-        pos_domains = build_domains(position_matrix(a), self.node_domain, b=self.b)
-        self._a_maps, self._internal_maps = [], []
-        for d, pdom in enumerate(pos_domains):
-            self._a_maps.append(
-                positions_from_data(
-                    pdom.a_local.data, self.domains[d].a_local.nnz
-                )
-            )
-            ni_dof = pdom.n_internal * self.b
-            li_pos = pdom.a_local[:, :ni_dof].tocsr()
-            self._internal_maps.append(
-                positions_from_data(li_pos.data, self.local_internals[d].nnz)
-            )
 
     # -- local-failure-local-recovery (DESIGN.md section 10) -----------
 
@@ -242,7 +325,9 @@ class DistributedSystem:
         refactors the local preconditioner from the cached symbolic
         pattern (full factory rebuild only when none was cached), and
         announces itself to the communicator via ``revive`` so heartbeat
-        probes succeed again.
+        probes succeed again.  On the process transport ``revive`` forks
+        a replacement worker for this rank alone, which builds its factor
+        from the recovered domain (the symbolic died with the old one).
         """
         if self._recovery is None:
             raise RuntimeError(
@@ -257,23 +342,25 @@ class DistributedSystem:
         else:
             dom = _clone_domain(store["domains"][rank])
         self.domains[rank] = dom  # list shared with the communicator
-        ni_dof = dom.n_internal * self.b
-        li = dom.a_local[:, :ni_dof].tocsr()
-        self.local_internals[rank] = li
         self.b_parts[rank] = store["b_parts"][rank].copy()
         sym = store["symbolics"][rank]
-        if sym is not None:
-            from repro.precond.icfact import BlockICFactorization
-
-            self.preconds[rank] = BlockICFactorization(
-                li, symbolic=sym, name=store["names"][rank]
-            )
-            how = "numeric refactor on cached symbolic pattern"
+        if self.resident:
+            self.preconds[rank] = self.comm.revive(rank)
+            how = "replacement worker rebuilt its factor"
         else:
-            self.preconds[rank] = self.precond_factory(li, dom.internal_nodes)
-            how = "full preconditioner rebuild (no cached symbolic)"
-        if hasattr(self.comm, "revive"):
-            self.comm.revive(rank)
+            li = self.local_internals[rank] = _internal_block(dom)
+            if sym is not None:
+                from repro.precond.icfact import BlockICFactorization
+
+                self.preconds[rank] = BlockICFactorization(
+                    li, symbolic=sym, name=store["names"][rank]
+                )
+                how = "numeric refactor on cached symbolic pattern"
+            else:
+                self.preconds[rank] = self.precond_factory(li, dom.internal_nodes)
+                how = "full preconditioner rebuild (no cached symbolic)"
+            if hasattr(self.comm, "revive"):
+                self.comm.revive(rank)
         if report is not None:
             report.record(
                 "retry",
@@ -287,9 +374,7 @@ class DistributedSystem:
         """Assemble the global solution from internal parts."""
         out = np.empty(self.ndof)
         for dom, xp in zip(self.domains, x_parts):
-            b = dom.b
-            rows_dof = (dom.internal_nodes[:, None] * b + np.arange(b)).reshape(-1)
-            out[rows_dof] = xp
+            out[_rows_dof(dom)] = xp
         return out
 
     @property
@@ -299,7 +384,8 @@ class DistributedSystem:
     # -- lifecycle ------------------------------------------------------
 
     def close(self) -> None:
-        """Tell the transport it will not be used again.
+        """Tell the transport it will not be used again (the process
+        transport stops its rank workers).
 
         A no-op for the lockstep emulation; idempotent everywhere, so the
         context-manager form is safe regardless of transport."""
@@ -328,20 +414,23 @@ def _clone_domain(dom: LocalDomain) -> LocalDomain:
 
 
 class _KrylovState:
-    """Every rank's ``x``/``r``/``p``, halo-extended work vector, and the
-    residual history, allocated through *alloc* so that a process
-    transport can put them where its rank workers and the driver both
-    see them (``np.zeros`` otherwise).
+    """Every rank's right-hand side, ``x``/``r``/``p``, halo-extended work
+    vector, and the residual history, allocated through *alloc* so that a
+    process transport can put them where its rank workers and the driver
+    both see them (``np.zeros`` otherwise).  A transport that owns the
+    halo vectors its collectives move passes them as *halo*.
 
     ``iters[rank]`` is the number of iterations that rank has completed:
-    what the driver reports when a fault ends an epoch from outside."""
+    what the driver reports when a fault ends a solve attempt from outside."""
 
-    def __init__(self, domains: list[LocalDomain], max_iter: int, alloc) -> None:
+    def __init__(
+        self, domains: list[LocalDomain], max_iter: int, alloc, halo=None
+    ) -> None:
         b = domains[0].b
         sizes = [dom.n_internal * b for dom in domains]
-        self.x, self.r, self.p = ([alloc(n) for n in sizes] for _ in "xrp")
+        self.b, self.x, self.r, self.p = ([alloc(n) for n in sizes] for _ in "bxrp")
         # internal + external slots; every exchange fills all external ones
-        self.halo = [alloc(dom.n_local * b) for dom in domains]
+        self.halo = halo or [alloc(dom.n_local * b) for dom in domains]
         self.history = alloc(max_iter + 1)
         self.iters = alloc(len(domains))
 
@@ -364,10 +453,57 @@ class _RankHistory:
         return self.values[key]
 
 
-def _run_in_process(comm, halo_check: bool, program, halo: list[np.ndarray]) -> list:
-    """Advance every rank's generator in lockstep through *comm*'s
-    collective surface; returns the ranks' outcomes."""
-    gens = [program(rank) for rank in range(comm.size)]
+def rank_cg(rank, dom, m, st: _KrylovState, store, resume, halo_check, cg_opts):
+    """Rank *rank*'s :func:`~repro.solvers.cg.cg_program` for one solve
+    attempt (from *resume*, when a rollback set it) on its domain *dom*
+    and localized preconditioner *m*; *cg_opts* are the stopping rules.
+
+    Module-level, so that a rank worker forked long before the solve
+    receives it by reference.  What is distributed about it is the
+    matrix-vector product: the rank copies its direction into the
+    halo-extended work vector — every exchange overwrites all its
+    external slots — yields :data:`~repro.parallel.comm.HALO` for the
+    boundary exchange (answered with the owner/ghost mismatch) and
+    multiplies its rows.  Every exchange is followed by an allreduce
+    before the next one, which is what lets a transport reuse one halo
+    buffer per rank."""
+    halo = st.halo[rank]
+    a_matvec = _as_matvec(dom.a_local)
+    ni = st.x[rank].size
+
+    def matvec(v):
+        halo[:ni] = v
+        mismatch = yield HALO  # a process-transport rank always gets one
+        if halo_check and (mismatch > 0.0 or not np.isfinite(mismatch)):
+            raise _CommFaultDetected(mismatch)
+        return a_matvec(halo)
+
+    return cg_program(
+        matvec,
+        m,
+        st.b[rank],
+        st.x[rank],
+        st.r[rank],
+        st.p[rank],
+        _RankHistory(st, rank, 0 if resume is None else resume.iteration + 1),
+        **cg_opts,
+        store=store,
+        rank=rank,
+        resume=resume,
+        # one rank speaks for the solve in the trace
+        labels={"solver": "parallel_cg"} if rank == 0 else None,
+    )
+
+
+def _run_in_process(system, st, store, resume, halo_check, cg_opts) -> list:
+    """Advance every rank's :func:`rank_cg` in lockstep through the
+    system's communicator's collective surface; returns the ranks'
+    outcomes."""
+    comm, halo = system.comm, st.halo
+    gens = [
+        rank_cg(rank, dom, m, st, store, resume, halo_check, cg_opts)
+        for rank, (dom, m) in enumerate(zip(system.domains, system.preconds))
+    ]
     replies = [None] * len(gens)
     while True:
         requests, outcomes = [], []
@@ -404,13 +540,13 @@ def parallel_cg(
     """Preconditioned CG on a distributed system, one SPMD body per rank.
 
     The iteration is :func:`~repro.solvers.cg.cg_program`, the same body
-    :func:`~repro.solvers.cg.cg_solve` runs for one rank.  On a
-    communicator that can run rank programs itself (the process
-    transport's ``run_ranks``: one forked worker per rank computes on
-    its own domain and meets its peers only at the collectives) the
-    ranks run concurrently; on any other communicator (lockstep, the
-    fault-injecting wrappers) they are advanced in lockstep inside
-    this process.  The reductions are rank-ordered either way, so the
+    :func:`~repro.solvers.cg.cg_solve` runs for one rank, wrapped per
+    rank by :func:`rank_cg`.  On the process transport each rank's
+    resident worker runs it on the factor it built and kept, computing
+    on its own domain and meeting its peers only at the collectives, so
+    the ranks run concurrently; on any other communicator (lockstep, the
+    fault-injecting wrappers) they are advanced in lockstep inside this
+    process.  The reductions are rank-ordered either way, so the
     iterates, the iteration count and the message census do not depend
     on which it was.
 
@@ -427,20 +563,21 @@ def parallel_cg(
     ``checkpoint_interval > 0`` every rank snapshots its Krylov state
     every that-many iterations
     (:class:`~repro.resilience.checkpoint.CGCheckpointStore`), and a
-    detected fault ends the current *epoch* of rank programs and starts
-    the next one from the last snapshot every rank completed, up to
-    ``max_rollbacks`` times:
+    detected fault ends the current solve attempt and starts the next one
+    from the last snapshot every rank completed — or from the beginning,
+    when none has been yet — up to ``max_rollbacks`` times:
 
     - a transient ``COMM_FAULT`` (corrupted halo) rolls every rank back
       and re-executes — the retried exchanges are clean, so the iterates
       rejoin the fault-free trajectory exactly;
     - a :class:`~repro.resilience.taxonomy.CommTimeout` (a real
       transport's budget exhausted while every peer stayed alive)
-      likewise rolls back and re-executes — no rank state was lost, so
-      no respawn is involved;
+      likewise rolls back and re-executes; the transport has replaced
+      any worker that did not come back, nothing else is rebuilt;
     - a persistent :class:`~repro.resilience.taxonomy.RankFailure` (a
-      dead worker process; :class:`~repro.resilience.faults.DeadRankComm`
-      in the emulation) first rebuilds the dead rank via
+      dead worker process, mid-solve or idle before it;
+      :class:`~repro.resilience.faults.DeadRankComm` in the emulation)
+      first rebuilds the dead rank via
       :meth:`DistributedSystem.recover_rank` — which requires
       :meth:`DistributedSystem.enable_recovery` to have been called —
       then rolls back and resumes.
@@ -456,79 +593,47 @@ def parallel_cg(
         if report is not None:
             report.record("detect", "parallel_cg", reason, iteration=it, detail=detail)
 
-    alloc = getattr(comm, "shared_array", np.zeros)
-    st = _KrylovState(system.domains, max_iter, alloc)
+    alloc = comm.scratch() if system.resident else np.zeros
+    st = _KrylovState(system.domains, max_iter, alloc, getattr(comm, "halo", None))
+    for dst, src in zip(st.b, system.b_parts):
+        dst[:] = src
     store = None
     if checkpoint_interval:
         from repro.resilience.checkpoint import CGCheckpointStore
 
         store = CGCheckpointStore([v.size for v in st.x], checkpoint_interval, alloc)
-    run = getattr(comm, "run_ranks", None) or partial(_run_in_process, comm, halo_check)
-    deadline = None if time_budget is None else time.perf_counter() + time_budget
+    cg_opts = dict(
+        eps=eps,
+        max_iter=max_iter,
+        stagnation_window=stagnation_window,
+        stagnation_rtol=stagnation_rtol,
+        deadline=None if time_budget is None else time.perf_counter() + time_budget,
+    )
     rollbacks = 0
     resume = None
-
-    def program(rank: int):
-        """Rank *rank*'s :func:`~repro.solvers.cg.cg_program` for the
-        epoch that starts now (from *resume*, when a rollback set it).
-
-        What is distributed about it is the matrix-vector product: the
-        rank copies its direction into the halo-extended work vector —
-        allocated once per solve, every exchange overwrites all its
-        external slots — yields :data:`~repro.parallel.comm.HALO` for
-        the boundary exchange (answered with the owner/ghost mismatch)
-        and multiplies its rows.  Every exchange is followed by an
-        allreduce before the next one, which is what lets a transport
-        reuse one halo buffer per rank."""
-        halo = st.halo[rank]
-        a_matvec = _as_matvec(system.domains[rank].a_local)
-        ni = st.x[rank].size
-
-        def matvec(v):
-            halo[:ni] = v
-            mismatch = yield HALO  # a process-transport rank always gets one
-            if halo_check and (mismatch > 0.0 or not np.isfinite(mismatch)):
-                raise _CommFaultDetected(mismatch)
-            return a_matvec(halo)
-
-        return cg_program(
-            matvec,
-            system.preconds[rank],
-            system.b_parts[rank],
-            st.x[rank],
-            st.r[rank],
-            st.p[rank],
-            _RankHistory(st, rank, 0 if resume is None else resume.iteration + 1),
-            eps=eps,
-            max_iter=max_iter,
-            stagnation_window=stagnation_window,
-            stagnation_rtol=stagnation_rtol,
-            deadline=deadline,
-            store=store,
-            rank=rank,
-            resume=resume,
-            # one rank speaks for the solve in the trace
-            labels={"solver": "parallel_cg"} if rank == 0 else None,
-        )
 
     timer = Timer()
     with obs_span(
         "parallel_cg", ranks=len(system.domains), ndof=system.ndof, eps=eps
     ), timer, obs_span("cg_iterations"):
         while True:
-            # One guard around the whole epoch: with a real transport any
-            # collective can fail.  A fault may leave x/r half-updated —
-            # harmless, because recovery always restores the full Krylov
-            # state from the snapshot.
+            # One guard around the whole attempt: with a real transport
+            # any collective can fail.  A fault may leave x/r half-updated
+            # — harmless, because recovery always restores the full
+            # Krylov state from the snapshot (or starts afresh).
             dead = None
             try:
-                out = run(program, st.halo)[0]
+                args = (st, store, resume, halo_check, cg_opts)
+                if system.resident:
+                    out = comm.run(_worker_cg, *args)[0]
+                else:
+                    out = _run_in_process(system, *args)[0]
             except RankFailure as fail:
                 reason, dead = FailureReason.RANK_FAILURE, fail.rank
                 detail = f"rank {fail.rank} unresponsive after {fail.probes} probes"
             except CommTimeout as slow:
                 # peers alive, budget exhausted: no state was lost, so
-                # roll back and re-execute — no respawn
+                # roll back and re-execute
                 reason = FailureReason.COMM_TIMEOUT
                 detail = (
                     f"{slow.op} outlived its {slow.elapsed:.3g}s budget "
@@ -543,9 +648,8 @@ def parallel_cg(
                 break
             done = int(st.iters.max())
             detect(reason, done, detail)
-            ck = None if store is None else store.latest
             if (
-                ck is None
+                store is None
                 or rollbacks >= max_rollbacks
                 or (dead is not None and not system.can_recover)
             ):
@@ -553,17 +657,22 @@ def parallel_cg(
                 break
             if dead is not None:
                 system.recover_rank(dead, report=report)
-            resume = store.restore(st.x, st.r, st.p)
-            st.iters[:] = resume.iteration
+            # the last snapshot every rank committed; none yet: the start
+            resume = store.restore(st.x, st.r, st.p) if store.latest else None
+            st.iters[:] = 0 if resume is None else resume.iteration
             rollbacks += 1
             metric_inc("cg.rollbacks")
             if report is not None:
                 report.record(
                     "recover",
                     "parallel_cg",
-                    iteration=resume.iteration,
-                    detail=f"rolled back to checkpointed iteration "
-                    f"{resume.iteration} (rollback {rollbacks}/{max_rollbacks})",
+                    iteration=0 if resume is None else resume.iteration,
+                    detail=(
+                        "restarted from the beginning (no snapshot committed yet)"
+                        if resume is None
+                        else f"rolled back to checkpointed iteration {resume.iteration}"
+                    )
+                    + f" (rollback {rollbacks}/{max_rollbacks})",
                 )
 
     record_solve_metrics(out, timer.elapsed, solver="parallel_cg")

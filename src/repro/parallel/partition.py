@@ -125,7 +125,10 @@ def build_domains(
 
     ``a`` is the global scalar CSR (``n_nodes * b`` square); the block
     graph of ``a`` defines node adjacency, so external nodes are exactly
-    the off-domain columns referenced by a domain's rows.
+    the off-domain columns referenced by a domain's rows.  Each
+    ``a_local`` is a row gather of ``a`` whose column indices are
+    renumbered into the local numbering (``a`` is canonicalized first, so
+    duplicate entries are summed before the cut).
     """
     a = check_square_csr(a)
     n_nodes = a.shape[0] // b
@@ -138,36 +141,30 @@ def build_domains(
         raise ValueError(f"{node_domain.size} domain ids for {n_nodes} nodes")
     ndomains = int(node_domain.max()) + 1
 
-    # Node-level adjacency from the scalar pattern.
-    coo = a.tocoo()
-    ni = coo.row // b
-    nj = coo.col // b
-
     domains: list[LocalDomain] = []
     for d in range(ndomains):
         internal = np.flatnonzero(node_domain == d).astype(np.int64)
         if internal.size == 0:
             raise ValueError(f"domain {d} is empty")
+        rows_dof = (internal[:, None] * b + np.arange(b)).reshape(-1)
+        sub = a[rows_dof]  # my rows, global column numbering
         # external nodes: columns of my rows owned elsewhere
-        mine = node_domain[ni] == d
-        ext = np.unique(nj[mine & (node_domain[nj] != d)])
+        referenced = np.zeros(n_nodes, dtype=bool)
+        referenced[sub.indices // b] = True
+        referenced[internal] = False
+        ext = np.flatnonzero(referenced)
         glob2loc = np.full(n_nodes, -1, dtype=np.int64)
         glob2loc[internal] = np.arange(internal.size)
         glob2loc[ext] = internal.size + np.arange(ext.size)
-
-        rows_dof = (internal[:, None] * b + np.arange(b)).reshape(-1)
-        sub = a[rows_dof]  # rows restricted
-        subc = sub.tocoo()
-        # map global DOF columns to local DOF columns
-        col_nodes = subc.col // b
-        local_cols = glob2loc[col_nodes] * b + subc.col % b
-        if (glob2loc[col_nodes] < 0).any():
+        # global DOF column -> local DOF column (negative: neither kind)
+        dof2loc = (glob2loc[:, None] * b + np.arange(b)).reshape(-1)
+        local_cols = dof2loc[sub.indices]
+        if local_cols.size and local_cols.min() < 0:
             raise AssertionError("row references a node that is neither internal nor external")
         nloc = internal.size + ext.size
         a_local = sp.csr_matrix(
-            (subc.data, (subc.row, local_cols)), shape=(rows_dof.size, nloc * b)
+            (sub.data, local_cols, sub.indptr), shape=(rows_dof.size, nloc * b)
         )
-        a_local.sum_duplicates()
         a_local.sort_indices()
 
         # receive tables: external nodes grouped by owner
@@ -192,10 +189,8 @@ def build_domains(
         for owner, ext_local in dom.recv_tables.items():
             peer = domains[owner]
             glob = dom.external_nodes[ext_local - dom.n_internal]
-            g2l = np.full(0, 0)
             loc = np.searchsorted(peer.internal_nodes, glob)
             if not np.array_equal(peer.internal_nodes[loc], glob):
                 raise AssertionError("receive table references non-internal nodes of the owner")
             peer.send_tables[d] = loc.astype(np.int64)
-            del g2l
     return domains

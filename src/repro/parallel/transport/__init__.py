@@ -5,10 +5,10 @@ the ``LockstepComm`` surface (``exchange_external``, ``allreduce_sum``,
 ``allreduce_sum_vec``, ``halo_mismatch``, ``log``).  This package
 provides that surface over fabrics where the failure modes are real:
 
-- :mod:`~repro.parallel.transport.process_backend` — one forked OS
-  worker per rank and solve, running that rank's CG on its own and
-  meeting its peers through shared memory.  SIGKILL a worker and the
-  driver finds a genuinely dead process;
+- :mod:`~repro.parallel.transport.process_backend` — one resident
+  forked OS worker per rank, which builds that rank's factor and runs
+  its CG for every solve, meeting its peers through shared memory.
+  SIGKILL a worker and the driver finds a genuinely dead process;
 - :mod:`~repro.parallel.transport.policy` — the budget that bounds
   every wait, and the ``RankFailure`` vs ``CommTimeout`` classification
   contract;

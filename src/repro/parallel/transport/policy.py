@@ -3,7 +3,7 @@
 Rank workers run autonomously, so nothing can re-issue a collective on
 their behalf: the one thing a transport can decide is how long a wait
 may last.  :class:`TransportPolicy` carries that bound, and the process
-transport applies it per epoch of rank workers (see
+transport applies it to every command its rank workers run (see
 :mod:`~repro.parallel.transport.process_backend`):
 
 - a peer process is genuinely dead → :class:`RankFailure` (the recovery
@@ -23,8 +23,8 @@ __all__ = ["TransportPolicy"]
 @dataclass(frozen=True)
 class TransportPolicy:
     """``budget`` bounds, in wall-clock seconds, each wait of a rank on
-    its peers and how long the driver lets an epoch go without any rank
-    advancing."""
+    its peers and how long the driver lets a command go without any
+    rank advancing."""
 
     budget: float = 30.0
 

@@ -1,62 +1,52 @@
-"""Real-process transport: autonomous SPMD rank workers over shared memory.
+"""Real-process transport: resident SPMD rank workers over shared memory.
 
-Architecture: **an epoch of rank workers per solve** (DESIGN.md section
-13).  The driver holds the domains, factors and right-hand sides;
-:meth:`ProcessTransport.run_ranks` forks one worker per rank, which
-inherits all of that, takes one CPU of the affinity mask and runs its
-rank program (the CG body of
-:func:`~repro.parallel.distributed.parallel_cg`) to the end by itself.
-The ranks meet only at the program's collectives, through shared memory
-(``multiprocessing.RawArray``) and one sequence counter per rank:
+One worker per rank for the system's whole life (DESIGN.md section 13):
+:meth:`ProcessTransport.start` forks them and each runs its own rank's
+set-up, side by side with its peers, keeping the factor; every later
+:meth:`ProcessTransport.run` is a command — a module-level function sent
+by reference — that the worker runs on what it kept, advancing it by
+itself when it is a rank program (see
+:func:`~repro.parallel.distributed.parallel_cg`).  The ranks meet only at
+the program's collectives, through shared memory and one sequence
+counter per rank: a **halo exchange** gathers the external DOFs from
+their owners' vectors and checks them against checksums the senders
+stored (the owner/ghost probe, with zero additional messages); an
+**allreduce** sums a double-buffered table with the same rank-ordered
+``np.sum`` as :class:`~repro.parallel.comm.LockstepComm`, which is what
+makes the two transports bit-identical.
 
-- **halo exchange** — a rank stores a checksum of every boundary region
-  a neighbor will read, publishes its next sequence number, waits for
-  the owners of its external DOFs to publish theirs and gathers those
-  DOFs from the owners' vectors (internal and external regions are
-  disjoint, so the concurrent reads and writes are race-free by
-  construction).  It checksums what it received against what the sender
-  stored: the owner/ghost probe, with zero additional messages;
-- **allreduce** — a rank stores its contribution in its row of a
-  double-buffered table, publishes, waits for everybody, and applies the
-  exact same rank-ordered ``np.sum`` as
-  :class:`~repro.parallel.comm.LockstepComm` — the fixed reduction order
-  that makes process-transport dot products bit-identical to the
-  emulation.
-
-A wait is ``check → sched_yield → abort flag → deadline``: yielding
-instead of sleeping keeps a hand-over at microseconds, and lets more
-ranks than CPUs time-share instead of stalling.  The driver sleeps on
-the workers' result pipes for the whole epoch and only classifies how it
-ended:
-
-- a pipe reports EOF without a result — the worker died
-  (:meth:`ProcessTransport.inject_kill`, or any external ``kill -9``) →
-  the abort flag wakes the waiters and
-  :class:`~repro.resilience.taxonomy.RankFailure` fires.  Nothing needs
-  respawning: recovery rebuilds the rank's data in the driver and the
-  next epoch's fork inherits it;
-- a wait outlived ``TransportPolicy.budget`` with every process
-  alive → :class:`~repro.resilience.taxonomy.CommTimeout` — rollback, no
-  respawn.  A *merely slow* peer is absorbed by the wait;
-- a rank program raised (the halo probe tripped) → the exception is
-  re-raised in the driver.
-
-The publish/consume order relies on stores becoming visible in program
-order (x86-TSO); a torn halo on a weaker machine would trip the checksum.
+A wait is ``check → sched_yield → abort flag → deadline``.  The driver
+sleeps on the workers' pipes and classifies how a command ended: EOF —
+a worker died, mid-command or idle — is
+:class:`~repro.resilience.taxonomy.RankFailure` (the rank stays dead
+until :meth:`ProcessTransport.revive`); a wait past
+``TransportPolicy.budget`` with everybody alive is
+:class:`~repro.resilience.taxonomy.CommTimeout`; a command that raised is
+re-raised.  A failed command is called off for every rank, and a worker
+not back in its loop ``REAP_GRACE_S`` later is replaced.  The
+publish/consume order relies on x86-TSO store order; a torn halo on a
+weaker machine would trip the checksum.
 """
 
 from __future__ import annotations
 
 import ctypes
+import inspect
+import io
+import mmap
 import multiprocessing as mp
 import os
 import pickle
 import signal
+import tempfile
 import time
 import traceback
+import warnings
+import weakref
 from collections import deque
-from multiprocessing.connection import Connection, wait as mp_wait
+from multiprocessing.connection import wait as mp_wait
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -73,12 +63,13 @@ REDUCE_WIDTH = 8
 """Widest allreduce contribution the shared table holds (CG needs 3)."""
 
 REAP_GRACE_S = 0.5
-"""How long an ended epoch waits for its workers to leave by themselves
-(they see the abort flag within one wait-loop turn) before SIGKILL."""
+"""How long the driver waits, after calling a failed command off, for a
+worker to return to its command loop (they see the abort flag within one
+wait-loop turn) before SIGKILLing and replacing it."""
 
 
 def is_available() -> bool:
-    """The backend needs ``fork`` (workers inherit domains and buffers)."""
+    """The backend needs ``fork`` (workers inherit domains and the fabric)."""
     return "fork" in mp.get_all_start_methods()
 
 
@@ -114,20 +105,113 @@ def _openblas_thread_controls() -> list[tuple]:
 
 
 # ----------------------------------------------------------------------
+# shared memory
+# ----------------------------------------------------------------------
+
+
+class _Fabric:
+    """The memory the driver and every rank worker share: one file (a
+    memfd) that the driver grows and every process maps — the workers
+    inherit its descriptor — so an array in it, named by ``(offset,
+    shape, dtype)``, reaches a worker forked before the array existed.
+
+    Its bottom holds the transport-lifetime arrays every collective
+    uses; above ``floor`` is a bump allocator that
+    :meth:`ProcessTransport.scratch` rewinds."""
+
+    ALIGN = 64  # one cache line: two ranks' arrays never share one
+
+    def __init__(self, domains: list[LocalDomain], budget: float) -> None:
+        if hasattr(os, "memfd_create"):
+            self.fd = os.memfd_create("repro-transport")
+        else:  # an unlinked temporary file serves the same purpose
+            self.fd, path = tempfile.mkstemp(prefix="repro-transport-")
+            os.unlink(path)
+        self.top, self._maps = 0, []  # (address, mmap) pairs, newest last
+        nd, alloc = len(domains), self.alloc
+        self.domains, self.budget = domains, budget
+        # one halo-extended vector per rank: what every exchange moves
+        self.halo = [alloc(dom.n_local * dom.b) for dom in domains]
+        # per rank: last published sync (reset every command); global index
+        # of its next exchange and its census (both count across commands)
+        self.seq, self.exchange_index, self.n_exchanges, self.n_allreduces = (
+            alloc(nd, np.int64) for _ in range(4)
+        )
+        self.abort = alloc(1, np.int64)
+        self.reduce = alloc(2 * nd * REDUCE_WIDTH).reshape(2, nd, REDUCE_WIDTH)
+        # [sender, receiver] -> (sum, finite) of the region receiver reads
+        self.checksums = alloc(nd * nd * 2).reshape(nd, nd, 2)
+        self.floor = self.top
+        # fault plans: the driver's ride every command to its workers
+        self.kill_plan: dict[int, int] = {}
+        self.fault_plan: dict[tuple[int, int], dict] = {}
+
+    def alloc(self, n: int, dtype=np.float64) -> np.ndarray:
+        """A zeroed array of *n* items (bump allocation)."""
+        dtype = np.dtype(dtype)
+        offset = -(-self.top // self.ALIGN) * self.ALIGN
+        self.top = offset + int(n) * dtype.itemsize
+        size = os.fstat(self.fd).st_size
+        if self.top > size:  # grow geometrically: few mappings, sparse file
+            os.ftruncate(self.fd, max(self.top, 2 * size, 1 << 20))
+        arr = self.view(offset, (int(n),), dtype.str)
+        arr[:] = 0
+        return arr
+
+    def view(self, offset: int, shape: tuple, dtype: str) -> np.ndarray:
+        """The array named ``(offset, shape, dtype)``."""
+        count = int(np.prod(shape))
+        end = offset + count * np.dtype(dtype).itemsize
+        if not self._maps or end > len(self._maps[-1][1]):
+            # the file grew since this process last mapped it
+            mm = mmap.mmap(self.fd, os.fstat(self.fd).st_size)
+            self._maps.append((np.frombuffer(mm, np.uint8).ctypes.data, mm))
+        return np.frombuffer(self._maps[-1][1], dtype, count, offset).reshape(shape)
+
+    def name_of(self, obj) -> tuple | None:
+        """The name of an array in the fabric (a pickle persistent id);
+        None for anything else, which pickles by value."""
+        if type(obj) is not np.ndarray or not obj.flags.c_contiguous:
+            return None
+        address = obj.ctypes.data
+        for base, mm in self._maps:
+            if base <= address and address + obj.nbytes <= base + len(mm):
+                return address - base, obj.shape, obj.dtype.str
+        return None
+
+    def dumps(self, obj) -> bytes:
+        buf = io.BytesIO()
+        pickler = pickle.Pickler(buf, pickle.HIGHEST_PROTOCOL)
+        pickler.persistent_id = self.name_of
+        pickler.dump(obj)
+        return buf.getvalue()
+
+    def loads(self, data: bytes):
+        unpickler = pickle.Unpickler(io.BytesIO(data))
+        unpickler.persistent_load = lambda name: self.view(*name)
+        return unpickler.load()
+
+    def close(self) -> None:
+        """Release the descriptor; the mappings stay valid."""
+        os.close(self.fd)
+        self.fd = -1  # never a recycled descriptor
+
+
+# ----------------------------------------------------------------------
 # worker side
 # ----------------------------------------------------------------------
 
 
 class _Aborted(Exception):
-    """The epoch was called off (abort flag) while this rank waited."""
+    """The command was called off (abort flag) while this rank waited."""
 
 
 class _RankLink:
     """One rank's end of the shared-memory fabric (lives in its worker)."""
 
-    def __init__(self, rank: int, tr: "ProcessTransport", halo: list[np.ndarray]) -> None:
-        self.rank, self.tr, self.halo = rank, tr, halo
-        doms, dom = tr.domains, tr.domains[rank]
+    def __init__(self, rank: int, fab: _Fabric) -> None:
+        self.rank, self.fab = rank, fab
+        doms, dom = fab.domains, fab.domains[rank]
         # owner -> (external DOF slots of this rank's vector to fill,
         #           boundary DOF slots of the owner's vector to read)
         self.recv = {
@@ -140,60 +224,59 @@ class _RankLink:
         # neighbor -> internal DOF slots of this rank's vector it reads
         self.send = {n: dom.local_dofs(bnd) for n, bnd in dom.send_tables.items()}
         self.owners = np.array(list(self.recv), dtype=np.int64)
-        self.everyone = np.arange(tr.size)
+        self.everyone = np.arange(len(doms))
         self.sizes = [dst.size * 8 for dst, _ in self.recv.values()]
         self.log = CommLog(rank=rank)  # forwards comm.* metrics when tracing
-        self.budget = tr.policy.budget
         self.seq = 0
         self.reductions = 0
 
     def _publish_and_wait(self, kind: str, ranks: np.ndarray) -> None:
         """Announce this rank's next sync, then wait for *ranks* to reach it."""
-        tr = self.tr
+        fab = self.fab
         self.seq += 1
-        tr._seq[self.rank] = self.seq
+        fab.seq[self.rank] = self.seq
         with span("rank.wait", rank=self.rank, kind=kind):
-            end = time.monotonic() + self.budget
+            end = time.monotonic() + fab.budget
             while True:
-                behind = tr._seq[ranks] < self.seq
+                behind = fab.seq[ranks] < self.seq
                 if not behind.any():
                     return
                 os.sched_yield()
-                if tr._abort[0]:
+                if fab.abort[0]:
                     raise _Aborted
                 if time.monotonic() > end:
-                    raise CommTimeout(kind, ranks[behind], self.budget)
+                    raise CommTimeout(kind, ranks[behind], fab.budget)
 
     def exchange(self) -> float:
         """Boundary exchange of this rank's halo vector; returns the worst
         receiver-vs-sender checksum disagreement (``inf`` on NaN/Inf)."""
-        tr, rank = self.tr, self.rank
-        index = int(tr._exchange_index[rank])
-        if tr._kill_plan.get(rank, index + 1) <= index:
+        fab, rank = self.fab, self.rank
+        index = int(fab.exchange_index[rank])
+        if fab.kill_plan.get(rank, index + 1) <= index:
             os.kill(os.getpid(), signal.SIGKILL)
-        tr._exchange_index[rank] = index + 1
-        plan = tr._fault_plan.get((rank, index), {})
+        fab.exchange_index[rank] = index + 1
+        plan = fab.fault_plan.get((rank, index), {})
         if plan.get("delay"):
             time.sleep(plan["delay"])
-        mine = self.halo[rank]
+        mine = fab.halo[rank]
         for nbr, src in self.send.items():
-            tr._checksums[rank, nbr] = _checksum(mine[src])
+            fab.checksums[rank, nbr] = _checksum(mine[src])
         self._publish_and_wait("halo", self.owners)
         worst = 0.0
         with span("halo_exchange", rank=rank) as sp:
             for i, (owner, (dst, src)) in enumerate(self.recv.items()):
-                mine[dst] = self.halo[owner][src]
+                mine[dst] = fab.halo[owner][src]
                 if i == 0 and plan.get("corrupt") == "nan":
                     mine[dst[0]] = np.nan
                 elif i == 0 and plan.get("corrupt") == "bitflip":
                     flipped = mine[dst[:1]].view(np.int64) ^ (np.int64(1) << 40)
                     mine[dst[0]] = flipped.view(np.float64)[0]
                 rsum, rfinite = _checksum(mine[dst])
-                ssum, sfinite = tr._checksums[owner, rank]
+                ssum, sfinite = fab.checksums[owner, rank]
                 if not (rfinite and sfinite):
                     worst = float("inf")
                 worst = max(worst, abs(rsum - ssum))
-            tr._n_exchanges[rank] += 1
+            fab.n_exchanges[rank] += 1
             sp.set(messages=len(self.sizes), bytes=self.log.record_exchange(self.sizes))
         return worst
 
@@ -209,55 +292,87 @@ class _RankLink:
         # n+2 only after passing n+1, which everybody reached after
         # reading n — so nobody's row is overwritten while being summed
         self.reductions += 1
-        table = self.tr._reduce[self.reductions % 2]
+        table = self.fab.reduce[self.reductions % 2]
         table[self.rank, : vec.size] = vec
         self._publish_and_wait("allreduce", self.everyone)
         # a contiguous (ranks, k) stack summed over axis 0: the identical
         # np.sum as LockstepComm — the bit-identity of the two transports
         total = np.array(table[:, : vec.size]).sum(axis=0)
-        self.tr._n_allreduces[self.rank] += 1
+        self.fab.n_allreduces[self.rank] += 1
         self.log.record_allreduce()
         return total if np.ndim(contribution) else float(total[0])
 
+    def run(self, fn, state, args) -> tuple:
+        """Run one command; returns the reply for the driver:
+        ``(kind, payload, warnings)``."""
+        self.seq = self.reductions = 0
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")  # the driver's filters decide
+            try:
+                result = fn(self.rank, state, *args)
+                if inspect.isgenerator(result):
+                    result = self._advance(result)
+                message = ("done", result)
+            except _Aborted:
+                message = ("aborted", None)
+            except Exception as exc:  # boundary: the driver re-raises it
+                self.fab.abort[0] = 1  # nobody will meet the waiting peers
+                try:
+                    pickle.loads(pickle.dumps(exc))
+                except Exception:  # would not survive the pipe as itself
+                    exc = RuntimeError(f"{type(exc).__name__}: {exc}")
+                message = ("raised", (exc, traceback.format_exc()))
+        return (*message, [(str(w.message), w.category) for w in caught])
 
-def _worker_main(
-    rank: int, tr: "ProcessTransport", program, halo: list[np.ndarray],
-    result: Connection, trace_file: Path | None,
-) -> None:
-    """One rank's epoch: advance its program, serving each collective it
-    yields, and send how it ended to the driver.
+    def _advance(self, program):
+        """Advance a rank program, serving each collective it yields."""
+        reply = None
+        try:
+            while True:
+                with span("rank.compute", rank=self.rank):
+                    request = program.send(reply)
+                reply = self.exchange() if request is HALO else self.allreduce(request)
+        except StopIteration as stop:
+            return stop.value
+
+
+def _worker_main(rank, fab: _Fabric, setup, conn, driver_ends, trace_file) -> None:
+    """One rank worker's life: its set-up, then one command per message
+    until the driver closes the pipe.
 
     Runs in a forked child.  The observability session it inherited
     belongs to the driver — drop it and (when per-rank tracing was
-    requested) open this rank's own, exported as JSON lines on exit.
+    requested) open this rank's own, exported as JSON lines after every
+    command, so a later kill loses nothing already recorded.
     """
+    for end in driver_ends:  # so that only the driver holds them: its
+        end.close()  # death is an EOF on this worker's pipe
     obs.disable()
     sess = obs.enable() if trace_file else None
     if hasattr(os, "sched_setaffinity"):
         # unpinned, the kernel co-locates two ranks that keep waking each other
         cpus = sorted(os.sched_getaffinity(0))
         os.sched_setaffinity(0, {cpus[rank % len(cpus)]})
-    link = _RankLink(rank, tr, halo)
-    try:
-        gen, reply = program(rank), None
-        while True:
-            with span("rank.compute", rank=rank):
-                request = gen.send(reply)
-            reply = link.exchange() if request is HALO else link.allreduce(request)
-    except StopIteration as stop:
-        message = ("done", stop.value)
-    except _Aborted:
-        message = ("aborted", None)
-    except Exception as exc:  # boundary: the driver re-raises it
-        tr._abort[0] = 1  # nobody will meet the waiting peers
+    link, state = _RankLink(rank, fab), SimpleNamespace()
+    with span("rank.setup", rank=rank):
+        reply = link.run(setup, state, ())
+    while True:
+        if sess is not None:
+            obs.export_jsonl(sess.tracer, trace_file, sess.metrics, rank=rank)
+        conn.send(reply)
         try:
-            pickle.loads(pickle.dumps(exc))
-        except Exception:  # would not survive the pipe as itself
-            exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-        message = ("raised", (exc, traceback.format_exc()))
-    if sess is not None:
-        obs.export_jsonl(sess.tracer, trace_file, sess.metrics, rank=rank)
-    result.send(message)
+            fn, args, fab.kill_plan, fab.fault_plan = fab.loads(conn.recv_bytes())
+        except EOFError:  # the driver closed the system
+            return
+        reply = link.run(fn, state, args)
+
+
+def _halo_exchange(rank, state):
+    return (yield HALO)
+
+
+def _allreduce(rank, state, contributions):
+    return (yield contributions[rank])
 
 
 # ----------------------------------------------------------------------
@@ -265,23 +380,38 @@ def _worker_main(
 # ----------------------------------------------------------------------
 
 
-class ProcessTransport:
-    """Rank programs, boundary exchanges and allreduces on one real
-    worker process per rank.
+def _stop_workers(owner: int, workers: list, fab: _Fabric) -> None:
+    """Close every worker's pipe (it leaves its loop), join, SIGKILL what
+    will not leave.  A weakref finalizer: never runs in a worker."""
+    if os.getpid() != owner:
+        return
+    live = [w for w in workers if w is not None]
+    for _, conn in live:
+        conn.close()
+    end = time.monotonic() + REAP_GRACE_S
+    for proc, _ in live:
+        proc.join(timeout=max(0.0, end - time.monotonic()))
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+    fab.close()
 
-    :meth:`run_ranks` is what :func:`~repro.parallel.distributed.parallel_cg`
-    uses: one epoch of autonomous workers.  The
+
+class ProcessTransport:
+    """Rank set-up, rank programs, boundary exchanges and allreduces on
+    one resident worker process per rank.
+
+    :meth:`start` forks the workers and runs each rank's set-up in its
+    own; :meth:`run` sends every command after that.  The
     :class:`~repro.parallel.comm.LockstepComm` surface
     (``exchange_external`` / ``allreduce_sum`` / ``allreduce_sum_vec`` /
-    ``halo_mismatch`` / ``log``) is kept on top of it — each call is an
-    epoch of one collective — together with genuine-SIGKILL and
-    worker-fault injection and ``merged_worker_log()``, which reduces
-    the per-rank censuses to the aggregate view.
+    ``halo_mismatch`` / ``log``) is kept on top — each call is a command
+    of one collective — with genuine-SIGKILL and worker-fault injection.
 
     ``policy`` bounds every wait (see :class:`TransportPolicy`);
-    ``trace_dir`` makes each worker record its own rank-tagged
-    observability session, exported as one JSONL file per rank and epoch
-    (merge them with ``repro trace --merge``).
+    ``trace_dir`` makes each worker export its own rank-tagged trace
+    (merge them with ``repro trace --merge``).  A transport dropped
+    without :meth:`close` still stops its workers when it is collected.
     """
 
     def __init__(
@@ -294,7 +424,7 @@ class ProcessTransport:
         if not is_available():
             raise RuntimeError(
                 "the process transport requires the 'fork' start method "
-                "(workers inherit domains and shared buffers); this platform "
+                "(workers inherit domains and shared memory); this platform "
                 "only offers " + str(mp.get_all_start_methods())
             )
         self.domains = domains
@@ -302,132 +432,198 @@ class ProcessTransport:
         self._trace_dir = None if trace_dir is None else Path(trace_dir)
         if self._trace_dir is not None:
             self._trace_dir.mkdir(parents=True, exist_ok=True)
-        nd = len(domains)
+        self._fab = _Fabric(domains, self.policy.budget)
         self._ctx = mp.get_context("fork")
         self._blas = _openblas_thread_controls()
-        self._halo = [self.shared_array(dom.n_local * dom.b) for dom in domains]
-        # per rank: last published sync (reset every epoch); global index of
-        # its next exchange and its census (both count across epochs)
-        self._seq, self._exchange_index, self._n_exchanges, self._n_allreduces = (
-            self.shared_array(nd, np.int64) for _ in range(4)
-        )
-        self._abort = self.shared_array(1, np.int64)
-        self._reduce = self.shared_array(2 * nd * REDUCE_WIDTH).reshape(
-            2, nd, REDUCE_WIDTH
-        )
-        # [sender, receiver] -> (sum, finite) of the region receiver reads
-        self._checksums = self.shared_array(nd * nd * 2).reshape(nd, nd, 2)
-        self._procs: list = []
-        self._epochs = 0
+        self._setup = None
+        # per rank: (process, driver end of its pipe); how often it forked
+        self._workers: list = [None] * len(domains)
+        self._forks = [0] * len(domains)
         self._last_mismatch = 0.0
-        self._kill_plan: dict[int, int] = {}
-        self._fault_plan: dict[tuple[int, int], dict] = {}
         self.timeout_count = 0
         self.kills: list[dict] = []
         self.revivals: list[dict] = []
-        self._closed = False
+        self._stop = weakref.finalize(
+            self, _stop_workers, os.getpid(), self._workers, self._fab
+        )
 
     @property
     def size(self) -> int:
         return len(self.domains)
 
-    def shared_array(self, n: int, dtype=np.float64) -> np.ndarray:
-        """A zeroed array that this process and every worker forked from
-        it afterwards see alike."""
-        code = "q" if dtype == np.int64 else "d"
-        return np.frombuffer(self._ctx.RawArray(code, int(n)), dtype=dtype)
+    @property
+    def halo(self) -> list[np.ndarray]:
+        """Every rank's halo-extended vector: what ``yield HALO`` exchanges."""
+        return self._fab.halo
 
-    # -- epochs ---------------------------------------------------------
+    @property
+    def pids(self) -> list[int | None]:
+        """The worker process of each rank (``None`` before :meth:`start`)."""
+        return [None if w is None else w[0].pid for w in self._workers]
 
-    def run_ranks(self, program, halo: list[np.ndarray]) -> list:
-        """Run ``program(rank)`` — a generator yielding collectives, see
-        :func:`~repro.parallel.distributed.parallel_cg` — in one forked
-        worker per rank; returns the ranks' return values.
+    def scratch(self):
+        """Free the previous command's shared arrays and return the
+        allocator of the next one's — zeroed arrays this process and
+        every worker see alike, even a worker forked before them: the
+        Krylov state and checkpoint slots of a solve, the values of a
+        refactor.  One set is alive at a time; callers copy out what
+        outlives it."""
+        self._check_open()
+        self._fab.top = self._fab.floor
+        return self._fab.alloc
 
-        *halo* holds every rank's halo-extended vector (from
-        :meth:`shared_array`): what ``yield HALO`` exchanges.  Raises
-        ``RankFailure`` / ``CommTimeout`` / whatever a rank raised; the
-        workers are always reaped before this returns, so their CPU time
-        is the caller's children's."""
-        if self._closed:
+    def _check_open(self) -> None:
+        if not self._stop.alive:
             raise RuntimeError("the transport is closed")
-        self._seq[:] = 0
-        self._abort[0] = 0
-        # a failed epoch leaves the ranks at different exchanges
-        self._exchange_index[:] = self._exchange_index.max()
-        self._epochs += 1
-        tag = "" if self._epochs == 1 else f".epoch{self._epochs}"
-        readers, self._procs = [], []
-        # A rank is one CPU: its workers inherit a single-threaded BLAS (a
+
+    # -- workers --------------------------------------------------------
+
+    def start(self, setup) -> list:
+        """Fork one worker per rank.  Worker *r* runs ``setup(r, state)``
+        — its rank's set-up, side by side with its peers — keeps *state*
+        for the transport's life and replies with what *setup* returned;
+        returns those replies by rank.  *setup* is inherited through
+        ``fork``, so it may be a closure."""
+        self._setup = setup
+        return self._spawn(range(self.size))
+
+    def _spawn(self, ranks) -> list:
+        """Fork the given ranks' workers; returns their set-up replies."""
+        # A rank is one CPU: its worker inherits a single-threaded BLAS (a
         # thread pool inside a one-CPU rank spins against itself — 10x
         # slower on a 44k-DOF solve; limiting it *in* the child spawns a
-        # pool thread that spins there for 0.1 s).  The driver sleeps
-        # through the epoch and gets its setting back after it.
+        # pool thread that spins there for 0.1 s).
         blas_threads = [get() for get, _ in self._blas]
         for _, set_threads in self._blas:
             set_threads(1)
         try:
-            for rank in range(self.size):
+            for rank in ranks:
+                driver_end, worker_end = self._ctx.Pipe()
+                tag = f".{self._forks[rank]}" if self._forks[rank] else ""
                 trace_file = self._trace_dir and (
                     self._trace_dir / f"trace.rank{rank}{tag}.jsonl"
                 )
-                reader, writer = self._ctx.Pipe(duplex=False)
-                readers.append(reader)
+                ends = [w[1] for w in self._workers if w is not None]
                 proc = self._ctx.Process(
                     target=_worker_main,
-                    args=(rank, self, program, halo, writer, trace_file),
+                    args=(rank, self._fab, self._setup, worker_end,
+                          [driver_end, *ends], trace_file),
                     name=f"repro-transport-rank{rank}",
                     daemon=True,
                 )
                 proc.start()
-                self._procs.append(proc)
-                # the worker holds the only write end now: its death is
-                # an EOF on the reader
-                writer.close()
-            return self._supervise(readers)
+                # the worker holds the only copy of its end now: its
+                # death is an EOF on the driver's
+                worker_end.close()
+                self._workers[rank] = (proc, driver_end)
+                self._forks[rank] += 1
         finally:
-            self._reap()
-            for reader in readers:
-                reader.close()
             for (_, set_threads), n in zip(self._blas, blas_threads):
                 set_threads(n)
+        return self._collect(ranks, budget=None)  # set-up waits on nobody
 
-    def _supervise(self, readers: list[Connection]) -> list:
-        """Sleep until every rank reported, or the epoch failed."""
-        t0 = time.monotonic()
-        budget = self.policy.budget
-        waiting = {reader: rank for rank, reader in enumerate(readers)}
+    def run(self, fn, *args) -> list:
+        """Every rank worker runs ``fn(rank, state, *args)``; returns the
+        ranks' results.
+
+        *fn* is a module-level function (it crosses the pipe by
+        reference); when it returns a generator that is a rank program —
+        see :func:`~repro.parallel.distributed.parallel_cg` — which the
+        worker advances, serving each collective it yields.  Shared
+        arrays in *args* arrive as the same memory.  Raises
+        ``RankFailure`` / ``CommTimeout`` / whatever a rank raised."""
+        self._check_open()
+        fab = self._fab
+        fab.seq[:] = 0
+        fab.abort[0] = 0
+        # a failed command leaves the ranks at different exchanges
+        fab.exchange_index[:] = fab.exchange_index.max()
+        message = fab.dumps((fn, args, fab.kill_plan, fab.fault_plan))
+        for _, conn in self._workers:
+            try:
+                conn.send_bytes(message)
+            except OSError:  # a dead worker: its EOF is classified below
+                pass
+        return self._collect(range(self.size), self.policy.budget)
+
+    def _collect(self, ranks, budget: float | None) -> list:
+        """Sleep until every rank in *ranks* replied to the current
+        command, or it failed; a failed command is called off for all."""
+        fab = self._fab
+        waiting = {self._workers[rank][1]: rank for rank in ranks}
         done: dict[int, object] = {}
-        progress = self._seq.copy()
-        while waiting:
+        warned: list = []
+        failure = None
+        t0 = time.monotonic()
+        progress = fab.seq.copy()
+        while waiting and failure is None:
             ready = mp_wait(list(waiting), timeout=budget)
-            if not ready and (self._seq == progress).all():
+            if not ready and (fab.seq == progress).all():
                 # nothing ended for a whole budget and not even the
                 # sequence counters moved: a wedge nobody is waiting on
-                raise self._timed_out(
-                    CommTimeout(
-                        "epoch",
-                        sorted(waiting.values()),
-                        time.monotonic() - t0,
-                    )
+                failure = self._timed_out(
+                    CommTimeout("command", sorted(waiting.values()), time.monotonic() - t0)
                 )
-            progress = self._seq.copy()
-            for reader in sorted(ready, key=waiting.get):
-                rank = waiting.pop(reader)
-                try:
-                    kind, payload = reader.recv()
-                except EOFError:  # the process is gone and left no result
-                    self._note_death(rank)
-                    raise RankFailure(rank, 1) from None
+            progress = fab.seq.copy()
+            for conn in sorted(ready, key=waiting.get):
+                rank = waiting.pop(conn)
+                reply = self._receive(rank)
+                if reply is None:
+                    failure = failure or RankFailure(rank, 1)
+                    continue
+                kind, payload, caught = reply
+                warned += caught
                 if kind == "done":
                     done[rank] = payload
-                elif kind == "raised":
+                elif kind == "raised" and failure is None:
                     exc, where = payload
                     if isinstance(exc, CommTimeout):
                         self._timed_out(exc)
-                    raise exc from RuntimeError(f"in rank {rank}'s worker:\n{where}")
+                    failure = exc
+                    failure.__cause__ = RuntimeError(f"in rank {rank}'s worker:\n{where}")
                 # "aborted": a bystander; the rank that called it off follows
-        return [done[rank] for rank in range(self.size)]
+        if failure is not None:
+            if budget is not None:  # a failed set-up is the caller's to close
+                self._settle(waiting)
+            raise failure
+        for message, category in warned:
+            warnings.warn(message, category, stacklevel=3)
+        return [done[rank] for rank in ranks]
+
+    def _receive(self, rank: int):
+        """One reply from *rank*'s worker, or None: it died."""
+        proc, conn = self._workers[rank]
+        try:
+            return conn.recv()
+        except (EOFError, OSError):  # the process is gone and left no reply
+            proc.join()
+            self._note_death(rank)
+            return None
+
+    def _settle(self, waiting: dict) -> None:
+        """Call the current command off: wake every waiter, take the
+        replies of those that come back within ``REAP_GRACE_S``, and
+        replace those that do not — a worker that is not in its command
+        loop cannot be trusted with the next command."""
+        self._fab.abort[0] = 1
+        end = time.monotonic() + REAP_GRACE_S
+        while waiting:
+            ready = mp_wait(list(waiting), timeout=max(0.0, end - time.monotonic()))
+            if not ready:
+                break
+            for conn in ready:
+                self._receive(waiting.pop(conn))
+        if waiting:
+            ranks = sorted(waiting.values())
+            for rank in ranks:
+                self._bury(rank)
+            self._spawn(ranks)
+
+    def _bury(self, rank: int) -> None:
+        proc, conn = self._workers[rank]
+        proc.kill()
+        proc.join()
+        conn.close()
 
     def _timed_out(self, exc: CommTimeout) -> CommTimeout:
         self.timeout_count += 1
@@ -436,52 +632,45 @@ class ProcessTransport:
 
     def _note_death(self, rank: int) -> None:
         """Record an injected kill that fired (an external one has no plan)."""
-        at = self._kill_plan.get(rank)
-        index = int(self._exchange_index[rank])
+        plan = self._fab.kill_plan
+        at = plan.get(rank)
+        index = int(self._fab.exchange_index[rank])
         if at is not None and index >= at:
-            del self._kill_plan[rank]
+            del plan[rank]
             self.kills.append({"rank": rank, "exchange": index})
 
-    def _reap(self) -> None:
-        """Join every worker of the epoch, SIGKILLing what will not leave."""
-        if any(proc.is_alive() for proc in self._procs):
-            self._abort[0] = 1
-        end = time.monotonic() + REAP_GRACE_S
-        for proc in self._procs:
-            proc.join(timeout=max(0.0, end - time.monotonic()))
-            if proc.is_alive():
-                proc.kill()
-                proc.join()
-
-    def revive(self, rank: int) -> None:
+    def revive(self, rank: int):
         """The recovery hand-off of
-        :meth:`~repro.parallel.distributed.DistributedSystem.recover_rank`.
-
-        Nothing to fork here: the driver has rebuilt the rank's data and
-        the next epoch's worker inherits it; the snapshot the solve
-        resumes from is in shared memory and outlived the dead process."""
+        :meth:`~repro.parallel.distributed.DistributedSystem.recover_rank`:
+        fork a replacement for *rank*'s dead worker, which runs the
+        set-up again on the driver's (recovered) data — the factor died
+        with the old worker.  Returns its set-up reply.  The snapshot the
+        solve resumes from is shared memory and outlived the dead process."""
+        self._bury(rank)
         self.revivals.append(
-            {"rank": int(rank), "exchange": int(self._exchange_index.max())}
+            {"rank": int(rank), "exchange": int(self._fab.exchange_index.max())}
         )
+        return self._spawn([rank])[0]
 
     def close(self) -> None:
-        """Refuse further epochs (every epoch already reaped its workers)."""
-        self._closed = True
+        """Stop every worker (idempotent; also runs when the transport is
+        collected without it)."""
+        self._stop()
 
     # -- fault injection (the robustness harness) -----------------------
 
     def inject_kill(self, rank: int, at_exchange: int) -> None:
         """SIGKILL the live worker for *rank* at halo exchange *at_exchange*.
 
-        A genuine ``kill -9`` of a running OS process: the driver sleeps
-        through an epoch, so the rank delivers the signal to itself on
-        entering that exchange (a global index that keeps counting
-        across epochs, so the plan fires once).  It dies with whatever
-        state it had, and detection happens through its result pipe
-        like any external kill."""
+        A genuine ``kill -9`` of a running OS process: the driver is asleep
+        while a command runs, so the rank delivers the signal to itself on
+        entering that exchange (a global index that keeps counting across
+        commands, so the plan fires once).  It dies with whatever state
+        it had, and detection happens through its pipe like any external
+        kill."""
         if not 0 <= rank < self.size:
             raise ValueError(f"rank {rank} outside 0..{self.size - 1}")
-        self._kill_plan[int(rank)] = int(at_exchange)
+        self._fab.kill_plan[int(rank)] = int(at_exchange)
 
     def inject_worker_fault(
         self,
@@ -501,25 +690,21 @@ class ProcessTransport:
         indices are global, the rolled-back re-execution runs clean."""
         if corrupt not in (None, "nan", "bitflip"):
             raise ValueError(f"unknown corruption {corrupt!r}")
-        self._fault_plan[(int(rank), int(exchange))] = {
+        self._fab.fault_plan[(int(rank), int(exchange))] = {
             "delay": float(delay), "corrupt": corrupt,
         }
 
-    # -- LockstepComm surface: one collective per epoch -----------------
+    # -- LockstepComm surface: one collective per command ---------------
 
     def exchange_external(self, vectors: list[np.ndarray]) -> None:
         """Fill every domain's external DOF slots through the workers."""
         if len(vectors) != self.size:
             raise ValueError(f"expected {self.size} vectors, got {len(vectors)}")
-
-        def one_exchange(rank):
-            return (yield HALO)
-
         ni = [dom.n_internal * dom.b for dom in self.domains]
-        for shared, vec, n in zip(self._halo, vectors, ni):
+        for shared, vec, n in zip(self.halo, vectors, ni):
             shared[:n] = vec[:n]
-        self._last_mismatch = max(self.run_ranks(one_exchange, self._halo))
-        for shared, vec, n in zip(self._halo, vectors, ni):
+        self._last_mismatch = max(self.run(_halo_exchange))
+        for shared, vec, n in zip(self.halo, vectors, ni):
             vec[n:] = shared[n:]
 
     def halo_mismatch(self, vectors: list[np.ndarray]) -> float:
@@ -539,11 +724,7 @@ class ProcessTransport:
         arrs = [np.asarray(c, dtype=np.float64) for c in contributions]
         if any(a.ndim != 1 or a.shape != arrs[0].shape for a in arrs):
             raise ValueError("each rank must contribute a 1-D vector of equal length")
-
-        def one_allreduce(rank):
-            return (yield arrs[rank])
-
-        return self.run_ranks(one_allreduce, self._halo)[0]
+        return self.run(_allreduce, arrs)[0]
 
     def allreduce_sum(self, contributions: list[float]) -> float:
         """Global scalar sum (a 1-element vector allreduce)."""
@@ -558,12 +739,12 @@ class ProcessTransport:
         merged = CommLog()
         for rank, dom in enumerate(self.domains):
             sizes = [ext.size * dom.b * 8 for ext in dom.recv_tables.values()]
-            n = int(self._n_exchanges[rank])
+            n = int(self._fab.n_exchanges[rank])
             merged.merge(
                 CommLog(
                     n_messages=n * len(sizes),
                     bytes_sent=n * sum(sizes),
-                    n_allreduce=int(self._n_allreduces[rank]),
+                    n_allreduce=int(self._fab.n_allreduces[rank]),
                     max_neighbor_count=len(sizes),
                     per_exchange_bytes=deque(
                         [sum(sizes)] * min(n, PER_EXCHANGE_RETENTION),

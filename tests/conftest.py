@@ -11,6 +11,22 @@ from repro.fem.generators import box_mesh, simple_block_model, southwest_japan_m
 from repro.fem.model import build_contact_problem
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _no_rank_worker_outlives_the_session():
+    """Process-transport rank workers outlive solves, so a system that is
+    never closed (nor dropped) would leak them: fail the run if any is
+    still alive when the session ends."""
+    yield
+    import multiprocessing as mp
+
+    alive = [
+        f"{p.name} (pid {p.pid})"
+        for p in mp.active_children()
+        if p.name.startswith("repro-transport-rank")
+    ]
+    assert not alive, f"rank workers still alive at session end: {alive}"
+
+
 @pytest.fixture(scope="session")
 def box3():
     return box_mesh(3, 3, 3)

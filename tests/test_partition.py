@@ -1,16 +1,110 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.fem.generators import box_mesh
 from repro.fem.model import build_contact_problem
-from repro.parallel.partition import build_domains, partition_nodes_rcb
+from repro.parallel import contact_aware_partition
+from repro.parallel.partition import LocalDomain, build_domains, partition_nodes_rcb
+from repro.utils.validate import check_square_csr
 
 
 @pytest.fixture(scope="module")
 def box_problem():
     return build_contact_problem(box_mesh(4, 4, 4))
+
+
+def reference_build_domains(a, node_domain, b=3):
+    """The COO formulation of :func:`build_domains`: node adjacency from
+    the whole matrix's triplets, each ``a_local`` rebuilt COO -> CSR with
+    duplicates summed.  The row-gather implementation must reproduce it
+    array for array."""
+    a = check_square_csr(a)
+    n_nodes = a.shape[0] // b
+    node_domain = np.asarray(node_domain, dtype=np.int64)
+    coo = a.tocoo()
+    ni, nj = coo.row // b, coo.col // b
+    domains = []
+    for d in range(int(node_domain.max()) + 1):
+        internal = np.flatnonzero(node_domain == d).astype(np.int64)
+        mine = node_domain[ni] == d
+        ext = np.unique(nj[mine & (node_domain[nj] != d)])
+        glob2loc = np.full(n_nodes, -1, dtype=np.int64)
+        glob2loc[internal] = np.arange(internal.size)
+        glob2loc[ext] = internal.size + np.arange(ext.size)
+        rows_dof = (internal[:, None] * b + np.arange(b)).reshape(-1)
+        subc = a[rows_dof].tocoo()
+        local_cols = glob2loc[subc.col // b] * b + subc.col % b
+        nloc = internal.size + ext.size
+        a_local = sp.csr_matrix(
+            (subc.data, (subc.row, local_cols)), shape=(rows_dof.size, nloc * b)
+        )
+        a_local.sum_duplicates()
+        a_local.sort_indices()
+        recv = {
+            int(owner): glob2loc[ext[node_domain[ext] == owner]]
+            for owner in np.unique(node_domain[ext])
+        }
+        domains.append(LocalDomain(d, internal, ext, a_local, recv_tables=recv, b=b))
+    for d, dom in enumerate(domains):
+        for owner, ext_local in dom.recv_tables.items():
+            glob = dom.external_nodes[ext_local - dom.n_internal]
+            loc = np.searchsorted(domains[owner].internal_nodes, glob)
+            domains[owner].send_tables[d] = loc.astype(np.int64)
+    return domains
+
+
+def _same_array(x, y):
+    return x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def _assert_domains_identical(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.a_local.shape == w.a_local.shape
+        for attr in ("indptr", "indices", "data"):
+            assert _same_array(getattr(g.a_local, attr), getattr(w.a_local, attr)), attr
+        # node ids: the same values (the reference's external ids keep
+        # the matrix's int32 index type, the row gather's are int64)
+        assert np.array_equal(g.internal_nodes, w.internal_nodes)
+        assert np.array_equal(g.external_nodes, w.external_nodes)
+        for tables in ("send_tables", "recv_tables"):
+            gt, wt = getattr(g, tables), getattr(w, tables)
+            assert list(gt) == list(wt)
+            assert all(_same_array(gt[k], wt[k]) for k in wt)
+
+
+class TestRowGatherParity:
+    """``build_domains`` (row gather + column renumbering) against the
+    COO reference, on the partitions the solver is run with."""
+
+    @pytest.mark.parametrize("ndomains", [1, 2, 4])
+    @pytest.mark.parametrize("partitioner", ["rcb", "contact_aware"])
+    def test_matches_reference(self, block_problem_small, partitioner, ndomains):
+        p = block_problem_small
+        if partitioner == "rcb":
+            part = partition_nodes_rcb(p.mesh.coords, ndomains)
+        else:
+            part = contact_aware_partition(p.mesh.coords, p.groups, ndomains)
+        _assert_domains_identical(
+            build_domains(p.a, part), reference_build_domains(p.a, part)
+        )
+
+    def test_duplicate_entries_are_summed(self, block_problem_small):
+        """A matrix given with duplicate triplets cuts into the same
+        domains as its summed form."""
+        p = block_problem_small
+        part = partition_nodes_rcb(p.mesh.coords, 2)
+        # every stored entry twice, each copy carrying half its value
+        doubled = sp.csr_matrix(
+            (np.repeat(p.a.data / 2, 2), np.repeat(p.a.indices, 2), 2 * p.a.indptr),
+            shape=p.a.shape,
+        )
+        assert not doubled.has_canonical_format
+        got = build_domains(doubled, part)
+        _assert_domains_identical(got, reference_build_domains(p.a, part))
 
 
 class TestRCB:

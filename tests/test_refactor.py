@@ -310,7 +310,11 @@ class TestDistributedRefactor:
         system.refactor(p3.a, p3.b)
         assert setup_counters()["symbolic"] == 0  # values-only per domain
         res = parallel_cg(system)
-        fresh = parallel_cg(DistributedSystem.from_global(p3.a, p3.b, part, fac))
+        rebuilt = DistributedSystem.from_global(p3.a, p3.b, part, fac)
+        # the refactored internal blocks are the freshly cut ones, exactly
+        for got, want in zip(system.local_internals, rebuilt.local_internals):
+            assert np.array_equal(got.data, want.data)
+        fresh = parallel_cg(rebuilt)
         assert res.converged and fresh.converged
         assert res.iterations == fresh.iterations
         assert res.x == pytest.approx(fresh.x, rel=1e-12, abs=1e-14)

@@ -13,9 +13,13 @@ reference.  The two headline contracts:
   recovery must reproduce the undisturbed run bit-for-bit.
 """
 
+import gc
 import json
+import multiprocessing as mp
 import os
 import pickle
+import signal
+import warnings
 from collections import deque
 
 import numpy as np
@@ -197,19 +201,23 @@ class TestParity:
             sys_p.close()
 
     def test_refactor_then_solve_matches_lockstep(self, problem, part):
-        """A values-only update between solves reaches the rank workers:
-        every epoch forks from the driver, so it inherits the new values."""
+        """A values-only update between solves reaches the rank workers
+        as a command: the same worker processes refactor the factors
+        they kept, and solve on them bit-identically to lockstep."""
         prob, mesh = problem
         stiffer = build_contact_problem(mesh, penalty=1e6)
-        results = []
+        results, pids = [], []
         for transport in (None, "process"):
             system = DistributedSystem.from_global(
                 prob.a, prob.b, part, _factory, transport=transport
             )
             try:
+                pids.append(getattr(system.comm, "pids", None))
                 first = parallel_cg(system)
                 system.refactor(stiffer.a, 2.0 * stiffer.b)
+                pids.append(getattr(system.comm, "pids", None))
                 results.append((first, parallel_cg(system)))
+                pids.append(getattr(system.comm, "pids", None))
             finally:
                 system.close()
         (first_l, second_l), (first_p, second_p) = results
@@ -217,6 +225,35 @@ class TestParity:
         assert np.array_equal(first_p.x, first_l.x)
         assert second_p.iterations == second_l.iterations
         assert np.array_equal(second_p.x, second_l.x)
+        before, after_refactor, after_solve = pids[3:]
+        assert None not in before and len(set(before)) == 4
+        assert before == after_refactor == after_solve
+
+    def test_setup_runs_in_the_rank_workers(self, problem, part, monkeypatch):
+        """The driver builds no symbolic factorization on the process
+        transport: each rank worker builds its own, and the driver keeps
+        a handle per rank that reports the worker's set-up."""
+        from repro.precond import icfact
+
+        built = []
+        init = icfact.ICSymbolic.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(os.getpid())
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(icfact.ICSymbolic, "__init__", counting_init)
+        system = _process_system(problem, part)
+        try:
+            assert built == []
+            assert all(m.setup_seconds > 0 for m in system.preconds)
+            assert all(
+                m.factorization_stats()["symbolic_setups"] == 1 for m in system.preconds
+            )
+            assert parallel_cg(system).converged
+            assert built == []
+        finally:
+            system.close()
 
     @pytest.mark.skipif(
         not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here"
@@ -278,8 +315,9 @@ class TestParity:
                 res = parallel_cg(system)
                 assert res.converged
                 n = res.iterations
-                assert system.comm._n_exchanges.tolist() == [n] * ranks
-                assert system.comm._n_allreduces.tolist() == [2 * n + 1] * ranks
+                fabric = system.comm._fab
+                assert fabric.n_exchanges.tolist() == [n] * ranks
+                assert fabric.n_allreduces.tolist() == [2 * n + 1] * ranks
             iterations.append(n)
         assert iterations == sorted(iterations)
         assert iterations[-1] <= 1.5 * iterations[0]
@@ -369,34 +407,53 @@ class TestCommLogMerge:
 # -- genuine failures ----------------------------------------------------
 
 
+def _rank_workers() -> list:
+    return [
+        p for p in mp.active_children() if p.name.startswith("repro-transport-rank")
+    ]
+
+
 class TestRealFailures:
+    @pytest.mark.parametrize("when", ["mid_solve", "idle"])
     def test_sigkill_detected_recovered_bit_exact(
-        self, problem, part, lockstep_ref
+        self, problem, part, lockstep_ref, when
     ):
+        """A worker SIGKILLed inside a solve, or idle before it, is a dead
+        rank: detected, replaced by one new worker for that rank alone
+        (which rebuilds its factor), and the solve ends bit-exact."""
         _, ref = lockstep_ref
         system = _process_system(
             problem, part, policy=TransportPolicy(budget=6.0)
         )
         try:
             system.enable_recovery()
-            system.comm.inject_kill(2, at_exchange=6)
+            before, handle = system.comm.pids, system.preconds[2]
+            if when == "mid_solve":
+                system.comm.inject_kill(2, at_exchange=6)
+            else:
+                os.kill(before[2], signal.SIGKILL)
             report = SolveReport()
             res = parallel_cg(system, checkpoint_interval=4, report=report)
             assert res.converged
-            assert system.comm.kills == [{"rank": 2, "exchange": 6}]
+            if when == "mid_solve":
+                assert system.comm.kills == [{"rank": 2, "exchange": 6}]
             assert len(system.comm.revivals) == 1
-            assert res.rollbacks >= 1
+            assert res.rollbacks == 1
             assert any(
                 e.reason is FailureReason.RANK_FAILURE
                 for e in report.detections()
             )
             assert np.array_equal(res.x, ref.x)  # bit-exact recovery
-            # the replacement was the next epoch's fork, and every epoch
-            # reaps its workers: no process outlives the solve
-            assert system.comm._epochs == 2
-            assert not any(p.is_alive() for p in system.comm._procs)
+            assert system.preconds[2] is not handle  # the factor was rebuilt
+            # exactly one replacement, for the dead rank; the survivors
+            # kept their processes, and every worker outlives the solve
+            after = system.comm.pids
+            assert after[2] != before[2]
+            assert after[:2] + after[3:] == before[:2] + before[3:]
+            assert sorted(p.pid for p in _rank_workers()) == sorted(after)
         finally:
             system.close()
+        assert _rank_workers() == []  # and none outlives the system
 
     def test_sigkill_without_recovery_store_fails_fast(self, problem, part):
         system = _process_system(
@@ -417,6 +474,7 @@ class TestRealFailures:
         policy = TransportPolicy(budget=1.05)
         system = _process_system(problem, part, policy=policy)
         try:
+            before = system.comm.pids
             system.comm.inject_worker_fault(
                 1, exchange=6, delay=3 * policy.budget
             )
@@ -430,8 +488,13 @@ class TestRealFailures:
             assert res.rollbacks >= 1
             assert system.comm.timeout_count >= 1
             assert np.array_equal(res.x, ref.x)
-            # nobody died and nobody was respawned
+            # no injected kill fired and no rank was recovered; the wedged
+            # worker, still asleep after the grace, was SIGKILLed and
+            # replaced by the transport, and only it
             assert system.comm.kills == [] and system.comm.revivals == []
+            after = system.comm.pids
+            assert after[1] != before[1]
+            assert after[:1] + after[2:] == before[:1] + before[2:]
         finally:
             system.close()
 
@@ -482,11 +545,49 @@ class TestLifecycle:
     def test_close_idempotent_and_context_manager(self, problem, part):
         with _process_system(problem, part) as system:
             assert isinstance(system.comm, ProcessTransport)
+            assert sorted(p.pid for p in _rank_workers()) == sorted(system.comm.pids)
+        assert _rank_workers() == []
         system.close()  # second close is a no-op
-        for pid_alive in [
-            p.is_alive() for p in system.comm._procs if p is not None
-        ]:
-            assert not pid_alive
+        with pytest.raises(RuntimeError, match="closed"):
+            parallel_cg(system)
+
+    def test_dropped_system_stops_its_workers(self, problem, part):
+        """A system dropped without close() still stops its workers."""
+        system = _process_system(problem, part)
+        workers = _rank_workers()
+        assert len(workers) == 4
+        del system
+        gc.collect()
+        assert not any(p.is_alive() for p in workers)
+        assert _rank_workers() == []
+
+    def test_factory_error_reaches_from_global(self, problem, part):
+        """A factory that raises in a rank worker fails from_global with
+        that exception, and leaves no worker behind."""
+
+        def broken(sub, nodes):
+            raise ValueError(f"cannot factor a block of {sub.shape[0]} rows")
+
+        prob, _ = problem
+        with pytest.raises(ValueError, match="cannot factor"):
+            DistributedSystem.from_global(
+                prob.a, prob.b, part, broken, transport="process"
+            )
+        assert _rank_workers() == []
+
+    def test_factory_warning_reaches_from_global(self, problem, part):
+        from repro.resilience import PivotNudgeWarning
+
+        def nudging(sub, nodes):
+            warnings.warn("pivot nudged in a worker", PivotNudgeWarning)
+            return _factory(sub, nodes)
+
+        prob, _ = problem
+        with pytest.warns(PivotNudgeWarning, match="nudged in a worker"):
+            system = DistributedSystem.from_global(
+                prob.a, prob.b, part, nudging, transport="process"
+            )
+        system.close()
 
     def test_invalid_injection_args(self, problem, part):
         system = _process_system(problem, part)
@@ -512,19 +613,23 @@ class TestLifecycle:
             assert len(meta) == 1 and meta[0]["rank"] == r
             spans = [x for x in recs if x["kind"] == "span"]
             assert spans and all(x["rank"] == r for x in spans)
-            assert {x["name"] for x in spans} == {
-                "halo_exchange", "rank.compute", "rank.wait",
+            # the factor's own spans nest under the rank's set-up
+            top = [x for x in spans if x["parent_id"] is None]
+            assert {x["name"] for x in top} == {
+                "halo_exchange", "rank.compute", "rank.setup", "rank.wait",
             }
-            assert all(x["attrs"]["rank"] == r for x in spans)
+            assert all(x["attrs"]["rank"] == r for x in top)
+            assert sum(x["name"] == "rank.setup" for x in top) == 1
             # one wait per collective, tagged with its kind: 10 exchanges,
             # 1 + 2 * 10 allreduces — the comm/compute split of Fig. 20
-            waits = [x["attrs"]["kind"] for x in spans if x["name"] == "rank.wait"]
+            waits = [x["attrs"]["kind"] for x in top if x["name"] == "rank.wait"]
             assert waits.count("halo") == 10 and waits.count("allreduce") == 21
-            n_compute = sum(x["name"] == "rank.compute" for x in spans)
+            n_compute = sum(x["name"] == "rank.compute" for x in top)
             assert n_compute == len(waits) + 1
         table = rank_time_table(files).splitlines()
-        assert table[0].split()[:2] == ["rank", "compute"]
+        assert table[0].split()[:4] == ["rank", "setup", "s", "compute"]
         assert [line.split()[0] for line in table[1:]] == ["0", "1", "2", "3"]
+        assert all(float(line.split()[1]) > 0 for line in table[1:])
         merged = merge_rank_traces(files, tmp_path / "merged.json")
         doc = json.loads(merged.read_text())
         events = doc["traceEvents"]
