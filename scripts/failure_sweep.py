@@ -198,7 +198,7 @@ def run_sweep(
                     problem.b,
                     part,
                     factory,
-                    transport=transport if transport == "process" else None,
+                    transport=transport,
                 )
                 system.enable_recovery()
                 if transport == "process":
@@ -237,11 +237,9 @@ def run_sweep(
     # leg 2 (lockstep): transient fault -> checkpoint rollback ---------
     # leg 2 (process): wedged worker -> COMM_TIMEOUT -> rollback -------
     if transport == "process":
-        from repro.parallel.transport import TransportPolicy
-
         # small budget so the sweep doesn't wait out the default 30 s;
         # the injected 4x-budget wedge must trip COMM_TIMEOUT
-        policy = TransportPolicy(budget=1.25)
+        budget = 1.25
         for pname, factory in factories.items():
             for seed in seeds:
                 victim = int(np.random.default_rng(seed).integers(ndomains))
@@ -251,10 +249,10 @@ def run_sweep(
                     part,
                     factory,
                     transport="process",
-                    transport_opts={"policy": policy},
+                    transport_opts={"budget": budget},
                 )
                 system.comm.inject_worker_fault(
-                    victim, exchange=kill_slots[0], delay=4 * policy.budget
+                    victim, exchange=kill_slots[0], delay=4 * budget
                 )
                 report = SolveReport()
                 res = parallel_cg(system, checkpoint_interval=4, report=report)

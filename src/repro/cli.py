@@ -136,7 +136,6 @@ def _run_distributed_solve(args, prob) -> int:
         parallel_cg,
         partition_nodes_rcb,
     )
-    from repro.parallel.transport import registry as transport_registry
     from repro.precond.localized import restrict_groups
 
     family = FAMILY_TABLE[args.precond]
@@ -152,20 +151,17 @@ def _run_distributed_solve(args, prob) -> int:
     def factory(sub, nodes):
         return family.build(sub, restrict_groups(prob.groups, nodes, n_nodes))
 
-    transport_registry.set_transport(args.transport)
-    resolved = transport_registry.active_transport()
-    opts = {}
-    if resolved == "process" and getattr(args, "rank_traces", None):
-        opts["trace_dir"] = args.rank_traces
+    traced = args.transport == "process" and getattr(args, "rank_traces", None)
+    opts = {"trace_dir": args.rank_traces} if traced else {}
     part = partition_nodes_rcb(prob.mesh.coords, args.ndomains)
     with DistributedSystem.from_global(
-        prob.a, prob.b, part, factory, transport_opts=opts
+        prob.a, prob.b, part, factory, transport=args.transport, transport_opts=opts
     ) as system:
         res = parallel_cg(system, max_iter=args.max_iter)
         log = system.comm_log
         print(
             f"model: {prob.ndof} DOF, penalty {args.penalty:g}, "
-            f"precond {args.precond}, transport {resolved}, "
+            f"precond {args.precond}, transport {args.transport}, "
             f"{args.ndomains} domains"
         )
         print(res)
@@ -173,7 +169,7 @@ def _run_distributed_solve(args, prob) -> int:
             f"comm: {log.n_messages} messages, {log.bytes_sent} bytes, "
             f"{log.n_allreduce} allreduces"
         )
-    if resolved == "process" and getattr(args, "rank_traces", None):
+    if traced:
         print(
             f"per-rank traces in {args.rank_traces} "
             f"(merge: repro trace --merge {args.rank_traces}/trace.rank*.jsonl "
@@ -361,8 +357,7 @@ def main(argv: list[str] | None = None) -> int:
             "--transport", default=None,
             choices=["lockstep", "process"],
             help="run the solve distributed over this communication "
-            "fabric (default: sequential solve; $REPRO_TRANSPORT also "
-            "selects one)",
+            "fabric (default: sequential solve)",
         )
         p.add_argument(
             "--ndomains", type=int, default=4,

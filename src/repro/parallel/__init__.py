@@ -9,9 +9,8 @@ sequential solver bit-for-bit in exact arithmetic.
 The communicator is pluggable (:mod:`repro.parallel.transport`): the
 lockstep emulation by default, one resident forked OS worker process
 per rank (each building its rank's factor and running its CG) with
-``--transport process`` /
-``REPRO_TRANSPORT=process`` — both behind the same Comm surface, selected
-through :func:`~repro.parallel.transport.registry.create_transport`.
+``transport="process"`` (CLI ``--transport process``) — both behind the
+same Comm surface.
 """
 
 from repro.parallel.partition import (
@@ -25,13 +24,7 @@ from repro.parallel.contact_partition import (
 )
 from repro.parallel.comm import CommLog, LockstepComm
 from repro.parallel.distributed import DistributedSystem, parallel_cg
-from repro.parallel.transport import (
-    ProcessTransport,
-    TransportPolicy,
-    available_transports,
-    create_transport,
-    set_transport,
-)
+from repro.parallel.transport import ProcessTransport
 
 __all__ = [
     "LocalDomain",
@@ -44,8 +37,4 @@ __all__ = [
     "DistributedSystem",
     "parallel_cg",
     "ProcessTransport",
-    "TransportPolicy",
-    "available_transports",
-    "create_transport",
-    "set_transport",
 ]

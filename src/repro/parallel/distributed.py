@@ -33,6 +33,7 @@ import scipy.sparse as sp
 from repro.obs import metric_inc, span as obs_span
 from repro.parallel.comm import HALO, CommLog, LockstepComm
 from repro.parallel.partition import LocalDomain, build_domains
+from repro.parallel.transport.process_backend import ProcessTransport
 from repro.precond.base import Preconditioner
 from repro.resilience.taxonomy import (
     CommTimeout,
@@ -167,7 +168,7 @@ class DistributedSystem:
         precond_factory: LocalPrecondFactory,
         b: int = 3,
         *,
-        transport: str | None = None,
+        transport: str = "lockstep",
         transport_opts: dict | None = None,
     ) -> "DistributedSystem":
         """Partition a global system and build per-domain preconditioners.
@@ -179,20 +180,23 @@ class DistributedSystem:
         it for its own rank, at the same time as its peers; an exception
         or warning it raises there reaches this call.
 
-        ``transport`` selects the communication fabric through the
-        registry (:mod:`repro.parallel.transport.registry`): explicit
-        argument > process-wide ``set_transport`` (CLI ``--transport``) >
-        ``REPRO_TRANSPORT`` env var > the lockstep emulation.
-        ``transport_opts`` forwards backend knobs (e.g. ``policy`` /
-        ``trace_dir`` for the process transport).  Real transports own OS
-        resources — call :meth:`close` (or use the system as a context
-        manager) when done.
+        ``transport`` is the communication fabric: ``"lockstep"`` (the
+        in-process emulation) or ``"process"``
+        (:class:`~repro.parallel.transport.ProcessTransport`, which
+        ``transport_opts`` configure: ``budget`` / ``trace_dir``).  The
+        process transport owns OS resources — call :meth:`close` (or use
+        the system as a context manager) when done.
         """
-        from repro.parallel.transport.registry import create_transport
-
+        if transport not in ("lockstep", "process"):
+            raise ValueError(
+                f"unknown transport {transport!r}; choose 'lockstep' or 'process'"
+            )
         a = check_square_csr(a)
         domains = build_domains(a, node_domain, b=b)
-        comm = create_transport(domains, transport, **(transport_opts or {}))
+        if transport == "process":
+            comm = ProcessTransport(domains, **(transport_opts or {}))
+        else:
+            comm = LockstepComm(domains)
         b_vec = np.asarray(b_vec, dtype=np.float64)
         b_parts = [b_vec[_rows_dof(dom)] for dom in domains]
         local_internals, preconds = [], []

@@ -1,6 +1,7 @@
 """Real-process transport: resident SPMD rank workers over shared memory.
 
-One worker per rank for the system's whole life (DESIGN.md section 13):
+One worker per rank for the system's whole life (DESIGN.md section 13),
+on the forked command workers of :mod:`repro.utils.workers`:
 :meth:`ProcessTransport.start` forks them and each runs its own rank's
 set-up, side by side with its peers, keeping the factor; every later
 :meth:`ProcessTransport.run` is a command — a module-level function sent
@@ -19,8 +20,8 @@ A wait is ``check → sched_yield → abort flag → deadline``.  The driver
 sleeps on the workers' pipes and classifies how a command ended: EOF —
 a worker died, mid-command or idle — is
 :class:`~repro.resilience.taxonomy.RankFailure` (the rank stays dead
-until :meth:`ProcessTransport.revive`); a wait past
-``TransportPolicy.budget`` with everybody alive is
+until :meth:`ProcessTransport.revive`); a wait past the transport's
+``budget`` with everybody alive is
 :class:`~repro.resilience.taxonomy.CommTimeout`; a command that raised is
 re-raised.  A failed command is called off for every rank, and a worker
 not back in its loop ``REAP_GRACE_S`` later is replaced.  The
@@ -30,23 +31,20 @@ weaker machine would trip the checksum.
 
 from __future__ import annotations
 
-import ctypes
 import inspect
 import io
+import math
 import mmap
-import multiprocessing as mp
 import os
 import pickle
 import signal
 import tempfile
 import time
-import traceback
 import warnings
 import weakref
 from collections import deque
 from multiprocessing.connection import wait as mp_wait
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -54,23 +52,13 @@ from repro import obs
 from repro.obs import metric_inc, span
 from repro.parallel.comm import HALO, PER_EXCHANGE_RETENTION, CommLog
 from repro.parallel.partition import LocalDomain
-from repro.parallel.transport.policy import TransportPolicy
 from repro.resilience.taxonomy import CommTimeout, RankFailure
+from repro.utils.workers import REAP_GRACE_S, Workers
 
-__all__ = ["ProcessTransport", "is_available"]
+__all__ = ["ProcessTransport"]
 
 REDUCE_WIDTH = 8
 """Widest allreduce contribution the shared table holds (CG needs 3)."""
-
-REAP_GRACE_S = 0.5
-"""How long the driver waits, after calling a failed command off, for a
-worker to return to its command loop (they see the abort flag within one
-wait-loop turn) before SIGKILLing and replacing it."""
-
-
-def is_available() -> bool:
-    """The backend needs ``fork`` (workers inherit domains and the fabric)."""
-    return "fork" in mp.get_all_start_methods()
 
 
 def _checksum(data: np.ndarray) -> tuple[float, bool]:
@@ -80,28 +68,6 @@ def _checksum(data: np.ndarray) -> tuple[float, bool]:
     catches NaN/Inf poison (NaN sums are sticky but two NaN sums do not
     compare unequal the way the probe needs)."""
     return float(np.sum(data)), bool(np.isfinite(data).all())
-
-
-def _openblas_thread_controls() -> list[tuple]:
-    """``(get_num_threads, set_num_threads)`` of every OpenBLAS loaded
-    into this process (numpy and scipy each ship one)."""
-    try:
-        with open("/proc/self/maps") as maps:
-            libs = {line.split()[-1] for line in maps if "openblas" in line}
-    except OSError:  # not Linux: nothing to look the libraries up in
-        return []
-    controls = []
-    for path in sorted(libs):
-        lib = ctypes.CDLL(path)
-        for prefix in ("", "scipy_"):
-            for suffix in ("", "64_"):
-                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    controls.append((get, set_))
-    return controls
 
 
 # ----------------------------------------------------------------------
@@ -302,27 +268,17 @@ class _RankLink:
         self.log.record_allreduce()
         return total if np.ndim(contribution) else float(total[0])
 
-    def run(self, fn, state, args) -> tuple:
-        """Run one command; returns the reply for the driver:
-        ``(kind, payload, warnings)``."""
+    def run(self, fn, state, args):
+        """Run one command on this rank, advancing it when it is a rank
+        program; whatever it raises goes to the driver."""
         self.seq = self.reductions = 0
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")  # the driver's filters decide
-            try:
-                result = fn(self.rank, state, *args)
-                if inspect.isgenerator(result):
-                    result = self._advance(result)
-                message = ("done", result)
-            except _Aborted:
-                message = ("aborted", None)
-            except Exception as exc:  # boundary: the driver re-raises it
+        try:
+            result = fn(self.rank, state, *args)
+            return self._advance(result) if inspect.isgenerator(result) else result
+        except Exception as exc:
+            if not isinstance(exc, _Aborted):
                 self.fab.abort[0] = 1  # nobody will meet the waiting peers
-                try:
-                    pickle.loads(pickle.dumps(exc))
-                except Exception:  # would not survive the pipe as itself
-                    exc = RuntimeError(f"{type(exc).__name__}: {exc}")
-                message = ("raised", (exc, traceback.format_exc()))
-        return (*message, [(str(w.message), w.category) for w in caught])
+            raise
 
     def _advance(self, program):
         """Advance a rank program, serving each collective it yields."""
@@ -336,35 +292,23 @@ class _RankLink:
             return stop.value
 
 
-def _worker_main(rank, fab: _Fabric, setup, conn, driver_ends, trace_file) -> None:
-    """One rank worker's life: its set-up, then one command per message
-    until the driver closes the pipe.
+def _export_trace(rank: int, state) -> None:
+    """Rewrite this rank's trace file (when it keeps one): after every
+    command, so a later kill loses nothing already recorded."""
+    if state.trace is not None:
+        sess, path = state.trace
+        obs.export_jsonl(sess.tracer, path, sess.metrics, rank=rank)
 
-    Runs in a forked child.  The observability session it inherited
-    belongs to the driver — drop it and (when per-rank tracing was
-    requested) open this rank's own, exported as JSON lines after every
-    command, so a later kill loses nothing already recorded.
-    """
-    for end in driver_ends:  # so that only the driver holds them: its
-        end.close()  # death is an EOF on this worker's pipe
-    obs.disable()
-    sess = obs.enable() if trace_file else None
-    if hasattr(os, "sched_setaffinity"):
-        # unpinned, the kernel co-locates two ranks that keep waking each other
-        cpus = sorted(os.sched_getaffinity(0))
-        os.sched_setaffinity(0, {cpus[rank % len(cpus)]})
-    link, state = _RankLink(rank, fab), SimpleNamespace()
-    with span("rank.setup", rank=rank):
-        reply = link.run(setup, state, ())
-    while True:
-        if sess is not None:
-            obs.export_jsonl(sess.tracer, trace_file, sess.metrics, rank=rank)
-        conn.send(reply)
-        try:
-            fn, args, fab.kill_plan, fab.fault_plan = fab.loads(conn.recv_bytes())
-        except EOFError:  # the driver closed the system
-            return
-        reply = link.run(fn, state, args)
+
+def _command(rank, state, message: bytes):
+    """A transport command as its worker runs it: the fabric-pickled
+    ``(fn, args, kill plan, fault plan)`` of :meth:`ProcessTransport.run`."""
+    link = state.link
+    fn, args, link.fab.kill_plan, link.fab.fault_plan = link.fab.loads(message)
+    try:
+        return link.run(fn, state, args)
+    finally:
+        _export_trace(rank, state)
 
 
 def _halo_exchange(rank, state):
@@ -380,23 +324,6 @@ def _allreduce(rank, state, contributions):
 # ----------------------------------------------------------------------
 
 
-def _stop_workers(owner: int, workers: list, fab: _Fabric) -> None:
-    """Close every worker's pipe (it leaves its loop), join, SIGKILL what
-    will not leave.  A weakref finalizer: never runs in a worker."""
-    if os.getpid() != owner:
-        return
-    live = [w for w in workers if w is not None]
-    for _, conn in live:
-        conn.close()
-    end = time.monotonic() + REAP_GRACE_S
-    for proc, _ in live:
-        proc.join(timeout=max(0.0, end - time.monotonic()))
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
-    fab.close()
-
-
 class ProcessTransport:
     """Rank set-up, rank programs, boundary exchanges and allreduces on
     one resident worker process per rank.
@@ -408,7 +335,10 @@ class ProcessTransport:
     ``halo_mismatch`` / ``log``) is kept on top — each call is a command
     of one collective — with genuine-SIGKILL and worker-fault injection.
 
-    ``policy`` bounds every wait (see :class:`TransportPolicy`);
+    ``budget`` (seconds) bounds each wait of a rank on its peers and how
+    long the driver lets a command go without any rank advancing: a dead
+    peer is a ``RankFailure`` (waiting longer cannot revive it), a wait
+    past the budget with everybody alive a ``CommTimeout``.
     ``trace_dir`` makes each worker export its own rank-tagged trace
     (merge them with ``repro trace --merge``).  A transport dropped
     without :meth:`close` still stops its workers when it is collected.
@@ -418,34 +348,26 @@ class ProcessTransport:
         self,
         domains: list[LocalDomain],
         *,
-        policy: TransportPolicy | None = None,
+        budget: float = 30.0,
         trace_dir: str | Path | None = None,
     ) -> None:
-        if not is_available():
-            raise RuntimeError(
-                "the process transport requires the 'fork' start method "
-                "(workers inherit domains and shared memory); this platform "
-                "only offers " + str(mp.get_all_start_methods())
+        if not 0.0 < budget < math.inf:
+            raise ValueError(
+                f"budget must be a positive finite number of seconds, got {budget}"
             )
         self.domains = domains
-        self.policy = policy or TransportPolicy()
+        self.budget = float(budget)
         self._trace_dir = None if trace_dir is None else Path(trace_dir)
         if self._trace_dir is not None:
             self._trace_dir.mkdir(parents=True, exist_ok=True)
-        self._fab = _Fabric(domains, self.policy.budget)
-        self._ctx = mp.get_context("fork")
-        self._blas = _openblas_thread_controls()
-        self._setup = None
-        # per rank: (process, driver end of its pipe); how often it forked
-        self._workers: list = [None] * len(domains)
-        self._forks = [0] * len(domains)
+        self._fab = _Fabric(domains, self.budget)
+        self._workers: Workers | None = None
+        self._forks = [0] * len(domains)  # how often each rank forked
         self._last_mismatch = 0.0
         self.timeout_count = 0
         self.kills: list[dict] = []
         self.revivals: list[dict] = []
-        self._stop = weakref.finalize(
-            self, _stop_workers, os.getpid(), self._workers, self._fab
-        )
+        self._stop = weakref.finalize(self, self._fab.close)
 
     @property
     def size(self) -> int:
@@ -459,7 +381,9 @@ class ProcessTransport:
     @property
     def pids(self) -> list[int | None]:
         """The worker process of each rank (``None`` before :meth:`start`)."""
-        return [None if w is None else w[0].pid for w in self._workers]
+        if self._workers is None:
+            return [None] * self.size
+        return [self._workers.process(rank).pid for rank in range(self.size)]
 
     def scratch(self):
         """Free the previous command's shared arrays and return the
@@ -484,43 +408,39 @@ class ProcessTransport:
         for the transport's life and replies with what *setup* returned;
         returns those replies by rank.  *setup* is inherited through
         ``fork``, so it may be a closure."""
-        self._setup = setup
+        fab, trace_dir, forks = self._fab, self._trace_dir, self._forks
+
+        def rank_setup(rank, state):  # in the rank's worker
+            state.trace = None
+            if trace_dir is not None:  # this rank's own observability session
+                tag = f".{forks[rank]}" if forks[rank] else ""
+                state.trace = obs.enable(), trace_dir / f"trace.rank{rank}{tag}.jsonl"
+            if hasattr(os, "sched_setaffinity"):
+                # unpinned, the kernel co-locates two ranks that keep waking each other
+                cpus = sorted(os.sched_getaffinity(0))
+                os.sched_setaffinity(0, {cpus[rank % len(cpus)]})
+            state.link = _RankLink(rank, fab)
+            try:
+                with span("rank.setup", rank=rank):
+                    return state.link.run(setup, state, ())
+            finally:
+                _export_trace(rank, state)
+
+        self._workers = Workers(self.size, rank_setup, name="repro-transport-rank")
         return self._spawn(range(self.size))
 
     def _spawn(self, ranks) -> list:
-        """Fork the given ranks' workers; returns their set-up replies."""
-        # A rank is one CPU: its worker inherits a single-threaded BLAS (a
-        # thread pool inside a one-CPU rank spins against itself — 10x
-        # slower on a 44k-DOF solve; limiting it *in* the child spawns a
-        # pool thread that spins there for 0.1 s).
-        blas_threads = [get() for get, _ in self._blas]
-        for _, set_threads in self._blas:
-            set_threads(1)
-        try:
-            for rank in ranks:
-                driver_end, worker_end = self._ctx.Pipe()
-                tag = f".{self._forks[rank]}" if self._forks[rank] else ""
-                trace_file = self._trace_dir and (
-                    self._trace_dir / f"trace.rank{rank}{tag}.jsonl"
-                )
-                ends = [w[1] for w in self._workers if w is not None]
-                proc = self._ctx.Process(
-                    target=_worker_main,
-                    args=(rank, self._fab, self._setup, worker_end,
-                          [driver_end, *ends], trace_file),
-                    name=f"repro-transport-rank{rank}",
-                    daemon=True,
-                )
-                proc.start()
-                # the worker holds the only copy of its end now: its
-                # death is an EOF on the driver's
-                worker_end.close()
-                self._workers[rank] = (proc, driver_end)
-                self._forks[rank] += 1
-        finally:
-            for (_, set_threads), n in zip(self._blas, blas_threads):
-                set_threads(n)
-        return self._collect(ranks, budget=None)  # set-up waits on nobody
+        """Fork the given ranks' workers (replacing any they had); returns
+        their set-up replies.  Set-up waits on nobody: no budget."""
+        ranks = list(ranks)
+        done, warned = {}, []
+        failures = [
+            self._file(rank, reply, done, warned)
+            for rank, reply in zip(ranks, self._workers.replace(ranks))
+        ]
+        for rank in ranks:
+            self._forks[rank] += 1
+        return self._results(ranks, done, warned, next(filter(None, failures), None))
 
     def run(self, fn, *args) -> list:
         """Every rank worker runs ``fn(rank, state, *args)``; returns the
@@ -539,66 +459,62 @@ class ProcessTransport:
         # a failed command leaves the ranks at different exchanges
         fab.exchange_index[:] = fab.exchange_index.max()
         message = fab.dumps((fn, args, fab.kill_plan, fab.fault_plan))
-        for _, conn in self._workers:
-            try:
-                conn.send_bytes(message)
-            except OSError:  # a dead worker: its EOF is classified below
-                pass
-        return self._collect(range(self.size), self.policy.budget)
+        for rank in range(self.size):
+            self._workers.send(rank, _command, message)
+        return self._collect()
 
-    def _collect(self, ranks, budget: float | None) -> list:
-        """Sleep until every rank in *ranks* replied to the current
-        command, or it failed; a failed command is called off for all."""
-        fab = self._fab
-        waiting = {self._workers[rank][1]: rank for rank in ranks}
+    def _collect(self) -> list:
+        """Sleep until every rank replied to the current command, or it
+        failed; a failed command is called off for all."""
+        fab, ranks = self._fab, range(self.size)
+        waiting = {self._workers.conn(rank): rank for rank in ranks}
         done: dict[int, object] = {}
         warned: list = []
         failure = None
         t0 = time.monotonic()
         progress = fab.seq.copy()
         while waiting and failure is None:
-            ready = mp_wait(list(waiting), timeout=budget)
+            ready = mp_wait(list(waiting), timeout=self.budget)
             if not ready and (fab.seq == progress).all():
                 # nothing ended for a whole budget and not even the
                 # sequence counters moved: a wedge nobody is waiting on
-                failure = self._timed_out(
-                    CommTimeout("command", sorted(waiting.values()), time.monotonic() - t0)
+                failure = CommTimeout(
+                    "command", sorted(waiting.values()), time.monotonic() - t0
                 )
             progress = fab.seq.copy()
             for conn in sorted(ready, key=waiting.get):
                 rank = waiting.pop(conn)
-                reply = self._receive(rank)
-                if reply is None:
-                    failure = failure or RankFailure(rank, 1)
-                    continue
-                kind, payload, caught = reply
-                warned += caught
-                if kind == "done":
-                    done[rank] = payload
-                elif kind == "raised" and failure is None:
-                    exc, where = payload
-                    if isinstance(exc, CommTimeout):
-                        self._timed_out(exc)
-                    failure = exc
-                    failure.__cause__ = RuntimeError(f"in rank {rank}'s worker:\n{where}")
-                # "aborted": a bystander; the rank that called it off follows
+                found = self._file(rank, self._workers.receive(rank), done, warned)
+                failure = failure or found
+        if isinstance(failure, CommTimeout):
+            self._timed_out(failure)
         if failure is not None:
-            if budget is not None:  # a failed set-up is the caller's to close
-                self._settle(waiting)
+            self._settle(waiting)
+        return self._results(ranks, done, warned, failure)
+
+    def _file(self, rank: int, reply, done: dict, warned: list):
+        """File one rank's reply; returns the failure it reports, if any."""
+        if reply is None:  # the process is gone and left no reply
+            self._note_death(rank)
+            return RankFailure(rank, 1)
+        kind, payload, caught = reply
+        warned += caught
+        if kind == "done":
+            done[rank] = payload
+            return None
+        exc, where = payload
+        if isinstance(exc, _Aborted):  # a bystander: the rank that called it off follows
+            return None
+        exc.__cause__ = RuntimeError(f"in rank {rank}'s worker:\n{where}")
+        return exc
+
+    @staticmethod
+    def _results(ranks, done: dict, warned: list, failure) -> list:
+        if failure is not None:
             raise failure
         for message, category in warned:
-            warnings.warn(message, category, stacklevel=3)
+            warnings.warn(message, category, stacklevel=4)
         return [done[rank] for rank in ranks]
-
-    def _receive(self, rank: int):
-        """One reply from *rank*'s worker, or None: it died."""
-        proc, conn = self._workers[rank]
-        try:
-            return conn.recv()
-        except (EOFError, OSError):  # the process is gone and left no reply
-            proc.join()
-            self._note_death(rank)
-            return None
 
     def _settle(self, waiting: dict) -> None:
         """Call the current command off: wake every waiter, take the
@@ -612,23 +528,15 @@ class ProcessTransport:
             if not ready:
                 break
             for conn in ready:
-                self._receive(waiting.pop(conn))
+                rank = waiting.pop(conn)
+                if self._workers.receive(rank) is None:
+                    self._note_death(rank)
         if waiting:
-            ranks = sorted(waiting.values())
-            for rank in ranks:
-                self._bury(rank)
-            self._spawn(ranks)
+            self._spawn(sorted(waiting.values()))
 
-    def _bury(self, rank: int) -> None:
-        proc, conn = self._workers[rank]
-        proc.kill()
-        proc.join()
-        conn.close()
-
-    def _timed_out(self, exc: CommTimeout) -> CommTimeout:
+    def _timed_out(self, exc: CommTimeout) -> None:
         self.timeout_count += 1
         metric_inc("comm.timeouts", op=exc.op)
-        return exc
 
     def _note_death(self, rank: int) -> None:
         """Record an injected kill that fired (an external one has no plan)."""
@@ -646,7 +554,6 @@ class ProcessTransport:
         set-up again on the driver's (recovered) data — the factor died
         with the old worker.  Returns its set-up reply.  The snapshot the
         solve resumes from is shared memory and outlived the dead process."""
-        self._bury(rank)
         self.revivals.append(
             {"rank": int(rank), "exchange": int(self._fab.exchange_index.max())}
         )
@@ -655,6 +562,8 @@ class ProcessTransport:
     def close(self) -> None:
         """Stop every worker (idempotent; also runs when the transport is
         collected without it)."""
+        if self._workers is not None:
+            self._workers.close()
         self._stop()
 
     # -- fault injection (the robustness harness) -----------------------
@@ -683,7 +592,7 @@ class ProcessTransport:
         """Arm a worker-side fault for halo exchange *exchange*.
 
         ``delay`` makes the rank sleep that many seconds before it
-        publishes (longer than the policy budget → ``CommTimeout``;
+        publishes (longer than the transport's budget → ``CommTimeout``;
         shorter → absorbed by its peers' wait).  ``corrupt`` ("nan" /
         "bitflip") corrupts one received ghost value *after* the copy, so
         the checksums must catch it end-to-end.  One-shot: exchange

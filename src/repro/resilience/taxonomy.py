@@ -130,7 +130,7 @@ class CommTimeout(RuntimeError):
 
     The transport layer's complement to :class:`RankFailure`: the peers
     are alive (liveness probes succeed) but the operation never completed
-    inside ``TransportPolicy.budget`` — an overloaded or wedged peer, not
+    inside the process transport's ``budget`` — an overloaded or wedged peer, not
     a dead one.  No rank state was lost, so the caller's correct response
     is a checkpoint rollback and re-execution, not a respawn.  Raised by
     the process transport's rank workers and driver; caught by

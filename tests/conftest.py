@@ -12,19 +12,20 @@ from repro.fem.model import build_contact_problem
 
 
 @pytest.fixture(scope="session", autouse=True)
-def _no_rank_worker_outlives_the_session():
-    """Process-transport rank workers outlive solves, so a system that is
-    never closed (nor dropped) would leak them: fail the run if any is
-    still alive when the session ends."""
+def _no_worker_outlives_the_session():
+    """Forked command workers (process-transport ranks, serve pool
+    workers; all named ``repro-*``) outlive solves, so a system or pool
+    that is never closed (nor dropped) would leak them: fail the run if
+    any is still alive when the session ends."""
     yield
     import multiprocessing as mp
 
     alive = [
         f"{p.name} (pid {p.pid})"
         for p in mp.active_children()
-        if p.name.startswith("repro-transport-rank")
+        if p.name.startswith("repro-")
     ]
-    assert not alive, f"rank workers still alive at session end: {alive}"
+    assert not alive, f"workers still alive at session end: {alive}"
 
 
 @pytest.fixture(scope="session")

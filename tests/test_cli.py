@@ -33,6 +33,21 @@ class TestCLI:
         code = main(["solve", "--model", "block", "--scale", "0.4", "--precond", "diag", "--penalty", "1e2"])
         assert code == 0
 
+    @pytest.mark.parametrize("transport", ["lockstep", "process"])
+    def test_solve_distributed(self, capsys, tmp_path, transport):
+        code = main([
+            "solve", "--model", "block", "--scale", "0.4", "--transport", transport,
+            "--ndomains", "2", "--rank-traces", str(tmp_path),
+        ])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert f"transport {transport}, 2 domains" in out
+        # --rank-traces is the process transport's: lockstep writes none
+        traces = sorted(p.name for p in tmp_path.glob("trace.rank*.jsonl"))
+        assert traces == (
+            ["trace.rank0.jsonl", "trace.rank1.jsonl"] if transport == "process" else []
+        )
+
     def test_solve_rejects_unknown_model(self):
         with pytest.raises(SystemExit):
             main(["solve", "--model", "venus"])

@@ -19,6 +19,7 @@ The robustness properties of the concurrency tentpole live here:
 from __future__ import annotations
 
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -317,8 +318,6 @@ class TestWorkerPoolProcess:
     def test_constructor_validates(self, session):
         with pytest.raises(ValueError):
             WorkerPool(session, workers=0)
-        with pytest.raises(ValueError):
-            WorkerPool(session, solve_timeout_s=0.0)
 
     def test_pooled_answers_bit_identical_to_serial(self, session):
         def batch():
@@ -402,6 +401,39 @@ class TestWorkerPoolProcess:
             stats = pool.stats()
         assert sum(stats["per_worker"].values()) == stats["completed"] == 3
         assert stats["workers"] == 2
+
+    def test_raising_group_answered_and_worker_kept(self, session, monkeypatch):
+        """A group whose solve raises in the child gets one error answer
+        per job; the worker, back in its command loop, is kept."""
+        def broken(self, requests):
+            raise RuntimeError("solver exploded")
+
+        monkeypatch.setattr(SolverSession, "solve_batch", broken)
+        with WorkerPool(session, workers=1) as pool:  # forked after the patch
+            pid = pool._procs.process(0).pid
+            out = pool.solve_batch([_req(job_id="praise")])
+            stats = pool.stats()
+            assert pool._procs.process(0).pid == pid
+        assert [(r.ok, r.error) for r in out] == [
+            (False, "RuntimeError: solver exploded")
+        ]
+        assert (stats["crashes"], stats["replaced_workers"]) == (0, 0)
+        assert stats["completed"] == 1
+
+    def test_worker_warnings_reach_the_parent(self, session, monkeypatch):
+        from repro.resilience import PivotNudgeWarning
+
+        solve = SolverSession.solve_batch
+
+        def nudging(self, requests):
+            warnings.warn("pivot nudged in a pool worker", PivotNudgeWarning)
+            return solve(self, requests)
+
+        monkeypatch.setattr(SolverSession, "solve_batch", nudging)
+        with WorkerPool(session, workers=1) as pool:
+            with pytest.warns(PivotNudgeWarning, match="in a pool worker"):
+                out = pool.solve_batch([_req(job_id="pwarn")])
+        assert out[0].ok and out[0].converged
 
     def test_close_is_idempotent(self, session):
         pool = WorkerPool(session, workers=1)

@@ -35,11 +35,8 @@ from repro.parallel import (
     partition_nodes_rcb,
 )
 from repro.parallel.comm import CommLog
-from repro.parallel.transport import (
-    ProcessTransport,
-    TransportPolicy,
-    registry,
-)
+from repro.parallel.partition import build_domains
+from repro.parallel.transport import ProcessTransport
 from repro.precond import DiagonalScaling, bic
 from repro.resilience import FailureReason, SolveReport
 
@@ -77,74 +74,52 @@ def _process_system(problem, part, **opts):
     )
 
 
-@pytest.fixture(autouse=True)
-def _reset_registry():
-    registry.reset()
-    yield
-    registry.reset()
-
-
-# -- registry ------------------------------------------------------------
+# -- selection: one explicit argument -------------------------------------
 
 
 class TestRegistry:
-    def test_lockstep_and_process_available(self):
-        avail = registry.available_transports()
-        assert "lockstep" in avail and "process" in avail
+    """The transport is the ``transport=`` argument of ``from_global``:
+    nothing process-wide, no environment variable."""
 
-    def test_default_is_lockstep(self, monkeypatch):
-        monkeypatch.delenv(registry.ENV_VAR, raising=False)
-        assert registry.resolve_name() == "lockstep"
+    def test_default_is_lockstep(self, problem, part):
+        prob, _ = problem
+        system = DistributedSystem.from_global(prob.a, prob.b, part, _factory)
+        assert type(system.comm) is LockstepComm
 
-    def test_env_var_selects(self, monkeypatch):
-        monkeypatch.setenv(registry.ENV_VAR, "process")
-        assert registry.resolve_name() == "process"
+    def test_lockstep_and_process_available(self, problem, part):
+        prob, _ = problem
+        for name, kind in (("lockstep", LockstepComm), ("process", ProcessTransport)):
+            with DistributedSystem.from_global(
+                prob.a, prob.b, part, _factory, transport=name
+            ) as system:
+                assert type(system.comm) is kind
 
-    def test_set_transport_beats_env(self, monkeypatch):
-        monkeypatch.setenv(registry.ENV_VAR, "process")
-        assert registry.set_transport("lockstep") == "lockstep"
-        assert registry.resolve_name() == "lockstep"
-        registry.set_transport(None)
-        assert registry.resolve_name() == "process"
+    def test_unknown_name_rejected(self, problem, part):
+        prob, _ = problem
+        with pytest.raises(ValueError, match="unknown transport 'carrier-pigeon'"):
+            DistributedSystem.from_global(
+                prob.a, prob.b, part, _factory, transport="carrier-pigeon"
+            )
 
-    def test_explicit_arg_beats_all(self, monkeypatch):
-        monkeypatch.setenv(registry.ENV_VAR, "process")
-        registry.set_transport("process")
-        assert registry.resolve_name("lockstep") == "lockstep"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError, match="unknown transport"):
-            registry.resolve_name("carrier-pigeon")
-
-    def test_mpi_is_not_a_transport(self, monkeypatch):
+    def test_mpi_is_not_a_transport(self, problem, part):
         """The replicated-driver mpi backend is gone: its name is an
-        error everywhere, not a warning and a silent lockstep run."""
-        assert registry.available_transports() == ["lockstep", "process"]
-        with pytest.raises(ValueError, match="unknown transport 'mpi'"):
-            registry.resolve_name("mpi")
-        monkeypatch.setenv(registry.ENV_VAR, "mpi")
-        with pytest.raises(ValueError, match="unknown transport"):
-            registry.active_transport()
+        error that names both transports, not a silent lockstep run."""
+        prob, _ = problem
+        with pytest.raises(ValueError, match="unknown transport 'mpi'") as err:
+            DistributedSystem.from_global(prob.a, prob.b, part, _factory, transport="mpi")
+        assert "'lockstep'" in str(err.value) and "'process'" in str(err.value)
+        assert _rank_workers() == []
 
     def test_create_transport_types(self, problem, part):
+        """Constructing the process transport forks nothing; ``start``
+        forks one worker per rank."""
         prob, _ = problem
-        from repro.parallel.partition import build_domains
-
-        domains = build_domains(prob.a, part)
-        comm = registry.create_transport(domains)
-        assert isinstance(comm, LockstepComm)
-        proc = registry.create_transport(domains, "process")
+        proc = ProcessTransport(build_domains(prob.a, part), budget=5.0)
         try:
-            assert isinstance(proc, ProcessTransport)
+            assert proc.budget == 5.0
+            assert proc.pids == [None] * 4 and _rank_workers() == []
         finally:
             proc.close()
-
-    def test_describe(self, monkeypatch):
-        monkeypatch.setenv(registry.ENV_VAR, "process")
-        info = registry.describe()
-        assert info["env"] == "process"
-        assert info["active"] == "process"
-        assert "lockstep" in info["available"]
 
 
 # -- parity + determinism -----------------------------------------------
@@ -207,7 +182,7 @@ class TestParity:
         prob, mesh = problem
         stiffer = build_contact_problem(mesh, penalty=1e6)
         results, pids = [], []
-        for transport in (None, "process"):
+        for transport in ("lockstep", "process"):
             system = DistributedSystem.from_global(
                 prob.a, prob.b, part, _factory, transport=transport
             )
@@ -267,7 +242,7 @@ class TestParity:
         os.sched_setaffinity(0, {min(mask)})
         try:
             system = _process_system(
-                problem, part, policy=TransportPolicy(budget=20.0)
+                problem, part, budget=20.0
             )
             try:
                 res = parallel_cg(system)
@@ -321,15 +296,6 @@ class TestParity:
             iterations.append(n)
         assert iterations == sorted(iterations)
         assert iterations[-1] <= 1.5 * iterations[0]
-
-    def test_from_global_env_var_route(self, problem, part, monkeypatch):
-        prob, _ = problem
-        monkeypatch.setenv(registry.ENV_VAR, "process")
-        system = DistributedSystem.from_global(prob.a, prob.b, part, _factory)
-        try:
-            assert isinstance(system.comm, ProcessTransport)
-        finally:
-            system.close()
 
 
 # -- CommLog merge (per-worker census -> aggregate) ----------------------
@@ -409,7 +375,7 @@ class TestCommLogMerge:
 
 def _rank_workers() -> list:
     return [
-        p for p in mp.active_children() if p.name.startswith("repro-transport-rank")
+        p for p in mp.active_children() if p.name.startswith("repro-")
     ]
 
 
@@ -423,7 +389,7 @@ class TestRealFailures:
         (which rebuilds its factor), and the solve ends bit-exact."""
         _, ref = lockstep_ref
         system = _process_system(
-            problem, part, policy=TransportPolicy(budget=6.0)
+            problem, part, budget=6.0
         )
         try:
             system.enable_recovery()
@@ -457,7 +423,7 @@ class TestRealFailures:
 
     def test_sigkill_without_recovery_store_fails_fast(self, problem, part):
         system = _process_system(
-            problem, part, policy=TransportPolicy(budget=2.0)
+            problem, part, budget=2.0
         )
         try:
             system.comm.inject_kill(1, at_exchange=3)
@@ -471,12 +437,12 @@ class TestRealFailures:
         self, problem, part, lockstep_ref
     ):
         _, ref = lockstep_ref
-        policy = TransportPolicy(budget=1.05)
-        system = _process_system(problem, part, policy=policy)
+        budget = 1.05
+        system = _process_system(problem, part, budget=budget)
         try:
             before = system.comm.pids
             system.comm.inject_worker_fault(
-                1, exchange=6, delay=3 * policy.budget
+                1, exchange=6, delay=3 * budget
             )
             report = SolveReport()
             res = parallel_cg(system, checkpoint_interval=4, report=report)
@@ -502,7 +468,7 @@ class TestRealFailures:
         """A delay inside one deadline is not a solver-visible failure."""
         _, ref = lockstep_ref
         system = _process_system(
-            problem, part, policy=TransportPolicy(budget=15.0)
+            problem, part, budget=15.0
         )
         try:
             system.comm.inject_worker_fault(0, exchange=4, delay=0.8)

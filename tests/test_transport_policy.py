@@ -3,19 +3,31 @@
 The classification contract of DESIGN.md section 13 (dead peer ->
 RankFailure, alive-but-silent past the budget -> CommTimeout) is
 exercised on real processes in ``tests/test_transport.py`` and, for the
-serve pool, in ``tests/test_serve_concurrency.py``; here only the knob
-and the exception payloads.
+serve pool, in ``tests/test_serve_concurrency.py``; here only the
+``budget`` argument of :class:`ProcessTransport` and the exception
+payloads.
 """
 
 import pytest
 
-from repro.parallel.transport.policy import TransportPolicy
+from repro.parallel import build_domains, partition_nodes_rcb
+from repro.parallel.transport import ProcessTransport
 from repro.resilience.taxonomy import CommTimeout, FailureReason
 
 
+@pytest.fixture(scope="module")
+def domains(block_problem_small):
+    p = block_problem_small
+    return build_domains(p.a, partition_nodes_rcb(p.mesh.coords, 2))
+
+
 class TestPolicyValidation:
-    def test_defaults_are_valid(self):
-        assert TransportPolicy().budget > 0
+    def test_defaults_are_valid(self, domains):
+        transport = ProcessTransport(domains)
+        try:
+            assert transport.budget > 0
+        finally:
+            transport.close()
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -27,9 +39,9 @@ class TestPolicyValidation:
             {"budget": float("-inf")},
         ],
     )
-    def test_bad_knobs_rejected(self, kwargs):
-        with pytest.raises(ValueError):
-            TransportPolicy(**kwargs)
+    def test_bad_knobs_rejected(self, domains, kwargs):
+        with pytest.raises(ValueError, match="budget"):
+            ProcessTransport(domains, **kwargs)
 
 
 class TestTaxonomy:

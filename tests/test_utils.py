@@ -168,60 +168,3 @@ class TestCheckContactGroups:
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             check_contact_groups([np.array([0, 9])], 4)
-
-
-class TestSelection:
-    """The precedence / fallback rule of the transport registry, on a
-    stand-in set of implementations shaped like it: the default is the
-    fallback."""
-
-    @pytest.fixture
-    def sel(self):
-        from repro.utils.selection import Selection
-
-        self.usable = {"plain": True, "fast": True}
-        return Selection(
-            "widget",
-            "REPRO_TEST_WIDGET",
-            {name: (lambda name=name: self.usable[name]) for name in self.usable},
-            default="plain",
-            fallback="plain",
-            logger="repro.test_widget",
-            missing="not built here",
-        )
-
-    def test_explicit_beats_set_beats_env_beats_default(self, sel, monkeypatch):
-        assert sel.resolve() == "plain"
-        monkeypatch.setenv("REPRO_TEST_WIDGET", "fast")
-        assert sel.resolve() == "fast"
-        assert sel.set("plain") == "plain"
-        assert sel.resolve("fast") == "fast"
-        assert sel.set(None) == "fast" and sel.explicit is None  # back to env
-        assert sel.describe() == {
-            "active": "fast", "available": ["plain", "fast"],
-            "explicit": None, "env": "fast",
-        }
-
-    def test_unknown_name_is_an_error_from_every_source(self, sel, monkeypatch):
-        with pytest.raises(ValueError, match="unknown widget 'turbo'; choose from"):
-            sel.resolve("turbo")
-        with pytest.raises(ValueError, match="unknown widget"):
-            sel.set("turbo")
-        with pytest.raises(ValueError, match="unknown widget 'auto'"):
-            sel.set("auto")
-        monkeypatch.setenv("REPRO_TEST_WIDGET", "turbo")
-        with pytest.raises(ValueError, match="unknown widget"):
-            sel.resolve()
-
-    def test_unavailable_falls_back_and_warns_once_until_reset(self, sel, caplog):
-        self.usable["fast"] = False
-        assert sel.resolve() == "plain"
-        with caplog.at_level("WARNING", logger="repro.test_widget"):
-            assert sel.set("fast") == "plain"
-            assert sel.resolve() == "plain"
-            assert len(caplog.records) == 1
-            assert "'fast' requested but not built here" in caplog.records[0].getMessage()
-            sel.reset()
-            assert sel.resolve("fast") == "plain"
-            assert len(caplog.records) == 2
-        assert sel.available_names() == ["plain"]
