@@ -5,29 +5,22 @@ Japan fault model, homogeneous box — the last has no contact groups, so
 its best preconditioner is structurally different from the contact
 cases').  Every case is solved through four *fixed* escalation ladders
 (the paper's default order plus one ladder forced to lead with each
-family), once through the cost model alone (``cold_cost``: no history
-at all, which is what the first request of a served traffic class gets),
-then twice through the learned policy:
+family), then twice through the cost-model policy:
 
-- **pass 1** — the fixed-sweep outcomes as recorded history, but a cold
-  probe cache: every decision pays its probe;
-- **pass 2** — the same policy object over the same traffic: probes are
-  cached and the history additionally holds pass 1's outcomes (the serve
-  workspace's steady state for repeat traffic).
+- **cold** — a fresh policy: every decision pays its probe (what the
+  first request of a served operator gets);
+- **warm** — the same policy object over the same traffic: probes are
+  cached (the serve session's steady state for repeat traffic).
 
 Gates:
 
-- pass 2 <= 1.0x the best *fixed* ladder's total,
-- pass 2 strictly < the *default* static ladder's total,
-- pass 2 <= pass 1 (warm probes + richer history never slower),
+- warm <= 1.0x the best *fixed* ladder's total,
+- warm strictly < the *default* static ladder's total,
+- warm <= cold (cached probes never slower),
 - per-case fixed winners differ across the sweep — otherwise the gates
   above are vacuous.  The box wastes two block factorizations under the
   paper's SB-BIC-first default order, which is the existence proof for
   choosing the ladder per problem instead of statically,
-- ``cold_cost`` <= 1.25x the best fixed ladder's total: the learned
-  passes start from a history pre-loaded with all four fixed arms, a
-  luxury serving never has, so the cost model must be near the best
-  fixed order on its own,
 - per family, the cost model's set-up / iteration ratio is within 3x of
   this host's (``test_setup_to_iteration_ratio_matches_host``): the one
   number the ranking of a cheap-set-up family against an expensive one
@@ -48,10 +41,8 @@ from repro.experiments.workloads import (
 )
 from repro.policy import (
     PolicyDecision,
-    PolicyHistory,
     SolverPolicy,
     candidate_costs,
-    family_of_stage,
     probe_problem,
 )
 from repro.precond import FAMILY_TABLE
@@ -61,7 +52,6 @@ SCALE = 0.4
 N_BOX = 8
 PENALTIES = (1.0e4, 1.0e6, 1.0e8)
 FIXED_ARMS = ("default", "sbbic0", "bic0", "diag")
-SHIFTS = (0.01, 0.1)
 
 
 def build_cases() -> dict[str, object]:
@@ -86,25 +76,20 @@ def forced_order(default: tuple[str, ...], first: str) -> tuple[str, ...]:
     return (first, *[f for f in default if f != first])
 
 
-def timed_ladder_solve(policy: SolverPolicy, name: str, prob, decision):
-    """Wall time of build-ladder + resilient solve, the result, the leading family."""
+def timed_ladder_solve(policy: SolverPolicy, name: str, prob, decision=None):
+    """Wall time of (decide +) build-ladder + resilient solve, and the result."""
     t0 = time.perf_counter()
-    stages, decision = policy.ladder(prob.a, prob.groups, decision=decision, cache_key=name)
+    stages, _ = policy.ladder(prob.a, prob.groups, decision=decision, cache_key=name)
     res = ResilientSolver(prob.a, stages).solve(prob.b)
-    return time.perf_counter() - t0, res, family_of_stage(stages[0].name)
+    return time.perf_counter() - t0, res
 
 
 @pytest.fixture(scope="module")
 def sweep():
     """Run the sweep once: per-arm totals and per-case wall times."""
     cases = build_cases()
-    history = PolicyHistory()
-    policy = SolverPolicy("cost", history=history, shifts=SHIFTS)
     static = SolverPolicy("static")  # the paper's default order per case
-    for name, prob in cases.items():  # probe once per case, outside the fixed-arm timers
-        policy.probe(prob.a, prob.groups, cache_key=name)
-
-    totals = {arm: 0.0 for arm in (*FIXED_ARMS, "cold_cost", "pass1", "pass2")}
+    totals = {arm: 0.0 for arm in (*FIXED_ARMS, "cold", "warm")}
     wall_s: dict[str, dict[str, float]] = {name: {} for name in cases}
 
     def book(arm, name, wall, res):
@@ -112,46 +97,20 @@ def sweep():
         totals[arm] += wall
         wall_s[name][arm] = wall
 
-    # fixed-ladder arms (every outcome feeds the shared history)
     for arm in FIXED_ARMS:
         for name, prob in cases.items():
-            probe = policy.probe(prob.a, prob.groups, cache_key=name)
             default = static.decide(prob.a, prob.groups).order
             decision = PolicyDecision(
-                mode="fixed", order=forced_order(default, arm), shifts=SHIFTS,
-                ncolors=0, checkpoint_interval=250, probe=probe,
+                mode="fixed", order=forced_order(default, arm), probe=None,
                 source=f"bench fixed arm {arm!r}",
             )
-            wall, res, led = timed_ladder_solve(policy, name, prob, decision)
-            history.record(
-                probe.fingerprint(), led,
-                seconds=wall, converged=res.converged, iterations=res.iterations,
-            )
-            book(arm, name, wall, res)
+            book(arm, name, *timed_ladder_solve(static, name, prob, decision))
 
-    def decided_solve(policy, name, prob):
-        t0 = time.perf_counter()
-        decision = policy.decide(prob.a, prob.groups, cache_key=name)
-        _, res, led = timed_ladder_solve(policy, name, prob, decision)
-        return time.perf_counter() - t0, res, led, decision  # decide() time included
-
-    # the cost model with nothing recorded; probes cached like the fixed arms'
-    cold = SolverPolicy("cost", shifts=SHIFTS)
-    for name, prob in cases.items():
-        cold.probe(prob.a, prob.groups, cache_key=name)
-    for name, prob in cases.items():
-        wall, res, _, _ = decided_solve(cold, name, prob)
-        book("cold_cost", name, wall, res)
-
-    learned = SolverPolicy("learned", history=history, shifts=SHIFTS)
-    for arm in ("pass1", "pass2"):
+    # the cost model over the same traffic twice: decide() time included
+    policy = SolverPolicy("cost")
+    for arm in ("cold", "warm"):
         for name, prob in cases.items():
-            wall, res, led, decision = decided_solve(learned, name, prob)
-            learned.record_outcome(
-                decision, led,
-                seconds=wall, converged=res.converged, iterations=res.iterations,
-            )
-            book(arm, name, wall, res)
+            book(arm, name, *timed_ladder_solve(policy, name, prob))
 
     print()
     for arm, total in totals.items():
@@ -162,25 +121,25 @@ def sweep():
 def test_policy_beats_best_fixed_ladder(sweep):
     totals, _ = sweep
     best_fixed = min(totals[arm] for arm in FIXED_ARMS)
-    assert totals["pass2"] <= best_fixed, (
-        f"policy pass 2 {totals['pass2'] * 1e3:.0f} ms vs best fixed "
+    assert totals["warm"] <= best_fixed, (
+        f"policy warm pass {totals['warm'] * 1e3:.0f} ms vs best fixed "
         f"{best_fixed * 1e3:.0f} ms"
     )
 
 
 def test_policy_strictly_beats_default_ladder(sweep):
     totals, _ = sweep
-    assert totals["pass2"] < totals["default"], (
-        f"policy pass 2 {totals['pass2'] * 1e3:.0f} ms not below the "
+    assert totals["warm"] < totals["default"], (
+        f"policy warm pass {totals['warm'] * 1e3:.0f} ms not below the "
         f"default static ladder's {totals['default'] * 1e3:.0f} ms"
     )
 
 
 def test_warm_pass_not_slower_than_cold(sweep):
     totals, _ = sweep
-    assert totals["pass2"] <= totals["pass1"], (
-        f"warm pass {totals['pass2'] * 1e3:.0f} ms slower than cold "
-        f"{totals['pass1'] * 1e3:.0f} ms"
+    assert totals["warm"] <= totals["cold"], (
+        f"warm pass {totals['warm'] * 1e3:.0f} ms slower than cold "
+        f"{totals['cold'] * 1e3:.0f} ms"
     )
 
 
@@ -191,15 +150,6 @@ def test_sweep_winners_actually_differ(sweep):
         min(FIXED_ARMS, key=lambda arm: row[arm]) for row in wall_s.values()
     }
     assert len(winners) >= 2, f"single fixed winner {winners} across the sweep"
-
-
-def test_cold_cost_model_near_best_fixed_ladder(sweep):
-    totals, _ = sweep
-    best_fixed = min(totals[arm] for arm in FIXED_ARMS)
-    assert totals["cold_cost"] <= 1.25 * best_fixed, (
-        f"cost model without history {totals['cold_cost'] * 1e3:.0f} ms vs "
-        f"best fixed {best_fixed * 1e3:.0f} ms"
-    )
 
 
 @pytest.fixture(

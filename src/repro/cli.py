@@ -103,13 +103,10 @@ def _run_solve(args) -> int:
 
 def _run_policy_solve(args, prob) -> int:
     """Solve through a policy-ranked resilient ladder (``--policy``)."""
-    from repro.policy import PolicyHistory, SolverPolicy
+    from repro.policy import SolverPolicy
     from repro.resilience.resilient import ResilientSolver
 
-    history = None
-    if getattr(args, "policy_history", None):
-        history = PolicyHistory.load(args.policy_history)
-    policy = SolverPolicy(args.policy, history=history)
+    policy = SolverPolicy(args.policy)
     stages, decision = policy.ladder(prob.a, prob.groups)
     print(decision.explain())
     solver = ResilientSolver(
@@ -123,9 +120,6 @@ def _run_policy_solve(args, prob) -> int:
     res = solver.solve(prob.b)
     print(f"model: {prob.ndof} DOF, penalty {args.penalty:g}, policy {args.policy}")
     print(res)
-    if getattr(args, "policy_history", None):
-        policy.history.save(args.policy_history)
-        print(f"policy history saved to {args.policy_history}")
     return 0 if res.converged else 1
 
 
@@ -193,10 +187,7 @@ def _build_queue(args):
         SolverSession, WorkerPool,
     )
 
-    session = SolverSession(
-        capacity=args.capacity,
-        policy_mode=getattr(args, "policy_mode", "learned"),
-    )
+    session = SolverSession(capacity=args.capacity)
     admission = AdmissionController(AdmissionPolicy(
         max_queue_depth=args.max_queue_depth,
         max_payload_bytes=args.max_payload_bytes,
@@ -271,7 +262,7 @@ def _cmd_batch(args) -> int:
 def _cmd_policy(args) -> int:
     """Show what the solver policy would decide for one problem."""
     from repro.experiments.workloads import block_problem, swjapan_problem
-    from repro.policy import PolicyHistory, SolverPolicy
+    from repro.policy import SolverPolicy
 
     if args.action != "explain":
         print(f"unknown policy action {args.action!r}", file=sys.stderr)
@@ -280,23 +271,7 @@ def _cmd_policy(args) -> int:
         prob = block_problem(args.scale, penalty=args.penalty)
     else:
         prob = swjapan_problem(args.scale, penalty=args.penalty)
-    history = (
-        PolicyHistory.load(args.history) if args.history is not None else None
-    )
-    policy = SolverPolicy(args.mode, history=history)
-    decision = policy.decide(prob.a, prob.groups)
-    print(decision.explain())
-    if history is not None:
-        stats = history.stats_for(decision.fingerprint)
-        if stats:
-            print("recorded history for this fingerprint:")
-            for fam, st in sorted(stats.items(), key=lambda kv: kv[1].score):
-                print(
-                    f"  {fam:<8} runs={st.runs} failures={st.failures} "
-                    f"mean={st.mean_seconds:.4f}s score={st.score:.4f}"
-                )
-        else:
-            print("no recorded history for this fingerprint")
+    print(SolverPolicy(args.mode).decide(prob.a, prob.groups).explain())
     return 0
 
 
@@ -370,16 +345,10 @@ def main(argv: list[str] | None = None) -> int:
             "(merge with: repro trace --merge DIR/trace.rank*.jsonl)",
         )
         p.add_argument(
-            "--policy", default=None,
-            choices=["static", "cost", "learned"],
+            "--policy", default=None, choices=["static", "cost"],
             help="solve through a policy-ranked resilient ladder instead "
             "of the single --precond (static = paper order, cost = "
-            "cost-model ranking, learned = recorded history first)",
-        )
-        p.add_argument(
-            "--policy-history", default=None, metavar="PATH",
-            help="with --policy: load recorded outcome history from PATH "
-            "before deciding and save it back after the solve",
+            "cost-model ranking)",
         )
 
     p_solve = sub.add_parser("solve", help="solve one model once")
@@ -413,20 +382,15 @@ def main(argv: list[str] | None = None) -> int:
 
     p_policy = sub.add_parser(
         "policy",
-        help="inspect the solver policy (probe + cost + history) for a model",
+        help="inspect the solver policy (probe + cost ranking) for a model",
     )
     p_policy.add_argument("action", choices=["explain"])
     p_policy.add_argument("--model", default="block", choices=["block", "swjapan"])
     p_policy.add_argument("--scale", type=float, default=1.0)
     p_policy.add_argument("--penalty", type=float, default=1e6)
     p_policy.add_argument(
-        "--mode", default="cost", choices=["static", "cost", "learned"],
+        "--mode", default="cost", choices=["static", "cost"],
         help="decision mode to explain (default cost)",
-    )
-    p_policy.add_argument(
-        "--history", default=None, metavar="PATH",
-        help="recorded outcome history file (e.g. a serve journal "
-        "directory's policy_history.json)",
     )
     p_policy.set_defaults(fn=_cmd_policy)
 
@@ -478,13 +442,6 @@ def main(argv: list[str] | None = None) -> int:
             "--retention-max-bytes", type=int, default=None, metavar="B",
             help="drop oldest finished jobs (down to B/2) once the job log "
             "file exceeds B bytes (default: unbounded)",
-        )
-        p.add_argument(
-            "--policy-mode", default="learned",
-            choices=["static", "cost", "learned"],
-            help="how precond=auto requests choose a family: static = "
-            "paper order, cost = cost-model ranking, learned = recorded "
-            "workspace history first (default learned)",
         )
 
     p_serve = sub.add_parser(

@@ -15,10 +15,11 @@ into one schema:
   only, so a million-iteration solve costs O(1) memory per metric.
 
 The legacy counters (:class:`~repro.parallel.comm.CommLog`,
-``repro.precond.icfact.setup_counters()``, ``factorization_stats()``)
-keep their public shape and are *forwarded* into the active registry, so
-the paper-comparable message census is unchanged while the unified trace
-carries the same numbers (the agreement is test-enforced).
+``factorization_stats()``) keep their public shape and are *forwarded*
+into the active registry, so the paper-comparable message census is
+unchanged while the unified trace carries the same numbers (the
+agreement is test-enforced).  Set-up phases are counted here only
+(``setup.symbolic`` / ``setup.numeric``).
 
 stdlib only; thread-safe via one lock (metric updates are far off the
 numeric hot path — they fire per exchange / per iteration, not per DOF).

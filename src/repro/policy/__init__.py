@@ -1,8 +1,7 @@
-"""Cost-model-driven solver policy: probe, predict, decide, learn.
+"""Cost-model-driven solver policy: probe, predict, decide.
 
 The paper fixes one escalation ladder for every problem; this package
-chooses the ladder *per problem* from three signal sources, each
-overriding the last as it becomes available:
+chooses the ladder *per problem* from the operator itself:
 
 1. **Probes** (:mod:`repro.policy.probes`) — cheap measured facts:
    sparsity, contact-group census, penalty magnitude read off the
@@ -10,15 +9,14 @@ overriding the last as it becomes available:
 2. **Cost model** (:mod:`repro.policy.cost`) — perfmodel-priced
    setup/per-iteration predictions per preconditioner family, combined
    with CG iteration theory and Table 2-shaped breakdown risk.
-3. **History** (:mod:`repro.policy.history`) — measured outcomes of past
-   solves, aggregated per problem fingerprint; the learned mode leads
-   with what actually won last time.
 
 :class:`~repro.policy.ladder.SolverPolicy` folds these into a ranked
 :class:`~repro.resilience.resilient.FallbackStage` ladder with the same
 surface (and the same Diagonal backstop) as ``default_ladder``, so the
 resilient solver, the ALM driver, and the serve session consume policy
-decisions unchanged.
+decisions unchanged.  What each decision's solves cost is tallied per
+probe fingerprint (:mod:`repro.policy.history`) for the serve census;
+no decision reads the tally.
 """
 
 from repro.policy.cost import (

@@ -32,8 +32,8 @@ being priced on a different execution unit.
   survives to ``1e10``): a failing first rung costs its whole setup and
   iteration budget before the ladder escalates past it.
 
-These priors only have to rank candidates sensibly on *cold* problems;
-the learned mode replaces them with measured outcomes per fingerprint.
+The ranking is a function of the operator alone (probe and tolerance),
+so the same request is decided the same way on every run and replay.
 """
 
 from __future__ import annotations
@@ -125,12 +125,14 @@ class CandidateCost:
         )
 
 
-def applicable_families(probe: ProblemProbe) -> tuple[str, ...]:
-    """Families the probe says can be built for this problem."""
+def applicable_families(n_groups: int, block_ok: bool) -> tuple[str, ...]:
+    """Families that can be built for a problem with *n_groups* contact
+    groups whose DOF count is (*block_ok*) or is not a multiple of 3,
+    strongest first — the static order, and what the cost model prices."""
     fams = []
-    if probe.n_groups > 0 and probe.block_ok:
+    if n_groups > 0 and block_ok:
         fams.append("sbbic0")
-    fams.append("bic0" if probe.block_ok else "ic0")
+    fams.append("bic0" if block_ok else "ic0")
     fams.append("diag")
     return tuple(fams)
 
@@ -202,7 +204,9 @@ def candidate_costs(
     families: tuple[str, ...] | None = None,
 ) -> list[CandidateCost]:
     """Price every applicable family; cheapest predicted total first."""
-    fams = families if families is not None else applicable_families(probe)
+    fams = families if families is not None else applicable_families(
+        probe.n_groups, probe.block_ok
+    )
     log_term = float(np.log(2.0 / eps))
     pass_seconds = _seconds(probe, [_matvec_pass(probe)])
     out = []

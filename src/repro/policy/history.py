@@ -1,33 +1,20 @@
-"""Recorded outcome history: fingerprint -> family -> measured cost.
+"""Outcome tally: fingerprint -> family -> what the solves it led cost.
 
-The cost model (:mod:`repro.policy.cost`) ranks candidates from priors;
-this module remembers what actually happened.  Every completed ladder
-attempt is folded into per-``(fingerprint, family)`` aggregates —
-measured wall seconds on *this* host, convergence failures included —
-and the learned policy mode leads with the family whose *score*
-(mean seconds, inflated by its failure rate) is lowest for the
-problem's fingerprint.
-
-The store is deliberately tiny and mergeable: a flat dict serialized to
-JSON, safe to keep inside a serve :class:`~repro.serve.session.Workspace`
-and persist next to the queue journal.  ``merge_dict`` makes histories
-from separate runs (or separate ranks) combinable by addition.
+Every policy-resolved solve is folded into per-``(fingerprint, family)``
+aggregates — runs, convergence failures, wall seconds and iterations.
+Nothing decides from the tally (the cost model ranks every ``auto``
+request, :mod:`repro.policy.cost`); it is the census behind
+``SolverSession.stats()`` and the serve benchmark's count of which
+family the policy chose.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 __all__ = ["OutcomeStats", "PolicyHistory"]
-
-_FAILURE_PENALTY = 4.0
-"""Score multiplier per unit failure rate: a family that fails half the
-time must be >3x faster on success to out-rank a reliable one."""
 
 
 @dataclass
@@ -39,19 +26,6 @@ class OutcomeStats:
     total_seconds: float = 0.0
     total_iterations: int = 0
 
-    @property
-    def mean_seconds(self) -> float:
-        return self.total_seconds / self.runs if self.runs else 0.0
-
-    @property
-    def failure_rate(self) -> float:
-        return self.failures / self.runs if self.runs else 0.0
-
-    @property
-    def score(self) -> float:
-        """Mean cost inflated by observed unreliability (lower = better)."""
-        return self.mean_seconds * (1.0 + _FAILURE_PENALTY * self.failure_rate)
-
     def to_dict(self) -> dict[str, Any]:
         return {
             "runs": self.runs,
@@ -60,26 +34,13 @@ class OutcomeStats:
             "total_iterations": self.total_iterations,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict[str, Any]) -> "OutcomeStats":
-        return cls(
-            runs=int(d.get("runs", 0)),
-            failures=int(d.get("failures", 0)),
-            total_seconds=float(d.get("total_seconds", 0.0)),
-            total_iterations=int(d.get("total_iterations", 0)),
-        )
-
 
 @dataclass
 class PolicyHistory:
-    """Thread-safe ``fingerprint -> family -> OutcomeStats`` store."""
+    """Thread-safe ``fingerprint -> family -> OutcomeStats`` tally."""
 
     _data: dict[str, dict[str, OutcomeStats]] = field(default_factory=dict)
     _lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    dirty: bool = False
-    """True when in-memory state has diverged from the last save/load."""
-
-    # -- recording ---------------------------------------------------------
 
     def record(
         self,
@@ -99,99 +60,14 @@ class PolicyHistory:
             stats.total_iterations += int(iterations)
             if not converged:
                 stats.failures += 1
-            self.dirty = True
-
-    def ingest_records(self, records: Iterable[dict[str, Any]]) -> int:
-        """Fold flat obs records (``kind="span"``, ``name="policy.outcome"``)
-        into the store; returns how many were consumed."""
-        n = 0
-        for rec in records:
-            if rec.get("name") != "policy.outcome":
-                continue
-            attrs = rec.get("attrs", {})
-            fp = attrs.get("fingerprint")
-            family = attrs.get("choice")
-            if not fp or not family:
-                continue
-            self.record(
-                fp,
-                family,
-                seconds=float(rec.get("duration_s", 0.0)),
-                converged=bool(attrs.get("converged", False)),
-                iterations=int(attrs.get("iterations", 0)),
-            )
-            n += 1
-        return n
-
-    # -- querying ----------------------------------------------------------
-
-    def best(self, fingerprint: str, *, min_runs: int = 1) -> str | None:
-        """The lowest-score family recorded for this fingerprint, or None
-        when the class has never been seen (cold start)."""
-        with self._lock:
-            by_family = self._data.get(fingerprint)
-            if not by_family:
-                return None
-            seen = {
-                fam: st for fam, st in by_family.items() if st.runs >= min_runs
-            }
-            if not seen:
-                return None
-            return min(seen.items(), key=lambda kv: kv[1].score)[0]
-
-    def stats_for(self, fingerprint: str) -> dict[str, OutcomeStats]:
-        with self._lock:
-            return {
-                fam: OutcomeStats(**st.to_dict())
-                for fam, st in self._data.get(fingerprint, {}).items()
-            }
 
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)
 
-    # -- (de)serialization -------------------------------------------------
-
     def to_dict(self) -> dict[str, Any]:
         with self._lock:
-            return {
-                "version": 1,
-                "outcomes": {
-                    fp: {fam: st.to_dict() for fam, st in by_fam.items()}
-                    for fp, by_fam in self._data.items()
-                },
-            }
-
-    def merge_dict(self, d: dict[str, Any]) -> None:
-        """Fold a serialized history in by addition (order-independent)."""
-        outcomes = d.get("outcomes", {})
-        with self._lock:
-            for fp, by_fam in outcomes.items():
-                mine = self._data.setdefault(fp, {})
-                for fam, st_d in by_fam.items():
-                    incoming = OutcomeStats.from_dict(st_d)
-                    stats = mine.setdefault(fam, OutcomeStats())
-                    stats.runs += incoming.runs
-                    stats.failures += incoming.failures
-                    stats.total_seconds += incoming.total_seconds
-                    stats.total_iterations += incoming.total_iterations
-            if outcomes:
-                self.dirty = True
-
-    def save(self, path: str | Path) -> None:
-        """Atomically write the store to ``path`` and clear ``dirty``."""
-        path = Path(path)
-        tmp = path.with_suffix(path.suffix + ".tmp")
-        tmp.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True))
-        os.replace(tmp, path)
-        self.dirty = False
-
-    @classmethod
-    def load(cls, path: str | Path) -> "PolicyHistory":
-        """Load a saved store; a missing file yields an empty history."""
-        path = Path(path)
-        history = cls()
-        if path.exists():
-            history.merge_dict(json.loads(path.read_text()))
-            history.dirty = False
-        return history
+            return {"outcomes": {
+                fp: {fam: st.to_dict() for fam, st in by_fam.items()}
+                for fp, by_fam in self._data.items()
+            }}

@@ -9,17 +9,15 @@ property of the chain (escalation, warm restart, the Diagonal backstop)
 is preserved.  The policy only chooses which rung goes *first* and how
 the retry schedule behind it looks; it never removes the ladder.
 
-Three modes:
+Two modes:
 
 - ``static`` — the paper's fixed order (SB-BIC(0) -> BIC(0) -> shifted
   -> Diagonal), probes skipped.  The control arm.
 - ``cost`` — rank rungs by the cost model's predicted seconds
   (:func:`repro.policy.cost.candidate_costs`) from a cheap probe.
-- ``learned`` — lead with the best *recorded* family for the problem's
-  fingerprint (:class:`repro.policy.history.PolicyHistory`) once the
-  cost ranking's own leader has a record there too; until then (cold
-  classes, or a history that has only ever seen one family) the cost
-  ranking stands.
+
+Both read the families that apply from one rule,
+:func:`repro.policy.cost.applicable_families`.
 """
 
 from __future__ import annotations
@@ -31,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Any
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro import obs
 from repro.policy.cost import CandidateCost, applicable_families, candidate_costs
@@ -47,7 +44,7 @@ __all__ = [
     "family_of_stage",
 ]
 
-POLICY_MODES = ("static", "cost", "learned")
+POLICY_MODES = ("static", "cost")
 
 PROBE_CACHE_SIZE = 256
 """Probes a policy keeps (least recently used goes first).  A serving
@@ -63,11 +60,6 @@ class PolicyDecision:
     mode: str
     order: tuple[str, ...]
     """Ladder-leading family order, strongest-candidate first."""
-    shifts: tuple[float, ...]
-    ncolors: int
-    checkpoint_interval: int
-    """Suggested iterations between journal checkpoints for long solves,
-    scaled to the predicted iteration count of the chosen rung."""
     probe: ProblemProbe | None
     costs: list[CandidateCost] = field(default_factory=list)
     source: str = ""
@@ -102,12 +94,7 @@ class PolicyDecision:
                     f"{c.per_iter_seconds:>10.3e} {c.predicted_iterations:>6d} "
                     f"{c.risk:>5.2f} {c.predicted_seconds:>10.3e}"
                 )
-        lines += [
-            f"ladder order: {' -> '.join(self.order)}",
-            f"shift schedule: {self.shifts}",
-            f"ncolors: {self.ncolors}",
-            f"checkpoint interval: every {self.checkpoint_interval} iterations",
-        ]
+        lines.append(f"ladder order: {' -> '.join(self.order)}")
         return "\n".join(lines)
 
     def to_dict(self) -> dict[str, Any]:
@@ -115,9 +102,6 @@ class PolicyDecision:
         return {
             "mode": self.mode,
             "order": list(self.order),
-            "shifts": list(self.shifts),
-            "ncolors": self.ncolors,
-            "checkpoint_interval": self.checkpoint_interval,
             "fingerprint": self.fingerprint,
             "source": self.source,
             "predicted_iterations": lead.predicted_iterations if lead else None,
@@ -130,34 +114,23 @@ class SolverPolicy:
 
     Thread-compatible with the serve session's locking discipline: the
     probe cache is keyed by the caller's structure key and bounded
-    (:data:`PROBE_CACHE_SIZE`, LRU), and the underlying
-    :class:`PolicyHistory` is itself thread-safe.
+    (:data:`PROBE_CACHE_SIZE`, LRU), and the outcome tally
+    (:class:`PolicyHistory`) is itself thread-safe.
 
     Parameters
     ----------
     mode:
-        ``static`` / ``cost`` / ``learned`` (see module docstring).
+        ``static`` / ``cost`` (see module docstring).
     history:
-        Shared outcome store; required for ``learned`` to ever deviate
-        from the cost ranking (a fresh one is created if omitted).
+        Outcome tally :meth:`record_outcome` folds into (a fresh one is
+        created if omitted); no decision reads it.
     """
 
-    def __init__(
-        self,
-        mode: str = "cost",
-        *,
-        history: PolicyHistory | None = None,
-        eps: float = 1e-8,
-        lanczos_iters: int = 16,
-        shifts: tuple[float, ...] = (0.01, 0.1),
-    ) -> None:
+    def __init__(self, mode: str = "cost", *, history: PolicyHistory | None = None) -> None:
         if mode not in POLICY_MODES:
             raise ValueError(f"unknown policy mode {mode!r}; expected one of {POLICY_MODES}")
         self.mode = mode
         self.history = history if history is not None else PolicyHistory()
-        self.eps = eps
-        self.lanczos_iters = lanczos_iters
-        self.shifts = tuple(shifts)
         self._probe_cache: OrderedDict[Any, ProblemProbe] = OrderedDict()
         self._probe_cache_lock = threading.Lock()
 
@@ -171,13 +144,13 @@ class SolverPolicy:
         cache_key: Any = None,
     ) -> ProblemProbe:
         if cache_key is None:
-            return probe_problem(a, contact_groups, lanczos_iters=self.lanczos_iters)
+            return probe_problem(a, contact_groups)
         with self._probe_cache_lock:
             p = self._probe_cache.get(cache_key)
             if p is not None:
                 self._probe_cache.move_to_end(cache_key)
                 return p
-        p = probe_problem(a, contact_groups, lanczos_iters=self.lanczos_iters)
+        p = probe_problem(a, contact_groups)
         with self._probe_cache_lock:
             self._probe_cache[cache_key] = p
             while len(self._probe_cache) > PROBE_CACHE_SIZE:
@@ -192,30 +165,30 @@ class SolverPolicy:
         contact_groups: list[np.ndarray] | None = None,
         *,
         cache_key: Any = None,
+        eps: float = 1e-8,
     ) -> PolicyDecision:
-        """Rank the ladder for one problem; cheap when the probe is cached."""
+        """Rank the ladder for one problem; cheap when the probe is cached.
+
+        *eps* is the tolerance the solve will stop at: the cost model
+        prices each family's iteration count at it."""
         t0 = time.perf_counter()
         if self.mode == "static":
-            decision = self._decide_static(a, contact_groups)
+            n_groups = len(contact_groups) if contact_groups else 0
+            decision = PolicyDecision(
+                mode="static",
+                order=applicable_families(n_groups, a.shape[0] % 3 == 0),
+                probe=None,
+                source="fixed paper ladder (no probe)",
+            )
         else:
             probe = self.probe(a, contact_groups, cache_key=cache_key)
-            costs = candidate_costs(probe, eps=self.eps)
-            order = tuple(c.family for c in costs)
-            source = "cost model ranking"
-            if self.mode == "learned":
-                order, source = self._learned_order(order, probe.fingerprint())
-            lead_iters = next(
-                c.predicted_iterations for c in costs if c.family == order[0]
-            )
+            costs = candidate_costs(probe, eps=eps)
             decision = PolicyDecision(
                 mode=self.mode,
-                order=order,
-                shifts=self.shifts,
-                ncolors=0,
-                checkpoint_interval=max(50, lead_iters // 4),
+                order=tuple(c.family for c in costs),
                 probe=probe,
                 costs=costs,
-                source=source,
+                source="cost model ranking",
             )
         obs.record_span(
             "policy.decide",
@@ -226,51 +199,6 @@ class SolverPolicy:
             source=decision.source,
         )
         return decision
-
-    def _learned_order(
-        self, order: tuple[str, ...], fingerprint: str
-    ) -> tuple[tuple[str, ...], str]:
-        """Promote the best recorded family — when that is a comparison.
-
-        Serving records only the family it led with, so a class's history
-        can hold a single family for ever (a first choice, or a file
-        persisted under an older cost model).  Such a record says how
-        long that family took, not that it beats the cost model's leader;
-        it displaces the leader only once the leader has been measured on
-        this fingerprint too.
-        """
-        recorded = self.history.stats_for(fingerprint)
-        if not recorded:
-            return order, "cost model ranking (no history for this fingerprint)"
-        if order[0] not in recorded:
-            return order, (
-                f"cost model ranking (history for {fingerprint} has never "
-                f"measured its leader {order[0]})"
-            )
-        best = self.history.best(fingerprint)
-        if best not in order:
-            return order, f"cost model ranking (recorded best {best} not applicable)"
-        return (best, *[f for f in order if f != best]), (
-            f"recorded history for {fingerprint} (cost model for the tail)"
-        )
-
-    def _decide_static(self, a, contact_groups) -> PolicyDecision:
-        a = sp.csr_matrix(a)
-        blocked = a.shape[0] % 3 == 0
-        order = []
-        if contact_groups and blocked:
-            order.append("sbbic0")
-        order.append("bic0" if blocked else "ic0")
-        order.append("diag")
-        return PolicyDecision(
-            mode="static",
-            order=tuple(order),
-            shifts=self.shifts,
-            ncolors=0,
-            checkpoint_interval=250,
-            probe=None,
-            source="fixed paper ladder (no probe)",
-        )
 
     # -- ladder construction ----------------------------------------------
 
@@ -286,20 +214,16 @@ class SolverPolicy:
         """Build a ResilientSolver ladder in the decided order.
 
         :func:`~repro.resilience.resilient.build_ladder` with the
-        decision's order, shift schedule and color count — so the shared
-        IC symbolic cache and the Diagonal rung that is always last (no
-        decision can remove the unbreakable backstop) are those of
+        decision's order — so the shift schedule, the shared IC symbolic
+        cache and the Diagonal rung that is always last (no decision can
+        remove the unbreakable backstop) are those of
         :func:`~repro.resilience.resilient.default_ladder`.
         """
         if decision is None:
             decision = self.decide(a, contact_groups, cache_key=cache_key)
-        stages = build_ladder(
-            a, contact_groups, decision.order,
-            b=b, shifts=decision.shifts, ncolors=decision.ncolors,
-        )
-        return stages, decision
+        return build_ladder(a, contact_groups, decision.order, b=b), decision
 
-    # -- learning ----------------------------------------------------------
+    # -- outcomes ----------------------------------------------------------
 
     def record_outcome(
         self,
@@ -310,7 +234,8 @@ class SolverPolicy:
         converged: bool,
         iterations: int = 0,
     ) -> None:
-        """Fold one attempted rung's measured outcome into history.
+        """Tally one attempted rung's measured outcome and emit it as a
+        ``policy.outcome`` span beside the cost model's prediction.
 
         Safe to hang directly off ``ResilientSolver(on_stage_result=...)``
         — stage names map back to families via :func:`family_of_stage`,

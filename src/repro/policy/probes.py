@@ -15,11 +15,11 @@ needs 20x the iterations of SB-BIC(0) at ``lambda = 1e6`` and diverges
 above it).
 
 ``fingerprint()`` buckets the probe logarithmically.  Two problems with
-the same fingerprint are "the same" as far as recorded outcome history
-(:mod:`repro.policy.history`) is concerned: same size class, same
-contact topology class, same penalty magnitude, same conditioning
-class.  Coarse on purpose — history must generalize across reruns and
-small mesh changes, not memorize exact operators.
+the same fingerprint share one row of the outcome tally
+(:mod:`repro.policy.history`) and of ``obs.policy_table``: same size
+class, same contact topology class, same penalty magnitude, same
+conditioning class.  Coarse on purpose — a row should gather reruns and
+small mesh changes, not one exact operator each.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ class ProblemProbe:
     probe_seconds: float
 
     def fingerprint(self) -> str:
-        """Coarse log-bucketed identity for outcome-history lookups."""
+        """Coarse log-bucketed identity of the problem's class."""
         return (
             f"v1:n{_log10_bucket(self.ndof)}"
             f":z{_log10_bucket(self.nnz)}"

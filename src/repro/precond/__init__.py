@@ -20,12 +20,7 @@ incomplete Cholesky over variable-size super-node blocks.
 
 from repro.precond.base import Preconditioner, IdentityPreconditioner
 from repro.precond.diagonal import DiagonalScaling
-from repro.precond.icfact import (
-    BlockICFactorization,
-    ICSymbolic,
-    reset_setup_counters,
-    setup_counters,
-)
+from repro.precond.icfact import BlockICFactorization, ICSymbolic
 from repro.precond.ic0 import scalar_ic0
 from repro.precond.bic import bic
 from repro.precond.sbbic import sb_bic0
@@ -43,8 +38,6 @@ __all__ = [
     "DiagonalScaling",
     "BlockICFactorization",
     "ICSymbolic",
-    "setup_counters",
-    "reset_setup_counters",
     "scalar_ic0",
     "bic",
     "sb_bic0",

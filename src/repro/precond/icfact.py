@@ -77,19 +77,7 @@ __all__ = [
     "BlockICFactorization",
     "ICSymbolic",
     "lower_fill_pattern",
-    "record_cache_eviction",
-    "reset_setup_counters",
-    "setup_counters",
 ]
-
-
-# Process-wide census of setup phases, used by the perf trajectory and the
-# "exactly one symbolic setup" tests: every ICSymbolic build bumps
-# "symbolic", every numeric (re)factorization bumps "numeric", and every
-# artifact dropped from a bounded workspace cache (repro.serve) bumps
-# "evictions" — an evicted symbolic pattern is a future symbolic setup,
-# so the two belong in the same census.
-_SETUP_COUNTERS = {"symbolic": 0, "numeric": 0, "evictions": 0}
 
 
 def _canonical_csr(a) -> sp.csr_matrix:
@@ -106,28 +94,6 @@ def _canonical_csr(a) -> sp.csr_matrix:
     if isinstance(a, sp.csr_matrix) and a.has_canonical_format and a.shape[0] == a.shape[1]:
         return a
     return check_square_csr(a)
-
-
-def setup_counters() -> dict[str, int]:
-    """Snapshot of the process-wide setup counters (symbolic/numeric
-    setups plus workspace-cache evictions)."""
-    return dict(_SETUP_COUNTERS)
-
-
-def reset_setup_counters() -> None:
-    """Zero the setup counters (test/bench bookkeeping)."""
-    for key in _SETUP_COUNTERS:
-        _SETUP_COUNTERS[key] = 0
-
-
-def record_cache_eviction(n: int = 1) -> None:
-    """Count *n* workspace-cache evictions in the setup census.
-
-    Called by the LRU caches of :mod:`repro.serve`; lives here so the
-    eviction count travels with the symbolic/numeric counters it
-    foreshadows (an evicted pattern will be a fresh symbolic setup)."""
-    _SETUP_COUNTERS["evictions"] += int(n)
-    metric_inc("setup.evictions", n)
 
 
 def _scatter_add(vec: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
@@ -368,7 +334,6 @@ class ICSymbolic:
         self._build_apply_structures()
         laps.lap("ic_symbolic.apply_structs")
 
-        _SETUP_COUNTERS["symbolic"] += 1
         self.build_seconds = laps.total
         metric_inc("setup.symbolic")
         record_span(
@@ -949,7 +914,6 @@ class BlockICFactorization(Preconditioner):
         for attr in ("_fwd", "_bwd", "_diag_apply"):
             self.__dict__.pop(attr, None)
         self.numeric_setup_count += 1
-        _SETUP_COUNTERS["numeric"] += 1
         self.numeric_seconds = laps.total
         metric_inc("setup.numeric")
         if self.breakdown_count:

@@ -15,7 +15,7 @@ transport's rank workers' substrate; a group is one command.
 The parent prepares and groups the batch — resolving ``precond="auto"``
 to a family with its own policy — and ships each group's requests with
 that family filled in, so a child never decides again; the group's
-outcome comes back in its responses and is recorded in the parent's
+outcome comes back in its responses and is tallied in the parent's
 policy history.  One dispatch thread per group waits on the child's pipe
 up to the group's deadline: a child that dies mid-solve → ``WORKER_CRASH``
 + replacement; one still alive but silent at the deadline → SIGKILL +

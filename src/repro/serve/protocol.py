@@ -59,8 +59,8 @@ MODELS = ("block", "swjapan")
 PRECONDS = (*FAMILY_TABLE, "auto")
 """The family table's names plus ``auto``, which defers the choice to
 the session's solver policy (:mod:`repro.policy`): the request is
-resolved to a concrete family at solve time from probes, cost
-predictions, and the workspace's recorded outcome history."""
+resolved to a concrete family at solve time by the cost model, from a
+probe of the operator and the request's ``eps``."""
 
 CHAOS_ENV = "REPRO_SERVE_CHAOS"
 """Environment variable gating the ``chaos`` request field (fault

@@ -24,8 +24,10 @@ Determinism contract: requests are journaled *before* any solving, and
 ``process`` always works through pending jobs in job-id order, grouping
 by solve key in first-appearance order.  A replay after a crash therefore
 reassembles exactly the coalesced solves of the original run — same
-groups, same RHS column order — so resumed answers are bit-for-bit what
-the uninterrupted server would have returned.  A worker pool preserves
+groups, same RHS column order, and for ``precond="auto"`` the same
+family, because the cost model decides from the operator and the
+tolerance alone — so resumed answers are bit-for-bit what the
+uninterrupted server would have returned.  A worker pool preserves
 this: concurrency is across groups, never inside one.  Group commit does
 not touch it: which jobs run together is decided before the commit and
 the log's record order plays no part in a replay.
@@ -46,18 +48,6 @@ index *and* from the queue's job table; the log rewrites its file once
 dead bytes outweigh live ones.  A dropped job loses its idempotent-retry
 short-circuit (its id solves again) — that is the documented trade.
 
-Policy persistence: with a journal directory, the workspace's learned
-policy history (fingerprint -> family -> observed cost, see
-:mod:`repro.policy.history`) is loaded from ``policy_history.json`` at
-construction and saved back after any ``process`` that recorded new
-outcomes.  It is a plain file beside the log, so retention and usage
-accounting never touch it.  Note the determinism
-caveat for ``precond="auto"`` requests: the family is resolved at solve
-time, so a journal *replay* with a richer history than the original run
-may legally choose a different (better-informed) family — the recorded
-result short-circuit still guarantees completed jobs replay their
-original answer.
-
 Crash injection for tests (``REPRO_SERVE_CRASH`` env var):
 ``after-journal`` hard-exits once the pending requests are durable but
 before solving; ``before-result`` hard-exits after solving but before the
@@ -68,7 +58,6 @@ result commit.  Both are windows a real crash could hit; in both,
 from __future__ import annotations
 
 import hashlib
-import json
 import os
 import threading
 import time
@@ -211,15 +200,7 @@ class JobQueue:
         self.admission = admission
         self.retention = retention if retention is not None else RetentionPolicy()
         self.journal_dir = Path(journal_dir) if journal_dir is not None else None
-        self._policy_path: Path | None = None
-        self._log: JobLog | None = None
-        if self.journal_dir is not None:
-            self._log = JobLog(self.journal_dir)
-            self._policy_path = self.journal_dir / "policy_history.json"
-            if self._policy_path.exists():
-                hist = self.session.workspace.policy_history
-                hist.merge_dict(json.loads(self._policy_path.read_text()))
-                hist.dirty = False
+        self._log = JobLog(self.journal_dir) if self.journal_dir is not None else None
         self._jobs: dict[str, Job] = {}
         # Jobs that reached each state: pending/running are current,
         # the terminal states cumulative (retention drops finished jobs
@@ -399,10 +380,6 @@ class JobQueue:
 
         if self.retention.enabled:
             self.compact()
-        if self._policy_path is not None:
-            hist = self.session.workspace.policy_history
-            if hist.dirty:
-                hist.save(self._policy_path)
         return claimed
 
     # -- retention ---------------------------------------------------------

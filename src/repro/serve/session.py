@@ -10,8 +10,8 @@ union pattern (:meth:`~repro.fem.model.ContactStructure.system`), run a
 values-only ``refactor``, iterate.  A repeat solve at an *identical*
 operator fingerprint skips even the refactor.
 
-Three LRU caches, all bounded (capacity configurable, evictions feed the
-process-wide ``setup_counters()`` census):
+Three LRU caches, all bounded (capacity configurable, each counts its
+own hits, misses and evictions):
 
 - **structures** — ``(model, scale)`` -> :class:`ContactStructure`
   plus a content hash of its arrays (computed once per build);
@@ -44,7 +44,6 @@ from repro import obs
 from repro.fem.model import ContactStructure
 from repro.policy import PolicyHistory, SolverPolicy
 from repro.precond import FAMILY_TABLE, DiagonalScaling
-from repro.precond.icfact import record_cache_eviction
 from repro.resilience.checkpoint import fingerprint_arrays
 from repro.resilience.taxonomy import FailureReason
 from repro.serve.protocol import ProtocolError, SolveRequest, SolveResponse
@@ -54,13 +53,9 @@ __all__ = ["LRUCache", "SolverSession", "Workspace"]
 
 
 class LRUCache:
-    """Bounded least-recently-used map with hit/miss/eviction accounting.
-
-    Evictions are also reported to the process-wide setup census
-    (``setup_counters()["evictions"]``) so tests and benchmarks can
-    assert cache pressure the same way they assert symbolic/numeric
-    setup counts.
-    """
+    """Bounded least-recently-used map with hit/miss/eviction accounting
+    (:meth:`stats`); evictions are also the ``serve.cache.evictions``
+    metric, labelled with the cache's name."""
 
     def __init__(self, capacity: int, name: str = "cache") -> None:
         if capacity < 1:
@@ -98,7 +93,6 @@ class LRUCache:
                 self._data.popitem(last=False)
                 evicted += 1
                 self.evictions += 1
-                record_cache_eviction()
                 obs.metric_inc("serve.cache.evictions", cache=self.name)
             return evicted
 
@@ -143,10 +137,8 @@ class Workspace:
         self.structures = LRUCache(structure_capacity or capacity, "structure")
         self.symbolics = LRUCache(symbolic_capacity or capacity, "symbolic")
         self.factors = LRUCache(factor_capacity or capacity, "factor")
-        # learned (fingerprint -> family -> measured cost) records; fed by
-        # every policy-resolved solve, read by learned-mode decisions, and
-        # persisted next to the queue journal so repeat traffic across
-        # restarts keeps what earlier traffic learned
+        # (fingerprint -> family -> measured cost) tally of every
+        # policy-resolved solve: the census of what `auto` chose
         self.policy_history = PolicyHistory()
 
     # -- structure + operator --------------------------------------------
@@ -273,14 +265,11 @@ class SolverSession:
       re-valued while another group is applying it.
     """
 
-    def __init__(self, capacity: int = 8, policy_mode: str = "learned",
-                 **tier_capacities) -> None:
+    def __init__(self, capacity: int = 8, **tier_capacities) -> None:
         self.workspace = Workspace(capacity, **tier_capacities)
-        # resolves precond="auto" requests; shares the workspace history so
-        # learned decisions see every outcome this session has recorded
-        self.policy = SolverPolicy(
-            policy_mode, history=self.workspace.policy_history
-        )
+        # resolves precond="auto" requests through the cost model and
+        # tallies their outcomes in the workspace
+        self.policy = SolverPolicy("cost", history=self.workspace.policy_history)
         self.jobs_served = 0
         self._stats_lock = threading.Lock()
         self._key_locks: dict[tuple, threading.RLock] = {}
@@ -341,9 +330,13 @@ class SolverSession:
                     # runs under the structure lock like any other
                     # ``system`` access; the policy caches it per
                     # operator fingerprint, so repeat traffic pays once.
+                    # The ranking depends on the operator and the
+                    # tolerance only, so a journal replay decides the same.
                     with self._lock_for(("structure", req.model, req.scale)):
                         a = s.system(req.penalty)
-                        decision = self.policy.decide(a, s.groups, cache_key=fp)
+                        decision = self.policy.decide(
+                            a, s.groups, cache_key=fp, eps=req.eps
+                        )
                     precond = decision.order[0]
             except Exception as exc:  # malformed request must not kill the batch
                 reason = (
@@ -508,7 +501,7 @@ class SolverSession:
 
     def record_group_outcome(self, decision, precond: str,
                              responses: list[SolveResponse]) -> None:
-        """Fold one coalesced group's outcome into the policy history.
+        """Fold one coalesced group's outcome into the policy's tally.
 
         One outcome per group — the policy chose once, the group paid
         once — read off the group's responses: its wall seconds, whether
@@ -529,8 +522,5 @@ class SolverSession:
         return {
             "jobs_served": self.jobs_served,
             "caches": self.workspace.stats(),
-            "policy": {
-                "mode": self.policy.mode,
-                "history_classes": len(self.workspace.policy_history),
-            },
+            "policy": {"history_classes": len(self.workspace.policy_history)},
         }

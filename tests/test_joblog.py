@@ -25,7 +25,6 @@ import signal
 import subprocess
 import sys
 import threading
-import types
 from pathlib import Path
 
 import numpy as np
@@ -35,7 +34,6 @@ import repro.io.joblog as joblog_module
 from repro.io import JournalError, encode_record, write_journal
 from repro.io.joblog import JobLog
 from repro.io.journal import HEADER_BYTES
-from repro.policy.history import PolicyHistory
 from repro.serve import (
     AdmissionController,
     AdmissionPolicy,
@@ -87,7 +85,6 @@ class _StubSession:
     """Answers at once, with a vector that depends on the request only."""
 
     def __init__(self) -> None:
-        self.workspace = types.SimpleNamespace(policy_history=PolicyHistory())
         self.batches: list[list[str]] = []
 
     def solve_batch(self, requests):

@@ -8,7 +8,7 @@ Three layers of coverage:
   (matched ``B``/``E`` per thread lane — the CI smoke contract), the
   terminal summary table;
 - agreement: a traced solve must tell the same story as the legacy
-  counters (``CommLog``, ``setup_counters()``) it subsumes.
+  counters (``CommLog``) and the factor's own bookkeeping it subsumes.
 """
 
 import json
@@ -27,7 +27,6 @@ from repro.obs.export import chrome_trace_events, export_jsonl, summary_table
 from repro.obs.metrics import MetricsRegistry
 from repro.parallel import DistributedSystem, parallel_cg, partition_nodes_rcb
 from repro.precond import bic, sb_bic0
-from repro.precond.icfact import setup_counters
 from repro.solvers.cg import cg_solve
 
 
@@ -267,12 +266,10 @@ class TestTracedSolveAgreement:
 
     def test_cg_solve_spans_and_metrics(self, block_problem_small):
         p = block_problem_small
-        before = setup_counters()
         with obs.observe() as sess:
             m = sb_bic0(p.a, p.groups)
             res = cg_solve(p.a, p.b, m)
         assert res.converged
-        after = setup_counters()
 
         # spans: one solve, one sweep, one symbolic + one numeric setup
         assert sess.tracer.count("cg_solve") == 1
@@ -282,13 +279,9 @@ class TestTracedSolveAgreement:
         # per-iteration events mirror the iteration count exactly
         assert sess.tracer.count("cg.iteration") == res.iterations
         assert sess.metrics.total("cg.iterations") == res.iterations
-        # registry mirrors the legacy process-wide setup census deltas
-        assert sess.metrics.total("setup.symbolic") == (
-            after["symbolic"] - before["symbolic"]
-        )
-        assert sess.metrics.total("setup.numeric") == (
-            after["numeric"] - before["numeric"]
-        )
+        # registry counts the set-ups the factor itself counted
+        assert sess.metrics.total("setup.symbolic") == 1
+        assert sess.metrics.total("setup.numeric") == m.numeric_setup_count == 1
         # backdated spans carry the legacy wall-clock bookkeeping verbatim
         (sym,) = sess.tracer.find("ic_symbolic")
         assert sym.duration == pytest.approx(m.symbolic.build_seconds)

@@ -1,6 +1,6 @@
-"""The solver policy layer: probes, cost ranking, history, decisions.
+"""The solver policy layer: probes, cost ranking, outcome tally, decisions.
 
-Four layers of coverage:
+Five layers of coverage:
 
 - probes: fingerprint stability and the penalty-recovery trick
   (``diag_max / diag_median`` sees the MPC penalty without being told);
@@ -12,17 +12,16 @@ Four layers of coverage:
   policy leads with SB-BIC(0), the leader's census cost with *measured*
   iterations is within 1.25x of the cheapest family's, and the ranking
   does not hang on the SB-BIC(0) iteration prior;
-- history: record/best/score semantics, failure inflation, merge and
-  save/load round-trips, obs-record ingestion;
-- policy: all three modes end to end through ``ladder()`` +
+- outcome tally: runs / failures / seconds / iterations per fingerprint
+  and family;
+- policy: both modes end to end through ``ladder()`` +
   :class:`~repro.resilience.resilient.ResilientSolver`, the Diagonal
-  backstop invariant, serve-session ``precond="auto"`` resolution and
-  journal-side persistence, the ``policy_table`` exporter, and the CLI
-  entry points.
+  backstop invariant, serve-session ``precond="auto"`` resolution at the
+  request's tolerance, the ``policy_table`` exporter, and the CLI entry
+  points.
 """
 
 import dataclasses
-import json
 
 import numpy as np
 import pytest
@@ -48,7 +47,7 @@ from repro.policy import (
 )
 from repro.precond import FAMILY_TABLE
 from repro.resilience.resilient import ResilientSolver
-from repro.serve import JobQueue, SolveRequest, SolverSession
+from repro.serve import SolveRequest, SolverSession
 
 
 @pytest.fixture(scope="module")
@@ -104,9 +103,14 @@ class TestProbe:
 
 class TestCostModel:
     def test_applicable_families(self):
-        assert applicable_families(make_probe()) == ("sbbic0", "bic0", "diag")
-        assert applicable_families(make_probe(n_groups=0)) == ("bic0", "diag")
-        assert applicable_families(make_probe(block_ok=False)) == ("ic0", "diag")
+        assert applicable_families(4, True) == ("sbbic0", "bic0", "diag")
+        assert applicable_families(0, True) == ("bic0", "diag")
+        assert applicable_families(4, False) == ("ic0", "diag")
+        # what the cost model prices is exactly what applies
+        for over in ({}, {"n_groups": 0}, {"block_ok": False}):
+            probe = make_probe(**over)
+            assert {c.family for c in candidate_costs(probe)} == set(
+                applicable_families(probe.n_groups, probe.block_ok))
 
     def test_costs_sorted_cheapest_first(self):
         costs = candidate_costs(make_probe())
@@ -233,75 +237,28 @@ class TestPaperRanking:
 
 
 class TestHistory:
-    def test_record_and_best(self):
+    def test_record_tallies_per_fingerprint_and_family(self):
         h = PolicyHistory()
-        assert h.best("fp") is None
-        h.record("fp", "bic0", seconds=2.0, converged=True)
-        h.record("fp", "sbbic0", seconds=1.0, converged=True)
-        assert h.best("fp") == "sbbic0"
-        assert len(h) == 1
-
-    def test_failures_inflate_the_score(self):
-        h = PolicyHistory()
-        h.record("fp", "fast_flaky", seconds=1.0, converged=False)
-        h.record("fp", "slow_solid", seconds=3.0, converged=True)
-        # 1.0 * (1 + 4 * 1.0) = 5.0 > 3.0: reliability beats raw speed
-        assert h.best("fp") == "slow_solid"
-        stats = h.stats_for("fp")["fast_flaky"]
-        assert stats.failure_rate == 1.0
-        assert stats.score == pytest.approx(5.0)
-
-    def test_min_runs_filter(self):
-        h = PolicyHistory()
-        h.record("fp", "bic0", seconds=1.0, converged=True)
-        assert h.best("fp", min_runs=2) is None
-
-    def test_merge_is_additive(self):
-        h1, h2 = PolicyHistory(), PolicyHistory()
-        h1.record("fp", "bic0", seconds=1.0, converged=True, iterations=10)
-        h2.record("fp", "bic0", seconds=3.0, converged=False, iterations=30)
-        h1.merge_dict(h2.to_dict())
-        stats = h1.stats_for("fp")["bic0"]
-        assert stats.runs == 2
-        assert stats.failures == 1
-        assert stats.total_seconds == pytest.approx(4.0)
-        assert stats.total_iterations == 40
-
-    def test_save_load_roundtrip(self, tmp_path):
-        h = PolicyHistory()
-        h.record("fp", "diag", seconds=0.5, converged=True, iterations=7)
-        assert h.dirty
-        path = tmp_path / "hist.json"
-        h.save(path)
-        assert not h.dirty
-        loaded = PolicyHistory.load(path)
-        assert not loaded.dirty
-        assert loaded.to_dict() == h.to_dict()
-        assert PolicyHistory.load(tmp_path / "missing.json").to_dict() == {
-            "version": 1, "outcomes": {},
-        }
-
-    def test_ingest_obs_records(self):
-        h = PolicyHistory()
-        records = [
-            {"kind": "span", "name": "policy.outcome", "duration_s": 1.5,
-             "attrs": {"fingerprint": "fp", "choice": "sbbic0",
-                       "converged": True, "iterations": 12}},
-            {"kind": "span", "name": "policy.decide", "duration_s": 0.1,
-             "attrs": {"fingerprint": "fp"}},  # not an outcome: skipped
-            {"kind": "span", "name": "policy.outcome", "duration_s": 0.2,
-             "attrs": {}},  # no fingerprint/choice: skipped
-        ]
-        assert h.ingest_records(records) == 1
-        stats = h.stats_for("fp")["sbbic0"]
-        assert stats.runs == 1
-        assert stats.total_iterations == 12
+        h.record("fp", "bic0", seconds=1.0, converged=True, iterations=10)
+        h.record("fp", "bic0", seconds=3.0, converged=False, iterations=30)
+        h.record("fp", "sbbic0", seconds=0.5, converged=True, iterations=7)
+        h.record("fp2", "diag", seconds=0.25, converged=True)
+        assert len(h) == 2
+        assert h.to_dict() == {"outcomes": {
+            "fp": {
+                "bic0": {"runs": 2, "failures": 1, "total_seconds": 4.0,
+                         "total_iterations": 40},
+                "sbbic0": {"runs": 1, "failures": 0, "total_seconds": 0.5,
+                           "total_iterations": 7},
+            },
+            "fp2": {"diag": {"runs": 1, "failures": 0, "total_seconds": 0.25,
+                             "total_iterations": 0}},
+        }}
 
     def test_outcome_stats_roundtrip(self):
         st = OutcomeStats(runs=3, failures=1, total_seconds=6.0,
                           total_iterations=90)
-        assert OutcomeStats.from_dict(st.to_dict()) == st
-        assert st.mean_seconds == pytest.approx(2.0)
+        assert OutcomeStats(**st.to_dict()) == st
 
 
 class TestFamilyOfStage:
@@ -355,43 +312,6 @@ class TestSolverPolicy:
         assert list(policy._probe_cache) == ["c", "a", "d"]  # "b" was the oldest
         assert policy.probe(contact.a, contact.groups, cache_key="b") is not probes["b"]
 
-    def test_learned_mode_ignores_an_uncontested_record(self, contact):
-        """A history holding ``diag`` alone (what serving under the old
-        cost model persisted) is not a measured comparison: the cost
-        leader still leads, gets recorded, and only then can lose."""
-        history = PolicyHistory()
-        policy = SolverPolicy("learned", history=history)
-        cold = policy.decide(contact.a, contact.groups, cache_key="c")
-        assert cold.order[0] == "sbbic0"  # lambda = 1e6 contact probe
-        history.record(cold.fingerprint, "diag", seconds=0.3, converged=True)
-        captured = policy.decide(contact.a, contact.groups, cache_key="c")
-        assert captured.order == cold.order
-        assert "never measured its leader sbbic0" in captured.source
-        history.record(cold.fingerprint, "sbbic0", seconds=0.03, converged=True)
-        contested = policy.decide(contact.a, contact.groups, cache_key="c")
-        assert contested.order[0] == "sbbic0"
-        assert "recorded history" in contested.source
-        history.record(cold.fingerprint, "sbbic0", seconds=9.0, converged=True)
-        assert policy.decide(
-            contact.a, contact.groups, cache_key="c"
-        ).order[0] == "diag"  # now diag won a comparison
-
-    def test_learned_mode_leads_with_recorded_best(self, contact):
-        history = PolicyHistory()
-        policy = SolverPolicy("learned", history=history)
-        cold = policy.decide(contact.a, contact.groups, cache_key="c")
-        assert "no history" in cold.source
-        fp = cold.fingerprint
-        history.record(fp, "diag", seconds=0.1, converged=True)
-        for fam in cold.order:
-            if fam != "diag":
-                history.record(fp, fam, seconds=9.0, converged=True)
-        warm = policy.decide(contact.a, contact.groups, cache_key="c")
-        assert warm.order[0] == "diag"
-        assert "recorded history" in warm.source
-        # the tail keeps every other applicable family: never narrowed
-        assert set(warm.order) == set(cold.order)
-
     def test_ladder_always_ends_in_diagonal(self, contact, box):
         """The unbreakable backstop: last rung is Diagonal no matter how
         the order was ranked.  A diag-led ladder may retry Diagonal at
@@ -409,8 +329,7 @@ class TestSolverPolicy:
     def test_ladder_skips_sbbic_without_groups(self, box):
         policy = SolverPolicy("cost")
         decision = PolicyDecision(
-            mode="cost", order=("sbbic0", "bic0", "diag"), shifts=(0.01,),
-            ncolors=0, checkpoint_interval=100, probe=None,
+            mode="cost", order=("sbbic0", "bic0", "diag"), probe=None,
         )
         stages, _ = policy.ladder(box.a, box.groups, decision=decision)
         assert all(s.name != "SB-BIC(0)" for s in stages)
@@ -419,10 +338,7 @@ class TestSolverPolicy:
         """The second BIC rung must refactor the first rung's object in
         place (the shared-cache contract of ``default_ladder``)."""
         policy = SolverPolicy("cost")
-        decision = PolicyDecision(
-            mode="cost", order=("bic0", "diag"), shifts=(0.01, 0.1),
-            ncolors=0, checkpoint_interval=100, probe=None,
-        )
+        decision = PolicyDecision(mode="cost", order=("bic0", "diag"), probe=None)
         stages, _ = policy.ladder(contact.a, contact.groups, decision=decision)
         by_name = {s.name: s for s in stages}
         m_plain = by_name["BIC(0)"].build()
@@ -443,14 +359,15 @@ class TestSolverPolicy:
             ),
         ).solve(contact.b)
         assert res.converged
-        assert history.best(decision.fingerprint) is not None
+        (tally,) = history.to_dict()["outcomes"][decision.fingerprint].values()
+        assert tally["runs"] >= 1 and tally["total_iterations"] >= res.iterations
 
     def test_static_outcomes_are_not_recorded(self, contact):
         history = PolicyHistory()
         policy = SolverPolicy("static", history=history)
         decision = policy.decide(contact.a, contact.groups)
         policy.record_outcome(decision, "BIC(0)", seconds=1.0, converged=True)
-        assert len(history) == 0  # no probe, no fingerprint, nothing learned
+        assert len(history) == 0  # no probe, no fingerprint, nothing tallied
 
     def test_explain_names_the_evidence(self, contact):
         policy = SolverPolicy("cost")
@@ -479,9 +396,7 @@ class TestServeIntegration:
         resp = session.solve(self._req("auto-1"))
         assert resp.ok and resp.converged
         assert len(session.workspace.policy_history) >= 1
-        stats = session.stats()
-        assert stats["policy"]["mode"] == "learned"
-        assert stats["policy"]["history_classes"] >= 1
+        assert session.stats()["policy"] == {"history_classes": 1}
 
     def test_auto_answers_with_selective_blocking(self):
         """serve_mixed's auto request: swjapan 1.0 at lambda ~ 1e6 needs
@@ -495,31 +410,23 @@ class TestServeIntegration:
         outcomes = session.workspace.policy_history.to_dict()["outcomes"]
         assert [list(by_family) for by_family in outcomes.values()] == [["sbbic0"]]
 
-    def test_static_policy_mode_session(self):
-        session = SolverSession(policy_mode="static")
-        resp = session.solve(self._req("auto-static"))
+    def test_auto_prices_at_the_request_tolerance(self):
+        """The cost model ranks at the ``eps`` CG will stop at, so the
+        outcome span's prediction is the one for that tolerance."""
+        session = SolverSession()
+        with obs.observe() as sess:
+            resp = session.solve(SolveRequest(
+                job_id="auto-eps", model="block", scale=0.4, penalty=1.0e6,
+                precond="auto", rhs="model", eps=1.0e-4))
+            outcome = next(s for s in sess.tracer.iter_spans()
+                           if s.name == "policy.outcome")
         assert resp.ok and resp.converged
-        assert session.stats()["policy"]["mode"] == "static"
-
-    def test_queue_persists_history_next_to_journal(self, tmp_path):
-        q = JobQueue(session=SolverSession(),
-                     journal_dir=tmp_path)
-        q.submit(self._req("persist-1"))
-        jobs = q.process()
-        assert jobs and jobs[0].response.ok
-        hist_path = tmp_path / "policy_history.json"
-        assert hist_path.exists()
-        doc = json.loads(hist_path.read_text())
-        assert doc["outcomes"]  # at least one recorded class
-        q.close()
-
-        # a fresh queue over the same journal dir starts warm
-        q2 = JobQueue(session=SolverSession(),
-                      journal_dir=tmp_path)
-        assert len(q2.session.workspace.policy_history) >= 1
-        q2.submit(self._req("persist-2"))
-        assert q2.process()[0].response.ok
-        q2.close()
+        probe = session.policy.probe(None, cache_key=resp.fingerprint)  # cached
+        family = (outcome.attrs["choice"],)
+        (at_eps,) = candidate_costs(probe, eps=1.0e-4, families=family)
+        (at_default,) = candidate_costs(probe, families=family)
+        assert outcome.attrs["predicted_iterations"] == at_eps.predicted_iterations
+        assert at_eps.predicted_iterations < at_default.predicted_iterations
 
 
 class TestPolicyTableExporter:
@@ -530,8 +437,8 @@ class TestPolicyTableExporter:
         records = [
             {"kind": "span", "name": "policy.decide", "duration_s": 0.01,
              "t_start_s": 0.0,
-             "attrs": {"fingerprint": "v1:n3", "mode": "learned",
-                       "order": "diag->bic0", "source": "recorded history"}},
+             "attrs": {"fingerprint": "v1:n3", "mode": "cost",
+                       "order": "diag->bic0", "source": "cost model ranking"}},
             {"kind": "span", "name": "policy.outcome", "duration_s": 0.5,
              "t_start_s": 0.1,
              "attrs": {"fingerprint": "v1:n3", "choice": "diag",
@@ -542,7 +449,7 @@ class TestPolicyTableExporter:
         assert "v1:n3" in text
         assert "diag->bic0" in text
         assert "Diagonal" in text
-        assert "recorded history" in text
+        assert "cost model ranking" in text
         # no prediction on the span (an older trace): dashes, not a crash
         assert text.splitlines()[-1].split()[-5:] == ["-", "-", "500.0", "-", "-"]
 
@@ -574,11 +481,9 @@ class TestPolicyTableExporter:
         predicted = decision.cost_of("diag")
         assert outcome.attrs["predicted_iterations"] == predicted.predicted_iterations
         assert outcome.attrs["predicted_seconds"] == predicted.predicted_seconds
-        # the exported trace round-trips into a fresh history
+        # the exported trace renders the same table
         path = export_jsonl(sess.tracer, tmp_path / "trace.jsonl")
-        h = PolicyHistory()
-        assert h.ingest_records(load_jsonl_records(path)) == 1
-        assert h.best(decision.fingerprint) == "diag"
+        assert obs.policy_table(load_jsonl_records(path)) == text
 
 
 class TestCli:
@@ -597,17 +502,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert "ladder order: sbbic0 -> " in out
 
-    def test_solve_with_policy_and_history(self, tmp_path, capsys):
+    def test_solve_with_policy(self, capsys):
         from repro.cli import main
-        hist = tmp_path / "hist.json"
-        code = main(["solve", "--model", "block", "--scale", "0.4",
-                     "--penalty", "1e4", "--policy", "cost",
-                     "--policy-history", str(hist)])
-        assert code == 0
-        assert hist.exists()
-        assert json.loads(hist.read_text())["outcomes"]
-        # second run loads the saved history through learned mode
-        assert main(["solve", "--model", "block", "--scale", "0.4",
-                     "--penalty", "1e4", "--policy", "learned",
-                     "--policy-history", str(hist)]) == 0
-        assert "policy" in capsys.readouterr().out
+        for mode in ("static", "cost"):
+            assert main(["solve", "--model", "block", "--scale", "0.4",
+                         "--penalty", "1e4", "--policy", mode]) == 0
+            out = capsys.readouterr().out
+            assert f"policy mode: {mode}" in out and f"policy {mode}" in out
+
+    def test_removed_policy_options_are_rejected(self):
+        from repro.cli import main
+        for argv in (["solve", "--policy", "learned"],
+                     ["policy", "explain", "--mode", "learned"],
+                     ["solve", "--policy", "cost", "--policy-history", "h.json"],
+                     ["policy", "explain", "--history", "h.json"],
+                     ["batch", "r.jsonl", "--policy-mode", "cost"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2, argv

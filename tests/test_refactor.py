@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from repro import obs
 from repro.fem.assembly import assemble_stiffness
 from repro.fem.bc import all_dofs, apply_dirichlet, component_dofs, surface_load
 from repro.fem.generators import simple_block_model
@@ -26,10 +27,8 @@ from repro.parallel.partition import partition_nodes_rcb
 from repro.precond import (
     LocalizedPreconditioner,
     bic,
-    reset_setup_counters,
     sb_bic0,
     scalar_ic0,
-    setup_counters,
 )
 from repro.precond.localized import restrict_groups
 from repro.resilience.resilient import default_ladder
@@ -51,6 +50,11 @@ def mesh():
 def problems(mesh):
     """The same contact model assembled at every test penalty."""
     return {lam: build_contact_problem(mesh, penalty=lam) for lam in PENALTIES}
+
+
+def _setups(sess) -> dict[str, float]:
+    """The set-up phases an ``obs.observe()`` session counted."""
+    return {phase: sess.metrics.total(f"setup.{phase}") for phase in ("symbolic", "numeric")}
 
 
 def _assert_same_factorization(refd, fresh, r):
@@ -102,9 +106,9 @@ class TestRefactorAgreesWithFresh:
         """sb_bic0(symbolic=...) skips the pattern phase, same numerics."""
         p6, p3 = problems[1e6], problems[1e3]
         m6 = sb_bic0(p6.a, p6.groups)
-        reset_setup_counters()
-        m3 = sb_bic0(p3.a, p3.groups, symbolic=m6.symbolic)
-        assert setup_counters() == {"symbolic": 0, "numeric": 1, "evictions": 0}
+        with obs.observe() as sess:
+            m3 = sb_bic0(p3.a, p3.groups, symbolic=m6.symbolic)
+        assert _setups(sess) == {"symbolic": 0, "numeric": 1}
         fresh = sb_bic0(p3.a, p3.groups)
         r = np.random.default_rng(7).standard_normal(p3.ndof)
         _assert_same_factorization(m3, fresh, r)
@@ -201,35 +205,33 @@ class TestSingleSymbolicSetupInALM:
             calls.append(1)
             return _PoisonFirstSolve(bic(a, fill_level=0))
 
-        reset_setup_counters()
-        res = solve_nonlinear_contact(
-            a_free,
-            b,
-            mesh.contact_groups,
-            mesh.n_nodes,
-            penalty=1e4,
-            precond_factory=factory,
-        )
+        with obs.observe() as sess:
+            res = solve_nonlinear_contact(
+                a_free,
+                b,
+                mesh.contact_groups,
+                mesh.n_nodes,
+                penalty=1e4,
+                precond_factory=factory,
+            )
         assert res.penalty_backoffs >= 1
         assert res.converged
         assert len(calls) == 1  # the factory ran once; back-off refactored
-        counters = setup_counters()
-        assert counters["symbolic"] == 1
-        assert counters["numeric"] == 1 + res.penalty_backoffs
+        assert _setups(sess) == {"symbolic": 1, "numeric": 1 + res.penalty_backoffs}
 
     def test_healthy_run_single_setup(self, alm_system):
         mesh, a_free, b = alm_system
-        reset_setup_counters()
-        res = solve_nonlinear_contact(
-            a_free,
-            b,
-            mesh.contact_groups,
-            mesh.n_nodes,
-            penalty=1e4,
-            precond_factory=lambda a: bic(a, fill_level=0),
-        )
+        with obs.observe() as sess:
+            res = solve_nonlinear_contact(
+                a_free,
+                b,
+                mesh.contact_groups,
+                mesh.n_nodes,
+                penalty=1e4,
+                precond_factory=lambda a: bic(a, fill_level=0),
+            )
         assert res.converged and res.penalty_backoffs == 0
-        assert setup_counters() == {"symbolic": 1, "numeric": 1, "evictions": 0}
+        assert _setups(sess) == {"symbolic": 1, "numeric": 1}
 
     def test_build_system_matches_explicit_sum(self, alm_system):
         """The values-only union-pattern build equals A_free + lam C^T C
@@ -262,13 +264,12 @@ class TestLadderSharesSymbolic:
         ladder = default_ladder(p.a, p.groups)
         names = [s.name for s in ladder]
         assert names[0] == "SB-BIC(0)" and names[1] == "BIC(0)"
-        reset_setup_counters()
-        m_plain = ladder[1].build()
-        m_shift1 = ladder[2].build()
-        m_shift2 = ladder[3].build()
-        counters = setup_counters()
-        assert counters["symbolic"] == 1  # one pattern phase for the family
-        assert counters["numeric"] == 3
+        with obs.observe() as sess:
+            m_plain = ladder[1].build()
+            m_shift1 = ladder[2].build()
+            m_shift2 = ladder[3].build()
+        # one pattern phase for the family
+        assert _setups(sess) == {"symbolic": 1, "numeric": 3}
         assert m_shift1 is m_plain and m_shift2 is m_plain  # refactored rung
         # the escalated rung numerically equals a fresh shifted build
         dbar = float(np.abs(p.a.diagonal()).mean())
@@ -306,9 +307,9 @@ class TestDistributedRefactor:
         mesh, p6, p3, part = partitioned
         fac = self._factory(p6)
         system = DistributedSystem.from_global(p6.a, p6.b, part, fac)
-        reset_setup_counters()
-        system.refactor(p3.a, p3.b)
-        assert setup_counters()["symbolic"] == 0  # values-only per domain
+        with obs.observe() as sess:
+            system.refactor(p3.a, p3.b)
+        assert _setups(sess)["symbolic"] == 0  # values-only per domain
         res = parallel_cg(system)
         rebuilt = DistributedSystem.from_global(p3.a, p3.b, part, fac)
         # the refactored internal blocks are the freshly cut ones, exactly
@@ -329,9 +330,9 @@ class TestDistributedRefactor:
         mesh, p6, p3, part = partitioned
         fac = self._factory(p6)
         lp = LocalizedPreconditioner(p6.a, part, fac)
-        reset_setup_counters()
-        lp.refactor(p3.a)
-        assert setup_counters()["symbolic"] == 0
+        with obs.observe() as sess:
+            lp.refactor(p3.a)
+        assert _setups(sess)["symbolic"] == 0
         fresh = LocalizedPreconditioner(p3.a, part, fac)
         r = np.random.default_rng(12).standard_normal(p3.ndof)
         assert lp.apply(r) == pytest.approx(fresh.apply(r), rel=1e-13)

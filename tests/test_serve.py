@@ -3,9 +3,9 @@
 The acceptance properties of the serving tentpole live here:
 
 - warm requests to a known fingerprint cause **zero** symbolic and zero
-  numeric setups (asserted through ``setup_counters()`` deltas);
-- LRU caches account hits/misses/evictions exactly, and evictions feed
-  the process-wide setup census;
+  numeric setups (asserted through each response's ``setups`` census);
+- LRU caches account hits/misses/evictions exactly, and evictions are
+  the ``serve.cache.evictions`` metric;
 - a server killed between journaling and solving resumes from the
   journal and returns bit-for-bit the answers of an uninterrupted run;
 - completed jobs replay idempotently from their recorded result in the
@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.precond.icfact import reset_setup_counters, setup_counters
+from repro import obs
 from repro.serve import (
     JobQueue,
     LRUCache,
@@ -54,15 +54,15 @@ class TestLRUCache:
         }
 
     def test_eviction_order_and_census(self):
-        reset_setup_counters()
         c = LRUCache(2, "t")
-        c.put("a", 1)
-        c.put("b", 2)
-        c.get("a")  # refresh a: b is now LRU
-        c.put("c", 3)
+        with obs.observe() as sess:
+            c.put("a", 1)
+            c.put("b", 2)
+            c.get("a")  # refresh a: b is now LRU
+            c.put("c", 3)
         assert "b" not in c and "a" in c and "c" in c
         assert c.evictions == 1
-        assert setup_counters()["evictions"] == 1
+        assert sess.metrics.get("serve.cache.evictions", cache="t") == 1
 
     def test_put_existing_key_updates_without_evicting(self):
         c = LRUCache(2, "t")
@@ -145,11 +145,13 @@ class TestSessionCaching:
         assert sess.workspace.factors.evictions >= 1
 
     def test_eviction_feeds_setup_census(self):
-        reset_setup_counters()
         sess = SolverSession(capacity=4, factor_capacity=1)
         sess.solve(_req(precond="sbbic0"))
-        sess.solve(_req(precond="bic0"))
-        assert setup_counters()["evictions"] >= 1
+        with obs.observe() as trace:
+            second = sess.solve(_req(precond="bic0"))
+        assert second.setups["evictions"] == 1  # the sbbic0 factor
+        assert sess.stats()["caches"]["factors"]["evictions"] == 1
+        assert trace.metrics.get("serve.cache.evictions", cache="factor") == 1
 
     def test_warm_equals_cold_bitwise(self):
         """The refactor path must reproduce a cold build bit-for-bit —
@@ -271,6 +273,11 @@ class TestCrashResume:
         {"id": f"j{i}", "model": "block", "scale": SCALE,
          "penalty": 1e6, "rhs": {"seed": i % 2}}
         for i in range(4)
+    ] + [
+        # decided by the cost model at solve time, so a replay must
+        # decide it again the same way
+        {"id": "j4", "model": "block", "scale": SCALE, "penalty": 1e4,
+         "precond": "auto", "rhs": {"seed": 5}},
     ]
 
     def _run(self, tmp_path, jdir, crash=None):
@@ -282,8 +289,8 @@ q = JobQueue(journal_dir={str(jdir)!r})
 for d in {self.REQS!r}:
     q.submit(SolveRequest.from_dict(d))
 q.process()
-for i in range(4):
-    j = q.job(f"j{{i}}")
+for d in {self.REQS!r}:
+    j = q.job(d["id"])
     print(j.job_id, j.response.x_sha256)
 """
         env = dict(os.environ)

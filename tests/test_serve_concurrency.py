@@ -440,18 +440,18 @@ class TestWorkerPoolProcess:
         pool.close()
         pool.close()
 
-    def test_pooled_auto_outcomes_learned_in_the_parent(self):
+    def test_pooled_auto_outcomes_tallied_in_the_parent(self):
         """``precond: "auto"`` is decided by the parent's policy, so its
-        history must learn from pooled groups as from serial ones — while
-        the solving itself happens in the children, whose set-up caches
-        are their own."""
+        outcome tally must count pooled groups as it counts serial ones —
+        while the solving itself happens in the children, whose set-up
+        caches are their own."""
         def batch():
             return [
                 _req(job_id=f"pauto-{k}", penalty=pen, precond="auto")
                 for k, pen in enumerate((1e4, 2e4, 4e4))
             ]
 
-        def learned(session):
+        def tallied(session):
             return {
                 fp: {fam: (st["runs"], st["failures"], st["total_iterations"])
                      for fam, st in by_family.items()}
@@ -459,16 +459,16 @@ class TestWorkerPoolProcess:
                 session.workspace.policy_history.to_dict()["outcomes"].items()
             }
 
-        serial_session = SolverSession(policy_mode="learned")
+        serial_session = SolverSession()
         serial = serial_session.solve_batch(batch())
-        parent = SolverSession(policy_mode="learned")
+        parent = SolverSession()
         with WorkerPool(parent, workers=3) as pool:
             pooled = pool.solve_batch(batch())
         assert all(r.ok and r.converged for r in pooled)
         assert [r.x_sha256 for r in pooled] == [r.x_sha256 for r in serial]
-        assert sum(runs for by_family in learned(parent).values()
+        assert sum(runs for by_family in tallied(parent).values()
                    for runs, _, _ in by_family.values()) == 3
-        assert learned(parent) == learned(serial_session)
+        assert tallied(parent) == tallied(serial_session)
         assert len(parent.workspace.factors) == 0  # solved in the children
 
 
