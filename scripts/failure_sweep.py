@@ -4,24 +4,24 @@
 Where ``fault_sweep.py`` checks that injected faults are *detected*, this
 sweep checks the stronger contract of the checkpoint/recovery layer: each
 failure mode, across preconditioners and seeds, must **recover and finish
-with the fault-free answer** (relative error <= 1e-8; the in-memory paths
-are bit-exact by construction).  Three failure legs:
+with the fault-free answer**: the two in-memory legs bit-exactly (rel
+err == 0.0) on both transports, the ALM restart within 1e-8 on lockstep.
+The legs, each one injection call on either transport:
 
 ``rank_kill``
-    A :class:`~repro.resilience.faults.DeadRankComm` kills one domain
-    mid-solve (its halo state is destroyed).  The heartbeat probe raises
-    :class:`~repro.resilience.taxonomy.RankFailure`; :func:`parallel_cg`
-    rebuilds the dead rank from its durable local data
-    (``DistributedSystem.enable_recovery``) — a numeric-only refactor on
-    the cached symbolic pattern here, a full set-up in the replacement
-    worker on the process transport — rolls back to the last in-memory
-    checkpoint, and resumes — local failure, local recovery.
+    ``inject_kill`` kills one domain mid-solve (its halo state is
+    destroyed), and :class:`~repro.resilience.taxonomy.RankFailure` is
+    raised.  :func:`parallel_cg` rebuilds the dead rank from its durable
+    local data (``DistributedSystem.enable_recovery``) — its set-up runs
+    again, in a replacement worker on the process transport — rolls back
+    to the last in-memory checkpoint, and resumes: local failure, local
+    recovery.
 
 ``rollback``
-    A transient :class:`~repro.resilience.faults.FaultyComm` fault
-    (nan / bitflip) corrupts a halo exchange.  The owner/ghost probe
-    detects it; instead of aborting, the solver rolls back to the last
-    checkpoint and re-runs the window.
+    ``inject_worker_fault`` corrupts one ghost value of a halo exchange
+    (nan / bitflip).  The owner/ghost probe detects it; instead of
+    aborting, the solver rolls back to the last checkpoint and re-runs
+    the window.
 
 ``process_kill``
     The whole ALM outer loop is killed after a journaled cycle
@@ -34,15 +34,16 @@ transport** (:mod:`repro.parallel.transport`), where nothing is
 simulated: the ``rank_kill`` leg SIGKILLs a live rank worker OS process
 mid-solve (detection via EOF on its pipe, recovery via one replacement
 worker forked for that rank alone, which rebuilds its factor because the
-symbolic pattern died with the old one), a ``comm_timeout`` leg wedges a
-worker past the whole wait budget (detected as ``COMM_TIMEOUT`` and
-recovered by rollback; the transport replaces the wedged worker when it
-has not returned to its command loop within the reap grace), and the
-``process_kill`` leg forks the ALM outer loop as a genuine child process
-and SIGKILLs it after a journaled cycle.  Recovery in process mode
-demands **bit-exact** agreement with the undisturbed lockstep run
-(rel err == 0.0) — the determinism gate makes the two transports
-interchangeable references.
+symbolic pattern died with the old one), the ``rollback`` leg corrupts a
+ghost value inside a rank worker (caught by the checksums), a
+``comm_timeout`` leg wedges a worker past the whole wait budget
+(detected as ``COMM_TIMEOUT`` and recovered by rollback; the transport
+replaces the wedged worker when it has not returned to its command loop
+within the reap grace), and the ``process_kill`` leg forks the ALM outer
+loop as a genuine child process and SIGKILLs it after a journaled cycle.
+Recovery in process mode demands **bit-exact** agreement with the
+undisturbed lockstep run (rel err == 0.0) — the determinism gate makes
+the two transports interchangeable references.
 
 Any miss is a non-zero exit.  ``--quick`` shrinks the matrix for CI
 (also exercised by ``tests/test_failure_sweep.py``).
@@ -71,13 +72,7 @@ from repro.fem.nonlinear import solve_nonlinear_contact
 from repro.parallel import DistributedSystem, parallel_cg, partition_nodes_rcb
 from repro.precond import DiagonalScaling, bic, sb_bic0
 from repro.precond.localized import restrict_groups
-from repro.resilience import (
-    DeadRankComm,
-    FailureReason,
-    FaultSpec,
-    FaultyComm,
-    SolveReport,
-)
+from repro.resilience import FailureReason, SolveReport
 
 REL_TOL = 1e-8
 
@@ -153,16 +148,15 @@ def _fork_and_sigkill_alm(nl_args, factory, ck, kill_cycle) -> bool:
 def run_sweep(
     *, quick: bool = False, ndomains: int = 3, transport: str = "lockstep"
 ) -> dict:
-    """Execute the three-leg matrix; returns a JSON-printable summary.
+    """Execute the leg matrix; returns a JSON-printable summary.
 
-    ``transport="lockstep"`` injects failures into the emulated
-    communicator wrappers (``DeadRankComm`` / ``FaultyComm``);
+    ``transport="lockstep"`` injects the failures into the emulation;
     ``transport="process"`` runs the solver over real forked worker
-    processes and makes the failures genuine (SIGKILL, wedged worker,
-    killed ALM child).  The fault-free references are always computed on
-    lockstep — the determinism gate guarantees the process transport
-    reproduces them bit-for-bit, which is why process-mode recovery is
-    held to rel err == 0.0.
+    processes and makes the failures genuine (SIGKILL, corrupted worker
+    memory, wedged worker, killed ALM child).  The fault-free references
+    are always computed on lockstep — the determinism gate guarantees the
+    process transport reproduces them bit-for-bit, which is why the
+    in-memory legs are held to rel err == 0.0.
     """
     if transport not in ("lockstep", "process"):
         raise ValueError(f"unknown sweep transport {transport!r}")
@@ -187,8 +181,8 @@ def run_sweep(
     runs = []
 
     # leg 1: rank kill + local-failure-local-recovery ------------------
-    # lockstep: DeadRankComm simulates the dead rank; process: the driver
-    # delivers a genuine SIGKILL to a live worker OS process
+    # lockstep: the victim's halo vector is lost; process: the rank
+    # delivers a genuine SIGKILL to its own worker OS process
     for pname, factory in factories.items():
         for seed in seeds:
             for slot in kill_slots:
@@ -201,23 +195,17 @@ def run_sweep(
                     transport=transport,
                 )
                 system.enable_recovery()
-                if transport == "process":
-                    system.comm.inject_kill(victim, at_exchange=slot)
-                else:
-                    system.comm = DeadRankComm(
-                        system.domains, victim=victim, kill_at_exchange=slot
-                    )
+                system.comm.inject_kill(victim, at_exchange=slot)
                 report = SolveReport()
                 res = parallel_cg(
                     system, checkpoint_interval=4, report=report
                 )
                 err = _relerr(res.x, refs[pname].x)
-                err_ok = err == 0.0 if transport == "process" else err <= REL_TOL
                 recovered = (
                     res.converged
                     and len(system.comm.kills) == 1
                     and len(system.comm.revivals) == 1
-                    and err_ok
+                    and err == 0.0
                 )
                 system.close()
                 runs.append(
@@ -234,8 +222,44 @@ def run_sweep(
                     }
                 )
 
-    # leg 2 (lockstep): transient fault -> checkpoint rollback ---------
-    # leg 2 (process): wedged worker -> COMM_TIMEOUT -> rollback -------
+    # leg 2: transient corruption -> checkpoint rollback --------------
+    for pname, factory in factories.items():
+        for seed in seeds:
+            victim = int(np.random.default_rng(seed).integers(ndomains))
+            for kind in ("nan", "bitflip"):
+                system = DistributedSystem.from_global(
+                    problem.a, problem.b, part, factory, transport=transport
+                )
+                system.comm.inject_worker_fault(
+                    victim, exchange=kill_slots[0], corrupt=kind
+                )
+                report = SolveReport()
+                res = parallel_cg(system, checkpoint_interval=4, report=report)
+                err = _relerr(res.x, refs[pname].x)
+                recovered = (
+                    res.converged
+                    and res.rollbacks == 1
+                    and any(
+                        e.reason is FailureReason.COMM_FAULT
+                        for e in report.detections()
+                    )
+                    and err == 0.0
+                )
+                system.close()
+                runs.append(
+                    {
+                        "leg": "rollback",
+                        "transport": transport,
+                        "precond": pname,
+                        "seed": seed,
+                        "victim": victim,
+                        "kind": kind,
+                        "recovered": bool(recovered),
+                        "rel_err": err,
+                    }
+                )
+
+    # leg 3 (process only): wedged worker -> COMM_TIMEOUT -> rollback --
     if transport == "process":
         # small budget so the sweep doesn't wait out the default 30 s;
         # the injected 4x-budget wedge must trip COMM_TIMEOUT
@@ -278,40 +302,8 @@ def run_sweep(
                         "rollbacks": res.rollbacks,
                     }
                 )
-    else:
-        for pname, factory in factories.items():
-            for seed in seeds:
-                for kind in ("nan", "bitflip"):
-                    system = DistributedSystem.from_global(
-                        problem.a, problem.b, part, factory
-                    )
-                    system.comm = FaultyComm(
-                        system.domains,
-                        [FaultSpec(exchange=kill_slots[0], kind=kind)],
-                        seed=seed,
-                    )
-                    report = SolveReport()
-                    res = parallel_cg(system, checkpoint_interval=4, report=report)
-                    err = _relerr(res.x, refs[pname].x)
-                    recovered = (
-                        res.converged
-                        and len(system.comm.injected) == 1
-                        and err <= REL_TOL
-                        and any(e.kind == "recover" for e in report.events)
-                    )
-                    runs.append(
-                        {
-                            "leg": "rollback",
-                            "transport": transport,
-                            "precond": pname,
-                            "seed": seed,
-                            "kind": kind,
-                            "recovered": bool(recovered),
-                            "rel_err": err,
-                        }
-                    )
 
-    # leg 3: process kill + durable ALM restart ------------------------
+    # leg 4: process kill + durable ALM restart ------------------------
     # the ALM loop needs the penalty-FREE stiffness (it adds its own)
     from repro.fem.assembly import assemble_stiffness
     from repro.fem.bc import all_dofs, apply_dirichlet, component_dofs, surface_load

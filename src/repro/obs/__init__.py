@@ -4,7 +4,7 @@ One solve — one structured trace.  The paper's entire evaluation rests
 on instrumentation (per-phase timings, message/allreduce censuses,
 iteration counts feeding Tables 1-4 and Figs. 16-32); this package gives
 the reproduction a single substrate for all of it instead of the four
-generations of ad-hoc counters that grew around ``CommLog``, a
+generations of ad-hoc counters that grew around a message-census log, a
 process-wide set-up census, ``build_seconds`` attributes and bare
 ``Timer``\\ s.
 

@@ -1,7 +1,7 @@
 """Labeled metrics registry: counters, gauges, histograms.
 
 Absorbs the reproduction's four generations of ad-hoc tallies —
-``CommLog`` exchange/allreduce counts, ``icfact`` symbolic/numeric setup
+exchange/allreduce counts, ``icfact`` symbolic/numeric setup
 counters, pivot-nudge counts, CG iteration/rollback/fallback events —
 into one schema:
 
@@ -14,10 +14,10 @@ into one schema:
   observed distribution (per-exchange bytes, solve seconds) — summary
   only, so a million-iteration solve costs O(1) memory per metric.
 
-The legacy counters (:class:`~repro.parallel.comm.CommLog`,
-``factorization_stats()``) keep their public shape and are *forwarded*
-into the active registry, so the paper-comparable message census is
-unchanged while the unified trace carries the same numbers (the
+The transports' exchange/allreduce counters (from which
+:func:`~repro.parallel.comm.census` computes the paper-comparable
+message census) and ``factorization_stats()`` are *forwarded* into the
+active registry, so the unified trace carries the same numbers (the
 agreement is test-enforced).  Set-up phases are counted here only
 (``setup.symbolic`` / ``setup.numeric``).
 

@@ -9,8 +9,9 @@ sequential solver bit-for-bit in exact arithmetic.
 The communicator is pluggable (:mod:`repro.parallel.transport`): the
 lockstep emulation by default, one resident forked OS worker process
 per rank (each building its rank's factor and running its CG) with
-``transport="process"`` (CLI ``--transport process``) — both behind the
-same Comm surface.
+``transport="process"`` (CLI ``--transport process``) — both behind one
+command contract (``start`` / ``run`` / ``revive``), one fault-injection
+surface and one census (:class:`CommCensus`).
 """
 
 from repro.parallel.partition import (
@@ -22,7 +23,7 @@ from repro.parallel.contact_partition import (
     contact_aware_partition,
     partition_quality,
 )
-from repro.parallel.comm import CommLog, LockstepComm
+from repro.parallel.comm import CommCensus, LockstepComm
 from repro.parallel.distributed import DistributedSystem, parallel_cg
 from repro.parallel.transport import ProcessTransport
 
@@ -32,7 +33,7 @@ __all__ = [
     "partition_nodes_rcb",
     "contact_aware_partition",
     "partition_quality",
-    "CommLog",
+    "CommCensus",
     "LockstepComm",
     "DistributedSystem",
     "parallel_cg",

@@ -7,146 +7,230 @@ and RECEIVEs its external-node values from their owners.  Here the
 the algorithm identical to a real MPI run while remaining testable on
 one process — the mpi4py buffer-communication idiom without the runtime.
 
-Every exchange and reduction is tallied in :class:`CommLog`; the Earth
-Simulator performance model converts those counts into communication
-time (latency + volume / bandwidth).  When an observability session is
-active (:mod:`repro.obs`), every tally is forwarded into the metrics
-registry (``comm.exchanges`` / ``comm.messages`` / ``comm.bytes`` /
-``comm.allreduces``) and each boundary exchange emits a ``halo_exchange``
-span, so the unified trace carries the same census the paper's Fig. 20
-latency model consumes — :class:`CommLog` stays the cheap, always-on
-aggregate view.
+:class:`LockstepComm` speaks the same command contract as the process
+transport (:class:`~repro.parallel.transport.ProcessTransport`):
+``start(setup)`` runs every rank's set-up and keeps its state,
+``run(fn, *args)`` runs a command on every rank — advancing the ranks in
+lockstep when it is a rank program — and ``inject_kill`` /
+``inject_worker_fault`` arm the same one-shot faults.  Both transports
+count exchanges and allreduces; :func:`census` turns those counters into
+the message census (:class:`CommCensus`) the Earth Simulator performance
+model converts into communication time.  When an observability session
+is active (:mod:`repro.obs`), every exchange emits a ``halo_exchange``
+span and both transports forward the same ``comm.*`` metrics
+(:func:`note_exchange`).
 """
 
 from __future__ import annotations
 
-from collections import deque
-from dataclasses import dataclass, field
+import inspect
+from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from repro.obs import metric_inc, metric_observe, session as obs_session, span
 from repro.parallel.partition import LocalDomain
+from repro.resilience.taxonomy import RankFailure
 
 HALO = "halo"
 """What a rank program (see :func:`repro.parallel.distributed.parallel_cg`)
 yields to ask for the boundary exchange of its halo vector; anything else
 it yields is its contribution to an allreduce."""
 
-PER_EXCHANGE_RETENTION = 4096
-"""Default bound on :attr:`CommLog.per_exchange_bytes`.
+REDUCE_WIDTH = 8
+"""Widest allreduce contribution a rank may make (CG needs 3)."""
 
-One entry per exchange grows without bound on long solves (the original
-unbounded list was a slow leak: a million-iteration solve kept a
-million ints alive for a per-exchange series nothing was reading).  The
-aggregates (``n_messages``/``bytes_sent``) and, when observability is
-on, the ``comm.exchange_bytes`` histogram carry the full-census totals;
-the retained tail exists only for tests and ad-hoc inspection."""
+CORRUPTIONS = ("nan", "bitflip")
+"""What :meth:`LockstepComm.inject_worker_fault` can do to a ghost value."""
 
 
-@dataclass
-class CommLog:
-    """Message census of a distributed solve.
+def check_contribution(contribution) -> np.ndarray:
+    """One rank's allreduce contribution as a 1-D float64 vector; raises
+    ``ValueError`` unless it is a float or a 1-D vector of at most
+    :data:`REDUCE_WIDTH` entries — on either transport."""
+    vec = np.atleast_1d(np.asarray(contribution, dtype=np.float64))
+    if vec.ndim != 1 or vec.size > REDUCE_WIDTH:
+        raise ValueError(
+            f"an allreduce contribution is a float or a 1-D vector of at "
+            f"most {REDUCE_WIDTH} entries, got shape {vec.shape}"
+        )
+    return vec
 
-    Aggregates (message/byte/allreduce counts) are exact over the whole
-    solve; ``per_exchange_bytes`` retains only the most recent
-    ``PER_EXCHANGE_RETENTION`` exchange totals (pass a different
-    ``deque`` — e.g. ``deque(maxlen=None)`` — to change the retention).
 
-    ``rank`` identifies the emitting rank for per-worker logs kept by the
-    real-process transport (:mod:`repro.parallel.transport`): when set,
-    every forwarded ``comm.*`` metric carries a ``rank`` label, and
-    :meth:`merge` folds the per-rank censuses back into the aggregate
-    view ``LockstepComm`` reports.  ``None`` means "aggregate over all
-    ranks" (the lockstep emulation, or a merged census).  The log is
-    picklable — worker processes ship theirs back over a pipe.
-    """
+def check_fault(size: int, rank: int, corrupt: str | None = None) -> None:
+    """Validate a fault plan's rank and corruption kind."""
+    if not 0 <= rank < size:
+        raise ValueError(f"rank {rank} outside 0..{size - 1}")
+    if corrupt not in (None, *CORRUPTIONS):
+        raise ValueError(f"unknown corruption {corrupt!r}; use one of {CORRUPTIONS}")
 
-    n_messages: int = 0
-    bytes_sent: int = 0
-    n_allreduce: int = 0
-    max_neighbor_count: int = 0
-    per_exchange_bytes: deque[int] = field(
-        default_factory=lambda: deque(maxlen=PER_EXCHANGE_RETENTION)
+
+def corrupt_ghost(vec: np.ndarray, slots: np.ndarray, kind: str | None) -> None:
+    """Corrupt the first of a received region's *slots* in *vec*, after
+    the copy: a NaN, or bit 40 of the value flipped."""
+    if kind is None or not slots.size:
+        return
+    if kind == "nan":
+        vec[slots[0]] = np.nan
+    else:
+        flipped = vec[slots[:1]].view(np.int64) ^ (np.int64(1) << 40)
+        vec[slots[0]] = flipped.view(np.float64)[0]
+
+
+def note_exchange(sp, sizes: list[int], **labels) -> None:
+    """Tag one boundary exchange's ``halo_exchange`` span *sp* with its
+    messages (*sizes*, bytes each) and forward the ``comm.*`` metrics."""
+    total = int(sum(sizes))
+    sp.set(messages=len(sizes), bytes=total)
+    if obs_session() is not None:
+        metric_inc("comm.exchanges", **labels)
+        metric_inc("comm.messages", len(sizes), **labels)
+        metric_inc("comm.bytes", total, **labels)
+        metric_observe("comm.exchange_bytes", total, **labels)
+
+
+@dataclass(frozen=True)
+class CommCensus:
+    """Message census of a communicator's life: what the paper's Fig. 20
+    latency model consumes."""
+
+    n_messages: int
+    bytes_sent: int
+    n_allreduce: int
+    max_neighbor_count: int
+
+
+def census(domains: list[LocalDomain], n_exchanges, n_allreduces) -> CommCensus:
+    """The census of *domains* whose ranks completed ``n_exchanges[r]``
+    boundary exchanges and ``n_allreduces[r]`` allreduces.  Messages are
+    edges, disjoint across ranks (each rank counts what it receives):
+    summed.  An allreduce is one collective every rank joins: the most
+    any rank completed."""
+    n_messages = bytes_sent = 0
+    for dom, n in zip(domains, n_exchanges):
+        n_messages += int(n) * len(dom.recv_tables)
+        bytes_sent += int(n) * sum(ext.size * dom.b * 8 for ext in dom.recv_tables.values())
+    return CommCensus(
+        n_messages=n_messages,
+        bytes_sent=bytes_sent,
+        n_allreduce=int(max(n_allreduces, default=0)),
+        max_neighbor_count=max((len(d.recv_tables) for d in domains), default=0),
     )
-    rank: int | None = None
-
-    def record_exchange(self, messages: list[int]) -> int:
-        """Tally one boundary exchange; returns its total byte count."""
-        self.n_messages += len(messages)
-        total = int(sum(messages))
-        self.bytes_sent += total
-        self.per_exchange_bytes.append(total)
-        if obs_session() is not None:
-            labels = {} if self.rank is None else {"rank": self.rank}
-            metric_inc("comm.exchanges", **labels)
-            metric_inc("comm.messages", len(messages), **labels)
-            metric_inc("comm.bytes", total, **labels)
-            metric_observe("comm.exchange_bytes", total, **labels)
-        return total
-
-    def record_allreduce(self) -> None:
-        self.n_allreduce += 1
-        if self.rank is None:
-            metric_inc("comm.allreduces")
-        else:
-            metric_inc("comm.allreduces", rank=self.rank)
-
-    def merge(self, other: "CommLog") -> "CommLog":
-        """Fold another census into this one; returns ``self``.
-
-        Designed so per-rank worker logs reduce to the aggregate census
-        the lockstep emulation reports, which requires two different
-        merge rules:
-
-        - ``n_messages`` / ``bytes_sent`` count *edges*, which are
-          disjoint across ranks (each rank logs only what it received)
-          → **summed**;
-        - ``n_allreduce`` counts *collectives*, which every rank logs
-          once → **max** (all equal in a healthy run), so merging four
-          workers' logs does not quadruple the allreduce census;
-        - ``max_neighbor_count`` is already a maximum → **max** (a plain
-          counter sum would not survive the merge);
-        - ``per_exchange_bytes`` entries describe the same exchange
-          sequence on every rank → element-wise sum, aligned at the most
-          recent entry (shorter series zero-pad at the old end, matching
-          the deque's drop-oldest retention).
-
-        The merged log is an aggregate, so ``rank`` is cleared unless
-        both sides tagged the same rank.
-        """
-        self.n_messages += other.n_messages
-        self.bytes_sent += other.bytes_sent
-        self.n_allreduce = max(self.n_allreduce, other.n_allreduce)
-        self.max_neighbor_count = max(
-            self.max_neighbor_count, other.max_neighbor_count
-        )
-        mine, theirs = list(self.per_exchange_bytes), list(other.per_exchange_bytes)
-        n = max(len(mine), len(theirs))
-        mine = [0] * (n - len(mine)) + mine
-        theirs = [0] * (n - len(theirs)) + theirs
-        maxlen = self.per_exchange_bytes.maxlen
-        self.per_exchange_bytes = deque(
-            (a + b for a, b in zip(mine, theirs)), maxlen=maxlen
-        )
-        if self.rank != other.rank:
-            self.rank = None
-        return self
 
 
 class LockstepComm:
-    """Synchronous communicator over a list of local domains."""
+    """Synchronous communicator over a list of local domains: every
+    rank's state and programs live in this process."""
 
     def __init__(self, domains: list[LocalDomain]) -> None:
         self.domains = domains
-        self.log = CommLog()
-        self.log.max_neighbor_count = max(
-            (len(d.recv_tables) for d in domains), default=0
-        )
+        # every rank's halo-extended vector: what ``yield HALO`` exchanges
+        self.halo = [np.zeros(dom.n_local * dom.b) for dom in domains]
+        self.n_exchanges = self.n_allreduces = 0
+        self.kills: list[dict] = []
+        self.revivals: list[dict] = []
+        self._states = [SimpleNamespace() for _ in domains]
+        self._setup = None
+        self._dead: set[int] = set()
+        # global index of the next exchange (a killed one is not counted
+        # in the census but has its index) and the one-shot fault plans
+        self._exchange_index = 0
+        self._kill_plan: dict[int, int] = {}
+        self._fault_plan: dict[tuple[int, int], str] = {}
 
     @property
     def size(self) -> int:
         return len(self.domains)
+
+    @property
+    def log(self) -> CommCensus:
+        return census(self.domains, [self.n_exchanges] * self.size, [self.n_allreduces])
+
+    # -- the command contract ---------------------------------------------
+
+    def start(self, setup) -> list:
+        """Rank *r* runs ``setup(r, state)`` and keeps *state*; returns
+        what the set-ups returned, by rank."""
+        self._setup = setup
+        return [self._start_rank(rank) for rank in range(self.size)]
+
+    def _start_rank(self, rank: int):
+        self._states[rank] = SimpleNamespace()
+        return self._setup(rank, self._states[rank])
+
+    def scratch(self):
+        """The allocator of the next command's arrays."""
+        return np.zeros
+
+    def run(self, fn, *args) -> list:
+        """Every rank runs ``fn(rank, state, *args)``; returns the ranks'
+        results.  Generators are rank programs, advanced in lockstep: each
+        collective they yield is answered for all of them at once."""
+        self._check_alive()
+        results = [fn(rank, state, *args) for rank, state in enumerate(self._states)]
+        if not results or not inspect.isgenerator(results[0]):
+            return results
+        replies = [None] * len(results)
+        while True:
+            requests, outcomes = [], []
+            for program, reply in zip(results, replies):
+                try:
+                    requests.append(program.send(reply))
+                except StopIteration as stop:
+                    outcomes.append(stop.value)
+            if outcomes:  # the ranks stop together
+                return outcomes
+            if requests[0] is HALO:
+                self.exchange_external(self.halo)
+                reply = self.halo_mismatch(self.halo)
+            else:
+                reply = self._allreduce(requests)
+            replies = [reply] * len(results)
+
+    def revive(self, rank: int):
+        """A replacement for *rank*: it runs its set-up again on the
+        (recovered) domain; returns the set-up's reply."""
+        self._dead.discard(rank)
+        self.revivals.append({"rank": int(rank), "exchange": self._exchange_index})
+        return self._start_rank(rank)
+
+    def close(self) -> None:
+        """Nothing to release (the context-manager form works regardless
+        of transport)."""
+
+    def _check_alive(self) -> None:
+        if self._dead:
+            raise RankFailure(min(self._dead), 1)
+
+    # -- fault injection ---------------------------------------------------
+
+    def inject_kill(self, rank: int, at_exchange: int) -> None:
+        """Kill *rank* on entering halo exchange *at_exchange* (a global
+        index that keeps counting across commands, so the plan fires
+        once): its halo vector is lost and every collective raises
+        :class:`~repro.resilience.taxonomy.RankFailure` until
+        :meth:`revive`."""
+        check_fault(self.size, rank)
+        self._kill_plan[int(rank)] = int(at_exchange)
+
+    def inject_worker_fault(self, rank: int, exchange: int, *, corrupt: str) -> None:
+        """Corrupt one ghost value *rank* receives in halo exchange
+        *exchange*, after the copy (``"nan"`` / ``"bitflip"``; the first
+        slot from its lowest-numbered owner).  One-shot: exchange indices
+        are global, the rolled-back re-execution runs clean."""
+        check_fault(self.size, rank, corrupt)
+        self._fault_plan[(int(rank), int(exchange))] = corrupt
+
+    # -- collectives -------------------------------------------------------
+
+    def _edges(self):
+        """``(receiver, owner, receiver's ghost slots, owner's boundary
+        slots)`` of every message of one exchange."""
+        for d, dom in enumerate(self.domains):
+            for owner, ext_local in sorted(dom.recv_tables.items()):
+                peer = self.domains[owner]
+                yield d, owner, dom.local_dofs(ext_local), peer.local_dofs(peer.send_tables[d])
 
     def exchange_external(self, vectors: list[np.ndarray]) -> None:
         """Fill every domain's external DOF slots from the owners.
@@ -156,52 +240,63 @@ class LockstepComm:
         """
         if len(vectors) != self.size:
             raise ValueError(f"expected {self.size} vectors, got {len(vectors)}")
-        # rank=-1: the lockstep emulation performs every rank's exchange
-        # in one place; real transports emit one rank-tagged span per
-        # worker instead (see repro.parallel.transport).
+        self._check_alive()
+        index, self._exchange_index = self._exchange_index, self._exchange_index + 1
+        for rank, at in sorted(self._kill_plan.items()):
+            if at <= index:  # the rank dies *now*: its memory is gone with it
+                del self._kill_plan[rank]
+                vectors[rank][:] = np.nan
+                self._dead.add(rank)
+                self.kills.append({"rank": rank, "exchange": index})
+        self._check_alive()
+        # rank=-1: every rank's exchange in one place; the process
+        # transport emits one rank-tagged span per worker instead
         with span("halo_exchange", rank=-1) as sp:
-            messages = []
-            for d, dom in enumerate(self.domains):
-                for owner, ext_local in dom.recv_tables.items():
-                    peer = self.domains[owner]
-                    src = peer.send_tables[d]
-                    src_dofs = peer.local_dofs(src)
-                    dst_dofs = dom.local_dofs(ext_local)
-                    vectors[d][dst_dofs] = vectors[owner][src_dofs]
-                    messages.append(src_dofs.size * 8)
-            total = self.log.record_exchange(messages)
-            sp.set(messages=len(messages), bytes=total)
+            sizes, first = [], {}
+            for d, owner, dst, src in self._edges():
+                vectors[d][dst] = vectors[owner][src]
+                sizes.append(src.size * 8)
+                first.setdefault(d, dst)
+            for d, dst in first.items():
+                corrupt_ghost(vectors[d], dst, self._fault_plan.get((d, index)))
+            self.n_exchanges += 1
+            note_exchange(sp, sizes)
 
     def halo_mismatch(self, vectors: list[np.ndarray]) -> float:
         """Owner/ghost agreement probe: worst |ghost - owner| over all halos.
 
         After a correct exchange every external slot equals the owning
-        domain's boundary value, so this returns 0.0; a dropped/stale
-        message, NaN payload or bit-flip shows up as a positive (or
-        ``inf``) mismatch.  In a real MPI run this is a checksum
-        piggybacked on an existing allreduce; the emulation inspects the
-        owner buffers directly, so it is not tallied in :class:`CommLog`
-        (the solver's message census stays comparable to the paper's).
+        domain's boundary value, so this returns 0.0; a stale ghost, NaN
+        payload or bit-flip shows up as a positive (or ``inf``) mismatch.
+        The process transport answers the same question from checksums
+        the senders stored; neither is a message of the census.
         """
         worst = 0.0
-        for d, dom in enumerate(self.domains):
-            for owner, ext_local in dom.recv_tables.items():
-                peer = self.domains[owner]
-                src_dofs = peer.local_dofs(peer.send_tables[d])
-                dst_dofs = dom.local_dofs(ext_local)
-                diff = vectors[d][dst_dofs] - vectors[owner][src_dofs]
-                if not np.isfinite(diff).all():
-                    return float("inf")
-                if diff.size:
-                    worst = max(worst, float(np.abs(diff).max()))
+        for d, owner, dst, src in self._edges():
+            diff = vectors[d][dst] - vectors[owner][src]
+            if not np.isfinite(diff).all():
+                return float("inf")
+            if diff.size:
+                worst = max(worst, float(np.abs(diff).max()))
         return worst
+
+    def _allreduce(self, contributions: list) -> float | np.ndarray:
+        """Global sum of one float, or one short vector, per rank."""
+        vecs = [check_contribution(c) for c in contributions]
+        if any(v.shape != vecs[0].shape for v in vecs):
+            raise ValueError("each rank must contribute a vector of equal length")
+        self._check_alive()
+        self.n_allreduces += 1
+        metric_inc("comm.allreduces")
+        if np.ndim(contributions[0]) == 0:
+            return float(np.sum(contributions))
+        return np.asarray(contributions, dtype=np.float64).sum(axis=0)
 
     def allreduce_sum(self, contributions: list[float]) -> float:
         """Global sum (MPI_Allreduce) of one scalar per rank."""
         if len(contributions) != self.size:
             raise ValueError(f"expected {self.size} contributions, got {len(contributions)}")
-        self.log.record_allreduce()
-        return float(np.sum(contributions))
+        return self._allreduce([float(c) for c in contributions])
 
     def allreduce_sum_vec(self, contributions: list[np.ndarray]) -> np.ndarray:
         """Element-wise global sum of one small vector per rank.
@@ -209,12 +304,8 @@ class LockstepComm:
         One MPI_Allreduce on a k-element buffer costs a single latency,
         while k scalar allreduces cost k of them — fusing the CG dot
         products this way is the latency optimization the paper's Fig. 20
-        model quantifies.  Counted as ONE allreduce in the log.
+        model quantifies.  Counted as ONE allreduce in the census.
         """
         if len(contributions) != self.size:
             raise ValueError(f"expected {self.size} contributions, got {len(contributions)}")
-        stacked = np.asarray(contributions, dtype=np.float64)
-        if stacked.ndim != 2:
-            raise ValueError("each rank must contribute a 1-D vector of equal length")
-        self.log.record_allreduce()
-        return stacked.sum(axis=0)
+        return self._allreduce([np.atleast_1d(c) for c in contributions])

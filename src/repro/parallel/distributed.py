@@ -5,12 +5,13 @@ boundary exchange before every matrix-vector product, per-rank partial
 dot products combined by allreduce, and a *localized* preconditioner
 applied to internal DOFs with no communication — exactly the GeoFEM
 solver of paper section 2.2.  The rank-local iteration is a generator
-(:func:`rank_cg`) that yields at each collective; the lockstep emulation
-advances all ranks inside this process, the process transport runs one
-of them in each rank's resident worker — the same worker that built
-that rank's factor, side by side with its peers, and keeps it for every
-solve.  In exact arithmetic the iterates coincide with a
-sequential CG preconditioned by
+(:func:`rank_cg`) that yields at each collective.  Both transports speak
+one command contract: ``start(setup)`` builds every rank's factor and
+keeps it with the rank — in this process on the lockstep emulation, in
+the rank's resident worker on the process transport — and
+``run(fn, *args)`` runs a command on every rank, advancing rank
+programs through their collectives.  In exact arithmetic the iterates
+coincide with a sequential CG preconditioned by
 :class:`~repro.precond.localized.LocalizedPreconditioner`; the tests
 assert that correspondence.
 
@@ -24,14 +25,14 @@ exchange, so an injected or real communication fault surfaces as
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
 
 from repro.obs import metric_inc, span as obs_span
-from repro.parallel.comm import HALO, CommLog, LockstepComm
+from repro.parallel.comm import HALO, CommCensus, LockstepComm
 from repro.parallel.partition import LocalDomain, build_domains
 from repro.parallel.transport.process_backend import ProcessTransport
 from repro.precond.base import Preconditioner
@@ -98,10 +99,8 @@ def _localized_refactor(dom, internal, m, factory) -> Preconditioner:
 
 @dataclass(frozen=True)
 class RankHandle:
-    """The driver's view of a localized preconditioner that lives in a
-    rank worker (process transport): what :class:`CGResult` and
-    :meth:`DistributedSystem.enable_recovery` read of a factor.  It has
-    no ``symbolic``: the pattern lives, and dies, with its worker."""
+    """The driver's view of a localized preconditioner that lives with
+    its rank: what :class:`CGResult` reads of a factor."""
 
     name: str
     setup_seconds: float
@@ -116,7 +115,7 @@ class RankHandle:
         return dict(self.stats)
 
 
-# -- commands a rank worker runs: fn(rank, state, *args) -----------------
+# -- commands every rank runs: fn(rank, state, *args) ---------------------
 
 
 def _worker_refactor(rank: int, state, values: list[np.ndarray]) -> RankHandle:
@@ -135,29 +134,20 @@ def _worker_cg(rank: int, state, *args):
 class DistributedSystem:
     """A partitioned SPD system ready for :func:`parallel_cg`.
 
-    On the lockstep emulation ``preconds`` holds the per-domain
-    preconditioners and ``local_internals`` the blocks they factor; on
-    the process transport both live in the rank workers, ``preconds``
-    holds a :class:`RankHandle` per rank and ``local_internals`` is
-    empty (:attr:`resident`)."""
+    The per-domain preconditioners and the blocks they factor live with
+    their ranks, in the communicator's rank state; ``preconds`` holds a
+    :class:`RankHandle` per rank."""
 
     domains: list[LocalDomain]
-    comm: LockstepComm
-    preconds: list[Preconditioner]
+    comm: LockstepComm | ProcessTransport
+    preconds: list[RankHandle]
     b_parts: list[np.ndarray]  # internal-DOF right-hand sides
     node_domain: np.ndarray
     ndof: int
     b: int = 3
-    precond_factory: LocalPrecondFactory | None = None
-    local_internals: list[sp.csr_matrix] = dataclass_field(default_factory=list)
     _a_pattern: tuple[np.ndarray, np.ndarray] | None = None
     _a_maps: list[np.ndarray] | None = None
     _recovery: dict | None = None
-
-    @property
-    def resident(self) -> bool:
-        """Whether the factors live in rank workers rather than here."""
-        return hasattr(self.comm, "run")
 
     @classmethod
     def from_global(
@@ -176,9 +166,10 @@ class DistributedSystem:
         The preconditioner factory receives each domain's *internal*
         sub-matrix (external couplings dropped — the localized
         preconditioning of section 2.2) plus the global ids of the
-        domain's nodes.  On the process transport each rank worker calls
-        it for its own rank, at the same time as its peers; an exception
-        or warning it raises there reaches this call.
+        domain's nodes, once per rank, in that rank's set-up.  On the
+        process transport each rank worker calls it for its own rank, at
+        the same time as its peers; an exception or warning it raises
+        there reaches this call.
 
         ``transport`` is the communication fabric: ``"lockstep"`` (the
         in-process emulation) or ``"process"``
@@ -198,37 +189,25 @@ class DistributedSystem:
         else:
             comm = LockstepComm(domains)
         b_vec = np.asarray(b_vec, dtype=np.float64)
-        b_parts = [b_vec[_rows_dof(dom)] for dom in domains]
-        local_internals, preconds = [], []
-        if hasattr(comm, "start"):
 
-            def setup(rank, state):  # runs in rank's worker, inherited by fork
-                state.dom, state.factory = domains[rank], precond_factory
-                state.internal, state.precond = _localized_setup(
-                    state.dom, precond_factory
-                )
-                return RankHandle.of(state.precond)
+        def setup(rank, state):  # a process-transport worker inherits it by fork
+            state.dom, state.factory = domains[rank], precond_factory
+            state.internal, state.precond = _localized_setup(state.dom, precond_factory)
+            return RankHandle.of(state.precond)
 
-            try:
-                preconds = comm.start(setup)
-            except BaseException:
-                comm.close()
-                raise
-        else:
-            for dom in domains:
-                internal, m = _localized_setup(dom, precond_factory)
-                local_internals.append(internal)
-                preconds.append(m)
+        try:
+            preconds = comm.start(setup)
+        except BaseException:
+            comm.close()
+            raise
         return cls(
             domains=domains,
             comm=comm,
             preconds=preconds,
-            b_parts=b_parts,
+            b_parts=[b_vec[_rows_dof(dom)] for dom in domains],
             node_domain=np.asarray(node_domain, dtype=np.int64),
-            ndof=int(np.asarray(b_vec).size),
+            ndof=int(b_vec.size),
             b=b,
-            precond_factory=precond_factory,
-            local_internals=local_internals,
             _a_pattern=(a.indptr, a.indices),
         )
 
@@ -245,8 +224,8 @@ class DistributedSystem:
         pipeline; afterwards every refactorization is a fancy-index
         gather per domain plus a numeric-only preconditioner refactor
         (full factory rebuild only for preconditioners that do not
-        expose ``refactor``).  On the process transport the refactors
-        run in the rank workers, side by side, on the factors they kept.
+        expose ``refactor``), run by every rank on the factor it kept —
+        side by side in the rank workers on the process transport.
         """
         a = check_square_csr(a)
         indptr, indices = self._a_pattern
@@ -266,20 +245,13 @@ class DistributedSystem:
                 for pdom, dom in zip(pos_domains, self.domains)
             ]
         with obs_span("system_refactor", ranks=len(self.domains)):
+            alloc = self.comm.scratch()
+            values = []
             for dom, a_map in zip(self.domains, self._a_maps):
                 dom.a_local.data[:] = a.data[a_map]
-            if self.resident:
-                alloc = self.comm.scratch()
-                values = [alloc(dom.a_local.nnz) for dom in self.domains]
-                for dst, dom in zip(values, self.domains):
-                    dst[:] = dom.a_local.data
-                self.preconds = self.comm.run(_worker_refactor, values)
-            else:
-                for d, dom in enumerate(self.domains):
-                    self.preconds[d] = _localized_refactor(
-                        dom, self.local_internals[d], self.preconds[d],
-                        self.precond_factory,
-                    )
+                values.append(alloc(dom.a_local.nnz))
+                values[-1][:] = dom.a_local.data
+            self.preconds = self.comm.run(_worker_refactor, values)
         if b_vec is not None:
             b_vec = np.asarray(b_vec, dtype=np.float64)
             self.b_parts = [b_vec[_rows_dof(dom)] for dom in self.domains]
@@ -298,12 +270,10 @@ class DistributedSystem:
         is rebuilt — from its own partitioner output / assembly data
         (the ``domain.<rank>.npz`` local data files of
         :mod:`repro.io.distio` when *directory* is given, an equivalent
-        in-memory copy otherwise), its slice of the right-hand side, and
-        its preconditioner's cached symbolic pattern
-        (:class:`~repro.precond.icfact.ICSymbolic`, deterministic from
-        the pattern, so a replacement refactors numerics only).  The
-        surviving ranks are untouched; the in-flight Krylov state is the
-        CG checkpoint's job (:class:`~repro.resilience.checkpoint.CGCheckpointStore`).
+        in-memory copy otherwise) and its slice of the right-hand side.
+        The surviving ranks are untouched; the in-flight Krylov state is
+        the CG checkpoint's job
+        (:class:`~repro.resilience.checkpoint.CGCheckpointStore`).
         """
         if directory is not None:
             from repro.io.distio import write_local_data
@@ -316,8 +286,6 @@ class DistributedSystem:
             "directory": directory,
             "domains": domains_copy,
             "b_parts": [bp.copy() for bp in self.b_parts],
-            "symbolics": [getattr(m, "symbolic", None) for m in self.preconds],
-            "names": [getattr(m, "name", None) for m in self.preconds],
         }
         return self
 
@@ -325,13 +293,11 @@ class DistributedSystem:
         """Rebuild a dead rank's domain, preconditioner and RHS slice.
 
         The replacement re-reads the rank's local data file (matrix rows
-        + communication tables), re-extracts its interior sub-matrix,
-        refactors the local preconditioner from the cached symbolic
-        pattern (full factory rebuild only when none was cached), and
-        announces itself to the communicator via ``revive`` so heartbeat
-        probes succeed again.  On the process transport ``revive`` forks
-        a replacement worker for this rank alone, which builds its factor
-        from the recovered domain (the symbolic died with the old one).
+        + communication tables) and the communicator's ``revive`` runs
+        the rank's set-up again on it — on the process transport in a
+        replacement worker forked for this rank alone.  The symbolic
+        phase is deterministic, so the rebuilt factor is the lost one bit
+        for bit.
         """
         if self._recovery is None:
             raise RuntimeError(
@@ -347,30 +313,13 @@ class DistributedSystem:
             dom = _clone_domain(store["domains"][rank])
         self.domains[rank] = dom  # list shared with the communicator
         self.b_parts[rank] = store["b_parts"][rank].copy()
-        sym = store["symbolics"][rank]
-        if self.resident:
-            self.preconds[rank] = self.comm.revive(rank)
-            how = "replacement worker rebuilt its factor"
-        else:
-            li = self.local_internals[rank] = _internal_block(dom)
-            if sym is not None:
-                from repro.precond.icfact import BlockICFactorization
-
-                self.preconds[rank] = BlockICFactorization(
-                    li, symbolic=sym, name=store["names"][rank]
-                )
-                how = "numeric refactor on cached symbolic pattern"
-            else:
-                self.preconds[rank] = self.precond_factory(li, dom.internal_nodes)
-                how = "full preconditioner rebuild (no cached symbolic)"
-            if hasattr(self.comm, "revive"):
-                self.comm.revive(rank)
+        self.preconds[rank] = self.comm.revive(rank)
         if report is not None:
             report.record(
                 "retry",
                 "parallel_cg",
                 FailureReason.RANK_FAILURE,
-                detail=f"rank {rank} rebuilt from durable local data; {how}",
+                detail=f"rank {rank} rebuilt from durable local data; set-up re-run",
                 rank=rank,
             )
 
@@ -382,7 +331,7 @@ class DistributedSystem:
         return out
 
     @property
-    def comm_log(self) -> CommLog:
+    def comm_log(self) -> CommCensus:
         return self.comm.log
 
     # -- lifecycle ------------------------------------------------------
@@ -393,8 +342,7 @@ class DistributedSystem:
 
         A no-op for the lockstep emulation; idempotent everywhere, so the
         context-manager form is safe regardless of transport."""
-        if hasattr(self.comm, "close"):
-            self.comm.close()
+        self.comm.close()
 
     def __enter__(self) -> "DistributedSystem":
         return self
@@ -418,23 +366,21 @@ def _clone_domain(dom: LocalDomain) -> LocalDomain:
 
 
 class _KrylovState:
-    """Every rank's right-hand side, ``x``/``r``/``p``, halo-extended work
-    vector, and the residual history, allocated through *alloc* so that a
-    process transport can put them where its rank workers and the driver
-    both see them (``np.zeros`` otherwise).  A transport that owns the
-    halo vectors its collectives move passes them as *halo*.
+    """Every rank's right-hand side, ``x``/``r``/``p`` and the residual
+    history, allocated through *alloc* so that a process transport can
+    put them where its rank workers and the driver both see them, beside
+    the halo-extended work vectors (*halo*) the transport's exchanges
+    move.
 
     ``iters[rank]`` is the number of iterations that rank has completed:
     what the driver reports when a fault ends a solve attempt from outside."""
 
-    def __init__(
-        self, domains: list[LocalDomain], max_iter: int, alloc, halo=None
-    ) -> None:
+    def __init__(self, domains: list[LocalDomain], max_iter: int, alloc, halo) -> None:
         b = domains[0].b
         sizes = [dom.n_internal * b for dom in domains]
         self.b, self.x, self.r, self.p = ([alloc(n) for n in sizes] for _ in "bxrp")
         # internal + external slots; every exchange fills all external ones
-        self.halo = halo or [alloc(dom.n_local * b) for dom in domains]
+        self.halo = halo
         self.history = alloc(max_iter + 1)
         self.iters = alloc(len(domains))
 
@@ -477,7 +423,7 @@ def rank_cg(rank, dom, m, st: _KrylovState, store, resume, halo_check, cg_opts):
 
     def matvec(v):
         halo[:ni] = v
-        mismatch = yield HALO  # a process-transport rank always gets one
+        mismatch = yield HALO
         if halo_check and (mismatch > 0.0 or not np.isfinite(mismatch)):
             raise _CommFaultDetected(mismatch)
         return a_matvec(halo)
@@ -499,35 +445,6 @@ def rank_cg(rank, dom, m, st: _KrylovState, store, resume, halo_check, cg_opts):
     )
 
 
-def _run_in_process(system, st, store, resume, halo_check, cg_opts) -> list:
-    """Advance every rank's :func:`rank_cg` in lockstep through the
-    system's communicator's collective surface; returns the ranks'
-    outcomes."""
-    comm, halo = system.comm, st.halo
-    gens = [
-        rank_cg(rank, dom, m, st, store, resume, halo_check, cg_opts)
-        for rank, (dom, m) in enumerate(zip(system.domains, system.preconds))
-    ]
-    replies = [None] * len(gens)
-    while True:
-        requests, outcomes = [], []
-        for gen, reply in zip(gens, replies):
-            try:
-                requests.append(gen.send(reply))
-            except StopIteration as stop:
-                outcomes.append(stop.value)
-        if outcomes:  # the ranks stop together
-            return outcomes
-        if requests[0] is HALO:
-            comm.exchange_external(halo)
-            reply = comm.halo_mismatch(halo) if halo_check else 0.0
-        elif isinstance(requests[0], float):
-            reply = comm.allreduce_sum(requests)
-        else:
-            reply = comm.allreduce_sum_vec(requests)
-        replies = [reply] * len(gens)
-
-
 def parallel_cg(
     system: DistributedSystem,
     *,
@@ -545,21 +462,20 @@ def parallel_cg(
 
     The iteration is :func:`~repro.solvers.cg.cg_program`, the same body
     :func:`~repro.solvers.cg.cg_solve` runs for one rank, wrapped per
-    rank by :func:`rank_cg`.  On the process transport each rank's
-    resident worker runs it on the factor it built and kept, computing
-    on its own domain and meeting its peers only at the collectives, so
-    the ranks run concurrently; on any other communicator (lockstep, the
-    fault-injecting wrappers) they are advanced in lockstep inside this
-    process.  The reductions are rank-ordered either way, so the
-    iterates, the iteration count and the message census do not depend
-    on which it was.
+    rank by :func:`rank_cg` and run as the communicator's ``_worker_cg``
+    command on the factor each rank built and kept.  On the process
+    transport each rank's resident worker runs it, computing on its own
+    domain and meeting its peers only at the collectives, so the ranks
+    run concurrently; the lockstep emulation advances them in lockstep
+    inside this process.  The reductions are rank-ordered either way, so
+    the iterates, the iteration count and the message census do not
+    depend on which it was.
 
     ``halo_check`` (default on) compares owner and ghost values after
     every boundary exchange (:meth:`LockstepComm.halo_mismatch`, or the
     process transport's sender/receiver checksums) and aborts with
-    ``reason=COMM_FAULT`` on any disagreement — the detection side of the
-    fault-injection harness
-    (:class:`~repro.resilience.faults.FaultyComm`).  ``stagnation_window``,
+    ``reason=COMM_FAULT`` on any disagreement — the detection side of
+    both transports' ``inject_worker_fault``.  ``stagnation_window``,
     ``time_budget`` and ``report`` behave as in
     :func:`~repro.solvers.cg.cg_solve`.
 
@@ -579,9 +495,8 @@ def parallel_cg(
       likewise rolls back and re-executes; the transport has replaced
       any worker that did not come back, nothing else is rebuilt;
     - a persistent :class:`~repro.resilience.taxonomy.RankFailure` (a
-      dead worker process, mid-solve or idle before it;
-      :class:`~repro.resilience.faults.DeadRankComm` in the emulation)
-      first rebuilds the dead rank via
+      dead worker process, mid-solve or idle before it; an
+      ``inject_kill`` that fired, on either transport) first rebuilds the dead rank via
       :meth:`DistributedSystem.recover_rank` — which requires
       :meth:`DistributedSystem.enable_recovery` to have been called —
       then rolls back and resumes.
@@ -597,8 +512,8 @@ def parallel_cg(
         if report is not None:
             report.record("detect", "parallel_cg", reason, iteration=it, detail=detail)
 
-    alloc = comm.scratch() if system.resident else np.zeros
-    st = _KrylovState(system.domains, max_iter, alloc, getattr(comm, "halo", None))
+    alloc = comm.scratch()
+    st = _KrylovState(system.domains, max_iter, alloc, comm.halo)
     for dst, src in zip(st.b, system.b_parts):
         dst[:] = src
     store = None
@@ -627,11 +542,7 @@ def parallel_cg(
             # Krylov state from the snapshot (or starts afresh).
             dead = None
             try:
-                args = (st, store, resume, halo_check, cg_opts)
-                if system.resident:
-                    out = comm.run(_worker_cg, *args)[0]
-                else:
-                    out = _run_in_process(system, *args)[0]
+                out = comm.run(_worker_cg, st, store, resume, halo_check, cg_opts)[0]
             except RankFailure as fail:
                 reason, dead = FailureReason.RANK_FAILURE, fail.rank
                 detail = f"rank {fail.rank} unresponsive after {fail.probes} probes"

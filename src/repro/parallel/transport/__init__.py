@@ -1,9 +1,13 @@
 """Transport layer: real communication fabrics behind the Comm surface.
 
-Everything above this package talks to a *communicator* — an object with
-the ``LockstepComm`` surface (``exchange_external``, ``allreduce_sum``,
-``allreduce_sum_vec``, ``halo_mismatch``, ``log``).  This package
-provides that surface over a fabric where the failure modes are real:
+Everything above this package talks to a *communicator* with the command
+contract of :class:`~repro.parallel.comm.LockstepComm`: ``start(setup)``
+and ``run(fn, *args)`` on every rank, ``revive(rank)``, ``scratch()``,
+``halo``, ``close()``, the fault plans ``inject_kill`` /
+``inject_worker_fault``, the census ``log`` and the one-collective
+surface (``exchange_external``, ``allreduce_sum``, ``allreduce_sum_vec``,
+``halo_mismatch``).  This package provides it over a fabric where the
+failure modes are real:
 :mod:`~repro.parallel.transport.process_backend`, one resident forked OS
 worker per rank, which builds that rank's factor and runs its CG for
 every solve, meeting its peers through shared memory.  SIGKILL a worker

@@ -14,7 +14,8 @@ their owners' vectors and checks them against checksums the senders
 stored (the owner/ghost probe, with zero additional messages); an
 **allreduce** sums a double-buffered table with the same rank-ordered
 ``np.sum`` as :class:`~repro.parallel.comm.LockstepComm`, which is what
-makes the two transports bit-identical.
+makes the two transports bit-identical.  The command contract, the fault
+plans and the census are :class:`~repro.parallel.comm.LockstepComm`'s.
 
 A wait is ``check → sched_yield → abort flag → deadline``.  The driver
 sleeps on the workers' pipes and classifies how a command ended: EOF —
@@ -42,7 +43,6 @@ import tempfile
 import time
 import warnings
 import weakref
-from collections import deque
 from multiprocessing.connection import wait as mp_wait
 from pathlib import Path
 
@@ -50,24 +50,30 @@ import numpy as np
 
 from repro import obs
 from repro.obs import metric_inc, span
-from repro.parallel.comm import HALO, PER_EXCHANGE_RETENTION, CommLog
+from repro.parallel.comm import (
+    HALO,
+    REDUCE_WIDTH,
+    CommCensus,
+    census,
+    check_contribution,
+    check_fault,
+    corrupt_ghost,
+    note_exchange,
+)
 from repro.parallel.partition import LocalDomain
 from repro.resilience.taxonomy import CommTimeout, RankFailure
 from repro.utils.workers import REAP_GRACE_S, Workers
 
 __all__ = ["ProcessTransport"]
 
-REDUCE_WIDTH = 8
-"""Widest allreduce contribution the shared table holds (CG needs 3)."""
 
+def _checksum(data: np.ndarray) -> tuple[float, int]:
+    """Payload checksum: (float64 sum, XOR of the values' bit patterns).
 
-def _checksum(data: np.ndarray) -> tuple[float, bool]:
-    """Payload checksum: (float64 sum, all-finite flag).
-
-    The sum catches value corruption (a flipped bit moves it), the flag
-    catches NaN/Inf poison (NaN sums are sticky but two NaN sums do not
-    compare unequal the way the probe needs)."""
-    return float(np.sum(data)), bool(np.isfinite(data).all())
+    The XOR catches any corrupted value — one flipped bit, however small
+    the value it lands on, or a NaN — and the sum says how far apart the
+    two payloads are (NaN/Inf when either carries poison)."""
+    return float(np.sum(data)), int(np.bitwise_xor.reduce(data.view(np.int64)))
 
 
 # ----------------------------------------------------------------------
@@ -105,8 +111,9 @@ class _Fabric:
         )
         self.abort = alloc(1, np.int64)
         self.reduce = alloc(2 * nd * REDUCE_WIDTH).reshape(2, nd, REDUCE_WIDTH)
-        # [sender, receiver] -> (sum, finite) of the region receiver reads
-        self.checksums = alloc(nd * nd * 2).reshape(nd, nd, 2)
+        # [sender, receiver] -> checksum of the region receiver reads
+        self.sums = alloc(nd * nd).reshape(nd, nd)
+        self.hashes = alloc(nd * nd, np.int64).reshape(nd, nd)
         self.floor = self.top
         # fault plans: the driver's ride every command to its workers
         self.kill_plan: dict[int, int] = {}
@@ -192,7 +199,6 @@ class _RankLink:
         self.owners = np.array(list(self.recv), dtype=np.int64)
         self.everyone = np.arange(len(doms))
         self.sizes = [dst.size * 8 for dst, _ in self.recv.values()]
-        self.log = CommLog(rank=rank)  # forwards comm.* metrics when tracing
         self.seq = 0
         self.reductions = 0
 
@@ -226,34 +232,27 @@ class _RankLink:
             time.sleep(plan["delay"])
         mine = fab.halo[rank]
         for nbr, src in self.send.items():
-            fab.checksums[rank, nbr] = _checksum(mine[src])
+            fab.sums[rank, nbr], fab.hashes[rank, nbr] = _checksum(mine[src])
         self._publish_and_wait("halo", self.owners)
         worst = 0.0
         with span("halo_exchange", rank=rank) as sp:
             for i, (owner, (dst, src)) in enumerate(self.recv.items()):
                 mine[dst] = fab.halo[owner][src]
-                if i == 0 and plan.get("corrupt") == "nan":
-                    mine[dst[0]] = np.nan
-                elif i == 0 and plan.get("corrupt") == "bitflip":
-                    flipped = mine[dst[:1]].view(np.int64) ^ (np.int64(1) << 40)
-                    mine[dst[0]] = flipped.view(np.float64)[0]
-                rsum, rfinite = _checksum(mine[dst])
-                ssum, sfinite = fab.checksums[owner, rank]
-                if not (rfinite and sfinite):
+                if i == 0:
+                    corrupt_ghost(mine, dst, plan.get("corrupt"))
+                rsum, rhash = _checksum(mine[dst])
+                gap = abs(rsum - fab.sums[owner, rank])
+                if not math.isfinite(gap):  # NaN/Inf poison on either side
                     worst = float("inf")
-                worst = max(worst, abs(rsum - ssum))
+                elif rhash != fab.hashes[owner, rank]:  # at least one ulp apart
+                    worst = max(worst, gap, math.ulp(rsum))
             fab.n_exchanges[rank] += 1
-            sp.set(messages=len(self.sizes), bytes=self.log.record_exchange(self.sizes))
+            note_exchange(sp, self.sizes, rank=rank)
         return worst
 
     def allreduce(self, contribution) -> float | np.ndarray:
         """Global sum of one float, or one short vector, per rank."""
-        vec = np.atleast_1d(np.asarray(contribution, dtype=np.float64))
-        if vec.ndim != 1 or vec.size > REDUCE_WIDTH:
-            raise ValueError(
-                f"an allreduce contribution is a float or a 1-D vector of at "
-                f"most {REDUCE_WIDTH} entries, got shape {vec.shape}"
-            )
+        vec = check_contribution(contribution)
         # two tables, alternating: a rank may write its row for reduction
         # n+2 only after passing n+1, which everybody reached after
         # reading n — so nobody's row is overwritten while being summed
@@ -265,7 +264,7 @@ class _RankLink:
         # np.sum as LockstepComm — the bit-identity of the two transports
         total = np.array(table[:, : vec.size]).sum(axis=0)
         self.fab.n_allreduces[self.rank] += 1
-        self.log.record_allreduce()
+        metric_inc("comm.allreduces", rank=self.rank)
         return total if np.ndim(contribution) else float(total[0])
 
     def run(self, fn, state, args):
@@ -329,11 +328,12 @@ class ProcessTransport:
     one resident worker process per rank.
 
     :meth:`start` forks the workers and runs each rank's set-up in its
-    own; :meth:`run` sends every command after that.  The
-    :class:`~repro.parallel.comm.LockstepComm` surface
-    (``exchange_external`` / ``allreduce_sum`` / ``allreduce_sum_vec`` /
-    ``halo_mismatch`` / ``log``) is kept on top — each call is a command
-    of one collective — with genuine-SIGKILL and worker-fault injection.
+    own; :meth:`run` sends every command after that — the command
+    contract of :class:`~repro.parallel.comm.LockstepComm`, whose
+    collectives (``exchange_external`` / ``allreduce_sum`` /
+    ``allreduce_sum_vec`` / ``halo_mismatch``) are kept on top, each a
+    command of one collective, as are its census (``log``) and its fault
+    plans — here a genuine SIGKILL, plus a ``delay``.
 
     ``budget`` (seconds) bounds each wait of a rank on its peers and how
     long the driver lets a command go without any rank advancing: a dead
@@ -372,6 +372,11 @@ class ProcessTransport:
     @property
     def size(self) -> int:
         return len(self.domains)
+
+    @property
+    def log(self) -> CommCensus:
+        fab = self._fab
+        return census(self.domains, fab.n_exchanges, fab.n_allreduces)
 
     @property
     def halo(self) -> list[np.ndarray]:
@@ -577,8 +582,7 @@ class ProcessTransport:
         commands, so the plan fires once).  It dies with whatever state
         it had, and detection happens through its pipe like any external
         kill."""
-        if not 0 <= rank < self.size:
-            raise ValueError(f"rank {rank} outside 0..{self.size - 1}")
+        check_fault(self.size, rank)
         self._fab.kill_plan[int(rank)] = int(at_exchange)
 
     def inject_worker_fault(
@@ -597,8 +601,7 @@ class ProcessTransport:
         "bitflip") corrupts one received ghost value *after* the copy, so
         the checksums must catch it end-to-end.  One-shot: exchange
         indices are global, the rolled-back re-execution runs clean."""
-        if corrupt not in (None, "nan", "bitflip"):
-            raise ValueError(f"unknown corruption {corrupt!r}")
+        check_fault(self.size, rank, corrupt)
         self._fab.fault_plan[(int(rank), int(exchange))] = {
             "delay": float(delay), "corrupt": corrupt,
         }
@@ -630,9 +633,9 @@ class ProcessTransport:
             raise ValueError(
                 f"expected {self.size} contributions, got {len(contributions)}"
             )
-        arrs = [np.asarray(c, dtype=np.float64) for c in contributions]
-        if any(a.ndim != 1 or a.shape != arrs[0].shape for a in arrs):
-            raise ValueError("each rank must contribute a 1-D vector of equal length")
+        arrs = [check_contribution(c) for c in contributions]
+        if any(a.shape != arrs[0].shape for a in arrs):
+            raise ValueError("each rank must contribute a vector of equal length")
         return self.run(_allreduce, arrs)[0]
 
     def allreduce_sum(self, contributions: list[float]) -> float:
@@ -640,28 +643,3 @@ class ProcessTransport:
         return float(
             self.allreduce_sum_vec([np.array([float(c)]) for c in contributions])[0]
         )
-
-    def merged_worker_log(self) -> CommLog:
-        """The per-rank censuses, rebuilt from the workers' shared counters
-        and merged to the aggregate view — in a healthy run the census
-        :class:`LockstepComm` reports for the same solve."""
-        merged = CommLog()
-        for rank, dom in enumerate(self.domains):
-            sizes = [ext.size * dom.b * 8 for ext in dom.recv_tables.values()]
-            n = int(self._fab.n_exchanges[rank])
-            merged.merge(
-                CommLog(
-                    n_messages=n * len(sizes),
-                    bytes_sent=n * sum(sizes),
-                    n_allreduce=int(self._fab.n_allreduces[rank]),
-                    max_neighbor_count=len(sizes),
-                    per_exchange_bytes=deque(
-                        [sum(sizes)] * min(n, PER_EXCHANGE_RETENTION),
-                        maxlen=PER_EXCHANGE_RETENTION,
-                    ),
-                    rank=rank,
-                )
-            )
-        return merged
-
-    log = property(merged_worker_log)

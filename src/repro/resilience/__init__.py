@@ -1,4 +1,4 @@
-"""Solver resilience layer: failure taxonomy, fallback chain, fault injection.
+"""Solver resilience layer: failure taxonomy, fallback chain, checkpoints.
 
 Three cooperating pieces (see DESIGN.md section 8):
 
@@ -9,16 +9,15 @@ Three cooperating pieces (see DESIGN.md section 8):
   preconditioner fallback chain (SB-BIC(0) -> BIC(0) -> Manteuffel-shifted
   BIC(0) -> diagonal scaling) that resumes from the best iterate instead
   of restarting;
-- :mod:`repro.resilience.faults` — :class:`FaultyComm`, a seeded
-  fault-injecting wrapper over the lockstep communicator for testing the
-  distributed solver's ``COMM_FAULT`` detection, and :class:`DeadRankComm`,
-  its persistent-failure sibling (a rank killed mid-solve, detected by a
-  heartbeat probe with bounded retry/backoff);
 - :mod:`repro.resilience.checkpoint` — in-memory CG snapshots
   (:class:`CGCheckpointStore`) for rollback/resume inside
   :func:`~repro.parallel.distributed.parallel_cg`, and the durable
   :class:`AlmJournal` that lets a killed nonlinear run resume from disk
   (DESIGN.md section 10).
+
+Faults are injected by the communicators themselves: both transports
+have ``inject_kill`` and ``inject_worker_fault``
+(:mod:`repro.parallel.comm`, :mod:`repro.parallel.transport`).
 
 ``taxonomy`` is imported eagerly (it is dependency-free and the solver /
 preconditioner layers pull names from it); the other two are loaded
@@ -44,9 +43,6 @@ __all__ = [
     "ResilientSolver",
     "FallbackStage",
     "default_ladder",
-    "FaultyComm",
-    "FaultSpec",
-    "DeadRankComm",
     "RankFailure",
     "CGCheckpoint",
     "CGCheckpointStore",
@@ -58,9 +54,6 @@ _LAZY = {
     "ResilientSolver": "repro.resilience.resilient",
     "FallbackStage": "repro.resilience.resilient",
     "default_ladder": "repro.resilience.resilient",
-    "FaultyComm": "repro.resilience.faults",
-    "FaultSpec": "repro.resilience.faults",
-    "DeadRankComm": "repro.resilience.faults",
     "CGCheckpoint": "repro.resilience.checkpoint",
     "CGCheckpointStore": "repro.resilience.checkpoint",
     "AlmJournal": "repro.resilience.checkpoint",

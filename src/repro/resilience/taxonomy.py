@@ -64,7 +64,7 @@ class FailureReason(Enum):
 
     RANK_FAILURE = "rank_failure"
     """A rank stopped responding entirely (process death / lost node):
-    the heartbeat probe in the exchange path exhausted its retries."""
+    its worker is gone, or an injected kill fired."""
 
     COMM_TIMEOUT = "comm_timeout"
     """A communication operation outlived its wait budget while the
@@ -106,15 +106,15 @@ class FailureReason(Enum):
 
 
 class RankFailure(RuntimeError):
-    """A rank did not respond to the heartbeat probe within its retry
-    budget: it is declared dead and the solve must recover or abort.
+    """A rank is dead — its worker process is gone, or an injected kill
+    fired — and the solve must recover or abort.
 
-    Raised by the communication layer's exchange path (see
-    :class:`~repro.resilience.faults.DeadRankComm`); caught by
+    Raised by both transports (:mod:`repro.parallel.comm`,
+    :mod:`repro.parallel.transport`); caught by
     :func:`~repro.parallel.distributed.parallel_cg`, which maps it to
     :attr:`FailureReason.RANK_FAILURE` and attempts local recovery.
-    Lives here (not in :mod:`~repro.resilience.faults`) so the solver and
-    comm layers can both import it without a cycle."""
+    Lives here so the solver and comm layers can both import it without
+    a cycle."""
 
     def __init__(self, rank: int, probes: int) -> None:
         super().__init__(

@@ -288,6 +288,11 @@ class TestLadderSharesSymbolic:
         assert m.apply(r) == pytest.approx(fresh.apply(r), rel=1e-13)
 
 
+def _internal_values(rank, state):
+    """A rank command: the values of the internal block it factors."""
+    return state.internal.data.copy()
+
+
 class TestDistributedRefactor:
     @pytest.fixture(scope="class")
     def partitioned(self):
@@ -312,9 +317,11 @@ class TestDistributedRefactor:
         assert _setups(sess)["symbolic"] == 0  # values-only per domain
         res = parallel_cg(system)
         rebuilt = DistributedSystem.from_global(p3.a, p3.b, part, fac)
-        # the refactored internal blocks are the freshly cut ones, exactly
-        for got, want in zip(system.local_internals, rebuilt.local_internals):
-            assert np.array_equal(got.data, want.data)
+        # each rank's refactored internal block is the freshly cut one, exactly
+        for got, want in zip(
+            system.comm.run(_internal_values), rebuilt.comm.run(_internal_values)
+        ):
+            assert np.array_equal(got, want)
         fresh = parallel_cg(rebuilt)
         assert res.converged and fresh.converged
         assert res.iterations == fresh.iterations

@@ -18,11 +18,11 @@ import fault_sweep  # noqa: E402
 
 def test_quick_sweep_full_detection_and_recovery():
     summary = fault_sweep.run_sweep(quick=True)
-    assert summary["n_runs"] == 9  # 3 preconditioners x 3 fault kinds
+    assert summary["n_runs"] == 6  # 3 preconditioners x 2 fault kinds
     assert summary["detection_rate"] == 1.0
     assert summary["recovery_rate"] == 1.0
-    # every run injected exactly the one scheduled fault
-    assert all(r["injected"] == 1 for r in summary["runs"])
+    # every fault was caught in the iteration of its exchange
+    assert all(r["detect_iteration"] == r["exchange"] for r in summary["runs"])
 
 
 def test_cli_entry_quick():

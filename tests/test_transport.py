@@ -5,22 +5,21 @@ Everything here runs against real forked worker processes (the
 reference.  The two headline contracts:
 
 - **determinism gate**: a 4-domain ``parallel_cg`` produces bit-identical
-  ``x``, iteration count and allreduce census on ``lockstep`` and
-  ``process`` transports — the fixed rank-ordered reduction at the pipe
-  tree's root makes the fabrics interchangeable;
+  ``x``, iteration count and census on ``lockstep`` and ``process``
+  transports — the fixed rank-ordered reduction makes the fabrics
+  interchangeable;
 - **genuine failures**: a SIGKILLed worker is a dead OS process (not a
   flag), a wedged worker really sleeps through the deadline budget, and
-  recovery must reproduce the undisturbed run bit-for-bit.
+  recovery must reproduce the undisturbed run bit-for-bit — and the same
+  fault plan on the lockstep emulation recovers the same way.
 """
 
 import gc
 import json
 import multiprocessing as mp
 import os
-import pickle
 import signal
 import warnings
-from collections import deque
 
 import numpy as np
 import pytest
@@ -34,7 +33,6 @@ from repro.parallel import (
     parallel_cg,
     partition_nodes_rcb,
 )
-from repro.parallel.comm import CommLog
 from repro.parallel.partition import build_domains
 from repro.parallel.transport import ProcessTransport
 from repro.precond import DiagonalScaling, bic
@@ -64,6 +62,10 @@ def lockstep_ref(problem, part):
     res = parallel_cg(system)
     assert res.converged
     return system, res
+
+
+def _wide_allreduce(rank, state):
+    return (yield np.zeros(9))
 
 
 def _process_system(problem, part, **opts):
@@ -169,9 +171,8 @@ class TestParity:
             assert res_p.converged
             assert res_p.iterations == res_l.iterations
             assert np.array_equal(res_p.x, res_l.x)
-            assert sys_p.comm_log.n_allreduce == sys_l.comm_log.n_allreduce
-            assert sys_p.comm_log.n_messages == sys_l.comm_log.n_messages
-            assert sys_p.comm_log.bytes_sent == sys_l.comm_log.bytes_sent
+            assert sys_p.comm_log == sys_l.comm_log
+            assert sys_l.comm_log.n_allreduce == 2 * res_l.iterations + 1
         finally:
             sys_p.close()
 
@@ -298,76 +299,20 @@ class TestParity:
         assert iterations[-1] <= 1.5 * iterations[0]
 
 
-# -- CommLog merge (per-worker census -> aggregate) ----------------------
-
-
-class TestCommLogMerge:
-    def test_merged_worker_census_equals_driver(self, problem, part):
-        system = _process_system(problem, part)
-        try:
-            res = parallel_cg(system, max_iter=30)
-            merged = system.comm.merged_worker_log()
-            driver = system.comm_log
-            assert merged.n_messages == driver.n_messages
-            assert merged.bytes_sent == driver.bytes_sent
-            assert merged.n_allreduce == driver.n_allreduce
-            assert merged.max_neighbor_count == driver.max_neighbor_count
-            assert list(merged.per_exchange_bytes) == list(
-                driver.per_exchange_bytes
-            )
-        finally:
-            system.close()
-
-    def test_commlog_picklable(self):
-        log = CommLog(rank=2)
-        log.record_exchange([24, 48])
-        log.record_allreduce()
-        clone = pickle.loads(pickle.dumps(log))
-        assert clone.rank == 2
-        assert clone.n_messages == 2
-        assert clone.bytes_sent == 72
-        assert list(clone.per_exchange_bytes) == [72]
-
-    def test_merge_rules(self):
-        a = CommLog(rank=0)
-        a.record_exchange([10])
-        a.record_exchange([20])
-        a.record_allreduce()
-        a.record_allreduce()
-        a.max_neighbor_count = 2
-        b = CommLog(rank=1)
-        b.record_exchange([5])
-        b.record_exchange([7])
-        b.record_allreduce()
-        b.record_allreduce()
-        b.max_neighbor_count = 3
-        a.merge(b)
-        assert a.n_messages == 4  # edges are disjoint: summed
-        assert a.bytes_sent == 42
-        assert a.n_allreduce == 2  # collectives are replicated: max
-        assert a.max_neighbor_count == 3  # max survives the merge
-        assert list(a.per_exchange_bytes) == [15, 27]
-        assert a.rank is None  # merged censuses are aggregates
-
-    def test_merge_aligns_at_most_recent(self):
-        a = CommLog()
-        for size in (10, 20, 30):
-            a.record_exchange([size])
-        b = CommLog()
-        b.record_exchange([1])
-        a.merge(b)
-        # shorter series zero-pads at the OLD end (drop-oldest retention)
-        assert list(a.per_exchange_bytes) == [10, 20, 31]
-
-    def test_merge_respects_retention(self):
-        a = CommLog(per_exchange_bytes=deque(maxlen=2))
-        for size in (10, 20, 30):
-            a.record_exchange([size])
-        b = CommLog()
-        b.record_exchange([1])
-        a.merge(b)
-        assert a.per_exchange_bytes.maxlen == 2
-        assert list(a.per_exchange_bytes) == [20, 31]
+@pytest.mark.parametrize("transport", ["lockstep", "process"])
+def test_nine_wide_allreduce_rejected(problem, part, transport):
+    """One validator: a contribution wider than the process transport's
+    reduction table fails on both transports, from the driver and from a
+    rank program alike, and is not counted."""
+    prob, _ = problem
+    with DistributedSystem.from_global(
+        prob.a, prob.b, part, _factory, transport=transport
+    ) as system:
+        with pytest.raises(ValueError, match="at most 8 entries"):
+            system.comm.allreduce_sum_vec([np.zeros(9)] * 4)
+        with pytest.raises(ValueError, match="at most 8 entries"):
+            system.comm.run(_wide_allreduce)
+        assert system.comm.log.n_allreduce == 0
 
 
 # -- genuine failures ----------------------------------------------------
@@ -504,6 +449,42 @@ class TestRealFailures:
             system.close()
 
 
+class TestOneFaultSurface:
+    """The same fault plan on either transport: detected for the same
+    reason, rolled back once, and recovered to the fault-free lockstep
+    answer bit for bit.  A kill is a dead OS process on one transport and
+    a lost halo vector on the other; a corruption hits the same ghost
+    slot on both."""
+
+    @pytest.mark.parametrize("fault", ["kill", "nan", "bitflip"])
+    @pytest.mark.parametrize("transport", ["lockstep", "process"])
+    def test_same_plan_same_recovery(
+        self, problem, part, lockstep_ref, transport, fault
+    ):
+        _, ref = lockstep_ref
+        prob, _ = problem
+        with DistributedSystem.from_global(
+            prob.a, prob.b, part, _factory, transport=transport
+        ) as system:
+            if fault == "kill":
+                system.enable_recovery()
+                system.comm.inject_kill(2, at_exchange=6)
+                reason = FailureReason.RANK_FAILURE
+            else:
+                system.comm.inject_worker_fault(1, exchange=5, corrupt=fault)
+                reason = FailureReason.COMM_FAULT
+            report = SolveReport()
+            res = parallel_cg(system, checkpoint_interval=4, report=report)
+            assert res.converged and res.rollbacks == 1
+            assert [e.reason for e in report.detections()] == [reason]
+            assert np.array_equal(res.x, ref.x)
+            if fault == "kill":
+                assert system.comm.kills == [{"rank": 2, "exchange": 6}]
+                assert system.comm.revivals == [{"rank": 2, "exchange": 7}]
+            else:
+                assert system.comm.kills == system.comm.revivals == []
+
+
 # -- lifecycle + observability -------------------------------------------
 
 
@@ -555,15 +536,18 @@ class TestLifecycle:
             )
         system.close()
 
-    def test_invalid_injection_args(self, problem, part):
-        system = _process_system(problem, part)
-        try:
+    @pytest.mark.parametrize("transport", ["lockstep", "process"])
+    def test_invalid_injection_args(self, problem, part, transport):
+        prob, _ = problem
+        with DistributedSystem.from_global(
+            prob.a, prob.b, part, _factory, transport=transport
+        ) as system:
             with pytest.raises(ValueError, match="outside"):
                 system.comm.inject_kill(99, at_exchange=0)
-            with pytest.raises(ValueError, match="corruption"):
+            with pytest.raises(ValueError, match="outside"):
+                system.comm.inject_worker_fault(-1, 1, corrupt="nan")
+            with pytest.raises(ValueError, match="unknown corruption"):
                 system.comm.inject_worker_fault(0, 1, corrupt="gamma-ray")
-        finally:
-            system.close()
 
     def test_per_rank_traces_and_merge(self, problem, part, tmp_path):
         system = _process_system(problem, part, trace_dir=tmp_path)
