@@ -39,14 +39,9 @@ from repro.experiments.workloads import (
     homogeneous_box_problem,
     swjapan_problem,
 )
-from repro.policy import (
-    PolicyDecision,
-    SolverPolicy,
-    candidate_costs,
-    probe_problem,
-)
-from repro.precond import FAMILY_TABLE
-from repro.resilience.resilient import ResilientSolver
+from repro.policy import SolverPolicy, candidate_costs, probe_problem
+from repro.precond import FAMILY_TABLE, ladder_families
+from repro.resilience.resilient import ResilientSolver, build_ladder
 
 SCALE = 0.4
 N_BOX = 8
@@ -76,10 +71,17 @@ def forced_order(default: tuple[str, ...], first: str) -> tuple[str, ...]:
     return (first, *[f for f in default if f != first])
 
 
-def timed_ladder_solve(policy: SolverPolicy, name: str, prob, decision=None):
-    """Wall time of (decide +) build-ladder + resilient solve, and the result."""
+def default_order(prob) -> tuple[str, ...]:
+    """The paper's robustness order for *prob* (the family table's)."""
+    n_groups = len(prob.groups) if prob.groups else 0
+    return ladder_families(n_groups, prob.a.shape[0] % 3 == 0)
+
+
+def timed_solve(prob, ladder):
+    """Wall time of ``ladder()`` (build the stages) + resilient solve,
+    and the result."""
     t0 = time.perf_counter()
-    stages, _ = policy.ladder(prob.a, prob.groups, decision=decision, cache_key=name)
+    stages = ladder()
     res = ResilientSolver(prob.a, stages).solve(prob.b)
     return time.perf_counter() - t0, res
 
@@ -88,7 +90,6 @@ def timed_ladder_solve(policy: SolverPolicy, name: str, prob, decision=None):
 def sweep():
     """Run the sweep once: per-arm totals and per-case wall times."""
     cases = build_cases()
-    static = SolverPolicy("static")  # the paper's default order per case
     totals = {arm: 0.0 for arm in (*FIXED_ARMS, "cold", "warm")}
     wall_s: dict[str, dict[str, float]] = {name: {} for name in cases}
 
@@ -99,18 +100,16 @@ def sweep():
 
     for arm in FIXED_ARMS:
         for name, prob in cases.items():
-            default = static.decide(prob.a, prob.groups).order
-            decision = PolicyDecision(
-                mode="fixed", order=forced_order(default, arm), probe=None,
-                source=f"bench fixed arm {arm!r}",
-            )
-            book(arm, name, *timed_ladder_solve(static, name, prob, decision))
+            order = forced_order(default_order(prob), arm)
+            book(arm, name, *timed_solve(
+                prob, lambda: build_ladder(prob.a, prob.groups, order)))
 
     # the cost model over the same traffic twice: decide() time included
-    policy = SolverPolicy("cost")
+    policy = SolverPolicy()
     for arm in ("cold", "warm"):
         for name, prob in cases.items():
-            book(arm, name, *timed_ladder_solve(policy, name, prob))
+            book(arm, name, *timed_solve(
+                prob, lambda: policy.ladder(prob.a, prob.groups, cache_key=name)[0]))
 
     print()
     for arm, total in totals.items():

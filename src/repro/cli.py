@@ -5,6 +5,7 @@
     python -m repro list
     python -m repro run table02 --scale 0.8
     python -m repro solve --model block --penalty 1e6 --precond sbbic0
+    python -m repro solve --model block --penalty 1e6 --precond auto
     python -m repro trace --model block --precond sbbic0 --out trace.json
 
 ``run`` and ``solve`` accept ``--trace PATH`` to capture the whole
@@ -30,7 +31,8 @@ import sys
 
 from repro import obs
 from repro.experiments import EXPERIMENTS
-from repro.precond import FAMILY_TABLE
+from repro.precond import DEFAULT_FAMILY, FAMILY_TABLE
+from repro.serve.protocol import PRECONDS
 
 
 def _export_trace(sess: obs.ObsSession, path: str) -> None:
@@ -74,23 +76,22 @@ def _cmd_run(args) -> int:
     return 0 if table.all_claims_hold else 1
 
 
+def _problem(args):
+    """The ``--model`` problem at ``--scale`` and ``--penalty``."""
+    from repro.experiments import workloads
+
+    make = {"block": workloads.block_problem, "swjapan": workloads.swjapan_problem}
+    return make[args.model](args.scale, penalty=args.penalty)
+
+
 def _run_solve(args) -> int:
     """Shared body of the ``solve`` and ``trace`` commands."""
     from repro import cg_solve
-    from repro.experiments.workloads import block_problem, swjapan_problem
 
-    if args.model == "block":
-        prob = block_problem(args.scale, penalty=args.penalty)
-    elif args.model == "swjapan":
-        prob = swjapan_problem(args.scale, penalty=args.penalty)
-    else:
-        print(f"unknown model {args.model!r}", file=sys.stderr)
-        return 2
-
-    if getattr(args, "transport", None):
+    prob = _problem(args)
+    if args.transport:
         return _run_distributed_solve(args, prob)
-
-    if getattr(args, "policy", None):
+    if args.precond == "auto":
         return _run_policy_solve(args, prob)
 
     m = FAMILY_TABLE[args.precond].build(prob.a, prob.groups)
@@ -102,23 +103,23 @@ def _run_solve(args) -> int:
 
 
 def _run_policy_solve(args, prob) -> int:
-    """Solve through a policy-ranked resilient ladder (``--policy``)."""
+    """Solve through the cost model's ladder (``--precond auto``)."""
     from repro.policy import SolverPolicy
     from repro.resilience.resilient import ResilientSolver
 
-    policy = SolverPolicy(args.policy)
+    policy = SolverPolicy()
     stages, decision = policy.ladder(prob.a, prob.groups)
     print(decision.explain())
     solver = ResilientSolver(
         prob.a, stages, max_iter=args.max_iter,
-        on_stage_result=lambda name, r: policy.record_outcome(
-            decision, name,
+        on_stage_result=lambda stage, r: policy.record_outcome(
+            decision, stage.family, stage=stage.name,
             seconds=r.solve_seconds, converged=r.converged,
             iterations=r.iterations,
         ),
     )
     res = solver.solve(prob.b)
-    print(f"model: {prob.ndof} DOF, penalty {args.penalty:g}, policy {args.policy}")
+    print(f"model: {prob.ndof} DOF, penalty {args.penalty:g}, precond auto")
     print(res)
     return 0 if res.converged else 1
 
@@ -132,8 +133,8 @@ def _run_distributed_solve(args, prob) -> int:
     )
     from repro.precond.localized import restrict_groups
 
-    family = FAMILY_TABLE[args.precond]
-    if not family.localized:
+    family = FAMILY_TABLE.get(args.precond)
+    if family is None or not family.localized:
         print(
             f"preconditioner {args.precond!r} has no per-domain (localized) "
             f"form; choose from {sorted(f.name for f in FAMILY_TABLE.values() if f.localized)}",
@@ -261,17 +262,10 @@ def _cmd_batch(args) -> int:
 
 def _cmd_policy(args) -> int:
     """Show what the solver policy would decide for one problem."""
-    from repro.experiments.workloads import block_problem, swjapan_problem
     from repro.policy import SolverPolicy
 
-    if args.action != "explain":
-        print(f"unknown policy action {args.action!r}", file=sys.stderr)
-        return 2
-    if args.model == "block":
-        prob = block_problem(args.scale, penalty=args.penalty)
-    else:
-        prob = swjapan_problem(args.scale, penalty=args.penalty)
-    print(SolverPolicy(args.mode).decide(prob.a, prob.groups).explain())
+    prob = _problem(args)
+    print(SolverPolicy().decide(prob.a, prob.groups).explain())
     return 0
 
 
@@ -323,8 +317,9 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--model", default="block", choices=["block", "swjapan"])
         p.add_argument("--penalty", type=float, default=1e6)
         p.add_argument(
-            "--precond", default="sbbic0",
-            choices=list(FAMILY_TABLE),
+            "--precond", default=DEFAULT_FAMILY, choices=PRECONDS,
+            help="preconditioner family, or auto: solve through the "
+            "cost model's escalation ladder (default %(default)s)",
         )
         p.add_argument("--scale", type=float, default=1.0)
         p.add_argument("--max-iter", type=int, default=20000)
@@ -343,12 +338,6 @@ def main(argv: list[str] | None = None) -> int:
             help="with --transport process: each worker writes its own "
             "rank-tagged trace.rank<r>.jsonl into DIR "
             "(merge with: repro trace --merge DIR/trace.rank*.jsonl)",
-        )
-        p.add_argument(
-            "--policy", default=None, choices=["static", "cost"],
-            help="solve through a policy-ranked resilient ladder instead "
-            "of the single --precond (static = paper order, cost = "
-            "cost-model ranking)",
         )
 
     p_solve = sub.add_parser("solve", help="solve one model once")
@@ -388,10 +377,6 @@ def main(argv: list[str] | None = None) -> int:
     p_policy.add_argument("--model", default="block", choices=["block", "swjapan"])
     p_policy.add_argument("--scale", type=float, default=1.0)
     p_policy.add_argument("--penalty", type=float, default=1e6)
-    p_policy.add_argument(
-        "--mode", default="cost", choices=["static", "cost"],
-        help="decision mode to explain (default cost)",
-    )
     p_policy.set_defaults(fn=_cmd_policy)
 
     def add_serve_args(p) -> None:

@@ -363,15 +363,15 @@ def policy_table(source) -> str:
     """Per-decision view of the solver policy's activity in a trace.
 
     *source* is either a live :class:`Tracer` or an iterable of flat
-    JSONL records.  One line per ``policy.decide`` span (mode, decided
-    order, provenance), followed by one line per ``policy.outcome`` span
-    (which family actually ran, whether it converged, measured
-    iterations and wall time, each with the cost model's prediction and
-    the measured / predicted ratio beside it) — the at-a-glance answer
-    to "what did the policy choose, was it right, and how wrong was its
-    cost prediction".  Predicted seconds are the modeled machine's, so
-    that ratio is a host constant times the model's error: compare it
-    across rows, not with 1.
+    JSONL records.  One line per ``policy.decide`` span (probe
+    fingerprint and decided order), followed by one line per
+    ``policy.outcome`` span (which family actually ran, whether it
+    converged, measured iterations and wall time, each with the cost
+    model's prediction and the measured / predicted ratio beside it) —
+    the at-a-glance answer to "what did the policy choose, was it right,
+    and how wrong was its cost prediction".  Predicted seconds are the
+    modeled machine's, so that ratio is a host constant times the
+    model's error: compare it across rows, not with 1.
     """
     decides = _policy_spans(source, {"policy.decide"})
     outcomes = _policy_spans(source, {"policy.outcome"})
@@ -380,14 +380,12 @@ def policy_table(source) -> str:
     lines: list[str] = []
     if decides:
         decides.sort(key=lambda r: r.get("t_start_s") or 0.0)
-        rows = [("fingerprint", "mode", "order", "decided by", "ms")]
+        rows = [("fingerprint", "order", "ms")]
         for r in decides:
             at = r.get("attrs", {})
             rows.append((
                 str(at.get("fingerprint", "") or "-"),
-                str(at.get("mode", "?")),
                 str(at.get("order", "?")),
-                str(at.get("source", "")),
                 f"{1e3 * (r.get('duration_s') or 0.0):.1f}",
             ))
         widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]

@@ -7,8 +7,9 @@ chooses the ladder *per problem* from the operator itself:
    sparsity, contact-group census, penalty magnitude read off the
    diagonal, a few-iteration Lanczos conditioning estimate.
 2. **Cost model** (:mod:`repro.policy.cost`) — perfmodel-priced
-   setup/per-iteration predictions per preconditioner family, combined
-   with CG iteration theory and Table 2-shaped breakdown risk.
+   setup/per-iteration predictions for each family the problem admits
+   (:func:`repro.precond.families.ladder_families`), combined with CG
+   iteration theory and Table 2-shaped breakdown risk.
 
 :class:`~repro.policy.ladder.SolverPolicy` folds these into a ranked
 :class:`~repro.resilience.resilient.FallbackStage` ladder with the same
@@ -19,32 +20,18 @@ probe fingerprint (:mod:`repro.policy.history`) for the serve census;
 no decision reads the tally.
 """
 
-from repro.policy.cost import (
-    FAMILIES,
-    CandidateCost,
-    applicable_families,
-    candidate_costs,
-)
+from repro.policy.cost import CandidateCost, candidate_costs
 from repro.policy.history import OutcomeStats, PolicyHistory
-from repro.policy.ladder import (
-    POLICY_MODES,
-    PolicyDecision,
-    SolverPolicy,
-    family_of_stage,
-)
+from repro.policy.ladder import PolicyDecision, SolverPolicy
 from repro.policy.probes import ProblemProbe, probe_problem
 
 __all__ = [
-    "FAMILIES",
-    "POLICY_MODES",
     "CandidateCost",
     "OutcomeStats",
     "PolicyDecision",
     "PolicyHistory",
     "ProblemProbe",
     "SolverPolicy",
-    "applicable_families",
     "candidate_costs",
-    "family_of_stage",
     "probe_problem",
 ]

@@ -46,21 +46,9 @@ from repro.perfmodel.hybrid import estimate_iteration_time
 from repro.perfmodel.kernels import SolverOpCensus, VectorWork
 from repro.perfmodel.machines import EARTH_SIMULATOR
 from repro.policy.probes import ProblemProbe
-from repro.precond.families import FAMILY_TABLE
+from repro.precond.families import ladder_families
 
-__all__ = [
-    "CandidateCost",
-    "FAMILIES",
-    "SETUP_PASSES",
-    "applicable_families",
-    "candidate_costs",
-]
-
-FAMILIES = tuple(f.name for f in reversed(FAMILY_TABLE.values()) if f.ranked)
-"""Ladder-leading preconditioner families, strongest first.  The names
-are the family table's, like the serve protocol's ``precond`` values, so
-policy decisions drop straight into
-:class:`~repro.serve.protocol.SolveRequest`."""
+__all__ = ["CandidateCost", "SETUP_PASSES", "candidate_costs"]
 
 SETUP_PASSES = {
     "sbbic0": {"symbolic": 200, "numeric": 45},
@@ -123,18 +111,6 @@ class CandidateCost:
         return self.setup_seconds + (
             self.risk * self.predicted_iterations * self.per_iter_seconds
         )
-
-
-def applicable_families(n_groups: int, block_ok: bool) -> tuple[str, ...]:
-    """Families that can be built for a problem with *n_groups* contact
-    groups whose DOF count is (*block_ok*) or is not a multiple of 3,
-    strongest first — the static order, and what the cost model prices."""
-    fams = []
-    if n_groups > 0 and block_ok:
-        fams.append("sbbic0")
-    fams.append("bic0" if block_ok else "ic0")
-    fams.append("diag")
-    return tuple(fams)
 
 
 def _matvec_pass(probe: ProblemProbe) -> VectorWork:
@@ -203,8 +179,10 @@ def candidate_costs(
     eps: float = 1e-8,
     families: tuple[str, ...] | None = None,
 ) -> list[CandidateCost]:
-    """Price every applicable family; cheapest predicted total first."""
-    fams = families if families is not None else applicable_families(
+    """Price every family the problem admits
+    (:func:`~repro.precond.families.ladder_families`, or *families*);
+    cheapest predicted total first."""
+    fams = families if families is not None else ladder_families(
         probe.n_groups, probe.block_ok
     )
     log_term = float(np.log(2.0 / eps))

@@ -12,8 +12,9 @@ All of Table 2's preconditioners are here:
   domain-wise (block Jacobi) localization used in parallel runs.
 
 :data:`~repro.precond.families.FAMILY_TABLE` is the one place their
-CLI / protocol / ladder names are listed.  The IC variants all delegate
-to one engine,
+CLI / protocol / ladder names are listed, and
+:func:`~repro.precond.families.ladder_families` the one place their
+robustness order is.  The IC variants all delegate to one engine,
 :class:`~repro.precond.icfact.BlockICFactorization`: a color-wise batched
 incomplete Cholesky over variable-size super-node blocks.
 """
@@ -26,12 +27,13 @@ from repro.precond.bic import bic
 from repro.precond.sbbic import sb_bic0
 from repro.precond.localized import LocalizedPreconditioner
 from repro.precond.twolevel import TwoLevelPreconditioner
-from repro.precond.families import FAMILY_TABLE, Family, family_of_stage
+from repro.precond.families import DEFAULT_FAMILY, FAMILY_TABLE, Family, ladder_families
 
 __all__ = [
+    "DEFAULT_FAMILY",
     "FAMILY_TABLE",
     "Family",
-    "family_of_stage",
+    "ladder_families",
     "TwoLevelPreconditioner",
     "Preconditioner",
     "IdentityPreconditioner",

@@ -21,6 +21,12 @@ class DiagonalScaling(Preconditioner):
     name = "Diagonal"
 
     def __init__(self, a: sp.spmatrix | sp.sparray) -> None:
+        self.refactor(a)
+
+    def refactor(self, a: sp.spmatrix | sp.sparray) -> "DiagonalScaling":
+        """Re-read the diagonal of *a* — the whole set-up, there is no
+        pattern phase to keep.  Returns ``self``, like the IC families'
+        values-only ``refactor``."""
         t0 = time.perf_counter()
         a = check_square_csr(a)
         d = a.diagonal()
@@ -28,6 +34,7 @@ class DiagonalScaling(Preconditioner):
             raise ValueError("matrix has zero diagonal entries; cannot diagonal-scale")
         self._dinv = 1.0 / d
         self.setup_seconds = time.perf_counter() - t0
+        return self
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         return self._dinv * r

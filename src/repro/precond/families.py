@@ -2,9 +2,11 @@
 
 Every place that lets a caller *name* a preconditioner — the CLI's
 ``--precond``, the serve protocol's ``precond`` field, the solver
-policy's ranking, the resilience ladder, outcome recording — reads this
+policy's pricing, the resilience ladder, outcome recording — reads this
 table instead of spelling the names itself, so a name is either known
-everywhere or rejected at the boundary.
+everywhere or rejected at the boundary.  Which families a problem
+admits, and in which order of robustness, is decided here too
+(:func:`ladder_families`).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from repro.precond.diagonal import DiagonalScaling
 from repro.precond.ic0 import scalar_ic0
 from repro.precond.sbbic import sb_bic0
 
-__all__ = ["FAMILY_TABLE", "Family", "family_of_stage"]
+__all__ = ["DEFAULT_FAMILY", "FAMILY_TABLE", "Family", "ladder_families"]
 
 
 class Family(NamedTuple):
@@ -26,14 +28,16 @@ class Family(NamedTuple):
     ``build(a, groups, symbolic=None, **kw)`` constructs it: *groups* are
     the contact groups (only selective blocking uses them), *symbolic* a
     cached pattern phase, *kw* goes to the family's constructor
-    (``shift``, ``ncolors``, ``b``).
+    (``shift``, ``ncolors``, ``b``).  Every built object has
+    ``refactor(a)``, a values-only rebuild on a new operator of the same
+    pattern.
     """
 
     name: str  # what the CLI and the serve protocol call it
     stage: str  # its ladder stage label = the built object's ``name``
     build: Callable[..., Preconditioner]
     localized: bool = True  # has a per-domain form for distributed solves
-    ranked: bool = True  # the solver policy may lead a ladder with it
+    has_symbolic: bool = True  # keeps a pattern phase (``.symbolic``) worth caching
 
 
 def _ic(factory, **fixed) -> Callable[..., Preconditioner]:
@@ -45,11 +49,15 @@ def _ic(factory, **fixed) -> Callable[..., Preconditioner]:
 FAMILY_TABLE: dict[str, Family] = {
     f.name: f
     for f in (  # weakest first
-        Family("diag", "Diagonal", lambda a, groups, symbolic=None: DiagonalScaling(a)),
+        Family(
+            "diag", "Diagonal",
+            lambda a, groups, symbolic=None: DiagonalScaling(a),
+            has_symbolic=False,
+        ),
         Family("ic0", "IC(0) scalar", _ic(scalar_ic0), localized=False),
         Family("bic0", "BIC(0)", _ic(bic, fill_level=0)),
-        Family("bic1", "BIC(1)", _ic(bic, fill_level=1), ranked=False),
-        Family("bic2", "BIC(2)", _ic(bic, fill_level=2), ranked=False),
+        Family("bic1", "BIC(1)", _ic(bic, fill_level=1)),
+        Family("bic2", "BIC(2)", _ic(bic, fill_level=2)),
         Family(
             "sbbic0",
             "SB-BIC(0)",
@@ -60,20 +68,24 @@ FAMILY_TABLE: dict[str, Family] = {
     )
 }
 
-# a stage is known by its family name, its label, and the label's first
-# word (the ladder's shifted scalar rungs are "IC(0)+shift…")
-_FAMILY_OF = {
-    key: f.name
-    for f in FAMILY_TABLE.values()
-    for key in (f.name, f.stage, f.stage.split()[0])
-}
+DEFAULT_FAMILY = "sbbic0"
+"""What a solve uses when the caller names no family: the paper's."""
 
 
-def family_of_stage(stage_name: str) -> str | None:
-    """Map a ladder stage name (or a family name) to its family.
+def ladder_families(n_groups: int, block_ok: bool) -> tuple[str, ...]:
+    """The families that can lead an escalation ladder for a problem
+    with *n_groups* contact groups whose DOF count is (*block_ok*) or is
+    not a multiple of 3, strongest first.
 
-    Shifted retries count toward their base family (``BIC(0)+shift0.01``
-    -> ``bic0``): the shift schedule is part of the rung the policy
-    chose, not a separate choice to learn.
+    The order is the paper's robustness order (Table 2, Appendix A):
+    SB-BIC(0) survives ``lambda = 1e10``, BIC(0) breaks later than
+    scalar IC(0), Diagonal scaling never breaks.  Selective blocking
+    needs contact groups and 3x3 blocks; the level-0 IC rung is BIC(0)
+    when the blocks exist and scalar IC(0) when they do not.  The cost
+    model prices exactly these, and ``default_ladder`` runs them in
+    this order.
     """
-    return _FAMILY_OF.get(stage_name.split("+", 1)[0])
+    level0 = "bic0" if block_ok else "ic0"
+    if n_groups > 0 and block_ok:
+        return ("sbbic0", level0, "diag")
+    return (level0, "diag")

@@ -27,7 +27,7 @@ import scipy.sparse as sp
 
 from repro.obs import metric_inc, span as obs_span
 from repro.precond.base import Preconditioner
-from repro.precond.families import FAMILY_TABLE
+from repro.precond.families import FAMILY_TABLE, ladder_families
 from repro.resilience.taxonomy import FailureReason, PivotNudgeWarning, SolveReport
 from repro.solvers.cg import CGResult, cg_solve, check_finite_vector
 
@@ -42,6 +42,9 @@ class FallbackStage:
     build: Callable[[], Preconditioner]
     """Zero-argument factory; may raise (e.g. ``LinAlgError`` on a
     singular factorization) — a raising stage is skipped, not fatal."""
+    family: str | None = None
+    """The family-table name the rung builds (a shifted retry counts
+    toward its base family); None for a hand-made stage."""
 
 
 def build_ladder(
@@ -98,21 +101,28 @@ def build_ladder(
         if family == sb.name and groups:
             stages.append(
                 FallbackStage(
-                    sb.stage, lambda: sb.build(a, groups, b=b, ncolors=ncolors)
+                    sb.stage,
+                    lambda: sb.build(a, groups, b=b, ncolors=ncolors),
+                    sb.name,
                 )
             )
         elif family in ("bic0", "ic0"):
-            stages.append(FallbackStage(ic.stage, lambda: ic_rung(0.0, ic.stage)))
+            stages.append(
+                FallbackStage(ic.stage, lambda: ic_rung(0.0, ic.stage), ic.name)
+            )
             for alpha in shifts:
                 label = f"{ic.stage.split()[0]}+shift{alpha:g}"
                 stages.append(
                     FallbackStage(
                         label,
                         lambda shift=alpha * dbar, label=label: ic_rung(shift, label),
+                        ic.name,
                     )
                 )
-        elif family == diag.name and not (stages and stages[-1].name == diag.stage):
-            stages.append(FallbackStage(diag.stage, lambda: diag.build(a, None)))
+        elif family == diag.name and not (stages and stages[-1].family == diag.name):
+            stages.append(
+                FallbackStage(diag.stage, lambda: diag.build(a, None), diag.name)
+            )
     return stages
 
 
@@ -124,12 +134,14 @@ def default_ladder(
     shifts: tuple[float, ...] = (0.01, 0.1),
 ) -> list[FallbackStage]:
     """The standard escalation ladder for a (possibly contact) system:
-    the paper's static order, SB-BIC(0) (its most robust option) first
-    when contact groups exist, then BIC(0) and its shifted retries, then
-    diagonal scaling (see :func:`build_ladder`)."""
-    return build_ladder(
-        a, contact_groups, ("sbbic0", "bic0", "diag"), b=b, shifts=shifts
-    )
+    the paper's robustness order, :func:`~repro.precond.families.ladder_families`
+    — SB-BIC(0) (its most robust option) first when contact groups
+    exist, then BIC(0) (scalar IC(0) when the dimension is not a
+    multiple of *b*) and its shifted retries, then diagonal scaling (see
+    :func:`build_ladder`)."""
+    n_groups = len(contact_groups) if contact_groups else 0
+    order = ladder_families(n_groups, a.shape[0] % b == 0)
+    return build_ladder(a, contact_groups, order, b=b, shifts=shifts)
 
 
 _ESCALATABLE = frozenset(
@@ -161,11 +173,12 @@ class ResilientSolver:
         Forwarded to each :func:`cg_solve` attempt; the time budget is
         shared across the whole chain (remaining time shrinks per stage).
     on_stage_result:
-        Optional ``callback(stage_name, CGResult)`` invoked after every
-        attempted rung, converged or not — the policy layer's history
-        recorder hangs off this.  The callback owns the result object it
-        is handed; mutating ``result.x`` cannot corrupt the chain's
-        warm-restart vector (it is copied on capture).
+        Optional ``callback(stage, CGResult)`` invoked with the
+        :class:`FallbackStage` after every attempted rung, converged or
+        not — the policy layer's outcome recorder hangs off this.  The
+        callback owns the result object it is handed; mutating
+        ``result.x`` cannot corrupt the chain's warm-restart vector (it
+        is copied on capture).
 
     The full detection / escalation / recovery trail is appended to
     :attr:`report` (a :class:`SolveReport`), which is also attached to
@@ -184,7 +197,7 @@ class ResilientSolver:
         time_budget: float | None = None,
         escalate_on_pivot_nudge: bool = True,
         report: SolveReport | None = None,
-        on_stage_result: Callable[[str, CGResult], None] | None = None,
+        on_stage_result: Callable[[FallbackStage, CGResult], None] | None = None,
     ) -> None:
         if not ladder:
             raise ValueError("fallback ladder must have at least one stage")
@@ -288,7 +301,7 @@ class ResilientSolver:
             last = res
             if res.converged:
                 if self.on_stage_result is not None:
-                    self.on_stage_result(stage.name, res)
+                    self.on_stage_result(stage, res)
                 if failed_before:
                     self.report.record(
                         "recover",
@@ -313,7 +326,7 @@ class ResilientSolver:
             # the hook fires only after the capture above so a callback
             # mutating the result cannot reach the copied restart vector
             if self.on_stage_result is not None:
-                self.on_stage_result(stage.name, res)
+                self.on_stage_result(stage, res)
             # release the superseded rung's numeric arrays before the next
             # rung builds its own — otherwise the largest factorization of
             # the ladder stays alive for the whole escalation, and across

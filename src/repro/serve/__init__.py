@@ -38,7 +38,8 @@ from repro.serve.pool import WorkerPool
 from repro.serve.protocol import ProtocolError, SolveRequest, SolveResponse
 from repro.serve.queue import Job, JobQueue, RetentionPolicy
 from repro.serve.server import run_batch, serve_socket, serve_stdio
-from repro.serve.session import LRUCache, SolverSession, Workspace
+from repro.serve.session import SolverSession, Workspace
+from repro.utils.lru import LRUCache
 
 __all__ = [
     "AdmissionController",

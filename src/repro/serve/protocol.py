@@ -45,12 +45,12 @@ from __future__ import annotations
 import json
 import os
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
 
-from repro.precond.families import FAMILY_TABLE
+from repro.precond.families import DEFAULT_FAMILY, FAMILY_TABLE
 from repro.utils.validate import check_finite_array
 
 _JOB_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,80}$")
@@ -86,7 +86,7 @@ class SolveRequest:
     model: str = "block"
     scale: float = 1.0
     penalty: float = 1e6
-    precond: str = "sbbic0"
+    precond: str = DEFAULT_FAMILY
     eps: float = 1e-8
     max_iter: int | None = None
     rhs: Any = "model"
@@ -151,6 +151,7 @@ class SolveRequest:
                     "submitted_at must be a finite client wall-clock value, "
                     f"got {self.client_submitted_at}"
                 )
+        self.return_x = bool(self.return_x)
         self.chaos = _check_chaos(self.chaos)
         self.rhs = _check_rhs(self.rhs)
 
@@ -160,32 +161,13 @@ class SolveRequest:
     def from_dict(cls, d: dict[str, Any]) -> SolveRequest:
         if not isinstance(d, dict):
             raise ProtocolError(f"request must be a JSON object, got {type(d).__name__}")
-        known = {
-            "id", "model", "scale", "penalty", "precond", "eps",
-            "max_iter", "rhs", "return_x", "priority", "deadline_s",
-            "submitted_at",
-        }
-        if os.environ.get(CHAOS_ENV):
-            known.add("chaos")
-        unknown = set(d) - known
+        unknown = d.keys() - _FIELD_OF.keys()
+        if "chaos" in d and not os.environ.get(CHAOS_ENV):
+            unknown.add("chaos")
         if unknown:
             raise ProtocolError(f"unknown request fields: {sorted(unknown)}")
         try:
-            return cls(
-                job_id=d.get("id"),
-                model=d.get("model", "block"),
-                scale=d.get("scale", 1.0),
-                penalty=d.get("penalty", 1e6),
-                precond=d.get("precond", "sbbic0"),
-                eps=d.get("eps", 1e-8),
-                max_iter=d.get("max_iter"),
-                rhs=d.get("rhs", "model"),
-                return_x=bool(d.get("return_x", False)),
-                priority=d.get("priority", 0),
-                deadline_s=d.get("deadline_s"),
-                chaos=d.get("chaos"),
-                client_submitted_at=d.get("submitted_at"),
-            )
+            return cls(**{_FIELD_OF[k]: v for k, v in d.items()})
         except (TypeError, ValueError) as exc:
             if isinstance(exc, ProtocolError):
                 raise
@@ -246,6 +228,17 @@ class SolveRequest:
             return None
         start = self.submitted_at if self.submitted_at is not None else now
         return self.deadline_s - (now - start)
+
+
+# wire name -> SolveRequest field, for every field a request line may
+# set: two are renamed on the wire, and the server's receipt stamp (the
+# field ``submitted_at``) has no wire name
+_WIRE_NAME = {"job_id": "id", "client_submitted_at": "submitted_at"}
+_FIELD_OF = {
+    _WIRE_NAME.get(f.name, f.name): f.name
+    for f in fields(SolveRequest)
+    if f.name != "submitted_at"
+}
 
 
 def _check_rhs(rhs: Any) -> Any:

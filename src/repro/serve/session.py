@@ -43,76 +43,14 @@ import numpy as np
 from repro import obs
 from repro.fem.model import ContactStructure
 from repro.policy import PolicyHistory, SolverPolicy
-from repro.precond import FAMILY_TABLE, DiagonalScaling
+from repro.precond import FAMILY_TABLE
 from repro.resilience.checkpoint import fingerprint_arrays
 from repro.resilience.taxonomy import FailureReason
 from repro.serve.protocol import ProtocolError, SolveRequest, SolveResponse
 from repro.solvers import block_cg_solve, cg_solve
+from repro.utils.lru import LRUCache
 
-__all__ = ["LRUCache", "SolverSession", "Workspace"]
-
-
-class LRUCache:
-    """Bounded least-recently-used map with hit/miss/eviction accounting
-    (:meth:`stats`); evictions are also the ``serve.cache.evictions``
-    metric, labelled with the cache's name."""
-
-    def __init__(self, capacity: int, name: str = "cache") -> None:
-        if capacity < 1:
-            raise ValueError(f"cache capacity must be >= 1, got {capacity}")
-        self.capacity = int(capacity)
-        self.name = name
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-        self._data: OrderedDict[Any, Any] = OrderedDict()
-        # Concurrent connection threads share the workspace tiers; an RLock is
-        # enough because entries are never mutated in place under the
-        # lock, only looked up / inserted / evicted.
-        self._lock = threading.RLock()
-
-    def get(self, key: Any, default: Any = None) -> Any:
-        with self._lock:
-            try:
-                value = self._data[key]
-            except KeyError:
-                self.misses += 1
-                return default
-            self._data.move_to_end(key)
-            self.hits += 1
-            return value
-
-    def put(self, key: Any, value: Any) -> int:
-        """Insert; returns how many entries that evicted."""
-        with self._lock:
-            if key in self._data:
-                self._data.move_to_end(key)
-            self._data[key] = value
-            evicted = 0
-            while len(self._data) > self.capacity:
-                self._data.popitem(last=False)
-                evicted += 1
-                self.evictions += 1
-                obs.metric_inc("serve.cache.evictions", cache=self.name)
-            return evicted
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._data)
-
-    def __contains__(self, key: Any) -> bool:
-        with self._lock:
-            return key in self._data
-
-    def stats(self) -> dict[str, int]:
-        with self._lock:
-            return {
-                "capacity": self.capacity,
-                "size": len(self._data),
-                "hits": self.hits,
-                "misses": self.misses,
-                "evictions": self.evictions,
-            }
+__all__ = ["SolverSession", "Workspace"]
 
 
 def _structure_builders() -> dict[str, Callable[[float], ContactStructure]]:
@@ -182,6 +120,7 @@ class Workspace:
         cache entries its inserts evicted — so concurrent groups never
         see each other's work in it.
         """
+        family = FAMILY_TABLE[precond]
         key = (model, scale, precond)
         entry = self.factors.get(key)
         if entry is not None and entry[1] == fingerprint:
@@ -189,20 +128,17 @@ class Workspace:
         symbolic_built = evicted = 0
         if entry is not None:
             m, event = entry[0], "refactor"
-            # DiagonalScaling has no setup phases to count
+            # Diagonal scaling counts no setup phases
             numeric_before = getattr(m, "numeric_setup_count", 0)
             with obs.span("serve.refactor", precond=precond):
-                if precond == "diag":
-                    m = DiagonalScaling(a)
-                else:
-                    m.refactor(a)
+                m.refactor(a)
         else:
-            symbolic = self.symbolics.get(key) if precond != "diag" else None
+            symbolic = self.symbolics.get(key) if family.has_symbolic else None
             event = "numeric" if symbolic is not None else "build"
             numeric_before = 0
             with obs.span("serve.build_preconditioner", precond=precond, mode=event):
-                m = FAMILY_TABLE[precond].build(a, groups, symbolic=symbolic)
-            if precond != "diag" and symbolic is None:
+                m = family.build(a, groups, symbolic=symbolic)
+            if family.has_symbolic and symbolic is None:
                 symbolic_built = 1
                 evicted = self.symbolics.put(key, m.symbolic)
         evicted += self.factors.put(key, (m, fingerprint))
@@ -269,7 +205,7 @@ class SolverSession:
         self.workspace = Workspace(capacity, **tier_capacities)
         # resolves precond="auto" requests through the cost model and
         # tallies their outcomes in the workspace
-        self.policy = SolverPolicy("cost", history=self.workspace.policy_history)
+        self.policy = SolverPolicy(history=self.workspace.policy_history)
         self.jobs_served = 0
         self._stats_lock = threading.Lock()
         self._key_locks: dict[tuple, threading.RLock] = {}

@@ -48,6 +48,21 @@ class TestCLI:
             ["trace.rank0.jsonl", "trace.rank1.jsonl"] if transport == "process" else []
         )
 
+    @pytest.mark.parametrize("precond", ["auto", "ic0"])
+    def test_transport_solve_needs_a_localized_family(self, capsys, precond):
+        """``--transport`` solves one family per domain: ``auto`` (a
+        ladder) and scalar IC(0) have no per-domain form, and the CLI
+        says so instead of solving something else."""
+        code = main([
+            "solve", "--model", "block", "--scale", "0.3", "--transport", "lockstep",
+            "--ndomains", "2", "--precond", precond,
+        ])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert f"{precond!r} has no per-domain (localized) form" in captured.err
+        assert "['bic0', 'bic1', 'bic2', 'diag', 'sbbic0']" in captured.err
+
     def test_solve_rejects_unknown_model(self):
         with pytest.raises(SystemExit):
             main(["solve", "--model", "venus"])

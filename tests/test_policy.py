@@ -14,7 +14,7 @@ Five layers of coverage:
   does not hang on the SB-BIC(0) iteration prior;
 - outcome tally: runs / failures / seconds / iterations per fingerprint
   and family;
-- policy: both modes end to end through ``ladder()`` +
+- policy: the cost ranking end to end through ``ladder()`` +
   :class:`~repro.resilience.resilient.ResilientSolver`, the Diagonal
   backstop invariant, serve-session ``precond="auto"`` resolution at the
   request's tolerance, the ``policy_table`` exporter, and the CLI entry
@@ -34,20 +34,18 @@ from repro.experiments.workloads import (
 )
 from repro.policy import ladder as ladder_module
 from repro.policy import (
-    FAMILIES,
     OutcomeStats,
-    PolicyDecision,
     PolicyHistory,
     ProblemProbe,
     SolverPolicy,
-    applicable_families,
     candidate_costs,
-    family_of_stage,
     probe_problem,
 )
-from repro.precond import FAMILY_TABLE
-from repro.resilience.resilient import ResilientSolver
+from repro.precond import FAMILY_TABLE, ladder_families
+from repro.resilience.resilient import ResilientSolver, build_ladder, default_ladder
 from repro.serve import SolveRequest, SolverSession
+
+from .conftest import random_spd_csr
 
 
 @pytest.fixture(scope="module")
@@ -103,20 +101,20 @@ class TestProbe:
 
 class TestCostModel:
     def test_applicable_families(self):
-        assert applicable_families(4, True) == ("sbbic0", "bic0", "diag")
-        assert applicable_families(0, True) == ("bic0", "diag")
-        assert applicable_families(4, False) == ("ic0", "diag")
-        # what the cost model prices is exactly what applies
+        assert ladder_families(4, True) == ("sbbic0", "bic0", "diag")
+        assert ladder_families(0, True) == ("bic0", "diag")
+        assert ladder_families(4, False) == ("ic0", "diag")
+        # what the cost model prices is exactly what the family table admits
         for over in ({}, {"n_groups": 0}, {"block_ok": False}):
             probe = make_probe(**over)
             assert {c.family for c in candidate_costs(probe)} == set(
-                applicable_families(probe.n_groups, probe.block_ok))
+                ladder_families(probe.n_groups, probe.block_ok))
 
     def test_costs_sorted_cheapest_first(self):
         costs = candidate_costs(make_probe())
         totals = [c.predicted_seconds for c in costs]
         assert totals == sorted(totals)
-        assert {c.family for c in costs} <= set(FAMILIES)
+        assert {c.family for c in costs} <= set(FAMILY_TABLE)
 
     def test_selective_blocking_wins_at_high_penalty(self):
         """Table 2's shape: at lambda ~ 1e6+ the penalty-absorbing family
@@ -186,7 +184,7 @@ def ranked_cases():
     for model, penalty in RANKING_CASES:
         generator, scale = make[model]
         prob = generator(scale, penalty)
-        decision = SolverPolicy("cost").decide(prob.a, prob.groups)
+        decision = SolverPolicy().decide(prob.a, prob.groups)
         iterations = {}
         for family in decision.order:
             m = FAMILY_TABLE[family].build(prob.a, prob.groups)
@@ -232,7 +230,7 @@ class TestPaperRanking:
         assert 0.5 <= predicted / iterations["sbbic0"] <= 2.0
 
     def test_group_free_box_still_leads_with_diagonal(self, box):
-        decision = SolverPolicy("cost").decide(box.a, box.groups)
+        decision = SolverPolicy().decide(box.a, box.groups)
         assert decision.order[0] == "diag", decision.explain()
 
 
@@ -261,39 +259,60 @@ class TestHistory:
         assert OutcomeStats(**st.to_dict()) == st
 
 
+RUNG_FAMILIES = [
+    ("SB-BIC(0)", "sbbic0"),
+    ("BIC(0)", "bic0"),
+    ("BIC(0)+shift0.01", "bic0"),
+    ("BIC(0)+shift0.1", "bic0"),
+    ("IC(0) scalar", "ic0"),
+    ("IC(0)+shift0.01", "ic0"),
+    ("IC(0)+shift0.1", "ic0"),
+    ("Diagonal", "diag"),
+]
+
+
 class TestFamilyOfStage:
-    @pytest.mark.parametrize("stage,family", [
-        ("SB-BIC(0)", "sbbic0"),
-        ("BIC(0)", "bic0"),
-        ("BIC(0)+shift0.01", "bic0"),
-        ("IC(0) scalar", "ic0"),
-        ("IC(0)+shift0.1", "ic0"),
-        ("Diagonal", "diag"),
-        ("sbbic0", "sbbic0"),  # serve-protocol names pass through
-        ("diag", "diag"),
-        ("Mystery", None),
-    ])
-    def test_mapping(self, stage, family):
-        assert family_of_stage(stage) == family
+    """Every rung ``build_ladder`` emits carries its family, shifted
+    retries included, so an outcome is tallied without reading a label."""
+
+    @pytest.fixture(scope="class")
+    def rungs(self, contact):
+        scalar = random_spd_csr(10, 0.3, np.random.default_rng(3))
+        out: dict[str, set] = {}
+        for a, groups in ((contact.a, contact.groups), (contact.a, None), (scalar, None)):
+            n_groups = len(groups) if groups else 0
+            for order in (ladder_families(n_groups, a.shape[0] % 3 == 0),
+                          ("diag", "sbbic0", "bic0")):
+                for stage in build_ladder(a, groups, order):
+                    out.setdefault(stage.name, set()).add(stage.family)
+        return out
+
+    def test_every_label_is_listed(self, rungs):
+        assert set(rungs) == {stage for stage, _ in RUNG_FAMILIES}
+
+    @pytest.mark.parametrize("stage,family", RUNG_FAMILIES)
+    def test_mapping(self, rungs, stage, family):
+        assert rungs[stage] == {family}
 
 
 class TestSolverPolicy:
     def test_unknown_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown policy mode"):
-            SolverPolicy("vibes")
+        """There is one way to decide; no mode is known."""
+        for mode in ("static", "cost", "vibes"):
+            with pytest.raises(TypeError):
+                SolverPolicy(mode)
 
-    def test_static_mode_matches_paper_ladder(self, contact):
-        policy = SolverPolicy("static")
-        decision = policy.decide(contact.a, contact.groups)
-        assert decision.probe is None
-        assert decision.order == ("sbbic0", "bic0", "diag")
-        stages, _ = policy.ladder(contact.a, contact.groups, decision=decision)
-        names = [s.name for s in stages]
-        assert names[0] == "SB-BIC(0)"
-        assert names[-1] == "Diagonal"
+    def test_cost_ladder_keeps_the_paper_order_on_contact(self, contact):
+        """On a penalty contact problem the cost ranking is the paper's
+        robustness order, rung for rung."""
+        stages, decision = SolverPolicy().ladder(contact.a, contact.groups)
+        assert decision.order == ladder_families(len(contact.groups), True)
+        assert [(s.name, s.family) for s in stages] == [
+            (s.name, s.family) for s in default_ladder(contact.a, contact.groups)
+        ]
 
     def test_probe_cache_hits_by_key(self, contact):
-        policy = SolverPolicy("cost")
+        policy = SolverPolicy()
         p1 = policy.probe(contact.a, contact.groups, cache_key="k")
         p2 = policy.probe(contact.a, contact.groups, cache_key="k")
         assert p1 is p2
@@ -302,22 +321,26 @@ class TestSolverPolicy:
 
     def test_probe_cache_is_bounded_lru(self, contact, monkeypatch):
         monkeypatch.setattr(ladder_module, "PROBE_CACHE_SIZE", 3)
-        policy = SolverPolicy("cost")
+        policy = SolverPolicy()
         probes = {
             key: policy.probe(contact.a, contact.groups, cache_key=key)
             for key in ("a", "b", "c")
         }
         assert policy.probe(contact.a, contact.groups, cache_key="a") is probes["a"]
         policy.probe(contact.a, contact.groups, cache_key="d")  # N+1 keys keep N
-        assert list(policy._probe_cache) == ["c", "a", "d"]  # "b" was the oldest
+        cache = policy._probe_cache
+        assert len(cache) == 3
+        assert "b" not in cache  # the least recently used went
+        assert all(key in cache for key in ("c", "a", "d"))
         assert policy.probe(contact.a, contact.groups, cache_key="b") is not probes["b"]
+        assert "c" not in cache  # re-probing "b" pushed out the next oldest
 
     def test_ladder_always_ends_in_diagonal(self, contact, box):
         """The unbreakable backstop: last rung is Diagonal no matter how
         the order was ranked.  A diag-led ladder may retry Diagonal at
         the end (warm restart makes that retry meaningful), but never
         back to back."""
-        policy = SolverPolicy("cost")
+        policy = SolverPolicy()
         for prob in (contact, box):
             stages, _ = policy.ladder(prob.a, prob.groups)
             names = [s.name for s in stages]
@@ -327,19 +350,13 @@ class TestSolverPolicy:
             )
 
     def test_ladder_skips_sbbic_without_groups(self, box):
-        policy = SolverPolicy("cost")
-        decision = PolicyDecision(
-            mode="cost", order=("sbbic0", "bic0", "diag"), probe=None,
-        )
-        stages, _ = policy.ladder(box.a, box.groups, decision=decision)
+        stages = build_ladder(box.a, box.groups, ("sbbic0", "bic0", "diag"))
         assert all(s.name != "SB-BIC(0)" for s in stages)
 
     def test_shift_rungs_share_one_factorization(self, contact):
         """The second BIC rung must refactor the first rung's object in
         place (the shared-cache contract of ``default_ladder``)."""
-        policy = SolverPolicy("cost")
-        decision = PolicyDecision(mode="cost", order=("bic0", "diag"), probe=None)
-        stages, _ = policy.ladder(contact.a, contact.groups, decision=decision)
+        stages = build_ladder(contact.a, contact.groups, ("bic0", "diag"))
         by_name = {s.name: s for s in stages}
         m_plain = by_name["BIC(0)"].build()
         m_shift = by_name["BIC(0)+shift0.01"].build()
@@ -348,12 +365,12 @@ class TestSolverPolicy:
 
     def test_end_to_end_solve_records_history(self, contact):
         history = PolicyHistory()
-        policy = SolverPolicy("cost", history=history)
+        policy = SolverPolicy(history=history)
         stages, decision = policy.ladder(contact.a, contact.groups)
         res = ResilientSolver(
             contact.a, stages,
-            on_stage_result=lambda name, r: policy.record_outcome(
-                decision, name,
+            on_stage_result=lambda stage, r: policy.record_outcome(
+                decision, stage.family, stage=stage.name,
                 seconds=r.solve_seconds, converged=r.converged,
                 iterations=r.iterations,
             ),
@@ -362,15 +379,24 @@ class TestSolverPolicy:
         (tally,) = history.to_dict()["outcomes"][decision.fingerprint].values()
         assert tally["runs"] >= 1 and tally["total_iterations"] >= res.iterations
 
-    def test_static_outcomes_are_not_recorded(self, contact):
+    def test_shifted_rung_outcome_counts_toward_its_family(self, contact):
+        """A shifted retry is tallied under its base family (the shift
+        schedule is part of the rung the policy chose); the span keeps
+        the rung's own label."""
         history = PolicyHistory()
-        policy = SolverPolicy("static", history=history)
-        decision = policy.decide(contact.a, contact.groups)
-        policy.record_outcome(decision, "BIC(0)", seconds=1.0, converged=True)
-        assert len(history) == 0  # no probe, no fingerprint, nothing tallied
+        policy = SolverPolicy(history=history)
+        stages, decision = policy.ladder(contact.a, contact.groups)
+        shifted = next(s for s in stages if "shift" in s.name)
+        with obs.observe() as sess:
+            policy.record_outcome(decision, shifted.family, stage=shifted.name,
+                                  seconds=1.0, converged=True)
+            span = next(s for s in sess.tracer.iter_spans()
+                        if s.name == "policy.outcome")
+        assert list(history.to_dict()["outcomes"][decision.fingerprint]) == ["bic0"]
+        assert (span.attrs["choice"], span.attrs["stage"]) == ("bic0", shifted.name)
 
     def test_explain_names_the_evidence(self, contact):
-        policy = SolverPolicy("cost")
+        policy = SolverPolicy()
         decision = policy.decide(contact.a, contact.groups)
         text = decision.explain()
         assert decision.fingerprint in text
@@ -382,8 +408,6 @@ class TestSolverPolicy:
         lead = decision.cost_of(decision.order[0])
         assert d["predicted_iterations"] == lead.predicted_iterations
         assert d["predicted_seconds"] == lead.predicted_seconds
-        static = SolverPolicy("static").decide(contact.a, contact.groups).to_dict()
-        assert static["predicted_iterations"] is None  # nothing was priced
 
 
 class TestServeIntegration:
@@ -437,8 +461,7 @@ class TestPolicyTableExporter:
         records = [
             {"kind": "span", "name": "policy.decide", "duration_s": 0.01,
              "t_start_s": 0.0,
-             "attrs": {"fingerprint": "v1:n3", "mode": "cost",
-                       "order": "diag->bic0", "source": "cost model ranking"}},
+             "attrs": {"fingerprint": "v1:n3", "order": "diag->bic0"}},
             {"kind": "span", "name": "policy.outcome", "duration_s": 0.5,
              "t_start_s": 0.1,
              "attrs": {"fingerprint": "v1:n3", "choice": "diag",
@@ -449,7 +472,6 @@ class TestPolicyTableExporter:
         assert "v1:n3" in text
         assert "diag->bic0" in text
         assert "Diagonal" in text
-        assert "cost model ranking" in text
         # no prediction on the span (an older trace): dashes, not a crash
         assert text.splitlines()[-1].split()[-5:] == ["-", "-", "500.0", "-", "-"]
 
@@ -470,9 +492,9 @@ class TestPolicyTableExporter:
         from repro.obs.export import export_jsonl, load_jsonl_records
 
         with obs.observe() as sess:
-            policy = SolverPolicy("cost")
+            policy = SolverPolicy()
             decision = policy.decide(contact.a, contact.groups)
-            policy.record_outcome(decision, "Diagonal", seconds=0.1,
+            policy.record_outcome(decision, "diag", seconds=0.1,
                                   converged=True, iterations=5)
             text = obs.policy_table(sess.tracer)
             outcome = next(s for s in sess.tracer.iter_spans()
@@ -504,16 +526,18 @@ class TestCli:
 
     def test_solve_with_policy(self, capsys):
         from repro.cli import main
-        for mode in ("static", "cost"):
-            assert main(["solve", "--model", "block", "--scale", "0.4",
-                         "--penalty", "1e4", "--policy", mode]) == 0
-            out = capsys.readouterr().out
-            assert f"policy mode: {mode}" in out and f"policy {mode}" in out
+        assert main(["solve", "--model", "block", "--scale", "0.4",
+                     "--penalty", "1e4", "--precond", "auto"]) == 0
+        out = capsys.readouterr().out
+        assert "ladder order: sbbic0 -> bic0 -> diag" in out
+        assert "precond auto" in out and "converged in 26 iters" in out
 
     def test_removed_policy_options_are_rejected(self):
         from repro.cli import main
         for argv in (["solve", "--policy", "learned"],
+                     ["solve", "--policy", "cost"],
                      ["policy", "explain", "--mode", "learned"],
+                     ["policy", "explain", "--mode", "cost"],
                      ["solve", "--policy", "cost", "--policy-history", "h.json"],
                      ["policy", "explain", "--history", "h.json"],
                      ["batch", "r.jsonl", "--policy-mode", "cost"]):

@@ -130,20 +130,21 @@ class TestFamilyTable:
     policy and the ladder (repro.precond.families)."""
 
     def test_every_protocol_name_builds_and_maps_back(self, block_problem_small):
-        from repro.policy import FAMILIES, family_of_stage
-        from repro.precond import FAMILY_TABLE
+        from repro.precond import FAMILY_TABLE, ladder_families
         from repro.serve.protocol import PRECONDS
 
         p = block_problem_small
         assert PRECONDS[-1] == "auto" and set(PRECONDS[:-1]) == set(FAMILY_TABLE)
-        assert set(FAMILIES) < set(FAMILY_TABLE)
+        family_of_label = {f.stage: f.name for f in FAMILY_TABLE.values()}
         for name in PRECONDS[:-1]:
             family = FAMILY_TABLE[name]
             m = family.build(p.a, p.groups)
-            assert m.name == family.stage
-            # an outcome recorded under the protocol name, the stage label
-            # or a shifted retry's label lands on the same family
-            assert family_of_stage(m.name) == name == family_of_stage(name)
-            assert family_of_stage(f"{family.stage}+shift0.01") == name
+            # the built object's label maps back to the one family
+            assert family_of_label[m.name] == name
+            # the table says which families keep a pattern phase to cache
+            assert hasattr(m, "symbolic") == family.has_symbolic
+            assert m.refactor(p.a) is m  # every family rebuilds values in place
             assert _solve(p, m).converged
-        assert family_of_stage("auto") is None
+        # the ladder order only names families of the table
+        for n_groups, block_ok in ((4, True), (0, True), (4, False)):
+            assert set(ladder_families(n_groups, block_ok)) < set(FAMILY_TABLE)

@@ -230,8 +230,8 @@ class TestResilientSolver:
         p = block_problem_small
         seen = []
 
-        def recorder(stage_name, res):
-            seen.append((stage_name, res.converged, res.iterations))
+        def recorder(stage, res):
+            seen.append((stage.name, res.converged, res.iterations))
             if not res.converged:
                 res.x[:] = np.nan  # the callback owns this object
 
@@ -255,16 +255,29 @@ class TestResilientSolver:
         assert not res.converged
         assert res.reason is FailureReason.SETUP_PIVOT_FAILURE
 
-    def test_default_ladder_shape(self, block_problem_small):
+    @pytest.mark.parametrize("case,rungs", [
+        ("contact", [("SB-BIC(0)", "sbbic0"), ("BIC(0)", "bic0"),
+                     ("BIC(0)+shift0.01", "bic0"), ("BIC(0)+shift0.1", "bic0"),
+                     ("Diagonal", "diag")]),
+        ("group-free", [("BIC(0)", "bic0"), ("BIC(0)+shift0.01", "bic0"),
+                        ("BIC(0)+shift0.1", "bic0"), ("Diagonal", "diag")]),
+        ("n-not-multiple-of-3", [("IC(0) scalar", "ic0"), ("IC(0)+shift0.01", "ic0"),
+                                 ("IC(0)+shift0.1", "ic0"), ("Diagonal", "diag")]),
+    ], ids=["contact", "group-free", "n-not-multiple-of-3"])
+    def test_default_ladder_shape(self, block_problem_small, case, rungs):
+        """The paper's robustness order, per kind of problem: every rung's
+        label, in order, and the family it belongs to."""
         p = block_problem_small
-        ladder = default_ladder(p.a, p.groups)
-        names = [s.name for s in ladder]
-        assert names[0] == "SB-BIC(0)"
-        assert names[1] == "BIC(0)"
-        assert names[-1] == "Diagonal"
-        assert any("shift" in n for n in names)
+        a, groups, b = {
+            "contact": (p.a, p.groups, p.b),
+            "group-free": (p.a, None, p.b),
+            "n-not-multiple-of-3": (random_spd_csr(10, 0.3, np.random.default_rng(3)),
+                       None, np.ones(10)),
+        }[case]
+        ladder = default_ladder(a, groups)
+        assert [(s.name, s.family) for s in ladder] == rungs
         # every rung builds and the strongest rung solves the system
-        res = ResilientSolver(p.a, ladder).solve(p.b)
+        res = ResilientSolver(a, ladder).solve(b)
         assert res.converged and res.relative_residual <= 1e-8
 
     def test_default_ladder_scalar_fallback_for_nonblock_matrix(self):
