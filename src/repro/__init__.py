@@ -46,12 +46,6 @@ from repro.fem import (
     solve_nonlinear_contact,
     southwest_japan_model,
 )
-from repro.fem import (
-    element_stresses,
-    fault_stress_accumulation,
-    solve_frictional_contact,
-    von_mises,
-)
 from repro.parallel import (
     DistributedSystem,
     contact_aware_partition,
@@ -70,10 +64,8 @@ from repro.precond import (
 from repro.solvers import (
     BlockCGResult,
     CGResult,
-    bicgstab_solve,
     block_cg_solve,
     cg_solve,
-    gmres_solve,
 )
 from repro.sparse import BCSRMatrix, VBRMatrix
 
@@ -105,13 +97,7 @@ __all__ = [
     "cg_solve",
     "BlockCGResult",
     "block_cg_solve",
-    "bicgstab_solve",
-    "gmres_solve",
     "TwoLevelPreconditioner",
-    "element_stresses",
-    "fault_stress_accumulation",
-    "solve_frictional_contact",
-    "von_mises",
     "BCSRMatrix",
     "VBRMatrix",
     "kernels",

@@ -1,6 +1,5 @@
-"""Robustness analysis: spectra of M^{-1} A and memory census (Appendix A)."""
+"""Robustness analysis: spectra of M^{-1} A (Appendix A)."""
 
 from repro.analysis.eigen import EigenSummary, preconditioned_spectrum
-from repro.analysis.memory import memory_report
 
-__all__ = ["EigenSummary", "preconditioned_spectrum", "memory_report"]
+__all__ = ["EigenSummary", "preconditioned_spectrum"]

@@ -23,27 +23,12 @@ from repro.fem.generators import (
     southwest_japan_model,
 )
 from repro.fem.nonlinear import NonlinearContactResult, solve_nonlinear_contact
-from repro.fem.friction import FrictionResult, solve_frictional_contact
 from repro.fem.mpc import reduce_system, solve_tied_exact, tied_contact_transformation
-from repro.fem.postprocess import (
-    element_strains,
-    element_stresses,
-    fault_stress_accumulation,
-    nodal_average,
-    von_mises,
-)
 
 __all__ = [
     "reduce_system",
     "solve_tied_exact",
     "tied_contact_transformation",
-    "FrictionResult",
-    "solve_frictional_contact",
-    "element_strains",
-    "element_stresses",
-    "fault_stress_accumulation",
-    "nodal_average",
-    "von_mises",
     "IsotropicElastic",
     "Mesh",
     "hex8_stiffness",

@@ -64,17 +64,13 @@ def _structure_builders() -> dict[str, Callable[[float], ContactStructure]]:
 class Workspace:
     """The cached-setup store behind a :class:`SolverSession`.
 
-    *capacity* bounds every tier; the keyword overrides size individual
-    tiers (factors hold the numeric payload and are the usual candidate
-    for a tighter bound than the cheap symbolic patterns)."""
+    *capacity* bounds every tier (structures, symbolic patterns and
+    factors) alike."""
 
-    def __init__(self, capacity: int = 8, *,
-                 structure_capacity: int | None = None,
-                 symbolic_capacity: int | None = None,
-                 factor_capacity: int | None = None) -> None:
-        self.structures = LRUCache(structure_capacity or capacity, "structure")
-        self.symbolics = LRUCache(symbolic_capacity or capacity, "symbolic")
-        self.factors = LRUCache(factor_capacity or capacity, "factor")
+    def __init__(self, capacity: int = 8) -> None:
+        self.structures = LRUCache(capacity, "structure")
+        self.symbolics = LRUCache(capacity, "symbolic")
+        self.factors = LRUCache(capacity, "factor")
         # (fingerprint -> family -> measured cost) tally of every
         # policy-resolved solve: the census of what `auto` chose
         self.policy_history = PolicyHistory()
@@ -201,8 +197,8 @@ class SolverSession:
       re-valued while another group is applying it.
     """
 
-    def __init__(self, capacity: int = 8, **tier_capacities) -> None:
-        self.workspace = Workspace(capacity, **tier_capacities)
+    def __init__(self, capacity: int = 8) -> None:
+        self.workspace = Workspace(capacity)
         # resolves precond="auto" requests through the cost model and
         # tallies their outcomes in the workspace
         self.policy = SolverPolicy(history=self.workspace.policy_history)

@@ -7,14 +7,11 @@
 - :mod:`~repro.sparse.djds` — descending-order jagged diagonal storage
   (DJDS/PDJDS) and the loop-length / imbalance / dummy-padding statistics
   that feed the Earth Simulator performance model.
-- :mod:`~repro.sparse.storage` — CRS/PDCRS descriptors for the storage
-  format comparison of Fig. 15.
 """
 
 from repro.sparse.bcsr import BCSRMatrix
 from repro.sparse.vbr import VBRMatrix
 from repro.sparse.djds import DJDSMatrix, DJDSStatistics, build_djds
-from repro.sparse.storage import StorageCensus, storage_census
 
 __all__ = [
     "BCSRMatrix",
@@ -22,6 +19,4 @@ __all__ = [
     "DJDSMatrix",
     "DJDSStatistics",
     "build_djds",
-    "StorageCensus",
-    "storage_census",
 ]

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from repro.reorder import adjacency_from_pattern, multicolor
 from repro.sparse.djds import _size_runs, build_djds
-from repro.sparse.storage import storage_census
 
 
 def laplacian_csr(n, seed=0):
@@ -117,41 +116,6 @@ class TestDJDSStats:
         a = laplacian_csr(16, seed=13)
         d = build_djds(a, coloring_of(a, ncolors=0), npe=1)
         assert d.stats.load_imbalance_percent == 0.0
-
-
-class TestStorageCensus:
-    def test_pdjds_longer_loops_than_pdcrs(self):
-        # banded matrix (structured-mesh-like): few colors, long jagged
-        # diagonals vs. short per-row loops.
-        n = 400
-        a = sp.diags(
-            [np.ones(n - o) for o in (1, 2, 3)] + [np.ones(n - o) for o in (1, 2, 3)],
-            [1, 2, 3, -1, -2, -3],
-            shape=(n, n),
-        ).tocsr() + sp.eye(n).tocsr()
-        a = sp.csr_matrix(a)
-        col = coloring_of(a)
-        pdjds = storage_census(a, col, "pdjds", npe=1)
-        pdcrs = storage_census(a, col, "pdcrs", npe=1)
-        assert pdjds.average_loop_length > 2 * pdcrs.average_loop_length
-        assert pdjds.vectorizable and pdcrs.vectorizable
-
-    def test_crs_not_vectorizable(self):
-        a = laplacian_csr(20, seed=15)
-        c = storage_census(a, coloring_of(a), "crs")
-        assert not c.vectorizable
-
-    def test_unknown_scheme(self):
-        a = laplacian_csr(10)
-        with pytest.raises(ValueError, match="scheme"):
-            storage_census(a, coloring_of(a), "bogus")
-
-    def test_total_entries_consistent(self):
-        a = laplacian_csr(20, seed=16)
-        col = coloring_of(a)
-        c = storage_census(a, col, "pdcrs")
-        offdiag = a.nnz - np.count_nonzero(a.diagonal())
-        assert c.total_entries == offdiag
 
 
 @settings(max_examples=20, deadline=None)

@@ -3,7 +3,6 @@ import pytest
 import scipy.sparse as sp
 
 from repro.analysis import preconditioned_spectrum
-from repro.analysis.memory import memory_report
 from repro.fem.model import build_contact_problem
 from repro.precond import DiagonalScaling, bic, sb_bic0
 
@@ -66,18 +65,3 @@ class TestSpectrum:
         a = sp.eye(3).tocsr()
         s = preconditioned_spectrum(a, DiagonalScaling(a))
         assert "kappa" in repr(s)
-
-
-class TestMemoryReport:
-    def test_report_structure(self, block_problem_small):
-        p = block_problem_small
-        rep = memory_report(
-            p.a_bcsr,
-            {"BIC(0)": bic(p.a, fill_level=0), "SB-BIC(0)": sb_bic0(p.a, p.groups)},
-        )
-        assert set(rep) == {"matrix", "BIC(0)", "SB-BIC(0)"}
-        assert all(v > 0 for v in rep.values())
-
-    def test_no_matrix(self, block_problem_small):
-        rep = memory_report(None, {"d": DiagonalScaling(block_problem_small.a)})
-        assert "matrix" not in rep

@@ -132,25 +132,33 @@ class TestSessionCaching:
         assert warm.cache == {"structure": "hit", "factor": "refactor"}
         assert warm.setups["symbolic"] == 0 and warm.setups["numeric"] == 1
 
+    @staticmethod
+    def _three_families_in_two_slots(sess: SolverSession) -> None:
+        """sbbic0, bic0, sbbic0 (factor hit), bic1: the bic1 build evicts
+        the bic0 factor and the sbbic0 symbolic pattern (each its tier's
+        least recently used entry), leaving the bic0 pattern cached."""
+        for precond in ("sbbic0", "bic0", "sbbic0", "bic1"):
+            sess.solve(_req(precond=precond))
+
     def test_symbolic_cache_survives_factor_swap(self):
-        """Ping-ponging two preconditioners in a capacity-1 factor cache
+        """Cycling three preconditioners through a capacity-2 workspace
         evicts factors, but the symbolic cache still avoids pattern work
-        once each family has been built once."""
-        sess = SolverSession(capacity=4, factor_capacity=1)
-        sess.solve(_req(precond="sbbic0"))
-        sess.solve(_req(precond="bic0"))  # evicts the sbbic0 factor
-        again = sess.solve(_req(precond="sbbic0"))
+        for a family whose pattern outlived its factor."""
+        sess = SolverSession(capacity=2)
+        self._three_families_in_two_slots(sess)
+        again = sess.solve(_req(precond="bic0"))
         assert again.cache["factor"] == "numeric"  # symbolic hit, factor miss
-        assert again.setups["symbolic"] == 0 and again.setups["numeric"] == 1
+        assert again.setups == {"symbolic": 0, "numeric": 1, "evictions": 1}
         assert sess.workspace.factors.evictions >= 1
 
     def test_eviction_feeds_setup_census(self):
-        sess = SolverSession(capacity=4, factor_capacity=1)
-        sess.solve(_req(precond="sbbic0"))
+        sess = SolverSession(capacity=2)
+        self._three_families_in_two_slots(sess)
         with obs.observe() as trace:
-            second = sess.solve(_req(precond="bic0"))
-        assert second.setups["evictions"] == 1  # the sbbic0 factor
-        assert sess.stats()["caches"]["factors"]["evictions"] == 1
+            last = sess.solve(_req(precond="bic0"))
+        assert last.setups["evictions"] == 1  # the sbbic0 factor
+        # the bic1 build evicted the bic0 factor, this solve the sbbic0 one
+        assert sess.stats()["caches"]["factors"]["evictions"] == 2
         assert trace.metrics.get("serve.cache.evictions", cache="factor") == 1
 
     def test_warm_equals_cold_bitwise(self):

@@ -85,7 +85,22 @@ class TestEndToEnd:
         assert gaps[2] < gaps[1] < gaps[0]
 
     def test_public_api_surface(self):
+        """Every name in the ``__all__`` of ``repro`` and of each of its
+        subpackages resolves: a deleted name left behind in an export
+        list fails here."""
+        import importlib
+        import pkgutil
+
         import repro
 
-        for name in repro.__all__:
-            assert getattr(repro, name) is not None
+        packages = [repro] + [
+            importlib.import_module(info.name)
+            for info in pkgutil.walk_packages(repro.__path__, "repro.")
+            if info.ispkg
+        ]
+        assert len(packages) > 10
+        for package in packages:
+            for name in package.__all__:
+                assert getattr(package, name, None) is not None, (
+                    f"{package.__name__}.__all__ names {name!r}, which it lacks"
+                )
