@@ -323,7 +323,7 @@ def run_sweep(
     fac = {
         "Diagonal": lambda a: DiagonalScaling(a),
         "BIC(0)": lambda a: bic(a, fill_level=0),
-        "SB-BIC(0)": lambda a: sb_bic0(a, problem.groups, n_nodes=mesh.n_nodes),
+        "SB-BIC(0)": lambda a: sb_bic0(a, problem.groups),
     }
     nl_args = (a_free, b_free, problem.groups, mesh.n_nodes, 1e4)
     for pname, factory in fac.items():

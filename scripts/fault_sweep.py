@@ -118,10 +118,7 @@ def run_sweep(*, quick: bool = False, ndomains: int = 3) -> dict:
 
         ladder = [
             FallbackStage("sabotaged", broken_setup),
-            FallbackStage(
-                "SB-BIC(0)",
-                lambda: sb_bic0(problem.a, problem.groups, n_nodes=mesh.n_nodes),
-            ),
+            FallbackStage("SB-BIC(0)", lambda: sb_bic0(problem.a, problem.groups)),
             FallbackStage("Diagonal", lambda: DiagonalScaling(problem.a)),
         ]
         solver = ResilientSolver(problem.a, ladder)

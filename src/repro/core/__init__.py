@@ -10,12 +10,10 @@ from repro.core.selective_blocking import (
     detect_contact_groups,
     selective_block_supernodes,
     selective_blocks_from_groups,
-    validate_groups,
 )
 
 __all__ = [
     "detect_contact_groups",
     "selective_block_supernodes",
     "selective_blocks_from_groups",
-    "validate_groups",
 ]

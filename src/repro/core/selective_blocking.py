@@ -14,14 +14,6 @@ from repro.utils.indexing import concat_ragged
 from repro.utils.validate import check_contact_groups
 
 
-def validate_groups(groups: list[np.ndarray], n_nodes: int) -> list[np.ndarray]:
-    """Check contact groups are disjoint, duplicate-free node sets.
-
-    Thin alias of :func:`repro.utils.validate.check_contact_groups`,
-    kept as the historical entry point every consumer imports."""
-    return check_contact_groups(groups, n_nodes)
-
-
 def selective_blocks_from_groups(
     groups: list[np.ndarray], n_nodes: int
 ) -> list[np.ndarray]:
@@ -31,7 +23,7 @@ def selective_blocks_from_groups(
     is the pre-coloring order; the factorization engine re-sorts by color
     and size afterwards.
     """
-    groups = validate_groups(groups, n_nodes)
+    groups = check_contact_groups(groups, n_nodes)
     in_group = np.zeros(n_nodes, dtype=bool)
     if groups:
         in_group[np.concatenate(groups)] = True

@@ -13,9 +13,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.selective_blocking import validate_groups
 from repro.sparse.bcsr import BCSRMatrix
 from repro.utils.indexing import concat_ragged, ranges
+from repro.utils.validate import check_contact_groups
 
 
 def penalty_coo_blocks(
@@ -24,7 +24,7 @@ def penalty_coo_blocks(
     """Block triplets of the penalty matrix for all contact groups."""
     if lam < 0:
         raise ValueError(f"penalty must be non-negative, got {lam}")
-    groups = validate_groups(groups, n_nodes)
+    groups = check_contact_groups(groups, n_nodes)
     flat, offsets = concat_ragged(groups)
     # every member paired with its whole group, member-major as in Fig. 24
     sizes = np.diff(offsets)
@@ -76,7 +76,7 @@ def constraint_matrix(groups: list[np.ndarray], n_nodes: int):
     """
     import scipy.sparse as sp
 
-    groups = validate_groups(groups, n_nodes)
+    groups = check_contact_groups(groups, n_nodes)
     rows, cols, data = [], [], []
     nrow = 0
     for g in groups:

@@ -19,13 +19,12 @@ from __future__ import annotations
 import numpy as np
 import scipy.sparse as sp
 
-from repro.core.selective_blocking import validate_groups
-from repro.utils.validate import check_square_csr
+from repro.utils.validate import check_contact_groups, check_square_csr
 
 
 def master_map(groups: list[np.ndarray], n_nodes: int) -> np.ndarray:
     """Master node per node: group members map to the group's first node."""
-    groups = validate_groups(groups, n_nodes)
+    groups = check_contact_groups(groups, n_nodes)
     master = np.arange(n_nodes, dtype=np.int64)
     for g in groups:
         master[g] = g[0]

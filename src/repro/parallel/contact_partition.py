@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.core.selective_blocking import validate_groups
 from repro.parallel.partition import partition_nodes_rcb
+from repro.utils.validate import check_contact_groups
 
 
 def contact_aware_partition(
@@ -26,7 +26,7 @@ def contact_aware_partition(
     """Domain id per node; every contact group lands on one domain."""
     coords = np.asarray(coords, dtype=np.float64)
     n = coords.shape[0]
-    groups = validate_groups(groups, n)
+    groups = check_contact_groups(groups, n)
 
     in_group = np.zeros(n, dtype=bool)
     for g in groups:

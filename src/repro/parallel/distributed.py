@@ -403,7 +403,7 @@ class _RankHistory:
         return self.values[key]
 
 
-def rank_cg(rank, dom, m, st: _KrylovState, store, resume, halo_check, cg_opts):
+def rank_cg(rank, dom, m, st: _KrylovState, store, resume, cg_opts):
     """Rank *rank*'s :func:`~repro.solvers.cg.cg_program` for one solve
     attempt (from *resume*, when a rollback set it) on its domain *dom*
     and localized preconditioner *m*; *cg_opts* are the stopping rules.
@@ -424,7 +424,7 @@ def rank_cg(rank, dom, m, st: _KrylovState, store, resume, halo_check, cg_opts):
     def matvec(v):
         halo[:ni] = v
         mismatch = yield HALO
-        if halo_check and (mismatch > 0.0 or not np.isfinite(mismatch)):
+        if mismatch > 0.0 or not np.isfinite(mismatch):
             raise _CommFaultDetected(mismatch)
         return a_matvec(halo)
 
@@ -451,9 +451,7 @@ def parallel_cg(
     eps: float = 1e-8,
     max_iter: int = 10000,
     stagnation_window: int = 0,
-    stagnation_rtol: float = 0.99,
     time_budget: float | None = None,
-    halo_check: bool = True,
     checkpoint_interval: int = 0,
     max_rollbacks: int = 3,
     report: SolveReport | None = None,
@@ -471,8 +469,8 @@ def parallel_cg(
     the iterates, the iteration count and the message census do not
     depend on which it was.
 
-    ``halo_check`` (default on) compares owner and ghost values after
-    every boundary exchange (:meth:`LockstepComm.halo_mismatch`, or the
+    Every boundary exchange is followed by a comparison of owner and
+    ghost values (:meth:`LockstepComm.halo_mismatch`, or the
     process transport's sender/receiver checksums) and aborts with
     ``reason=COMM_FAULT`` on any disagreement — the detection side of
     both transports' ``inject_worker_fault``.  ``stagnation_window``,
@@ -525,7 +523,6 @@ def parallel_cg(
         eps=eps,
         max_iter=max_iter,
         stagnation_window=stagnation_window,
-        stagnation_rtol=stagnation_rtol,
         deadline=None if time_budget is None else time.perf_counter() + time_budget,
     )
     rollbacks = 0
@@ -542,7 +539,7 @@ def parallel_cg(
             # Krylov state from the snapshot (or starts afresh).
             dead = None
             try:
-                out = comm.run(_worker_cg, st, store, resume, halo_check, cg_opts)[0]
+                out = comm.run(_worker_cg, st, store, resume, cg_opts)[0]
             except RankFailure as fail:
                 reason, dead = FailureReason.RANK_FAILURE, fail.rank
                 detail = f"rank {fail.rank} unresponsive after {fail.probes} probes"

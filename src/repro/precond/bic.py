@@ -19,7 +19,6 @@ def bic(
     fill_level: int = 0,
     b: int = 3,
     ncolors: int = 0,
-    variant: str = "auto",
     shift: float = 0.0,
     symbolic: ICSymbolic | None = None,
 ) -> BlockICFactorization:
@@ -43,7 +42,6 @@ def bic(
         None if symbolic is not None else node_supernodes(ndof // b, b),
         fill_level=fill_level,
         ncolors=ncolors,
-        variant=variant,
         shift=shift,
         name=name,
         symbolic=symbolic,

@@ -11,7 +11,6 @@ def scalar_ic0(
     a,
     *,
     ncolors: int = 0,
-    variant: str = "auto",
     shift: float = 0.0,
     symbolic: ICSymbolic | None = None,
 ) -> BlockICFactorization:
@@ -34,7 +33,6 @@ def scalar_ic0(
         supernodes,
         fill_level=0,
         ncolors=ncolors,
-        variant=variant,
         shift=shift,
         name=name,
         symbolic=symbolic,

@@ -18,13 +18,13 @@ GeoFEM design of paper sections 3-4:
   blocks of selective blocks are dense ``3NB x 3NB`` matrices inverted
   exactly — the "full LU inside each selective block" of section 3.1.
 
-Two numeric variants:
+The fill level decides the numeric variant:
 
-- ``"dmod"`` (GeoFEM's pseudo IC(0)): off-diagonal blocks are taken from
-  A unchanged; only the diagonal blocks are modified,
-  ``D_i <- A_ii - sum_k A_ik D_k^{-1} A_ik^T``.  Valid for fill level 0.
-- ``"full"``: genuine block IC(k) — off-diagonal (and level-k fill)
-  blocks are updated,  ``V_ij <- V_ij - V_ik D_k^{-1} V_jk^T``.
+- ``"dmod"`` at fill level 0 (GeoFEM's pseudo IC(0)): off-diagonal
+  blocks are taken from A unchanged; only the diagonal blocks are
+  modified, ``D_i <- A_ii - sum_k A_ik D_k^{-1} A_ik^T``.
+- ``"full"`` above it: genuine block IC(k) — off-diagonal (and level-k
+  fill) blocks are updated,  ``V_ij <- V_ij - V_ik D_k^{-1} V_jk^T``.
 
 For fill level >= 1 the execution schedule comes from level scheduling of
 the filled dependency DAG instead of the coloring (the paper only ran
@@ -66,7 +66,6 @@ from repro.obs import metric_inc, record_span
 from repro.precond.base import Preconditioner
 from repro.resilience.taxonomy import PivotNudgeWarning
 from repro.reorder.coloring import Coloring
-from repro.reorder.cmrcm import cm_rcm
 from repro.reorder.multicolor import multicolor
 from repro.sparse.vbr import VBRMatrix, shape_buckets, supernode_maps
 from repro.utils.indexing import ranges, sorted_unique
@@ -202,7 +201,7 @@ class ICSymbolic:
     Everything computed here depends only on the sparsity pattern of A
     and the super-node partition:
 
-    - the multicolor (or CM-RCM) ordering and the DOF permutation,
+    - the multicolor ordering and the DOF permutation,
     - the level-k lower fill pattern and the VBR block layout,
     - the execution schedule (colors, or level-scheduled waves),
     - the values-only scatter map from A's CSR entries into L's blocks,
@@ -226,19 +225,11 @@ class ICSymbolic:
         *,
         fill_level: int = 0,
         ncolors: int = 0,
-        variant: str = "auto",
-        sort_blocks_by_size: bool = True,
-        coloring: str = "mc",
     ) -> None:
         laps = Laps()
         a = _canonical_csr(a)
-        if variant == "auto":
-            variant = "dmod" if fill_level == 0 else "full"
-        if variant == "dmod" and fill_level != 0:
-            raise ValueError("the dmod variant is only defined for fill level 0")
-        self.variant = variant
+        self.variant = "dmod" if fill_level == 0 else "full"
         self.fill_level = fill_level
-        self.sort_blocks_by_size = sort_blocks_by_size
         self.ndof = a.shape[0]
 
         # ---- ordering: color the super-node graph, sort by size in-color
@@ -246,18 +237,10 @@ class ICSymbolic:
         snode_of0, local = supernode_maps(supernodes, self.ndof)
         runs = self._block_runs(a, snode_of0)
         adj0 = self._supernode_adjacency(runs[0], runs[1], nsuper)
-        if coloring == "mc":
-            col = multicolor(adj0, ncolors)
-        elif coloring == "cmrcm":
-            col = cm_rcm(adj0, max(ncolors, 2))
-        else:
-            raise ValueError(f"unknown coloring method {coloring!r}")
+        col = multicolor(adj0, ncolors)
         self.coloring: Coloring = col
         sizes0 = np.bincount(snode_of0, minlength=nsuper)
-        if sort_blocks_by_size:
-            order = np.lexsort((np.arange(nsuper), -sizes0, col.colors))
-        else:
-            order = np.lexsort((np.arange(nsuper), col.colors))
+        order = np.lexsort((np.arange(nsuper), -sizes0, col.colors))
         self.order = order.astype(np.int64)
         iorder = np.empty(nsuper, dtype=np.int64)
         iorder[self.order] = np.arange(nsuper)
@@ -322,7 +305,7 @@ class ICSymbolic:
         # ---- numeric-sweep index maps (gathers/scatters precomputed so
         # the numeric phase is pure fancy-index + batched matmul)
         self._build_diag_buckets()
-        if variant == "dmod":
+        if self.variant == "dmod":
             self.dmod_updates = self._build_dmod_updates()
             self.full_updates = None
         else:
@@ -761,21 +744,14 @@ class BlockICFactorization(Preconditioner):
         Level-of-fill k of the block factorization (0, 1 or 2).
     ncolors:
         Target multicolor count (0 = minimal greedy palette).
-    variant:
-        ``"dmod"``, ``"full"`` or ``"auto"`` (dmod for k = 0, else full).
-    sort_blocks_by_size:
-        Sort super-nodes by descending size inside each color (Fig. 22).
-    coloring:
-        ``"mc"`` (default, paper section 4.2) or ``"cmrcm"``.
     shift:
         Diagonal shift added to each diagonal block before inversion
         (robustness safeguard; 0 reproduces the paper).
     symbolic:
         A cached :class:`ICSymbolic` from an earlier factorization of a
         matrix with the *same sparsity pattern*: the entire pattern phase
-        is skipped and only the numeric phase runs.  ``fill_level`` and
-        ``variant`` must agree with the symbolic object; ``ncolors``,
-        ``coloring`` and ``sort_blocks_by_size`` are taken from it.
+        is skipped and only the numeric phase runs.  ``fill_level`` must
+        agree with the symbolic object; ``ncolors`` is taken from it.
     """
 
     def __init__(
@@ -785,9 +761,6 @@ class BlockICFactorization(Preconditioner):
         *,
         fill_level: int = 0,
         ncolors: int = 0,
-        variant: str = "auto",
-        sort_blocks_by_size: bool = True,
-        coloring: str = "mc",
         shift: float = 0.0,
         name: str | None = None,
         symbolic: ICSymbolic | None = None,
@@ -804,23 +777,14 @@ class BlockICFactorization(Preconditioner):
                 supernodes,
                 fill_level=fill_level,
                 ncolors=ncolors,
-                variant=variant,
-                sort_blocks_by_size=sort_blocks_by_size,
-                coloring=coloring,
             )
             self.owns_symbolic = True
             check = False  # the symbolic phase just ran on this very pattern
         else:
-            resolved = (
-                variant
-                if variant != "auto"
-                else ("dmod" if fill_level == 0 else "full")
-            )
-            if symbolic.fill_level != fill_level or symbolic.variant != resolved:
+            if symbolic.fill_level != fill_level:
                 raise ValueError(
                     f"symbolic object was built for fill_level="
-                    f"{symbolic.fill_level}, variant={symbolic.variant!r}; "
-                    f"requested fill_level={fill_level}, variant={resolved!r}"
+                    f"{symbolic.fill_level}; requested fill_level={fill_level}"
                 )
             self.owns_symbolic = False
             check = True

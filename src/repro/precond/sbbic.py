@@ -20,26 +20,25 @@ def sb_bic0(
     a,
     contact_groups: list[np.ndarray],
     *,
-    n_nodes: int | None = None,
     b: int = 3,
     ncolors: int = 0,
-    variant: str = "auto",
-    sort_blocks_by_size: bool = True,
     shift: float = 0.0,
     symbolic: ICSymbolic | None = None,
 ) -> BlockICFactorization:
     """Selective-blocking block IC(0) preconditioner.
 
+    The selective blocks are multicoloured and sorted by size inside
+    each colour (paper Fig. 22).  Fig. 28's layout "without reordering"
+    is drawn by :mod:`repro.experiments.fig28_29_selective_details`
+    from the factor's schedule, not built as a factor.
+
     Parameters
     ----------
     a:
-        SPD stiffness matrix (scalar CSR, dimension ``n_nodes * b``).
+        SPD stiffness matrix (scalar CSR, ``b`` DOFs per node).
     contact_groups:
         Node-index groups of strongly coupled (penalty-tied) nodes; nodes
         outside every group become size-1 selective blocks.
-    sort_blocks_by_size:
-        Sort selective blocks by size inside each color (paper Fig. 22);
-        disabling it reproduces the "without reordering" case of Fig. 28.
     symbolic:
         Cached pattern phase from an earlier factorization of a matrix
         with the same sparsity pattern (and the same contact groups);
@@ -48,12 +47,10 @@ def sb_bic0(
     ndof = a.shape[0]
     if ndof % b:
         raise ValueError(f"matrix dimension {ndof} is not a multiple of block size {b}")
-    if n_nodes is None:
-        n_nodes = ndof // b
     supernodes = (
         None
         if symbolic is not None
-        else selective_block_supernodes(contact_groups, n_nodes, b=b)
+        else selective_block_supernodes(contact_groups, ndof // b, b=b)
     )
     name = "SB-BIC(0)" if shift == 0.0 else f"SB-BIC(0)+shift{shift:g}"
     return BlockICFactorization(
@@ -61,8 +58,6 @@ def sb_bic0(
         supernodes,
         fill_level=0,
         ncolors=ncolors,
-        variant=variant,
-        sort_blocks_by_size=sort_blocks_by_size,
         shift=shift,
         name=name,
         symbolic=symbolic,

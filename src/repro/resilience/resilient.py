@@ -33,6 +33,10 @@ from repro.solvers.cg import CGResult, cg_solve, check_finite_vector
 
 __all__ = ["FallbackStage", "ResilientSolver", "build_ladder", "default_ladder"]
 
+SHIFTS = (0.01, 0.1)
+"""The Manteuffel shifts of the level-0 IC rung's retries, as fractions
+of the mean |diagonal|."""
+
 
 @dataclass
 class FallbackStage:
@@ -53,8 +57,6 @@ def build_ladder(
     order: tuple[str, ...],
     *,
     b: int = 3,
-    shifts: tuple[float, ...] = (0.01, 0.1),
-    ncolors: int = 0,
 ) -> list[FallbackStage]:
     """The escalation ladder leading with the families in *order*.
 
@@ -62,10 +64,10 @@ def build_ladder(
     ``bic0`` / ``ic0`` become the level-0 IC rung the matrix admits
     (BIC(0), or scalar IC(0) when the dimension is not a multiple of
     *b*) followed by its shifted retries, Manteuffel-style
-    ``alpha * dbar * I`` added to the pivots (``dbar`` = mean
-    |diagonal|); ``diag`` becomes diagonal scaling — which is also
-    always the last rung, whatever *order* says, so no caller can remove
-    the rung that cannot break.
+    ``alpha * dbar * I`` added to the pivots for each ``alpha`` in
+    :data:`SHIFTS` (``dbar`` = mean |diagonal|); ``diag`` becomes
+    diagonal scaling — which is also always the last rung, whatever
+    *order* says, so no caller can remove the rung that cannot break.
 
     The IC rungs (plain + every shifted retry) share one level-0
     symbolic pattern phase: escalating to a shifted rung refactors the
@@ -80,7 +82,7 @@ def build_ladder(
     blocked = a.shape[0] % b == 0
     sb, diag = FAMILY_TABLE["sbbic0"], FAMILY_TABLE["diag"]
     ic = FAMILY_TABLE["bic0" if blocked else "ic0"]
-    ic_kw = {"ncolors": ncolors, "b": b} if blocked else {"ncolors": ncolors}
+    ic_kw = {"b": b} if blocked else {}
 
     cache: dict = {}  # shared IC symbolic + last factorization
 
@@ -99,18 +101,12 @@ def build_ladder(
     stages: list[FallbackStage] = []
     for family in (*order, diag.name):  # the backstop, unless already last
         if family == sb.name and groups:
-            stages.append(
-                FallbackStage(
-                    sb.stage,
-                    lambda: sb.build(a, groups, b=b, ncolors=ncolors),
-                    sb.name,
-                )
-            )
+            stages.append(FallbackStage(sb.stage, lambda: sb.build(a, groups, b=b), sb.name))
         elif family in ("bic0", "ic0"):
             stages.append(
                 FallbackStage(ic.stage, lambda: ic_rung(0.0, ic.stage), ic.name)
             )
-            for alpha in shifts:
+            for alpha in SHIFTS:
                 label = f"{ic.stage.split()[0]}+shift{alpha:g}"
                 stages.append(
                     FallbackStage(
@@ -131,7 +127,6 @@ def default_ladder(
     contact_groups: list[np.ndarray] | None = None,
     *,
     b: int = 3,
-    shifts: tuple[float, ...] = (0.01, 0.1),
 ) -> list[FallbackStage]:
     """The standard escalation ladder for a (possibly contact) system:
     the paper's robustness order, :func:`~repro.precond.families.ladder_families`
@@ -141,7 +136,7 @@ def default_ladder(
     :func:`build_ladder`)."""
     n_groups = len(contact_groups) if contact_groups else 0
     order = ladder_families(n_groups, a.shape[0] % b == 0)
-    return build_ladder(a, contact_groups, order, b=b, shifts=shifts)
+    return build_ladder(a, contact_groups, order, b=b)
 
 
 _ESCALATABLE = frozenset(
@@ -164,12 +159,7 @@ class ResilientSolver:
     ladder:
         Ordered :class:`FallbackStage` list, most powerful first (see
         :func:`default_ladder`).
-    escalate_on_pivot_nudge:
-        When True (default), a stage whose factorization had to nudge
-        singular pivots is treated as ``SETUP_PIVOT_FAILURE`` and skipped
-        (unless it is the last rung) — a nudged selective block means the
-        "exact" in-block LU is fiction and the solve would limp or break.
-    stagnation_window / stagnation_rtol / time_budget:
+    stagnation_window / time_budget:
         Forwarded to each :func:`cg_solve` attempt; the time budget is
         shared across the whole chain (remaining time shrinks per stage).
     on_stage_result:
@@ -183,6 +173,11 @@ class ResilientSolver:
     The full detection / escalation / recovery trail is appended to
     :attr:`report` (a :class:`SolveReport`), which is also attached to
     the returned :class:`CGResult` as ``result.report``.
+
+    A stage whose factorization had to nudge singular pivots is treated
+    as ``SETUP_PIVOT_FAILURE`` and skipped unless it is the last rung — a
+    nudged selective block means the "exact" in-block LU is fiction and
+    the solve would limp or break; the last rung is solved with anyway.
     """
 
     def __init__(
@@ -193,9 +188,7 @@ class ResilientSolver:
         eps: float = 1e-8,
         max_iter: int | None = None,
         stagnation_window: int = 50,
-        stagnation_rtol: float = 0.99,
         time_budget: float | None = None,
-        escalate_on_pivot_nudge: bool = True,
         report: SolveReport | None = None,
         on_stage_result: Callable[[FallbackStage, CGResult], None] | None = None,
     ) -> None:
@@ -206,9 +199,7 @@ class ResilientSolver:
         self.eps = eps
         self.max_iter = max_iter
         self.stagnation_window = stagnation_window
-        self.stagnation_rtol = stagnation_rtol
         self.time_budget = time_budget
-        self.escalate_on_pivot_nudge = escalate_on_pivot_nudge
         self.report = report if report is not None else SolveReport()
         self.on_stage_result = on_stage_result
 
@@ -232,7 +223,7 @@ class ResilientSolver:
             )
             return None
         nudges = int(getattr(m, "breakdown_count", 0))
-        if nudges and self.escalate_on_pivot_nudge and not is_last:
+        if nudges and not is_last:
             sizes = getattr(m, "nudged_block_sizes", [])
             self.report.record(
                 "detect",
@@ -294,7 +285,6 @@ class ResilientSolver:
                 max_iter=self.max_iter,
                 x0=best_x,
                 stagnation_window=self.stagnation_window,
-                stagnation_rtol=self.stagnation_rtol,
                 time_budget=remaining,
                 report=self.report,
             )

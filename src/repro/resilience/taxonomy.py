@@ -37,10 +37,7 @@ class FailureReason(Enum):
     two families without enumerating members."""
 
     CONVERGED = "converged"
-    """Not a failure: the solve met its tolerance.  ``SUCCESS`` is an
-    alias, so both spellings resolve to the same member."""
-
-    SUCCESS = "converged"
+    """Not a failure: the solve met its tolerance."""
 
     BREAKDOWN_INDEFINITE = "breakdown_indefinite"
     """``p^T A p <= 0``: the operator or preconditioner lost positive
@@ -98,7 +95,7 @@ class FailureReason(Enum):
 
     @property
     def is_failure(self) -> bool:
-        """False only for ``CONVERGED``/``SUCCESS``."""
+        """False only for ``CONVERGED``."""
         return self is not FailureReason.CONVERGED
 
     def __str__(self) -> str:  # "BREAKDOWN_INDEFINITE", table-friendly

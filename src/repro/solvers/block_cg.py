@@ -158,7 +158,6 @@ def block_cg_solve(
     *,
     eps: float = 1e-8,
     max_iter: int | None = None,
-    x0: np.ndarray | None = None,
     record_history: bool = True,
     report: SolveReport | None = None,
 ) -> BlockCGResult:
@@ -200,20 +199,9 @@ def block_cg_solve(
     if max_iter is None:
         max_iter = max(1000, 10 * n)
 
-    if x0 is None:
-        x = np.zeros((n, s))
-    else:
-        x0 = np.asarray(x0, dtype=np.float64)
-        if x0.ndim == 1:
-            x0 = x0[:, None]
-        if x0.shape != (n, s):
-            raise ValueError(f"x0 must have shape {(n, s)}, got {x0.shape}")
-        for j in range(s):
-            check_finite_vector(x0[:, j], f"x0[:, {j}]")
-        x = x0.copy()
-
+    x = np.zeros((n, s))
     bnorm = np.linalg.norm(b, axis=0)
-    # zero columns are solved by x = 0 (or kept at x0) with zero residual
+    # zero columns are solved by x = 0 with zero residual
     zero_rhs = bnorm == 0.0
     bnorm_safe = np.where(zero_rhs, 1.0, bnorm)
 
@@ -238,9 +226,9 @@ def block_cg_solve(
         eps=eps,
     ), timer:
         matvec = _as_block_matvec(a)
-        r = b - matvec(x)
+        r = b.copy()  # the residual of the zero start
         # zero-RHS columns use an absolute criterion (bnorm_safe = 1):
-        # with x0 = None their residual is exactly zero already
+        # their residual is exactly zero already
         relres = np.linalg.norm(r, axis=0) / bnorm_safe
         history.append(relres.copy())
         converged_cols = relres <= eps

@@ -51,14 +51,19 @@ def check_finite_vector(v: np.ndarray, name: str) -> np.ndarray:
     return v
 
 
-def _stagnated(history, it: int, window: int, rtol: float) -> bool:
+STAGNATION_RTOL = 0.99
+"""The factor a stagnation window's best residual must beat the best
+before it by (a 1 % improvement)."""
+
+
+def _stagnated(history, it: int, window: int) -> bool:
     """True when the best residual of the last *window* entries of
     ``history[: it + 1]`` failed to improve on the best before them by
-    at least a factor ``rtol``."""
+    at least a factor :data:`STAGNATION_RTOL`."""
     if window <= 0 or it < window:
         return False
     split = it + 1 - window
-    return min(history[split : it + 1]) > rtol * min(history[:split])
+    return min(history[split : it + 1]) > STAGNATION_RTOL * min(history[:split])
 
 
 @dataclass
@@ -132,7 +137,6 @@ def cg_program(
     eps: float,
     max_iter: int,
     stagnation_window: int,
-    stagnation_rtol: float,
     deadline: float | None = None,
     x0: np.ndarray | None = None,
     store=None,
@@ -228,10 +232,10 @@ def cg_program(
             return failed(FailureReason.NAN_DETECTED, "residual is NaN/Inf")
         if relres <= eps:
             return CGOutcome(it, True)
-        if _stagnated(history, it, stagnation_window, stagnation_rtol):
+        if _stagnated(history, it, stagnation_window):
             return failed(
                 FailureReason.STAGNATION,
-                f"no {1 - stagnation_rtol:.0%} improvement in "
+                f"no {1 - STAGNATION_RTOL:.0%} improvement in "
                 f"{stagnation_window} iterations",
             )
         if deadline is not None and sums[2] > 0.0:
@@ -264,7 +268,6 @@ def cg_solve(
     x0: np.ndarray | None = None,
     record_history: bool = True,
     stagnation_window: int = 0,
-    stagnation_rtol: float = 0.99,
     time_budget: float | None = None,
     report: SolveReport | None = None,
 ) -> CGResult:
@@ -288,7 +291,7 @@ def cg_solve(
     stagnation_window:
         When > 0, stop with ``reason=STAGNATION`` if the best relative
         residual of the last *window* iterations did not improve on the
-        best before them by at least a factor ``stagnation_rtol``.
+        best before them by at least a factor :data:`STAGNATION_RTOL`.
         0 (default) disables the check, reproducing the paper's runs.
     time_budget:
         Optional wall-clock cap in seconds; the loop stops with
@@ -324,7 +327,6 @@ def cg_solve(
             eps=eps,
             max_iter=max_iter,
             stagnation_window=stagnation_window,
-            stagnation_rtol=stagnation_rtol,
             deadline=None if time_budget is None else time.perf_counter() + time_budget,
             x0=x0,
             labels={"precond": pname},

@@ -39,8 +39,7 @@ def agree(m, r, rtol=1e-13):
 
 FAMILIES = {
     "ic0-scalar": lambda a: scalar_ic0(a),
-    "bic0-dmod": lambda a: bic(a, fill_level=0, variant="dmod"),
-    "bic0-full": lambda a: bic(a, fill_level=0, variant="full"),
+    "bic0": lambda a: bic(a, fill_level=0),
     "bic1": lambda a: bic(a, fill_level=1),
     "bic2": lambda a: bic(a, fill_level=2),
 }

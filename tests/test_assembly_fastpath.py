@@ -538,15 +538,12 @@ def _reference_supernode_maps(supernodes, ndof):
     return snode_of, local
 
 
-def _reference_symbolic(a, supernodes, colors, sort_blocks_by_size=True):
+def _reference_symbolic(a, supernodes, colors):
     """Ordering, level-0 lower pattern, color schedule and A->L scatter
     map by per-super-node / per-entry loops (colors taken as given)."""
     ndof = a.shape[0]
     sizes0 = np.array([len(s) for s in supernodes])
-    if sort_blocks_by_size:
-        order = np.lexsort((np.arange(len(supernodes)), -sizes0, colors))
-    else:
-        order = np.lexsort((np.arange(len(supernodes)), colors))
+    order = np.lexsort((np.arange(len(supernodes)), -sizes0, colors))
     reordered = [np.asarray(supernodes[s]) for s in order]
     perm_dof = np.concatenate(reordered)
     snode_of, local = _reference_supernode_maps(reordered, ndof)
@@ -584,13 +581,12 @@ def small_problem():
 
 
 class TestSymbolicAnalysis:
-    @pytest.mark.parametrize("sort_blocks_by_size", [True, False])
-    def test_matches_loop_reference(self, small_problem, sort_blocks_by_size):
+    def test_matches_loop_reference(self, small_problem):
         p = small_problem
         supernodes = selective_block_supernodes(p.groups, p.mesh.n_nodes)
-        sym = ICSymbolic(p.a, supernodes, sort_blocks_by_size=sort_blocks_by_size)
+        sym = ICSymbolic(p.a, supernodes)
         perm_dof, indptr, indices, schedule, src, dst = _reference_symbolic(
-            p.a, supernodes, sym.coloring.colors, sort_blocks_by_size
+            p.a, supernodes, sym.coloring.colors
         )
         assert np.array_equal(sym.perm_dof, perm_dof)
         assert np.array_equal(sym.iperm_dof[perm_dof], np.arange(p.ndof))

@@ -150,7 +150,7 @@ def _nan_operator():
 
 
 def _ill_conditioned():
-    """Demanding a 50% residual drop every 5 iterations on this diagonal
+    """Demanding a 1% residual drop every 5 iterations on this diagonal
     must trip the stagnation window."""
     return sp.diags(np.logspace(0, 13, 200)).tocsr(), np.random.default_rng(0).normal(size=200)
 
@@ -164,8 +164,8 @@ STOP_CASES = {
     ),
     "stagnation": (
         _ill_conditioned,
-        {"eps": 1e-15, "max_iter": 5000, "stagnation_window": 5, "stagnation_rtol": 0.5},
-        FailureReason.STAGNATION, "no 50% improvement in 5 iterations", None,
+        {"eps": 1e-15, "max_iter": 5000, "stagnation_window": 5},
+        FailureReason.STAGNATION, "no 1% improvement in 5 iterations", 5,
     ),
     "time_budget": (
         lambda: (spd(50, 5, density=0.2), np.ones(50)),

@@ -5,7 +5,6 @@ from repro.core.selective_blocking import (
     detect_contact_groups,
     selective_block_supernodes,
     selective_blocks_from_groups,
-    validate_groups,
 )
 from repro.fem.contact import (
     add_penalty,
@@ -13,6 +12,7 @@ from repro.fem.contact import (
     constraint_matrix,
     penalty_coo_blocks,
 )
+from repro.utils.validate import check_contact_groups
 
 
 class TestPenaltyStencil:
@@ -73,15 +73,15 @@ class TestPenaltyStencil:
 class TestGroupValidation:
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
-            validate_groups([np.array([0, 1]), np.array([1, 2])], 3)
+            check_contact_groups([np.array([0, 1]), np.array([1, 2])], 3)
 
     def test_singleton_rejected(self):
         with pytest.raises(ValueError, match="fewer"):
-            validate_groups([np.array([0])], 2)
+            check_contact_groups([np.array([0])], 2)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValueError):
-            validate_groups([np.array([0, 5])], 3)
+            check_contact_groups([np.array([0, 5])], 3)
 
 
 class TestSelectiveBlocks:

@@ -61,8 +61,7 @@ def assert_close(got, want, rtol=1e-13):
 
 FAMILIES = {
     "ic0-scalar": lambda a: scalar_ic0(a),
-    "bic0-dmod": lambda a: bic(a, fill_level=0, variant="dmod"),
-    "bic0-full": lambda a: bic(a, fill_level=0, variant="full"),
+    "bic0": lambda a: bic(a, fill_level=0),
     "bic1": lambda a: bic(a, fill_level=1),
 }
 
@@ -185,7 +184,6 @@ def live_strict_lower(m):
 PLAN_FAMILIES = {
     "sbbic0": lambda p: sb_bic0(p.a, p.groups),
     "bic0": lambda p: bic(p.a, fill_level=0),
-    "bic0-full": lambda p: bic(p.a, fill_level=0, variant="full"),
     "bic1": lambda p: bic(p.a, fill_level=1),
     "bic2": lambda p: bic(p.a, fill_level=2),
     "ic0-scalar": lambda p: scalar_ic0(p.a),

@@ -91,11 +91,6 @@ class TestPaperOrderings:
         for s in sols[1:]:
             assert np.allclose(s, sols[0], atol=1e-5)
 
-    def test_sort_blocks_flag_does_not_change_convergence_much(self, block_problem_small):
-        p = block_problem_small
-        it_sorted = _solve(p, sb_bic0(p.a, p.groups, sort_blocks_by_size=True)).iterations
-        it_unsorted = _solve(p, sb_bic0(p.a, p.groups, sort_blocks_by_size=False)).iterations
-        assert abs(it_sorted - it_unsorted) <= max(5, 0.2 * it_sorted)
 
 
 class TestWrapperValidation:

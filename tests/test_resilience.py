@@ -34,7 +34,6 @@ class TestFailureTaxonomy:
         res = cg_solve(p.a, p.b, bic(p.a, fill_level=0))
         assert res.converged
         assert res.reason is FailureReason.CONVERGED
-        assert res.reason is FailureReason.SUCCESS  # alias
         assert not res.reason.is_failure
         assert "None" not in repr(res)
 
@@ -93,6 +92,17 @@ class _PoisonAfter(Preconditioner):
         return self.inner.apply(r)
 
 
+def _singular_first_group(p):
+    """*p*'s operator with the rows and columns of its first contact
+    group zeroed: that selective diagonal block is exactly singular at
+    factorization time, so SB-BIC(0) on it nudges pivots."""
+    bad = p.a.tolil()
+    g_dofs = (p.groups[0][:, None] * 3 + np.arange(3)).reshape(-1)
+    bad[g_dofs, :] = 0.0
+    bad[:, g_dofs] = 0.0
+    return bad.tocsr()
+
+
 class TestResilientSolver:
     def test_healthy_chain_identical_to_direct_solve(self):
         """Property: on a healthy system the chain never escalates and the
@@ -135,18 +145,9 @@ class TestResilientSolver:
         SB-BIC(0) setup fail (nudged pivots); the chain falls back and
         still converges to 1e-8, with the full trail in the report."""
         p = block_problem_small
-        # corrupt the preconditioner's input: zero out the rows/columns of
-        # the first contact group -> its selective diagonal block is
-        # exactly singular at factorization time
-        bad = p.a.tolil()
-        g_dofs = (p.groups[0][:, None] * 3 + np.arange(3)).reshape(-1)
-        bad[g_dofs, :] = 0.0
-        bad[:, g_dofs] = 0.0
-        bad = bad.tocsr()
+        bad = _singular_first_group(p)
         ladder = [
-            FallbackStage(
-                "SB-BIC(0)", lambda: sb_bic0(bad, p.groups, n_nodes=p.mesh.n_nodes)
-            ),
+            FallbackStage("SB-BIC(0)", lambda: sb_bic0(bad, p.groups)),
             FallbackStage("BIC(0)", lambda: bic(p.a, fill_level=0)),
             FallbackStage("Diagonal", lambda: DiagonalScaling(p.a)),
         ]
@@ -160,6 +161,26 @@ class TestResilientSolver:
         assert any(e.kind == "escalate" for e in trail.events)
         assert trail.recoveries()
         assert res.report is trail
+
+    def test_nudged_last_rung_is_solved_with(self, block_problem_small):
+        """A nudged factor is escalated past only when a rung is left:
+        the last rung is solved with, nudges and all."""
+        p = block_problem_small
+        bad = _singular_first_group(p)
+        built = []
+
+        def nudged_sbbic():
+            built.append(sb_bic0(bad, p.groups))
+            return built[-1]
+
+        solver = ResilientSolver(p.a, [FallbackStage("SB-BIC(0)", nudged_sbbic)])
+        res = solver.solve(p.b)
+        assert built and built[0].breakdown_count > 0
+        assert res.converged and res.iterations == 73
+        assert [(e.kind, e.stage, e.detail) for e in solver.report.events] == [
+            ("info", "SB-BIC(0)", "attempting solve")
+        ]
+        assert not solver.report.detections()
 
     def test_mid_solve_breakdown_resumes_from_best_iterate(self, block_problem_small):
         p = block_problem_small
@@ -388,14 +409,6 @@ class TestCommFaultInjection:
         assert np.array_equal(clean.x, faulty_but_idle.x)
         assert faulty_but_idle.iterations == clean.iterations
 
-    def test_halo_check_off_nan_still_caught_as_nan(self, block_problem_small):
-        """Without the probe the NaN still trips the scalar guards — but
-        only the probe gives the precise COMM_FAULT label."""
-        p = block_problem_small
-        system = _faulty_system(p, exchange=0)
-        res = parallel_cg(system, halo_check=False)
-        assert not res.converged
-        assert res.reason is FailureReason.NAN_DETECTED
 
 
 # ----------------------------------------------------------------------
@@ -510,7 +523,7 @@ class TestLadderMemoryRelease:
         refs = []
 
         def tracked_sbbic():
-            m = sb_bic0(p.a, p.groups, n_nodes=p.mesh.n_nodes)
+            m = sb_bic0(p.a, p.groups)
             stats = m.factorization_stats()
             assert stats["numeric_setups"] == 1  # fresh build each retry
             refs.append(weakref.ref(m))
