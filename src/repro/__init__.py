@@ -20,7 +20,7 @@ Layers (see DESIGN.md):
 
 - ``repro.fem`` — hexahedral elastic FEM with penalty contact groups.
 - ``repro.sparse`` — BCSR / VBR / DJDS storage schemes.
-- ``repro.reorder`` — RCM, multicolor, CM-RCM orderings.
+- ``repro.reorder`` — RCM and multicolor orderings.
 - ``repro.core`` + ``repro.precond`` — selective blocking and the
   IC-family preconditioners (scalar IC(0), BIC(k), SB-BIC(0), localized).
 - ``repro.solvers`` — preconditioned CG.

@@ -61,11 +61,6 @@ class Mesh:
         """Total degrees of freedom (3 per node)."""
         return 3 * self.n_nodes
 
-    def nodes_where(self, predicate) -> np.ndarray:
-        """Node indices satisfying a coordinate predicate, e.g.
-        ``mesh.nodes_where(lambda c: c[:, 2] == 0.0)``."""
-        return np.flatnonzero(predicate(self.coords)).astype(np.int64)
-
     def node_adjacency_pairs(self) -> tuple[np.ndarray, np.ndarray]:
         """All (i, j) node pairs sharing an element (with duplicates)."""
         e = self.hexes

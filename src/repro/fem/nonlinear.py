@@ -10,16 +10,14 @@ The Fig. 2 trade-off emerges directly: a large penalty converges in few
 outer cycles but each inner CG solve needs many iterations (the penalty
 dominates the spectrum); a small penalty is the reverse.
 
-Resilience: an inner solve that fails (breakdown / NaN / stagnation —
-the very regime Table 2's "No Conv." rows live in) no longer propagates
-a bogus displacement field.  The driver discards the poisoned iterate,
-*backs the penalty off* (the ALM's own robustness knob: a smaller lambda
-moves the augmented matrix away from the breakdown edge at the cost of
-more outer cycles), rebuilds the system and retries — recording the
-whole trail in a :class:`~repro.resilience.taxonomy.SolveReport`.  An
-optional preconditioner fallback ladder
-(:class:`~repro.resilience.resilient.ResilientSolver`) handles failures
-*within* a cycle before the penalty back-off has to.
+Resilience: an inner solve that breaks down or meets a NaN (the very
+regime Table 2's "No Conv." rows live in) no longer propagates a bogus
+displacement field.  The driver discards the poisoned
+iterate, *backs the penalty off* by :data:`PENALTY_BACKOFF` (a smaller
+lambda moves the augmented matrix away from the breakdown edge at the
+cost of more outer cycles), rebuilds the system and retries, at most
+:data:`MAX_PENALTY_BACKOFFS` times — recording the whole trail in a
+:class:`~repro.resilience.taxonomy.SolveReport`.
 """
 
 from __future__ import annotations
@@ -38,18 +36,19 @@ from repro.precond.base import Preconditioner
 from repro.resilience.checkpoint import AlmJournal, fingerprint_arrays
 from repro.sparse.patterns import csr_position_map, csr_union_pattern
 from repro.resilience.taxonomy import FailureReason, SolveReport
-from repro.solvers.cg import CGResult, cg_solve
+from repro.solvers.cg import cg_solve
 
 # inner-solve failures that penalty back-off can plausibly cure; MAX_ITER
 # is excluded — it means "not enough iterations", not "broken system"
 _BACKOFF_REASONS = frozenset(
-    {
-        FailureReason.BREAKDOWN_INDEFINITE,
-        FailureReason.NAN_DETECTED,
-        FailureReason.STAGNATION,
-        FailureReason.SETUP_PIVOT_FAILURE,
-    }
+    {FailureReason.BREAKDOWN_INDEFINITE, FailureReason.NAN_DETECTED}
 )
+
+PENALTY_BACKOFF = 0.1
+"""The factor a failed inner solve multiplies the penalty by."""
+
+MAX_PENALTY_BACKOFFS = 2
+"""How many back-offs one run may take before it gives up."""
 
 
 @dataclass
@@ -87,12 +86,7 @@ def solve_nonlinear_contact(
     max_cycles: int = 50,
     cg_eps: float = 1e-8,
     cg_max_iter: int | None = None,
-    penalty_backoff: float = 0.1,
-    max_penalty_backoffs: int = 2,
-    stagnation_window: int = 0,
-    ladder_factory: Callable[[sp.csr_matrix], list] | None = None,
     checkpoint_path: str | Path | None = None,
-    checkpoint_every: int = 1,
     cycle_callback: Callable[[int, dict], None] | None = None,
     report: SolveReport | None = None,
 ) -> NonlinearContactResult:
@@ -102,7 +96,7 @@ def solve_nonlinear_contact(
     ----------
     a_free:
         Stiffness with boundary conditions applied but *without* the
-        contact penalty (the ALM adds it here).
+        contact penalty (the ALM adds it here); any scipy sparse format.
     groups:
         Contact groups (the constraints ``u_i = u_j`` inside each group).
     penalty:
@@ -114,24 +108,16 @@ def solve_nonlinear_contact(
         exposing ``refactor`` (the IC family) is numerically re-setup on
         its cached symbolic pattern instead of rebuilt; only
         preconditioners without ``refactor`` go through the factory
-        again.
-    penalty_backoff / max_penalty_backoffs:
-        When an inner solve fails with a breakdown-class reason, the
-        poisoned iterate is discarded, the penalty is multiplied by
-        ``penalty_backoff`` (< 1) and the system rebuilt, at most
-        ``max_penalty_backoffs`` times.  Healthy systems never trigger
-        this path, so paper runs are bit-identical.
-    ladder_factory:
-        Optional: builds a preconditioner fallback ladder
-        (list of :class:`~repro.resilience.resilient.FallbackStage`) from
-        the augmented matrix; inner solves then go through
-        :class:`~repro.resilience.resilient.ResilientSolver`, and only a
-        failure of the *whole* ladder triggers penalty back-off.
-    checkpoint_path / checkpoint_every:
+        again.  When an inner solve fails with a breakdown-class reason,
+        the poisoned iterate is discarded, the penalty is multiplied by
+        :data:`PENALTY_BACKOFF` and the system rebuilt, at most
+        :data:`MAX_PENALTY_BACKOFFS` times.  Healthy systems never
+        trigger this path, so paper runs are bit-identical.
+    checkpoint_path:
         Durable restart (DESIGN.md section 10): when a path is given,
         the outer-loop state (u, multipliers, penalty trail, event
-        report) is journaled there every *checkpoint_every* cycles via
-        the atomic, checksummed container of :mod:`repro.io.journal`.
+        report) is journaled there after every cycle via the atomic,
+        checksummed container of :mod:`repro.io.journal`.
         A rerun with the same inputs and path resumes from the last
         completed cycle and continues bit-for-bit; a journal that is
         corrupt, truncated, or belongs to different inputs raises
@@ -180,31 +166,6 @@ def solve_nonlinear_contact(
             a_aug.data[map_ctc] += lam_penalty * ctc.data
         return a_aug
 
-    def inner_solve(a_aug, m, rhs, x0) -> CGResult:
-        if ladder_factory is not None:
-            from repro.resilience.resilient import ResilientSolver
-
-            solver = ResilientSolver(
-                a_aug,
-                ladder_factory(a_aug),
-                eps=cg_eps,
-                max_iter=cg_max_iter,
-                stagnation_window=stagnation_window or 50,
-                report=report,
-            )
-            return solver.solve(rhs, x0=x0)
-        return cg_solve(
-            a_aug,
-            rhs,
-            m,
-            eps=cg_eps,
-            max_iter=cg_max_iter,
-            x0=x0,
-            record_history=False,
-            stagnation_window=stagnation_window,
-            report=report,
-        )
-
     journal = None
     state = None
     if checkpoint_path is not None:
@@ -222,9 +183,9 @@ def solve_nonlinear_contact(
             max_cycles,
             cg_eps,
             cg_max_iter,
-            penalty_backoff,
-            max_penalty_backoffs,
-            stagnation_window,
+            PENALTY_BACKOFF,
+            MAX_PENALTY_BACKOFFS,
+            0,  # the inner stagnation window, kept so old journals resume
         )
         journal = AlmJournal(checkpoint_path, fingerprint)
         state = journal.load()  # raises JournalError on a bad/foreign file
@@ -259,32 +220,22 @@ def solve_nonlinear_contact(
         )
 
     a_aug = build_system(penalty)
-    m = (
-        precond_factory(a_aug)
-        if ladder_factory is None and not converged
-        else None
-    )
+    m = None if converged else precond_factory(a_aug)
 
-    def write_checkpoint(force: bool = False) -> None:
-        if journal is None:
-            return
-        if not force and cycles % checkpoint_every != 0:
-            return
-        journal.save(
-            cycle=cycles,
-            u=u,
-            lam=lam,
-            penalty=penalty,
-            backoffs=backoffs,
-            cg_iterations=cg_iters,
-            penalty_trail=penalty_trail,
-            gap_norm=gap_norm,  # json carries Infinity fine pre-first-cycle
-            converged=converged,
-            report=report,
-        )
-
-    def end_of_cycle(force_checkpoint: bool = False) -> None:
-        write_checkpoint(force_checkpoint)
+    def end_of_cycle() -> None:
+        if journal is not None:
+            journal.save(
+                cycle=cycles,
+                u=u,
+                lam=lam,
+                penalty=penalty,
+                backoffs=backoffs,
+                cg_iterations=cg_iters,
+                penalty_trail=penalty_trail,
+                gap_norm=gap_norm,  # json carries Infinity fine pre-first-cycle
+                converged=converged,
+                report=report,
+            )
         if cycle_callback is not None:
             cycle_callback(
                 cycles,
@@ -308,23 +259,32 @@ def solve_nonlinear_contact(
             with obs_span("alm_cycle", cycle=cycles, penalty=penalty):
                 metric_inc("alm.cycles")
                 rhs = b - c.T @ lam
-                res = inner_solve(a_aug, m, rhs, u)
+                res = cg_solve(
+                    a_aug,
+                    rhs,
+                    m,
+                    eps=cg_eps,
+                    max_iter=cg_max_iter,
+                    x0=u,
+                    record_history=False,
+                    report=report,
+                )
                 cg_iters.append(res.iterations)
                 if not res.converged and res.reason in _BACKOFF_REASONS:
                     # the iterate is untrustworthy — do NOT fold it into u
-                    if backoffs >= max_penalty_backoffs:
+                    if backoffs >= MAX_PENALTY_BACKOFFS:
                         report.record(
                             "detect",
                             "alm",
                             res.reason,
                             iteration=cycles,
                             detail=f"inner solve failed; back-off budget "
-                            f"({max_penalty_backoffs}) exhausted",
+                            f"({MAX_PENALTY_BACKOFFS}) exhausted",
                         )
                         break
                     backoffs += 1
                     old_penalty = penalty
-                    penalty = penalty * penalty_backoff
+                    penalty = penalty * PENALTY_BACKOFF
                     metric_inc("alm.penalty_backoffs")
                     report.record(
                         "retry",
@@ -336,16 +296,15 @@ def solve_nonlinear_contact(
                         backoff=backoffs,
                     )
                     a_aug = build_system(penalty)
-                    if ladder_factory is None:
-                        # same pattern, new values: numeric-only
-                        # refactorization when the preconditioner supports
-                        # it (one symbolic setup for the whole ALM run),
-                        # full rebuild otherwise
-                        if m is not None and hasattr(m, "refactor"):
-                            m.refactor(a_aug)
-                        else:
-                            m = precond_factory(a_aug)
-                    lam = lam * penalty_backoff  # keep multiplier scale consistent
+                    # same pattern, new values: numeric-only
+                    # refactorization when the preconditioner supports it
+                    # (one symbolic setup for the whole ALM run), full
+                    # rebuild otherwise
+                    if hasattr(m, "refactor"):
+                        m.refactor(a_aug)
+                    else:
+                        m = precond_factory(a_aug)
+                    lam = lam * PENALTY_BACKOFF  # keep multiplier scale consistent
                     penalty_trail.append(penalty)
                     end_of_cycle()
                     continue
@@ -364,7 +323,7 @@ def solve_nonlinear_contact(
                             detail=f"converged at penalty {penalty:.3e} after "
                             f"{backoffs} back-off(s)",
                         )
-                    end_of_cycle(force_checkpoint=True)
+                    end_of_cycle()
                     break
                 lam = lam + penalty * gap
                 end_of_cycle()

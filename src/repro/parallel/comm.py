@@ -292,12 +292,6 @@ class LockstepComm:
             return float(np.sum(contributions))
         return np.asarray(contributions, dtype=np.float64).sum(axis=0)
 
-    def allreduce_sum(self, contributions: list[float]) -> float:
-        """Global sum (MPI_Allreduce) of one scalar per rank."""
-        if len(contributions) != self.size:
-            raise ValueError(f"expected {self.size} contributions, got {len(contributions)}")
-        return self._allreduce([float(c) for c in contributions])
-
     def allreduce_sum_vec(self, contributions: list[np.ndarray]) -> np.ndarray:
         """Element-wise global sum of one small vector per rank.
 

@@ -24,7 +24,6 @@ exchange, so an injected or real communication fault surfaces as
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
@@ -263,28 +262,18 @@ class DistributedSystem:
     def can_recover(self) -> bool:
         return self._recovery is not None
 
-    def enable_recovery(self, directory=None) -> "DistributedSystem":
-        """Capture the durable per-rank data a replacement process needs.
+    def enable_recovery(self) -> "DistributedSystem":
+        """Capture the per-rank data a replacement process needs.
 
         Local-failure-local-recovery: when a rank dies, only *its* state
-        is rebuilt — from its own partitioner output / assembly data
-        (the ``domain.<rank>.npz`` local data files of
-        :mod:`repro.io.distio` when *directory* is given, an equivalent
-        in-memory copy otherwise) and its slice of the right-hand side.
-        The surviving ranks are untouched; the in-flight Krylov state is
-        the CG checkpoint's job
+        is rebuilt — from an in-memory copy of its own partitioner output
+        / assembly data and its slice of the right-hand side.  The
+        surviving ranks are untouched; the in-flight Krylov state is the
+        CG checkpoint's job
         (:class:`~repro.resilience.checkpoint.CGCheckpointStore`).
         """
-        if directory is not None:
-            from repro.io.distio import write_local_data
-
-            write_local_data(self.domains, directory)
-            domains_copy = None
-        else:
-            domains_copy = [_clone_domain(dom) for dom in self.domains]
         self._recovery = {
-            "directory": directory,
-            "domains": domains_copy,
+            "domains": [_clone_domain(dom) for dom in self.domains],
             "b_parts": [bp.copy() for bp in self.b_parts],
         }
         return self
@@ -292,25 +281,20 @@ class DistributedSystem:
     def recover_rank(self, rank: int, *, report: SolveReport | None = None) -> None:
         """Rebuild a dead rank's domain, preconditioner and RHS slice.
 
-        The replacement re-reads the rank's local data file (matrix rows
-        + communication tables) and the communicator's ``revive`` runs
-        the rank's set-up again on it — on the process transport in a
-        replacement worker forked for this rank alone.  The symbolic
+        The replacement is a copy of the rank's captured local data
+        (matrix rows + communication tables), and the communicator's
+        ``revive`` runs the rank's set-up again on it — on the process
+        transport in a replacement worker forked for this rank alone.  The symbolic
         phase is deterministic, so the rebuilt factor is the lost one bit
         for bit.
         """
         if self._recovery is None:
             raise RuntimeError(
                 "recover_rank requires enable_recovery() before the solve — "
-                "without durable local data a dead rank cannot be rebuilt"
+                "without a copy of its local data a dead rank cannot be rebuilt"
             )
         store = self._recovery
-        if store["directory"] is not None:
-            from repro.io.distio import read_local_domain
-
-            dom = read_local_domain(store["directory"], rank)
-        else:
-            dom = _clone_domain(store["domains"][rank])
+        dom = _clone_domain(store["domains"][rank])
         self.domains[rank] = dom  # list shared with the communicator
         self.b_parts[rank] = store["b_parts"][rank].copy()
         self.preconds[rank] = self.comm.revive(rank)
@@ -319,7 +303,7 @@ class DistributedSystem:
                 "retry",
                 "parallel_cg",
                 FailureReason.RANK_FAILURE,
-                detail=f"rank {rank} rebuilt from durable local data; set-up re-run",
+                detail=f"rank {rank} rebuilt from its captured local data; set-up re-run",
                 rank=rank,
             )
 
@@ -352,8 +336,8 @@ class DistributedSystem:
 
 
 def _clone_domain(dom: LocalDomain) -> LocalDomain:
-    """Deep copy with fresh buffers — the recovery store's in-memory stand-in
-    for re-reading the rank's local data file."""
+    """Deep copy with fresh buffers — the recovery store's copy of a
+    rank's local data."""
     return LocalDomain(
         rank=dom.rank,
         internal_nodes=dom.internal_nodes.copy(),
@@ -445,15 +429,18 @@ def rank_cg(rank, dom, m, st: _KrylovState, store, resume, cg_opts):
     )
 
 
+MAX_ROLLBACKS = 3
+"""How many detected faults one :func:`parallel_cg` solve rolls back from
+before it ends with the detection's reason."""
+
+
 def parallel_cg(
     system: DistributedSystem,
     *,
     eps: float = 1e-8,
     max_iter: int = 10000,
     stagnation_window: int = 0,
-    time_budget: float | None = None,
     checkpoint_interval: int = 0,
-    max_rollbacks: int = 3,
     report: SolveReport | None = None,
 ) -> CGResult:
     """Preconditioned CG on a distributed system, one SPMD body per rank.
@@ -473,9 +460,8 @@ def parallel_cg(
     ghost values (:meth:`LockstepComm.halo_mismatch`, or the
     process transport's sender/receiver checksums) and aborts with
     ``reason=COMM_FAULT`` on any disagreement — the detection side of
-    both transports' ``inject_worker_fault``.  ``stagnation_window``,
-    ``time_budget`` and ``report`` behave as in
-    :func:`~repro.solvers.cg.cg_solve`.
+    both transports' ``inject_worker_fault``.  ``stagnation_window`` and
+    ``report`` behave as in :func:`~repro.solvers.cg.cg_solve`.
 
     Checkpoint/rollback (DESIGN.md section 10): when
     ``checkpoint_interval > 0`` every rank snapshots its Krylov state
@@ -483,7 +469,7 @@ def parallel_cg(
     (:class:`~repro.resilience.checkpoint.CGCheckpointStore`), and a
     detected fault ends the current solve attempt and starts the next one
     from the last snapshot every rank completed — or from the beginning,
-    when none has been yet — up to ``max_rollbacks`` times:
+    when none has been yet — up to :data:`MAX_ROLLBACKS` times:
 
     - a transient ``COMM_FAULT`` (corrupted halo) rolls every rank back
       and re-executes — the retried exchanges are clean, so the iterates
@@ -499,8 +485,8 @@ def parallel_cg(
       :meth:`DistributedSystem.enable_recovery` to have been called —
       then rolls back and resumes.
 
-    With the budget exhausted (or checkpointing off) behavior reverts to
-    PR 2's fail-fast: the solve ends with the detection's reason.
+    With the rollbacks used up (or checkpointing off) the solve fails
+    fast: it ends with the detection's reason.
     """
     comm = system.comm
     for d, bp in enumerate(system.b_parts):
@@ -519,12 +505,7 @@ def parallel_cg(
         from repro.resilience.checkpoint import CGCheckpointStore
 
         store = CGCheckpointStore([v.size for v in st.x], checkpoint_interval, alloc)
-    cg_opts = dict(
-        eps=eps,
-        max_iter=max_iter,
-        stagnation_window=stagnation_window,
-        deadline=None if time_budget is None else time.perf_counter() + time_budget,
-    )
+    cg_opts = dict(eps=eps, max_iter=max_iter, stagnation_window=stagnation_window)
     rollbacks = 0
     resume = None
 
@@ -562,7 +543,7 @@ def parallel_cg(
             detect(reason, done, detail)
             if (
                 store is None
-                or rollbacks >= max_rollbacks
+                or rollbacks >= MAX_ROLLBACKS
                 or (dead is not None and not system.can_recover)
             ):
                 out = CGOutcome(done, False, reason)
@@ -584,7 +565,7 @@ def parallel_cg(
                         if resume is None
                         else f"rolled back to checkpointed iteration {resume.iteration}"
                     )
-                    + f" (rollback {rollbacks}/{max_rollbacks})",
+                    + f" (rollback {rollbacks}/{MAX_ROLLBACKS})",
                 )
 
     record_solve_metrics(out, timer.elapsed, solver="parallel_cg")

@@ -87,35 +87,8 @@ class LocalDomain:
     def n_local(self) -> int:
         return int(self.internal_nodes.size + self.external_nodes.size)
 
-    @property
-    def boundary_nodes(self) -> np.ndarray:
-        """Local indices of internal nodes any neighbor needs (Fig. 3)."""
-        if not self.send_tables:
-            return np.empty(0, dtype=np.int64)
-        return np.unique(np.concatenate(list(self.send_tables.values())))
-
     def local_dofs(self, local_nodes: np.ndarray) -> np.ndarray:
         return (np.asarray(local_nodes)[:, None] * self.b + np.arange(self.b)).reshape(-1)
-
-
-def overlapping_elements(
-    hexes: np.ndarray, node_domain: np.ndarray
-) -> list[np.ndarray]:
-    """Per-domain overlapping element lists (Fig. 3's local data).
-
-    GeoFEM's local data includes every element that touches one of the
-    domain's internal nodes, so stiffness assembly needs no
-    communication (section 2.1).  Elements along boundaries appear in
-    several domains — that is the overlap.
-    """
-    hexes = np.asarray(hexes, dtype=np.int64)
-    node_domain = np.asarray(node_domain, dtype=np.int64)
-    ndom = int(node_domain.max()) + 1
-    elem_domains = node_domain[hexes]  # (e, 8)
-    out = []
-    for d in range(ndom):
-        out.append(np.flatnonzero((elem_domains == d).any(axis=1)).astype(np.int64))
-    return out
 
 
 def build_domains(

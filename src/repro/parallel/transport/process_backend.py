@@ -637,9 +637,3 @@ class ProcessTransport:
         if any(a.shape != arrs[0].shape for a in arrs):
             raise ValueError("each rank must contribute a vector of equal length")
         return self.run(_allreduce, arrs)[0]
-
-    def allreduce_sum(self, contributions: list[float]) -> float:
-        """Global scalar sum (a 1-element vector allreduce)."""
-        return float(
-            self.allreduce_sum_vec([np.array([float(c)]) for c in contributions])[0]
-        )

@@ -22,8 +22,6 @@ from repro.perfmodel.spec import StructuredSpec
 from repro.perfmodel.hybrid import (
     IterationTime,
     estimate_iteration_time,
-    gflops,
-    sweep_nodes,
 )
 
 __all__ = [
@@ -37,6 +35,4 @@ __all__ = [
     "StructuredSpec",
     "IterationTime",
     "estimate_iteration_time",
-    "gflops",
-    "sweep_nodes",
 ]

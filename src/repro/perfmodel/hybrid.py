@@ -133,19 +133,3 @@ def estimate_iteration_time(
         n_nodes=n_nodes,
     )
 
-
-def gflops(
-    census: SolverOpCensus, machine: MachineModel, model: str, n_nodes: int
-) -> float:
-    """Aggregate sustained GFLOPS for one configuration."""
-    return estimate_iteration_time(census, machine, model, n_nodes).gflops_total()
-
-
-def sweep_nodes(
-    census: SolverOpCensus,
-    machine: MachineModel,
-    model: str,
-    node_counts: list[int],
-) -> list[IterationTime]:
-    """Weak-scaling sweep: the same per-node census on growing clusters."""
-    return [estimate_iteration_time(census, machine, model, n) for n in node_counts]

@@ -59,9 +59,6 @@ class Interconnect:
     bandwidth_bytes: float  # per link
     allreduce_latency_seconds: float  # per tree stage
 
-    def message_time(self, nbytes: float) -> float:
-        return self.latency_seconds + nbytes / self.bandwidth_bytes
-
     def allreduce_time(self, nranks: int, nbytes: float = 8.0) -> float:
         if nranks <= 1:
             return 0.0
@@ -79,10 +76,6 @@ class MachineModel:
     inter_node: Interconnect
     intra_node: Interconnect  # flat-MPI messages inside one SMP node
     openmp_sync_seconds: float  # one OpenMP barrier / parallel-do launch
-
-    @property
-    def node_peak_flops(self) -> float:
-        return self.pe.peak_flops * self.pe_per_node
 
 
 EARTH_SIMULATOR = MachineModel(

@@ -12,9 +12,9 @@ chooses the ladder *per problem* from the operator itself:
    iteration theory and Table 2-shaped breakdown risk.
 
 :class:`~repro.policy.ladder.SolverPolicy` folds these into a ranked
-:class:`~repro.resilience.resilient.FallbackStage` ladder with the same
-surface (and the same Diagonal backstop) as ``default_ladder``, so the
-resilient solver, the ALM driver, and the serve session consume policy
+:class:`~repro.resilience.resilient.FallbackStage` ladder built by
+:func:`~repro.resilience.resilient.build_ladder` (with its Diagonal
+backstop), so the resilient solver and the serve session consume policy
 decisions unchanged.  What each decision's solves cost is tallied per
 probe fingerprint (:mod:`repro.policy.history`) for the serve census;
 no decision reads the tally.

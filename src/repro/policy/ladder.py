@@ -3,11 +3,10 @@
 :class:`SolverPolicy` ranks the families a problem admits
 (:func:`repro.precond.families.ladder_families`) by the cost model's
 predicted seconds (:func:`repro.policy.cost.candidate_costs`) from a
-cheap probe, and builds the ladder in that order while keeping the
-:class:`~repro.resilience.resilient.FallbackStage` surface of
-:func:`repro.resilience.resilient.default_ladder` —
-:class:`~repro.resilience.resilient.ResilientSolver` and the ALM driver
-run a policy-built ladder unchanged, and every robustness property of
+cheap probe, and builds the ladder in that order with
+:func:`repro.resilience.resilient.build_ladder` —
+:class:`~repro.resilience.resilient.ResilientSolver` runs a
+policy-built ladder like any other, and every robustness property of
 the chain (escalation, warm restart, the Diagonal backstop) is
 preserved.  The policy only chooses which rung goes *first* and how the
 retry schedule behind it looks; it never removes the ladder.
@@ -162,8 +161,7 @@ class SolverPolicy:
         :func:`~repro.resilience.resilient.build_ladder` with the
         decision's order — so the shift schedule, the shared IC symbolic
         cache and the Diagonal rung that is always last (no decision can
-        remove the unbreakable backstop) are those of
-        :func:`~repro.resilience.resilient.default_ladder`.
+        remove the unbreakable backstop) are those of every ladder.
         """
         decision = self.decide(a, contact_groups, cache_key=cache_key)
         return build_ladder(a, contact_groups, decision.order, b=b), decision

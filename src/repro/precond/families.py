@@ -82,8 +82,8 @@ def ladder_families(n_groups: int, block_ok: bool) -> tuple[str, ...]:
     scalar IC(0), Diagonal scaling never breaks.  Selective blocking
     needs contact groups and 3x3 blocks; the level-0 IC rung is BIC(0)
     when the blocks exist and scalar IC(0) when they do not.  The cost
-    model prices exactly these, and ``default_ladder`` runs them in
-    this order.
+    model prices exactly these, and ``build_ladder`` over this order
+    runs them.
     """
     level0 = "bic0" if block_ok else "ic0"
     if n_groups > 0 and block_ok:

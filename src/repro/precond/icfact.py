@@ -927,11 +927,6 @@ class BlockICFactorization(Preconditioner):
             for bucket in self.symbolic.full_updates[g]:
                 _full_update(data, self._dinv, bucket)
 
-    @property
-    def pivot_nudge_count(self) -> int:
-        """Number of diagonal blocks whose pivot had to be regularized."""
-        return self.breakdown_count
-
     def factorization_stats(self) -> dict:
         """Setup-quality census: pivot nudges, fill, schedule shape, and
         the symbolic/numeric setup counts of this instance."""
@@ -1162,10 +1157,6 @@ class BlockICFactorization(Preconditioner):
             seg = v[dof]
             out[dof.reshape(-1)] = np.matmul(blocks, seg[..., None])[..., 0].reshape(-1)
         return out
-
-    def diag_blocks_dense(self) -> list[np.ndarray]:
-        """Factorized diagonal blocks D-tilde, one per super-node."""
-        return [self.L.block(self._diag_pos[i]).copy() for i in range(self.L.N)]
 
     # ------------------------------------------------------------------
     # introspection for the benches / performance model

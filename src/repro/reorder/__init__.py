@@ -2,27 +2,23 @@
 
 The paper uses multicolor (MC) ordering so that all rows inside one color
 are mutually independent: factorization and forward/backward substitution
-can then be vectorized within a color.  Cuthill-McKee (CM/RCM) level sets
-and the cyclic CM-RCM combination are provided for the simple-geometry
-ICCG experiments, and the :class:`~repro.reorder.coloring.Coloring`
-container is what every downstream consumer (factorization engine, DJDS
-builder, performance model) receives.
+can then be vectorized within a color.  Reverse Cuthill-McKee groups the
+nodes of the Fig. 7 CEBE clusters, and the
+:class:`~repro.reorder.coloring.Coloring` container is what every
+downstream consumer (factorization engine, DJDS builder, performance
+model) receives.
 """
 
 from repro.reorder.coloring import Coloring
-from repro.reorder.graph import adjacency_from_pattern, degrees
+from repro.reorder.graph import adjacency_from_pattern
 from repro.reorder.multicolor import greedy_color, multicolor
-from repro.reorder.rcm import cuthill_mckee, rcm_levels, reverse_cuthill_mckee
-from repro.reorder.cmrcm import cm_rcm
+from repro.reorder.rcm import cuthill_mckee, reverse_cuthill_mckee
 
 __all__ = [
     "Coloring",
     "adjacency_from_pattern",
-    "degrees",
     "greedy_color",
     "multicolor",
     "cuthill_mckee",
     "reverse_cuthill_mckee",
-    "rcm_levels",
-    "cm_rcm",
 ]

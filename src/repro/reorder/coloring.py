@@ -56,9 +56,6 @@ class Coloring:
     def n(self) -> int:
         return int(self.colors.size)
 
-    def class_sizes(self) -> np.ndarray:
-        return np.diff(self.color_ptr)
-
     def class_members(self, c: int) -> np.ndarray:
         """Old vertex indices of color ``c`` in ordering position."""
         return self.perm[self.color_ptr[c] : self.color_ptr[c + 1]]

@@ -24,26 +24,9 @@ def adjacency_from_pattern(pattern: sp.spmatrix | sp.sparray) -> sp.csr_matrix:
     return g
 
 
-def degrees(adj: sp.csr_matrix) -> np.ndarray:
-    """Vertex degrees of an adjacency CSR."""
-    return np.diff(adj.indptr)
-
-
-def neighbors(adj: sp.csr_matrix, v: int) -> np.ndarray:
-    """Neighbor list of vertex ``v``."""
-    return adj.indices[adj.indptr[v] : adj.indptr[v + 1]]
-
-
 def is_independent_set(adj: sp.csr_matrix, nodes: np.ndarray) -> bool:
     """True if no two vertices of *nodes* are adjacent."""
     mask = np.zeros(adj.shape[0], dtype=bool)
     mask[nodes] = True
     sub = adj[nodes]
     return not mask[sub.indices].any()
-
-
-def connected_components(adj: sp.csr_matrix) -> np.ndarray:
-    """Component label per vertex (thin wrapper over scipy csgraph)."""
-    ncomp, labels = sp.csgraph.connected_components(adj, directed=False)
-    del ncomp
-    return labels

@@ -1,10 +1,9 @@
 """Cuthill-McKee / reverse Cuthill-McKee orderings and their level sets.
 
 RCM (paper section 4.2, Fig. 11a) is the classical level-set method: it
-reduces fill for factorization and, on structured grids, produces the
-"hyperplane" level sets that CM-RCM cycles over.  We keep our own
-implementation (rather than scipy's) because the CM-RCM combination needs
-the level-set boundaries, which scipy does not expose.
+reduces fill for factorization and, on structured grids, produces
+"hyperplane" level sets.  The orderings return the level-set boundaries
+with the permutation, which scipy's does not expose.
 """
 
 from __future__ import annotations
@@ -67,13 +66,3 @@ def reverse_cuthill_mckee(adj: sp.csr_matrix, start: int | None = None):
     rperm = perm[::-1].copy()
     rlevels = (n - level_ptr)[::-1].copy()
     return rperm, rlevels
-
-
-def rcm_levels(adj: sp.csr_matrix, start: int | None = None) -> np.ndarray:
-    """Level index per vertex under RCM (used by CM-RCM cyclic coloring)."""
-    perm, level_ptr = reverse_cuthill_mckee(adj, start=start)
-    n = perm.size
-    levels = np.empty(n, dtype=np.int64)
-    for lv in range(level_ptr.size - 1):
-        levels[perm[level_ptr[lv] : level_ptr[lv + 1]]] = lv
-    return levels

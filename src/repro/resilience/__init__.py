@@ -42,7 +42,6 @@ __all__ = [
     "SolveReport",
     "ResilientSolver",
     "FallbackStage",
-    "default_ladder",
     "RankFailure",
     "CGCheckpoint",
     "CGCheckpointStore",
@@ -53,7 +52,6 @@ __all__ = [
 _LAZY = {
     "ResilientSolver": "repro.resilience.resilient",
     "FallbackStage": "repro.resilience.resilient",
-    "default_ladder": "repro.resilience.resilient",
     "CGCheckpoint": "repro.resilience.checkpoint",
     "CGCheckpointStore": "repro.resilience.checkpoint",
     "AlmJournal": "repro.resilience.checkpoint",

@@ -27,11 +27,11 @@ import scipy.sparse as sp
 
 from repro.obs import metric_inc, span as obs_span
 from repro.precond.base import Preconditioner
-from repro.precond.families import FAMILY_TABLE, ladder_families
+from repro.precond.families import FAMILY_TABLE
 from repro.resilience.taxonomy import FailureReason, PivotNudgeWarning, SolveReport
 from repro.solvers.cg import CGResult, cg_solve, check_finite_vector
 
-__all__ = ["FallbackStage", "ResilientSolver", "build_ladder", "default_ladder"]
+__all__ = ["FallbackStage", "ResilientSolver", "build_ladder"]
 
 SHIFTS = (0.01, 0.1)
 """The Manteuffel shifts of the level-0 IC rung's retries, as fractions
@@ -122,23 +122,6 @@ def build_ladder(
     return stages
 
 
-def default_ladder(
-    a,
-    contact_groups: list[np.ndarray] | None = None,
-    *,
-    b: int = 3,
-) -> list[FallbackStage]:
-    """The standard escalation ladder for a (possibly contact) system:
-    the paper's robustness order, :func:`~repro.precond.families.ladder_families`
-    — SB-BIC(0) (its most robust option) first when contact groups
-    exist, then BIC(0) (scalar IC(0) when the dimension is not a
-    multiple of *b*) and its shifted retries, then diagonal scaling (see
-    :func:`build_ladder`)."""
-    n_groups = len(contact_groups) if contact_groups else 0
-    order = ladder_families(n_groups, a.shape[0] % b == 0)
-    return build_ladder(a, contact_groups, order, b=b)
-
-
 _ESCALATABLE = frozenset(
     {
         FailureReason.BREAKDOWN_INDEFINITE,
@@ -155,13 +138,13 @@ class ResilientSolver:
     Parameters
     ----------
     a:
-        The SPD system matrix (any form :func:`cg_solve` accepts).
+        The SPD system matrix, any scipy sparse format.
     ladder:
         Ordered :class:`FallbackStage` list, most powerful first (see
-        :func:`default_ladder`).
-    stagnation_window / time_budget:
-        Forwarded to each :func:`cg_solve` attempt; the time budget is
-        shared across the whole chain (remaining time shrinks per stage).
+        :func:`build_ladder`; the paper's robustness order is
+        :func:`~repro.precond.families.ladder_families`).
+    stagnation_window:
+        Forwarded to each :func:`cg_solve` attempt.
     on_stage_result:
         Optional ``callback(stage, CGResult)`` invoked with the
         :class:`FallbackStage` after every attempted rung, converged or
@@ -188,7 +171,6 @@ class ResilientSolver:
         eps: float = 1e-8,
         max_iter: int | None = None,
         stagnation_window: int = 50,
-        time_budget: float | None = None,
         report: SolveReport | None = None,
         on_stage_result: Callable[[FallbackStage, CGResult], None] | None = None,
     ) -> None:
@@ -199,7 +181,6 @@ class ResilientSolver:
         self.eps = eps
         self.max_iter = max_iter
         self.stagnation_window = stagnation_window
-        self.time_budget = time_budget
         self.report = report if report is not None else SolveReport()
         self.on_stage_result = on_stage_result
 
@@ -249,17 +230,6 @@ class ResilientSolver:
 
         for i, stage in enumerate(self.ladder):
             is_last = i == len(self.ladder) - 1
-            remaining = None
-            if self.time_budget is not None:
-                remaining = self.time_budget - (time.perf_counter() - t_start)
-                if remaining <= 0:
-                    self.report.record(
-                        "detect",
-                        stage.name,
-                        FailureReason.TIME_BUDGET,
-                        detail="budget exhausted before stage start",
-                    )
-                    break
             m = self._build_stage(stage, is_last)
             if m is None:
                 if not is_last:
@@ -285,7 +255,6 @@ class ResilientSolver:
                 max_iter=self.max_iter,
                 x0=best_x,
                 stagnation_window=self.stagnation_window,
-                time_budget=remaining,
                 report=self.report,
             )
             last = res
@@ -320,13 +289,11 @@ class ResilientSolver:
             # release the superseded rung's numeric arrays before the next
             # rung builds its own — otherwise the largest factorization of
             # the ladder stays alive for the whole escalation, and across
-            # ALM retries that head-room compounds (the default_ladder's
+            # ALM retries that head-room compounds (build_ladder's
             # shared BIC cache is exempt by design: it is refactored in
             # place, never duplicated)
             m = None  # noqa: F841
             failed_before = True
-            if res.reason is FailureReason.TIME_BUDGET:
-                break
             if res.reason in _ESCALATABLE and not is_last:
                 self.report.record(
                     "escalate",
@@ -338,18 +305,14 @@ class ResilientSolver:
                 metric_inc("fallback.escalations", stage=stage.name)
 
         if last is None:
-            # no stage produced a solve (all setups failed, or the budget
-            # ran out first); return the best we have, tagged with the
-            # most recent detection
-            detections = self.report.detections()
-            reason = detections[-1].reason if detections else None
+            # every rung's set-up failed: return the best we have
             last = CGResult(
                 x=best_x if best_x is not None else np.zeros(b.size),
                 iterations=0,
                 converged=False,
                 relative_residual=best_relres,
                 solve_seconds=time.perf_counter() - t_start,
-                reason=reason if reason is not None else FailureReason.SETUP_PIVOT_FAILURE,
+                reason=FailureReason.SETUP_PIVOT_FAILURE,
             )
         last.report = self.report
         return last

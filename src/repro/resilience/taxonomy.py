@@ -69,9 +69,6 @@ class FailureReason(Enum):
     NIC).  Unlike ``RANK_FAILURE`` no state was lost, so the recovery is a
     checkpoint rollback without a respawn."""
 
-    TIME_BUDGET = "time_budget"
-    """Wall-clock budget for the solve was exhausted."""
-
     OVERLOADED = "overloaded"
     """The serving layer refused the request at admission: the bounded
     job queue was full (back-pressure, not a solver fault).  The client
@@ -275,13 +272,6 @@ class SolveReport:
 
     def recoveries(self) -> list[SolveEvent]:
         return [e for e in self.events if e.kind == "recover"]
-
-    def counts_by_reason(self) -> dict[FailureReason, int]:
-        out: dict[FailureReason, int] = {}
-        for e in self.detections():
-            if e.reason is not None:
-                out[e.reason] = out.get(e.reason, 0) + 1
-        return out
 
     # -- serialization (used by the ALM checkpoint journal) -------------
 

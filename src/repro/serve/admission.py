@@ -55,14 +55,12 @@ class AdmissionPolicy:
     ``max_queue_depth`` bounds jobs that are pending or running (the
     back-pressure trigger); ``max_payload_bytes`` bounds one request's
     explicit RHS payload; ``default_deadline_s`` applies to requests
-    that name no deadline of their own (None = no implicit deadline);
-    ``quarantine_keep`` bounds the in-memory quarantine ring.
+    that name no deadline of their own (None = no implicit deadline).
     """
 
     max_queue_depth: int = 256
     max_payload_bytes: int = 32 << 20
     default_deadline_s: float | None = None
-    quarantine_keep: int = 64
 
     def __post_init__(self) -> None:
         if self.max_queue_depth < 1:
@@ -77,10 +75,10 @@ class AdmissionPolicy:
             raise ValueError(
                 f"default_deadline_s must be positive, got {self.default_deadline_s}"
             )
-        if self.quarantine_keep < 0:
-            raise ValueError(
-                f"quarantine_keep must be >= 0, got {self.quarantine_keep}"
-            )
+
+
+QUARANTINE_KEEP = 64
+"""How many of the latest quarantine records the ring keeps."""
 
 
 @dataclass
@@ -130,9 +128,7 @@ class AdmissionController:
         self.admitted = 0
         self.rejected: dict[str, int] = {}
         self.deadline_expired = 0
-        self._quarantine: deque[QuarantineRecord] = deque(
-            maxlen=self.policy.quarantine_keep or 1
-        )
+        self._quarantine: deque[QuarantineRecord] = deque(maxlen=QUARANTINE_KEEP)
         self.quarantined = 0
 
     # -- screening --------------------------------------------------------
@@ -203,13 +199,8 @@ class AdmissionController:
         """Record a fault-isolated request (worker crash/wedge)."""
         with self._lock:
             self.quarantined += 1
-            if self.policy.quarantine_keep:
-                self._quarantine.append(record)
+            self._quarantine.append(record)
         obs.metric_inc("serve.quarantine", reason=record.reason)
-
-    def quarantine_records(self) -> list[QuarantineRecord]:
-        with self._lock:
-            return list(self._quarantine)
 
     # -- introspection ----------------------------------------------------
 

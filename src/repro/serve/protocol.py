@@ -208,16 +208,6 @@ class SolveRequest:
             d["rhs"] = self.rhs
         return d
 
-    def solve_key(self) -> tuple:
-        """Requests with equal keys may legally coalesce into one
-        block solve (same operator, same preconditioner, same stopping
-        criteria).  A chaos-carrying request never coalesces — the
-        injected fault must take down only its own group."""
-        key: tuple = (self.model, self.scale, self.penalty, self.precond, self.eps, self.max_iter)
-        if self.chaos is not None:
-            key += (("chaos", self.job_id),)
-        return key
-
     def remaining_s(self, now: float) -> float | None:
         """Seconds of deadline budget left at monotonic time *now*
         (None = no deadline).  Counted from server receipt

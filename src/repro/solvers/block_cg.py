@@ -30,11 +30,9 @@ observability span per solve, per-iteration events, and a tagged
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.kernels import csr_matvecs
 from repro.obs import session as obs_session, span as obs_span
@@ -97,32 +95,12 @@ class BlockCGResult:
 
 
 def _as_block_matvec(a):
-    """Matvec adapter for ``(n, s)`` blocks: one pass over *a* per call.
-
-    scipy CSR goes through the compiled block product
-    (:func:`repro.kernels.csr_matvecs`; normalised once per solve, like
-    :func:`~repro.solvers.cg._as_matvec`); a
-    :class:`~repro.sparse.bcsr.BCSRMatrix` goes through its cached BSR
-    handle; anything exposing only a vector ``matvec`` falls back to a
-    column loop (correct, loses the blocking win)."""
-    if sp.issparse(a):
-        a_csr = _float64_csr(a)
-        return lambda v: csr_matvecs(a_csr, v)
-    if hasattr(a, "to_bsr"):
-        bsr = a.to_bsr()
-        return lambda v: bsr @ v
-    if isinstance(a, np.ndarray):
-        return lambda v: a @ v
-    if hasattr(a, "matvec"):
-
-        def colwise(v):
-            out = np.empty_like(v)
-            for j in range(v.shape[1]):
-                out[:, j] = a.matvec(np.ascontiguousarray(v[:, j]))
-            return out
-
-        return colwise
-    raise TypeError(f"cannot interpret {type(a).__name__} as a linear operator")
+    """The ``(n, s)`` block product with the scipy sparse matrix *a*, one
+    pass over it per call: the compiled block product
+    (:func:`repro.kernels.csr_matvecs`) on *a* normalised to float64 CSR
+    once per solve, like :func:`~repro.solvers.cg._as_matvec`."""
+    a_csr = _float64_csr(a)
+    return lambda v: csr_matvecs(a_csr, v)
 
 
 def _apply_block(m: Preconditioner, r: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -166,7 +144,8 @@ def block_cg_solve(
     Parameters
     ----------
     a:
-        SPD matrix (scipy sparse, BCSR, dense, or vector-``matvec``).
+        SPD matrix, any scipy sparse format (normalised once to float64
+        CSR for the compiled block product).
     b:
         Right-hand sides, shape ``(n, s)`` (a 1-D *b* is treated as one
         column).  Must be finite.

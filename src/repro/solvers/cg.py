@@ -16,7 +16,6 @@ runs it for one rank that owns the whole matrix,
 from __future__ import annotations
 
 import inspect
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,7 +136,6 @@ def cg_program(
     eps: float,
     max_iter: int,
     stagnation_window: int,
-    deadline: float | None = None,
     x0: np.ndarray | None = None,
     store=None,
     rank: int = 0,
@@ -161,8 +159,7 @@ def cg_program(
     *vector* allreduce, 2 per iteration instead of 3 (the latency the
     paper's Fig. 20 model cares about).  That requires applying the
     preconditioner before the convergence check — a converged solve pays
-    one apply it does not use; the iterates are unchanged.  A wall-clock
-    *deadline* must be judged collectively, so it rides there too.
+    one apply it does not use; the iterates are unchanged.
 
     *history* gets every iteration's relative residual by ``append`` and
     is read back by index.  *x0* is an optional start iterate (``b.b``
@@ -219,10 +216,7 @@ def cg_program(
         # supports it; p is updated in place — the loop body then allocates
         # nothing beyond the matvec output
         z = m.apply(r, out=z) if reuse_z and z is not None else m.apply(r)
-        dots = [r @ r, r @ z]
-        if deadline is not None:
-            dots.append(float(time.perf_counter() > deadline))
-        sums = yield np.array(dots)
+        sums = yield np.array([r @ r, r @ z])
         relres = np.sqrt(sums[0]) / bnorm
         history.append(relres)
         if sess is not None:
@@ -238,8 +232,6 @@ def cg_program(
                 f"no {1 - STAGNATION_RTOL:.0%} improvement in "
                 f"{stagnation_window} iterations",
             )
-        if deadline is not None and sums[2] > 0.0:
-            return failed(FailureReason.TIME_BUDGET, "budget exhausted")
         beta = sums[1] / rz
         rz = sums[1]
         p *= beta
@@ -268,7 +260,6 @@ def cg_solve(
     x0: np.ndarray | None = None,
     record_history: bool = True,
     stagnation_window: int = 0,
-    time_budget: float | None = None,
     report: SolveReport | None = None,
 ) -> CGResult:
     """Solve ``A x = b`` by preconditioned CG.
@@ -276,8 +267,8 @@ def cg_solve(
     Parameters
     ----------
     a:
-        SPD matrix: scipy sparse, :class:`~repro.sparse.bcsr.BCSRMatrix`,
-        or any object with a ``matvec``/``@`` on flat vectors.
+        SPD matrix, any scipy sparse format (normalised once to float64
+        CSR for the compiled product).
     b:
         Right-hand side.  Must be finite (NaN/Inf raises ``ValueError``).
     preconditioner:
@@ -293,9 +284,6 @@ def cg_solve(
         residual of the last *window* iterations did not improve on the
         best before them by at least a factor :data:`STAGNATION_RTOL`.
         0 (default) disables the check, reproducing the paper's runs.
-    time_budget:
-        Optional wall-clock cap in seconds; the loop stops with
-        ``reason=TIME_BUDGET`` once exceeded (checked per iteration).
     report:
         Optional :class:`~repro.resilience.taxonomy.SolveReport`; every
         failure detection is appended to it.
@@ -327,7 +315,6 @@ def cg_solve(
             eps=eps,
             max_iter=max_iter,
             stagnation_window=stagnation_window,
-            deadline=None if time_budget is None else time.perf_counter() + time_budget,
             x0=x0,
             labels={"precond": pname},
         )
@@ -359,25 +346,15 @@ def cg_solve(
 def _float64_csr(a) -> sp.csr_matrix:
     """*a* as float64 CSR — what the compiled kernels take without a
     conversion copy per product; a no-op for the matrices the stack builds."""
+    if not sp.issparse(a):
+        raise TypeError(f"expected a scipy sparse matrix, got {type(a).__name__}")
     a = a.tocsr()
     return a if a.dtype == np.float64 else a.astype(np.float64)
 
 
 def _as_matvec(a):
-    """Uniform matvec adapter for the matrix types the stack uses.
-
-    Sparse products are direct compiled-kernel calls
-    (:func:`repro.kernels.csr_matvec`); the matrix is normalised here —
-    once per solve, not per product.
-    """
-    if sp.issparse(a):
-        a_csr = _float64_csr(a)
-        return lambda v: csr_matvec(a_csr, v)
-    if hasattr(a, "to_bsr"):  # BCSRMatrix: the scipy BSR product is the fast path
-        bsr = a.to_bsr()
-        return lambda v: bsr @ v
-    if hasattr(a, "matvec"):
-        return a.matvec
-    if isinstance(a, np.ndarray):
-        return lambda v: a @ v
-    raise TypeError(f"cannot interpret {type(a).__name__} as a linear operator")
+    """The product with the scipy sparse matrix *a*: a direct
+    compiled-kernel call (:func:`repro.kernels.csr_matvec`) on *a*
+    normalised to float64 CSR once per solve, not per product."""
+    a_csr = _float64_csr(a)
+    return lambda v: csr_matvec(a_csr, v)

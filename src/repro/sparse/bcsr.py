@@ -3,8 +3,8 @@
 GeoFEM assembles elastic stiffness matrices with one dense ``ndof x ndof``
 block per pair of connected finite-element nodes (``ndof`` = 3 in 3-D).
 This module provides that assembly-level container plus the conversions
-the rest of the stack needs: scipy BSR/CSR views for fast matvecs, block
-extraction for the preconditioners, and permutation by a node ordering.
+the rest of the stack needs: scipy BSR/CSR views for fast matvecs and
+the node adjacency graph the orderings start from.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
-from repro.utils.validate import check_index_array, check_permutation
+from repro.utils.validate import check_index_array
 
 
 @dataclass
@@ -183,30 +183,9 @@ class BCSRMatrix:
             raise ValueError(f"x must have shape ({self.ndof},), got {x.shape}")
         return self.to_bsr() @ x
 
-    def diagonal_blocks(self) -> np.ndarray:
-        """``(n, b, b)`` array of diagonal blocks (copies)."""
-        out = np.zeros((self.n, self.b, self.b))
-        rows = self.block_rows()
-        on_diag = self.indices == rows
-        out[rows[on_diag]] = self.values[on_diag]
-        return out
-
     def block_rows(self) -> np.ndarray:
         """Expanded block-row index of every stored block, shape ``(nnzb,)``."""
         return np.repeat(np.arange(self.n), np.diff(self.indptr))
-
-    def permuted(self, perm: np.ndarray) -> "BCSRMatrix":
-        """Return ``P A P^T`` for the node permutation ``perm``.
-
-        ``perm[k]`` is the *old* index of the node placed at new position
-        ``k`` (gather convention, as used by the reordering modules).
-        """
-        perm = check_permutation(np.asarray(perm), self.n)
-        iperm = np.empty(self.n, dtype=np.int64)
-        iperm[perm] = np.arange(self.n)
-        rows = iperm[self.block_rows()]
-        cols = iperm[self.indices]
-        return BCSRMatrix.from_coo_blocks(self.n, rows, cols, self.values, b=self.b)
 
     def is_symmetric(self, tol: float = 1e-10) -> bool:
         csr = self.to_csr()

@@ -64,13 +64,6 @@ class DJDSStatistics:
         return float(self.loop_lengths.mean())
 
     @property
-    def weighted_vector_length(self) -> float:
-        """Operation-weighted mean loop length (what the hardware sees)."""
-        ll = self.loop_lengths
-        total = ll.sum()
-        return float((ll * ll).sum() / total) if total else 0.0
-
-    @property
     def load_imbalance_percent(self) -> float:
         r = self.rows_per_pe
         return float(100.0 * (r.max() - r.min()) / max(r.mean(), 1e-30))

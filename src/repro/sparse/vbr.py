@@ -7,7 +7,7 @@ over super-nodes with dense rectangular blocks of varying size — exactly
 the VBR scheme implemented here.
 
 Blocks are stored in one flat ``data`` array with per-block offsets, and
-all bulk operations (matvec, gather/scatter, factorization updates) run
+all bulk operations (gather, expansion, factorization updates) run
 *batched per block shape*: positions with identical ``(row_dofs,
 col_dofs)`` shape are processed in a single vectorized numpy call.  The
 paper's Fig. 22 sorts selective blocks by size for the same reason —
@@ -22,7 +22,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from repro.utils.indexing import concat_ragged
-from repro.utils.validate import check_square_csr
 
 
 def shape_buckets(shape_r: np.ndarray, shape_c: np.ndarray, positions: np.ndarray):
@@ -100,66 +99,6 @@ class VBRMatrix:
             boff=boff,
         )
 
-    @classmethod
-    def from_csr(
-        cls,
-        a: sp.csr_matrix,
-        supernodes: list[np.ndarray],
-        lower_only: bool = False,
-    ) -> "VBRMatrix":
-        """Compress scalar CSR *a* into VBR over the given super-nodes.
-
-        ``supernodes`` is an ordered partition of the DOFs: the VBR matrix
-        is expressed in the permuted numbering where super-node 0's DOFs
-        come first.  With ``lower_only`` the pattern (and data) keep only
-        blocks with ``row >= col`` — the storage incomplete Cholesky needs.
-        """
-        a = check_square_csr(a)
-        snode_of, local = supernode_maps(supernodes, a.shape[0])
-        sizes = np.fromiter((len(s) for s in supernodes), np.int64, len(supernodes))
-        n = sizes.size
-
-        coo = a.tocoo()
-        bi = snode_of[coo.row]
-        bj = snode_of[coo.col]
-        keep = slice(None) if not lower_only else (bi >= bj)
-        bi, bj = bi[keep], bj[keep]
-        key = bi * n + bj
-        uniq = np.unique(key)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
-        m = cls.from_pattern(sizes, indptr, (uniq % n).astype(np.int64)).empty_like()
-        m.scatter_csr(a, snode_of, local, lower_only=lower_only)
-        return m
-
-    def scatter_csr(
-        self,
-        a: sp.csr_matrix,
-        snode_of: np.ndarray,
-        local: np.ndarray,
-        lower_only: bool = False,
-    ) -> None:
-        """Add the entries of scalar CSR *a* into matching blocks.
-
-        Every (kept) entry of *a* must fall inside the existing pattern;
-        missing blocks raise, because silently dropping stiffness entries
-        would corrupt the factorization.
-        """
-        coo = a.tocoo()
-        bi = snode_of[coo.row]
-        bj = snode_of[coo.col]
-        vals = coo.data
-        li = local[coo.row]
-        lj = local[coo.col]
-        if lower_only:
-            keep = bi >= bj
-            bi, bj, vals, li, lj = bi[keep], bj[keep], vals[keep], li[keep], lj[keep]
-        pos = self.find_blocks(bi, bj)
-        if (pos < 0).any():
-            raise ValueError("CSR entry outside the VBR pattern")
-        flat = self.boff[pos] + li * self.sizes[bj] + lj
-        np.add.at(self.data, flat, vals)
-
     def empty_like(self) -> "VBRMatrix":
         """Zero-valued VBR sharing this matrix's structure arrays.
 
@@ -221,11 +160,6 @@ class VBRMatrix:
         flat = self.boff[positions, None] + np.arange(sr * sc)
         return self.data[flat].reshape(-1, sr, sc)
 
-    def scatter_add(self, positions: np.ndarray, sr: int, sc: int, vals: np.ndarray) -> None:
-        """Batched ``data[blocks] += vals`` for same-shape blocks."""
-        flat = self.boff[positions, None] + np.arange(sr * sc)
-        np.add.at(self.data, flat.reshape(-1), vals.reshape(-1))
-
     def memory_bytes(self) -> int:
         return (
             (0 if self.data is None else self.data.nbytes)
@@ -235,25 +169,7 @@ class VBRMatrix:
             + self.sizes.nbytes
         )
 
-    # -- numerics ----------------------------------------------------------
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """Block-sparse matrix-vector product in the VBR DOF numbering,
-        batched per block shape (Fig. 22 idiom)."""
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.ndof,):
-            raise ValueError(f"x must have shape ({self.ndof},), got {x.shape}")
-        y = np.zeros(self.ndof)
-        all_pos = np.arange(self.nnzb, dtype=np.int64)
-        shape_r = self.sizes[self.block_rows_]
-        shape_c = self.sizes[self.indices]
-        for sr, sc, pos in shape_buckets(shape_r, shape_c, all_pos):
-            blocks = self.gather(pos, sr, sc)
-            xseg = x[self.offsets[self.indices[pos], None] + np.arange(sc)]
-            contrib = np.einsum("mrc,mc->mr", blocks, xseg)
-            rows = self.offsets[self.block_rows_[pos], None] + np.arange(sr)
-            np.add.at(y, rows.reshape(-1), contrib.reshape(-1))
-        return y
+    # -- conversions -------------------------------------------------------
 
     def to_csr(self) -> sp.csr_matrix:
         """Expand to scalar CSR (in the VBR DOF numbering)."""
@@ -306,7 +222,3 @@ def supernode_maps(supernodes: list[np.ndarray], ndof: int):
     local[flat] = np.arange(flat.size, dtype=np.int64) - offsets[owner]
     return snode_of, local
 
-
-def permutation_from_supernodes(supernodes: list[np.ndarray]) -> np.ndarray:
-    """DOF permutation implied by a super-node ordering (gather convention)."""
-    return np.concatenate([np.asarray(s, dtype=np.int64) for s in supernodes])

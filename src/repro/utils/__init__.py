@@ -5,7 +5,6 @@ from repro.utils.validate import (
     check_contact_groups,
     check_finite_coords,
     check_index_array,
-    check_permutation,
     check_square_csr,
     check_symmetric,
 )
@@ -15,7 +14,6 @@ __all__ = [
     "check_contact_groups",
     "check_finite_coords",
     "check_index_array",
-    "check_permutation",
     "check_square_csr",
     "check_symmetric",
 ]

@@ -43,10 +43,6 @@ class Timer:
         self.elapsed += time.perf_counter() - self._t0
         self._t0 = None
 
-    def reset(self) -> None:
-        self.elapsed = 0.0
-        self._t0 = None
-
 
 class Laps:
     """Split one region into consecutive named phases.

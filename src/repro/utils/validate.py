@@ -23,18 +23,6 @@ def check_index_array(a: np.ndarray, n: int, name: str = "index array") -> np.nd
     return a
 
 
-def check_permutation(perm: np.ndarray, n: int) -> np.ndarray:
-    """Validate that *perm* is a permutation of 0..n-1."""
-    perm = check_index_array(perm, n, "permutation")
-    if perm.size != n:
-        raise ValueError(f"permutation has length {perm.size}, expected {n}")
-    seen = np.zeros(n, dtype=bool)
-    seen[perm] = True
-    if not seen.all():
-        raise ValueError("permutation is not a bijection on 0..n-1")
-    return perm
-
-
 def check_square_csr(a: sp.spmatrix | sp.sparray, name: str = "matrix") -> sp.csr_matrix:
     """Coerce *a* to square CSR with sorted indices and no duplicates."""
     a = sp.csr_matrix(a)

@@ -74,3 +74,14 @@ def random_spd_csr(n: int, density: float, rng: np.random.Generator) -> sp.csr_m
     a.sum_duplicates()
     a.sort_indices()
     return a
+
+
+def paper_ladder(a, contact_groups=None, b: int = 3):
+    """The escalation ladder in the paper's robustness order for *a*:
+    :func:`build_ladder` over :func:`ladder_families`."""
+    from repro.precond.families import ladder_families
+    from repro.resilience.resilient import build_ladder
+
+    n_groups = len(contact_groups) if contact_groups else 0
+    order = ladder_families(n_groups, a.shape[0] % b == 0)
+    return build_ladder(a, contact_groups, order, b=b)

@@ -64,23 +64,6 @@ class TestOperations:
         with pytest.raises(ValueError, match="shape"):
             m.matvec(np.zeros(5))
 
-    def test_diagonal_blocks(self):
-        rng = np.random.default_rng(5)
-        m, _ = random_bcsr(6, 20, rng)
-        dense = m.toarray()
-        diag = m.diagonal_blocks()
-        for i in range(6):
-            assert np.allclose(diag[i], dense[3 * i : 3 * i + 3, 3 * i : 3 * i + 3])
-
-    def test_permuted_is_similarity(self):
-        rng = np.random.default_rng(6)
-        m, _ = random_bcsr(6, 18, rng)
-        perm = rng.permutation(6)
-        mp = m.permuted(perm)
-        dense = m.toarray()
-        dof_perm = (perm[:, None] * 3 + np.arange(3)).reshape(-1)
-        assert np.allclose(mp.toarray(), dense[np.ix_(dof_perm, dof_perm)])
-
     def test_node_adjacency_symmetric_no_selfloops(self):
         m, _ = random_bcsr(6, 18, np.random.default_rng(7))
         g = m.node_adjacency()
@@ -116,15 +99,3 @@ def test_property_from_coo_equals_scipy(n, seed):
     for r, c, blk in zip(rows, cols, blocks):
         ref[3 * r : 3 * r + 3, 3 * c : 3 * c + 3] += blk
     assert np.allclose(m.toarray(), ref)
-
-
-@settings(max_examples=25, deadline=None)
-@given(n=st.integers(2, 8), seed=st.integers(0, 10_000))
-def test_property_permutation_roundtrip(n, seed):
-    rng = np.random.default_rng(seed)
-    m, _ = random_bcsr(n, 3 * n, rng)
-    perm = rng.permutation(n)
-    iperm = np.empty(n, dtype=int)
-    iperm[perm] = np.arange(n)
-    back = m.permuted(perm).permuted(iperm)
-    assert np.allclose(back.toarray(), m.toarray())

@@ -11,7 +11,6 @@ from repro.precond import DiagonalScaling
 from repro.precond.base import IdentityPreconditioner
 from repro.resilience import FailureReason, SolveReport
 from repro.solvers.cg import cg_solve
-from repro.sparse.bcsr import BCSRMatrix
 
 
 def spd(n, seed, density=0.3):
@@ -79,22 +78,6 @@ class TestBasics:
 
 
 class TestOperatorAdapters:
-    def test_bcsr_matrix_accepted(self):
-        rng = np.random.default_rng(10)
-        dense = rng.normal(size=(9, 9))
-        spd_dense = dense @ dense.T + 9 * np.eye(9)
-        m = BCSRMatrix.from_scipy(sp.csr_matrix(spd_dense))
-        x = rng.normal(size=9)
-        res = cg_solve(m, spd_dense @ x, eps=1e-12)
-        assert res.converged and np.allclose(res.x, x, atol=1e-6)
-
-    def test_dense_array_accepted(self):
-        rng = np.random.default_rng(11)
-        dense = rng.normal(size=(6, 6))
-        a = dense @ dense.T + 6 * np.eye(6)
-        res = cg_solve(a, np.ones(6), eps=1e-12)
-        assert res.converged
-
     def test_rejects_unknown_type(self):
         with pytest.raises(TypeError):
             cg_solve("not a matrix", np.ones(3))
@@ -166,10 +149,6 @@ STOP_CASES = {
         _ill_conditioned,
         {"eps": 1e-15, "max_iter": 5000, "stagnation_window": 5},
         FailureReason.STAGNATION, "no 1% improvement in 5 iterations", 5,
-    ),
-    "time_budget": (
-        lambda: (spd(50, 5, density=0.2), np.ones(50)),
-        {"eps": 1e-30, "time_budget": 0.0}, FailureReason.TIME_BUDGET, "budget exhausted", 1,
     ),
     "max_iter": (
         lambda: (spd(50, 5, density=0.2), np.ones(50)),

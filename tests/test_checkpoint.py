@@ -216,17 +216,6 @@ class TestRankFailureRecovery:
         reasons = [e.reason for e in report.detections()]
         assert FailureReason.RANK_FAILURE in reasons
 
-    def test_durable_disk_recovery(self, block_problem_small, tmp_path):
-        """Recovery from on-disk domain files, not in-memory clones."""
-        ref = parallel_cg(_system(block_problem_small))
-        system = _system(block_problem_small)
-        system.enable_recovery(directory=tmp_path)
-        assert (tmp_path / "domain.1.npz").exists()
-        system.comm.inject_kill(2, at_exchange=3)
-        res = parallel_cg(system, checkpoint_interval=4)
-        assert res.converged
-        assert np.array_equal(res.x, ref.x)
-
     def test_kill_without_recovery_store_aborts(self, block_problem_small):
         """No enable_recovery(): the failure is detected, not masked."""
         system = _system(block_problem_small)

@@ -71,7 +71,7 @@ class TestLockstepComm:
         comm.exchange_external(vectors)
         assert comm.log.n_messages == 2  # one each way
         assert comm.log.bytes_sent > 0
-        comm.allreduce_sum([1.0, 2.0])
+        comm.allreduce_sum_vec([np.array([1.0]), np.array([2.0])])
         assert comm.log.n_allreduce == 1
 
     def test_killed_rank_fails_every_collective_until_revived(
@@ -88,19 +88,19 @@ class TestLockstepComm:
         assert np.isnan(vectors[1]).all()  # its memory died with it
         assert comm.kills == [{"rank": 1, "exchange": 1}]
         with pytest.raises(RankFailure):
-            comm.allreduce_sum([1.0, 2.0])
+            comm.allreduce_sum_vec([np.array([1.0]), np.array([2.0])])
         with pytest.raises(RankFailure):
             comm.run(lambda rank, state: rank)
         assert comm.revive(1) == 1  # its set-up ran again
         assert comm.revivals == [{"rank": 1, "exchange": 2}]
-        assert comm.allreduce_sum([1.0, 2.0]) == 3.0
+        assert comm.allreduce_sum_vec([np.array([1.0]), np.array([2.0])]).tolist() == [3.0]
         # the killed exchange is not in the census
         assert (comm.log.n_messages, comm.log.n_allreduce) == (2, 1)
 
     def test_allreduce_sum(self, block_problem_small):
         part = partition_nodes_rcb(block_problem_small.mesh.coords, 2)
         comm = LockstepComm(build_domains(block_problem_small.a, part))
-        assert comm.allreduce_sum([1.5, 2.5]) == 4.0
+        assert comm.allreduce_sum_vec([np.array([1.5]), np.array([2.5])]).tolist() == [4.0]
 
     def test_wrong_vector_count_rejected(self, block_problem_small):
         part = partition_nodes_rcb(block_problem_small.mesh.coords, 2)

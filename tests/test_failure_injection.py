@@ -58,7 +58,8 @@ class TestDegenerateStructures:
     def test_vbr_empty_matrix(self):
         v = VBRMatrix.from_pattern(np.array([1, 1]), np.array([0, 0, 0]), np.array([], dtype=int))
         assert v.nnzb == 0
-        assert np.allclose(v.matvec(np.zeros(2)), 0.0)
+        assert v.empty_like().to_csr().shape == (2, 2)
+        assert v.empty_like().to_csr().nnz == 0
         assert v.find_blocks(np.array([0]), np.array([1]))[0] == -1
 
     def test_djds_diagonal_only_matrix(self):
@@ -122,11 +123,6 @@ class TestDegenerateStructures:
 
 
 class TestValidationErrors:
-    def test_vbr_from_csr_needs_partition(self):
-        a = sp.eye(4).tocsr()
-        with pytest.raises(ValueError, match="cover"):
-            VBRMatrix.from_csr(a, [np.array([0, 1])])
-
     def test_localized_rejects_bad_domain_count(self):
         mesh = box_mesh(2, 2, 2)
         prob = build_contact_problem(mesh, penalty=0.0)

@@ -36,7 +36,6 @@ from repro.precond.icfact import ICSymbolic
 from repro.solvers.block_cg import _as_block_matvec
 from repro.solvers.cg import _as_matvec
 from repro.sparse.bcsr import BCSRMatrix
-from repro.sparse.vbr import VBRMatrix
 
 
 def spd_csr(ndof, seed, density=0.25):
@@ -127,16 +126,6 @@ class TestMatvecParity:
         mat = BCSRMatrix.from_scipy(a, b=3)
         x = np.random.default_rng(1).normal(size=36)
         assert_close(mat.matvec(x), a @ x)
-
-    def test_vbr_matvec_variable_blocks(self):
-        a = spd_csr(20, 23)
-        supernodes = [
-            np.arange(0, 7), np.arange(7, 9), np.arange(9, 10),
-            np.arange(10, 16), np.arange(16, 20),
-        ]
-        mat = VBRMatrix.from_csr(a, supernodes)
-        x = np.random.default_rng(2).normal(size=20)
-        assert_close(mat.matvec(x), mat.to_csr() @ x)
 
 
 class TestBenchEntryPoints:
@@ -271,10 +260,10 @@ class TestFlatSweep:
         )
         assert dinv.nnz == int((m.sizes**2).sum())
         at = 0
-        blocks = m.diag_blocks_dense()
         for i in np.concatenate(m.schedule):
             k = m.sizes[i]
-            assert_close(dinv[at : at + k, at : at + k].toarray(), np.linalg.inv(blocks[i]))
+            block = m.L.block(m._diag_pos[i])  # the factorized diagonal block
+            assert_close(dinv[at : at + k, at : at + k].toarray(), np.linalg.inv(block))
             at += k
 
     def test_refactor_refills_plan_in_place(self):

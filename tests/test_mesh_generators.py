@@ -22,10 +22,6 @@ class TestMesh:
     def test_material_ids_default_zero(self, box3):
         assert np.all(box3.material_ids == 0)
 
-    def test_nodes_where(self, box3):
-        bottom = box3.nodes_where(lambda c: c[:, 2] == 0.0)
-        assert bottom.size == 16
-
 
 class TestBoxMesh:
     def test_node_sets_cover_surfaces(self):

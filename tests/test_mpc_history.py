@@ -136,35 +136,3 @@ class TestHistoryAnalysis:
     def test_finite_history_not_flagged_diverged(self):
         prof = analyze_history(0.5 ** np.arange(10))
         assert not prof.diverged
-
-
-class TestOverlappingElements:
-    def test_cover_and_overlap(self):
-        from repro.parallel import partition_nodes_rcb
-        from repro.parallel.partition import overlapping_elements
-
-        mesh = simple_block_model(3, 3, 2, 3, 3)
-        part = partition_nodes_rcb(mesh.coords, 4)
-        over = overlapping_elements(mesh.hexes, part)
-        # every element appears in at least one domain
-        assert np.array_equal(
-            np.unique(np.concatenate(over)), np.arange(mesh.n_elem)
-        )
-        # boundary elements appear in more than one (that's the overlap)
-        total = sum(o.size for o in over)
-        assert total > mesh.n_elem
-
-    def test_each_domain_sees_its_nodes_elements(self):
-        from repro.parallel import partition_nodes_rcb
-        from repro.parallel.partition import overlapping_elements
-
-        mesh = simple_block_model(3, 3, 2, 3, 3)
-        part = partition_nodes_rcb(mesh.coords, 3)
-        over = overlapping_elements(mesh.hexes, part)
-        for d, elems in enumerate(over):
-            touched = np.unique(mesh.hexes[elems])
-            internal = np.flatnonzero(part == d)
-            # every internal node that belongs to any element is covered
-            in_any_elem = np.unique(mesh.hexes)
-            needed = np.intersect1d(internal, in_any_elem)
-            assert np.isin(needed, touched).all()

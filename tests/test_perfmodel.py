@@ -9,8 +9,6 @@ from repro.perfmodel import (
     StructuredSpec,
     census_from_factorization,
     estimate_iteration_time,
-    gflops,
-    sweep_nodes,
 )
 from repro.perfmodel.kernels import SolverOpCensus, VectorWork
 from repro.precond import sb_bic0
@@ -40,11 +38,6 @@ class TestVectorPipeline:
 
 
 class TestInterconnect:
-    def test_message_time(self):
-        ic = EARTH_SIMULATOR.inter_node
-        assert ic.message_time(0) == ic.latency_seconds
-        assert ic.message_time(1e9) > ic.latency_seconds
-
     def test_allreduce_grows_with_ranks(self):
         ic = EARTH_SIMULATOR.inter_node
         assert ic.allreduce_time(2) < ic.allreduce_time(1024)
@@ -138,41 +131,34 @@ class TestIterationTime:
         with pytest.raises(ValueError):
             estimate_iteration_time(c, EARTH_SIMULATOR, "both", 1)
 
-    def test_gflops_helper_consistent(self):
-        c = StructuredSpec(32, 32, 32).census()
-        t = estimate_iteration_time(c, EARTH_SIMULATOR, "hybrid", 2)
-        assert np.isclose(gflops(c, EARTH_SIMULATOR, "hybrid", 2), t.gflops_total())
-
-    def test_sweep_returns_per_count(self):
-        c = StructuredSpec(16, 16, 16).census()
-        out = sweep_nodes(c, EARTH_SIMULATOR, "hybrid", [1, 2, 4])
-        assert len(out) == 3
-        assert out[2].n_nodes == 4
-
 
 class TestPaperAnchors:
     def test_pdjds_large_problem_near_paper(self):
         """Fig. 15 anchor: ~22.7 GFLOPS at 6.3M DOF on one node."""
-        g = gflops(StructuredSpec(128, 128, 128, ncolors=99).census(), EARTH_SIMULATOR, "hybrid", 1)
+        g = estimate_iteration_time(
+            StructuredSpec(128, 128, 128, ncolors=99).census(), EARTH_SIMULATOR, "hybrid", 1
+        ).gflops_total()
         assert 18.0 < g < 26.0
 
     def test_gflops_increase_with_problem_size(self):
         gs = [
-            gflops(StructuredSpec(n, n, n, ncolors=99).census(), EARTH_SIMULATOR, "hybrid", 1)
+            estimate_iteration_time(
+                StructuredSpec(n, n, n, ncolors=99).census(), EARTH_SIMULATOR, "hybrid", 1
+            ).gflops_total()
             for n in (16, 64, 128)
         ]
         assert gs[0] < gs[1] < gs[2]
 
     def test_hybrid_beats_flat_at_scale_small_problems(self):
         c = StructuredSpec(64, 64, 64, ncolors=99).census()
-        hy = gflops(c, EARTH_SIMULATOR, "hybrid", 160)
-        fl = gflops(c, EARTH_SIMULATOR, "flat", 160)
+        hy = estimate_iteration_time(c, EARTH_SIMULATOR, "hybrid", 160).gflops_total()
+        fl = estimate_iteration_time(c, EARTH_SIMULATOR, "flat", 160).gflops_total()
         assert hy > fl
 
     def test_flat_competitive_on_one_node(self):
         c = StructuredSpec(128, 128, 128, ncolors=99).census()
-        hy = gflops(c, EARTH_SIMULATOR, "hybrid", 1)
-        fl = gflops(c, EARTH_SIMULATOR, "flat", 1)
+        hy = estimate_iteration_time(c, EARTH_SIMULATOR, "hybrid", 1).gflops_total()
+        fl = estimate_iteration_time(c, EARTH_SIMULATOR, "flat", 1).gflops_total()
         assert fl >= 0.95 * hy
 
     def test_sr2201_much_slower_than_es(self):

@@ -12,7 +12,7 @@ class TestEarthSimulatorConstants:
         """8 GFLOPS per PE, 8 PEs per node, 64 GFLOPS per node (section 1.2)."""
         assert EARTH_SIMULATOR.pe.peak_flops == 8.0e9
         assert EARTH_SIMULATOR.pe_per_node == 8
-        assert EARTH_SIMULATOR.node_peak_flops == 64.0e9
+        assert EARTH_SIMULATOR.pe.peak_flops * EARTH_SIMULATOR.pe_per_node == 64.0e9
 
     def test_sustained_below_peak(self):
         assert EARTH_SIMULATOR.pe.r_inf < EARTH_SIMULATOR.pe.peak_flops
@@ -73,5 +73,5 @@ class TestModelInvariants:
             intra_node=Interconnect(1e-6, 1e10, 1e-6),
             openmp_sync_seconds=1e-6,
         )
-        assert m.node_peak_flops == 4e9
+        assert m.pe.peak_flops * m.pe_per_node == 4e9
         assert m.pe.rate(50.0) == 0.25e9

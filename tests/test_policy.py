@@ -42,10 +42,10 @@ from repro.policy import (
     probe_problem,
 )
 from repro.precond import FAMILY_TABLE, ladder_families
-from repro.resilience.resilient import ResilientSolver, build_ladder, default_ladder
+from repro.resilience.resilient import ResilientSolver, build_ladder
 from repro.serve import SolveRequest, SolverSession
 
-from .conftest import random_spd_csr
+from .conftest import paper_ladder, random_spd_csr
 
 
 @pytest.fixture(scope="module")
@@ -308,7 +308,7 @@ class TestSolverPolicy:
         stages, decision = SolverPolicy().ladder(contact.a, contact.groups)
         assert decision.order == ladder_families(len(contact.groups), True)
         assert [(s.name, s.family) for s in stages] == [
-            (s.name, s.family) for s in default_ladder(contact.a, contact.groups)
+            (s.name, s.family) for s in paper_ladder(contact.a, contact.groups)
         ]
 
     def test_probe_cache_hits_by_key(self, contact):
@@ -355,7 +355,7 @@ class TestSolverPolicy:
 
     def test_shift_rungs_share_one_factorization(self, contact):
         """The second BIC rung must refactor the first rung's object in
-        place (the shared-cache contract of ``default_ladder``)."""
+        place (the shared-cache contract of ``build_ladder``)."""
         stages = build_ladder(contact.a, contact.groups, ("bic0", "diag"))
         by_name = {s.name: s for s in stages}
         m_plain = by_name["BIC(0)"].build()

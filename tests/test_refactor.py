@@ -31,12 +31,13 @@ from repro.precond import (
     scalar_ic0,
 )
 from repro.precond.localized import restrict_groups
-from repro.resilience.resilient import default_ladder
 from repro.sparse.patterns import (
     csr_extract_map,
     csr_position_map,
     csr_union_pattern,
 )
+
+from .conftest import paper_ladder
 
 PENALTIES = [1e3, 1e4, 1e5, 1e6]
 
@@ -261,7 +262,7 @@ class TestLadderSharesSymbolic:
     def test_bic_family_rungs_share_pattern_phase(self, alm_system):
         mesh, a_free, b = alm_system
         p = build_contact_problem(simple_block_model(2, 2, 2, 2, 2), penalty=1e4)
-        ladder = default_ladder(p.a, p.groups)
+        ladder = paper_ladder(p.a, p.groups)
         names = [s.name for s in ladder]
         assert names[0] == "SB-BIC(0)" and names[1] == "BIC(0)"
         with obs.observe() as sess:
@@ -280,7 +281,7 @@ class TestLadderSharesSymbolic:
     def test_shifted_rung_without_plain_build(self, alm_system):
         """Escalating straight to a shifted rung still works standalone."""
         p = build_contact_problem(simple_block_model(2, 2, 2, 2, 2), penalty=1e4)
-        ladder = default_ladder(p.a, p.groups)
+        ladder = paper_ladder(p.a, p.groups)
         dbar = float(np.abs(p.a.diagonal()).mean())
         m = ladder[2].build()  # first BIC-family build is the shifted one
         fresh = bic(p.a, fill_level=0, shift=0.01 * dbar)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from repro.reorder import (
     Coloring,
     adjacency_from_pattern,
-    cm_rcm,
     cuthill_mckee,
     greedy_color,
     multicolor,
@@ -126,7 +125,7 @@ class TestMulticolor:
     def test_subdivision_balances_classes(self):
         adj = grid_graph(10, 10)
         col = multicolor(adj, ncolors=20)
-        sizes = col.class_sizes()
+        sizes = np.diff(col.color_ptr)
         sizes = sizes[sizes > 0]
         assert sizes.max() <= 2 * max(sizes.min(), 1) + 2
 
@@ -209,22 +208,6 @@ class TestCuthillMcKee:
         assert np.sort(perm).tolist() == list(range(8))
 
 
-class TestCMRCM:
-    def test_valid_coloring_on_grid(self):
-        adj = grid_graph(6, 6)
-        col = cm_rcm(adj, 4)
-        col.validate(adj)
-
-    def test_valid_on_random(self):
-        adj = random_graph(40, 0.15, 3)
-        col = cm_rcm(adj, 5)
-        col.validate(adj)
-
-    def test_rejects_single_color(self):
-        with pytest.raises(ValueError):
-            cm_rcm(grid_graph(2, 2), 1)
-
-
 class TestIndependentSet:
     def test_detects_dependence(self):
         adj = grid_graph(1, 3)
@@ -242,14 +225,6 @@ def test_property_multicolor_always_valid(n, p, seed):
     col.validate(adj)
     # every vertex gets exactly one color in range
     assert col.colors.min() >= 0 and col.colors.max() < col.ncolors
-
-
-@settings(max_examples=30, deadline=None)
-@given(n=st.integers(3, 25), p=st.floats(0.05, 0.5), seed=st.integers(0, 10_000))
-def test_property_cmrcm_always_valid(n, p, seed):
-    adj = random_graph(n, p, seed)
-    col = cm_rcm(adj, 3)
-    col.validate(adj)
 
 
 @settings(max_examples=30, deadline=None)

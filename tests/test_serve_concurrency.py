@@ -98,7 +98,12 @@ class TestProtocolHardening:
         req = SolveRequest.from_dict(dict(wire))
         assert req.chaos == {"kind": "crash"}
         # a chaos request never coalesces with its neighbours
-        assert req.solve_key() != _req(job_id="c2", scale=SCALE).solve_key()
+        healthy = _req(job_id="c2", scale=SCALE)
+        prepared = [
+            {"req": r, "fp": "same-operator", "precond": "sbbic0", "job_id": r.job_id}
+            for r in (req, healthy)
+        ]
+        assert len(SolverSession.group_batch(prepared)) == 2
 
     def test_chaos_kind_validated(self):
         with pytest.raises(ProtocolError, match="chaos"):
@@ -204,17 +209,22 @@ class TestAdmission:
         assert job.request.submitted_at is not None
 
     def test_quarantine_ring_is_bounded(self):
-        from repro.serve.admission import QuarantineRecord
+        from repro.serve.admission import QUARANTINE_KEEP, QuarantineRecord
 
-        admission = AdmissionController(AdmissionPolicy(quarantine_keep=3))
-        for i in range(10):
+        admission = AdmissionController()
+        n = QUARANTINE_KEEP + 3
+        for i in range(n):
             admission.quarantine(
                 QuarantineRecord(job_id=f"q-{i}", reason="worker_crash")
             )
-        records = admission.quarantine_records()
-        assert len(records) == 3
-        assert [r.job_id for r in records] == ["q-7", "q-8", "q-9"]
-        assert admission.stats()["quarantined"] == 10
+        ring = list(admission._quarantine)
+        assert len(ring) == QUARANTINE_KEEP
+        assert (ring[0].job_id, ring[-1].job_id) == ("q-3", f"q-{n - 1}")
+        stats = admission.stats()
+        assert stats["quarantined"] == n
+        assert [r["job_id"] for r in stats["quarantine_tail"]] == [
+            f"q-{i}" for i in range(n - 5, n)
+        ]
 
 
 # -- priority ordering --------------------------------------------------------

@@ -149,8 +149,8 @@ class TestSocketErrorPaths:
         out = talk(srv.path, [big])
         # either the error line arrived before the drop, or just EOF
         assert all(not o["ok"] for o in out)
-        records = srv.queue.admission.quarantine_records()
-        assert any(r.reason == "poisoned_payload" for r in records)
+        records = srv.queue.admission.stats()["quarantine_tail"]
+        assert any(r["reason"] == "poisoned_payload" for r in records)
         # the server survives for the next client
         again = talk(srv.path, [_req_line("sock-after-big")])
         assert again[-1]["ok"]

@@ -155,10 +155,6 @@ class TestParity:
             got = system.comm.allreduce_sum_vec([c.copy() for c in contribs])
             want = ref_comm.allreduce_sum_vec([c.copy() for c in contribs])
             assert np.array_equal(got, want)
-            scal = [float(c[0]) for c in contribs]
-            assert system.comm.allreduce_sum(scal) == ref_comm.allreduce_sum(
-                scal
-            )
         finally:
             system.close()
 

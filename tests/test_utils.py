@@ -9,7 +9,6 @@ from repro.utils import (
     check_contact_groups,
     check_finite_coords,
     check_index_array,
-    check_permutation,
     check_square_csr,
     check_symmetric,
 )
@@ -24,13 +23,6 @@ class TestTimer:
         with t:
             time.sleep(0.01)
         assert t.elapsed > first
-
-    def test_reset(self):
-        t = Timer()
-        with t:
-            pass
-        t.reset()
-        assert t.elapsed == 0.0
 
     def test_initial_zero(self):
         assert Timer().elapsed == 0.0
@@ -82,19 +74,6 @@ class TestCheckIndexArray:
 
     def test_empty_ok(self):
         assert check_index_array(np.array([], dtype=int), 0).size == 0
-
-
-class TestCheckPermutation:
-    def test_valid(self):
-        check_permutation(np.array([2, 0, 1]), 3)
-
-    def test_wrong_length(self):
-        with pytest.raises(ValueError, match="length"):
-            check_permutation(np.array([0, 1]), 3)
-
-    def test_duplicate(self):
-        with pytest.raises(ValueError, match="bijection"):
-            check_permutation(np.array([0, 0, 2]), 3)
 
 
 class TestCheckSquareCsr:

@@ -4,12 +4,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sparse.vbr import (
-    VBRMatrix,
-    permutation_from_supernodes,
-    shape_buckets,
-    supernode_maps,
-)
+from repro.sparse.vbr import VBRMatrix, shape_buckets, supernode_maps
 
 
 def random_partition(ndof, rng, max_size=4):
@@ -22,6 +17,24 @@ def random_partition(ndof, rng, max_size=4):
         out.append(np.sort(perm[i : i + s]))
         i += s
     return out
+
+
+def vbr_from_csr(a, supernodes):
+    """VBR of scalar CSR *a* over the ordered DOF partition *supernodes*,
+    in the numbering where super-node 0's DOFs come first: the pattern
+    the entries touch, and every entry summed into its block."""
+    coo = sp.coo_matrix(a)
+    snode_of, local = supernode_maps(supernodes, a.shape[0])
+    sizes = np.array([len(s) for s in supernodes], dtype=np.int64)
+    n = sizes.size
+    bi, bj = snode_of[coo.row], snode_of[coo.col]
+    keys = np.unique(bi * n + bj)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(keys // n, minlength=n), out=indptr[1:])
+    v = VBRMatrix.from_pattern(sizes, indptr, keys % n).empty_like()
+    flat = v.boff[v.find_blocks(bi, bj)] + local[coo.row] * sizes[bj] + local[coo.col]
+    np.add.at(v.data, flat, coo.data)
+    return v
 
 
 def random_csr(ndof, rng, density=0.3):
@@ -47,10 +60,6 @@ class TestSupernodeMaps:
         with pytest.raises(ValueError, match="cover"):
             supernode_maps([np.array([0])], 2)
 
-    def test_permutation(self):
-        perm = permutation_from_supernodes([np.array([2, 0]), np.array([1])])
-        assert perm.tolist() == [2, 0, 1]
-
 
 class TestShapeBuckets:
     def test_groups_by_shape(self):
@@ -70,37 +79,12 @@ class TestVBRRoundtrip:
         rng = np.random.default_rng(0)
         a = random_csr(12, rng)
         parts = random_partition(12, rng)
-        v = VBRMatrix.from_csr(a, parts)
-        perm = permutation_from_supernodes(parts)
+        v = vbr_from_csr(a, parts)
+        perm = np.concatenate(parts)
         ref = a[perm][:, perm].toarray()
         got = v.to_csr().toarray()
         # VBR stores dense blocks: the pattern may include explicit zeros
         assert np.allclose(got, ref)
-
-    def test_matvec_matches(self):
-        rng = np.random.default_rng(1)
-        a = random_csr(15, rng)
-        parts = random_partition(15, rng)
-        v = VBRMatrix.from_csr(a, parts)
-        perm = permutation_from_supernodes(parts)
-        x = rng.normal(size=15)
-        assert np.allclose(v.matvec(x[perm]), (a @ x)[perm])
-
-    def test_lower_only_keeps_lower_blocks(self):
-        rng = np.random.default_rng(2)
-        a = random_csr(9, rng)
-        parts = [np.array([i]) for i in range(9)]
-        v = VBRMatrix.from_csr(a, parts, lower_only=True)
-        assert (v.indices <= v.block_rows()).all()
-        ref = np.tril(a.toarray())
-        assert np.allclose(v.to_csr().toarray(), ref)
-
-    def test_matvec_shape_check(self):
-        rng = np.random.default_rng(3)
-        a = random_csr(6, rng)
-        v = VBRMatrix.from_csr(a, [np.arange(6)])
-        with pytest.raises(ValueError, match="shape"):
-            v.matvec(np.zeros(5))
 
 
 class TestBlockAccess:
@@ -108,14 +92,14 @@ class TestBlockAccess:
         rng = np.random.default_rng(4)
         a = random_csr(8, rng)
         parts = random_partition(8, rng, max_size=3)
-        v = VBRMatrix.from_csr(a, parts)
+        v = vbr_from_csr(a, parts)
         rows = v.block_rows()
         pos = v.find_blocks(rows, v.indices)
         assert np.array_equal(pos, np.arange(v.nnzb))
 
     def test_find_absent_returns_minus_one(self):
         a = sp.eye(4).tocsr()
-        v = VBRMatrix.from_csr(a, [np.array([i]) for i in range(4)])
+        v = vbr_from_csr(a, [np.array([i]) for i in range(4)])
         pos = v.find_blocks(np.array([0]), np.array([3]))
         assert pos[0] == -1
 
@@ -123,28 +107,18 @@ class TestBlockAccess:
         rng = np.random.default_rng(5)
         a = random_csr(10, rng)
         parts = [np.arange(0, 5), np.arange(5, 10)]
-        v = VBRMatrix.from_csr(a, parts)
+        v = vbr_from_csr(a, parts)
         before = v.gather(np.array([0]), 5, 5)
-        v.scatter_add(np.array([0]), 5, 5, np.ones((1, 5, 5)))
+        v.block(0)[:] += 1.0  # the block view writes through to data
         after = v.gather(np.array([0]), 5, 5)
         assert np.allclose(after - before, 1.0)
 
     def test_block_view(self):
         a = sp.csr_matrix(np.arange(16, dtype=float).reshape(4, 4))
-        v = VBRMatrix.from_csr(a, [np.array([0, 1]), np.array([2, 3])])
+        v = vbr_from_csr(a, [np.array([0, 1]), np.array([2, 3])])
         blk = v.block(0)
         assert blk.shape == (2, 2)
         assert np.allclose(blk, [[0, 1], [4, 5]])
-
-    def test_scatter_csr_outside_pattern_raises(self):
-        a = sp.eye(4).tocsr()
-        v = VBRMatrix.from_csr(a, [np.array([i]) for i in range(4)])
-        bad = sp.csr_matrix(np.array(
-            [[0.0, 1.0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]]
-        ))
-        sn, loc = supernode_maps([np.array([i]) for i in range(4)], 4)
-        with pytest.raises(ValueError, match="outside"):
-            v.scatter_csr(bad, sn, loc)
 
 
 @settings(max_examples=20, deadline=None)
@@ -153,8 +127,8 @@ def test_property_vbr_csr_roundtrip(ndof, seed):
     rng = np.random.default_rng(seed)
     a = random_csr(ndof, rng, density=0.4)
     parts = random_partition(ndof, rng)
-    v = VBRMatrix.from_csr(a, parts)
-    perm = permutation_from_supernodes(parts)
+    v = vbr_from_csr(a, parts)
+    perm = np.concatenate(parts)
     assert np.allclose(v.to_csr().toarray(), a[perm][:, perm].toarray())
 
 
@@ -164,5 +138,5 @@ def test_property_memory_counts_data(ndof, seed):
     rng = np.random.default_rng(seed)
     a = random_csr(ndof, rng, density=0.4)
     parts = random_partition(ndof, rng)
-    v = VBRMatrix.from_csr(a, parts)
+    v = vbr_from_csr(a, parts)
     assert v.memory_bytes() >= v.data.nbytes
