@@ -404,9 +404,9 @@ def main(argv: list[str] | None = None) -> int:
     args = ap.parse_args(argv)
 
     if args.trace is not None:
-        with obs.observe() as sess:
+        with obs.observe() as tracer:
             summary = run_sweep(quick=args.quick, ndomains=args.ndomains, transport=args.transport)
-        obs.export_chrome_trace(sess.tracer, args.trace, sess.metrics)
+        obs.export_chrome_trace(tracer, args.trace)
         print(f"trace written to {args.trace}")
     else:
         summary = run_sweep(quick=args.quick, ndomains=args.ndomains, transport=args.transport)

@@ -35,12 +35,12 @@ from repro.precond import DEFAULT_FAMILY, FAMILY_TABLE
 from repro.serve.protocol import PRECONDS
 
 
-def _export_trace(sess: obs.ObsSession, path: str) -> None:
-    """Write *sess* to *path*; the suffix picks the format."""
+def _export_trace(tracer: obs.Tracer, path: str) -> None:
+    """Write *tracer* to *path*; the suffix picks the format."""
     if path.endswith(".jsonl"):
-        obs.export_jsonl(sess.tracer, path, sess.metrics)
+        obs.export_jsonl(tracer, path)
     else:
-        obs.export_chrome_trace(sess.tracer, path, sess.metrics)
+        obs.export_chrome_trace(tracer, path)
     print(f"trace written to {path}")
 
 
@@ -50,9 +50,9 @@ def _maybe_observe(trace_path: str | None):
     if trace_path is None:
         yield None
         return
-    with obs.observe() as sess:
-        yield sess
-    _export_trace(sess, trace_path)
+    with obs.observe() as tracer:
+        yield tracer
+    _export_trace(tracer, trace_path)
 
 
 def _cmd_list(_args) -> int:
@@ -213,7 +213,7 @@ def _cmd_serve(args) -> int:
 
     queue, pool = _build_queue(args)
     try:
-        with _maybe_observe(args.trace) as sess:
+        with _maybe_observe(args.trace) as tracer:
             if args.resume:
                 recovered = queue.resume()
                 print(f"resumed {len(recovered)} journaled job(s)", file=sys.stderr)
@@ -227,8 +227,8 @@ def _cmd_serve(args) -> int:
             else:
                 answered = serve_stdio(queue)
             print(f"served {answered} job(s)", file=sys.stderr)
-            if sess is not None:
-                print(obs.requests_table(sess.tracer), file=sys.stderr)
+            if tracer is not None:
+                print(obs.requests_table(tracer), file=sys.stderr)
     finally:
         if pool is not None:
             pool.close()
@@ -242,15 +242,15 @@ def _cmd_batch(args) -> int:
 
     queue, pool = _build_queue(args)
     try:
-        with _maybe_observe(args.trace) as sess:
+        with _maybe_observe(args.trace) as tracer:
             if args.resume:
                 queue.resume()
             jobs = run_batch(queue, args.requests, args.out)
             if args.out is None:
                 for job in jobs:
                     print(job.response.to_json_line())
-            if sess is not None:
-                print(obs.requests_table(sess.tracer), file=sys.stderr)
+            if tracer is not None:
+                print(obs.requests_table(tracer), file=sys.stderr)
     finally:
         if pool is not None:
             pool.close()
@@ -283,11 +283,11 @@ def _cmd_trace(args) -> int:
             print()
             print(policy)
         return 0
-    with obs.observe() as sess:
+    with obs.observe() as tracer:
         rc = _run_solve(args)
     print()
-    print(sess.summary())
-    _export_trace(sess, args.out)
+    print(obs.summary_table(tracer))
+    _export_trace(tracer, args.out)
     return rc
 
 

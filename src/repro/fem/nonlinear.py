@@ -31,7 +31,7 @@ import scipy.sparse as sp
 
 from repro.fem.contact import constraint_matrix
 from repro.fem.mesh import Mesh
-from repro.obs import metric_inc, span as obs_span
+from repro.obs import span as obs_span
 from repro.precond.base import Preconditioner
 from repro.resilience.checkpoint import AlmJournal, fingerprint_arrays
 from repro.sparse.patterns import csr_position_map, csr_union_pattern
@@ -257,7 +257,6 @@ def solve_nonlinear_contact(
         while not converged and cycles < max_cycles:
             cycles += 1
             with obs_span("alm_cycle", cycle=cycles, penalty=penalty):
-                metric_inc("alm.cycles")
                 rhs = b - c.T @ lam
                 res = cg_solve(
                     a_aug,
@@ -285,7 +284,6 @@ def solve_nonlinear_contact(
                     backoffs += 1
                     old_penalty = penalty
                     penalty = penalty * PENALTY_BACKOFF
-                    metric_inc("alm.penalty_backoffs")
                     report.record(
                         "retry",
                         "alm",

@@ -35,7 +35,6 @@ import fcntl
 import os
 import tempfile
 import threading
-import time
 import weakref
 from pathlib import Path
 
@@ -145,10 +144,9 @@ class JobLog:
     __del__ = _close_fds  # a log nobody closed must not pin its directory
 
     def _fsync(self, fd: int) -> None:
-        t0 = time.perf_counter()
-        _sync(fd)
+        with obs.span("journal.sync"):
+            _sync(fd)
         self._syncs += 1
-        obs.metric_observe("journal.sync_seconds", time.perf_counter() - t0)
 
     def _sync_dir(self) -> None:
         fd = os.open(self.directory, os.O_RDONLY)

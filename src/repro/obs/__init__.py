@@ -1,19 +1,18 @@
-"""Unified observability layer: spans, metrics, trace export.
+"""Unified observability layer: spans, events, trace export.
 
 One solve — one structured trace.  The paper's entire evaluation rests
 on instrumentation (per-phase timings, message/allreduce censuses,
 iteration counts feeding Tables 1-4 and Figs. 16-32); this package gives
-the reproduction a single substrate for all of it instead of the four
-generations of ad-hoc counters that grew around a message-census log, a
-process-wide set-up census, ``build_seconds`` attributes and bare
-``Timer``\\ s.
+the reproduction a single substrate for the timed part of it.  Every
+fact has one record: a span (with the attributes it sets at exit), an
+event, or a counter the program keeps anyway (the transports' message
+census, the factor's ``factorization_stats()``, the serving layer's
+``stats()``) — never a second tally of the same thing.
 
-Three pieces (DESIGN.md section 11):
+Two pieces (DESIGN.md section 11):
 
 - :class:`~repro.obs.core.Tracer` / :class:`~repro.obs.core.Span` — a
   hierarchical, thread-safe span tracer with a context-manager API;
-- :class:`~repro.obs.metrics.MetricsRegistry` — labeled counters,
-  gauges and histogram summaries;
 - exporters (:mod:`repro.obs.export`) — JSON-lines, Chrome trace-event
   JSON, and a terminal summary table.
 
@@ -21,26 +20,25 @@ Usage::
 
     from repro import obs
 
-    with obs.observe() as sess:
+    with obs.observe() as tracer:
         res = solve_nonlinear_contact(...)
-    print(obs.summary_table(sess.tracer, sess.metrics))
-    obs.export_chrome_trace(sess.tracer, "trace.json", sess.metrics)
+    print(obs.summary_table(tracer))
+    obs.export_chrome_trace(tracer, "trace.json")
 
-Disabled-path contract
-----------------------
-Observability is **off by default** and must stay near-free when off
-(< 2 % on the CG hot path, bench-enforced).  Every helper below
-(:func:`span`, :func:`event`, :func:`metric_inc`, ...) collapses to a
-single module-global ``is None`` check when no session is active, and
-instrumented loops capture :func:`session` once so their per-iteration
-cost is one attribute test.
+Disabled path
+-------------
+Observability is **off by default** and meant to be near-free when off.
+Every helper below (:func:`span`, :func:`event`, :func:`record_span`)
+collapses to a single module-global ``is None`` check when no tracer is
+active, and instrumented loops capture :func:`session` once so their
+per-iteration cost is one attribute test.  That cost is not measured
+by any gate (ROADMAP item 12).
 """
 
 from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 
 from repro.obs.core import Span, Tracer
 from repro.obs.export import (
@@ -54,11 +52,8 @@ from repro.obs.export import (
     requests_table,
     summary_table,
 )
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
-    "MetricsRegistry",
-    "ObsSession",
     "Span",
     "Tracer",
     "chrome_trace_events",
@@ -72,26 +67,12 @@ __all__ = [
     "policy_table",
     "rank_time_table",
     "requests_table",
-    "metric_inc",
-    "metric_observe",
-    "metric_set",
     "observe",
     "record_span",
     "session",
     "span",
     "summary_table",
 ]
-
-
-@dataclass
-class ObsSession:
-    """One enabled observability window: a tracer plus a registry."""
-
-    tracer: Tracer
-    metrics: MetricsRegistry
-
-    def summary(self) -> str:
-        return summary_table(self.tracer, self.metrics)
 
 
 class _NullSpan:
@@ -111,30 +92,30 @@ class _NullSpan:
 
 _NULL_SPAN = _NullSpan()
 
-_SESSION: ObsSession | None = None
+_SESSION: Tracer | None = None
 _LOCK = threading.Lock()
 
 
-def enable(sess: ObsSession | None = None) -> ObsSession:
-    """Start (or install) a session; returns the active one."""
+def enable(tracer: Tracer | None = None) -> Tracer:
+    """Start (or install) a tracer; returns the active one."""
     global _SESSION
     with _LOCK:
-        if sess is None:
-            sess = ObsSession(tracer=Tracer(), metrics=MetricsRegistry())
-        _SESSION = sess
-    return sess
+        if tracer is None:
+            tracer = Tracer()
+        _SESSION = tracer
+    return tracer
 
 
-def disable() -> ObsSession | None:
-    """Stop observing; returns the session that was active, if any."""
+def disable() -> Tracer | None:
+    """Stop observing; returns the tracer that was active, if any."""
     global _SESSION
     with _LOCK:
-        sess, _SESSION = _SESSION, None
-    return sess
+        tracer, _SESSION = _SESSION, None
+    return tracer
 
 
-def session() -> ObsSession | None:
-    """The active session, or None when observability is off.
+def session() -> Tracer | None:
+    """The active tracer, or None when observability is off.
 
     Hot loops should call this once and branch on the result instead of
     going through the helpers per iteration.
@@ -143,11 +124,11 @@ def session() -> ObsSession | None:
 
 
 @contextmanager
-def observe(sess: ObsSession | None = None):
-    """Scoped enable/disable; restores any previously active session."""
+def observe(tracer: Tracer | None = None):
+    """Scoped enable/disable; restores any previously active tracer."""
     global _SESSION
     prev = _SESSION
-    active = enable(sess)
+    active = enable(tracer)
     try:
         yield active
     finally:
@@ -155,7 +136,7 @@ def observe(sess: ObsSession | None = None):
             _SESSION = prev
 
 
-# -- thin helpers over the active session --------------------------------
+# -- thin helpers over the active tracer ---------------------------------
 
 
 def span(name: str, **attrs):
@@ -163,14 +144,14 @@ def span(name: str, **attrs):
     s = _SESSION
     if s is None:
         return _NULL_SPAN
-    return s.tracer.span(name, **attrs)
+    return s.span(name, **attrs)
 
 
 def event(name: str, **attrs) -> None:
     """Record a point event on the active tracer (no-op when disabled)."""
     s = _SESSION
     if s is not None:
-        s.tracer.event(name, **attrs)
+        s.event(name, **attrs)
 
 
 def record_span(name: str, seconds: float, phases=(), **attrs) -> None:
@@ -178,22 +159,4 @@ def record_span(name: str, seconds: float, phases=(), **attrs) -> None:
     consecutive ``(name, seconds)`` *phases* as child spans."""
     s = _SESSION
     if s is not None:
-        s.tracer.record_span(name, seconds, phases, **attrs)
-
-
-def metric_inc(name: str, value: float = 1.0, **labels) -> None:
-    s = _SESSION
-    if s is not None:
-        s.metrics.inc(name, value, **labels)
-
-
-def metric_set(name: str, value: float, **labels) -> None:
-    s = _SESSION
-    if s is not None:
-        s.metrics.set(name, value, **labels)
-
-
-def metric_observe(name: str, value: float, **labels) -> None:
-    s = _SESSION
-    if s is not None:
-        s.metrics.observe(name, value, **labels)
+        s.record_span(name, seconds, phases, **attrs)

@@ -2,17 +2,16 @@
 
 Three consumers, three formats:
 
-- :func:`export_jsonl` — one flat JSON object per span/event per line,
-  plus a final ``{"kind": "metrics", ...}`` record.  Greppable and
-  diffable: two runs of the same experiment can be compared with line
-  tools, which is how trace regressions are hunted.
+- :func:`export_jsonl` — one flat JSON object per span/event per line.
+  Greppable and diffable: two runs of the same experiment can be
+  compared with line tools, which is how trace regressions are hunted.
 - :func:`export_chrome_trace` — the ``chrome://tracing`` /
   https://ui.perfetto.dev trace-event JSON: matched ``B``/``E`` duration
   events per span (events as instants ``i``), timestamps in microseconds
   relative to the tracer epoch.  Drop the file into a trace viewer to
   *see* the ALM cycle / setup / CG / halo-exchange nesting.
 - :func:`summary_table` — a terminal table of per-span-name aggregates
-  (count, total, mean) and every registry metric, for humans at the end
+  (count, total, mean) and the point-event count, for humans at the end
   of a CLI run.
 """
 
@@ -22,7 +21,6 @@ import json
 from pathlib import Path
 
 from repro.obs.core import Span, Tracer
-from repro.obs.metrics import MetricsRegistry
 
 __all__ = [
     "chrome_trace_events",
@@ -51,13 +49,7 @@ def _flat(span: Span, t0: float) -> dict:
     }
 
 
-def export_jsonl(
-    tracer: Tracer,
-    path,
-    metrics: MetricsRegistry | None = None,
-    *,
-    rank: int | None = None,
-) -> Path:
+def export_jsonl(tracer: Tracer, path, *, rank: int | None = None) -> Path:
     """Write the trace as JSON-lines; returns the path written.
 
     ``rank`` tags every record with the emitting rank and prepends a
@@ -78,11 +70,6 @@ def export_jsonl(
             )
         for span in tracer.iter_spans():
             rec = _flat(span, tracer.t0)
-            if rank is not None:
-                rec["rank"] = int(rank)
-            fh.write(json.dumps(rec) + "\n")
-        if metrics is not None:
-            rec = {"kind": "metrics", **metrics.snapshot()}
             if rank is not None:
                 rec["rank"] = int(rank)
             fh.write(json.dumps(rec) + "\n")
@@ -188,9 +175,7 @@ def rank_time_table(paths) -> str:
     return "\n".join(lines)
 
 
-def chrome_trace_events(
-    tracer: Tracer, metrics: MetricsRegistry | None = None
-) -> dict:
+def chrome_trace_events(tracer: Tracer) -> dict:
     """The trace as a Chrome trace-event document (a plain dict).
 
     Spans become matched ``B``/``E`` pairs; zero-duration events become
@@ -242,19 +227,14 @@ def chrome_trace_events(
 
     for root in list(tracer.roots):
         emit(root)
-    doc = {"traceEvents": events, "displayTimeUnit": "ms"}
-    if metrics is not None:
-        doc["otherData"] = {"metrics": metrics.snapshot()}
-    return doc
+    return {"traceEvents": events, "displayTimeUnit": "ms"}
 
 
-def export_chrome_trace(
-    tracer: Tracer, path, metrics: MetricsRegistry | None = None
-) -> Path:
+def export_chrome_trace(tracer: Tracer, path) -> Path:
     """Write the Chrome trace-event JSON; returns the path written."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(chrome_trace_events(tracer, metrics), indent=1))
+    path.write_text(json.dumps(chrome_trace_events(tracer), indent=1))
     return path
 
 
@@ -266,10 +246,9 @@ def _json_safe(v):
     return str(v)
 
 
-def summary_table(
-    tracer: Tracer | None, metrics: MetricsRegistry | None = None
-) -> str:
-    """Human-readable summary: span aggregates by name, then metrics."""
+def summary_table(tracer: Tracer | None) -> str:
+    """Human-readable summary: span aggregates by name, then the number
+    of point events."""
     lines: list[str] = []
     if tracer is not None:
         agg: dict[str, list[float]] = {}
@@ -291,39 +270,7 @@ def summary_table(
         n_events = sum(1 for s in tracer.iter_spans() if s.kind == "event")
         if n_events:
             lines.append(f"({n_events} point events)")
-    if metrics is not None:
-        snap = metrics.snapshot()
-        rows: list[tuple[str, str, str]] = []
-        for name, series in sorted(snap["counters"].items()):
-            for row in series:
-                rows.append((name, _fmt_labels(row["labels"]), f"{row['value']:g}"))
-        for name, series in sorted(snap["gauges"].items()):
-            for row in series:
-                rows.append((name, _fmt_labels(row["labels"]), f"{row['value']:g}"))
-        for name, series in sorted(snap["histograms"].items()):
-            for row in series:
-                v = row["value"]
-                rows.append(
-                    (
-                        name,
-                        _fmt_labels(row["labels"]),
-                        f"n={v['count']} total={v['total']:g} "
-                        f"min={v['min']:g} max={v['max']:g}",
-                    )
-                )
-        if rows:
-            lines.append("")
-            w0 = max(len(r[0]) for r in rows) + 2
-            w1 = max(len(r[1]) for r in rows) + 2
-            lines.append(f"{'metric'.ljust(w0)}{'labels'.ljust(w1)}value")
-            lines += [f"{a.ljust(w0)}{b.ljust(w1)}{c}" for a, b, c in rows]
     return "\n".join(lines) if lines else "(empty trace)"
-
-
-def _fmt_labels(labels: dict) -> str:
-    if not labels:
-        return "-"
-    return ",".join(f"{k}={v}" for k, v in sorted(labels.items()))
 
 
 def load_jsonl_records(path) -> list[dict]:

@@ -17,7 +17,7 @@ count exchanges and allreduces; :func:`census` turns those counters into
 the message census (:class:`CommCensus`) the Earth Simulator performance
 model converts into communication time.  When an observability session
 is active (:mod:`repro.obs`), every exchange emits a ``halo_exchange``
-span and both transports forward the same ``comm.*`` metrics
+span tagged with its messages and bytes on both transports
 (:func:`note_exchange`).
 """
 
@@ -29,7 +29,7 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from repro.obs import metric_inc, metric_observe, session as obs_session, span
+from repro.obs import span
 from repro.parallel.partition import LocalDomain
 from repro.resilience.taxonomy import RankFailure
 
@@ -78,16 +78,10 @@ def corrupt_ghost(vec: np.ndarray, slots: np.ndarray, kind: str | None) -> None:
         vec[slots[0]] = flipped.view(np.float64)[0]
 
 
-def note_exchange(sp, sizes: list[int], **labels) -> None:
+def note_exchange(sp, sizes: list[int]) -> None:
     """Tag one boundary exchange's ``halo_exchange`` span *sp* with its
-    messages (*sizes*, bytes each) and forward the ``comm.*`` metrics."""
-    total = int(sum(sizes))
-    sp.set(messages=len(sizes), bytes=total)
-    if obs_session() is not None:
-        metric_inc("comm.exchanges", **labels)
-        metric_inc("comm.messages", len(sizes), **labels)
-        metric_inc("comm.bytes", total, **labels)
-        metric_observe("comm.exchange_bytes", total, **labels)
+    messages (*sizes*, bytes each)."""
+    sp.set(messages=len(sizes), bytes=int(sum(sizes)))
 
 
 @dataclass(frozen=True)
@@ -287,7 +281,6 @@ class LockstepComm:
             raise ValueError("each rank must contribute a vector of equal length")
         self._check_alive()
         self.n_allreduces += 1
-        metric_inc("comm.allreduces")
         if np.ndim(contributions[0]) == 0:
             return float(np.sum(contributions))
         return np.asarray(contributions, dtype=np.float64).sum(axis=0)

@@ -30,7 +30,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from repro.obs import metric_inc, span as obs_span
+from repro.obs import span as obs_span
 from repro.parallel.comm import HALO, CommCensus, LockstepComm
 from repro.parallel.partition import LocalDomain, build_domains
 from repro.parallel.transport.process_backend import ProcessTransport
@@ -47,9 +47,7 @@ from repro.solvers.cg import (
     _as_matvec,
     cg_program,
     check_finite_vector,
-    record_solve_metrics,
 )
-from repro.sparse.patterns import position_matrix, positions_from_data
 from repro.utils.timing import Timer
 from repro.utils.validate import check_square_csr
 
@@ -77,25 +75,6 @@ def _internal_block(dom: LocalDomain) -> sp.csr_matrix:
     return dom.a_local[:, : dom.n_internal * dom.b].tocsr()
 
 
-def _localized_setup(dom: LocalDomain, factory: LocalPrecondFactory):
-    """One rank's set-up: its internal block and the factory's
-    preconditioner on it.  No communication."""
-    internal = _internal_block(dom)
-    return internal, factory(internal, dom.internal_nodes)
-
-
-def _localized_refactor(dom, internal, m, factory) -> Preconditioner:
-    """Bring one rank's preconditioner to the values now in ``dom.a_local``:
-    numeric-only when it can refactor, else the factory again.  The
-    internal block's entries are the row entries left of the first
-    external column (``a_local`` keeps its rows' columns sorted)."""
-    internal.data[:] = dom.a_local.data[dom.a_local.indices < dom.n_internal * dom.b]
-    if hasattr(m, "refactor"):
-        m.refactor(internal)
-        return m
-    return factory(internal, dom.internal_nodes)
-
-
 @dataclass(frozen=True)
 class RankHandle:
     """The driver's view of a localized preconditioner that lives with
@@ -117,14 +96,6 @@ class RankHandle:
 # -- commands every rank runs: fn(rank, state, *args) ---------------------
 
 
-def _worker_refactor(rank: int, state, values: list[np.ndarray]) -> RankHandle:
-    state.dom.a_local.data[:] = values[rank]
-    state.precond = _localized_refactor(
-        state.dom, state.internal, state.precond, state.factory
-    )
-    return RankHandle.of(state.precond)
-
-
 def _worker_cg(rank: int, state, *args):
     return rank_cg(rank, state.dom, state.precond, *args)
 
@@ -144,8 +115,6 @@ class DistributedSystem:
     node_domain: np.ndarray
     ndof: int
     b: int = 3
-    _a_pattern: tuple[np.ndarray, np.ndarray] | None = None
-    _a_maps: list[np.ndarray] | None = None
     _recovery: dict | None = None
 
     @classmethod
@@ -190,8 +159,10 @@ class DistributedSystem:
         b_vec = np.asarray(b_vec, dtype=np.float64)
 
         def setup(rank, state):  # a process-transport worker inherits it by fork
-            state.dom, state.factory = domains[rank], precond_factory
-            state.internal, state.precond = _localized_setup(state.dom, precond_factory)
+            # the rank's internal block and the factory's preconditioner
+            # on it; no communication
+            state.dom = dom = domains[rank]
+            state.precond = precond_factory(_internal_block(dom), dom.internal_nodes)
             return RankHandle.of(state.precond)
 
         try:
@@ -207,54 +178,7 @@ class DistributedSystem:
             node_domain=np.asarray(node_domain, dtype=np.int64),
             ndof=int(b_vec.size),
             b=b,
-            _a_pattern=(a.indptr, a.indices),
         )
-
-    def refactor(
-        self, a, b_vec: np.ndarray | None = None
-    ) -> "DistributedSystem":
-        """Values-only update: new global values, same partition/pattern.
-
-        Outer-loop drivers (ALM penalty updates, time stepping) call this
-        instead of :meth:`from_global`: the partitioning, communication
-        tables and each domain preconditioner's symbolic setup are
-        reused.  The per-domain value maps are computed once, lazily, by
-        pushing a position matrix through the same :func:`build_domains`
-        pipeline; afterwards every refactorization is a fancy-index
-        gather per domain plus a numeric-only preconditioner refactor
-        (full factory rebuild only for preconditioners that do not
-        expose ``refactor``), run by every rank on the factor it kept —
-        side by side in the rank workers on the process transport.
-        """
-        a = check_square_csr(a)
-        indptr, indices = self._a_pattern
-        same = a.indptr is indptr and a.indices is indices
-        if not same and not (
-            np.array_equal(a.indptr, indptr) and np.array_equal(a.indices, indices)
-        ):
-            raise ValueError(
-                "matrix sparsity pattern differs from the partitioned system; "
-                "build a new DistributedSystem with from_global instead"
-            )
-        if self._a_maps is None:
-            # gather maps global a.data -> each domain's a_local.data
-            pos_domains = build_domains(position_matrix(a), self.node_domain, b=self.b)
-            self._a_maps = [
-                positions_from_data(pdom.a_local.data, dom.a_local.nnz)
-                for pdom, dom in zip(pos_domains, self.domains)
-            ]
-        with obs_span("system_refactor", ranks=len(self.domains)):
-            alloc = self.comm.scratch()
-            values = []
-            for dom, a_map in zip(self.domains, self._a_maps):
-                dom.a_local.data[:] = a.data[a_map]
-                values.append(alloc(dom.a_local.nnz))
-                values[-1][:] = dom.a_local.data
-            self.preconds = self.comm.run(_worker_refactor, values)
-        if b_vec is not None:
-            b_vec = np.asarray(b_vec, dtype=np.float64)
-            self.b_parts = [b_vec[_rows_dof(dom)] for dom in self.domains]
-        return self
 
     # -- local-failure-local-recovery (DESIGN.md section 10) -----------
 
@@ -424,8 +348,7 @@ def rank_cg(rank, dom, m, st: _KrylovState, store, resume, cg_opts):
         store=store,
         rank=rank,
         resume=resume,
-        # one rank speaks for the solve in the trace
-        labels={"solver": "parallel_cg"} if rank == 0 else None,
+        traced=rank == 0,  # one rank speaks for the solve in the trace
     )
 
 
@@ -439,7 +362,6 @@ def parallel_cg(
     *,
     eps: float = 1e-8,
     max_iter: int = 10000,
-    stagnation_window: int = 0,
     checkpoint_interval: int = 0,
     report: SolveReport | None = None,
 ) -> CGResult:
@@ -460,8 +382,8 @@ def parallel_cg(
     ghost values (:meth:`LockstepComm.halo_mismatch`, or the
     process transport's sender/receiver checksums) and aborts with
     ``reason=COMM_FAULT`` on any disagreement — the detection side of
-    both transports' ``inject_worker_fault``.  ``stagnation_window`` and
-    ``report`` behave as in :func:`~repro.solvers.cg.cg_solve`.
+    both transports' ``inject_worker_fault``.  ``report`` behaves as in
+    :func:`~repro.solvers.cg.cg_solve`; there is no stagnation window.
 
     Checkpoint/rollback (DESIGN.md section 10): when
     ``checkpoint_interval > 0`` every rank snapshots its Krylov state
@@ -505,14 +427,14 @@ def parallel_cg(
         from repro.resilience.checkpoint import CGCheckpointStore
 
         store = CGCheckpointStore([v.size for v in st.x], checkpoint_interval, alloc)
-    cg_opts = dict(eps=eps, max_iter=max_iter, stagnation_window=stagnation_window)
+    cg_opts = dict(eps=eps, max_iter=max_iter, stagnation_window=0)
     rollbacks = 0
     resume = None
 
     timer = Timer()
     with obs_span(
         "parallel_cg", ranks=len(system.domains), ndof=system.ndof, eps=eps
-    ), timer, obs_span("cg_iterations"):
+    ) as solve_span, timer, obs_span("cg_iterations"):
         while True:
             # One guard around the whole attempt: with a real transport
             # any collective can fail.  A fault may leave x/r half-updated
@@ -554,7 +476,6 @@ def parallel_cg(
             resume = store.restore(st.x, st.r, st.p) if store.latest else None
             st.iters[:] = 0 if resume is None else resume.iteration
             rollbacks += 1
-            metric_inc("cg.rollbacks")
             if report is not None:
                 report.record(
                     "recover",
@@ -568,9 +489,7 @@ def parallel_cg(
                     + f" (rollback {rollbacks}/{MAX_ROLLBACKS})",
                 )
 
-    record_solve_metrics(out, timer.elapsed, solver="parallel_cg")
-
-    return CGResult(
+    res = CGResult(
         x=system.gather_global(st.x),
         iterations=out.iterations,
         converged=out.converged,
@@ -581,3 +500,10 @@ def parallel_cg(
         reason=out.reason,
         rollbacks=rollbacks,
     )
+    solve_span.set(
+        iterations=res.iterations,
+        converged=res.converged,
+        reason=str(res.reason),
+        rollbacks=res.rollbacks,
+    )
+    return res

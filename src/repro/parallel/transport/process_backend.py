@@ -49,7 +49,7 @@ from pathlib import Path
 import numpy as np
 
 from repro import obs
-from repro.obs import metric_inc, span
+from repro.obs import span
 from repro.parallel.comm import (
     HALO,
     REDUCE_WIDTH,
@@ -247,7 +247,7 @@ class _RankLink:
                 elif rhash != fab.hashes[owner, rank]:  # at least one ulp apart
                     worst = max(worst, gap, math.ulp(rsum))
             fab.n_exchanges[rank] += 1
-            note_exchange(sp, self.sizes, rank=rank)
+            note_exchange(sp, self.sizes)
         return worst
 
     def allreduce(self, contribution) -> float | np.ndarray:
@@ -264,7 +264,6 @@ class _RankLink:
         # np.sum as LockstepComm — the bit-identity of the two transports
         total = np.array(table[:, : vec.size]).sum(axis=0)
         self.fab.n_allreduces[self.rank] += 1
-        metric_inc("comm.allreduces", rank=self.rank)
         return total if np.ndim(contribution) else float(total[0])
 
     def run(self, fn, state, args):
@@ -295,8 +294,8 @@ def _export_trace(rank: int, state) -> None:
     """Rewrite this rank's trace file (when it keeps one): after every
     command, so a later kill loses nothing already recorded."""
     if state.trace is not None:
-        sess, path = state.trace
-        obs.export_jsonl(sess.tracer, path, sess.metrics, rank=rank)
+        tracer, path = state.trace
+        obs.export_jsonl(tracer, path, rank=rank)
 
 
 def _command(rank, state, message: bytes):
@@ -492,7 +491,7 @@ class ProcessTransport:
                 found = self._file(rank, self._workers.receive(rank), done, warned)
                 failure = failure or found
         if isinstance(failure, CommTimeout):
-            self._timed_out(failure)
+            self.timeout_count += 1
         if failure is not None:
             self._settle(waiting)
         return self._results(ranks, done, warned, failure)
@@ -538,10 +537,6 @@ class ProcessTransport:
                     self._note_death(rank)
         if waiting:
             self._spawn(sorted(waiting.values()))
-
-    def _timed_out(self, exc: CommTimeout) -> None:
-        self.timeout_count += 1
-        metric_inc("comm.timeouts", op=exc.op)
 
     def _note_death(self, rank: int) -> None:
         """Record an injected kill that fired (an external one has no plan)."""

@@ -99,7 +99,7 @@ class SolverPolicy:
 
     def __init__(self, *, history: PolicyHistory | None = None) -> None:
         self.history = history if history is not None else PolicyHistory()
-        self._probe_cache = LRUCache(PROBE_CACHE_SIZE, "probe")
+        self._probe_cache = LRUCache(PROBE_CACHE_SIZE)
 
     # -- probing -----------------------------------------------------------
 

@@ -33,3 +33,10 @@ class IdentityPreconditioner(Preconditioner):
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         return r.copy()
+
+    def apply_block(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``Z = R`` for an ``(ndof, s)`` block of residuals."""
+        if out is None:
+            return r.copy()
+        out[...] = r
+        return out

@@ -39,5 +39,10 @@ class DiagonalScaling(Preconditioner):
     def apply(self, r: np.ndarray) -> np.ndarray:
         return self._dinv * r
 
+    def apply_block(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``Z = M^{-1} R`` for an ``(ndof, s)`` block of residuals: each
+        column scaled exactly as :meth:`apply` scales a vector."""
+        return np.multiply(self._dinv[:, None], r, out=out)
+
     def memory_bytes(self) -> int:
         return self._dinv.nbytes

@@ -62,7 +62,7 @@ from repro.kernels import (
     apply_substitution,
     apply_substitution_block,
 )
-from repro.obs import metric_inc, record_span
+from repro.obs import record_span
 from repro.precond.base import Preconditioner
 from repro.resilience.taxonomy import PivotNudgeWarning
 from repro.reorder.coloring import Coloring
@@ -318,7 +318,6 @@ class ICSymbolic:
         laps.lap("ic_symbolic.apply_structs")
 
         self.build_seconds = laps.total
-        metric_inc("setup.symbolic")
         record_span(
             "ic_symbolic",
             self.build_seconds,
@@ -879,9 +878,6 @@ class BlockICFactorization(Preconditioner):
             self.__dict__.pop(attr, None)
         self.numeric_setup_count += 1
         self.numeric_seconds = laps.total
-        metric_inc("setup.numeric")
-        if self.breakdown_count:
-            metric_inc("setup.pivot_nudges", self.breakdown_count)
         record_span(
             "ic_numeric",
             self.numeric_seconds,

@@ -82,57 +82,17 @@ class LocalizedPreconditioner(Preconditioner):
             )
         self.name = name
         self.ndomains = int(node_domain.max()) + 1
-        self._factory = factory
-        self._a_pattern = (a.indptr, a.indices)
         self._locals: list[Preconditioner] = []
         self._dofs: list[np.ndarray] = []
-        self._nodes: list[np.ndarray] = []
-        self._subs: list[sp.csr_matrix] = []
-        self._maps: list[np.ndarray] = []
         for d in range(self.ndomains):
             nodes = np.flatnonzero(node_domain == d).astype(np.int64)
             if nodes.size == 0:
                 raise ValueError(f"domain {d} is empty")
             dofs = (nodes[:, None] * b + np.arange(b)).reshape(-1)
-            # cache the extraction gather map so refactorizations skip
-            # the two CSR slicings (values-only sub-matrix updates)
-            sub, gather = csr_extract_map(a, dofs)
+            sub, _ = csr_extract_map(a, dofs)
             self._dofs.append(dofs)
-            self._nodes.append(nodes)
-            self._subs.append(sub)
-            self._maps.append(gather)
             self._locals.append(factory(sub, nodes))
         self.setup_seconds = time.perf_counter() - t0
-
-    def refactor(self, a) -> "LocalizedPreconditioner":
-        """Values-only re-setup across all domains (same global pattern).
-
-        Each domain's sub-matrix is regathered through the cached
-        extraction map and its local preconditioner refactored on the
-        cached symbolic pattern (factory rebuild only for locals without
-        ``refactor``).  Raises on a changed global sparsity pattern.
-        """
-        t0 = time.perf_counter()
-        a = check_square_csr(a)
-        indptr, indices = self._a_pattern
-        same = a.indptr is indptr and a.indices is indices
-        if not same and not (
-            np.array_equal(a.indptr, indptr) and np.array_equal(a.indices, indices)
-        ):
-            raise ValueError(
-                "matrix sparsity pattern differs from the localized "
-                "preconditioner's cached pattern; build a new one instead"
-            )
-        for d in range(self.ndomains):
-            sub = self._subs[d]
-            sub.data[:] = a.data[self._maps[d]]
-            m = self._locals[d]
-            if hasattr(m, "refactor"):
-                m.refactor(sub)
-            else:
-                self._locals[d] = self._factory(sub, self._nodes[d])
-        self.setup_seconds = time.perf_counter() - t0
-        return self
 
     def apply(self, r: np.ndarray) -> np.ndarray:
         z = np.empty_like(r)

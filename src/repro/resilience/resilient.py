@@ -25,7 +25,7 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
-from repro.obs import metric_inc, span as obs_span
+from repro.obs import span as obs_span
 from repro.precond.base import Preconditioner
 from repro.precond.families import FAMILY_TABLE
 from repro.resilience.taxonomy import FailureReason, PivotNudgeWarning, SolveReport
@@ -36,6 +36,11 @@ __all__ = ["FallbackStage", "ResilientSolver", "build_ladder"]
 SHIFTS = (0.01, 0.1)
 """The Manteuffel shifts of the level-0 IC rung's retries, as fractions
 of the mean |diagonal|."""
+
+STAGNATION_WINDOW = 50
+"""The stagnation window of every rung's :func:`cg_solve` attempt: a rung
+whose best residual did not improve by 1 % in this many iterations is
+escalated past."""
 
 
 @dataclass
@@ -143,8 +148,6 @@ class ResilientSolver:
         Ordered :class:`FallbackStage` list, most powerful first (see
         :func:`build_ladder`; the paper's robustness order is
         :func:`~repro.precond.families.ladder_families`).
-    stagnation_window:
-        Forwarded to each :func:`cg_solve` attempt.
     on_stage_result:
         Optional ``callback(stage, CGResult)`` invoked with the
         :class:`FallbackStage` after every attempted rung, converged or
@@ -170,7 +173,6 @@ class ResilientSolver:
         *,
         eps: float = 1e-8,
         max_iter: int | None = None,
-        stagnation_window: int = 50,
         report: SolveReport | None = None,
         on_stage_result: Callable[[FallbackStage, CGResult], None] | None = None,
     ) -> None:
@@ -180,7 +182,6 @@ class ResilientSolver:
         self.ladder = list(ladder)
         self.eps = eps
         self.max_iter = max_iter
-        self.stagnation_window = stagnation_window
         self.report = report if report is not None else SolveReport()
         self.on_stage_result = on_stage_result
 
@@ -237,7 +238,6 @@ class ResilientSolver:
                     self.report.record(
                         "escalate", stage.name, detail=f"setup failed -> {nxt}"
                     )
-                    metric_inc("fallback.escalations", stage=stage.name)
                 failed_before = True
                 continue
 
@@ -254,7 +254,7 @@ class ResilientSolver:
                 eps=self.eps,
                 max_iter=self.max_iter,
                 x0=best_x,
-                stagnation_window=self.stagnation_window,
+                stagnation_window=STAGNATION_WINDOW,
                 report=self.report,
             )
             last = res
@@ -269,7 +269,6 @@ class ResilientSolver:
                         detail=f"converged to {res.relative_residual:.3e} "
                         "after fallback",
                     )
-                    metric_inc("fallback.recoveries", stage=stage.name)
                 res.report = self.report
                 return res
 
@@ -302,7 +301,6 @@ class ResilientSolver:
                     iteration=res.iterations,
                     detail=f"-> {self.ladder[i + 1].name}",
                 )
-                metric_inc("fallback.escalations", stage=stage.name)
 
         if last is None:
             # every rung's set-up failed: return the best we have

@@ -25,7 +25,7 @@ import time
 from dataclasses import dataclass, field
 from enum import Enum
 
-from repro.obs import session as _obs_session
+from repro.obs import event as _obs_event
 
 
 class FailureReason(Enum):
@@ -33,8 +33,7 @@ class FailureReason(Enum):
 
     Despite the name (kept for API continuity), ``CONVERGED`` is a member
     so a finished :class:`~repro.solvers.cg.CGResult` carries an explicit
-    tag instead of ``reason=None``; :attr:`is_failure` distinguishes the
-    two families without enumerating members."""
+    tag instead of ``reason=None``."""
 
     CONVERGED = "converged"
     """Not a failure: the solve met its tolerance."""
@@ -89,11 +88,6 @@ class FailureReason(Enum):
     """The request payload itself was rejected before any solver code
     ran: non-finite right-hand side, mismatched shape, or a payload over
     the admission size budget."""
-
-    @property
-    def is_failure(self) -> bool:
-        """False only for ``CONVERGED``."""
-        return self is not FailureReason.CONVERGED
 
     def __str__(self) -> str:  # "BREAKDOWN_INDEFINITE", table-friendly
         return self.name
@@ -250,16 +244,13 @@ class SolveReport:
             data=data,
         )
         self.events.append(ev)
-        sess = _obs_session()
-        if sess is not None:
-            sess.tracer.event(
-                f"report.{kind}",
-                stage=stage,
-                reason=None if reason is None else str(reason),
-                iteration=iteration,
-                detail=detail,
-            )
-            sess.metrics.inc("report.events", kind=kind, stage=stage)
+        _obs_event(
+            f"report.{kind}",
+            stage=stage,
+            reason=None if reason is None else str(reason),
+            iteration=iteration,
+            detail=detail,
+        )
         return ev
 
     # -- filtered views -------------------------------------------------

@@ -165,7 +165,6 @@ class AdmissionController:
             request.submitted_at = time.monotonic()
         with self._lock:
             self.admitted += 1
-        obs.metric_inc("serve.admission.admitted")
         return None
 
     def screen_dispatch(self, request: SolveRequest) -> SolveResponse | None:
@@ -186,7 +185,6 @@ class AdmissionController:
     ) -> SolveResponse:
         with self._lock:
             self.rejected[reason.value] = self.rejected.get(reason.value, 0) + 1
-        obs.metric_inc("serve.admission.rejected", reason=reason.value)
         obs.record_span(
             "serve.job", 0.0,
             job_id=job_id, reason=reason.value, converged=False, rejected=True,
@@ -200,7 +198,6 @@ class AdmissionController:
         with self._lock:
             self.quarantined += 1
             self._quarantine.append(record)
-        obs.metric_inc("serve.quarantine", reason=record.reason)
 
     # -- introspection ----------------------------------------------------
 

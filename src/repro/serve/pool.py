@@ -44,7 +44,6 @@ from dataclasses import dataclass
 from multiprocessing.connection import wait as mp_wait
 from typing import Any
 
-from repro import obs
 from repro.resilience.taxonomy import FailureReason
 from repro.serve.admission import AdmissionController, QuarantineRecord, rejection_response
 from repro.serve.protocol import SolveRequest, SolveResponse
@@ -121,7 +120,6 @@ class WorkerPool:
         self._free: _queue.Queue = _queue.Queue()
         for wid in range(self.workers):
             self._free.put(wid)
-        obs.metric_set("serve.pool.workers", self.workers)
 
     # -- public API --------------------------------------------------------
 
@@ -237,7 +235,6 @@ class WorkerPool:
         with self._lock:
             self._stats["completed"] += 1
             self._per_worker[worker] = self._per_worker.get(worker, 0) + 1
-        obs.metric_inc("serve.pool.groups", worker=worker)
 
     def _fault(
         self, task: _Task, wid: int, reason: FailureReason, detail: str, counter: str
@@ -246,10 +243,8 @@ class WorkerPool:
         self._fail_task(task, reason, detail)
         with self._lock:
             self._stats[counter] += 1
-        obs.metric_inc(f"serve.pool.{counter}")
         if self._procs.closed:
             return
         with self._lock:
             self._stats["replaced_workers"] += 1
         self._procs.replace([wid])
-        obs.metric_inc("serve.pool.replaced")

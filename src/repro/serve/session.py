@@ -68,9 +68,9 @@ class Workspace:
     factors) alike."""
 
     def __init__(self, capacity: int = 8) -> None:
-        self.structures = LRUCache(capacity, "structure")
-        self.symbolics = LRUCache(capacity, "symbolic")
-        self.factors = LRUCache(capacity, "factor")
+        self.structures = LRUCache(capacity)
+        self.symbolics = LRUCache(capacity)
+        self.factors = LRUCache(capacity)
         # (fingerprint -> family -> measured cost) tally of every
         # policy-resolved solve: the census of what `auto` chose
         self.policy_history = PolicyHistory()
@@ -426,10 +426,6 @@ class SolverSession:
         self.record_group_outcome(
             first.get("decision"), precond, [responses[i] for i in idxs]
         )
-        obs.metric_inc("serve.groups")
-        obs.metric_inc("serve.jobs", ncoal)
-        if ncoal > 1:
-            obs.metric_inc("serve.coalesced_jobs", ncoal)
 
     def record_group_outcome(self, decision, precond: str,
                              responses: list[SolveResponse]) -> None:

@@ -103,22 +103,6 @@ def _as_block_matvec(a):
     return lambda v: csr_matvecs(a_csr, v)
 
 
-def _apply_block(m: Preconditioner, r: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """``out[:, j] = M^{-1} r[:, j]``, batched when the preconditioner
-    supports it.
-
-    The IC family exposes ``apply_block`` (one substitution-sweep pass
-    over the factor serves every column); anything else falls back to a
-    column loop through the same single-vector ``apply`` the sequential
-    solver uses."""
-    block_apply = getattr(m, "apply_block", None)
-    if block_apply is not None:
-        return block_apply(r, out=out)
-    for j in range(r.shape[1]):
-        out[:, j] = m.apply(np.ascontiguousarray(r[:, j]))
-    return out
-
-
 def _solve_small(g: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
     """Solve the small ``s x s`` system ``g @ x = rhs``; second element
     reports whether the least-squares fallback was needed."""
@@ -150,8 +134,8 @@ def block_cg_solve(
         Right-hand sides, shape ``(n, s)`` (a 1-D *b* is treated as one
         column).  Must be finite.
     preconditioner:
-        Shared action ``z = M^{-1} r``, applied column-wise; identity
-        when omitted.
+        Shared action ``Z = M^{-1} R``, applied to the whole active block
+        by its ``apply_block``; identity when omitted.
     eps:
         Per-column relative residual tolerance ``||r_j|| / ||b_j||``,
         matching :func:`~repro.solvers.cg.cg_solve`.
@@ -189,7 +173,6 @@ def block_cg_solve(
             report.record(kind, "block_cg", reason, iteration=it, detail=detail)
 
     sess = obs_session()
-    pname = getattr(m, "name", type(m).__name__)
     timer = Timer()
     reason: FailureReason | None = None
     column_iterations = np.full(s, -1, dtype=np.int64)
@@ -201,9 +184,9 @@ def block_cg_solve(
         "block_cg_solve",
         ndof=n,
         nrhs=s,
-        precond=pname,
+        precond=getattr(m, "name", type(m).__name__),
         eps=eps,
-    ), timer:
+    ) as solve_span, timer:
         matvec = _as_block_matvec(a)
         r = b.copy()  # the residual of the zero start
         # zero-RHS columns use an absolute criterion (bnorm_safe = 1):
@@ -217,7 +200,7 @@ def block_cg_solve(
 
         if active.size:
             ra = np.ascontiguousarray(r[:, active])
-            za = _apply_block(m, ra, np.empty_like(ra))
+            za = m.apply_block(ra, out=np.empty_like(ra))
             pa = za.copy()
             rho = za.T @ ra
 
@@ -252,13 +235,12 @@ def block_cg_solve(
                 relres[active] = norms / bnorm_safe[active]
                 history.append(relres.copy())
                 if sess is not None:
-                    sess.tracer.event(
+                    sess.event(
                         "block_cg.iteration",
                         it=it,
                         active=int(active.size),
                         worst=float(relres[active].max()),
                     )
-                    sess.metrics.inc("block_cg.iterations", precond=pname)
                 if not np.isfinite(norms).all():
                     reason = FailureReason.NAN_DETECTED
                     record("detect", reason, it, "residual is NaN/Inf")
@@ -275,10 +257,6 @@ def block_cg_solve(
                         f"{newly.size} column(s) converged; "
                         f"{int((~done).sum())} remain",
                     )
-                    if sess is not None:
-                        sess.metrics.inc(
-                            "block_cg.deflations", float(newly.size), precond=pname
-                        )
                     keep = ~done
                     active = active[keep]
                     if active.size == 0:
@@ -287,7 +265,7 @@ def block_cg_solve(
                     pa = np.ascontiguousarray(pa[:, keep])
                     rho = rho[np.ix_(keep, keep)]
 
-                za = _apply_block(m, ra, np.empty((n, active.size)))
+                za = m.apply_block(ra, out=np.empty((n, active.size)))
                 rho_new = za.T @ ra
                 beta, fell_back = _solve_small(rho, rho_new)
                 if fell_back:
@@ -304,13 +282,7 @@ def block_cg_solve(
             reason = FailureReason.MAX_ITER
             record("detect", reason, it, f"cap {max_iter}")
 
-    if sess is not None:
-        sess.metrics.inc("block_cg.solves", precond=pname, converged=converged)
-        sess.metrics.observe("block_cg.solve_seconds", timer.elapsed, precond=pname)
-        if reason is not None and reason.is_failure:
-            sess.metrics.inc("block_cg.failures", precond=pname, reason=str(reason))
-
-    return BlockCGResult(
+    res = BlockCGResult(
         x=x[:, 0] if squeeze else x,
         iterations=it,
         converged=converged,
@@ -324,3 +296,10 @@ def block_cg_solve(
         history=np.asarray(history) if record_history else np.empty((0, 0)),
         reason=reason,
     )
+    solve_span.set(
+        iterations=res.iterations,
+        converged=res.converged,
+        reason=str(res.reason),
+        deflations=res.deflations,
+    )
+    return res

@@ -140,7 +140,7 @@ def cg_program(
     store=None,
     rank: int = 0,
     resume=None,
-    labels: dict | None = None,
+    traced: bool = False,
 ):
     """One rank's preconditioned CG: the SPMD body of paper section 2.2,
     and the only place the iteration and its detectors are written.
@@ -166,11 +166,11 @@ def cg_program(
     then joins the first reduction), *store* an optional
     :class:`~repro.resilience.checkpoint.CGCheckpointStore` this rank
     snapshots into, *resume* the checkpoint whose vectors were just
-    restored into ``x`` / ``r`` / ``p``, and *labels* the metric labels
-    of the one rank that speaks for the solve in the trace.
+    restored into ``x`` / ``r`` / ``p``, and *traced* marks the one rank
+    that speaks for the solve in the trace (its ``cg.iteration`` events).
     """
     reuse_z = _supports_out(m.apply)
-    sess = obs_session() if labels is not None else None
+    sess = obs_session() if traced else None
 
     def failed(reason: FailureReason, detail: str) -> CGOutcome:
         return CGOutcome(it, False, reason, detail)
@@ -220,8 +220,7 @@ def cg_program(
         relres = np.sqrt(sums[0]) / bnorm
         history.append(relres)
         if sess is not None:
-            sess.tracer.event("cg.iteration", it=it, relres=float(relres))
-            sess.metrics.inc("cg.iterations", **labels)
+            sess.event("cg.iteration", it=it, relres=float(relres))
         if not np.isfinite(relres):
             return failed(FailureReason.NAN_DETECTED, "residual is NaN/Inf")
         if relres <= eps:
@@ -237,17 +236,6 @@ def cg_program(
         p *= beta
         p += z
     return failed(FailureReason.MAX_ITER, f"cap {max_iter}")
-
-
-def record_solve_metrics(out: CGOutcome, seconds: float, **labels) -> None:
-    """The per-solve obs metrics every CG entry point emits."""
-    sess = obs_session()
-    if sess is None:
-        return
-    sess.metrics.inc("cg.solves", converged=out.converged, **labels)
-    sess.metrics.observe("cg.solve_seconds", seconds, **labels)
-    if out.reason is not None and out.reason.is_failure:
-        sess.metrics.inc("cg.failures", reason=str(out.reason), **labels)
 
 
 def cg_solve(
@@ -309,14 +297,14 @@ def cg_solve(
         ndof=n,
         precond=pname,
         eps=eps,
-    ), timer, obs_span("cg_iterations"):
+    ) as solve_span, timer, obs_span("cg_iterations"):
         program = cg_program(
             matvec, m, b, x, r, p, history,
             eps=eps,
             max_iter=max_iter,
             stagnation_window=stagnation_window,
             x0=x0,
-            labels={"precond": pname},
+            traced=True,
         )
         # one rank: the global sum of every collective is the value itself
         try:
@@ -329,9 +317,8 @@ def cg_solve(
         report.record(
             "detect", "cg", out.reason, iteration=out.iterations, detail=out.detail
         )
-    record_solve_metrics(out, timer.elapsed, precond=pname)
 
-    return CGResult(
+    res = CGResult(
         x=x,
         iterations=out.iterations,
         converged=out.converged,
@@ -341,6 +328,10 @@ def cg_solve(
         history=np.asarray(history) if record_history else np.empty(0),
         reason=out.reason,
     )
+    solve_span.set(
+        iterations=res.iterations, converged=res.converged, reason=str(res.reason)
+    )
+    return res
 
 
 def _float64_csr(a) -> sp.csr_matrix:

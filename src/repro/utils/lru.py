@@ -7,21 +7,17 @@ import threading
 from collections import OrderedDict
 from typing import Any
 
-from repro import obs
-
 __all__ = ["LRUCache"]
 
 
 class LRUCache:
     """Bounded least-recently-used map with hit/miss/eviction accounting
-    (:meth:`stats`); evictions are also the ``serve.cache.evictions``
-    metric, labelled with the cache's name."""
+    (:meth:`stats`)."""
 
-    def __init__(self, capacity: int, name: str = "cache") -> None:
+    def __init__(self, capacity: int) -> None:
         if capacity < 1:
             raise ValueError(f"cache capacity must be >= 1, got {capacity}")
         self.capacity = int(capacity)
-        self.name = name
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -53,7 +49,6 @@ class LRUCache:
                 self._data.popitem(last=False)
                 evicted += 1
                 self.evictions += 1
-                obs.metric_inc("serve.cache.evictions", cache=self.name)
             return evicted
 
     def __len__(self) -> int:

@@ -141,9 +141,9 @@ class TestElementKernel:
         materials = {0: SOFT, 1: STIFF}
         first, inverse = distinct_elements(mesh.coords, mesh.hexes, mesh.material_ids)
         assert first.size == 2 and np.array_equal(mesh.material_ids[first][inverse], mesh.material_ids)
-        with obs.observe() as sess:
+        with obs.observe() as tracer:
             k = assemble_stiffness(mesh, materials)
-        (span,) = sess.tracer.find("assembly")
+        (span,) = tracer.find("assembly")
         assert (span.attrs["n_elem"], span.attrs["n_shapes"]) == (mesh.n_elem, 2)
         dense = np.zeros((mesh.ndof, mesh.ndof))
         for conn, mid in zip(mesh.hexes, mesh.material_ids):

@@ -7,6 +7,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.precond import DiagonalScaling, sb_bic0
+from repro.precond.base import IdentityPreconditioner
 from repro.solvers import block_cg_solve, cg_solve
 from repro.resilience.taxonomy import SolveReport
 
@@ -123,12 +124,17 @@ class TestFailureModes:
 
 class TestApplyBlock:
     def test_apply_block_matches_columns(self, block_problem_small):
+        """Every preconditioner a block solve can meet (the IC families,
+        diagonal scaling, none) treats each column of a block exactly as
+        ``apply`` treats it alone."""
         p = block_problem_small
-        m = sb_bic0(p.a, p.groups)
         r = _rhs_block(p.ndof, 5, seed=8)
-        z_block = m.apply_block(r)
-        for j in range(5):
-            np.testing.assert_array_equal(z_block[:, j], m.apply(r[:, j].copy()))
+        for m in (sb_bic0(p.a, p.groups), DiagonalScaling(p.a), IdentityPreconditioner()):
+            out = np.empty_like(r)
+            assert m.apply_block(r, out=out) is out
+            for z_block in (out, m.apply_block(r)):
+                for j in range(5):
+                    np.testing.assert_array_equal(z_block[:, j], m.apply(r[:, j].copy()))
 
     def test_apply_block_1d_passthrough(self, block_problem_small):
         p = block_problem_small

@@ -145,11 +145,6 @@ STOP_CASES = {
         lambda: (sp.diags([1.0, -1.0, 2.0]).tocsr(), np.ones(3)),
         {"max_iter": 50}, FailureReason.BREAKDOWN_INDEFINITE, "p.q = -", None,
     ),
-    "stagnation": (
-        _ill_conditioned,
-        {"eps": 1e-15, "max_iter": 5000, "stagnation_window": 5},
-        FailureReason.STAGNATION, "no 1% improvement in 5 iterations", 5,
-    ),
     "max_iter": (
         lambda: (spd(50, 5, density=0.2), np.ones(50)),
         {"eps": 1e-16, "max_iter": 2}, FailureReason.MAX_ITER, "cap 2", 2,
@@ -178,6 +173,20 @@ class TestOneBody:
         assert np.array_equal(seq.x, par.x)
         assert np.array_equal(seq.history, par.history)
         assert seq.relative_residual == par.relative_residual
+
+    def test_stagnation_window_is_cg_solve_only(self):
+        """The stagnation stop is a ``cg_solve`` option; ``parallel_cg``
+        always runs without a window."""
+        a, b = _ill_conditioned()
+        report = SolveReport()
+        res = cg_solve(a, b, eps=1e-15, max_iter=5000, stagnation_window=5, report=report)
+        assert not res.converged and res.reason is FailureReason.STAGNATION
+        assert res.iterations == 5
+        (event,) = report.detections()
+        assert (event.stage, event.reason, event.iteration) == ("cg", FailureReason.STAGNATION, 5)
+        assert event.detail.startswith("no 1% improvement in 5 iterations")
+        with pytest.raises(TypeError):
+            parallel_cg(_one_domain(a, b), stagnation_window=5)
 
     def test_x0_warm_start(self):
         """A start iterate changes the first residual, not the scale it

@@ -372,8 +372,4 @@ class TestConvergedReason:
         res = parallel_cg(_system(block_problem_small))
         assert res.converged
         assert res.reason is FailureReason.CONVERGED
-        assert not res.reason.is_failure
         assert "None" not in repr(res)
-
-    def test_rank_failure_is_failure(self):
-        assert FailureReason.RANK_FAILURE.is_failure

@@ -1,9 +1,11 @@
 import inspect
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.cli import EXPERIMENTS, main
+from repro.obs import load_jsonl_records
 
 
 class TestCLI:
@@ -62,6 +64,22 @@ class TestCLI:
         assert captured.out == ""
         assert f"{precond!r} has no per-domain (localized) form" in captured.err
         assert "['bic0', 'bic1', 'bic2', 'diag', 'sbbic0']" in captured.err
+
+    def test_trace_solve_span_carries_the_printed_iterations(self, capsys, tmp_path):
+        out_path = tmp_path / "x.jsonl"
+        code = main(["trace", "--model", "block", "--scale", "0.5", "--out", str(out_path)])
+        out = capsys.readouterr().out
+        assert code == 0
+        iterations = int(re.search(r"converged in (\d+) iters", out).group(1))
+        records = load_jsonl_records(out_path)
+        (solve,) = [r for r in records if r["name"] == "cg_solve"]
+        assert solve["attrs"]["iterations"] == iterations
+        assert solve["attrs"]["converged"] is True
+        assert sum(r["name"] == "cg.iteration" for r in records) == iterations
+        # the summary is the span table and the event count, nothing else
+        summary = out[out.index("\nspan "):]
+        assert "cg_solve" in summary and "point events" in summary
+        assert "metric" not in out
 
     def test_solve_rejects_unknown_model(self):
         with pytest.raises(SystemExit):

@@ -1,14 +1,15 @@
-"""Unified observability layer: spans, metrics, exporters, agreement.
+"""Unified observability layer: spans, events, exporters, agreement.
 
 Three layers of coverage:
 
-- unit: ``Tracer``/``Span`` nesting and thread behavior,
-  ``MetricsRegistry`` semantics, the disabled-path null session;
+- unit: ``Tracer``/``Span`` nesting and thread behavior, the
+  disabled-path null span;
 - exporters: JSON-lines records, Chrome trace-event well-formedness
   (matched ``B``/``E`` per thread lane — the CI smoke contract), the
   terminal summary table;
-- agreement: a traced solve must tell the same story as the legacy
-  counters (``CommLog``) and the factor's own bookkeeping it subsumes.
+- agreement: read from the trace alone, a traced solve tells the same
+  story as the result it returned, the transports' message census and
+  the factor's own bookkeeping — one record per fact, no second tally.
 """
 
 import json
@@ -24,10 +25,9 @@ from repro.fem.generators import simple_block_model
 from repro.fem.nonlinear import solve_nonlinear_contact
 from repro.obs.core import Tracer
 from repro.obs.export import chrome_trace_events, export_jsonl, summary_table
-from repro.obs.metrics import MetricsRegistry
 from repro.parallel import DistributedSystem, parallel_cg, partition_nodes_rcb
-from repro.precond import bic, sb_bic0
-from repro.solvers.cg import cg_solve
+from repro.precond import DiagonalScaling, bic, sb_bic0
+from repro.solvers import block_cg_solve, cg_solve
 
 
 @pytest.fixture(autouse=True)
@@ -121,46 +121,6 @@ class TestTracer:
             assert [c.name for c in r.children] == [f"{r.name}.child"]
 
 
-class TestMetricsRegistry:
-    def test_counters_accumulate_by_label(self):
-        m = MetricsRegistry()
-        m.inc("cg.iterations", precond="BIC(0)")
-        m.inc("cg.iterations", 4, precond="BIC(0)")
-        m.inc("cg.iterations", precond="SB-BIC(0)")
-        assert m.get("cg.iterations", precond="BIC(0)") == 5
-        assert m.get("cg.iterations", precond="SB-BIC(0)") == 1
-        assert m.get("cg.iterations", precond="absent") == 0.0
-        assert m.total("cg.iterations") == 6
-
-    def test_gauge_holds_latest(self):
-        m = MetricsRegistry()
-        m.set("penalty", 1e6)
-        m.set("penalty", 1e5)
-        assert m.get("penalty") == 1e5
-
-    def test_histogram_summary(self):
-        m = MetricsRegistry()
-        for v in (1.0, 3.0, 2.0):
-            m.observe("bytes", v)
-        h = m.histogram("bytes")
-        assert h["count"] == 3
-        assert h["total"] == 6.0
-        assert h["min"] == 1.0 and h["max"] == 3.0
-        assert h["mean"] == 2.0
-        assert m.histogram("absent") is None
-
-    def test_snapshot_is_json_safe(self):
-        m = MetricsRegistry()
-        m.inc("c", rank=3)
-        m.set("g", 2.5)
-        m.observe("h", 1.0, kind="nan")
-        snap = json.loads(json.dumps(m.snapshot()))
-        assert snap["counters"]["c"] == [{"labels": {"rank": "3"}, "value": 1.0}]
-        assert snap["gauges"]["g"][0]["value"] == 2.5
-        assert snap["histograms"]["h"][0]["value"]["count"] == 1
-        assert m.names() == ["c", "g", "h"]
-
-
 class TestSessionHelpers:
     def test_disabled_helpers_are_noops(self):
         assert obs.session() is None
@@ -170,9 +130,6 @@ class TestSessionHelpers:
             assert inner.set(x=1) is inner
         obs.event("e")
         obs.record_span("r", 1.0)
-        obs.metric_inc("m")
-        obs.metric_set("m", 1.0)
-        obs.metric_observe("m", 1.0)
 
     def test_observe_scopes_and_restores(self):
         outer = obs.enable()
@@ -191,13 +148,14 @@ class TestSessionHelpers:
         assert obs.session() is None
 
     def test_helpers_route_to_active_session(self):
-        with obs.observe() as sess:
+        with obs.observe() as tracer:
+            assert isinstance(tracer, Tracer) and obs.session() is tracer
             with obs.span("phase", k=1):
                 obs.event("tick")
-            obs.metric_inc("n", 2)
-        assert sess.tracer.count("phase") == 1
-        assert sess.tracer.count("tick") == 1
-        assert sess.metrics.get("n") == 2
+            obs.record_span("done", 0.5, k=2)
+        assert tracer.count("phase") == 1
+        assert tracer.count("tick") == 1
+        assert tracer.find("done")[0].attrs == {"k": 2}
 
 
 def _assert_chrome_well_formed(doc):
@@ -219,75 +177,72 @@ def _assert_chrome_well_formed(doc):
 
 
 class TestExporters:
-    def _session_with_data(self):
-        with obs.observe() as sess:
-            with obs.span("solve", ndof=12):
+    def _traced(self):
+        with obs.observe() as tracer:
+            with obs.span("solve", ndof=12) as sp:
                 with obs.span("iterations"):
                     obs.event("iteration", it=1)
-            obs.metric_inc("cg.iterations", 7, precond="BIC(0)")
-        return sess
+                sp.set(iterations=1)
+        return tracer
 
     def test_jsonl_roundtrip(self, tmp_path):
-        sess = self._session_with_data()
-        path = export_jsonl(sess.tracer, tmp_path / "t.jsonl", sess.metrics)
+        tracer = self._traced()
+        path = export_jsonl(tracer, tmp_path / "t.jsonl")
         records = [json.loads(line) for line in path.read_text().splitlines()]
-        kinds = [r["kind"] for r in records]
-        assert kinds == ["span", "span", "event", "metrics"]
-        by_name = {r["name"]: r for r in records[:-1]}
+        assert [r["kind"] for r in records] == ["span", "span", "event"]
+        by_name = {r["name"]: r for r in records}
         assert by_name["iterations"]["parent_id"] == by_name["solve"]["span_id"]
-        assert records[-1]["counters"]["cg.iterations"][0]["value"] == 7
+        assert by_name["solve"]["attrs"] == {"ndof": 12, "iterations": 1}
 
     def test_chrome_trace_matched_pairs(self):
-        sess = self._session_with_data()
-        doc = chrome_trace_events(sess.tracer, sess.metrics)
+        doc = chrome_trace_events(self._traced())
         n_pairs = _assert_chrome_well_formed(doc)
         assert n_pairs == 2  # solve + iterations
         assert sum(1 for e in doc["traceEvents"] if e["ph"] == "i") == 1
-        assert doc["otherData"]["metrics"]["counters"]["cg.iterations"]
+        assert set(doc) == {"traceEvents", "displayTimeUnit"}
 
     def test_export_chrome_trace_creates_parent_dirs(self, tmp_path):
-        sess = self._session_with_data()
-        path = obs.export_chrome_trace(
-            sess.tracer, tmp_path / "deep" / "t.json", sess.metrics
-        )
+        path = obs.export_chrome_trace(self._traced(), tmp_path / "deep" / "t.json")
         doc = json.loads(path.read_text())
         _assert_chrome_well_formed(doc)
 
-    def test_summary_table_lists_spans_and_metrics(self):
-        sess = self._session_with_data()
-        text = summary_table(sess.tracer, sess.metrics)
+    def test_summary_table_lists_spans_and_events(self):
+        text = summary_table(self._traced())
         assert "solve" in text and "iterations" in text
-        assert "cg.iterations" in text and "precond=BIC(0)" in text
-        assert summary_table(None, None) == "(empty trace)"
+        assert "(1 point events)" in text
+        assert "metric" not in text
+        assert summary_table(None) == "(empty trace)"
 
 
 class TestTracedSolveAgreement:
-    """The unified trace must agree with the legacy counters it subsumes."""
+    """Read from the trace alone, a solve tells the same story as the
+    result, the message census and the factor's own bookkeeping."""
 
     def test_cg_solve_spans_and_metrics(self, block_problem_small):
         p = block_problem_small
-        with obs.observe() as sess:
+        with obs.observe() as tracer:
             m = sb_bic0(p.a, p.groups)
             res = cg_solve(p.a, p.b, m)
         assert res.converged
 
         # spans: one solve, one sweep, one symbolic + one numeric setup
-        assert sess.tracer.count("cg_solve") == 1
-        assert sess.tracer.count("cg_iterations") == 1
-        assert sess.tracer.count("ic_symbolic") == 1
-        assert sess.tracer.count("ic_numeric") == 1
+        assert tracer.count("cg_solve") == 1
+        assert tracer.count("cg_iterations") == 1
+        assert tracer.count("ic_symbolic") == 1
+        assert tracer.count("ic_numeric") == m.numeric_setup_count == 1
         # per-iteration events mirror the iteration count exactly
-        assert sess.tracer.count("cg.iteration") == res.iterations
-        assert sess.metrics.total("cg.iterations") == res.iterations
-        # registry counts the set-ups the factor itself counted
-        assert sess.metrics.total("setup.symbolic") == 1
-        assert sess.metrics.total("setup.numeric") == m.numeric_setup_count == 1
+        assert tracer.count("cg.iteration") == res.iterations
+        # the solve's counters are its span's exit attributes
+        (solve,) = tracer.find("cg_solve")
+        assert solve.attrs["iterations"] == res.iterations
+        assert solve.attrs["converged"] is True
+        assert solve.attrs["reason"] == "CONVERGED"
         # backdated spans carry the legacy wall-clock bookkeeping verbatim
-        (sym,) = sess.tracer.find("ic_symbolic")
+        (sym,) = tracer.find("ic_symbolic")
         assert sym.duration == pytest.approx(m.symbolic.build_seconds)
-        (num,) = sess.tracer.find("ic_numeric")
+        (num,) = tracer.find("ic_numeric")
         assert num.duration == pytest.approx(m.numeric_seconds)
-        assert sess.metrics.get("cg.solves", precond=m.name, converged=True) == 1
+        assert num.attrs["pivot_nudges"] == m.breakdown_count == 0
 
     def test_setup_spans_carry_their_phases(self, block_problem_small):
         """`repro trace` can say where set-up time went: assembly, the
@@ -296,10 +251,10 @@ class TestTracedSolveAgreement:
         exactly."""
         from repro.fem.model import build_contact_problem
 
-        with obs.observe() as sess:
+        with obs.observe() as tracer:
             p = build_contact_problem(block_problem_small.mesh, penalty=1e6)
             m = sb_bic0(p.a, p.groups)
-        (asm,) = sess.tracer.find("assembly")
+        (asm,) = tracer.find("assembly")
         assert [c.name for c in asm.children] == [
             "assembly.slots",
             "assembly.element",
@@ -312,7 +267,7 @@ class TestTracedSolveAgreement:
         # what the system stores, and what the round-off rule dropped
         assert asm.attrs["nnz_stored"] == p.a.nnz
         assert 0 < asm.attrs["nnz_dropped"] < p.a.nnz
-        (sym,) = sess.tracer.find("ic_symbolic")
+        (sym,) = tracer.find("ic_symbolic")
         assert [c.name for c in sym.children] == [
             "ic_symbolic.ordering",
             "ic_symbolic.pattern",
@@ -322,7 +277,7 @@ class TestTracedSolveAgreement:
         # what the symbolic object keeps, as the factor's census reports it
         assert sym.attrs["symbolic_bytes"] == m.symbolic.memory_bytes() > 0
         assert m.factorization_stats()["symbolic_bytes"] == sym.attrs["symbolic_bytes"]
-        (num,) = sess.tracer.find("ic_numeric")
+        (num,) = tracer.find("ic_numeric")
         assert [c.name for c in num.children] == [
             "ic_numeric.scatter",
             "ic_numeric.factor",
@@ -336,10 +291,10 @@ class TestTracedSolveAgreement:
             assert kids[-1].t_end == pytest.approx(parent.t_end)
             assert all(a.t_end == b.t_start for a, b in zip(kids, kids[1:]))
         # the phases show up in the terminal summary and the Chrome trace
-        table = summary_table(sess.tracer, sess.metrics)
+        table = summary_table(tracer)
         assert "assembly.element" in table and "ic_symbolic.maps" in table
         assert "ic_numeric.gather" in table
-        _assert_chrome_well_formed(chrome_trace_events(sess.tracer))
+        _assert_chrome_well_formed(chrome_trace_events(tracer))
 
     def test_parallel_cg_halo_census_matches_commlog(self, block_problem_small):
         p = block_problem_small
@@ -348,30 +303,25 @@ class TestTracedSolveAgreement:
         def factory(sub, nodes):
             return bic(sub, fill_level=0)
 
-        with obs.observe() as sess:
+        with obs.observe() as tracer:
             system = DistributedSystem.from_global(p.a, p.b, part, factory)
             res = parallel_cg(system)
         assert res.converged
-        log = system.comm.log
+        log = system.comm_log
 
-        halos = sess.tracer.find("halo_exchange")
-        assert len(halos) == sess.metrics.total("comm.exchanges")
+        halos = tracer.find("halo_exchange")
+        # the lockstep emulation records one span per exchange, all ranks in it
+        assert len(halos) == system.comm.n_exchanges == res.iterations
         assert sum(s.attrs["messages"] for s in halos) == log.n_messages
         assert sum(s.attrs["bytes"] for s in halos) == log.bytes_sent
-        assert sess.metrics.total("comm.messages") == log.n_messages
-        assert sess.metrics.total("comm.bytes") == log.bytes_sent
-        assert sess.metrics.total("comm.allreduces") == log.n_allreduce
-        hist = sess.metrics.histogram("comm.exchange_bytes")
-        assert hist["count"] == len(halos)
-        assert hist["total"] == log.bytes_sent
         # halo exchanges nest under the solve span
-        (root,) = sess.tracer.find("parallel_cg")
+        (root,) = tracer.find("parallel_cg")
         assert len(root.find("halo_exchange")) == len(halos)
-        assert sess.tracer.count("cg.iteration") == len(res.history) - 1
+        assert tracer.count("cg.iteration") == len(res.history) - 1
 
     def test_nonlinear_contact_single_nested_trace(self):
         mesh = simple_block_model(2, 2, 2, 2, 2)
-        with obs.observe() as sess:
+        with obs.observe() as tracer:
             k = assemble_stiffness(mesh)
             f = surface_load(
                 mesh, mesh.node_sets["zmax"], np.array([0.0, 0.0, -1.0])
@@ -397,22 +347,25 @@ class TestTracedSolveAgreement:
         assert res.converged
 
         # one trace carries assembly, both setup phases and the CG sweeps
-        assert sess.tracer.count("assembly") == 1
-        assert sess.tracer.count("ic_symbolic") == 1
-        assert sess.tracer.count("ic_numeric") >= 1
-        (top,) = sess.tracer.find("solve_nonlinear_contact")
+        assert tracer.count("assembly") == 1
+        assert tracer.count("ic_symbolic") == 1
+        assert tracer.count("ic_numeric") >= 1
+        (top,) = tracer.find("solve_nonlinear_contact")
         cycles = top.find("alm_cycle")
         assert len(cycles) == res.cycles
-        assert sess.metrics.total("alm.cycles") == res.cycles
         # every cycle's inner solve nests inside its cycle span
         assert len(top.find("cg_solve")) == res.cycles
         assert len(top.find("cg_iterations")) == res.cycles
         assert top.attrs["converged"] is True
-        # per-iteration events sum to the recorded totals
-        assert sess.tracer.count("cg.iteration") == res.total_cg_iterations
-        assert sess.metrics.total("cg.iterations") == res.total_cg_iterations
+        assert top.attrs["cycles"] == res.cycles
+        assert top.attrs["backoffs"] == res.penalty_backoffs
+        # per-iteration events and solve exit attributes sum to the totals
+        assert tracer.count("cg.iteration") == res.total_cg_iterations
+        assert sum(s.attrs["iterations"] for s in top.find("cg_solve")) == (
+            res.total_cg_iterations
+        )
         # and the whole thing exports as a well-formed Chrome trace
-        _assert_chrome_well_formed(chrome_trace_events(sess.tracer))
+        _assert_chrome_well_formed(chrome_trace_events(tracer))
 
     def test_quick_sweep_trace_is_valid_chrome_json(self, tmp_path):
         """CI smoke contract: the --trace file of a quick sweep run is
@@ -431,7 +384,59 @@ class TestTracedSolveAgreement:
         doc = json.loads(out.read_text())
         n_pairs = _assert_chrome_well_formed(doc)
         assert n_pairs > 0
-        assert doc["otherData"]["metrics"]["counters"]["comm.exchanges"]
+        names = {e["name"] for e in doc["traceEvents"]}
+        assert {"parallel_cg", "halo_exchange", "report.detect"} <= names
+        assert "otherData" not in doc
+
+
+def _exit_attrs(span) -> tuple:
+    return tuple(span.attrs[k] for k in ("iterations", "converged", "reason"))
+
+
+def _expected(res) -> tuple:
+    return res.iterations, res.converged, str(res.reason)
+
+
+@pytest.mark.parametrize("max_iter", [None, 3], ids=["converged", "max_iter"])
+class TestSolveSpanExitAttributes:
+    """Every CG entry point sets what it returns on its span, once, at
+    exit: the counters a second tally would otherwise restate."""
+
+    def test_cg_solve(self, block_problem_small, max_iter):
+        p = block_problem_small
+        m = DiagonalScaling(p.a)
+        with obs.observe() as tracer:
+            res = cg_solve(p.a, p.b, m, max_iter=max_iter)
+        assert res.converged is (max_iter is None)
+        (solve,) = tracer.find("cg_solve")
+        assert _exit_attrs(solve) == _expected(res)
+        assert tracer.count("cg.iteration") == res.iterations
+
+    @pytest.mark.parametrize("transport", ["lockstep", "process"])
+    def test_parallel_cg(self, block_problem_small, max_iter, transport):
+        p = block_problem_small
+        part = partition_nodes_rcb(p.mesh.coords, 2)
+        with DistributedSystem.from_global(
+            p.a, p.b, part, lambda sub, nodes: DiagonalScaling(sub),
+            transport=transport,
+        ) as system:
+            with obs.observe() as tracer:
+                res = parallel_cg(system, **({} if max_iter is None else {"max_iter": max_iter}))
+        assert res.converged is (max_iter is None)
+        (solve,) = tracer.find("parallel_cg")
+        assert _exit_attrs(solve) == _expected(res)
+        assert solve.attrs["rollbacks"] == res.rollbacks == 0
+
+    def test_block_cg_solve(self, block_problem_small, max_iter):
+        p = block_problem_small
+        b = np.random.default_rng(0).standard_normal((p.ndof, 3))
+        with obs.observe() as tracer:
+            res = block_cg_solve(p.a, b, DiagonalScaling(p.a), max_iter=max_iter)
+        assert res.converged is (max_iter is None)
+        (solve,) = tracer.find("block_cg_solve")
+        assert _exit_attrs(solve) == _expected(res)
+        assert solve.attrs["deflations"] == res.deflations
+        assert tracer.count("block_cg.iteration") == res.iterations
 
 
 class TestJournalCommitSpan:
@@ -439,30 +444,32 @@ class TestJournalCommitSpan:
         from repro.io.joblog import JobLog
 
         log = JobLog(tmp_path)
-        with obs.observe() as sess:
+        with obs.observe() as tracer:
             log.commit("req", [(f"j{i}", {"v": np.ones(3)}, {}) for i in range(4)])
             log.commit("res", [("j0", {}, {"ok": True})])
         stats = log.stats()
         log.close()
-        spans = sess.tracer.find("journal.commit")
+        spans = tracer.find("journal.commit")
         assert [s.attrs["kind"] for s in spans] == ["req", "res"]
         assert [s.attrs["records"] for s in spans] == [4, 1]
         assert sum(s.attrs["bytes"] for s in spans) == stats["bytes"]
-        hist = sess.metrics.histogram("journal.sync_seconds")
-        assert hist["count"] == 2 == stats["commits"]
-        assert hist["min"] >= 0.0 and hist["total"] <= sum(s.duration for s in spans)
+        # one fsync per commit, each a child span of its commit
+        syncs = tracer.find("journal.sync")
+        assert len(syncs) == 2 == stats["commits"]
+        assert [s.parent_id for s in syncs] == [s.span_id for s in spans]
+        assert sum(s.duration for s in syncs) <= sum(s.duration for s in spans)
 
     def test_queue_process_is_two_commits_around_the_solve(self, tmp_path):
         from repro.serve import JobQueue, SolveRequest, SolverSession
 
         queue = JobQueue(SolverSession(), journal_dir=tmp_path)
-        with obs.observe() as sess:
+        with obs.observe() as tracer:
             for i in range(3):
                 queue.submit(SolveRequest(model="block", scale=0.25, penalty=1e4,
                                           rhs={"seed": i}))
             queue.process()
         queue.close()
-        names = [s.name for s in sorted(sess.tracer.iter_spans(), key=lambda s: s.t_start)
+        names = [s.name for s in sorted(tracer.iter_spans(), key=lambda s: s.t_start)
                  if s.name in ("journal.commit", "serve.job")]
         assert names[0] == names[-1] == "journal.commit"
         assert names.count("journal.commit") == 2 and names.count("serve.job") == 3

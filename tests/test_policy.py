@@ -387,10 +387,10 @@ class TestSolverPolicy:
         policy = SolverPolicy(history=history)
         stages, decision = policy.ladder(contact.a, contact.groups)
         shifted = next(s for s in stages if "shift" in s.name)
-        with obs.observe() as sess:
+        with obs.observe() as tracer:
             policy.record_outcome(decision, shifted.family, stage=shifted.name,
                                   seconds=1.0, converged=True)
-            span = next(s for s in sess.tracer.iter_spans()
+            span = next(s for s in tracer.iter_spans()
                         if s.name == "policy.outcome")
         assert list(history.to_dict()["outcomes"][decision.fingerprint]) == ["bic0"]
         assert (span.attrs["choice"], span.attrs["stage"]) == ("bic0", shifted.name)
@@ -438,11 +438,11 @@ class TestServeIntegration:
         """The cost model ranks at the ``eps`` CG will stop at, so the
         outcome span's prediction is the one for that tolerance."""
         session = SolverSession()
-        with obs.observe() as sess:
+        with obs.observe() as tracer:
             resp = session.solve(SolveRequest(
                 job_id="auto-eps", model="block", scale=0.4, penalty=1.0e6,
                 precond="auto", rhs="model", eps=1.0e-4))
-            outcome = next(s for s in sess.tracer.iter_spans()
+            outcome = next(s for s in tracer.iter_spans()
                            if s.name == "policy.outcome")
         assert resp.ok and resp.converged
         probe = session.policy.probe(None, cache_key=resp.fingerprint)  # cached
@@ -491,20 +491,20 @@ class TestPolicyTableExporter:
     def test_live_policy_emits_consumable_spans(self, contact, tmp_path):
         from repro.obs.export import export_jsonl, load_jsonl_records
 
-        with obs.observe() as sess:
+        with obs.observe() as tracer:
             policy = SolverPolicy()
             decision = policy.decide(contact.a, contact.groups)
             policy.record_outcome(decision, "diag", seconds=0.1,
                                   converged=True, iterations=5)
-            text = obs.policy_table(sess.tracer)
-            outcome = next(s for s in sess.tracer.iter_spans()
+            text = obs.policy_table(tracer)
+            outcome = next(s for s in tracer.iter_spans()
                            if s.name == "policy.outcome")
         assert decision.fingerprint in text
         predicted = decision.cost_of("diag")
         assert outcome.attrs["predicted_iterations"] == predicted.predicted_iterations
         assert outcome.attrs["predicted_seconds"] == predicted.predicted_seconds
         # the exported trace renders the same table
-        path = export_jsonl(sess.tracer, tmp_path / "trace.jsonl")
+        path = export_jsonl(tracer, tmp_path / "trace.jsonl")
         assert obs.policy_table(load_jsonl_records(path)) == text
 
 

@@ -4,10 +4,10 @@ Property tests: a numeric-only ``refactor(a')`` on the cached symbolic
 pattern must agree with a from-scratch factorization of ``a'`` — on the
 factor ``L``, the inverted diagonal blocks, and the ``apply()`` output —
 to <= 1e-13, across the ALM penalty range 1e3..1e6 and all BIC fill
-levels.  Plus the setup-census guarantees: ``solve_nonlinear_contact``
-with penalty back-offs runs exactly one symbolic setup, the resilience
-ladder shares one BIC-family pattern phase, and the distributed /
-localized preconditioners refactor without any new symbolic work.
+levels.  Plus the setup-census guarantees, counted from the trace's
+``ic_symbolic`` / ``ic_numeric`` spans: ``solve_nonlinear_contact`` with
+penalty back-offs runs exactly one symbolic setup, and the resilience
+ladder shares one BIC-family pattern phase.
 """
 
 from __future__ import annotations
@@ -22,15 +22,7 @@ from repro.fem.bc import all_dofs, apply_dirichlet, component_dofs, surface_load
 from repro.fem.generators import simple_block_model
 from repro.fem.model import build_contact_problem
 from repro.fem.nonlinear import solve_nonlinear_contact
-from repro.parallel.distributed import DistributedSystem, parallel_cg
-from repro.parallel.partition import partition_nodes_rcb
-from repro.precond import (
-    LocalizedPreconditioner,
-    bic,
-    sb_bic0,
-    scalar_ic0,
-)
-from repro.precond.localized import restrict_groups
+from repro.precond import bic, sb_bic0, scalar_ic0
 from repro.sparse.patterns import (
     csr_extract_map,
     csr_position_map,
@@ -53,9 +45,10 @@ def problems(mesh):
     return {lam: build_contact_problem(mesh, penalty=lam) for lam in PENALTIES}
 
 
-def _setups(sess) -> dict[str, float]:
-    """The set-up phases an ``obs.observe()`` session counted."""
-    return {phase: sess.metrics.total(f"setup.{phase}") for phase in ("symbolic", "numeric")}
+def _setups(tracer) -> dict[str, int]:
+    """The set-up phases an ``obs.observe()`` tracer recorded: one
+    ``ic_symbolic`` / ``ic_numeric`` span each."""
+    return {phase: tracer.count(f"ic_{phase}") for phase in ("symbolic", "numeric")}
 
 
 def _assert_same_factorization(refd, fresh, r):
@@ -107,9 +100,9 @@ class TestRefactorAgreesWithFresh:
         """sb_bic0(symbolic=...) skips the pattern phase, same numerics."""
         p6, p3 = problems[1e6], problems[1e3]
         m6 = sb_bic0(p6.a, p6.groups)
-        with obs.observe() as sess:
+        with obs.observe() as tracer:
             m3 = sb_bic0(p3.a, p3.groups, symbolic=m6.symbolic)
-        assert _setups(sess) == {"symbolic": 0, "numeric": 1}
+        assert _setups(tracer) == {"symbolic": 0, "numeric": 1}
         fresh = sb_bic0(p3.a, p3.groups)
         r = np.random.default_rng(7).standard_normal(p3.ndof)
         _assert_same_factorization(m3, fresh, r)
@@ -203,10 +196,10 @@ class TestSingleSymbolicSetupInALM:
         calls = []
 
         def factory(a):
-            calls.append(1)
-            return _PoisonFirstSolve(bic(a, fill_level=0))
+            calls.append(_PoisonFirstSolve(bic(a, fill_level=0)))
+            return calls[-1]
 
-        with obs.observe() as sess:
+        with obs.observe() as tracer:
             res = solve_nonlinear_contact(
                 a_free,
                 b,
@@ -218,11 +211,12 @@ class TestSingleSymbolicSetupInALM:
         assert res.penalty_backoffs >= 1
         assert res.converged
         assert len(calls) == 1  # the factory ran once; back-off refactored
-        assert _setups(sess) == {"symbolic": 1, "numeric": 1 + res.penalty_backoffs}
+        assert _setups(tracer) == {"symbolic": 1, "numeric": 1 + res.penalty_backoffs}
+        assert calls[0].inner.numeric_setup_count == 1 + res.penalty_backoffs
 
     def test_healthy_run_single_setup(self, alm_system):
         mesh, a_free, b = alm_system
-        with obs.observe() as sess:
+        with obs.observe() as tracer:
             res = solve_nonlinear_contact(
                 a_free,
                 b,
@@ -232,7 +226,7 @@ class TestSingleSymbolicSetupInALM:
                 precond_factory=lambda a: bic(a, fill_level=0),
             )
         assert res.converged and res.penalty_backoffs == 0
-        assert _setups(sess) == {"symbolic": 1, "numeric": 1}
+        assert _setups(tracer) == {"symbolic": 1, "numeric": 1}
 
     def test_build_system_matches_explicit_sum(self, alm_system):
         """The values-only union-pattern build equals A_free + lam C^T C
@@ -265,12 +259,12 @@ class TestLadderSharesSymbolic:
         ladder = paper_ladder(p.a, p.groups)
         names = [s.name for s in ladder]
         assert names[0] == "SB-BIC(0)" and names[1] == "BIC(0)"
-        with obs.observe() as sess:
+        with obs.observe() as tracer:
             m_plain = ladder[1].build()
             m_shift1 = ladder[2].build()
             m_shift2 = ladder[3].build()
         # one pattern phase for the family
-        assert _setups(sess) == {"symbolic": 1, "numeric": 3}
+        assert _setups(tracer) == {"symbolic": 1, "numeric": 3}
         assert m_shift1 is m_plain and m_shift2 is m_plain  # refactored rung
         # the escalated rung numerically equals a fresh shifted build
         dbar = float(np.abs(p.a.diagonal()).mean())
@@ -287,63 +281,6 @@ class TestLadderSharesSymbolic:
         fresh = bic(p.a, fill_level=0, shift=0.01 * dbar)
         r = np.random.default_rng(11).standard_normal(p.ndof)
         assert m.apply(r) == pytest.approx(fresh.apply(r), rel=1e-13)
-
-
-def _internal_values(rank, state):
-    """A rank command: the values of the internal block it factors."""
-    return state.internal.data.copy()
-
-
-class TestDistributedRefactor:
-    @pytest.fixture(scope="class")
-    def partitioned(self):
-        mesh = simple_block_model(3, 3, 2, 3, 3)
-        p6 = build_contact_problem(mesh, penalty=1e6)
-        p3 = build_contact_problem(mesh, penalty=1e3)
-        part = partition_nodes_rcb(mesh.coords, 4)
-        return mesh, p6, p3, part
-
-    @staticmethod
-    def _factory(problem):
-        return lambda sub, nodes: sb_bic0(
-            sub, restrict_groups(problem.groups, nodes, problem.mesh.n_nodes)
-        )
-
-    def test_refactor_matches_from_global(self, partitioned):
-        mesh, p6, p3, part = partitioned
-        fac = self._factory(p6)
-        system = DistributedSystem.from_global(p6.a, p6.b, part, fac)
-        with obs.observe() as sess:
-            system.refactor(p3.a, p3.b)
-        assert _setups(sess)["symbolic"] == 0  # values-only per domain
-        res = parallel_cg(system)
-        rebuilt = DistributedSystem.from_global(p3.a, p3.b, part, fac)
-        # each rank's refactored internal block is the freshly cut one, exactly
-        for got, want in zip(
-            system.comm.run(_internal_values), rebuilt.comm.run(_internal_values)
-        ):
-            assert np.array_equal(got, want)
-        fresh = parallel_cg(rebuilt)
-        assert res.converged and fresh.converged
-        assert res.iterations == fresh.iterations
-        assert res.x == pytest.approx(fresh.x, rel=1e-12, abs=1e-14)
-
-    def test_refactor_pattern_mismatch_raises(self, partitioned):
-        mesh, p6, _p3, part = partitioned
-        system = DistributedSystem.from_global(p6.a, p6.b, part, self._factory(p6))
-        with pytest.raises(ValueError, match="pattern"):
-            system.refactor(sp.identity(p6.ndof, format="csr"))
-
-    def test_localized_refactor_matches_fresh(self, partitioned):
-        mesh, p6, p3, part = partitioned
-        fac = self._factory(p6)
-        lp = LocalizedPreconditioner(p6.a, part, fac)
-        with obs.observe() as sess:
-            lp.refactor(p3.a)
-        assert _setups(sess)["symbolic"] == 0
-        fresh = LocalizedPreconditioner(p3.a, part, fac)
-        r = np.random.default_rng(12).standard_normal(p3.ndof)
-        assert lp.apply(r) == pytest.approx(fresh.apply(r), rel=1e-13)
 
 
 class TestPatternUtilities:

@@ -37,7 +37,6 @@ class TestFailureTaxonomy:
         res = cg_solve(p.a, p.b, bic(p.a, fill_level=0))
         assert res.converged
         assert res.reason is FailureReason.CONVERGED
-        assert not res.reason.is_failure
         assert "None" not in repr(res)
 
     def test_breakdown_reason_and_repr(self):

@@ -4,8 +4,8 @@ The acceptance properties of the serving tentpole live here:
 
 - warm requests to a known fingerprint cause **zero** symbolic and zero
   numeric setups (asserted through each response's ``setups`` census);
-- LRU caches account hits/misses/evictions exactly, and evictions are
-  the ``serve.cache.evictions`` metric;
+- LRU caches account hits/misses/evictions exactly, in their
+  ``stats()``;
 - a server killed between journaling and solving resumes from the
   journal and returns bit-for-bit the answers of an uninterrupted run;
 - completed jobs replay idempotently from their recorded result in the
@@ -45,7 +45,7 @@ def _req(**kw) -> SolveRequest:
 
 class TestLRUCache:
     def test_hit_miss_accounting(self):
-        c = LRUCache(2, "t")
+        c = LRUCache(2)
         assert c.get("a") is None
         c.put("a", 1)
         assert c.get("a") == 1
@@ -54,18 +54,16 @@ class TestLRUCache:
         }
 
     def test_eviction_order_and_census(self):
-        c = LRUCache(2, "t")
-        with obs.observe() as sess:
-            c.put("a", 1)
-            c.put("b", 2)
-            c.get("a")  # refresh a: b is now LRU
-            c.put("c", 3)
+        c = LRUCache(2)
+        c.put("a", 1)
+        c.put("b", 2)
+        c.get("a")  # refresh a: b is now LRU
+        assert c.put("c", 3) == 1
         assert "b" not in c and "a" in c and "c" in c
-        assert c.evictions == 1
-        assert sess.metrics.get("serve.cache.evictions", cache="t") == 1
+        assert c.evictions == c.stats()["evictions"] == 1
 
     def test_put_existing_key_updates_without_evicting(self):
-        c = LRUCache(2, "t")
+        c = LRUCache(2)
         c.put("a", 1)
         c.put("b", 2)
         c.put("a", 10)
@@ -154,12 +152,12 @@ class TestSessionCaching:
     def test_eviction_feeds_setup_census(self):
         sess = SolverSession(capacity=2)
         self._three_families_in_two_slots(sess)
-        with obs.observe() as trace:
-            last = sess.solve(_req(precond="bic0"))
+        before = sess.stats()["caches"]["factors"]["evictions"]
+        last = sess.solve(_req(precond="bic0"))
         assert last.setups["evictions"] == 1  # the sbbic0 factor
         # the bic1 build evicted the bic0 factor, this solve the sbbic0 one
+        assert before == 1
         assert sess.stats()["caches"]["factors"]["evictions"] == 2
-        assert trace.metrics.get("serve.cache.evictions", cache="factor") == 1
 
     def test_warm_equals_cold_bitwise(self):
         """The refactor path must reproduce a cold build bit-for-bit —
@@ -386,26 +384,24 @@ class TestServerFrontends:
         assert all(r["ok"] and r["coalesced"] == 3 for r in recs)
 
     def test_requests_table_from_trace(self, tmp_path):
-        from repro import obs
-
-        with obs.observe() as sess:
+        with obs.observe() as tracer:
             q = JobQueue()
             q.submit(_req(job_id="t1"))
             q.process()
-        table = obs.requests_table(sess.tracer)
+        table = obs.requests_table(tracer)
         assert "t1" in table and "miss/build" in table
         path = tmp_path / "trace.jsonl"
-        obs.export_jsonl(sess.tracer, path, sess.metrics)
+        obs.export_jsonl(tracer, path)
         table2 = obs.requests_table(obs.load_jsonl_records(path))
         assert "t1" in table2
         assert "journal:" not in table  # nothing was journaled
 
-        with obs.observe() as sess:
+        with obs.observe() as tracer:
             q = JobQueue(journal_dir=tmp_path / "j")
             q.submit(_req(job_id="t2"))
             q.process()
             q.close()
-        obs.export_jsonl(sess.tracer, path, sess.metrics)
-        for source in (sess.tracer, obs.load_jsonl_records(path)):
+        obs.export_jsonl(tracer, path)
+        for source in (tracer, obs.load_jsonl_records(path)):
             last = obs.requests_table(source).splitlines()[-1]
             assert last.startswith("journal: 2 commits, 2 records, ")

@@ -550,7 +550,7 @@ class TestQueueWithPool:
         from repro import obs
         from repro.obs.export import requests_table
 
-        with obs.observe() as sess:
+        with obs.observe() as tracer:
             queue = JobQueue(
                 session=session,
                 admission=AdmissionController(
@@ -560,7 +560,7 @@ class TestQueueWithPool:
             queue.submit(_req(job_id="tbl-ok"))
             queue.submit(_req(job_id="tbl-refused"))
             queue.process()
-            table = requests_table(sess.tracer)
+            table = requests_table(tracer)
         assert "reason" in table.splitlines()[0]
         assert "tbl-refused" in table
         assert "overloaded" in table

@@ -172,35 +172,6 @@ class TestParity:
         finally:
             sys_p.close()
 
-    def test_refactor_then_solve_matches_lockstep(self, problem, part):
-        """A values-only update between solves reaches the rank workers
-        as a command: the same worker processes refactor the factors
-        they kept, and solve on them bit-identically to lockstep."""
-        prob, mesh = problem
-        stiffer = build_contact_problem(mesh, penalty=1e6)
-        results, pids = [], []
-        for transport in ("lockstep", "process"):
-            system = DistributedSystem.from_global(
-                prob.a, prob.b, part, _factory, transport=transport
-            )
-            try:
-                pids.append(getattr(system.comm, "pids", None))
-                first = parallel_cg(system)
-                system.refactor(stiffer.a, 2.0 * stiffer.b)
-                pids.append(getattr(system.comm, "pids", None))
-                results.append((first, parallel_cg(system)))
-                pids.append(getattr(system.comm, "pids", None))
-            finally:
-                system.close()
-        (first_l, second_l), (first_p, second_p) = results
-        assert second_l.converged and second_l.iterations != first_l.iterations
-        assert np.array_equal(first_p.x, first_l.x)
-        assert second_p.iterations == second_l.iterations
-        assert np.array_equal(second_p.x, second_l.x)
-        before, after_refactor, after_solve = pids[3:]
-        assert None not in before and len(set(before)) == 4
-        assert before == after_refactor == after_solve
-
     def test_setup_runs_in_the_rank_workers(self, problem, part, monkeypatch):
         """The driver builds no symbolic factorization on the process
         transport: each rank worker builds its own, and the driver keeps

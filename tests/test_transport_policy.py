@@ -47,7 +47,6 @@ class TestPolicyValidation:
 class TestTaxonomy:
     def test_comm_timeout_enum_member(self):
         assert FailureReason.COMM_TIMEOUT.value == "comm_timeout"
-        assert FailureReason.COMM_TIMEOUT.is_failure
         assert str(FailureReason.COMM_TIMEOUT) == "COMM_TIMEOUT"
 
     def test_comm_timeout_exception_payload(self):
