@@ -21,6 +21,7 @@ from repro.kernels.sweeps import (
     apply_substitution_block,
     csr_matvec,
     csr_matvecs,
+    matvec_threads,
 )
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "csr_matvec",
     "csr_matvecs",
     "describe",
+    "matvec_threads",
     "get_backend",
 ]
 
@@ -46,10 +48,14 @@ def get_backend():
 
 
 def describe() -> dict:
-    """What serves the kernels, for the metadata of a bench result.
+    """What serves the kernels, for the metadata of a bench result:
+    which kernels, which scipy, and how many threads a product above
+    :data:`~repro.kernels.sweeps.SPLIT_NNZ` runs on in this process.
 
-    Exists for ``bench/run.py``, which stamps it into every result; a
-    later benchmark change can record the scipy version itself and
-    delete this.
+    Exists for ``bench/run.py``, which stamps it into every result.
     """
-    return {"kernels": "scipy.sparse._sparsetools", "scipy": scipy.__version__}
+    return {
+        "kernels": "scipy.sparse._sparsetools",
+        "scipy": scipy.__version__,
+        "matvec_threads": sweeps.matvec_threads(),
+    }

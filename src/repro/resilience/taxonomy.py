@@ -13,9 +13,8 @@ Kept nearly dependency-free (stdlib plus the stdlib-only
 :mod:`repro.obs` helpers) so the solver, preconditioner and
 communication layers can all import it without cycles.  When an
 observability session is active, every recorded event is mirrored into
-the unified trace (a ``report.<kind>`` trace event plus a
-``report.events`` counter labeled by kind and stage); the
-:class:`SolveReport` trail remains the authoritative, always-on log.
+the unified trace as a ``report.<kind>`` trace event carrying its stage;
+the :class:`SolveReport` trail remains the authoritative, always-on log.
 """
 
 from __future__ import annotations

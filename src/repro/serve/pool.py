@@ -20,9 +20,9 @@ policy history.  One dispatch thread per group waits on the child's pipe
 up to the group's deadline: a child that dies mid-solve → ``WORKER_CRASH``
 + replacement; one still alive but silent at the deadline → SIGKILL +
 replacement + ``REQUEST_TIMEOUT``.  Threads would share the parent's
-caches but not the CPU (``_sparsetools`` holds the GIL) and could not
-stop a wedged solve; forked children are kill-able and crash-isolated at
-the price of per-child set-up caches.
+caches, but measured no faster than serial (DESIGN.md §14) and could
+not stop a wedged solve; forked children are kill-able and
+crash-isolated at the price of per-child set-up caches.
 
 A fault is *contained*: the afflicted group's jobs get structured
 terminal responses (never exceptions), a quarantine record lands in the

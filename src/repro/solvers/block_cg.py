@@ -2,13 +2,16 @@
 
 The serve layer (:mod:`repro.serve`) coalesces concurrent requests that
 share one operator/preconditioner into a single *blocked* solve: all
-``s`` right-hand sides advance together through one Krylov iteration, so
-every matvec is a sparse-times-dense-block product (one pass over the
-matrix for ``s`` vectors instead of ``s`` passes) and the block Krylov
-space — spanned by every column's residual — converges in fewer
-iterations than any single-vector solve.  That is where the throughput
-win over sequential :func:`cg_solve` comes from (tracked as the bench
-metric ``solvers.block_cg_s_per_rhs``).
+``s`` right-hand sides advance together through one Krylov iteration,
+and the block Krylov space — spanned by every column's residual —
+converges in fewer iterations than any single-vector solve.  That is
+the whole of the throughput win over sequential :func:`cg_solve`
+(tracked as the bench metric ``solvers.block_cg_s_per_rhs``).  Every
+product is a sparse-times-dense-block one, but reading the matrix once
+for ``s`` vectors buys nothing measurable: on block 1.5 with 8 loads,
+block CG took 65 block iterations against 134 per column (0.153 against
+0.378 s per right-hand side), while the same 8 CGs stepped together
+through the batched kernels took 0.395 s.
 
 Block CG's classic failure mode is a (near-)singular ``P^T A P`` or
 ``Z^T R`` once columns converge or become linearly dependent.  This
@@ -34,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.kernels import csr_matvecs
+from repro.kernels import csr_matvecs, matvec_threads
 from repro.obs import session as obs_session, span as obs_span
 from repro.precond.base import IdentityPreconditioner, Preconditioner
 from repro.resilience.taxonomy import FailureReason, SolveReport
@@ -301,5 +304,6 @@ def block_cg_solve(
         converged=res.converged,
         reason=str(res.reason),
         deflations=res.deflations,
+        matvec_threads=matvec_threads(a.nnz),
     )
     return res

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.kernels import csr_matvec
+from repro.kernels import csr_matvec, matvec_threads
 from repro.obs import session as obs_session, span as obs_span
 from repro.precond.base import IdentityPreconditioner, Preconditioner
 from repro.resilience.taxonomy import FailureReason, SolveReport
@@ -329,7 +329,10 @@ def cg_solve(
         reason=out.reason,
     )
     solve_span.set(
-        iterations=res.iterations, converged=res.converged, reason=str(res.reason)
+        iterations=res.iterations,
+        converged=res.converged,
+        reason=str(res.reason),
+        matvec_threads=matvec_threads(a.nnz),
     )
     return res
 

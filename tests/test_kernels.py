@@ -1,6 +1,6 @@
 """The kernel module (repro.kernels): sweeps, products and their plan.
 
-Four layers of coverage:
+Five layers of coverage:
 
 1. **Parity** — the substitution sweep against the bucketed
    ``reference_apply`` oracle to <= 1e-13, across preconditioner
@@ -15,27 +15,38 @@ Four layers of coverage:
    phase refuses a schedule whose sweep would read a group not yet
    swept.
 4. **The private scipy kernels** — what ``_sparsetools.csr_matvec`` /
-   ``csr_matvecs`` must keep doing for the sweeps to be right, and the
-   inputs they do not take as they come.
+   ``csr_matvecs`` must keep doing for the sweeps to be right (releasing
+   the GIL included), and the inputs they do not take as they come.
+5. **The split product** — a product of at least ``SPLIT_NNZ`` nonzeros
+   is cut in two row ranges, one on the helper thread: bit-identical to
+   the one-call product and to the solves without the helper, one call
+   while the helper is busy, a helper error raised in the caller, and
+   no helper in a forked child.
 """
 
 import dataclasses
 import functools
+import hashlib
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
-from repro import kernels
+from repro import block_cg_solve, cg_solve, kernels, obs
 from repro.experiments.workloads import block_problem, swjapan_problem
 from repro.fem.generators import simple_block_model
 from repro.fem.model import build_contact_problem
+from repro.kernels import sweeps
 from repro.precond import bic, sb_bic0, scalar_ic0
 from repro.precond.icfact import ICSymbolic
 from repro.solvers.block_cg import _as_block_matvec
 from repro.solvers.cg import _as_matvec
 from repro.sparse.bcsr import BCSRMatrix
+from repro.utils.workers import Workers
 
 
 def spd_csr(ndof, seed, density=0.25):
@@ -146,6 +157,7 @@ class TestBenchEntryPoints:
         info = kernels.describe()
         assert json.loads(json.dumps(info)) == info
         assert info["scipy"] == scipy.__version__
+        assert info["matvec_threads"] == (1 if sweeps._helper is None else 2)
 
 
 # ----------------------------------------------------------------------
@@ -411,6 +423,33 @@ class TestSparsetoolsContract:
         assert np.array_equal(y[2:4], (a.toarray() @ x)[2:4])
         assert not y[:2].any() and not y[4:].any()
 
+    @pytest.mark.parametrize("name", ["csr_matvec", "csr_matvecs"])
+    def test_kernels_release_the_gil(self, name):
+        """What the split product rests on.  With the switch interval
+        far beyond the test's length, the main thread can run while the
+        second thread is inside the kernel only if the kernel released
+        the GIL; otherwise it runs once that thread has left it."""
+        a = csr_with_nnz(2000, 2000, 300_000, seed=60)
+        call = one_call(a, np.ones(2000) if name == "csr_matvec" else np.ones((2000, 4)))
+        inside, seen = [False], []
+
+        def second():
+            inside[0] = True
+            for _ in range(50):
+                call()
+            inside[0] = False
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1000.0)
+        try:
+            thread = threading.Thread(target=second)
+            thread.start()  # returns once the GIL is free: inside the kernel
+            seen.append(inside[0])
+            thread.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert seen == [True]
+
 
 def int64_indexed(a):
     """*a* with int64 index arrays (the constructor would narrow them)."""
@@ -490,3 +529,187 @@ class TestKernelInputs:
             assert_close(m.apply_block(column)[:, 0], want)
             assert_close(m.apply_block(np.asfortranarray(np.column_stack([r, 2 * r])))[:, 1],
                          2 * want)
+
+
+# ----------------------------------------------------------------------
+# the split product
+# ----------------------------------------------------------------------
+
+
+def csr_with_nnz(m, n, nnz, seed):
+    """An ``m x n`` CSR with exactly *nnz* entries; every fifth row empty."""
+    rng = np.random.default_rng(seed)
+    rows = np.flatnonzero(np.arange(m) % 5)
+    flat = rng.choice(rows.size * n, nnz, replace=False)
+    a = sp.csr_matrix(
+        (rng.standard_normal(nnz), (rows[flat // n], flat % n)), shape=(m, n)
+    )
+    assert a.nnz == nnz
+    return a
+
+
+def one_call(a, x):
+    """A closure computing ``A x`` (vector or row-major panel) in one
+    direct kernel call: the product the split must equal bit for bit."""
+    m, n = a.shape
+
+    def call():
+        if x.ndim == 1:
+            y = np.zeros(m)
+            _sparsetools.csr_matvec(m, n, a.indptr, a.indices, a.data, x, y)
+        else:
+            y = np.zeros((m, x.shape[1]))
+            _sparsetools.csr_matvecs(m, n, x.shape[1], a.indptr, a.indices, a.data, x, y)
+        return y
+
+    return call
+
+
+def product(a, x):
+    return kernels.csr_matvec(a, x) if x.ndim == 1 else kernels.csr_matvecs(a, x)
+
+
+@functools.cache
+def _a_helper():
+    """The process's helper, or one of the tests' own where one CPU is
+    visible: the split is right on one core too."""
+    return sweeps._helper or sweeps._Helper()
+
+
+@pytest.fixture
+def helper(monkeypatch):
+    """A helper, with every :meth:`split` it runs recorded in
+    ``helper.splits`` (True: split; False: busy, one call)."""
+    h = _a_helper()
+    monkeypatch.setattr(sweeps, "_helper", h)
+    splits, real = [], h.split
+
+    def split(*args):
+        splits.append(real(*args))
+        return splits[-1]
+
+    monkeypatch.setattr(h, "split", split)
+    monkeypatch.setattr(h, "splits", splits, raising=False)
+    return h
+
+
+def _kernel(fail: bool) -> None:
+    if fail:
+        raise ZeroDivisionError("raised by the kernel")
+
+
+def _product_in_child(i, state):
+    return kernels.csr_matvec(state.a, state.x), kernels.matvec_threads()
+
+
+class TestSplitProduct:
+    @pytest.mark.parametrize("shape", [(500, 500), (600, 450), (450, 600)])
+    @pytest.mark.parametrize("below", [1, 0], ids=["below", "at"])
+    @pytest.mark.parametrize("cols", [None, 1, 8])
+    def test_equals_the_one_call_product(self, helper, shape, below, cols):
+        """Square and non-square, every fifth row empty, one nonzero
+        below the floor and at it, a vector and 1- and 8-column panels."""
+        a = csr_with_nnz(*shape, sweeps.SPLIT_NNZ - below, seed=shape[0] + below)
+        rng = np.random.default_rng(7)
+        x = rng.standard_normal(shape[1] if cols is None else (shape[1], cols))
+        assert np.array_equal(product(a, x), one_call(a, x)())
+        assert helper.splits == ([] if below else [True])
+
+    def test_a_product_while_the_helper_is_busy_runs_in_one_call(self, helper):
+        a = csr_with_nnz(500, 500, sweeps.SPLIT_NNZ, seed=61)
+        x = np.arange(500.0)
+        assert helper.free.acquire(False)
+        try:
+            assert np.array_equal(kernels.csr_matvec(a, x), one_call(a, x)())
+        finally:
+            helper.free.release()
+        assert helper.splits == [False]
+
+    @pytest.mark.parametrize("where", ["helper", "caller"])
+    def test_a_kernel_error_is_raised_in_the_caller_and_the_helper_freed(self, helper, where):
+        with pytest.raises(ZeroDivisionError, match="raised by the kernel"):
+            helper.split(_kernel, (where == "caller",), (where == "helper",))
+        assert helper.free.acquire(False)
+        helper.free.release()
+        assert helper.split(_kernel, (False,), (False,))
+        assert helper.error is None and helper.job is None
+
+    def test_two_threads_issuing_products_at_once_get_exact_answers(self, helper):
+        mats = [csr_with_nnz(800, 800, 2 * sweeps.SPLIT_NNZ, seed=s) for s in (62, 63)]
+        x = np.random.default_rng(8).standard_normal(800)
+        want = [one_call(a, x)() for a in mats]
+        barrier, exact = threading.Barrier(2), [[], []]
+
+        def caller(k):
+            barrier.wait()
+            for _ in range(50):
+                exact[k].append(np.array_equal(kernels.csr_matvec(mats[k], x), want[k]))
+
+        threads = [threading.Thread(target=caller, args=(k,)) for k in (0, 1)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join()
+        assert exact == [[True] * 50, [True] * 50]
+        assert len(helper.splits) == 100 and any(helper.splits)
+
+    def test_a_forked_child_has_no_helper(self, helper):
+        """The child's first product after a fork taken while the helper
+        lives: right, in one call, and it returns."""
+        a = csr_with_nnz(500, 500, sweeps.SPLIT_NNZ, seed=64)
+        x = np.arange(500.0)
+        kernels.csr_matvec(a, x)
+        assert helper.splits == [True]
+
+        def setup(i, state):
+            state.a, state.x = a, x
+
+        workers = Workers(1, setup, name="repro-kernel-test-")
+        try:
+            assert workers.replace([0])[0][0] == "done"
+            workers.send(0, _product_in_child)
+            assert workers.conn(0).poll(60), "the forked child did not answer"
+            kind, (y, threads), _ = workers.receive(0)
+        finally:
+            workers.close()
+        assert kind == "done" and threads == 1
+        assert np.array_equal(y, one_call(a, x)())
+
+
+def _digest(*arrays) -> str:
+    h = hashlib.sha256()
+    for arr in arrays:
+        h.update(np.ascontiguousarray(arr).tobytes())
+    return h.hexdigest()
+
+
+class TestSolvesWithAndWithoutTheHelper:
+    """Block 1.0 (242 905 nonzeros, above the floor): the same ``x`` and
+    ``history`` to the bit with the helper and with it forced off, and
+    the solve span says which path ran."""
+
+    @pytest.fixture(scope="class")
+    def problem(self):
+        p = block_problem(1.0)
+        assert p.a.nnz >= sweeps.SPLIT_NNZ
+        return p, sb_bic0(p.a, p.groups)
+
+    def _solve(self, problem, blocked):
+        p, m = problem
+        with obs.observe() as tracer:
+            if blocked:
+                rhs = np.column_stack([p.b, np.roll(p.b, 3), -0.5 * p.b])
+                res = block_cg_solve(p.a, rhs, m, eps=1e-8)
+            else:
+                res = cg_solve(p.a, p.b, m, eps=1e-8)
+        name = "block_cg_solve" if blocked else "cg_solve"
+        (span,) = tracer.find(name)
+        return _digest(res.x, res.history), span.attrs["matvec_threads"]
+
+    @pytest.mark.parametrize("blocked", [False, True], ids=["cg", "block_cg"])
+    def test_same_sha256_with_the_helper_on_and_off(self, problem, helper, monkeypatch, blocked):
+        on = self._solve(problem, blocked)
+        assert any(helper.splits) and on[1] == 2
+        monkeypatch.setattr(sweeps, "_helper", None)
+        off = self._solve(problem, blocked)
+        assert off == (on[0], 1)

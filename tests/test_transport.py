@@ -24,6 +24,7 @@ import warnings
 import numpy as np
 import pytest
 
+from repro import kernels
 from repro.fem.generators import simple_block_model
 from repro.fem.model import build_contact_problem
 from repro.obs import merge_rank_traces, rank_time_table
@@ -280,6 +281,17 @@ def test_nine_wide_allreduce_rejected(problem, part, transport):
         with pytest.raises(ValueError, match="at most 8 entries"):
             system.comm.run(_wide_allreduce)
         assert system.comm.log.n_allreduce == 0
+
+
+def _matvec_threads(rank, state):
+    return kernels.matvec_threads()
+
+
+def test_a_rank_worker_runs_its_kernels_on_one_thread(problem, part):
+    """A rank worker is forked: it shares the cores with its peers and
+    has no helper thread, whatever the process that forked it has."""
+    with _process_system(problem, part) as system:
+        assert system.comm.run(_matvec_threads) == [1] * system.comm.size
 
 
 # -- genuine failures ----------------------------------------------------
