@@ -94,11 +94,19 @@ def _run_solve(args) -> int:
     if args.precond == "auto":
         return _run_policy_solve(args, prob)
 
-    m = FAMILY_TABLE[args.precond].build(prob.a, prob.groups)
+    family = FAMILY_TABLE[args.precond]
+    m = family.build(prob.a, prob.groups)
     res = cg_solve(prob.a, prob.b, m, max_iter=args.max_iter)
     print(f"model: {prob.ndof} DOF, penalty {args.penalty:g}, precond {m.name}")
     print(res)
-    print(f"set-up {m.setup_seconds:.3f}s, memory {m.memory_bytes()/1e6:.2f} MB")
+    memory = f"factor {m.memory_bytes() / 1e6:.2f} MB"
+    if family.has_symbolic:
+        stats = m.factorization_stats()
+        memory += (
+            f", plan {stats['plan_bytes'] / 1e6:.2f} MB"
+            f", symbolic {stats['symbolic_bytes'] / 1e6:.2f} MB"
+        )
+    print(f"set-up {m.setup_seconds:.3f}s, memory: {memory}")
     return 0 if res.converged else 1
 
 

@@ -31,12 +31,13 @@ class IdentityPreconditioner(Preconditioner):
 
     name = "identity"
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return r.copy()
-
-    def apply_block(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """``Z = R`` for an ``(ndof, s)`` block of residuals."""
+    def apply(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``z = r``, a copy; passing ``out`` reuses the caller's buffer."""
         if out is None:
             return r.copy()
         out[...] = r
         return out
+
+    def apply_block(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``Z = R`` for an ``(ndof, s)`` block of residuals."""
+        return self.apply(r, out)

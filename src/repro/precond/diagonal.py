@@ -36,8 +36,9 @@ class DiagonalScaling(Preconditioner):
         self.setup_seconds = time.perf_counter() - t0
         return self
 
-    def apply(self, r: np.ndarray) -> np.ndarray:
-        return self._dinv * r
+    def apply(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``z = D^{-1} r``; passing ``out`` reuses the caller's buffer."""
+        return np.multiply(self._dinv, r, out=out)
 
     def apply_block(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``Z = M^{-1} R`` for an ``(ndof, s)`` block of residuals: each

@@ -108,6 +108,47 @@ def _scatter_add(vec: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
         np.add.at(vec, idx, vals)
 
 
+def _take(arr: np.ndarray, start: np.ndarray, width: int, unit: int) -> np.ndarray:
+    """The blocks of *width* values of the flat *arr* that start at
+    ``start * unit``, one block per row.
+
+    Every block offset and size is a multiple of *unit*, so *arr* is read
+    as contiguous rows of *unit* values and a block is ``width // unit``
+    consecutive rows: ``np.take`` copies them (a single row per block in
+    the common case), and no per-scalar index is built.
+    """
+    rows = start if width == unit else start[:, None] + np.arange(width // unit)
+    return np.take(arr.reshape(-1, unit), rows, axis=0).reshape(start.size, width)
+
+
+def _slots(start: np.ndarray, width: int, unit: int) -> np.ndarray:
+    """The flat slots of the blocks of *width* values starting at
+    ``start * unit``."""
+    return ((start * unit)[:, None] + np.arange(width)).reshape(-1)
+
+
+def _subtract_at(arr: np.ndarray, start: np.ndarray, width: int, unit: int, blocks) -> None:
+    """Subtract *blocks* (one per entry of *start*, *width* values each)
+    from the blocks of *arr* at ``start * unit``, repeats included.
+
+    ``add.at`` walks the (block, value) pairs value-major: a slot still
+    gets its contributions in block order, so the sums are those of the
+    block-major walk to the bit, and the slot index is a broadcast along
+    the long axis instead of a short one (about 5x cheaper to build).
+    """
+    n = start.size
+    neg = np.negative(blocks.reshape(n, width).T, out=np.empty((width, n)))
+    slots = np.arange(width)[:, None] + start * unit
+    np.add.at(arr, slots.reshape(-1), neg.reshape(-1))
+
+
+def _chunks(nblocks: int, width: int, budget: int) -> list[slice]:
+    """Runs of consecutive blocks of *width* values, each run at most
+    *budget* values (at least one block)."""
+    step = max(1, budget // width)
+    return [slice(c, c + step) for c in range(0, nblocks, step)]
+
+
 def lower_fill_pattern(adj: sp.csr_matrix, level: int):
     """Strictly-lower sparsity pattern of IC(level) fill, plus the diagonal.
 
@@ -205,8 +246,9 @@ class ICSymbolic:
     - the level-k lower fill pattern and the VBR block layout,
     - the execution schedule (colors, or level-scheduled waves),
     - the values-only scatter map from A's CSR entries into L's blocks,
-    - the index maps driving the numeric factorization sweeps (diagonal
-      inversion buckets, dmod diagonal updates, full-variant triples),
+    - the shape buckets driving the numeric factorization sweeps
+      (diagonal inversion, dmod diagonal updates, full-variant triples),
+      one start offset per block and operand,
     - the structure of the flat substitution plan and the gather maps
       the numeric phase refills its data through.
 
@@ -302,8 +344,11 @@ class ICSymbolic:
         self.dinv_off = np.full(self.pattern.N + 1, self.dinv_size, dtype=np.int64)
         self.dinv_off[self.sweep] = ends - self.sizes[self.sweep] ** 2
 
-        # ---- numeric-sweep index maps (gathers/scatters precomputed so
-        # the numeric phase is pure fancy-index + batched matmul)
+        # ---- numeric-sweep buckets (block offsets precomputed so the
+        # numeric phase is pure gather + batched matmul + scatter); every
+        # block size, hence every offset into L.data or Dinv, is a
+        # multiple of the squared gcd of the super-node sizes
+        self.unit = int(np.gcd.reduce(self.sizes)) ** 2 if self.sizes.size else 1
         self._build_diag_buckets()
         if self.variant == "dmod":
             self.dmod_updates = self._build_dmod_updates()
@@ -450,10 +495,15 @@ class ICSymbolic:
         src = ranges(start, length)
         dst = np.repeat(self.pattern.boff[pos] + local[row[lower]] * self.sizes[bj], length)
         dst += local[a.indices[src]]
-        # both stay intp: numpy casts a narrower index array to intp on
+        # the runs come in CSR order, so *src* ascends and a mask over A's
+        # entries selects the same values in the same order at a quarter
+        # of the bytes (one per entry of A, not eight per lower entry);
+        # *dst* stays intp: numpy casts a narrower index array to intp on
         # every use, in a temporary as large as the map (+1.2 ms and two
-        # transients of nnz(L) per refactor at 20k DOF, measured)
-        self.scatter_src, self.scatter_dst = src, dst
+        # transients of nnz(L) per refactor at 20k DOF)
+        self.scatter_src = np.zeros(a.nnz, dtype=bool)
+        self.scatter_src[src] = True
+        self.scatter_dst = dst
 
     def pattern_matches(self, a: sp.csr_matrix) -> bool:
         """True iff *a* has exactly the pattern this object was built from."""
@@ -472,25 +522,30 @@ class ICSymbolic:
         return self.pattern.empty_like()
 
     # ------------------------------------------------------------------
-    # numeric-sweep index maps
+    # numeric-sweep buckets
     # ------------------------------------------------------------------
 
+    # Every bucket below keeps, per block and operand, the offset of the
+    # block's first value (in ``L.data`` or in the inverse diagonal) in
+    # units of ``self.unit`` values: a block is contiguous, so the numeric
+    # phase gathers it by that one number (:func:`_take`) instead of
+    # through a per-scalar map.
+
     def _build_diag_buckets(self) -> None:
-        """Per group: (s, L-data gather, dinv scatter) for diag inversion."""
-        L = self.pattern
+        """Per group: (s, diagonal-block offsets in L, in Dinv) for the
+        diagonal inversion."""
+        L, u = self.pattern, self.unit
         self.diag_buckets: list[list[tuple]] = []
         for members in self.schedule:
             bucket = []
             for s, _sc, rows in shape_buckets(self.sizes, self.sizes, members):
-                src = L.boff[self.diag_pos[rows], None] + np.arange(s * s)
-                dst = self.dinv_off[rows, None] + np.arange(s * s)
-                bucket.append((int(s), src, dst))
+                bucket.append((int(s), L.boff[self.diag_pos[rows]] // u, self.dinv_off[rows] // u))
             self.diag_buckets.append(bucket)
 
     def _build_dmod_updates(self) -> list[list[tuple]]:
-        """Per group: gather/scatter maps of the dmod diagonal recurrence
+        """Per group: block offsets of the dmod diagonal recurrence
         ``D_i -= A_ik D_k^{-1} A_ik^T`` (k in earlier groups)."""
-        L = self.pattern
+        L, u = self.pattern, self.unit
         offdiag = self._offdiag_positions()
         brow = L.block_rows()
         row_group = self.group_of[brow[offdiag]]
@@ -501,12 +556,10 @@ class ICSymbolic:
             pos_g = offdiag[row_group == g]
             bucket = []
             for si, sk, pos in shape_buckets(shape_r, shape_c, pos_g):
-                rows = brow[pos]
-                ks = L.indices[pos]
-                flat_ik = L.boff[pos, None] + np.arange(si * sk)
-                dflat_k = self.dinv_off[ks, None] + np.arange(sk * sk)
-                diag_dst = L.boff[self.diag_pos[rows], None] + np.arange(si * si)
-                bucket.append((int(si), int(sk), flat_ik, dflat_k, diag_dst))
+                ik = L.boff[pos] // u
+                dk = self.dinv_off[L.indices[pos]] // u
+                ii = L.boff[self.diag_pos[brow[pos]]] // u
+                bucket.append((int(si), int(sk), ik, dk, ii))
             out.append(bucket)
         return out
 
@@ -566,10 +619,10 @@ class ICSymbolic:
         )
 
     def _build_full_updates(self) -> list[list[tuple]]:
-        """Per group: shape-bucketed gather/scatter maps of the full block
-        IC update sweep, from the vectorized triples."""
+        """Per group: shape-bucketed block offsets of the full block IC
+        update sweep, from the vectorized triples."""
         tk, pik, pjk, pij = self._build_triples()
-        L = self.pattern
+        L, u = self.pattern, self.unit
         brow = L.block_rows()
         shape = self.sizes
         out: list[list[tuple]] = [[] for _ in self.schedule]
@@ -591,11 +644,10 @@ class ICSymbolic:
             si = int(shape[brow[pik[idx[0]]]])
             sk = int(shape[tk[idx[0]]])
             sj = int(shape[brow[pjk[idx[0]]]])
-            flat_ik = L.boff[pik[idx], None] + np.arange(si * sk)
-            flat_jk = L.boff[pjk[idx], None] + np.arange(sj * sk)
-            dflat_k = self.dinv_off[tk[idx], None] + np.arange(sk * sk)
-            flat_ij = L.boff[pij[idx], None] + np.arange(si * sj)
-            out[g].append((si, sk, sj, flat_ik, flat_jk, dflat_k, flat_ij))
+            out[g].append(
+                (si, sk, sj, L.boff[pik[idx]] // u, L.boff[pjk[idx]] // u,
+                 self.dinv_off[tk[idx]] // u, L.boff[pij[idx]] // u)
+            )
         return out
 
     # ------------------------------------------------------------------
@@ -614,12 +666,13 @@ class ICSymbolic:
         """
         mask = np.zeros(int(self.pattern.boff[-1]), dtype=bool)
         mask[self.scatter_dst] = True
+        u = self.unit
         for buckets in self.full_updates or ():
-            for si, sk, sj, flat_ik, flat_jk, _dk, flat_ij in buckets:
-                live_i = mask[flat_ik].reshape(-1, si, sk).any(axis=2)
-                live_j = mask[flat_jk].reshape(-1, sj, sk).any(axis=2)
+            for si, sk, sj, ik, jk, _dk, ij in buckets:
+                live_i = _take(mask, ik, si * sk, u).reshape(-1, si, sk).any(axis=2)
+                live_j = _take(mask, jk, sj * sk, u).reshape(-1, sj, sk).any(axis=2)
                 hit = live_i[:, :, None] & live_j[:, None, :]
-                mask[flat_ij.reshape(-1, si, sj)[hit]] = True
+                mask[_slots(ij, si * sj, u)[hit.reshape(-1)]] = True
         return mask
 
     def _build_apply_structures(self) -> None:
@@ -702,29 +755,29 @@ class ICSymbolic:
         )
 
 
-# One shape bucket of the numeric update sweep per call: a gather, a
-# batched matmul and a scatter over the index maps of the symbolic phase.
-# A call's transients are freed when it returns, before the next bucket
-# gathers (a dmod refactor allocates nothing of the factor's size).
+# One chunk of one shape bucket of the numeric update sweep per call: a
+# blockwise gather, a batched matmul and a scatter.  A call's transients
+# are freed when it returns, before the next chunk gathers, and a chunk
+# is a sixteenth of the factor's values per operand (see ``_factor_*``),
+# so a refactor allocates nothing of the factor's size.  A bucket's
+# targets (diagonal blocks; blocks whose column is swept later) are never
+# among its sources, so chunking changes no value, and ``add.at`` gets
+# every target's contributions in the bucket's order.
 
 
-def _dmod_update(data: np.ndarray, dinv: np.ndarray, bucket: tuple) -> None:
+def _dmod_update(data, dinv, u, si, sk, ik, dk, ii) -> None:
     """Batched dmod diagonal recurrence ``D_i -= A_ik D_k^{-1} A_ik^T``."""
-    si, sk, flat_ik, dflat_k, diag_dst = bucket
-    aik = data[flat_ik].reshape(-1, si, sk)
-    dk = dinv[dflat_k].reshape(-1, sk, sk)
-    upd = np.matmul(np.matmul(aik, dk), aik.transpose(0, 2, 1))
-    np.add.at(data, diag_dst.reshape(-1), -upd.reshape(-1))
+    aik = _take(data, ik, si * sk, u).reshape(-1, si, sk)
+    dkk = _take(dinv, dk, sk * sk, u).reshape(-1, sk, sk)
+    _subtract_at(data, ii, si * si, u, np.matmul(np.matmul(aik, dkk), aik.transpose(0, 2, 1)))
 
 
-def _full_update(data: np.ndarray, dinv: np.ndarray, bucket: tuple) -> None:
+def _full_update(data, dinv, u, si, sk, sj, ik, jk, dk, ij) -> None:
     """Batched full block-IC update ``V_ij -= V_ik D_k^{-1} V_jk^T``."""
-    si, sk, sj, flat_ik, flat_jk, dflat_k, flat_ij = bucket
-    vik = data[flat_ik].reshape(-1, si, sk)
-    vjk = data[flat_jk].reshape(-1, sj, sk)
-    dk = dinv[dflat_k].reshape(-1, sk, sk)
-    upd = np.matmul(np.matmul(vik, dk), vjk.transpose(0, 2, 1))
-    np.add.at(data, flat_ij.reshape(-1), -upd.reshape(-1))
+    vik = _take(data, ik, si * sk, u).reshape(-1, si, sk)
+    vjk = _take(data, jk, sj * sk, u).reshape(-1, sj, sk)
+    dkk = _take(dinv, dk, sk * sk, u).reshape(-1, sk, sk)
+    _subtract_at(data, ij, si * sj, u, np.matmul(np.matmul(vik, dkk), vjk.transpose(0, 2, 1)))
 
 
 class BlockICFactorization(Preconditioner):
@@ -890,8 +943,11 @@ class BlockICFactorization(Preconditioner):
 
     def _invert_group_diag(self, g: int) -> None:
         """Invert the (current) diagonal blocks of schedule group *g*."""
+        # one call per bucket, unchunked: a nudge is sized by the largest
+        # entry of the bucket's singular blocks
+        u = self.symbolic.unit
         for s, src, dst in self.symbolic.diag_buckets[g]:
-            blocks = self.L.data[src].reshape(-1, s, s)
+            blocks = _take(self.L.data, src, s * s, u).reshape(-1, s, s)
             if self._shift:
                 blocks = blocks + self._shift * np.eye(s)
             # Guard against exactly singular pivots (breakdown): nudge them,
@@ -905,23 +961,27 @@ class BlockICFactorization(Preconditioner):
                 self.nudged_block_sizes.extend([int(s)] * int(bad.sum()))
                 blocks[bad] += np.eye(s) * (1e-8 + np.abs(blocks[bad]).max())
             inv = np.linalg.inv(blocks)
-            self._dinv[dst.reshape(-1)] = inv.reshape(-1)
+            self._dinv[_slots(dst, s * s, u)] = inv.reshape(-1)
 
     def _factor_dmod(self) -> None:
         """GeoFEM pseudo-IC(0): refactorize diagonals only."""
-        data = self.L.data
+        data, dinv, u = self.L.data, self._dinv, self.symbolic.unit
+        budget = data.size // 16
         for g in range(len(self.schedule)):
-            for bucket in self.symbolic.dmod_updates[g]:
-                _dmod_update(data, self._dinv, bucket)
+            for si, sk, ik, dk, ii in self.symbolic.dmod_updates[g]:
+                for c in _chunks(ik.size, max(si, sk) ** 2, budget):
+                    _dmod_update(data, dinv, u, si, sk, ik[c], dk[c], ii[c])
             self._invert_group_diag(g)
 
     def _factor_full(self) -> None:
         """True block IC(k): update off-diagonal and fill blocks too."""
-        data = self.L.data
+        data, dinv, u = self.L.data, self._dinv, self.symbolic.unit
+        budget = data.size // 16
         for g in range(len(self.schedule)):
             self._invert_group_diag(g)
-            for bucket in self.symbolic.full_updates[g]:
-                _full_update(data, self._dinv, bucket)
+            for si, sk, sj, ik, jk, dk, ij in self.symbolic.full_updates[g]:
+                for c in _chunks(ik.size, max(si, sk, sj) ** 2, budget):
+                    _full_update(data, dinv, u, si, sk, sj, ik[c], jk[c], dk[c], ij[c])
 
     def factorization_stats(self) -> dict:
         """Setup-quality census: pivot nudges, fill, schedule shape, and
@@ -941,6 +1001,7 @@ class BlockICFactorization(Preconditioner):
             "symbolic_seconds": self.symbolic_seconds,
             "numeric_seconds": self.numeric_seconds,
             "symbolic_bytes": self.symbolic.memory_bytes(),
+            "plan_bytes": self.plan_bytes(),
         }
 
     def _warn_on_pivot_nudges(self) -> None:
@@ -1159,7 +1220,20 @@ class BlockICFactorization(Preconditioner):
     # ------------------------------------------------------------------
 
     def memory_bytes(self) -> int:
+        """The factor, counted as Tables 2 and 4 count it: ``L``'s blocks
+        with their block-CSR layout (:meth:`VBRMatrix.memory_bytes`) and
+        ``Dinv`` with its block offsets.  Not counted: the substitution
+        plan's own arrays (:meth:`plan_bytes`) and the symbolic object
+        (``symbolic.memory_bytes()``), which a set-up holds as well."""
         return self.L.memory_bytes() + self._dinv.nbytes + self._dinv_off.nbytes
+
+    def plan_bytes(self) -> int:
+        """Bytes of the substitution plan's arrays that belong to this
+        factorization: its two sweep data arrays and its two sweep
+        vectors.  The plan's structure is the symbolic object's and its
+        ``Dinv`` data is the factor's, each counted there."""
+        plan = self._plan
+        return plan.fwd.data.nbytes + plan.bwd.data.nbytes + plan.t.nbytes + plan.y.nbytes
 
     def group_sizes(self) -> np.ndarray:
         """Rows per schedule group (the vector-loop lengths, pre-DJDS)."""

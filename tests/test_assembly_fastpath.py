@@ -580,6 +580,11 @@ def small_problem():
     return build_contact_problem(table2_block_mesh(0.6), penalty=1e6)
 
 
+@pytest.fixture(scope="module")
+def small_swjapan():
+    return swjapan_problem(0.7)
+
+
 class TestSymbolicAnalysis:
     def test_matches_loop_reference(self, small_problem):
         p = small_problem
@@ -595,7 +600,7 @@ class TestSymbolicAnalysis:
         assert len(sym.schedule) == len(schedule)
         for got, ref in zip(sym.schedule, schedule):
             assert np.array_equal(got, ref)
-        assert np.array_equal(sym.scatter_src, src)
+        assert np.array_equal(np.flatnonzero(sym.scatter_src), src)
         assert np.array_equal(sym.scatter_dst, dst)
         assert sym.nnz_fill == 0
 
@@ -629,33 +634,83 @@ class TestSymbolicAnalysis:
                 h.update(np.ascontiguousarray(a, dtype=np.int64).tobytes())
             return h.hexdigest()[:16]
 
-        assert digest(sym.scatter_src, sym.scatter_dst) == scatter
+        # the scatter's source is a mask over A's entries; its
+        # flatnonzero is the index map digested then
+        assert digest(np.flatnonzero(sym.scatter_src), sym.scatter_dst) == scatter
         assert digest(sym.fwd_gather, sym.bwd_gather) == gathers
         assert digest(
             sym.plan_perm, sym.group_ptr, sym.dinv_indptr, sym.dinv_indices,
             *sym.fwd_struct, *sym.bwd_struct,
         ) == plan
         # the gather maps ride through the plan's transposition in its
-        # index dtype; the scatter maps index by fancy assignment, where a
-        # narrower array would be cast to intp on every refactor
+        # index dtype; the scatter's destination indexes by fancy
+        # assignment, where a narrower array would be cast to intp on
+        # every refactor; its source masks exactly A's lower entries
         assert sym.fwd_gather.dtype == sym.bwd_gather.dtype == sym.fwd_struct[1].dtype == np.int32
-        assert sym.scatter_src.dtype == sym.scatter_dst.dtype == np.intp
+        assert sym.scatter_dst.dtype == np.intp
+        assert sym.scatter_src.dtype == bool and sym.scatter_src.size == p.a.nnz
+        snode = np.searchsorted(sym.pattern.offsets, sym.iperm_dof, side="right") - 1
+        coo = p.a.tocoo()
+        lower = snode[coo.row] >= snode[coo.col]  # block row >= block column in L
+        assert np.array_equal(sym.scatter_src, lower)
 
     def test_symbolic_object_accounts_for_what_it_keeps(self, small_problem):
         """``memory_bytes`` counts every array once, none of A's; a dmod
-        bucket keeps its two shapes and three index maps, and nothing is
-        kept for values the pattern does not have."""
+        bucket keeps its two shapes and one offset per block for each of
+        its three operands, and nothing is kept for values the pattern
+        does not have."""
         p = small_problem
         m = sb_bic0(p.a, p.groups)
         sym = m.symbolic
         assert sym.pattern.data is None and m.L.data.size == sym.pattern.boff[-1]
         assert all(len(bucket) == 5 for group in sym.dmod_updates for bucket in group)
+        assert all(
+            b[2].shape == b[3].shape == b[4].shape == (b[2].size,)
+            for group in sym.dmod_updates for b in group
+        )
         maps = [sym.scatter_src, sym.scatter_dst, sym.fwd_gather, sym.bwd_gather]
         updates = [x for group in sym.dmod_updates for b in group for x in b[2:5]]
         total = sym.memory_bytes()
-        assert total == m.factorization_stats()["symbolic_bytes"]
+        stats = m.factorization_stats()
+        assert total == stats["symbolic_bytes"]
+        assert stats["plan_bytes"] == sum(
+            x.nbytes for x in (m._plan.fwd.data, m._plan.bwd.data, m._plan.t, m._plan.y)
+        )
         assert sum(x.nbytes for x in maps + updates) < total
-        assert total < 8 * 12 * p.a.nnz  # a few times A, not tens
+        # 1.64 x nnz(A) 12-byte entries at block 0.6 with one offset per
+        # block; 4.1 x with per-scalar update maps
+        assert total < 1.81 * 12 * p.a.nnz
+
+    @pytest.mark.parametrize(
+        "model, family, bytes_per_block",
+        [
+            ("block-0.6", "ic0", 80.9),
+            ("block-0.6", "bic0", 202.6),
+            ("block-0.6", "bic1", 519.1),
+            ("block-0.6", "sbbic0", 213.4),
+            ("swjapan-0.7", "ic0", 79.5),
+            ("swjapan-0.7", "bic0", 286.7),
+            ("swjapan-0.7", "bic1", 499.6),
+            ("swjapan-0.7", "sbbic0", 327.7),
+        ],
+    )
+    def test_symbolic_bytes_per_stored_block(
+        self, request, model, family, bytes_per_block
+    ):
+        """What the symbolic object keeps per stored block of ``L``, at
+        most 10 % above the value measured with one offset per block and
+        operand: per-scalar index maps (3.3-6.4 x for the 3x3 families)
+        cannot come back unnoticed."""
+        p = request.getfixturevalue(
+            "small_problem" if model == "block-0.6" else "small_swjapan"
+        )
+        m = {
+            "ic0": lambda: scalar_ic0(p.a),
+            "bic0": lambda: bic(p.a, fill_level=0),
+            "bic1": lambda: bic(p.a, fill_level=1),
+            "sbbic0": lambda: sb_bic0(p.a, p.groups),
+        }[family]()
+        assert m.symbolic.memory_bytes() / m.L.nnzb <= 1.1 * bytes_per_block
 
     @pytest.mark.parametrize("fill_level", [1, 2])
     def test_fill_census_counts_blocks_beyond_level0(self, small_problem, fill_level):

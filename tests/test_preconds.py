@@ -143,3 +143,19 @@ class TestFamilyTable:
         # the ladder order only names families of the table
         for n_groups, block_ok in ((4, True), (0, True), (4, False)):
             assert set(ladder_families(n_groups, block_ok)) < set(FAMILY_TABLE)
+
+    def test_apply_into_out_returns_it_with_the_values_of_apply(self, block_problem_small):
+        """Every family's ``apply`` (and plain CG's identity) takes
+        ``out=``, so CG recycles ``z`` whatever the family is."""
+        from repro.precond import FAMILY_TABLE, IdentityPreconditioner
+        from repro.solvers.cg import _supports_out
+
+        p = block_problem_small
+        r = np.random.default_rng(3).normal(size=p.ndof)
+        for m in [IdentityPreconditioner()] + [
+            family.build(p.a, p.groups) for family in FAMILY_TABLE.values()
+        ]:
+            assert _supports_out(m.apply), m.name
+            z = np.full(p.ndof, np.nan)
+            assert m.apply(r, out=z) is z
+            assert np.array_equal(z, m.apply(r)), m.name
