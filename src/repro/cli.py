@@ -106,8 +106,22 @@ def _run_solve(args) -> int:
             f", plan {stats['plan_bytes'] / 1e6:.2f} MB"
             f", symbolic {stats['symbolic_bytes'] / 1e6:.2f} MB"
         )
+    peak = _peak_rss_mib()
+    if peak is not None:
+        memory += f", peak RSS {peak:.1f} MiB"
     print(f"set-up {m.setup_seconds:.3f}s, memory: {memory}")
     return 0 if res.converged else 1
+
+
+def _peak_rss_mib() -> float | None:
+    """This process's resident-set high-water mark in MiB (set-up
+    included), where the platform reports one."""
+    try:
+        import resource
+    except ImportError:  # Windows
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    return peak / 2**20 if sys.platform == "darwin" else peak / 2**10  # bytes there, KiB here
 
 
 def _run_policy_solve(args, prob) -> int:

@@ -18,6 +18,7 @@ from repro.fem.material import IsotropicElastic
 from repro.fem.mesh import Mesh
 from repro.obs import record_span
 from repro.sparse.bcsr import BCSRMatrix
+from repro.utils.indexing import SETUP_CHUNK, chunks
 from repro.utils.timing import Laps
 from repro.utils.validate import check_finite_coords
 
@@ -67,10 +68,11 @@ def assemble_blocks(
     """
     check_finite_coords(mesh.coords)
     dtable, material = _constitutive_table(mesh, materials)
-    rows, cols = mesh.node_adjacency_pairs()  # 64 per hexahedron, in element order
     prows, pcols, pblocks = penalty_coo_blocks(groups, penalty, mesh.n_nodes)
+    # the 64 node pairs of every hexahedron, in element order, then the penalty's
+    hexes = mesh.hexes
     k, slot = BCSRMatrix.from_block_pairs(
-        mesh.n_nodes, np.concatenate([rows, prows]), np.concatenate([cols, pcols])
+        mesh.n_nodes, [hexes[:, :, None], prows], [hexes[:, None, :], pcols]
     )
     laps.lap("assembly.slots")
     first, inverse = distinct_elements(mesh.coords, mesh.hexes, material)
@@ -81,7 +83,7 @@ def assemble_blocks(
         k.add_blocks(slot[64 * e0 : 64 * e1], blocks.take(which, axis=0).reshape(-1, 3, 3))
     diag = k.to_bsr().diagonal().reshape(mesh.n_nodes, 3)
     laps.lap("assembly.element")
-    k.add_blocks(slot[rows.size :], pblocks)
+    k.add_blocks(slot[hexes.size * 8 :], pblocks)
     return k, diag, first.size
 
 
@@ -107,20 +109,36 @@ def stored_scalars(k: BCSRMatrix, diag: np.ndarray) -> np.ndarray:
     scalars always stay, and ``(i, j)`` stays when either triangle
     passes, so the pattern is symmetric whatever the round-off did.
     """
-    brow = k.block_rows()
+    b, nnzb = k.b, k.nnzb
+    keep = np.empty((nnzb, b, b), dtype=bool)
+    bound = ROUNDOFF_TERMS * np.finfo(np.float64).eps
+    budget = max(nnzb // 16, SETUP_CHUNK // (b * b))  # blocks per run
+    # block-row range by block-row range, so that no scalar-sized float
+    # array exists; a diagonal block is its own mirror, so its identity
+    # goes in before the mirroring below
     with np.errstate(divide="ignore", invalid="ignore"):  # a zero diagonal keeps what is non-zero
         inv = 1.0 / np.sqrt(diag)
-        rel = np.einsum("pr,pc->prc", inv[brow], inv[k.indices])
-        rel *= np.abs(k.values)
-        keep = rel > ROUNDOFF_TERMS * np.finfo(np.float64).eps
+        for rows in chunks(k.n, budget, k.indptr):
+            p0, p1 = k.indptr[rows.start], k.indptr[rows.stop]
+            brow = np.repeat(
+                np.arange(rows.start, rows.stop), np.diff(k.indptr[rows.start : rows.stop + 1])
+            )
+            rel = np.einsum("pr,pc->prc", inv[brow], inv[k.indices[p0:p1]])
+            rel *= np.abs(k.values[p0:p1])
+            np.greater(rel, bound, out=keep[p0:p1])
+            keep[p0:p1][brow == k.indices[p0:p1]] |= np.eye(b, dtype=bool)
     # block (j, i) of every block (i, j): CSC order of a symmetric block
     # pattern lists the transposes in CSR order
-    mirror = sp.csr_matrix((np.arange(k.nnzb), k.indices, k.indptr), shape=(k.n, k.n)).tocsc()
+    mirror = sp.csr_matrix((np.arange(nnzb), k.indices, k.indptr), shape=(k.n, k.n)).tocsc()
     if not (np.array_equal(mirror.indptr, k.indptr) and np.array_equal(mirror.indices, k.indices)):
         raise ValueError("stiffness block pattern is not symmetric")
-    flat = keep.reshape(k.nnzb, k.b * k.b)
-    flat |= flat.take(mirror.data, axis=0)[:, np.arange(k.b * k.b).reshape(k.b, k.b).T.ravel()]
-    keep[brow == k.indices] |= np.eye(k.b, dtype=bool)
+    # keep[p] |= keep[mirror(p)]^T, a run of blocks at a time: what a run
+    # reads of a block an earlier run updated is keep[q] | keep[p]^T,
+    # whose transpose adds nothing to keep[p] but keep[p]
+    flat = keep.reshape(nnzb, b * b)
+    transpose = np.arange(b * b).reshape(b, b).T.ravel()
+    for c in chunks(nnzb, budget):
+        flat[c] |= flat.take(mirror.data[c], axis=0)[:, transpose]
     return keep
 
 

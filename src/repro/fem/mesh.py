@@ -60,10 +60,3 @@ class Mesh:
     def ndof(self) -> int:
         """Total degrees of freedom (3 per node)."""
         return 3 * self.n_nodes
-
-    def node_adjacency_pairs(self) -> tuple[np.ndarray, np.ndarray]:
-        """All (i, j) node pairs sharing an element (with duplicates)."""
-        e = self.hexes
-        i = np.repeat(e, 8, axis=1).reshape(-1)
-        j = np.tile(e, (1, 8)).reshape(-1)
-        return i, j

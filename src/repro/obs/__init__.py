@@ -32,7 +32,7 @@ Every helper below (:func:`span`, :func:`event`, :func:`record_span`)
 collapses to a single module-global ``is None`` check when no tracer is
 active, and instrumented loops capture :func:`session` once so their
 per-iteration cost is one attribute test.  That cost is not measured
-by any gate (ROADMAP item 12).
+by any gate (ROADMAP, "Observability with a bounded cost").
 """
 
 from __future__ import annotations

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from repro.utils.indexing import SETUP_CHUNK, chunks
 from repro.utils.validate import check_index_array, check_square_csr
 
 
@@ -122,21 +123,25 @@ def build_domains(
         rows_dof = (internal[:, None] * b + np.arange(b)).reshape(-1)
         sub = a[rows_dof]  # my rows, global column numbering
         # external nodes: columns of my rows owned elsewhere
-        referenced = np.zeros(n_nodes, dtype=bool)
-        referenced[sub.indices // b] = True
+        referenced = np.zeros(n_nodes * b, dtype=bool)
+        referenced[sub.indices] = True
+        referenced = referenced.reshape(n_nodes, b).any(axis=1)
         referenced[internal] = False
         ext = np.flatnonzero(referenced)
         glob2loc = np.full(n_nodes, -1, dtype=np.int64)
         glob2loc[internal] = np.arange(internal.size)
         glob2loc[ext] = internal.size + np.arange(ext.size)
-        # global DOF column -> local DOF column (negative: neither kind)
-        dof2loc = (glob2loc[:, None] * b + np.arange(b)).reshape(-1)
-        local_cols = dof2loc[sub.indices]
-        if local_cols.size and local_cols.min() < 0:
-            raise AssertionError("row references a node that is neither internal nor external")
+        # global DOF column -> local DOF column (negative: neither kind),
+        # renumbered in place a run of entries at a time
+        dof2loc = (glob2loc[:, None] * b + np.arange(b)).reshape(-1).astype(sub.indices.dtype)
+        for c in chunks(sub.nnz, max(sub.nnz // 16, SETUP_CHUNK)):
+            local_cols = dof2loc.take(sub.indices[c])
+            if local_cols.size and local_cols.min() < 0:
+                raise AssertionError("row references a node that is neither internal nor external")
+            sub.indices[c] = local_cols
         nloc = internal.size + ext.size
         a_local = sp.csr_matrix(
-            (sub.data, local_cols, sub.indptr), shape=(rows_dof.size, nloc * b)
+            (sub.data, sub.indices, sub.indptr), shape=(rows_dof.size, nloc * b)
         )
         a_local.sort_indices()
 

@@ -68,7 +68,7 @@ from repro.resilience.taxonomy import PivotNudgeWarning
 from repro.reorder.coloring import Coloring
 from repro.reorder.multicolor import multicolor
 from repro.sparse.vbr import VBRMatrix, shape_buckets, supernode_maps
-from repro.utils.indexing import ranges, sorted_unique
+from repro.utils.indexing import SETUP_CHUNK, chunks, ranges, sorted_unique
 from repro.utils.timing import Laps
 from repro.utils.validate import check_square_csr
 
@@ -142,13 +142,6 @@ def _subtract_at(arr: np.ndarray, start: np.ndarray, width: int, unit: int, bloc
     np.add.at(arr, slots.reshape(-1), neg.reshape(-1))
 
 
-def _chunks(nblocks: int, width: int, budget: int) -> list[slice]:
-    """Runs of consecutive blocks of *width* values, each run at most
-    *budget* values (at least one block)."""
-    step = max(1, budget // width)
-    return [slice(c, c + step) for c in range(0, nblocks, step)]
-
-
 def lower_fill_pattern(adj: sp.csr_matrix, level: int):
     """Strictly-lower sparsity pattern of IC(level) fill, plus the diagonal.
 
@@ -173,8 +166,7 @@ def lower_fill_pattern(adj: sp.csr_matrix, level: int):
 
     if level >= 1:
         # Paths i - v - j with v < j < i: for each v, pairs of higher neighbors.
-        chunks = _pairs_through_vertices(indptr, indices, n)
-        keys.extend(chunks)
+        keys.extend(_pairs_through_vertices(indptr, indices, n))
     if level >= 2:
         keys.extend(_pairs_through_edges(indptr, indices, rows, cols, n))
 
@@ -278,7 +270,7 @@ class ICSymbolic:
         nsuper = len(supernodes)
         snode_of0, local = supernode_maps(supernodes, self.ndof)
         runs = self._block_runs(a, snode_of0)
-        adj0 = self._supernode_adjacency(runs[0], runs[1], nsuper)
+        adj0 = self._supernode_adjacency(runs, snode_of0, nsuper)
         col = multicolor(adj0, ncolors)
         self.coloring: Coloring = col
         sizes0 = np.bincount(snode_of0, minlength=nsuper)
@@ -308,6 +300,7 @@ class ICSymbolic:
         # number of *fill* blocks beyond the level-0 pattern (one block per
         # undirected edge plus the diagonal) — the memory census
         self.nnz_fill = int(self.pattern.nnzb - (adj.nnz // 2 + nsuper))
+        del adj0, edges, adj, lp_indptr, lp_indices
 
         # ---- execution schedule
         if fill_level == 0:
@@ -329,7 +322,7 @@ class ICSymbolic:
         # ---- values-only scatter map A -> L (the refactor fast path)
         self._a_indptr = a.indptr
         self._a_indices = a.indices
-        self._build_scatter_map(a, iorder, runs, local)
+        self._build_scatter_map(a, runs, iorder, snode_of, local)
         del runs
 
         # ---- diagonal block storage layout
@@ -399,29 +392,57 @@ class ICSymbolic:
     @staticmethod
     def _block_runs(a: sp.csr_matrix, snode_of: np.ndarray):
         """Runs of consecutive stored scalars of one row of *a* inside one
-        super-node block: ``(bi, bj, start, row)``, one entry per run.
+        super-node block, listed by row like a CSR matrix: ``(ptr, bj,
+        start)``, the runs of scalar row ``r`` being ``ptr[r]:ptr[r + 1]``,
+        ``bj`` the super-node of their columns, ``start`` their first
+        entry in *a*.
 
         The DOF columns of a node map to one super-node, so a scalar
         row's entries come in runs of equal ``(bi, bj)``: whatever is
         looked up per block — the adjacency, the scatter map — is looked
-        up on the run heads, a third of the scalars on 3-DOF nodes.
+        up on the run heads, a third of the scalars on 3-DOF nodes.  The
+        heads are found a row range at a time, ``bj`` and ``start`` are
+        held in *a*'s index type, and a run's row (hence ``bi``) is read
+        off ``ptr`` where it is needed, so nothing of *a*'s size is built.
         """
-        counts = np.diff(a.indptr)
-        bj = snode_of[a.indices]
-        head = np.ones(bj.size, dtype=bool)
-        np.not_equal(bj[1:], bj[:-1], out=head[1:])
-        head[a.indptr[:-1][counts > 0]] = True
-        start = np.flatnonzero(head)
-        row = np.repeat(np.arange(a.shape[0]), counts)[start]
-        return snode_of[row], bj[start], start, row
+        n, idx = a.shape[0], a.indices.dtype
+        ptr = np.zeros(n + 1, dtype=np.int64)
+        bjs, starts = [np.empty(0, dtype=idx)], [np.empty(0, dtype=idx)]
+        for rows in chunks(n, max(a.nnz // 16, SETUP_CHUNK), a.indptr):
+            first = a.indptr[rows.start : rows.stop + 1]
+            e0 = first[0]
+            bj = snode_of[a.indices[e0 : first[-1]]]
+            head = np.ones(bj.size, dtype=bool)
+            np.not_equal(bj[1:], bj[:-1], out=head[1:])
+            head[first[:-1][first[:-1] < first[1:]] - e0] = True
+            start = np.flatnonzero(head)
+            ptr[rows.start + 1 : rows.stop + 1] = ptr[rows.start] + np.searchsorted(start, first[1:] - e0)
+            bjs.append(bj[start].astype(idx))
+            starts.append((start + e0).astype(idx))
+        return ptr, np.concatenate(bjs), np.concatenate(starts)
 
     @staticmethod
-    def _supernode_adjacency(bi: np.ndarray, bj: np.ndarray, n: int) -> sp.csr_matrix:
+    def _run_ranges(ptr: np.ndarray):
+        """``(rows, runs)`` slices: the block runs of :meth:`_block_runs`
+        with run offsets *ptr*, a range of scalar rows at a time."""
+        for rows in chunks(ptr.size - 1, max(int(ptr[-1]) // 16, SETUP_CHUNK), ptr):
+            yield rows, slice(ptr[rows.start], ptr[rows.stop])
+
+    @staticmethod
+    def _supernode_adjacency(runs, snode_of: np.ndarray, n: int) -> sp.csr_matrix:
         """Symmetric 0/1 graph (no self loops) of the super-node pairs
-        ``(bi, bj)`` — the block runs of the matrix."""
-        off = bi != bj
-        bi, bj = bi[off], bj[off]
-        pairs = sorted_unique(np.maximum(bi, bj) * n + np.minimum(bi, bj))
+        ``(bi, bj)`` of the block runs *runs* of the matrix (``bi`` the
+        super-node of a run's row, by *snode_of*), collected a range of
+        rows at a time."""
+        ptr, bjs, _start = runs
+        keys = [np.empty(0, dtype=np.int64)]
+        for rows, q in ICSymbolic._run_ranges(ptr):
+            bi = np.repeat(snode_of[rows], np.diff(ptr[rows.start : rows.stop + 1]))
+            bj = bjs[q]
+            off = bi != bj
+            bi, bj = bi[off], bj[off]
+            keys.append(sorted_unique(np.maximum(bi, bj) * n + np.minimum(bi, bj)))
+        pairs = sorted_unique(np.concatenate(keys))
         hi, lo = pairs // n, pairs % n
         return sp.csr_matrix(
             (
@@ -475,35 +496,42 @@ class ICSymbolic:
         p = np.arange(self.pattern.nnzb, dtype=np.int64)
         return p[self.pattern.indices != self.pattern.block_rows()]
 
-    def _build_scatter_map(self, a: sp.csr_matrix, iorder, runs, local) -> None:
+    def _build_scatter_map(self, a: sp.csr_matrix, runs, iorder, snode_of, local) -> None:
         """Map each lower-triangular entry of A to its slot in L's data.
 
         *runs* are the block runs of *a* (:meth:`_block_runs`), *iorder*
-        takes their super-nodes to the new numbering: the block of a run
-        is looked up once and repeated over its scalars.  A is canonical
-        CSR, so every kept entry lands in a distinct slot and the numeric
-        scatter is a single fancy-index assignment.
+        takes their super-nodes, *snode_of* their rows' DOFs to the new
+        numbering: the block of a run is looked up once and repeated over
+        its scalars, a range of rows at a time.  A is canonical CSR, so
+        every kept entry lands in a distinct slot and the numeric scatter
+        is a single fancy-index assignment.
         """
-        bi, bj, start, row = runs
-        bi, bj = iorder[bi], iorder[bj]
-        length = np.diff(np.append(start, a.nnz))
-        lower = np.flatnonzero(bi >= bj)
-        bj, start, length = bj[lower], start[lower], length[lower]
-        pos = self.pattern.find_blocks(bi[lower], bj)
-        if (pos < 0).any():
-            raise ValueError("CSR entry outside the VBR pattern")
-        src = ranges(start, length)
-        dst = np.repeat(self.pattern.boff[pos] + local[row[lower]] * self.sizes[bj], length)
-        dst += local[a.indices[src]]
-        # the runs come in CSR order, so *src* ascends and a mask over A's
-        # entries selects the same values in the same order at a quarter
-        # of the bytes (one per entry of A, not eight per lower entry);
+        ptr, bjs, starts = runs
+        self.scatter_src = np.zeros(a.nnz, dtype=bool)
+        dsts = [np.empty(0, dtype=np.intp)]
+        for rows, q in self._run_ranges(ptr):
+            row = np.repeat(np.arange(rows.start, rows.stop), np.diff(ptr[rows.start : rows.stop + 1]))
+            bi, bj = snode_of[row], iorder[bjs[q]]
+            start = starts[q].astype(np.int64)
+            length = np.diff(start, append=starts[q.stop] if q.stop < starts.size else a.nnz)
+            lower = np.flatnonzero(bi >= bj)
+            row, bj, start, length = row[lower], bj[lower], start[lower], length[lower]
+            pos = self.pattern.find_blocks(bi[lower], bj)
+            if (pos < 0).any():
+                raise ValueError("CSR entry outside the VBR pattern")
+            src = ranges(start, length)
+            dst = np.repeat(self.pattern.boff[pos] + local[row] * self.sizes[bj], length)
+            dst += local[a.indices[src]]
+            # the runs come in CSR order, so *src* ascends and a mask over
+            # A's entries selects the same values in the same order at a
+            # quarter of the bytes (one per entry of A, not eight per
+            # lower entry)
+            self.scatter_src[src] = True
+            dsts.append(dst)
         # *dst* stays intp: numpy casts a narrower index array to intp on
         # every use, in a temporary as large as the map (+1.2 ms and two
         # transients of nnz(L) per refactor at 20k DOF)
-        self.scatter_src = np.zeros(a.nnz, dtype=bool)
-        self.scatter_src[src] = True
-        self.scatter_dst = dst
+        self.scatter_dst = np.concatenate(dsts)
 
     def pattern_matches(self, a: sp.csr_matrix) -> bool:
         """True iff *a* has exactly the pattern this object was built from."""
@@ -722,23 +750,37 @@ class ICSymbolic:
 
         # Scalar row r of block row i reads sizes[k] consecutive slots of
         # each of its off-diagonal blocks (i, k), the diagonal block
-        # being the last of the row: one segment per (plan row, block).
+        # being the last of the row: one segment per (plan row, block),
+        # taken a range of plan rows at a time.
         block = np.repeat(sweep, sizes[sweep])
-        nseg = np.diff(L.indptr)[block] - 1
-        pos = ranges(L.indptr[block], nseg)
-        width = sizes[L.indices[pos]]
-        slots = ranges(L.boff[pos] + np.repeat(dofs - offsets[block], nseg) * width, width)
-        live = np.flatnonzero(self._structural_mask()[slots])
         row_width = np.bincount(
             L.block_rows()[off], weights=sizes[L.indices[off]], minlength=L.N
         ).astype(np.int64)
-        row_ends = np.cumsum(row_width[block])
-        indptr = np.concatenate(([0], np.searchsorted(live, row_ends))).astype(idx)
-        indices = ranges(start[L.indices[pos]], width).take(live).astype(idx)
+        row_ends = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(row_width[block], out=row_ends[1:])
+        mask = self._structural_mask()
+        nblocks = np.diff(L.indptr)
+        indptr = np.zeros(n + 1, dtype=idx)
+        gathers, columns = [np.empty(0, dtype=idx)], [np.empty(0, dtype=idx)]
+        for rows in chunks(n, max(int(row_ends[-1]) // 16, SETUP_CHUNK), row_ends):
+            blk = block[rows]
+            nseg = nblocks[blk] - 1
+            pos = ranges(L.indptr[blk], nseg)
+            width = sizes[L.indices[pos]]
+            slots = ranges(L.boff[pos] + np.repeat(dofs[rows] - offsets[blk], nseg) * width, width)
+            live = np.flatnonzero(mask[slots])
+            ends = row_ends[rows.start + 1 : rows.stop + 1] - row_ends[rows.start]
+            indptr[rows.start + 1 : rows.stop + 1] = indptr[rows.start] + np.searchsorted(live, ends)
+            gathers.append(slots.take(live).astype(idx))
+            columns.append(ranges(start[L.indices[pos]], width).take(live).astype(idx))
+        del mask
         # L^T: scipy's transposition carries the slots along as data
-        fwd = sp.csr_matrix((slots.take(live).astype(idx), indices, indptr), shape=(n, n))
+        fwd = sp.csr_matrix(
+            (np.concatenate(gathers), np.concatenate(columns), indptr), shape=(n, n)
+        )
+        del gathers, columns
         bwd = fwd.tocsc()
-        self.fwd_struct, self.fwd_gather = (indptr, indices), fwd.data
+        self.fwd_struct, self.fwd_gather = (indptr, fwd.indices), fwd.data
         self.bwd_struct = (bwd.indptr.astype(idx, copy=False), bwd.indices.astype(idx, copy=False))
         self.bwd_gather = bwd.data
 
@@ -969,7 +1011,7 @@ class BlockICFactorization(Preconditioner):
         budget = data.size // 16
         for g in range(len(self.schedule)):
             for si, sk, ik, dk, ii in self.symbolic.dmod_updates[g]:
-                for c in _chunks(ik.size, max(si, sk) ** 2, budget):
+                for c in chunks(ik.size, budget, max(si, sk) ** 2):
                     _dmod_update(data, dinv, u, si, sk, ik[c], dk[c], ii[c])
             self._invert_group_diag(g)
 
@@ -980,7 +1022,7 @@ class BlockICFactorization(Preconditioner):
         for g in range(len(self.schedule)):
             self._invert_group_diag(g)
             for si, sk, sj, ik, jk, dk, ij in self.symbolic.full_updates[g]:
-                for c in _chunks(ik.size, max(si, sk, sj) ** 2, budget):
+                for c in chunks(ik.size, budget, max(si, sk, sj) ** 2):
                     _full_update(data, dinv, u, si, sk, sj, ik[c], jk[c], dk[c], ij[c])
 
     def factorization_stats(self) -> dict:

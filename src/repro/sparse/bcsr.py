@@ -15,6 +15,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse import _sparsetools
 
+from repro.utils.indexing import SETUP_CHUNK, chunks
 from repro.utils.validate import check_index_array
 
 
@@ -48,26 +49,56 @@ class BCSRMatrix:
 
     @classmethod
     def from_block_pairs(
-        cls, n: int, rows: np.ndarray, cols: np.ndarray, b: int = 3
+        cls, n: int, rows, cols, b: int = 3
     ) -> tuple["BCSRMatrix", np.ndarray]:
         """Zero matrix on the pattern of the block pairs ``(rows, cols)``,
         and the slot of each pair in its ``values``.
 
-        Every diagonal block is in the pattern (whether listed or not) so
-        the preconditioners can always address ``A[i, i]``.  The pattern
-        comes from the pairs alone: what is summed into the slots later
-        (:meth:`add_blocks`) never has to exist all at once.
+        *rows* and *cols* are integer arrays broadcast against each
+        other (the pairs in C order), or equally long lists of such
+        arrays whose pairs follow one another — ``hexes[:, :, None]``
+        and ``hexes[:, None, :]`` are the 64 node pairs of every
+        hexahedron, keyed where they are, with no copy joined to the
+        next list.  Every diagonal block is in the pattern (whether
+        listed or not) so the preconditioners can always address
+        ``A[i, i]``.  The pattern comes from the pairs alone: what is
+        summed into the slots later (:meth:`add_blocks`) never has to
+        exist all at once.
         """
-        rows = check_index_array(np.asarray(rows), n, "block rows")
-        cols = check_index_array(np.asarray(cols), n, "block cols")
-        # one sort finds the pattern and the slot of each pair
-        diag = np.arange(n, dtype=np.int64)
-        key = np.concatenate([rows.astype(np.int64) * n + cols, diag * (n + 1)])
-        uniq, slot = np.unique(key, return_inverse=True)
+        if not isinstance(rows, list):
+            rows, cols = [rows], [cols]
+        shapes = [np.broadcast_shapes(np.shape(r), np.shape(c)) for r, c in zip(rows, cols)]
+        npairs = sum(int(np.prod(shape)) for shape in shapes)
+        # one key r * n + c per pair, then one per diagonal block
+        key = np.empty(npairs + n, dtype=np.int64)
+        at = 0
+        for r, c, shape in zip(rows, cols, shapes):
+            r, c = np.asarray(r), np.asarray(c)
+            check_index_array(r.reshape(-1), n, "block rows")
+            check_index_array(c.reshape(-1), n, "block cols")
+            part = key[at : at + int(np.prod(shape))].reshape(shape)
+            np.multiply(r, n, out=part, dtype=np.int64)
+            part += c
+            at += part.size
+        key[at:] = np.arange(n, dtype=np.int64) * (n + 1)
+        # one sort finds the pattern and the slot of each pair; the
+        # sorted keys turn into the running count of distinct ones, so
+        # no more than three key-sized arrays live at once
+        order = np.argsort(key)
+        key = key.take(order)
+        first = np.empty(key.size, dtype=bool)
+        first[:1] = True
+        np.not_equal(key[1:], key[:-1], out=first[1:])
+        uniq = key[first]
+        np.cumsum(first, out=key)
+        key -= 1
+        slot = np.empty_like(order)
+        slot[order] = key
+        del order, key
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(np.bincount(uniq // n, minlength=n), out=indptr[1:])
         mat = cls(n=n, b=b, indptr=indptr, indices=uniq % n, values=np.zeros((uniq.size, b, b)))
-        return mat, slot[: rows.size]
+        return mat, slot[:npairs]
 
     def add_blocks(self, slot: np.ndarray, blocks: np.ndarray) -> None:
         """``values[slot[t]] += blocks[t]`` for ``t = 0, 1, ...``, in that
@@ -153,22 +184,50 @@ class BCSRMatrix:
     def to_csr(self, keep: np.ndarray | None = None) -> sp.csr_matrix:
         """Scalar CSR copy (sorted, duplicate-free); with the
         ``(nnzb, b, b)`` mask *keep*, of the scalars it marks only."""
-        shape = (self.ndof, self.ndof)
-        if keep is None:
-            csr = self.to_bsr().tocsr()
-        else:
-            kept = np.flatnonzero(
-                sp.bsr_matrix((keep, self.indices, self.indptr), shape=shape).tocsr().data
-            )
-            # array by array, so the full expansion goes as the kept part comes
-            csr = self.to_bsr().tocsr()
-            csr.data = csr.data.take(kept)
-            csr.indices = csr.indices.take(kept)
-            csr.indptr = np.searchsorted(kept, csr.indptr).astype(csr.indices.dtype)
+        csr = self.to_bsr().tocsr() if keep is None else self._kept_csr(keep)
         # block columns are sorted and unique within each row (class
         # invariant), so the expanded rows are canonical already
         csr.has_canonical_format = True
         return csr
+
+    def _kept_csr(self, keep: np.ndarray) -> sp.csr_matrix:
+        """The scalars *keep* marks, as CSR: counted first, then copied
+        into the preallocated arrays one block-row range at a time, so
+        that neither the mask nor the values are ever expanded whole."""
+        b, n, bptr = self.b, self.n, self.indptr
+        keep = np.ascontiguousarray(keep, dtype=bool).reshape(self.nnzb, b, b)
+        runs = chunks(n, max(self.nnzb // 16, SETUP_CHUNK // (b * b)), bptr)
+        # kept scalars per scalar row: per block and inner row (a sum of
+        # b bytes), then over each block row's blocks as differences of a
+        # running sum
+        per_row = np.empty((n, b), dtype=np.int64)
+        for rows in runs:
+            p0 = bptr[rows.start]
+            byte = keep[p0 : bptr[rows.stop]].view(np.uint8)
+            per_block = byte[:, :, 0].copy()
+            for c in range(1, b):
+                per_block += byte[:, :, c]
+            ends = np.zeros((per_block.shape[0] + 1, b), dtype=np.int64)
+            np.cumsum(per_block, axis=0, out=ends[1:])
+            per_row[rows] = np.diff(ends[bptr[rows.start : rows.stop + 1] - p0], axis=0)
+        indptr = np.zeros(n * b + 1, dtype=np.int64)
+        np.cumsum(per_row.reshape(-1), out=indptr[1:])
+        nnz = int(indptr[-1])
+        idx = np.int32 if max(nnz, self.ndof) <= np.iinfo(np.int32).max else np.int64
+        data, indices = np.empty(nnz), np.empty(nnz, dtype=idx)
+        for rows in runs:
+            p0, p1 = bptr[rows.start], bptr[rows.stop]
+            nrows, size = rows.stop - rows.start, (p1 - p0) * b * b
+            sub = ((bptr[rows.start : rows.stop + 1] - p0).astype(idx), self.indices[p0:p1].astype(idx))
+            ptr, cols = np.empty(nrows * b + 1, dtype=idx), np.empty(size, dtype=idx)
+            vals, mask = np.empty(size), np.empty(size, dtype=bool)
+            _sparsetools.bsr_tocsr(nrows, n, b, b, *sub, self.values[p0:p1], ptr, cols, vals)
+            _sparsetools.bsr_tocsr(nrows, n, b, b, *sub, keep[p0:p1], ptr, cols, mask)
+            out = slice(indptr[rows.start * b], indptr[rows.stop * b])
+            kept = np.flatnonzero(mask)
+            np.take(vals, kept, out=data[out])
+            np.take(cols, kept, out=indices[out])
+        return sp.csr_matrix((data, indices, indptr.astype(idx)), shape=(self.ndof, self.ndof))
 
     def toarray(self) -> np.ndarray:
         return self.to_bsr().toarray()

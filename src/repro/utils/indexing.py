@@ -44,3 +44,32 @@ def sorted_unique(keys: np.ndarray) -> np.ndarray:
     first = np.ones(keys.size, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     return keys[first]
+
+
+SETUP_CHUNK = 1 << 16
+"""The fewest values a set-up pass takes per run of :func:`chunks`: on
+smaller runs the per-run call overhead outweighs the memory saved."""
+
+
+def chunks(n: int, budget: int, width: int | np.ndarray = 1) -> list[slice]:
+    """Runs of consecutive items ``0 .. n-1``, each run holding at most
+    *budget* values, or one item where that alone holds more.
+
+    Item ``i`` holds *width* values, or, when *width* is an array of
+    ``n + 1`` ascending offsets (a CSR ``indptr``), the values
+    ``width[i]:width[i + 1]``.  A pass that works run by run keeps its
+    transients to the size of a run: callers derive *budget* from the
+    arrays they walk (a sixteenth of them, say), so how many runs there
+    are does not change with the problem size.
+    """
+    if np.ndim(width) == 0:
+        step = max(1, budget // int(width))
+        return [slice(c, min(c + step, n)) for c in range(0, n, step)]
+    offsets = np.asarray(width)
+    out, c = [], 0
+    while c < n:
+        end = int(np.searchsorted(offsets, offsets[c] + budget, side="right")) - 1
+        end = min(max(end, c + 1), n)
+        out.append(slice(c, end))
+        c = end
+    return out

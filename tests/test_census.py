@@ -38,7 +38,7 @@ ALLOWED = {
     # oracles: reference implementations the tests compare against
     "fem/hex8.py::hex8_stiffness": "oracle: the element kernel without shape dedup",
     "fem/contact.py::add_penalty": "oracle: the penalty term assembled directly",
-    "fem/mpc.py::solve_tied_exact": "oracle: the exactly tied solve (ROADMAP item 8)",
+    "fem/mpc.py::solve_tied_exact": "oracle: the exactly tied solve (ROADMAP: tied baseline arm)",
     "reorder/coloring.py::Coloring.validate": "oracle: no edge inside a colour",
     "reorder/graph.py::is_independent_set": "oracle: no edge inside a set",
     "sparse/bcsr.py::BCSRMatrix.is_symmetric": "oracle: assembled operator symmetry",

@@ -31,6 +31,20 @@ class TestCLI:
         assert code == 0
         assert "converged" in out and "SB-BIC(0)" in out
 
+    def test_solve_reports_the_peak_rss(self, capsys):
+        """The ``memory:`` line ends with the process's resident-set
+        high-water mark, after the factor / plan / symbolic bytes."""
+        resource = pytest.importorskip("resource")
+        code = main(["solve", "--model", "block", "--scale", "0.4", "--precond", "sbbic0"])
+        line = next(s for s in capsys.readouterr().out.splitlines() if "memory:" in s)
+        assert code == 0
+        fields = line.split("memory: ")[1].split(", ")
+        assert [f.split()[0] for f in fields] == ["factor", "plan", "symbolic", "peak"]
+        peak = float(fields[-1].split()[2])
+        assert fields[-1] == f"peak RSS {peak:.1f} MiB"
+        now = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 2**10
+        assert 0 < peak <= now + 0.1
+
     def test_solve_diag(self, capsys):
         code = main(["solve", "--model", "block", "--scale", "0.4", "--precond", "diag", "--penalty", "1e2"])
         assert code == 0

@@ -1,12 +1,17 @@
 """The factorization engine: correctness of the colored batched IC."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.precond.icfact import BlockICFactorization
+from repro.core.selective_blocking import selective_block_supernodes
+from repro.experiments.workloads import block_problem, swjapan_problem
+from repro.precond.bic import node_supernodes
+from repro.precond.icfact import BlockICFactorization, ICSymbolic
 from repro.solvers.cg import cg_solve
 
 
@@ -243,3 +248,37 @@ def test_property_color_count_does_not_change_correctness(seed, ncolors):
     m = BlockICFactorization(a, node_parts(ndof), fill_level=0, ncolors=ncolors)
     res = cg_solve(a, np.ones(ndof), m, eps=1e-10)
     assert res.converged
+
+
+@pytest.mark.parametrize(
+    "model, family, bound",
+    [
+        ("block", "sbbic0", 1.75),
+        ("block", "bic0", 1.74),
+        ("block", "bic1", 2.19),
+        ("swjapan", "sbbic0", 2.38),
+        ("swjapan", "bic0", 2.24),
+        ("swjapan", "bic1", 2.03),
+    ],
+)
+def test_symbolic_peaks_near_what_it_keeps(model, family, bound):
+    """The pattern phase walks A's runs, its scatter map and the plan's
+    rows a range at a time, so its transients stay a fraction of what it
+    keeps: the peak above its start is at most *bound* (measured + 10 %)
+    times :meth:`ICSymbolic.memory_bytes`.  At block 1.5 an SB-BIC(0)
+    pattern peaked at 2.8 times its 15.6 MB when the runs were held in
+    int64 with their rows expanded and the plan was built whole; it
+    peaks at 1.2 times now."""
+    p = {"block": block_problem, "swjapan": swjapan_problem}[model](1.0)
+    n = p.a.shape[0] // 3
+    supernodes = (
+        selective_block_supernodes(p.groups, n, b=3) if family == "sbbic0" else node_supernodes(n)
+    )
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        sym = ICSymbolic(p.a, supernodes, fill_level=int(family == "bic1"))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - start <= bound * sym.memory_bytes()

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.workloads import block_problem
 from repro.fem.generators import box_mesh
 from repro.fem.model import build_contact_problem
 from repro.parallel import contact_aware_partition
@@ -219,3 +222,26 @@ def test_property_rcb_covers_everything(seed, ndom):
     part = partition_nodes_rcb(coords, ndom)
     assert part.size == n
     assert set(np.unique(part)) == set(range(ndom))
+
+
+@pytest.mark.parametrize("ndomains, bound", [(2, 1.52), (4, 1.52)])
+def test_build_domains_peaks_near_what_it_returns(ndomains, bound):
+    """Each domain's columns are renumbered in place, a run of entries
+    at a time, so the cut peaks at most *bound* (measured + 10 %) times
+    the local matrices it returns (block 1.0; at block 1.5 on 2 domains
+    1.1 times the 9.9 MB, 1.7 times with int64 renumbering temporaries
+    of the domain's size)."""
+    p = block_problem(1.0)
+    part = partition_nodes_rcb(p.mesh.coords, ndomains)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        domains = build_domains(p.a, part)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    returned = sum(
+        d.a_local.data.nbytes + d.a_local.indices.nbytes + d.a_local.indptr.nbytes
+        for d in domains
+    )
+    assert peak - start <= bound * returned

@@ -3,6 +3,8 @@ import time
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.utils import (
     Timer,
@@ -12,6 +14,7 @@ from repro.utils import (
     check_square_csr,
     check_symmetric,
 )
+from repro.utils.indexing import chunks
 
 
 class TestTimer:
@@ -49,6 +52,54 @@ class TestTimer:
         # and the timer is usable again afterwards
         with t:
             pass
+
+
+class TestChunks:
+    """:func:`repro.utils.indexing.chunks`: consecutive runs that cover
+    the items once, in order, each within the budget unless one item
+    alone exceeds it."""
+
+    @staticmethod
+    def check(runs, n, budget, sizes):
+        assert [r.step for r in runs] == [None] * len(runs)
+        bounds = [r.start for r in runs] + [n]
+        assert bounds[0] == 0 and [r.stop for r in runs] == bounds[1:]
+        assert all(r.start < r.stop for r in runs)
+        for r in runs:
+            held = int(sizes[r].sum())
+            assert held <= budget or r.stop - r.start == 1
+            # greedy: the next item would not have fitted
+            if r.stop < n:
+                assert held + sizes[r.stop] > budget
+
+    def test_cases(self):
+        assert chunks(0, 8) == []
+        assert chunks(5, 100, 3) == [slice(0, 5)]  # one run
+        assert chunks(6, 6, 3) == [slice(0, 2), slice(2, 4), slice(4, 6)]  # an exact multiple
+        assert chunks(7, 6, 3) == [slice(0, 2), slice(2, 4), slice(4, 6), slice(6, 7)]  # a remainder
+        assert chunks(3, 2, 5) == [slice(0, 1), slice(1, 2), slice(2, 3)]  # items over budget
+        ptr = np.array([0, 4, 4, 9, 10, 30, 31])
+        assert chunks(6, 10, ptr) == [slice(0, 4), slice(4, 5), slice(5, 6)]
+        assert chunks(0, 10, np.zeros(1, dtype=np.int64)) == []
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        n=st.integers(0, 60),
+        budget=st.integers(1, 50),
+        width=st.integers(1, 12),
+    )
+    def test_uniform_width(self, n, budget, width):
+        self.check(chunks(n, budget, width), n, budget, np.full(n, width))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        sizes=st.lists(st.integers(0, 20), max_size=60),
+        budget=st.integers(1, 50),
+    )
+    def test_offsets(self, sizes, budget):
+        sizes = np.array(sizes, dtype=np.int64)
+        ptr = np.concatenate(([0], np.cumsum(sizes)))
+        self.check(chunks(sizes.size, budget, ptr), sizes.size, budget, sizes)
 
 
 class TestCheckIndexArray:
