@@ -70,8 +70,7 @@ from repro.fem.generators import simple_block_model
 from repro.fem.model import build_contact_problem
 from repro.fem.nonlinear import solve_nonlinear_contact
 from repro.parallel import DistributedSystem, parallel_cg, partition_nodes_rcb
-from repro.precond import DiagonalScaling, bic, sb_bic0
-from repro.precond.localized import restrict_groups
+from repro.precond import FAMILY_TABLE
 from repro.resilience import FailureReason, SolveReport
 
 REL_TOL = 1e-8
@@ -82,15 +81,10 @@ class SimulatedKill(Exception):
 
 
 def _precond_factories(problem):
-    """Name -> per-domain preconditioner factory (parallel_cg signature)."""
-    n_nodes = problem.mesh.n_nodes
-    groups = problem.groups
+    """Label -> per-domain preconditioner factory (parallel_cg signature)."""
     return {
-        "Diagonal": lambda sub, nodes: DiagonalScaling(sub),
-        "BIC(0)": lambda sub, nodes: bic(sub, fill_level=0),
-        "SB-BIC(0)": lambda sub, nodes: sb_bic0(
-            sub, restrict_groups(groups, nodes, n_nodes)
-        ),
+        f.stage: f.per_domain(problem.groups, problem.mesh.n_nodes)
+        for f in (FAMILY_TABLE[name] for name in ("diag", "bic0", "sbbic0"))
     }
 
 
@@ -321,9 +315,8 @@ def run_sweep(
     )
     a_free, b_free = apply_dirichlet(k.to_csr(), f, fixed)
     fac = {
-        "Diagonal": lambda a: DiagonalScaling(a),
-        "BIC(0)": lambda a: bic(a, fill_level=0),
-        "SB-BIC(0)": lambda a: sb_bic0(a, problem.groups),
+        f.stage: lambda a, f=f: f.build(a, problem.groups)
+        for f in (FAMILY_TABLE[name] for name in ("diag", "bic0", "sbbic0"))
     }
     nl_args = (a_free, b_free, problem.groups, mesh.n_nodes, 1e4)
     for pname, factory in fac.items():

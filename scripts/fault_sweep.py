@@ -40,8 +40,7 @@ from repro import obs
 from repro.fem.generators import simple_block_model
 from repro.fem.model import build_contact_problem
 from repro.parallel import DistributedSystem, parallel_cg, partition_nodes_rcb
-from repro.precond import DiagonalScaling, bic, sb_bic0
-from repro.precond.localized import restrict_groups
+from repro.precond import FAMILY_TABLE, DiagonalScaling, sb_bic0
 from repro.resilience import (
     FailureReason,
     FallbackStage,
@@ -53,15 +52,10 @@ FAULT_KINDS = ("nan", "bitflip")
 
 
 def _precond_factories(problem):
-    """Name -> per-domain preconditioner factory (parallel_cg signature)."""
-    n_nodes = problem.mesh.n_nodes
-    groups = problem.groups
+    """Label -> per-domain preconditioner factory (parallel_cg signature)."""
     return {
-        "Diagonal": lambda sub, nodes: DiagonalScaling(sub),
-        "BIC(0)": lambda sub, nodes: bic(sub, fill_level=0),
-        "SB-BIC(0)": lambda sub, nodes: sb_bic0(
-            sub, restrict_groups(groups, nodes, n_nodes)
-        ),
+        f.stage: f.per_domain(problem.groups, problem.mesh.n_nodes)
+        for f in (FAMILY_TABLE[name] for name in ("diag", "bic0", "sbbic0"))
     }
 
 

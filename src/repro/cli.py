@@ -153,7 +153,6 @@ def _run_distributed_solve(args, prob) -> int:
         parallel_cg,
         partition_nodes_rcb,
     )
-    from repro.precond.localized import restrict_groups
 
     family = FAMILY_TABLE.get(args.precond)
     if family is None or not family.localized:
@@ -163,16 +162,16 @@ def _run_distributed_solve(args, prob) -> int:
             file=sys.stderr,
         )
         return 2
-    n_nodes = prob.mesh.n_nodes
-
-    def factory(sub, nodes):
-        return family.build(sub, restrict_groups(prob.groups, nodes, n_nodes))
-
     traced = args.transport == "process" and getattr(args, "rank_traces", None)
     opts = {"trace_dir": args.rank_traces} if traced else {}
     part = partition_nodes_rcb(prob.mesh.coords, args.ndomains)
     with DistributedSystem.from_global(
-        prob.a, prob.b, part, factory, transport=args.transport, transport_opts=opts
+        prob.a,
+        prob.b,
+        part,
+        family.per_domain(prob.groups, prob.mesh.n_nodes),
+        transport=args.transport,
+        transport_opts=opts,
     ) as system:
         res = parallel_cg(system, max_iter=args.max_iter)
         log = system.comm_log

@@ -14,8 +14,7 @@ from __future__ import annotations
 from repro.experiments.common import ReproTable
 from repro.experiments.workloads import block_problem, dof_summary
 from repro.parallel import contact_aware_partition
-from repro.precond import LocalizedPreconditioner, TwoLevelPreconditioner, sb_bic0
-from repro.precond.localized import restrict_groups
+from repro.precond import FAMILY_TABLE, LocalizedPreconditioner, TwoLevelPreconditioner
 from repro.solvers.cg import cg_solve
 
 
@@ -29,9 +28,7 @@ def run(scale: float = 1.0, domain_counts=(2, 4, 8, 16)) -> ReproTable:
     )
     table.note(dof_summary(prob))
 
-    def factory(sub, nodes):
-        return sb_bic0(sub, restrict_groups(mesh.contact_groups, nodes, mesh.n_nodes))
-
+    factory = FAMILY_TABLE["sbbic0"].per_domain(mesh.contact_groups, mesh.n_nodes)
     loc_iters, tl_iters = [], []
     for nd in domain_counts:
         part = contact_aware_partition(mesh.coords, mesh.contact_groups, nd)

@@ -17,8 +17,7 @@ from repro.experiments.workloads import block_problem, swjapan_problem
 from repro.parallel import DistributedSystem, contact_aware_partition, parallel_cg
 from repro.perfmodel import EARTH_SIMULATOR, estimate_iteration_time
 from repro.perfmodel.kernels import census_from_factorization
-from repro.precond import sb_bic0
-from repro.precond.localized import restrict_groups
+from repro.precond import FAMILY_TABLE, sb_bic0
 
 
 def _distributed_iterations(prob, ndomains: int, ncolors: int):
@@ -29,8 +28,8 @@ def _distributed_iterations(prob, ndomains: int, ncolors: int):
         prob.a,
         prob.b,
         part,
-        lambda sub, nodes: sb_bic0(
-            sub, restrict_groups(mesh.contact_groups, nodes, mesh.n_nodes), ncolors=ncolors
+        FAMILY_TABLE["sbbic0"].per_domain(
+            mesh.contact_groups, mesh.n_nodes, ncolors=ncolors
         ),
     )
     res = parallel_cg(system, max_iter=20000)

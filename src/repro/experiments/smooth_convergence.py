@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from repro.experiments.common import ReproTable
 from repro.experiments.workloads import block_problem, dof_summary
-from repro.precond import DiagonalScaling, bic, sb_bic0
+from repro.precond import FAMILY_TABLE
 from repro.solvers.cg import cg_solve
 from repro.solvers.history import analyze_history
 
@@ -26,11 +26,9 @@ def run(scale: float = 1.0, penalty: float = 1e8) -> ReproTable:
     table.note(dof_summary(prob))
 
     profiles = {}
-    for name, m in [
-        ("Diagonal", DiagonalScaling(prob.a)),
-        ("BIC(0)", bic(prob.a, fill_level=0)),
-        ("SB-BIC(0)", sb_bic0(prob.a, prob.groups)),
-    ]:
+    for family in (FAMILY_TABLE[f] for f in ("diag", "bic0", "sbbic0")):
+        name = family.stage
+        m = family.build(prob.a, prob.groups)
         res = cg_solve(prob.a, prob.b, m, max_iter=30000)
         prof = analyze_history(res.history)
         profiles[name] = prof

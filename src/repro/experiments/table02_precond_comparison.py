@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from repro.experiments.common import ReproTable
 from repro.experiments.workloads import block_problem, dof_summary
-from repro.precond import DiagonalScaling, bic, sb_bic0, scalar_ic0
+from repro.precond import FAMILY_TABLE
 from repro.solvers.cg import cg_solve
 
 PAPER = {
@@ -36,6 +36,7 @@ PAPER = {
 }
 
 
+TABLE2_FAMILIES = ("diag", "ic0", "bic0", "bic1", "bic2", "sbbic0")
 BLOCK_METHODS = ("BIC(0)", "BIC(1)", "BIC(2)", "SB-BIC(0)")
 
 
@@ -70,16 +71,9 @@ def run(scale: float = 1.0, max_iter: int = 10000) -> ReproTable:
         prob = block_problem(scale, penalty=lam)
         if lam == 1e2:
             table.note(dof_summary(prob))
-        factories = [
-            ("Diagonal", lambda a: DiagonalScaling(a)),
-            ("IC(0) scalar", lambda a: scalar_ic0(a)),
-            ("BIC(0)", lambda a: bic(a, fill_level=0)),
-            ("BIC(1)", lambda a: bic(a, fill_level=1)),
-            ("BIC(2)", lambda a: bic(a, fill_level=2)),
-            ("SB-BIC(0)", lambda a: sb_bic0(a, prob.groups)),
-        ]
-        for name, make in factories:
-            m = make(prob.a)
+        for family in (FAMILY_TABLE[f] for f in TABLE2_FAMILIES):
+            name = family.stage
+            m = family.build(prob.a, prob.groups)
             res = cg_solve(prob.a, prob.b, m, max_iter=max_iter)
             mem = m.memory_bytes() / 1e6
             # stored factor entries x iterations, in millions (block-IC

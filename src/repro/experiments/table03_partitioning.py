@@ -12,8 +12,7 @@ from __future__ import annotations
 from repro.experiments.common import ReproTable
 from repro.experiments.workloads import block_problem, dof_summary
 from repro.parallel import contact_aware_partition, partition_nodes_rcb, partition_quality
-from repro.precond import LocalizedPreconditioner, bic, sb_bic0
-from repro.precond.localized import restrict_groups
+from repro.precond import FAMILY_TABLE, LocalizedPreconditioner
 from repro.solvers.cg import cg_solve
 
 PAPER = {
@@ -37,6 +36,7 @@ def run(scale: float = 1.0, ndomains: int = 8, lambdas=(1e2, 1e6), include_fill=
             "paper_orig", "paper_impr", "cut_groups_orig",
         ],
     )
+    families = ("bic0", "bic1", "bic2", "sbbic0") if include_fill else ("bic0", "sbbic0")
     results = {}
     for lam in lambdas:
         prob = block_problem(scale, penalty=lam)
@@ -52,26 +52,9 @@ def run(scale: float = 1.0, ndomains: int = 8, lambdas=(1e2, 1e6), include_fill=
             qual_impr["cut_groups"] == 0,
         )
 
-        def factories(groups, n_nodes):
-            fl = [
-                ("BIC(0)", lambda sub, nodes: bic(sub, fill_level=0)),
-            ]
-            if include_fill:
-                fl += [
-                    ("BIC(1)", lambda sub, nodes: bic(sub, fill_level=1)),
-                    ("BIC(2)", lambda sub, nodes: bic(sub, fill_level=2)),
-                ]
-            fl.append(
-                (
-                    "SB-BIC(0)",
-                    lambda sub, nodes: sb_bic0(
-                        sub, restrict_groups(groups, nodes, n_nodes)
-                    ),
-                )
-            )
-            return fl
-
-        for name, make in factories(mesh.contact_groups, mesh.n_nodes):
+        for family in (FAMILY_TABLE[f] for f in families):
+            name = family.stage
+            make = family.per_domain(mesh.contact_groups, mesh.n_nodes)
             row = []
             for part in (orig, impr):
                 lp = LocalizedPreconditioner(prob.a, part, make)

@@ -19,8 +19,7 @@ from repro.experiments.table01_localized_ic0 import _sr2201_census
 from repro.experiments.workloads import block_problem, dof_summary
 from repro.parallel import contact_aware_partition
 from repro.perfmodel import SR2201, estimate_iteration_time
-from repro.precond import LocalizedPreconditioner, bic, sb_bic0
-from repro.precond.localized import restrict_groups
+from repro.precond import FAMILY_TABLE, LocalizedPreconditioner
 from repro.solvers.cg import cg_solve
 
 PAPER_SB = {16: (511, 555, 16), 64: (538, 144, 62), 256: (584, 38, 235)}
@@ -37,16 +36,21 @@ def run(scale: float = 1.0, pe_counts=(2, 4, 8, 16), include_fill=True) -> Repro
     table.note(dof_summary(prob))
     table.note("paper SB-BIC(0) anchors (PE: iters, sec, speedup): " + str(PAPER_SB))
 
-    names = ["BIC(0)", "SB-BIC(0)"] + (["BIC(1)", "BIC(2)"] if include_fill else [])
+    families = [
+        FAMILY_TABLE[f]
+        for f in ("bic0", "sbbic0") + (("bic1", "bic2") if include_fill else ())
+    ]
     iters: dict[tuple[str, int], int] = {}
     times: dict[tuple[str, int], float] = {}
     mems: dict[str, float] = {}
     base_mem = None
     for p in pe_counts:
         part = contact_aware_partition(mesh.coords, mesh.contact_groups, p)
-        for name in names:
-            make = _factory(name, mesh)
-            lp = LocalizedPreconditioner(prob.a, part, make)
+        for family in families:
+            name = family.stage
+            lp = LocalizedPreconditioner(
+                prob.a, part, family.per_domain(mesh.contact_groups, mesh.n_nodes)
+            )
             res = cg_solve(prob.a, prob.b, lp, max_iter=20000)
             # charge the substitution for the factor's actual size: deep
             # fill makes each iteration proportionally more expensive.
@@ -93,15 +97,6 @@ def run(scale: float = 1.0, pe_counts=(2, 4, 8, 16), include_fill=True) -> Repro
         times[("SB-BIC(0)", first)] / times[("SB-BIC(0)", last)] * first >= 0.6 * last,
     )
     return table
-
-
-def _factory(name: str, mesh):
-    if name == "SB-BIC(0)":
-        return lambda sub, nodes: sb_bic0(
-            sub, restrict_groups(mesh.contact_groups, nodes, mesh.n_nodes)
-        )
-    level = int(name[4])
-    return lambda sub, nodes: bic(sub, fill_level=level)
 
 
 if __name__ == "__main__":

@@ -15,7 +15,7 @@ import numpy as np
 from repro.analysis.eigen import preconditioned_spectrum
 from repro.experiments.common import ReproTable
 from repro.experiments.workloads import block_problem, swjapan_problem
-from repro.precond import bic, sb_bic0
+from repro.precond import FAMILY_TABLE
 from repro.solvers.cg import cg_solve
 
 
@@ -30,6 +30,7 @@ def run(model: str = "block", scale: float = 0.5, lambdas=(1e2, 1e6, 1e10), incl
         paper_reference=ref + "; ours scaled down",
         columns=["precond", "lambda", "iters", "Emin", "Emax", "kappa"],
     )
+    families = ("bic0", "bic1", "sbbic0") if include_fill else ("bic0", "sbbic0")
     kappas: dict[tuple[str, float], float] = {}
     iters: dict[tuple[str, float], int | None] = {}
     for lam in lambdas:
@@ -38,12 +39,9 @@ def run(model: str = "block", scale: float = 0.5, lambdas=(1e2, 1e6, 1e10), incl
             if model == "block"
             else swjapan_problem(scale, penalty=lam)
         )
-        methods = [("BIC(0)", lambda a: bic(a, fill_level=0))]
-        if include_fill:
-            methods.append(("BIC(1)", lambda a: bic(a, fill_level=1)))
-        methods.append(("SB-BIC(0)", lambda a: sb_bic0(a, prob.groups)))
-        for name, make in methods:
-            m = make(prob.a)
+        for family in (FAMILY_TABLE[f] for f in families):
+            name = family.stage
+            m = family.build(prob.a, prob.groups)
             res = cg_solve(prob.a, prob.b, m, max_iter=30000)
             s = preconditioned_spectrum(prob.a, m, dense_threshold=2500)
             kappas[(name, lam)] = s.kappa

@@ -13,24 +13,28 @@ same scale, which is why set-up is counted in passes too instead of
 being priced on a different execution unit.
 
 - **per-iteration time** prices a synthetic operation census (matvec +
-  substitution passes + in-block solves + BLAS-1, built from the probe's
-  ``nnz`` / ``ndof`` / group census).
-- **set-up time** is ``SETUP_PASSES[family]`` matvec-shaped passes: the
-  symbolic and numeric phases of a cold build, *measured* in units of
-  one CSR matvec of the same operator (provenance at the table).
+  BLAS-1 + the phases of the family row's ``census``: substitution
+  passes, in-block solves, scaling; built from the probe's ``nnz`` /
+  ``ndof`` / group census).
+- **set-up time** is the family row's ``setup_passes`` matvec-shaped
+  passes: the symbolic and numeric phases of a cold build, *measured* in
+  units of one CSR matvec of the same operator (provenance at
+  :data:`~repro.precond.families.FAMILY_TABLE`).
 - **iteration count** is CG theory, ``~ 0.5 sqrt(kappa_eff) ln(2/eps)``,
   with a per-family effective condition number shaped by the paper's
   Table 2 / Appendix A: IC-type preconditioning compresses the spectrum
-  by a family factor, and *selective blocking* additionally removes the
-  penalty-induced part of the conditioning (the inter-zone ``lambda``
-  rows sit inside exactly-solved blocks), so its ``kappa_eff`` is that
-  of the penalty-free operator — a function of the mesh size, not of
+  by a family factor (``kappa_divisor``), and *selective blocking*
+  (``penalty_free_kappa``) additionally removes the penalty-induced
+  part of the conditioning (the inter-zone ``lambda`` rows sit inside
+  exactly-solved blocks), so its ``kappa_eff`` is that of the
+  penalty-free operator — a function of the mesh size, not of
   ``lambda``.  Diagonal scaling keeps the probe's kappa as-is (the probe
   already measured the Jacobi-scaled operator).
 - **risk** inflates families that Table 2 shows failing outright at
   high penalty (scalar IC collapses first, BIC(0) later, SB-BIC(0)
-  survives to ``1e10``): a failing first rung costs its whole setup and
-  iteration budget before the ladder escalates past it.
+  survives to ``1e10``; the row's ``risk_knee``): a failing first rung
+  costs its whole setup and iteration budget before the ladder
+  escalates past it.
 
 The ranking is a function of the operator alone (probe and tolerance),
 so the same request is decided the same way on every run and replay.
@@ -46,39 +50,10 @@ from repro.perfmodel.hybrid import estimate_iteration_time
 from repro.perfmodel.kernels import SolverOpCensus, VectorWork
 from repro.perfmodel.machines import EARTH_SIMULATOR
 from repro.policy.probes import ProblemProbe
-from repro.precond.families import ladder_families
+from repro.precond.families import FAMILY_TABLE, Family, ladder_families
 
-__all__ = ["CandidateCost", "SETUP_PASSES", "candidate_costs"]
+__all__ = ["CandidateCost", "candidate_costs"]
 
-SETUP_PASSES = {
-    "sbbic0": {"symbolic": 200, "numeric": 45},
-    "bic0": {"symbolic": 185, "numeric": 40},
-    "ic0": {"symbolic": 430, "numeric": 28},
-    "diag": {"symbolic": 0, "numeric": 3},
-}
-"""Cold set-up cost per family and phase, in matvec-shaped passes.
-
-Measured, not derived: ``symbolic_seconds`` / ``numeric_seconds`` of the
-built factor divided by the seconds of one CSR ``a @ x`` on the same
-operator (best of 3 builds, one BLAS thread), on
-block 0.8 / 1.0 / 1.5 and swjapan 1.0 / 1.5 / 2.0 at ``lambda = 1e6``
-(2.2k-19.9k DOF); the table holds the medians.  Ranges seen: SB-BIC(0)
-129-236 / 28-58, BIC(0) 125-214 / 26-48, scalar IC(0) 365-541 / 24-35,
-Diagonal 0 / 1.9-4.8; the high ends are the block problems, whose
-matvec — the unit — got up to 46 % cheaper when the assembly stopped
-storing round-off zeros, the low ends swjapan 1.5 / 2.0.  The
-set-up/iteration ratio the ranking depends on: SB-BIC(0) 49-93, BIC(0)
-50-88, IC(0) 111-165, Diagonal 1.7-3.1 iterations per set-up across the
-range.  The counts belong to this implementation's colour-batched
-numpy factorization (numeric phase: update sweeps plus one gather, no
-fold); re-measure them when the set-up path changes (DESIGN.md
-section 15 has the table and ``benchmarks/test_bench_policy.py`` the 3x
-host check).
-"""
-
-# spectrum compression of level-0 IC relative to plain Jacobi scaling —
-# a Table 2-shaped prior (block form slightly stronger than scalar)
-_IC_KAPPA_DIVISOR = {"ic0": 8.0, "bic0": 20.0, "sbbic0": 20.0}
 # Jacobi-scaled kappa of the *penalty-free* operator per nodes^(2/3) (the
 # h^-2 law of a 3-D second-order elliptic problem).  SB-BIC(0) iterates
 # like BIC(0) on the penalty-free problem at every lambda (Appendix A;
@@ -89,9 +64,6 @@ _IC_KAPPA_DIVISOR = {"ic0": 8.0, "bic0": 20.0, "sbbic0": 20.0}
 # lambda=1e6 to 1e8 on block 0.8) while penalty_ratio keeps growing, so
 # the quotient falls below 1 on every contact problem.
 _PENALTY_FREE_KAPPA = 10.0
-# penalty_ratio beyond which a family's factorization starts to break
-# down (Table 2: scalar IC first, BIC later, SB-BIC effectively never)
-_RISK_KNEE = {"ic0": 1e5, "bic0": 1e7}
 _NPE = 8  # the census spreads every loop over one node's PEs
 
 
@@ -119,21 +91,21 @@ def _matvec_pass(probe: ProblemProbe) -> VectorWork:
     return VectorWork(np.full(_NPE, probe.nnz / _NPE, dtype=np.float64), 2.0)
 
 
-def _iteration_phases(probe: ProblemProbe, family: str) -> list[VectorWork]:
+def _iteration_phases(probe: ProblemProbe, family: Family) -> list[VectorWork]:
     """Synthetic census of one CG iteration, one node."""
     phases = [
         _matvec_pass(probe),
         # BLAS-1: 3 dots + 3 daxpy over ndof
         VectorWork(np.full(6 * _NPE, probe.ndof / _NPE, dtype=np.float64), 2.0),
     ]
-    if family in ("ic0", "bic0", "sbbic0"):
+    if "substitution" in family.census:
         # forward + backward substitution over the lower half
         phases.append(
             VectorWork(
                 np.full(2 * _NPE, 0.5 * probe.nnz / _NPE, dtype=np.float64), 2.0
             )
         )
-    if family == "sbbic0" and probe.n_groups:
+    if "block_solves" in family.census and probe.n_groups:
         # exact in-block solves: ~2 s flops per group DOF per pass
         mean_block = 3.0 * probe.group_dofs / (3.0 * probe.n_groups)
         phases.append(
@@ -142,7 +114,7 @@ def _iteration_phases(probe: ProblemProbe, family: str) -> list[VectorWork]:
                 2.0 * mean_block,
             )
         )
-    if family == "diag":
+    if "scaling" in family.census:
         phases.append(
             VectorWork(np.full(_NPE, probe.ndof / _NPE, dtype=np.float64), 1.0)
         )
@@ -154,23 +126,20 @@ def _seconds(probe: ProblemProbe, phases: list[VectorWork]) -> float:
     return estimate_iteration_time(census, EARTH_SIMULATOR, "hybrid", 1).total_seconds
 
 
-def _kappa_eff(probe: ProblemProbe, family: str) -> float:
+def _kappa_eff(probe: ProblemProbe, family: Family) -> float:
     kappa = max(probe.kappa_scaled, 1.0)
-    if family == "diag":
-        return kappa
-    if family == "sbbic0":
+    if family.penalty_free_kappa:
         # selective blocking absorbs the penalty-induced conditioning:
         # what is left is the penalty-free operator's, set by mesh size
         # (and never more than BIC(0) faces: it only enlarges the blocks)
         kappa = min(kappa, _PENALTY_FREE_KAPPA * (probe.ndof / 3.0) ** (2.0 / 3.0))
-    return max(kappa / _IC_KAPPA_DIVISOR[family], 1.0)
+    return max(kappa / family.kappa_divisor, 1.0)
 
 
-def _risk(probe: ProblemProbe, family: str) -> float:
-    knee = _RISK_KNEE.get(family)
-    if knee is None:
+def _risk(probe: ProblemProbe, family: Family) -> float:
+    if family.risk_knee is None:
         return 1.0
-    return float(min(1.0 + probe.penalty_ratio / knee, 10.0))
+    return float(min(1.0 + probe.penalty_ratio / family.risk_knee, 10.0))
 
 
 def candidate_costs(
@@ -188,12 +157,12 @@ def candidate_costs(
     log_term = float(np.log(2.0 / eps))
     pass_seconds = _seconds(probe, [_matvec_pass(probe)])
     out = []
-    for family in fams:
+    for family in (FAMILY_TABLE[name] for name in fams):
         iters = max(int(np.ceil(0.5 * np.sqrt(_kappa_eff(probe, family)) * log_term)), 3)
         out.append(
             CandidateCost(
-                family=family,
-                setup_seconds=sum(SETUP_PASSES[family].values()) * pass_seconds,
+                family=family.name,
+                setup_seconds=sum(family.setup_passes) * pass_seconds,
                 per_iter_seconds=_seconds(probe, _iteration_phases(probe, family)),
                 predicted_iterations=iters,
                 risk=_risk(probe, family),

@@ -159,8 +159,8 @@ class SolverPolicy:
         """Decide, then build a ResilientSolver ladder in the decided order.
 
         :func:`~repro.resilience.resilient.build_ladder` with the
-        decision's order — so the shift schedule, the shared IC symbolic
-        cache and the Diagonal rung that is always last (no decision can
+        decision's order — so the family rows' shift schedule, the shared
+        IC factorization and the Diagonal rung that is always last (no decision can
         remove the unbreakable backstop) are those of every ladder.
         """
         decision = self.decide(a, contact_groups, cache_key=cache_key)

@@ -21,6 +21,7 @@ def bic(
     ncolors: int = 0,
     shift: float = 0.0,
     symbolic: ICSymbolic | None = None,
+    name: str | None = None,
 ) -> BlockICFactorization:
     """Block incomplete Cholesky with ``b x b`` node blocks.
 
@@ -31,12 +32,14 @@ def bic(
     each diagonal block before inversion (robustness retry knob used by
     the resilience fallback chain; 0 reproduces the paper).  ``symbolic``
     reuses a cached pattern phase from an earlier factorization of a
-    same-pattern matrix — only the numeric phase runs.
+    same-pattern matrix — only the numeric phase runs.  ``name`` labels
+    the factor (and its ``ic_numeric`` span) instead of the default.
     """
     ndof = a.shape[0]
     if ndof % b:
         raise ValueError(f"matrix dimension {ndof} is not a multiple of block size {b}")
-    name = f"BIC({fill_level})" if shift == 0.0 else f"BIC({fill_level})+shift{shift:g}"
+    if name is None:
+        name = f"BIC({fill_level})" if shift == 0.0 else f"BIC({fill_level})+shift{shift:g}"
     return BlockICFactorization(
         a,
         None if symbolic is not None else node_supernodes(ndof // b, b),

@@ -13,6 +13,7 @@ def scalar_ic0(
     ncolors: int = 0,
     shift: float = 0.0,
     symbolic: ICSymbolic | None = None,
+    name: str | None = None,
 ) -> BlockICFactorization:
     """Point incomplete Cholesky with no fill: every DOF is its own block.
 
@@ -22,12 +23,15 @@ def scalar_ic0(
     Manteuffel-style diagonal shift before pivot inversion (the classic
     shifted-IC retry for exactly this failure mode).  ``symbolic`` reuses
     a cached pattern phase from an earlier same-pattern factorization.
+    ``name`` labels the factor (and its ``ic_numeric`` span) instead of
+    the default.
     """
     ndof = a.shape[0]
     supernodes = (
         None if symbolic is not None else [np.array([d]) for d in range(ndof)]
     )
-    name = "IC(0) scalar" if shift == 0.0 else f"IC(0) scalar+shift{shift:g}"
+    if name is None:
+        name = "IC(0) scalar" if shift == 0.0 else f"IC(0) scalar+shift{shift:g}"
     return BlockICFactorization(
         a,
         supernodes,

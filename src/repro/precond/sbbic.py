@@ -22,7 +22,6 @@ def sb_bic0(
     *,
     b: int = 3,
     ncolors: int = 0,
-    shift: float = 0.0,
     symbolic: ICSymbolic | None = None,
 ) -> BlockICFactorization:
     """Selective-blocking block IC(0) preconditioner.
@@ -52,13 +51,11 @@ def sb_bic0(
         if symbolic is not None
         else selective_block_supernodes(contact_groups, ndof // b, b=b)
     )
-    name = "SB-BIC(0)" if shift == 0.0 else f"SB-BIC(0)+shift{shift:g}"
     return BlockICFactorization(
         a,
         supernodes,
         fill_level=0,
         ncolors=ncolors,
-        shift=shift,
-        name=name,
+        name="SB-BIC(0)",
         symbolic=symbolic,
     )

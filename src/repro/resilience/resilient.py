@@ -27,15 +27,11 @@ import scipy.sparse as sp
 
 from repro.obs import span as obs_span
 from repro.precond.base import Preconditioner
-from repro.precond.families import FAMILY_TABLE
+from repro.precond.families import Family, ladder_rungs
 from repro.resilience.taxonomy import FailureReason, PivotNudgeWarning, SolveReport
 from repro.solvers.cg import CGResult, cg_solve, check_finite_vector
 
 __all__ = ["FallbackStage", "ResilientSolver", "build_ladder"]
-
-SHIFTS = (0.01, 0.1)
-"""The Manteuffel shifts of the level-0 IC rung's retries, as fractions
-of the mean |diagonal|."""
 
 STAGNATION_WINDOW = 50
 """The stagnation window of every rung's :func:`cg_solve` attempt: a rung
@@ -65,66 +61,48 @@ def build_ladder(
 ) -> list[FallbackStage]:
     """The escalation ladder leading with the families in *order*.
 
-    ``sbbic0`` becomes an SB-BIC(0) rung when contact groups exist;
-    ``bic0`` / ``ic0`` become the level-0 IC rung the matrix admits
-    (BIC(0), or scalar IC(0) when the dimension is not a multiple of
-    *b*) followed by its shifted retries, Manteuffel-style
-    ``alpha * dbar * I`` added to the pivots for each ``alpha`` in
-    :data:`SHIFTS` (``dbar`` = mean |diagonal|); ``diag`` becomes
-    diagonal scaling — which is also always the last rung, whatever
-    *order* says, so no caller can remove the rung that cannot break.
+    :func:`~repro.precond.families.ladder_rungs` decides which families
+    that is on this problem (SB-BIC(0) only with contact groups, the
+    level-0 IC rung the matrix admits, diagonal scaling always last).
+    Each becomes one rung, followed by its row's shifted retries:
+    Manteuffel-style ``alpha * dbar * I`` added to the pivots for each
+    ``alpha`` in ``Family.shifts`` (``dbar`` = mean |diagonal|).
 
-    The IC rungs (plain + every shifted retry) share one level-0
-    symbolic pattern phase: escalating to a shifted rung refactors the
-    previously built factorization with the new ``shift`` (numeric-only),
-    or — if the plain rung never got built — runs the numeric phase on
-    the cached symbolic object.  Only the first of them reached ever
-    pays for ordering/pattern/schedule construction.
+    A family's plain rung and its shifted retries share one
+    factorization: escalating to a shifted rung refactors the previously
+    built one with the new ``shift`` (numeric-only), so only the first of
+    them reached ever pays for ordering/pattern/schedule construction.
     """
     a = sp.csr_matrix(a)
     dbar = float(np.abs(a.diagonal()).mean()) or 1.0
     groups = list(contact_groups) if contact_groups else []
-    blocked = a.shape[0] % b == 0
-    sb, diag = FAMILY_TABLE["sbbic0"], FAMILY_TABLE["diag"]
-    ic = FAMILY_TABLE["bic0" if blocked else "ic0"]
-    ic_kw = {"b": b} if blocked else {}
-
-    cache: dict = {}  # shared IC symbolic + last factorization
-
-    def ic_rung(shift: float, label: str):
-        m = cache.get("m")
-        if m is not None:
-            # same matrix, same pattern — only the pivot shift changed
-            m.refactor(shift=shift)
-        else:
-            m = ic.build(a, None, symbolic=cache.get("sym"), shift=shift, **ic_kw)
-            cache["sym"] = m.symbolic
-            cache["m"] = m
-        m.name = label
-        return m
-
     stages: list[FallbackStage] = []
-    for family in (*order, diag.name):  # the backstop, unless already last
-        if family == sb.name and groups:
-            stages.append(FallbackStage(sb.stage, lambda: sb.build(a, groups, b=b), sb.name))
-        elif family in ("bic0", "ic0"):
-            stages.append(
-                FallbackStage(ic.stage, lambda: ic_rung(0.0, ic.stage), ic.name)
-            )
-            for alpha in SHIFTS:
-                label = f"{ic.stage.split()[0]}+shift{alpha:g}"
-                stages.append(
-                    FallbackStage(
-                        label,
-                        lambda shift=alpha * dbar, label=label: ic_rung(shift, label),
-                        ic.name,
-                    )
-                )
-        elif family == diag.name and not (stages and stages[-1].family == diag.name):
-            stages.append(
-                FallbackStage(diag.stage, lambda: diag.build(a, None), diag.name)
-            )
+    for family in ladder_rungs(order, len(groups), a.shape[0] % b == 0):
+        stages += _rungs(family, a, groups, {"b": b} if family.blocked else {}, dbar)
     return stages
+
+
+def _rungs(family: Family, a, groups, kw: dict, dbar: float) -> list[FallbackStage]:
+    """*family*'s rung, then its shifted retries (see :func:`build_ladder`)."""
+    if not family.shifts:
+        return [FallbackStage(family.stage, lambda: family.build(a, groups, **kw), family.name)]
+    built: list[Preconditioner] = []  # the factorization the retries share
+
+    def rung(label: str, shift: float) -> Preconditioner:
+        if not built:
+            built.append(family.build(a, groups, shift=shift, name=label, **kw))
+            return built[0]
+        # same matrix, same pattern — only the pivot shift changed; named
+        # first, so the numeric phase's span carries this rung's label
+        built[0].name = label
+        return built[0].refactor(shift=shift)
+
+    rungs = [(family.stage, 0.0)]
+    rungs += [(family.shifted_stage(alpha), alpha * dbar) for alpha in family.shifts]
+    return [
+        FallbackStage(label, lambda label=label, shift=shift: rung(label, shift), family.name)
+        for label, shift in rungs
+    ]
 
 
 _ESCALATABLE = frozenset(
@@ -289,8 +267,8 @@ class ResilientSolver:
             # rung builds its own — otherwise the largest factorization of
             # the ladder stays alive for the whole escalation, and across
             # ALM retries that head-room compounds (build_ladder's
-            # shared BIC cache is exempt by design: it is refactored in
-            # place, never duplicated)
+            # shared IC factorization is exempt by design: it is
+            # refactored in place, never duplicated)
             m = None  # noqa: F841
             failed_before = True
             if res.reason in _ESCALATABLE and not is_last:

@@ -144,3 +144,31 @@ def test_every_callable_is_reached_outside_tests():
     live = [k for k in stale if k in reached]
     assert not gone, f"ALLOWED names definitions that no longer exist: {gone}"
     assert not live, f"ALLOWED names definitions a caller now reaches: {live}"
+
+
+def test_no_family_is_spelled_outside_the_family_table():
+    """The policy and resilience layers read a family's facts off its
+    ``FAMILY_TABLE`` row instead of spelling its name: no string constant
+    there (documentation aside) equals a family's name or stage label,
+    so a new family needs a row, not a new branch."""
+    from repro.precond.families import FAMILY_TABLE
+
+    spelled = set(FAMILY_TABLE) | {f.stage for f in FAMILY_TABLE.values()}
+    found = []
+    for layer in ("policy", "resilience"):
+        for path in sorted((PACKAGE / layer).rglob("*.py")):
+            tree = ast.parse(path.read_text(), str(path))
+            docs = {
+                id(node.value)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Expr) and isinstance(node.value, ast.Constant)
+            }
+            found += [
+                f"{path.relative_to(PACKAGE)}:{node.lineno} {node.value!r}"
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Constant)
+                and type(node.value) is str
+                and node.value in spelled
+                and id(node) not in docs
+            ]
+    assert not found, "family spelled outside precond/families.py: " + ", ".join(found)

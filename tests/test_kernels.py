@@ -188,7 +188,7 @@ PLAN_FAMILIES = {
     "bic1": lambda p: bic(p.a, fill_level=1),
     "bic2": lambda p: bic(p.a, fill_level=2),
     "ic0-scalar": lambda p: scalar_ic0(p.a),
-    "sbbic0-shifted": lambda p: sb_bic0(p.a, p.groups, shift=0.05),
+    "sbbic0-shifted": lambda p: sb_bic0(p.a, p.groups).refactor(shift=0.05),
 }
 
 

@@ -71,6 +71,40 @@ def make_probe(**over):
     return ProblemProbe(**base)
 
 
+# every ``CandidateCost`` field ``candidate_costs`` returned on the
+# make_probe grid before the cost priors moved onto the family rows:
+# ``(family, setup_seconds, per_iter_seconds, predicted_iterations, risk)``
+# in ranking order
+PINNED_GRID = [
+    ({},
+     [('sbbic0', 0.0043406525423728805, 6.976779661016948e-05, 68, 1.0), ('bic0', 0.003986313559322033, 4.233389830508474e-05, 21370, 1.1), ('diag', 5.315084745762711e-05, 2.471016949152542e-05, 95570, 1.0)]),
+    ({'n_groups': 0},
+     [('bic0', 0.003986313559322033, 4.233389830508474e-05, 21370, 1.1), ('diag', 5.315084745762711e-05, 2.471016949152542e-05, 95570, 1.0)]),
+    ({'block_ok': False},
+     [('diag', 5.315084745762711e-05, 2.471016949152542e-05, 95570, 1.0), ('ic0', 0.008114362711864406, 4.233389830508474e-05, 33789, 10.0)]),
+    ({'block_ok': False, 'n_groups': 0},
+     [('diag', 5.315084745762711e-05, 2.471016949152542e-05, 95570, 1.0), ('ic0', 0.008114362711864406, 4.233389830508474e-05, 33789, 10.0)]),
+    ({'penalty_ratio': 1000000.0, 'kappa_scaled': 40000.0},
+     [('sbbic0', 0.0043406525423728805, 6.976779661016948e-05, 68, 1.0), ('bic0', 0.003986313559322033, 4.233389830508474e-05, 428, 1.1), ('diag', 5.315084745762711e-05, 2.471016949152542e-05, 1912, 1.0)]),
+    ({'penalty_ratio': 100000000.0, 'kappa_scaled': 10000000000.0},
+     [('sbbic0', 0.0043406525423728805, 6.976779661016948e-05, 68, 1.0), ('diag', 5.315084745762711e-05, 2.471016949152542e-05, 955692, 1.0), ('bic0', 0.003986313559322033, 4.233389830508474e-05, 213700, 10.0)]),
+    ({'penalty_ratio': 10000.0, 'kappa_scaled': 20000.0},
+     [('sbbic0', 0.0043406525423728805, 6.976779661016948e-05, 68, 1.0), ('bic0', 0.003986313559322033, 4.233389830508474e-05, 303, 1.001), ('diag', 5.315084745762711e-05, 2.471016949152542e-05, 1352, 1.0)]),
+    ({'penalty_ratio': 1000000.0, 'kappa_scaled': 45000.0},
+     [('sbbic0', 0.0043406525423728805, 6.976779661016948e-05, 68, 1.0), ('bic0', 0.003986313559322033, 4.233389830508474e-05, 454, 1.1), ('diag', 5.315084745762711e-05, 2.471016949152542e-05, 2028, 1.0)]),
+    ({'penalty_ratio': 100000000.0, 'kappa_scaled': 46000.0},
+     [('sbbic0', 0.0043406525423728805, 6.976779661016948e-05, 68, 1.0), ('diag', 5.315084745762711e-05, 2.471016949152542e-05, 2050, 1.0), ('bic0', 0.003986313559322033, 4.233389830508474e-05, 459, 10.0)]),
+    ({'penalty_ratio': 100000000.0, 'block_ok': False, 'n_groups': 0},
+     [('diag', 5.315084745762711e-05, 2.471016949152542e-05, 95570, 1.0), ('ic0', 0.008114362711864406, 4.233389830508474e-05, 33789, 10.0)]),
+    ({'kappa_scaled': 100.0, 'penalty_ratio': 1.0},
+     [('diag', 5.315084745762711e-05, 2.471016949152542e-05, 96, 1.0), ('bic0', 0.003986313559322033, 4.233389830508474e-05, 22, 1.0000001), ('sbbic0', 0.0043406525423728805, 6.976779661016948e-05, 22, 1.0)]),
+    ({'kappa_scaled': 10000000000.0, 'penalty_ratio': 1.0},
+     [('sbbic0', 0.0043406525423728805, 6.976779661016948e-05, 68, 1.0), ('bic0', 0.003986313559322033, 4.233389830508474e-05, 213700, 1.0000001), ('diag', 5.315084745762711e-05, 2.471016949152542e-05, 955692, 1.0)]),
+    ({'penalty_ratio': 10.0},
+     [('sbbic0', 0.0043406525423728805, 6.976779661016948e-05, 68, 1.0), ('bic0', 0.003986313559322033, 4.233389830508474e-05, 21370, 1.000001), ('diag', 5.315084745762711e-05, 2.471016949152542e-05, 95570, 1.0)]),
+]
+
+
 class TestProbe:
     def test_fingerprint_is_stable_across_reprobes(self, contact):
         p1 = probe_problem(contact.a, contact.groups)
@@ -167,12 +201,44 @@ class TestCostModel:
             assert wild_d[fam] >= tame_d[fam]
 
 
+    @pytest.mark.parametrize("over,expected", PINNED_GRID,
+                             ids=[str(i) for i in range(len(PINNED_GRID))])
+    def test_costs_are_pinned(self, over, expected):
+        assert _cost_rows(candidate_costs(make_probe(**over))) == _pinned(expected)
+
+
+def _cost_rows(costs):
+    return [(c.family, c.setup_seconds, c.per_iter_seconds,
+             c.predicted_iterations, c.risk) for c in costs]
+
+
+def _pinned(rows):
+    """The pinned floats to 12 digits; family, order and counts exactly."""
+    return [(f, pytest.approx(s, rel=1e-12), pytest.approx(p, rel=1e-12), n,
+             pytest.approx(r, rel=1e-12)) for f, s, p, n, r in rows]
+
+
 RANKING_CASES = [
     (model, penalty)
     for model in ("block", "swjapan")
     for penalty in (1.0e4, 1.0e6, 1.0e8)
 ]
 CASE_IDS = [f"{model}-{penalty:g}" for model, penalty in RANKING_CASES]
+# the cost rows of each case's decision, pinned like PINNED_GRID
+PINNED_RANKING = {
+    ('block', 10000.0):
+        [('sbbic0', 0.0025774, 3.111206066012489e-05, 71, 1.0), ('bic0', 0.002367, 2.8144406779661018e-05, 330, 1.0010636863636364), ('diag', 3.156e-05, 1.7734661016949154e-05, 1474, 1.0)],
+    ('block', 1000000.0):
+        [('sbbic0', 0.0025774, 3.111206066012489e-05, 71, 1.0), ('bic0', 0.002367, 2.8144406779661018e-05, 455, 1.1063636863636364), ('diag', 3.156e-05, 1.7734661016949154e-05, 2035, 1.0)],
+    ('block', 100000000.0):
+        [('sbbic0', 0.0025774, 3.111206066012489e-05, 71, 1.0), ('diag', 3.156e-05, 1.7734661016949154e-05, 2043, 1.0), ('bic0', 0.002367, 2.8144406779661018e-05, 457, 10.0)],
+    ('swjapan', 10000.0):
+        [('sbbic0', 0.002417153389830508, 2.9204842615012107e-05, 62, 1.0), ('bic0', 0.0022198347457627115, 2.622915254237288e-05, 320, 1.0010161289043853), ('diag', 2.959779661016949e-05, 1.6422881355932202e-05, 1432, 1.0)],
+    ('swjapan', 1000000.0):
+        [('sbbic0', 0.002417153389830508, 2.9204842615012107e-05, 62, 1.0), ('bic0', 0.0022198347457627115, 2.622915254237288e-05, 434, 1.1016068916006614), ('diag', 2.959779661016949e-05, 1.6422881355932202e-05, 1941, 1.0)],
+    ('swjapan', 100000000.0):
+        [('sbbic0', 0.002417153389830508, 2.9204842615012107e-05, 62, 1.0), ('diag', 2.959779661016949e-05, 1.6422881355932202e-05, 1949, 1.0), ('bic0', 0.0022198347457627115, 2.622915254237288e-05, 436, 10.0)],
+}
 
 
 @pytest.fixture(scope="module")
@@ -229,6 +295,11 @@ class TestPaperRanking:
         predicted = decision.cost_of("sbbic0").predicted_iterations
         assert 0.5 <= predicted / iterations["sbbic0"] <= 2.0
 
+    @pytest.mark.parametrize("case", RANKING_CASES, ids=CASE_IDS)
+    def test_costs_are_pinned(self, ranked_cases, case):
+        decision, _ = ranked_cases[case]
+        assert _cost_rows(decision.costs) == _pinned(PINNED_RANKING[case])
+
     def test_group_free_box_still_leads_with_diagonal(self, box):
         decision = SolverPolicy().decide(box.a, box.groups)
         assert decision.order[0] == "diag", decision.explain()
@@ -271,21 +342,50 @@ RUNG_FAMILIES = [
 ]
 
 
+_SB = [("SB-BIC(0)", "sbbic0")]
+_BIC = [("BIC(0)", "bic0"), ("BIC(0)+shift0.01", "bic0"), ("BIC(0)+shift0.1", "bic0")]
+_IC = [("IC(0) scalar", "ic0"), ("IC(0)+shift0.01", "ic0"), ("IC(0)+shift0.1", "ic0")]
+_DIAG = [("Diagonal", "diag")]
+PINNED_LADDERS = {
+    # (problem, order): the parent's (name, family) rung sequence;
+    # "paper" is ladder_families' order for the problem
+    ("contact", "paper"): _SB + _BIC + _DIAG,
+    ("contact", "diag-first"): _DIAG + _SB + _BIC + _DIAG,
+    ("group-free", "paper"): _BIC + _DIAG,
+    ("group-free", "diag-first"): _DIAG + _BIC + _DIAG,
+    ("scalar", "paper"): _IC + _DIAG,
+    ("scalar", "diag-first"): _DIAG + _IC + _DIAG,
+}
+
+
 class TestFamilyOfStage:
     """Every rung ``build_ladder`` emits carries its family, shifted
     retries included, so an outcome is tallied without reading a label."""
 
     @pytest.fixture(scope="class")
-    def rungs(self, contact):
+    def ladders(self, contact):
         scalar = random_spd_csr(10, 0.3, np.random.default_rng(3))
-        out: dict[str, set] = {}
-        for a, groups in ((contact.a, contact.groups), (contact.a, None), (scalar, None)):
+        out = {}
+        for problem, a, groups in (("contact", contact.a, contact.groups),
+                                   ("group-free", contact.a, None),
+                                   ("scalar", scalar, None)):
             n_groups = len(groups) if groups else 0
-            for order in (ladder_families(n_groups, a.shape[0] % 3 == 0),
-                          ("diag", "sbbic0", "bic0")):
-                for stage in build_ladder(a, groups, order):
-                    out.setdefault(stage.name, set()).add(stage.family)
+            for tag, order in (("paper", ladder_families(n_groups, a.shape[0] % 3 == 0)),
+                               ("diag-first", ("diag", "sbbic0", "bic0"))):
+                out[problem, tag] = [(s.name, s.family) for s in build_ladder(a, groups, order)]
         return out
+
+    @pytest.fixture(scope="class")
+    def rungs(self, ladders):
+        out: dict[str, set] = {}
+        for ladder in ladders.values():
+            for name, family in ladder:
+                out.setdefault(name, set()).add(family)
+        return out
+
+    @pytest.mark.parametrize("case", PINNED_LADDERS, ids="-".join)
+    def test_ladder_is_pinned(self, ladders, case):
+        assert ladders[case] == PINNED_LADDERS[case]
 
     def test_every_label_is_listed(self, rungs):
         assert set(rungs) == {stage for stage, _ in RUNG_FAMILIES}
@@ -362,6 +462,30 @@ class TestSolverPolicy:
         m_shift = by_name["BIC(0)+shift0.01"].build()
         assert m_shift is m_plain  # refactored, not re-allocated
         assert m_shift.name == "BIC(0)+shift0.01"
+
+    @pytest.mark.parametrize("first", ["plain", "shifted"])
+    @pytest.mark.parametrize("problem", ["contact", "scalar"])
+    def test_numeric_span_names_its_rung(self, contact, problem, first):
+        """A rung is named before its numeric phase runs, so each
+        ``ic_numeric`` span carries the label of the rung it factored —
+        whether the plain rung is built first (the shifted ones refactor
+        it) or a shifted one is (it builds the factor itself)."""
+        if problem == "contact":
+            a, groups = contact.a, contact.groups
+        else:
+            a, groups = random_spd_csr(10, 0.3, np.random.default_rng(3)), None
+        ic = [s for s in build_ladder(a, groups, ("bic0",)) if s.family != "diag"]
+        assert len(ic) == 3
+        if first == "shifted":
+            ic.reverse()
+        with obs.observe() as tracer:
+            for stage in ic:
+                stage.build()
+        spans = tracer.find("ic_numeric")
+        assert [s.attrs["precond"] for s in spans] == [stage.name for stage in ic]
+        assert [s.attrs["shift"] > 0.0 for s in spans] == [
+            "shift" in stage.name for stage in ic
+        ]
 
     def test_end_to_end_solve_records_history(self, contact):
         history = PolicyHistory()
