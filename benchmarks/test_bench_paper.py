@@ -1,13 +1,14 @@
 """The paper's tables and figures: one benchmark per experiment-index entry.
 
 Each runs the entry exactly as EXPERIMENTS.md does
-(``repro.experiments.EXPERIMENTS``), prints the reproduction table next
+(``repro.experiments.index.EXPERIMENTS``), prints the reproduction table next
 to the paper's reference values and asserts its qualitative claims.
 """
 
 import pytest
 
-from repro.experiments import EXPERIMENTS, table02_precond_comparison
+from repro.experiments import table02_precond_comparison
+from repro.experiments.index import EXPERIMENTS
 
 
 @pytest.mark.parametrize("key", list(EXPERIMENTS))

@@ -1,4 +1,4 @@
-"""Regenerate EXPERIMENTS.md: one section per entry of ``repro.experiments.EXPERIMENTS``.
+"""Regenerate EXPERIMENTS.md: one section per entry of ``repro.experiments.index.EXPERIMENTS``.
 
 Usage:  python scripts/generate_experiments_md.py [output_path]
 """
@@ -9,7 +9,7 @@ import sys
 import time
 from pathlib import Path
 
-from repro.experiments import EXPERIMENTS
+from repro.experiments.index import EXPERIMENTS
 
 HEADER = """\
 # EXPERIMENTS — paper vs. measured

@@ -30,9 +30,7 @@ import contextlib
 import sys
 
 from repro import obs
-from repro.experiments import EXPERIMENTS
-from repro.precond import DEFAULT_FAMILY, FAMILY_TABLE
-from repro.serve.protocol import PRECONDS
+from repro.precond import DEFAULT_FAMILY, FAMILY_TABLE, PRECONDS
 
 
 def _export_trace(tracer: obs.Tracer, path: str) -> None:
@@ -56,6 +54,8 @@ def _maybe_observe(trace_path: str | None):
 
 
 def _cmd_list(_args) -> int:
+    from repro.experiments.index import EXPERIMENTS
+
     width = max(len(k) for k in EXPERIMENTS)
     for exp in EXPERIMENTS.values():
         print(f"{exp.key.ljust(width)}  {exp.title}")
@@ -63,6 +63,8 @@ def _cmd_list(_args) -> int:
 
 
 def _cmd_run(args) -> int:
+    from repro.experiments.index import EXPERIMENTS
+
     if args.experiment not in EXPERIMENTS:
         print(f"unknown experiment {args.experiment!r}; try 'list'", file=sys.stderr)
         return 2

@@ -27,12 +27,13 @@ from repro.precond.bic import bic
 from repro.precond.sbbic import sb_bic0
 from repro.precond.localized import LocalizedPreconditioner
 from repro.precond.twolevel import TwoLevelPreconditioner
-from repro.precond.families import DEFAULT_FAMILY, FAMILY_TABLE, Family, ladder_families
+from repro.precond.families import DEFAULT_FAMILY, FAMILY_TABLE, PRECONDS, Family, ladder_families
 
 __all__ = [
     "DEFAULT_FAMILY",
     "FAMILY_TABLE",
     "Family",
+    "PRECONDS",
     "ladder_families",
     "TwoLevelPreconditioner",
     "Preconditioner",

@@ -24,7 +24,7 @@ from repro.precond.ic0 import scalar_ic0
 from repro.precond.localized import PrecondFactory, restrict_groups
 from repro.precond.sbbic import sb_bic0
 
-__all__ = ["DEFAULT_FAMILY", "FAMILY_TABLE", "Family", "SHIFTS", "ladder_families", "ladder_rungs"]
+__all__ = ["DEFAULT_FAMILY", "FAMILY_TABLE", "Family", "PRECONDS", "SHIFTS", "ladder_families", "ladder_rungs"]
 
 SHIFTS = (0.01, 0.1)
 """The Manteuffel shifts of the level-0 IC rung's retries, as fractions
@@ -119,6 +119,13 @@ FAMILY_TABLE: dict[str, Family] = {
 
 DEFAULT_FAMILY = "sbbic0"
 """What a solve uses when the caller names no family: the paper's."""
+
+PRECONDS = (*FAMILY_TABLE, "auto")
+"""Every name a caller may give (the CLI's ``--precond``, the serve
+protocol's ``precond``): the family table's names plus ``auto``.
+``auto`` defers the choice to the solver policy (:mod:`repro.policy`),
+whose cost model resolves it to a concrete family at solve time from a
+probe of the operator and the request's ``eps``."""
 
 
 def ladder_rungs(order: tuple[str, ...], n_groups: int, block_ok: bool) -> list[Family]:

@@ -23,7 +23,6 @@ import time
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.precond.base import Preconditioner
 from repro.precond.localized import LocalizedPreconditioner, PrecondFactory
@@ -58,6 +57,8 @@ class TwoLevelPreconditioner(Preconditioner):
         b: int = 3,
         name: str = "two-level",
     ) -> None:
+        import scipy.sparse.linalg as spla  # only the coarse solve needs it
+
         t0 = time.perf_counter()
         a = check_square_csr(a)
         self.name = name

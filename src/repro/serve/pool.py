@@ -82,11 +82,10 @@ def _solve_group(wid: int, state, requests: list[SolveRequest]) -> list[SolveRes
             time.sleep(float(r.chaos.get("seconds", _WEDGE_DEFAULT_S)))
     if state.session is None:
         state.session = SolverSession()
-    out = state.session.solve_batch(list(requests))
-    for resp in out:
-        if not resp.return_x:
-            resp.x = None  # don't ship megabytes the client didn't ask for
-    return out
+    # x ships whether or not the client asked for it: the parent's job
+    # log records it, so a retry with return_x can replay it; the queue
+    # drops it once the record is durable
+    return state.session.solve_batch(list(requests))
 
 
 class WorkerPool:

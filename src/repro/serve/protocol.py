@@ -50,17 +50,12 @@ from typing import Any
 
 import numpy as np
 
-from repro.precond.families import DEFAULT_FAMILY, FAMILY_TABLE
+from repro.precond.families import DEFAULT_FAMILY, PRECONDS
 from repro.utils.validate import check_finite_array
 
 _JOB_ID_RE = re.compile(r"^[A-Za-z0-9._-]{1,80}$")
 
 MODELS = ("block", "swjapan")
-PRECONDS = (*FAMILY_TABLE, "auto")
-"""The family table's names plus ``auto``, which defers the choice to
-the session's solver policy (:mod:`repro.policy`): the request is
-resolved to a concrete family at solve time by the cost model, from a
-probe of the operator and the request's ``eps``."""
 
 CHAOS_ENV = "REPRO_SERVE_CHAOS"
 """Environment variable gating the ``chaos`` request field (fault

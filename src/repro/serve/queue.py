@@ -301,7 +301,7 @@ class JobQueue:
             cache=dict(resp_meta["cache"]),
             setups=dict(resp_meta["setups"]),
             x_sha256=resp_meta["x_sha256"],
-            x=arrays.get("x"),
+            x=arrays.get("x") if request.return_x else None,
             return_x=request.return_x,
             resumed=True,
             error=resp_meta.get("error"),
@@ -374,8 +374,12 @@ class JobQueue:
             if self._log is not None:
                 _crash_hook("before-result")
                 write_journal(self._log, "res", to_solve)
-            # terminal only once the answer is durable
+            # terminal only once the answer is durable; from then on the
+            # job log has x for a retry, and the job keeps it only for a
+            # client that asked
             for job, resp in zip(to_solve, responses):
+                if not job.request.return_x:
+                    resp.x = None
                 self._move(job, "done" if resp.ok else "failed")
 
         if self.retention.enabled:

@@ -4,7 +4,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import EXPERIMENTS, main
+from repro.cli import main
+from repro.experiments.index import EXPERIMENTS
 from repro.obs import load_jsonl_records
 
 

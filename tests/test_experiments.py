@@ -6,7 +6,7 @@ the same harnesses at the reporting scale.
 
 import pytest
 
-from repro.experiments import ReproTable
+from repro.experiments.common import ReproTable
 from repro.experiments import (
     ablation_twolevel,
     smooth_convergence,

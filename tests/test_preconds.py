@@ -125,8 +125,7 @@ class TestFamilyTable:
     policy and the ladder (repro.precond.families)."""
 
     def test_every_protocol_name_builds_and_maps_back(self, block_problem_small):
-        from repro.precond import FAMILY_TABLE, ladder_families
-        from repro.serve.protocol import PRECONDS
+        from repro.precond import FAMILY_TABLE, PRECONDS, ladder_families
 
         p = block_problem_small
         assert PRECONDS[-1] == "auto" and set(PRECONDS[:-1]) == set(FAMILY_TABLE)

@@ -362,6 +362,38 @@ class TestServerFrontends:
         stats = next(r for r in recs if r.get("cmd") == "stats")
         assert stats["stats"]["jobs"]["done"] == 2
 
+    def test_finished_jobs_keep_x_only_when_asked(self, tmp_path):
+        # a long-lived server must not hold every answered vector: after
+        # its result is durable a job keeps x only if the request set
+        # return_x, and the journal still has x for a later retry
+        import io
+
+        q = JobQueue(journal_dir=tmp_path)
+        for rnd in range(3):
+            lines = [
+                json.dumps({"id": f"r{rnd}-{i}", "model": "block", "scale": SCALE,
+                            "penalty": 1e6, "rhs": {"seed": i},
+                            "return_x": i == 0})
+                for i in range(3)
+            ]
+            out = io.StringIO()
+            assert serve_stdio(q, io.StringIO("\n".join(lines) + "\n"), out) == 3
+            recs = [json.loads(l) for l in out.getvalue().splitlines()]
+            assert ["x" in r for r in recs] == [True, False, False]
+            assert len(recs[0]["x"]) == recs[0]["ndof"]
+        for rnd in range(3):
+            assert [q.job(f"r{rnd}-{i}").response.x is not None for i in range(3)] \
+                == [True, False, False]
+        q.close()
+
+        q2 = JobQueue(journal_dir=tmp_path)
+        silent = q2.submit(_req(job_id="r2-1", rhs={"seed": 1}))
+        asked = q2.submit(_req(job_id="r2-2", rhs={"seed": 2}, return_x=True))
+        assert silent.response.x is None
+        assert asked.response.x is not None and "x" in asked.response.to_dict()
+        assert q2.session.jobs_served == 0
+        q2.close()
+
     def test_stdio_bad_line_answers_error(self):
         import io
 

@@ -18,6 +18,7 @@ The robustness properties of the concurrency tentpole live here:
 
 from __future__ import annotations
 
+import hashlib
 import time
 import warnings
 
@@ -545,6 +546,27 @@ class TestQueueWithPool:
             pool.close()
         assert [j.response.x_sha256 for j in pooled_jobs] == \
             [j.response.x_sha256 for j in serial_jobs]
+
+    def test_pooled_answer_retried_with_return_x_has_x(self, session, tmp_path):
+        pool = WorkerPool(session, workers=1)
+        queue = JobQueue(session=session, journal_dir=tmp_path, pool=pool)
+        try:
+            first = queue.submit(_req(job_id="px-1", rhs={"seed": 5}))
+            queue.process()
+        finally:
+            pool.close()
+            queue.close()
+        assert first.response.ok and first.response.x is None
+
+        queue = JobQueue(session=session, journal_dir=tmp_path)
+        try:
+            again = queue.submit(_req(job_id="px-1", rhs={"seed": 5}, return_x=True))
+        finally:
+            queue.close()
+        assert again.state == "done" and again.response.resumed
+        x = again.response.to_dict().get("x")
+        assert x is not None and len(x) == again.response.ndof
+        assert hashlib.sha256(np.asarray(x).tobytes()).hexdigest() == first.response.x_sha256
 
     def test_rejected_jobs_appear_in_requests_table(self, session):
         from repro import obs
