@@ -69,7 +69,7 @@ from repro import obs
 from repro.fem.generators import simple_block_model
 from repro.fem.model import build_contact_problem
 from repro.fem.nonlinear import solve_nonlinear_contact
-from repro.parallel import DistributedSystem, parallel_cg, partition_nodes_rcb
+from repro.parallel import DistributedSystem, contact_aware_partition, parallel_cg
 from repro.precond import FAMILY_TABLE
 from repro.resilience import FailureReason, SolveReport
 
@@ -163,7 +163,7 @@ def run_sweep(
         seeds = (7, 23, 101)
         kill_slots = (2, 5, 11)
     problem = build_contact_problem(mesh, penalty=1e4)
-    part = partition_nodes_rcb(mesh.coords, ndomains)
+    part = contact_aware_partition(mesh.coords, problem.groups, ndomains)
     factories = _precond_factories(problem)
 
     # fault-free reference per preconditioner (parallel_cg is deterministic)

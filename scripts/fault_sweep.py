@@ -39,7 +39,7 @@ import numpy as np
 from repro import obs
 from repro.fem.generators import simple_block_model
 from repro.fem.model import build_contact_problem
-from repro.parallel import DistributedSystem, parallel_cg, partition_nodes_rcb
+from repro.parallel import DistributedSystem, contact_aware_partition, parallel_cg
 from repro.precond import FAMILY_TABLE, DiagonalScaling, sb_bic0
 from repro.resilience import (
     FailureReason,
@@ -70,7 +70,7 @@ def run_sweep(*, quick: bool = False, ndomains: int = 3) -> dict:
         seeds = (7, 23, 101)
         exchanges = (0, 1, 5)
     problem = build_contact_problem(mesh, penalty=1e4)
-    part = partition_nodes_rcb(mesh.coords, ndomains)
+    part = contact_aware_partition(mesh.coords, problem.groups, ndomains)
     factories = _precond_factories(problem)
 
     runs = []

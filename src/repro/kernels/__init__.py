@@ -14,15 +14,15 @@ symbolic phase, data refilled in place by every numeric phase.
 
 import scipy
 
-from repro.kernels import sweeps
+from repro.kernels import sweeps, team
 from repro.kernels.plans import FlatSweep, SubstitutionPlan
 from repro.kernels.sweeps import (
     apply_substitution,
     apply_substitution_block,
     csr_matvec,
     csr_matvecs,
-    matvec_threads,
 )
+from repro.kernels.team import team_for
 
 __all__ = [
     "FlatSweep",
@@ -32,8 +32,8 @@ __all__ = [
     "csr_matvec",
     "csr_matvecs",
     "describe",
-    "matvec_threads",
     "get_backend",
+    "team_for",
 ]
 
 
@@ -49,13 +49,15 @@ def get_backend():
 
 def describe() -> dict:
     """What serves the kernels, for the metadata of a bench result:
-    which kernels, which scipy, and how many threads a product above
-    :data:`~repro.kernels.sweeps.SPLIT_NNZ` runs on in this process.
+    which kernels, which scipy, and how many processes a solve above
+    :data:`~repro.kernels.team.TEAM_NNZ` runs its products and sweeps on
+    in this process (the key kept its name from when the second worker
+    was a thread).
 
     Exists for ``bench/run.py``, which stamps it into every result.
     """
     return {
         "kernels": "scipy.sparse._sparsetools",
         "scipy": scipy.__version__,
-        "matvec_threads": sweeps.matvec_threads(),
+        "matvec_threads": team.size(),
     }

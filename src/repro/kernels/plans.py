@@ -28,6 +28,8 @@ swept (asserted by the symbolic phase).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 __all__ = ["FlatSweep", "SubstitutionPlan"]
@@ -102,3 +104,25 @@ class SubstitutionPlan:
             [(hi - lo, lptr, dptr, t[lo:hi], y[lo:hi]) for lptr, dptr, lo, hi in groups]
             for groups in self._groups
         ]
+
+    @functools.cached_property
+    def halves(self) -> list[list[tuple[int, int, int]]]:
+        """Forward and backward, the groups of :meth:`steps` cut in two:
+        ``(lo, mid, hi)`` per group, ``mid`` the ``Dinv`` block start
+        (or group end) nearest the row where the group's entries — of
+        ``-L`` or ``-L^T``, plus ``Dinv`` — pass half their count.  A
+        block's rows are never cut apart: ``y_g = Dinv_g t_g`` reads
+        the whole block's ``t`` rows."""
+        dptr = self.dinv_indptr
+        starts = np.flatnonzero(self.dinv_indices[dptr[:-1]] == np.arange(self.ndof))
+        starts = np.append(starts, self.ndof)  # every group ends at a block start
+        out = []
+        for sweep, groups in zip((self.fwd, self.bwd), self._groups):
+            cost = sweep.indptr.astype(np.int64) + dptr  # entries before each row
+            cut = []
+            for _, _, lo, hi in groups:
+                cand = starts[starts.searchsorted(lo) : starts.searchsorted(hi, "right")]
+                mid = cand[np.abs(2 * cost[cand] - cost[lo] - cost[hi]).argmin()]
+                cut.append((lo, int(mid), hi))
+            out.append(cut)
+        return out

@@ -1078,6 +1078,12 @@ class BlockICFactorization(Preconditioner):
     # application  z = M^{-1} r
     # ------------------------------------------------------------------
 
+    @property
+    def plan(self) -> SubstitutionPlan:
+        """The substitution plan :meth:`apply` sweeps (a solve's team
+        shares its sweeps: :mod:`repro.kernels.team`)."""
+        return self._plan
+
     def _build_apply_ops(self) -> None:
         """Refill the substitution plan's data in place: the live
         strictly-lower entries of ``L``, negated, through the gather
@@ -1102,10 +1108,7 @@ class BlockICFactorization(Preconditioner):
         r = np.asarray(r, dtype=np.float64)
         if r.shape != (self.ndof,):
             raise ValueError(f"r must have shape ({self.ndof},), got {r.shape}")
-        plan = self._plan
-        # plan_perm is a permutation: "clip" only spares the bounds pass
-        r.take(self._plan_perm, out=plan.t, mode="clip")
-        y = apply_substitution(plan)
+        y = apply_substitution(self._plan, r, self._plan_perm)
         if out is None:
             out = np.empty(self.ndof)
         out[self._plan_perm] = y
@@ -1131,7 +1134,7 @@ class BlockICFactorization(Preconditioner):
             )
         if out is None:
             out = np.empty_like(r)
-        y = apply_substitution_block(self._plan, r.take(self._plan_perm, axis=0))
+        y = apply_substitution_block(self._plan, r, self._plan_perm)
         out[self._plan_perm, :] = y
         return out
 

@@ -61,6 +61,7 @@ import hashlib
 import os
 import threading
 import time
+from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
@@ -72,7 +73,14 @@ from repro.serve.admission import AdmissionController
 from repro.serve.protocol import ProtocolError, SolveRequest, SolveResponse
 from repro.serve.session import SolverSession
 
-__all__ = ["Job", "JobQueue", "RetentionPolicy"]
+__all__ = ["Job", "JobQueue", "RECENT_FINISHED", "RetentionPolicy"]
+
+RECENT_FINISHED = 256
+"""Finished jobs the table keeps, newest first; it keeps every job in
+flight.  A retry of an older id is answered from the journal, which
+holds every result its retention keeps."""
+
+_TERMINAL = frozenset(("done", "failed", "rejected"))
 
 CRASH_ENV = "REPRO_SERVE_CRASH"
 
@@ -208,6 +216,7 @@ class JobQueue:
         self._states = dict.fromkeys(
             ("pending", "running", "done", "failed", "rejected"), 0
         )
+        self._finished: deque[str] = deque()  # ids in the order they finished
         self._counter = 0
         self._lock = threading.RLock()
         self._serial_process_lock = threading.Lock()
@@ -222,6 +231,17 @@ class JobQueue:
             self._states[job.state] -= 1
             self._states[state] += 1
             job.state = state
+            if state in _TERMINAL:
+                self._retire(job)
+
+    def _retire(self, job: Job) -> None:
+        """*job* finished: forget the oldest finished job past
+        :data:`RECENT_FINISHED` (caller holds the lock)."""
+        self._finished.append(job.job_id)
+        while len(self._finished) > RECENT_FINISHED:
+            old = self._jobs.get(self._finished.popleft())
+            if old is not None and old.state in _TERMINAL:
+                del self._jobs[old.job_id]
 
     # -- submission --------------------------------------------------------
 
@@ -267,6 +287,8 @@ class JobQueue:
                 job.journaled = True
             self._states[job.state] += 1
             self._jobs[job_id] = job
+            if job.state in _TERMINAL:
+                self._retire(job)
             return job
 
     def _load_result(self, job_id: str, request: SolveRequest) -> SolveResponse:

@@ -33,6 +33,7 @@ Control lines (a JSON object with a ``cmd`` key) ride the same stream:
 from __future__ import annotations
 
 import json
+import os
 import socket
 import sys
 import threading
@@ -256,6 +257,10 @@ def serve_socket(queue: JobQueue, socket_path: str | Path, *,
         raise ValueError(f"max_connections must be >= 1, got {max_connections}")
     socket_path = Path(socket_path)
     socket_path.unlink(missing_ok=True)
+    # bound and listening under a temporary name first: the path appears
+    # (atomically, by rename) only once a connect to it is accepted
+    staging = socket_path.with_name(f".{socket_path.name}.{os.getpid()}")
+    staging.unlink(missing_ok=True)
     srv = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
     stop = threading.Event()
     totals = {"answered": 0}
@@ -264,8 +269,9 @@ def serve_socket(queue: JobQueue, socket_path: str | Path, *,
     threads: list[threading.Thread] = []
     cid = 0
     try:
-        srv.bind(str(socket_path))
+        srv.bind(str(staging))
         srv.listen(min(128, max_connections + 8))
+        os.rename(staging, socket_path)
         # A blocked accept() is not reliably woken by closing the socket
         # from another thread, so poll the stop flag between short waits.
         srv.settimeout(0.25)
@@ -303,6 +309,7 @@ def serve_socket(queue: JobQueue, socket_path: str | Path, *,
         return totals["answered"]
     finally:
         srv.close()
+        staging.unlink(missing_ok=True)
         socket_path.unlink(missing_ok=True)
 
 

@@ -37,7 +37,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.kernels import csr_matvecs, matvec_threads
+from repro.kernels import csr_matvecs, team_for
+from repro.kernels.team import NO_TEAM
 from repro.obs import session as obs_session, span as obs_span
 from repro.precond.base import IdentityPreconditioner, Preconditioner
 from repro.resilience.taxonomy import FailureReason, SolveReport
@@ -104,6 +105,17 @@ def _as_block_matvec(a):
     once per solve, like :func:`~repro.solvers.cg._as_matvec`."""
     a_csr = _float64_csr(a)
     return lambda v: csr_matvecs(a_csr, v)
+
+
+def _direction(team, v: np.ndarray, copy: bool) -> np.ndarray:
+    """The search directions *v* as the solve keeps them: in the team's
+    shared panel when a team runs the solve (its products are shared
+    then), else as a C-contiguous array of their own."""
+    if team is None:
+        return v.copy() if copy else np.ascontiguousarray(v)
+    d = team.direction(v.shape[1])
+    d[...] = v  # may overlap v: numpy copies through a temporary then
+    return d
 
 
 def _solve_small(g: np.ndarray, rhs: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -175,6 +187,7 @@ def block_cg_solve(
         if report is not None:
             report.record(kind, "block_cg", reason, iteration=it, detail=detail)
 
+    a_csr = _float64_csr(a)
     sess = obs_session()
     timer = Timer()
     reason: FailureReason | None = None
@@ -189,8 +202,8 @@ def block_cg_solve(
         nrhs=s,
         precond=getattr(m, "name", type(m).__name__),
         eps=eps,
-    ) as solve_span, timer:
-        matvec = _as_block_matvec(a)
+    ) as solve_span, timer, team_for(a_csr, getattr(m, "plan", None), s) as team:
+        matvec = _as_block_matvec(a_csr) if team is None else team.product
         r = b.copy()  # the residual of the zero start
         # zero-RHS columns use an absolute criterion (bnorm_safe = 1):
         # their residual is exactly zero already
@@ -204,7 +217,7 @@ def block_cg_solve(
         if active.size:
             ra = np.ascontiguousarray(r[:, active])
             za = m.apply_block(ra, out=np.empty_like(ra))
-            pa = za.copy()
+            pa = _direction(team, za, copy=True)
             rho = za.T @ ra
 
         with obs_span("block_cg_iterations", nrhs_active=int(active.size)):
@@ -265,7 +278,7 @@ def block_cg_solve(
                     if active.size == 0:
                         break
                     ra = np.ascontiguousarray(ra[:, keep])
-                    pa = np.ascontiguousarray(pa[:, keep])
+                    pa = _direction(team, pa[:, keep], copy=False)
                     rho = rho[np.ix_(keep, keep)]
 
                 za = m.apply_block(ra, out=np.empty((n, active.size)))
@@ -277,13 +290,17 @@ def block_cg_solve(
                         "recover", None, it,
                         "singular Z^T R: least-squares direction update",
                     )
-                pa = za + pa @ beta
+                if team is None:
+                    pa = za + pa @ beta
+                else:
+                    np.add(za, pa @ beta, out=pa)
                 rho = rho_new
 
         converged = bool(converged_cols.all())
         if not converged and reason is None:
             reason = FailureReason.MAX_ITER
             record("detect", reason, it, f"cap {max_iter}")
+    census = NO_TEAM if team is None else team.census()
 
     res = BlockCGResult(
         x=x[:, 0] if squeeze else x,
@@ -304,6 +321,6 @@ def block_cg_solve(
         converged=res.converged,
         reason=str(res.reason),
         deflations=res.deflations,
-        matvec_threads=matvec_threads(a.nnz),
+        **census,
     )
     return res

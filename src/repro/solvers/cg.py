@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from repro.kernels import csr_matvec, matvec_threads
+from repro.kernels import csr_matvec, team_for
+from repro.kernels.team import NO_TEAM
 from repro.obs import session as obs_session, span as obs_span
 from repro.precond.base import IdentityPreconditioner, Preconditioner
 from repro.resilience.taxonomy import FailureReason, SolveReport
@@ -276,7 +277,7 @@ def cg_solve(
         Optional :class:`~repro.resilience.taxonomy.SolveReport`; every
         failure detection is appended to it.
     """
-    a_matvec = _as_matvec(a)
+    a_csr = _float64_csr(a)
     b = check_finite_vector(b, "b")
     n = b.size
     m = preconditioner if preconditioner is not None else IdentityPreconditioner()
@@ -284,11 +285,7 @@ def cg_solve(
         max_iter = max(1000, 10 * n)
     x0 = None if x0 is None else check_finite_vector(x0, "x0")
 
-    def matvec(v):  # the whole matrix is this rank's: no neighbour to meet
-        return a_matvec(v)
-        yield
-
-    x, r, p = np.empty(n), np.empty(n), np.empty(n)
+    x, r = np.empty(n), np.empty(n)
     history: list = []
     pname = getattr(m, "name", type(m).__name__)
     timer = Timer()
@@ -297,22 +294,32 @@ def cg_solve(
         ndof=n,
         precond=pname,
         eps=eps,
-    ) as solve_span, timer, obs_span("cg_iterations"):
-        program = cg_program(
-            matvec, m, b, x, r, p, history,
-            eps=eps,
-            max_iter=max_iter,
-            stagnation_window=stagnation_window,
-            x0=x0,
-            traced=True,
-        )
-        # one rank: the global sum of every collective is the value itself
-        try:
-            reply = next(program)
-            while True:
-                reply = program.send(reply)
-        except StopIteration as stop:
-            out: CGOutcome = stop.value
+    ) as solve_span, timer, team_for(a_csr, getattr(m, "plan", None)) as team:
+        # with a team, p lives where the partner reads it: its products
+        # are shared (a start iterate's residual is not)
+        p = np.empty(n) if team is None else team.direction()
+
+        def matvec(v):  # the whole matrix is this rank's: no neighbour to meet
+            return csr_matvec(a_csr, v) if team is None or v is not p else team.product(v)
+            yield
+
+        with obs_span("cg_iterations"):
+            program = cg_program(
+                matvec, m, b, x, r, p, history,
+                eps=eps,
+                max_iter=max_iter,
+                stagnation_window=stagnation_window,
+                x0=x0,
+                traced=True,
+            )
+            # one rank: the global sum of every collective is the value itself
+            try:
+                reply = next(program)
+                while True:
+                    reply = program.send(reply)
+            except StopIteration as stop:
+                out: CGOutcome = stop.value
+    census = NO_TEAM if team is None else team.census()
     if out.reason is not None and report is not None:
         report.record(
             "detect", "cg", out.reason, iteration=out.iterations, detail=out.detail
@@ -332,7 +339,7 @@ def cg_solve(
         iterations=res.iterations,
         converged=res.converged,
         reason=str(res.reason),
-        matvec_threads=matvec_threads(a.nnz),
+        **census,
     )
     return res
 

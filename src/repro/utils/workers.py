@@ -196,6 +196,12 @@ class Workers:
         """Fork a worker for each of *ids*, SIGKILLing and joining the one
         it had; returns their set-up replies, by id."""
         ids = list(ids)
+        self.fork(ids)
+        return [self.receive(i) for i in ids]
+
+    def fork(self, ids) -> None:
+        """:meth:`replace` without waiting for the set-up replies: each is
+        the first :meth:`receive` of its worker."""
         for i in ids:
             if self._slots[i] is not None:
                 proc, conn = self._slots[i]
@@ -217,7 +223,6 @@ class Workers:
             finally:
                 for (_, set_threads), n in zip(blas, threads):
                     set_threads(n)
-        return [self.receive(i) for i in ids]
 
     def _fork(self, i: int) -> tuple:
         driver_end, worker_end = self._ctx.Pipe()

@@ -271,6 +271,30 @@ class TestQueue:
         assert bad.state == "failed" and "DOF" in bad.response.error
 
 
+    def test_the_table_keeps_jobs_in_flight_and_a_bounded_tail(self, tmp_path, monkeypatch):
+        """After K rounds the job table holds at most RECENT_FINISHED
+        finished jobs; a retry of an evicted id is answered from the
+        journal (not solved again), the same answer to the bit."""
+        from repro.serve import queue as queue_module
+
+        monkeypatch.setattr(queue_module, "RECENT_FINISHED", 4)
+        q = JobQueue(journal_dir=tmp_path)
+        first = None
+        for rnd in range(5):
+            jobs = [q.submit(_req(job_id=f"k{rnd}-{i}", rhs={"seed": i})) for i in range(3)]
+            q.process()
+            first = first or jobs[0]
+            assert len(q._jobs) <= 4
+        assert q.job("k0-0") is None and q.job("k4-2") is not None
+        served = q.session.jobs_served
+        retry = q.submit(_req(job_id="k0-0", rhs={"seed": 0}))
+        assert retry.state == "done" and retry.response.resumed
+        assert retry.response.x_sha256 == first.response.x_sha256
+        assert q.session.jobs_served == served
+        assert q.stats()["jobs"]["done"] == 16
+        q.close()
+
+
 class TestCrashResume:
     """Real process death between journal and solve; resume must match an
     uninterrupted run bit-for-bit."""

@@ -267,3 +267,34 @@ class TestSocketControl:
         assert out[-1]["ok"] and out[-1]["cmd"] == "shutdown"
         srv.thread.join(timeout=10.0)
         assert not srv.thread.is_alive()
+
+    def test_a_client_that_connects_once_the_path_exists_is_accepted(
+        self, session, tmp_path, monkeypatch
+    ):
+        """The socket file appears only once the server listens: a client
+        that connects the moment the path exists is never refused (no
+        client-side retry), however long ``listen`` takes to come after
+        ``bind``."""
+        real = socket.socket
+
+        class SlowListen(real):
+            def listen(self, *args):
+                time.sleep(0.05)
+                return super().listen(*args)
+
+        monkeypatch.setattr(socket, "socket", SlowListen)
+        for k in range(3):
+            path = tmp_path / f"race{k}.sock"
+            queue = JobQueue(session=session, admission=AdmissionController(AdmissionPolicy()))
+            thread = threading.Thread(target=serve_socket, args=(queue, str(path)), daemon=True)
+            thread.start()
+            deadline = time.monotonic() + 10.0
+            while not path.exists():
+                assert time.monotonic() < deadline, "the socket never appeared"
+            with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as s:
+                s.connect(str(path))  # ConnectionRefusedError before the fix
+            out = talk(str(path), ['{"cmd": "shutdown"}'])
+            assert out[-1]["cmd"] == "shutdown"
+            thread.join(timeout=10.0)
+            assert not thread.is_alive()
+            assert sorted(p.name for p in tmp_path.iterdir() if p.name.startswith(".")) == []

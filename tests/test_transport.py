@@ -284,12 +284,13 @@ def test_nine_wide_allreduce_rejected(problem, part, transport):
 
 
 def _matvec_threads(rank, state):
-    return kernels.matvec_threads()
+    return kernels.describe()["matvec_threads"]
 
 
 def test_a_rank_worker_runs_its_kernels_on_one_thread(problem, part):
     """A rank worker is forked: it shares the cores with its peers and
-    has no helper thread, whatever the process that forked it has."""
+    forms no solve team (no partner process), whatever the process that
+    forked it can."""
     with _process_system(problem, part) as system:
         assert system.comm.run(_matvec_threads) == [1] * system.comm.size
 
