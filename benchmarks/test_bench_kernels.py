@@ -6,8 +6,8 @@ matvec, the color-wise batched preconditioner application, the
 factorization set-up, and the full CG solve.
 
 The sparse products are direct calls of scipy's compiled kernels
-(:mod:`repro.kernels`); every first call (the BSR handle, the lazy
-reference buckets) is made outside the timer.
+(:mod:`repro.kernels`); every first call (the BSR handle, the
+reference oracle's bucket gathers) is made outside the timer.
 """
 
 import numpy as np
@@ -18,6 +18,7 @@ from repro.fem.generators import simple_block_model
 from repro.fem.model import build_contact_problem
 from repro.precond import bic, sb_bic0
 from repro.solvers.cg import cg_solve
+from tests.ic_oracle import bucketed
 
 
 @pytest.fixture(scope="module")
@@ -50,8 +51,7 @@ def test_bench_sbbic_apply(benchmark, problem, sb_precond):
 def test_bench_sbbic_reference_apply(benchmark, problem, sb_precond):
     """The pre-compilation bucketed path, kept as the speedup baseline."""
     r = np.random.default_rng(1).normal(size=problem.ndof)
-    sb_precond.reference_apply(r)  # build the lazy bucket structures
-    benchmark(sb_precond.reference_apply, r)
+    benchmark(bucketed(sb_precond), r)  # the buckets are gathered once, untimed
 
 
 def test_bench_bic0_apply(benchmark, problem):

@@ -16,14 +16,16 @@ order* (group after group; the colour ordering of a multicolour
 schedule as it is, a level-schedule's waves renumbered), so every group
 is a contiguous row range of all three matrices and of both vectors.
 
-*Structure* (``indptr``, ``indices``, ``group_ptr``) is fixed once by
-the symbolic phase (:meth:`ICSymbolic._build_apply_structures`) and
-shared by every factorization built on that pattern; *data* belongs to
-one factorization, is allocated once and refilled in place by every
-numeric (re)factorization.  Off-diagonal values are stored **negated**,
-so a group update is the accumulate ``t_g += op_g y`` the compiled
-kernels have; a group's operator only has columns in groups already
-swept (asserted by the symbolic phase).
+*Structure* (``indptr``, ``indices``, ``group_ptr``) is fixed once per
+sparsity pattern by :func:`plan_structure`, which the symbolic phase
+(:class:`~repro.precond.icfact.ICSymbolic`) calls and whose arrays it
+keeps, and is shared by every factorization built on that pattern
+(:func:`new_plan`); *data* belongs to one factorization, is allocated
+once and refilled in place by every numeric (re)factorization
+(:meth:`SubstitutionPlan.refill`).  Off-diagonal values are stored
+**negated**, so a group update is the accumulate ``t_g += op_g y`` the
+compiled kernels have; a group's operator only has columns in groups
+already swept (:func:`plan_structure` asserts it).
 """
 
 from __future__ import annotations
@@ -31,8 +33,11 @@ from __future__ import annotations
 import functools
 
 import numpy as np
+import scipy.sparse as sp
 
-__all__ = ["FlatSweep", "SubstitutionPlan"]
+from repro.utils.indexing import SETUP_CHUNK, chunks, ranges
+
+__all__ = ["FlatSweep", "SubstitutionPlan", "new_plan", "plan_structure"]
 
 
 class FlatSweep:
@@ -105,6 +110,16 @@ class SubstitutionPlan:
             for groups in self._groups
         ]
 
+    def refill(self, values: np.ndarray, fwd_gather: np.ndarray, bwd_gather: np.ndarray) -> None:
+        """Refill the sweep data in place: the factor's *values* at the
+        gather maps of :func:`plan_structure`, negated.  ``Dinv`` needs
+        nothing — its data is the factorization's own array."""
+        for sweep, gather in ((self.fwd, fwd_gather), (self.bwd, bwd_gather)):
+            # the gather indexes inside *values* by construction: "clip"
+            # only spares np.take its bounds-checking copy of ``out``
+            np.take(values, gather, out=sweep.data, mode="clip")
+            np.negative(sweep.data, out=sweep.data)
+
     @functools.cached_property
     def halves(self) -> list[list[tuple[int, int, int]]]:
         """Forward and backward, the groups of :meth:`steps` cut in two:
@@ -126,3 +141,107 @@ class SubstitutionPlan:
                 cut.append((lo, int(mid), hi))
             out.append(cut)
         return out
+
+
+def plan_structure(L, schedule: list[np.ndarray], group_of: np.ndarray, perm_dof: np.ndarray, live: np.ndarray):
+    """The structure of the plan of a factor with the block pattern *L*
+    (a :class:`~repro.sparse.vbr.VBRMatrix`, diagonal block last in each
+    row), swept in the groups of super-nodes *schedule* (*group_of* the
+    group of each), and the maps that refill its data.
+
+    The plan numbers rows and columns in sweep order — the DOFs of
+    schedule group after schedule group; ``plan_perm`` composes that
+    with the ordering's own permutation *perm_dof* — and holds, row by
+    row, the strictly-lower scalars of ``L`` that the mask *live* over
+    ``L.data`` keeps: ``fwd_gather`` lists their slots in ``L.data`` in
+    the CSR order of ``L``, ``bwd_gather`` in that of ``L^T``, and
+    :meth:`SubstitutionPlan.refill` copies them out, negated, as they
+    are.  ``Dinv`` is laid out block after block in sweep order.
+
+    Returns ``(plan_perm, group_ptr, dinv_indptr, dinv_indices,
+    fwd_struct, fwd_gather, bwd_struct, bwd_gather)``, each ``*_struct``
+    an ``(indptr, indices)`` pair.
+    """
+    sizes, offsets = L.sizes, L.offsets
+    n = L.ndof
+    # the plan's index arrays are int32 whenever that holds them, and
+    # so are the gather maps that ride through the transposition
+    fits = max(n, int(L.boff[-1])) <= np.iinfo(np.int32).max
+    idx = np.int32 if fits else np.int64
+
+    # Block (i, k) gives the rows of i columns of k going forward and
+    # the rows of k columns of i going backward: a sweep finds them
+    # final iff k's group comes strictly before i's in the schedule.
+    off = np.flatnonzero(L.indices != L.block_rows())
+    if (group_of[L.indices[off]] >= group_of[L.block_rows()[off]]).any():
+        raise AssertionError(
+            "substitution operator has a column inside its own group's "
+            "rows or in a group not yet swept"
+        )
+
+    sweep = np.concatenate(schedule) if schedule else np.zeros(0, dtype=np.int64)
+    dofs = ranges(offsets[sweep], sizes[sweep])  # plan row -> DOF of L
+    where = np.empty(n, dtype=np.int64)  # DOF of L -> plan row
+    where[dofs] = np.arange(n)
+    start = where[offsets[:-1]]  # first plan row of every block
+    plan_perm = perm_dof[dofs]
+    group_ptr = np.concatenate(
+        ([0], np.cumsum([sizes[members].sum() for members in schedule], dtype=np.int64))
+    )
+
+    # Dinv: block after block in sweep order
+    row_len = np.repeat(sizes[sweep], sizes[sweep])
+    dinv_indptr = np.concatenate(([0], np.cumsum(row_len))).astype(idx)
+    dinv_indices = ranges(np.repeat(start[sweep], sizes[sweep]), row_len).astype(idx)
+
+    # Scalar row r of block row i reads sizes[k] consecutive slots of
+    # each of its off-diagonal blocks (i, k), the diagonal block
+    # being the last of the row: one segment per (plan row, block),
+    # taken a range of plan rows at a time.
+    block = np.repeat(sweep, sizes[sweep])
+    row_width = np.bincount(
+        L.block_rows()[off], weights=sizes[L.indices[off]], minlength=L.N
+    ).astype(np.int64)
+    row_ends = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(row_width[block], out=row_ends[1:])
+    nblocks = np.diff(L.indptr)
+    indptr = np.zeros(n + 1, dtype=idx)
+    gathers, columns = [np.empty(0, dtype=idx)], [np.empty(0, dtype=idx)]
+    for rows in chunks(n, max(int(row_ends[-1]) // 16, SETUP_CHUNK), row_ends):
+        blk = block[rows]
+        nseg = nblocks[blk] - 1
+        pos = ranges(L.indptr[blk], nseg)
+        width = sizes[L.indices[pos]]
+        slots = ranges(L.boff[pos] + np.repeat(dofs[rows] - offsets[blk], nseg) * width, width)
+        keep = np.flatnonzero(live[slots])
+        ends = row_ends[rows.start + 1 : rows.stop + 1] - row_ends[rows.start]
+        indptr[rows.start + 1 : rows.stop + 1] = indptr[rows.start] + np.searchsorted(keep, ends)
+        gathers.append(slots.take(keep).astype(idx))
+        columns.append(ranges(start[L.indices[pos]], width).take(keep).astype(idx))
+    del live
+    # L^T: scipy's transposition carries the slots along as data
+    fwd = sp.csr_matrix(
+        (np.concatenate(gathers), np.concatenate(columns), indptr), shape=(n, n)
+    )
+    del gathers, columns
+    bwd = fwd.tocsc()
+    return (
+        plan_perm, group_ptr, dinv_indptr, dinv_indices,
+        (indptr, fwd.indices), fwd.data,
+        (bwd.indptr.astype(idx, copy=False), bwd.indices.astype(idx, copy=False)), bwd.data,
+    )
+
+
+def new_plan(structure, dinv: np.ndarray) -> SubstitutionPlan:
+    """A factorization's plan on *structure* — any object keeping the
+    arrays of :func:`plan_structure` under their names, as the symbolic
+    phase does — sharing its arrays; the plan's ``Dinv`` data is *dinv*
+    itself, its sweep data its own."""
+    return SubstitutionPlan(
+        structure.group_ptr,
+        structure.dinv_indptr,
+        structure.dinv_indices,
+        dinv,
+        FlatSweep(*structure.fwd_struct),
+        FlatSweep(*structure.bwd_struct),
+    )

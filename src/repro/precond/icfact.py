@@ -37,7 +37,8 @@ Setup is split into two phases (DESIGN.md section 9).  The *symbolic*
 phase (:class:`ICSymbolic`) depends only on the sparsity pattern of A and
 the super-node partition: ordering, fill pattern, VBR layout, execution
 schedule, the index maps driving the numeric update sweeps, and the
-*structure* of the flat substitution plan (:mod:`repro.kernels.plans`).
+*structure* of the flat substitution plan, whose layout
+:mod:`repro.kernels.plans` owns (:func:`~repro.kernels.plans.plan_structure`).
 The *numeric* phase scatters A's values, runs the update sweeps and
 refills the plan's data in place — :meth:`BlockICFactorization.refactor`
 repeats it on new values (a penalty update, a Manteuffel shift
@@ -56,12 +57,8 @@ import warnings
 import numpy as np
 import scipy.sparse as sp
 
-from repro.kernels import (
-    FlatSweep,
-    SubstitutionPlan,
-    apply_substitution,
-    apply_substitution_block,
-)
+from repro.kernels import SubstitutionPlan, apply_substitution, apply_substitution_block
+from repro.kernels.plans import new_plan, plan_structure
 from repro.obs import record_span
 from repro.precond.base import Preconditioner
 from repro.resilience.taxonomy import PivotNudgeWarning
@@ -93,19 +90,6 @@ def _canonical_csr(a) -> sp.csr_matrix:
     if isinstance(a, sp.csr_matrix) and a.has_canonical_format and a.shape[0] == a.shape[1]:
         return a
     return check_square_csr(a)
-
-
-def _scatter_add(vec: np.ndarray, idx: np.ndarray, vals: np.ndarray) -> None:
-    """``vec[idx] += vals`` with duplicate indices, picking the faster path.
-
-    ``bincount`` materializes a dense ``vec.size`` array, so it only wins
-    when the scatter is dense relative to the target; small scatters into
-    large vectors would pay an O(n) allocation for O(idx.size) work.
-    """
-    if idx.size > vec.size // 4:
-        vec += np.bincount(idx, weights=vals, minlength=vec.size)
-    else:
-        np.add.at(vec, idx, vals)
 
 
 def _take(arr: np.ndarray, start: np.ndarray, width: int, unit: int) -> np.ndarray:
@@ -316,7 +300,7 @@ class ICSymbolic:
         for g, members in enumerate(self.schedule):
             self.group_of[members] = g
         # super-nodes in the order the substitution sweeps visit them
-        self.sweep = np.concatenate(groups) if groups else self.order[:0]
+        sweep = np.concatenate(groups) if groups else self.order[:0]
         laps.lap("ic_symbolic.pattern")
 
         # ---- values-only scatter map A -> L (the refactor fast path)
@@ -332,10 +316,10 @@ class ICSymbolic:
         ):
             raise AssertionError("diagonal block is not last in some lower row")
         # inverse diagonal blocks, row-major, laid out in sweep order
-        ends = np.cumsum(self.sizes[self.sweep] ** 2)
+        ends = np.cumsum(self.sizes[sweep] ** 2)
         self.dinv_size = int(ends[-1]) if ends.size else 0
         self.dinv_off = np.full(self.pattern.N + 1, self.dinv_size, dtype=np.int64)
-        self.dinv_off[self.sweep] = ends - self.sizes[self.sweep] ** 2
+        self.dinv_off[sweep] = ends - self.sizes[sweep] ** 2
 
         # ---- numeric-sweep buckets (block offsets precomputed so the
         # numeric phase is pure gather + batched matmul + scatter); every
@@ -351,8 +335,13 @@ class ICSymbolic:
             self.dmod_updates = None
         laps.lap("ic_symbolic.maps")
 
-        # ---- compiled substitution operator structures
-        self._build_apply_structures()
+        # ---- structure of the substitution plan, and its refill maps
+        (
+            self.plan_perm, self.group_ptr, self.dinv_indptr, self.dinv_indices,
+            self.fwd_struct, self.fwd_gather, self.bwd_struct, self.bwd_gather,
+        ) = plan_structure(
+            self.pattern, self.schedule, self.group_of, self.perm_dof, self._structural_mask()
+        )
         laps.lap("ic_symbolic.apply_structs")
 
         self.build_seconds = laps.total
@@ -679,7 +668,7 @@ class ICSymbolic:
         return out
 
     # ------------------------------------------------------------------
-    # structure of the substitution plan
+    # which entries the substitution plan holds
     # ------------------------------------------------------------------
 
     def _structural_mask(self) -> np.ndarray:
@@ -702,99 +691,6 @@ class ICSymbolic:
                 hit = live_i[:, :, None] & live_j[:, None, :]
                 mask[_slots(ij, si * sj, u)[hit.reshape(-1)]] = True
         return mask
-
-    def _build_apply_structures(self) -> None:
-        """Fix the structure of the flat substitution plan and the maps
-        that refill its data (:mod:`repro.kernels.plans`).
-
-        The plan numbers rows and columns in sweep order — the DOFs of
-        schedule group after schedule group (``plan_perm`` composes that
-        with the ordering's own permutation) — and holds, row by row,
-        the strictly-lower scalars of ``L`` that :meth:`_structural_mask`
-        calls live: ``fwd_gather`` lists their slots in ``L.data`` in
-        the CSR order of ``L``, ``bwd_gather`` in that of ``L^T``, and
-        the numeric phase copies them out, negated, as they are.
-        """
-        n = self.ndof
-        L = self.pattern
-        sizes, offsets = self.sizes, L.offsets
-        # the plan's index arrays are int32 whenever that holds them, and
-        # so are the gather maps that ride through the transposition
-        fits = max(n, int(L.boff[-1])) <= np.iinfo(np.int32).max
-        idx = np.int32 if fits else np.int64
-
-        # Block (i, k) gives the rows of i columns of k going forward and
-        # the rows of k columns of i going backward: a sweep finds them
-        # final iff k's group comes strictly before i's in the schedule.
-        off = self._offdiag_positions()
-        if (self.group_of[L.indices[off]] >= self.group_of[L.block_rows()[off]]).any():
-            raise AssertionError(
-                "substitution operator has a column inside its own group's "
-                "rows or in a group not yet swept"
-            )
-
-        sweep = self.sweep
-        dofs = ranges(offsets[sweep], sizes[sweep])  # plan row -> DOF of L
-        where = np.empty(n, dtype=np.int64)  # DOF of L -> plan row
-        where[dofs] = np.arange(n)
-        start = where[offsets[:-1]]  # first plan row of every block
-        self.plan_perm = self.perm_dof[dofs]
-        self.group_ptr = np.concatenate(
-            ([0], np.cumsum([sizes[members].sum() for members in self.schedule], dtype=np.int64))
-        )
-
-        # Dinv: block after block in sweep order, which dinv_off follows
-        row_len = np.repeat(sizes[sweep], sizes[sweep])
-        self.dinv_indptr = np.concatenate(([0], np.cumsum(row_len))).astype(idx)
-        self.dinv_indices = ranges(np.repeat(start[sweep], sizes[sweep]), row_len).astype(idx)
-
-        # Scalar row r of block row i reads sizes[k] consecutive slots of
-        # each of its off-diagonal blocks (i, k), the diagonal block
-        # being the last of the row: one segment per (plan row, block),
-        # taken a range of plan rows at a time.
-        block = np.repeat(sweep, sizes[sweep])
-        row_width = np.bincount(
-            L.block_rows()[off], weights=sizes[L.indices[off]], minlength=L.N
-        ).astype(np.int64)
-        row_ends = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(row_width[block], out=row_ends[1:])
-        mask = self._structural_mask()
-        nblocks = np.diff(L.indptr)
-        indptr = np.zeros(n + 1, dtype=idx)
-        gathers, columns = [np.empty(0, dtype=idx)], [np.empty(0, dtype=idx)]
-        for rows in chunks(n, max(int(row_ends[-1]) // 16, SETUP_CHUNK), row_ends):
-            blk = block[rows]
-            nseg = nblocks[blk] - 1
-            pos = ranges(L.indptr[blk], nseg)
-            width = sizes[L.indices[pos]]
-            slots = ranges(L.boff[pos] + np.repeat(dofs[rows] - offsets[blk], nseg) * width, width)
-            live = np.flatnonzero(mask[slots])
-            ends = row_ends[rows.start + 1 : rows.stop + 1] - row_ends[rows.start]
-            indptr[rows.start + 1 : rows.stop + 1] = indptr[rows.start] + np.searchsorted(live, ends)
-            gathers.append(slots.take(live).astype(idx))
-            columns.append(ranges(start[L.indices[pos]], width).take(live).astype(idx))
-        del mask
-        # L^T: scipy's transposition carries the slots along as data
-        fwd = sp.csr_matrix(
-            (np.concatenate(gathers), np.concatenate(columns), indptr), shape=(n, n)
-        )
-        del gathers, columns
-        bwd = fwd.tocsc()
-        self.fwd_struct, self.fwd_gather = (indptr, fwd.indices), fwd.data
-        self.bwd_struct = (bwd.indptr.astype(idx, copy=False), bwd.indices.astype(idx, copy=False))
-        self.bwd_gather = bwd.data
-
-    def new_plan(self, dinv: np.ndarray) -> SubstitutionPlan:
-        """Fresh plan sharing this pattern's structure arrays; its
-        ``Dinv`` data is *dinv* itself, its sweep data its own."""
-        return SubstitutionPlan(
-            self.group_ptr,
-            self.dinv_indptr,
-            self.dinv_indices,
-            dinv,
-            FlatSweep(*self.fwd_struct),
-            FlatSweep(*self.bwd_struct),
-        )
 
 
 # One chunk of one shape bucket of the numeric update sweep per call: a
@@ -897,17 +793,12 @@ class BlockICFactorization(Preconditioner):
         self.iperm_dof = symbolic.iperm_dof
         self.schedule = symbolic.schedule
         self.nnz_fill = symbolic.nnz_fill
-        self._order = symbolic.order
-        self._group_of = symbolic.group_of
-        self._diag_pos = symbolic.diag_pos
-        self._dinv_off = symbolic.dinv_off
 
         # numeric state (per-instance): allocated here, refilled in place
         # by every refactor
         self.L = symbolic.new_vbr()
         self._dinv = np.zeros(symbolic.dinv_size)
-        self._plan = symbolic.new_plan(self._dinv)
-        self._plan_perm = symbolic.plan_perm
+        self._plan = new_plan(symbolic, self._dinv)
         self._shift = float(shift)
         self.numeric_setup_count = 0
         self.refactor(a, check_pattern=check)
@@ -965,12 +856,9 @@ class BlockICFactorization(Preconditioner):
             self._factor_full()
         self._warn_on_pivot_nudges()
         laps.lap("ic_numeric.factor")
-        self._build_apply_ops()
+        self._plan.refill(self.L.data, sym.fwd_gather, sym.bwd_gather)
         laps.lap("ic_numeric.gather")
-        # the lazy reference/apply_m structures cache gathered block
-        # *values*; drop them so they rebuild from the new factor
-        for attr in ("_fwd", "_bwd", "_diag_apply"):
-            self.__dict__.pop(attr, None)
+        self._m_factors = None  # apply_m's copy of the old factor
         self.numeric_setup_count += 1
         self.numeric_seconds = laps.total
         record_span(
@@ -1002,6 +890,10 @@ class BlockICFactorization(Preconditioner):
                 self.breakdown_count += int(bad.sum())
                 self.nudged_block_sizes.extend([int(s)] * int(bad.sum()))
                 blocks[bad] += np.eye(s) * (1e-8 + np.abs(blocks[bad]).max())
+            if self._shift or bad.any():
+                # the pivots inverted are the factor's D, in L as in Dinv
+                # (nothing reads a group's diagonal blocks once inverted)
+                self.L.data[_slots(src, s * s, u)] = blocks.reshape(-1)
             inv = np.linalg.inv(blocks)
             self._dinv[_slots(dst, s * s, u)] = inv.reshape(-1)
 
@@ -1070,10 +962,6 @@ class BlockICFactorization(Preconditioner):
             )
         warnings.warn(msg, PivotNudgeWarning, stacklevel=3)
 
-    def _gather_dinv(self, snodes: np.ndarray, s: int) -> np.ndarray:
-        flat = self._dinv_off[snodes, None] + np.arange(s * s)
-        return self._dinv[flat].reshape(-1, s, s)
-
     # ------------------------------------------------------------------
     # application  z = M^{-1} r
     # ------------------------------------------------------------------
@@ -1083,18 +971,6 @@ class BlockICFactorization(Preconditioner):
         """The substitution plan :meth:`apply` sweeps (a solve's team
         shares its sweeps: :mod:`repro.kernels.team`)."""
         return self._plan
-
-    def _build_apply_ops(self) -> None:
-        """Refill the substitution plan's data in place: the live
-        strictly-lower entries of ``L``, negated, through the gather
-        maps of the symbolic phase.  ``Dinv`` needs nothing — the plan
-        reads ``self._dinv`` itself."""
-        sym, plan = self.symbolic, self._plan
-        for sweep, gather in ((plan.fwd, sym.fwd_gather), (plan.bwd, sym.bwd_gather)):
-            # the gather indexes inside ``L.data`` by construction: "clip"
-            # only spares np.take its bounds-checking copy of ``out``
-            np.take(self.L.data, gather, out=sweep.data, mode="clip")
-            np.negative(sweep.data, out=sweep.data)
 
     def apply(self, r: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """``z = M^{-1} r`` by one sweep of the substitution plan.
@@ -1108,10 +984,11 @@ class BlockICFactorization(Preconditioner):
         r = np.asarray(r, dtype=np.float64)
         if r.shape != (self.ndof,):
             raise ValueError(f"r must have shape ({self.ndof},), got {r.shape}")
-        y = apply_substitution(self._plan, r, self._plan_perm)
+        perm = self.symbolic.plan_perm
+        y = apply_substitution(self._plan, r, perm)
         if out is None:
             out = np.empty(self.ndof)
-        out[self._plan_perm] = y
+        out[perm] = y
         return out
 
     def apply_block(
@@ -1134,131 +1011,33 @@ class BlockICFactorization(Preconditioner):
             )
         if out is None:
             out = np.empty_like(r)
-        y = apply_substitution_block(self._plan, r, self._plan_perm)
-        out[self._plan_perm, :] = y
-        return out
-
-    # -- bucketed reference path (correctness oracle) -------------------
-
-    def _prepare_reference(self) -> None:
-        """Pre-gather per-group shape buckets for the bucketed reference
-        substitution (built lazily: only tests/benches and
-        :meth:`apply_m` need it; invalidated by :meth:`refactor`)."""
-        if hasattr(self, "_fwd"):
-            return
-        brow = self.L.block_rows()
-        offdiag = self.symbolic._offdiag_positions()
-        shape_r = self.sizes[brow]
-        shape_c = self.sizes[self.L.indices]
-        group_of = self._group_of
-
-        ngroups = len(self.schedule)
-        self._fwd: list[list[tuple]] = [[] for _ in range(ngroups)]
-        self._bwd: list[list[tuple]] = [[] for _ in range(ngroups)]
-        row_group = group_of[brow[offdiag]]
-        col_group = group_of[self.L.indices[offdiag]]
-        for g in range(ngroups):
-            pos_g = offdiag[row_group == g]
-            for sr, sc, pos in shape_buckets(shape_r, shape_c, pos_g):
-                blocks = self.L.gather(pos, sr, sc)
-                ridx = (self.L.offsets[brow[pos], None] + np.arange(sr)).reshape(-1)
-                cidx = self.L.offsets[self.L.indices[pos], None] + np.arange(sc)
-                self._fwd[g].append((blocks, ridx, cidx, sr))
-            pos_g = offdiag[col_group == g]
-            for sr, sc, pos in shape_buckets(shape_r, shape_c, pos_g):
-                blocks_t = np.ascontiguousarray(
-                    self.L.gather(pos, sr, sc).transpose(0, 2, 1)
-                )
-                ridx = self.L.offsets[brow[pos], None] + np.arange(sr)
-                cidx = (self.L.offsets[self.L.indices[pos], None] + np.arange(sc)).reshape(-1)
-                self._bwd[g].append((blocks_t, ridx, cidx, sc))
-
-        # diagonal apply buckets: (s, dinv blocks, flat dof index) per group
-        self._diag_apply: list[list[tuple]] = [[] for _ in range(ngroups)]
-        for g, members in enumerate(self.schedule):
-            for s, _sc, rows in shape_buckets(self.sizes, self.sizes, members):
-                dof = (self.L.offsets[rows, None] + np.arange(s)).reshape(-1)
-                self._diag_apply[g].append((self._gather_dinv(rows, s), dof, s))
-
-    def reference_apply(self, r: np.ndarray) -> np.ndarray:
-        """The original bucketed substitution (gather / batched matmul /
-        scatter-add per shape bucket).  Kept as the correctness oracle for
-        the compiled fast path; ``apply`` must agree to ~1e-13."""
-        self._prepare_reference()
-        r = np.asarray(r, dtype=np.float64)
-        if r.shape != (self.ndof,):
-            raise ValueError(f"r must have shape ({self.ndof},), got {r.shape}")
-        rp = r[self.perm_dof]
-        n = self.ndof
-        y = np.zeros(n)
-        acc = rp.copy()
-        # forward: (D + L) y = r
-        for g in range(len(self.schedule)):
-            for blocks, ridx, cidx, sr in self._fwd[g]:
-                contrib = np.matmul(blocks, y[cidx][..., None])[..., 0]
-                _scatter_add(acc, ridx, -contrib.reshape(-1))
-            for dinv, dof, s in self._diag_apply[g]:
-                seg = acc[dof].reshape(-1, s)
-                y[dof] = np.matmul(dinv, seg[..., None])[..., 0].reshape(-1)
-        # backward: z = y - D^{-1} L^T z
-        z = np.zeros(n)
-        acc2 = np.zeros(n)
-        for g in range(len(self.schedule) - 1, -1, -1):
-            for blocks_t, ridx, cidx, sc in self._bwd[g]:
-                contrib = np.matmul(blocks_t, z[ridx][..., None])[..., 0]
-                _scatter_add(acc2, cidx, contrib.reshape(-1))
-            for dinv, dof, s in self._diag_apply[g]:
-                seg = acc2[dof].reshape(-1, s)
-                corr = np.matmul(dinv, seg[..., None])[..., 0].reshape(-1)
-                z[dof] = y[dof] - corr
-        out = np.empty(n)
-        out[self.perm_dof] = z
+        perm = self.symbolic.plan_perm
+        y = apply_substitution_block(self._plan, r, perm)
+        out[perm, :] = y
         return out
 
     def apply_m(self, v: np.ndarray) -> np.ndarray:
         """Action of the preconditioning matrix itself:
-        ``M v = (D + L) D^{-1} (D + L)^T v``.
+        ``M v = P^T (D + L) D^{-1} (D + L)^T P v``, ``D + L`` the factor
+        (:meth:`factor_csr`, whose diagonal blocks are the pivots that
+        ``Dinv`` inverts) and ``P`` the ordering's permutation, so that
+        ``apply(apply_m(v)) == v`` up to round-off.
 
         Needed by the eigenvalue analysis of Appendix A (generalized
         problem ``A x = lambda M x``).  Input/output in original DOF
-        numbering, like :meth:`apply`.
+        numbering, like :meth:`apply`; the two factors, renumbered, are
+        built on the first call and kept until the next :meth:`refactor`.
         """
-        self._prepare_reference()
-        v = np.asarray(v, dtype=np.float64)
-        vp = v[self.perm_dof]
-        n = self.ndof
-        # w = (D + L)^T vp  =  D vp + L^T vp
-        w = self._mul_diag(vp)
-        for g in range(len(self.schedule)):
-            for blocks_t, ridx, cidx, _sc in self._bwd[g]:
-                contrib = np.matmul(blocks_t, vp[ridx][..., None])[..., 0]
-                _scatter_add(w, cidx, contrib.reshape(-1))
-        # u = D^{-1} w
-        u = np.empty(n)
-        for g in range(len(self.schedule)):
-            for dinv, dof, s in self._diag_apply[g]:
-                seg = w[dof].reshape(-1, s)
-                u[dof] = np.matmul(dinv, seg[..., None])[..., 0].reshape(-1)
-        # out = (D + L) u = D u + L u
-        out = self._mul_diag(u)
-        for g in range(len(self.schedule)):
-            for blocks, ridx, cidx, _sr in self._fwd[g]:
-                contrib = np.matmul(blocks, u[cidx][..., None])[..., 0]
-                _scatter_add(out, ridx, contrib.reshape(-1))
-        res = np.empty(n)
-        res[self.perm_dof] = out
-        return res
-
-    def _mul_diag(self, v: np.ndarray) -> np.ndarray:
-        """``D v`` with the factorized diagonal blocks (VBR numbering)."""
-        out = np.zeros(self.ndof)
-        for s, _sc, rows in shape_buckets(self.sizes, self.sizes, np.arange(self.L.N)):
-            pos = self._diag_pos[rows]
-            blocks = self.L.gather(pos, s, s)
-            dof = self.L.offsets[rows, None] + np.arange(s)
-            seg = v[dof]
-            out[dof.reshape(-1)] = np.matmul(blocks, seg[..., None])[..., 0].reshape(-1)
-        return out
+        if self._m_factors is None:
+            n, old, perm, plan = self.ndof, self.perm_dof, self.symbolic.plan_perm, self._plan
+            low = self.factor_csr().tocoo()
+            rows = np.repeat(perm, np.diff(plan.dinv_indptr))
+            self._m_factors = (
+                sp.csr_matrix((low.data, (old[low.row], old[low.col])), shape=(n, n)),
+                sp.csr_matrix((self._dinv, (rows, perm[plan.dinv_indices])), shape=(n, n)),
+            )
+        low, dinv = self._m_factors
+        return low @ (dinv @ (low.T @ np.asarray(v, dtype=np.float64)))
 
     # ------------------------------------------------------------------
     # introspection for the benches / performance model
@@ -1270,7 +1049,7 @@ class BlockICFactorization(Preconditioner):
         ``Dinv`` with its block offsets.  Not counted: the substitution
         plan's own arrays (:meth:`plan_bytes`) and the symbolic object
         (``symbolic.memory_bytes()``), which a set-up holds as well."""
-        return self.L.memory_bytes() + self._dinv.nbytes + self._dinv_off.nbytes
+        return self.L.memory_bytes() + self._dinv.nbytes + self.symbolic.dinv_off.nbytes
 
     def plan_bytes(self) -> int:
         """Bytes of the substitution plan's arrays that belong to this
@@ -1288,5 +1067,7 @@ class BlockICFactorization(Preconditioner):
         return int(self.L.nnzb - self.L.N)
 
     def factor_csr(self) -> sp.csr_matrix:
-        """Scalar CSR of the lower factor (new numbering), for analysis."""
+        """Scalar CSR of the lower factor ``D + L`` (new numbering), for
+        analysis: ``D`` the pivot blocks ``Dinv`` inverts, shift and any
+        nudge included."""
         return self.L.to_csr()

@@ -45,12 +45,12 @@ def test_localized_apply_is_blockdiag_of_locals(n_nodes, seed):
 
 
 @settings(max_examples=10, deadline=None)
-@given(seed=st.integers(0, 1000), ncolors=st.integers(0, 8))
-def test_apply_m_and_apply_are_mutual_inverses(seed, ncolors):
+@given(seed=st.integers(0, 1000), ncolors=st.integers(0, 8), shift=st.floats(0.0, 1.0))
+def test_apply_m_and_apply_are_mutual_inverses(seed, ncolors, shift):
     a = spd_block(6, seed)
     m = BlockICFactorization(
         a, [np.arange(3 * i, 3 * i + 3) for i in range(6)],
-        fill_level=0, ncolors=ncolors,
+        fill_level=0, ncolors=ncolors, shift=shift,
     )
     v = np.random.default_rng(seed).normal(size=18)
     assert np.allclose(m.apply(m.apply_m(v)), v, atol=1e-7 * max(1.0, np.abs(v).max()))

@@ -1,5 +1,6 @@
 """The factorization engine: correctness of the colored batched IC."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from repro.core.selective_blocking import selective_block_supernodes
 from repro.experiments.workloads import block_problem, swjapan_problem
 from repro.precond.bic import node_supernodes
 from repro.precond.icfact import BlockICFactorization, ICSymbolic
+from repro.resilience import PivotNudgeWarning
 from repro.solvers.cg import cg_solve
 
 
@@ -126,11 +128,29 @@ class TestVariants:
         assert m1.variant == "full"
 
     def test_apply_m_inverts_apply(self):
+        """``apply_m`` is the M whose inverse ``apply`` applies, also
+        when the pivots inverted were shifted."""
         a = spd_csr(15, 8)
-        for fill_level in (0, 1):  # the dmod and the full variant
-            m = BlockICFactorization(a, node_parts(15), fill_level=fill_level)
+        for shift, fill_level in itertools.product((0.0, 0.5), (0, 1)):  # dmod and full
+            m = BlockICFactorization(a, node_parts(15), fill_level=fill_level, shift=shift)
             rng = np.random.default_rng(9)
             v = rng.normal(size=15)
+            assert np.allclose(m.apply_m(m.apply(v)), v, atol=1e-8)
+            assert np.allclose(m.apply(m.apply_m(v)), v, atol=1e-8)
+
+    def test_apply_m_inverts_apply_with_a_nudged_pivot(self):
+        """A DOF that ``A`` couples to nothing leaves its node's pivot
+        exactly singular: the nudged pivot is the one ``apply_m`` uses."""
+        a = spd_csr(15, 8).tolil()
+        a[4, :] = 0.0
+        a[:, 4] = 0.0
+        a = a.tocsr()
+        a.eliminate_zeros()
+        for fill_level in (0, 1):
+            with pytest.warns(PivotNudgeWarning):
+                m = BlockICFactorization(a, node_parts(15), fill_level=fill_level)
+            assert m.breakdown_count == 1
+            v = np.random.default_rng(9).normal(size=15)
             assert np.allclose(m.apply_m(m.apply(v)), v, atol=1e-8)
             assert np.allclose(m.apply(m.apply_m(v)), v, atol=1e-8)
 

@@ -30,6 +30,7 @@ from repro.sparse.patterns import (
 )
 
 from .conftest import paper_ladder
+from .ic_oracle import reference_apply
 
 PENALTIES = [1e3, 1e4, 1e5, 1e6]
 
@@ -110,11 +111,22 @@ class TestRefactorAgreesWithFresh:
     def test_reference_apply_invalidated_by_refactor(self, problems):
         p6, p3 = problems[1e6], problems[1e3]
         m = sb_bic0(p6.a, p6.groups)
-        m.reference_apply(np.zeros(p6.ndof))  # build the lazy buckets
+        reference_apply(m, np.zeros(p6.ndof))  # the oracle reads the factor of its call
         m.refactor(p3.a)
         fresh = sb_bic0(p3.a, p3.groups)
         r = np.random.default_rng(8).standard_normal(p3.ndof)
-        assert m.reference_apply(r) == pytest.approx(fresh.reference_apply(r))
+        assert reference_apply(m, r) == pytest.approx(reference_apply(fresh, r))
+
+    def test_apply_m_invalidated_by_refactor(self, problems):
+        """``apply_m`` keeps the factor it read until the next refactor."""
+        p6, p3 = problems[1e6], problems[1e3]
+        m = sb_bic0(p6.a, p6.groups)
+        v = np.random.default_rng(8).standard_normal(p6.ndof)
+        at_p6 = m.apply_m(v)
+        m.refactor(p3.a)
+        fresh = sb_bic0(p3.a, p3.groups)
+        assert not np.allclose(m.apply_m(v), at_p6)
+        assert np.array_equal(m.apply_m(v), fresh.apply_m(v))
 
 
 class TestInvalidation:
