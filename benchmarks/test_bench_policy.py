@@ -1,30 +1,29 @@
-"""Acceptance gates for the policy layer on a mixed sweep.
+"""Acceptance gates for the policy layer: a mixed sweep and a regret grid.
 
 The sweep is generators x penalties (block contact model, southwest
 Japan fault model, homogeneous box — the last has no contact groups, so
 its best preconditioner is structurally different from the contact
 cases').  Every case is solved through four *fixed* escalation ladders
 (the paper's default order plus one ladder forced to lead with each
-family), then twice through the cost-model policy:
-
-- **cold** — a fresh policy: every decision pays its probe (what the
-  first request of a served operator gets);
-- **warm** — the same policy object over the same traffic: probes are
-  cached (the serve session's steady state for repeat traffic).
+family), then through the policy (decide() time included).
 
 Gates:
 
-- warm <= 1.0x the best *fixed* ladder's total,
-- warm strictly < the *default* static ladder's total,
-- warm <= cold (cached probes never slower),
+- policy <= 1.0x the best *fixed* ladder's total,
+- policy strictly < the *default* static ladder's total,
 - per-case fixed winners differ across the sweep — otherwise the gates
   above are vacuous.  The box wastes two block factorizations under the
   paper's SB-BIC-first default order, which is the existence proof for
   choosing the ladder per problem instead of statically,
-- per family, the cost model's set-up / iteration ratio is within 3x of
-  this host's (``test_setup_to_iteration_ratio_matches_host``): the one
-  number the ranking of a cheap-set-up family against an expensive one
-  depends on, checked where a wall clock belongs.
+- regret (``test_first_family_near_the_fastest``): on block and swjapan
+  1.0 at lambda = 1, 1e2 and 1e8, with and without contact groups, the
+  policy's first family, timed as cold set-up plus solve (best of 7,
+  families interleaved), is within 1.25x of the fastest family the
+  problem admits.  Timings assume one BLAS thread (CI sets
+  ``OMP_NUM_THREADS=1``): on 2 cores an OpenBLAS pool competes with the
+  solve team's partner process.  The cost
+  model the policy used to rank by failed it on swjapan at 1e2 with
+  groups (bic0) and on block at 1e8 without (diag).
 """
 
 from __future__ import annotations
@@ -39,7 +38,7 @@ from repro.experiments.workloads import (
     homogeneous_box_problem,
     swjapan_problem,
 )
-from repro.policy import SolverPolicy, candidate_costs, probe_problem
+from repro.policy import SolverPolicy
 from repro.precond import FAMILY_TABLE, ladder_families
 from repro.resilience.resilient import ResilientSolver, build_ladder
 
@@ -90,7 +89,7 @@ def timed_solve(prob, ladder):
 def sweep():
     """Run the sweep once: per-arm totals and per-case wall times."""
     cases = build_cases()
-    totals = {arm: 0.0 for arm in (*FIXED_ARMS, "cold", "warm")}
+    totals = {arm: 0.0 for arm in (*FIXED_ARMS, "policy")}
     wall_s: dict[str, dict[str, float]] = {name: {} for name in cases}
 
     def book(arm, name, wall, res):
@@ -104,12 +103,11 @@ def sweep():
             book(arm, name, *timed_solve(
                 prob, lambda: build_ladder(prob.a, prob.groups, order)))
 
-    # the cost model over the same traffic twice: decide() time included
+    # the policy over the same traffic: decide() time included
     policy = SolverPolicy()
-    for arm in ("cold", "warm"):
-        for name, prob in cases.items():
-            book(arm, name, *timed_solve(
-                prob, lambda: policy.ladder(prob.a, prob.groups, cache_key=name)[0]))
+    for name, prob in cases.items():
+        book("policy", name, *timed_solve(
+            prob, lambda: policy.ladder(prob.a, prob.groups)[0]))
 
     print()
     for arm, total in totals.items():
@@ -120,25 +118,17 @@ def sweep():
 def test_policy_beats_best_fixed_ladder(sweep):
     totals, _ = sweep
     best_fixed = min(totals[arm] for arm in FIXED_ARMS)
-    assert totals["warm"] <= best_fixed, (
-        f"policy warm pass {totals['warm'] * 1e3:.0f} ms vs best fixed "
+    assert totals["policy"] <= best_fixed, (
+        f"policy pass {totals['policy'] * 1e3:.0f} ms vs best fixed "
         f"{best_fixed * 1e3:.0f} ms"
     )
 
 
 def test_policy_strictly_beats_default_ladder(sweep):
     totals, _ = sweep
-    assert totals["warm"] < totals["default"], (
-        f"policy warm pass {totals['warm'] * 1e3:.0f} ms not below the "
+    assert totals["policy"] < totals["default"], (
+        f"policy pass {totals['policy'] * 1e3:.0f} ms not below the "
         f"default static ladder's {totals['default'] * 1e3:.0f} ms"
-    )
-
-
-def test_warm_pass_not_slower_than_cold(sweep):
-    totals, _ = sweep
-    assert totals["warm"] <= totals["cold"], (
-        f"warm pass {totals['warm'] * 1e3:.0f} ms slower than cold "
-        f"{totals['cold'] * 1e3:.0f} ms"
     )
 
 
@@ -151,26 +141,41 @@ def test_sweep_winners_actually_differ(sweep):
     assert len(winners) >= 2, f"single fixed winner {winners} across the sweep"
 
 
-@pytest.fixture(
-    scope="module",
-    params=[(block_problem, 0.8), (swjapan_problem, 2.0)],
-    ids=["block0.8", "swjapan2.0"],
-)
-def sized_problem(request):
-    make, scale = request.param
-    prob = make(scale, 1.0e6)
-    return prob, probe_problem(prob.a, prob.groups)
+REGRET_ROWS = [
+    (model, penalty, grouped)
+    for model in ("block", "swjapan")
+    for penalty in (1.0, 1.0e2, 1.0e8)
+    for grouped in (True, False)
+]
+MAKERS = {"block": block_problem, "swjapan": swjapan_problem}
 
 
-@pytest.mark.parametrize("family", ["sbbic0", "bic0", "ic0", "diag"])
-def test_setup_to_iteration_ratio_matches_host(sized_problem, family):
-    """Predicted set-up, in the family's own iterations, vs this host."""
-    prob, probe = sized_problem
-    (cost,) = candidate_costs(probe, families=(family,))
-    predicted = cost.setup_seconds / cost.per_iter_seconds
-    builds = [FAMILY_TABLE[family].build(prob.a, prob.groups) for _ in range(2)]
-    setup_s = min(m.setup_seconds for m in builds)  # cold: symbolic + numeric
-    res = cg_solve(prob.a, prob.b, builds[-1], max_iter=200, record_history=False)
-    measured = setup_s / (res.solve_seconds / res.iterations)
-    print(f"\n{family}: set-up = {predicted:.1f} iterations predicted, {measured:.1f} measured")
-    assert measured / 3.0 <= predicted <= 3.0 * measured
+def cold_seconds(prob, groups, family: str) -> float:
+    """One cold set-up plus solve of *family*."""
+    t0 = time.perf_counter()
+    m = FAMILY_TABLE[family].build(prob.a, groups)
+    res = cg_solve(prob.a, prob.b, m, record_history=False)
+    seconds = time.perf_counter() - t0
+    assert res.converged, family
+    return seconds
+
+
+@pytest.mark.parametrize(
+    "model,penalty,grouped", REGRET_ROWS,
+    ids=[f"{m}-{p:g}-{'groups' if g else 'nogroups'}" for m, p, g in REGRET_ROWS])
+def test_first_family_near_the_fastest(model, penalty, grouped):
+    prob = MAKERS[model](1.0, penalty)
+    groups = prob.groups if grouped else None
+    first = SolverPolicy().decide(prob.a, groups).order[0]
+    admitted = ladder_families(len(groups) if groups else 0, prob.a.shape[0] % 3 == 0)
+    # best of 7, the families interleaved so a slow spell of the host
+    # falls on all of them: block at 1e2 without groups is near a tie
+    # (Diagonal 1.1-1.2x faster than BIC(0) with the solve team), and best
+    # of 3 read it 1.26-1.48x in 2 of 5 runs on a 2-core host
+    seconds = dict.fromkeys(admitted, float("inf"))
+    for _ in range(7):
+        for family in admitted:
+            seconds[family] = min(seconds[family], cold_seconds(prob, groups, family))
+    print(f"\n{model} 1.0 lambda={penalty:g} groups={grouped}: first {first}, "
+          + ", ".join(f"{f} {s * 1e3:.0f} ms" for f, s in seconds.items()))
+    assert seconds[first] <= 1.25 * min(seconds.values()), (first, seconds)

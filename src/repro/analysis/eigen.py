@@ -2,10 +2,11 @@
 
 The paper estimates preconditioner robustness from the extreme
 eigenvalues of ``M^{-1} A``: for SPD ``A`` and ``M`` they are real and
-the spectral condition number is ``kappa = Emax / Emin``.  We solve the
-equivalent generalized symmetric problem ``A x = lambda M x`` — exactly
-(dense) for small systems, by Lanczos (``eigsh`` with the factorization's
-``M``/``M^{-1}`` actions) for larger ones.
+the spectral condition number is ``kappa = Emax / Emin``.  We compute
+them exactly (dense, from ``M^{-1}``) for small systems, and for larger
+ones by Lanczos on the equivalent generalized symmetric problem
+``A x = mu M x`` (``eigsh`` with the factorization's ``M``/``M^{-1}``
+actions).
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg as dla
-import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from repro.precond.base import Preconditioner
@@ -54,76 +53,6 @@ def _m_actions(precond: Preconditioner, n: int):
     )
 
 
-def lanczos_extremes(
-    a,
-    *,
-    k: int = 16,
-    seed: int = 0,
-    jacobi_scaled: bool = True,
-) -> EigenSummary:
-    """Few-iteration Lanczos estimate of the extreme eigenvalues of ``A``
-    (by default of the Jacobi-scaled ``D^{-1/2} A D^{-1/2}``).
-
-    This is the policy layer's conditioning *probe*: ``k`` matrix-vector
-    products — not a converged eigensolve.  Ritz values from a ``k``-step
-    tridiagonalization bracket the spectrum from the inside, so the
-    returned ``kappa`` is a (usually mild) under-estimate; the policy
-    only needs its order of magnitude.  Full reorthogonalization keeps
-    the tiny Krylov basis honest on ill-conditioned operators.  Systems
-    with fewer than ``4 k`` DOF are solved densely instead — exact and
-    still cheap at probe sizes.
-    """
-    a = check_square_csr(a)
-    n = a.shape[0]
-    if k < 2:
-        raise ValueError(f"lanczos probe needs k >= 2, got {k}")
-    if jacobi_scaled:
-        d = np.abs(a.diagonal()).astype(np.float64)
-        d[d == 0.0] = 1.0
-        dis = 1.0 / np.sqrt(d)
-
-        def op(v: np.ndarray) -> np.ndarray:
-            return dis * (a @ (dis * v))
-    else:
-
-        def op(v: np.ndarray) -> np.ndarray:
-            return a @ v
-
-    if n <= 4 * k:
-        mat = np.empty((n, n))
-        eye = np.eye(n)
-        for j in range(n):
-            mat[:, j] = op(eye[:, j])
-        vals = np.linalg.eigvalsh(0.5 * (mat + mat.T))
-        return EigenSummary(emin=float(vals[0]), emax=float(vals[-1]))
-
-    rng = np.random.default_rng(seed)
-    q = rng.standard_normal(n)
-    q /= np.linalg.norm(q)
-    basis = np.empty((k, n))
-    alphas = np.empty(k)
-    betas = np.empty(k)
-    q_prev = np.zeros(n)
-    beta = 0.0
-    steps = 0
-    for j in range(k):
-        basis[j] = q
-        w = op(q)
-        alphas[j] = float(q @ w)
-        w -= alphas[j] * q + beta * q_prev
-        # full reorthogonalization: k is tiny, the O(k n) cost is noise
-        w -= basis[: j + 1].T @ (basis[: j + 1] @ w)
-        beta = float(np.linalg.norm(w))
-        steps = j + 1
-        if beta < 1e-14:
-            break  # invariant subspace found: Ritz values are exact
-        betas[j] = beta
-        q_prev = q
-        q = w / beta
-    vals = dla.eigvalsh_tridiagonal(alphas[:steps], betas[: steps - 1])
-    return EigenSummary(emin=float(vals[0]), emax=float(vals[-1]))
-
-
 def preconditioned_spectrum(
     a,
     precond: Preconditioner,
@@ -133,21 +62,26 @@ def preconditioned_spectrum(
 ) -> EigenSummary:
     """Extreme eigenvalues of ``M^{-1} A``.
 
-    Systems up to ``dense_threshold`` DOF are solved exactly with the
-    dense generalized symmetric solver (``M`` materialized column by
-    column); larger ones use Lanczos at both ends of the spectrum.
+    Systems up to ``dense_threshold`` DOF are solved exactly: with
+    ``A = L L^T`` (dense Cholesky), ``M^{-1} A`` is similar to the
+    symmetric ``L^T M^{-1} L``, whose ``M^{-1}`` is materialized column
+    by column from the preconditioner's own ``apply``.  ``M`` itself is
+    never formed: at high penalty it holds entries ~``lambda`` beside
+    entries ~1, and the generalized problem ``A x = mu M x`` then reads
+    round-off in the extreme eigenvalues.  Larger systems use Lanczos at
+    both ends of the spectrum.
     """
     a = check_square_csr(a)
     n = a.shape[0]
     m_op, minv_op = _m_actions(precond, n)
 
     if n <= dense_threshold:
-        m_dense = np.empty((n, n))
+        minv = np.empty((n, n))
         eye = np.eye(n)
         for j in range(n):
-            m_dense[:, j] = m_op @ eye[:, j]
-        m_dense = 0.5 * (m_dense + m_dense.T)
-        vals = dla.eigh(a.toarray(), m_dense, eigvals_only=True)
+            minv[:, j] = minv_op @ eye[:, j]
+        chol = np.linalg.cholesky(a.toarray())
+        vals = np.linalg.eigvalsh(chol.T @ (0.5 * (minv + minv.T)) @ chol)
         return EigenSummary(emin=float(vals[0]), emax=float(vals[-1]))
 
     kwargs = dict(M=m_op, Minv=minv_op, tol=tol, return_eigenvectors=False)

@@ -127,7 +127,7 @@ def _peak_rss_mib() -> float | None:
 
 
 def _run_policy_solve(args, prob) -> int:
-    """Solve through the cost model's ladder (``--precond auto``)."""
+    """Solve through the solver policy's ladder (``--precond auto``)."""
     from repro.policy import SolverPolicy
     from repro.resilience.resilient import ResilientSolver
 
@@ -340,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument(
             "--precond", default=DEFAULT_FAMILY, choices=PRECONDS,
             help="preconditioner family, or auto: solve through the "
-            "cost model's escalation ladder (default %(default)s)",
+            "solver policy's escalation ladder (default %(default)s)",
         )
         p.add_argument("--scale", type=float, default=1.0)
         p.add_argument("--max-iter", type=int, default=20000)

@@ -297,13 +297,10 @@ def _policy_spans(source, names: set[str]) -> list[dict]:
     ]
 
 
-def _ratio(measured, predicted) -> str:
-    """``measured / predicted``; a dash when the span carries no
-    prediction (a rung the decision did not price, or a trace written
-    before outcomes recorded them)."""
-    if not predicted or measured is None:
-        return "-"
-    return f"{measured / predicted:.2f}"
+def _aligned(rows: list[tuple[str, ...]]) -> list[str]:
+    """*rows* as text lines, each column padded to its widest cell."""
+    widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
+    return ["  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip() for row in rows]
 
 
 def policy_table(source) -> str:
@@ -313,12 +310,8 @@ def policy_table(source) -> str:
     JSONL records.  One line per ``policy.decide`` span (probe
     fingerprint and decided order), followed by one line per
     ``policy.outcome`` span (which family actually ran, whether it
-    converged, measured iterations and wall time, each with the cost
-    model's prediction and the measured / predicted ratio beside it) —
-    the at-a-glance answer to "what did the policy choose, was it right,
-    and how wrong was its cost prediction".  Predicted seconds are the
-    modeled machine's, so that ratio is a host constant times the
-    model's error: compare it across rows, not with 1.
+    converged, its iterations and wall time) — the at-a-glance answer
+    to "what did the policy choose, and what did that cost".
     """
     decides = _policy_spans(source, {"policy.decide"})
     outcomes = _policy_spans(source, {"policy.outcome"})
@@ -335,39 +328,23 @@ def policy_table(source) -> str:
                 str(at.get("order", "?")),
                 f"{1e3 * (r.get('duration_s') or 0.0):.1f}",
             ))
-        widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
-        lines += [
-            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-            for row in rows
-        ]
+        lines += _aligned(rows)
     if outcomes:
         outcomes.sort(key=lambda r: r.get("t_start_s") or 0.0)
-        rows = [("fingerprint", "choice", "stage", "conv", "iters", "pred",
-                 "m/p", "wall ms", "pred ms", "m/p")]
+        rows = [("fingerprint", "choice", "stage", "conv", "iters", "wall ms")]
         for r in outcomes:
             at = r.get("attrs", {})
-            wall = r.get("duration_s") or 0.0
-            pred_iters = at.get("predicted_iterations")
-            pred_s = at.get("predicted_seconds")
             rows.append((
                 str(at.get("fingerprint", "?")),
                 str(at.get("choice", "?")),
                 str(at.get("stage", "") or "-"),
                 "y" if at.get("converged") else "n",
                 str(at.get("iterations", "?")),
-                str(pred_iters or "-"),
-                _ratio(at.get("iterations"), pred_iters),
-                f"{1e3 * wall:.1f}",
-                f"{1e3 * pred_s:.3g}" if pred_s else "-",
-                _ratio(wall, pred_s),
+                f"{1e3 * (r.get('duration_s') or 0.0):.1f}",
             ))
-        widths = [max(len(row[c]) for row in rows) for c in range(len(rows[0]))]
         if lines:
             lines.append("")
-        lines += [
-            "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-            for row in rows
-        ]
+        lines += _aligned(rows)
     return "\n".join(lines)
 
 
@@ -422,11 +399,7 @@ def requests_table(source) -> str:
             f"{1e3 * dur:.1f}",
             str(at.get("reason", "") or ""),
         ))
-    widths = [max(len(row[c]) for row in rows) for c in range(len(header))]
-    lines = [
-        "  ".join(cell.ljust(w) for cell, w in zip(row, widths)).rstrip()
-        for row in rows
-    ]
+    lines = _aligned(rows)
     if commits:
         # what durability cost these requests: one line, since a commit
         # serves a whole batch and belongs to no single job

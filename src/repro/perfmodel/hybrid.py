@@ -48,8 +48,7 @@ class IterationTime:
     def work_ratio_percent(self) -> float:
         """Paper Figs. 5, 17b, 18b: computation / elapsed time.
 
-        A degenerate census (no phases, or all-zero loop lengths — the
-        policy layer's cost probes can produce these legitimately) has
+        A degenerate census (no phases, or all-zero loop lengths) has
         zero elapsed time; report 0.0 instead of dividing by it."""
         if self.total_seconds == 0.0:
             return 0.0

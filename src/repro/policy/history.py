@@ -2,8 +2,8 @@
 
 Every policy-resolved solve is folded into per-``(fingerprint, family)``
 aggregates — runs, convergence failures, wall seconds and iterations.
-Nothing decides from the tally (the cost model ranks every ``auto``
-request, :mod:`repro.policy.cost`); it is the census behind
+Nothing decides from the tally (every ``auto`` request is decided from
+its operator alone, :mod:`repro.policy.ladder`); it is the census behind
 ``SolverSession.stats()`` and the serve benchmark's count of which
 family the policy chose.
 """

@@ -1,96 +1,84 @@
 """The policy itself: probe -> decision -> escalation ladder.
 
-:class:`SolverPolicy` ranks the families a problem admits
-(:func:`repro.precond.families.ladder_families`) by the cost model's
-predicted seconds (:func:`repro.policy.cost.candidate_costs`) from a
-cheap probe, and builds the ladder in that order with
+:class:`SolverPolicy` leads with the families a problem admits in the
+paper's robustness order (:func:`repro.precond.families.ladder_families`:
+SB-BIC(0), then the level-0 IC rung, then Diagonal scaling — Table 2),
+with one measured exception: an operator whose diagonal shows almost no
+penalty (:data:`DIAG_FIRST_BELOW`) leads with Diagonal scaling, whose
+free set-up wins there.  The ladder is built in that order with
 :func:`repro.resilience.resilient.build_ladder` —
 :class:`~repro.resilience.resilient.ResilientSolver` runs a
 policy-built ladder like any other, and every robustness property of
 the chain (escalation, warm restart, the Diagonal backstop) is
-preserved.  The policy only chooses which rung goes *first* and how the
-retry schedule behind it looks; it never removes the ladder.
+preserved.  The policy only chooses which rung goes *first*; it never
+removes the ladder.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Any
 
 import numpy as np
 
 from repro import obs
-from repro.policy.cost import CandidateCost, candidate_costs
 from repro.policy.history import PolicyHistory
 from repro.policy.probes import ProblemProbe, probe_problem
+from repro.precond.families import ladder_families
 from repro.resilience.resilient import FallbackStage, build_ladder
-from repro.utils.lru import LRUCache
 
-__all__ = ["PolicyDecision", "SolverPolicy"]
+__all__ = ["DIAG_FIRST_BELOW", "PolicyDecision", "SolverPolicy"]
 
-PROBE_CACHE_SIZE = 256
-"""Probes a policy keeps (least recently used goes first).  A serving
-process sees one key per distinct operator — every new penalty is one —
-for as long as it lives; a probe is ~100 bytes and a few matvecs to
-redo, so the bound only has to exceed the working set of live traffic."""
+DIAG_FIRST_BELOW = 30.0
+"""Below this ``penalty_ratio`` (``diag_max / diag_median``) Diagonal
+scaling leads the ladder.  Measured as cold set-up plus solve, best of
+3, one BLAS thread, on block and swjapan at scales 1.0 and 1.5, with
+and without contact groups: at ratios 1.6-11 (lambda = 1-10) Diagonal
+takes 0.35-0.86x the table leader's time; at ~31 (lambda = 30) 0.8-1.2x
+with contact groups and 0.7-0.85x without; at ~100 (lambda = 1e2)
+1.3-2.6x with contact groups and 1.0-1.3x without.  With
+the rule the first family is within 1.13x of the fastest admitted one
+on all 48 rows at lambda = 1-1e10 (DESIGN.md section 15)."""
 
 
-@dataclass
+@dataclass(frozen=True)
 class PolicyDecision:
     """Everything one ``decide()`` call settled, with its evidence."""
 
     order: tuple[str, ...]
-    """Ladder-leading family order, cheapest predicted first."""
+    """Ladder-leading family order."""
     probe: ProblemProbe
-    costs: list[CandidateCost]
-    """The cost model's prediction for each family in :attr:`order`."""
 
     @property
     def fingerprint(self) -> str:
         return self.probe.fingerprint()
 
-    def cost_of(self, family: str) -> CandidateCost | None:
-        """What the cost model predicted for *family* (None for a family
-        the problem does not admit)."""
-        return next((c for c in self.costs if c.family == family), None)
+    @property
+    def diag_first(self) -> bool:
+        """Whether the low-penalty rule put Diagonal scaling first."""
+        return self.probe.penalty_ratio < DIAG_FIRST_BELOW
 
     def explain(self) -> str:
         """Multi-line account of the decision for ``repro policy explain``."""
         p = self.probe
-        lines = [
+        rule = ("< {:g}: diag moved first" if self.diag_first
+                else ">= {:g}: table order kept").format(DIAG_FIRST_BELOW)
+        return "\n".join([
             f"fingerprint: {p.fingerprint()}",
             f"probe: ndof={p.ndof} nnz={p.nnz} groups={p.n_groups} "
-            f"(max {p.max_group} nodes) penalty_ratio={p.penalty_ratio:.3g} "
-            f"kappa~{p.kappa_scaled:.3g} [{p.probe_seconds * 1e3:.1f} ms]",
-        ]
-        header = f"{'family':<8} {'setup':>10} {'per-iter':>10} {'iters':>6} {'risk':>5} {'total':>10}"
-        lines += ["predicted costs (modeled-machine seconds, ranking only):", "  " + header]
-        for c in self.costs:
-            lines.append(
-                f"  {c.family:<8} {c.setup_seconds:>10.3e} "
-                f"{c.per_iter_seconds:>10.3e} {c.predicted_iterations:>6d} "
-                f"{c.risk:>5.2f} {c.predicted_seconds:>10.3e}"
-            )
-        lines.append(f"ladder order: {' -> '.join(self.order)}")
-        return "\n".join(lines)
-
-    def to_dict(self) -> dict[str, Any]:
-        lead = self.cost_of(self.order[0])
-        return {
-            "order": list(self.order),
-            "fingerprint": self.fingerprint,
-            "predicted_iterations": lead.predicted_iterations,
-            "predicted_seconds": lead.predicted_seconds,
-        }
+            f"(max {p.max_group} nodes, {p.group_dofs} DOF) "
+            f"diag median={p.diag_median:.3g} max={p.diag_max:.3g} "
+            f"[{p.probe_seconds * 1e3:.1f} ms]",
+            f"rule: penalty_ratio={p.penalty_ratio:.3g} {rule}",
+            f"ladder order: {' -> '.join(self.order)}",
+        ])
 
 
 class SolverPolicy:
     """Choose how to solve a problem before paying for a preconditioner.
 
-    Thread-compatible with the serve session's locking discipline: the
-    probe cache is keyed by the caller's structure key and bounded
-    (:data:`PROBE_CACHE_SIZE`, LRU), and the outcome tally
+    Thread-compatible with the serve session's locking discipline: a
+    decision reads only the operator it is given, and the outcome tally
     (:class:`PolicyHistory`) is itself thread-safe.
 
     *history* is the outcome tally :meth:`record_outcome` folds into (a
@@ -99,45 +87,26 @@ class SolverPolicy:
 
     def __init__(self, *, history: PolicyHistory | None = None) -> None:
         self.history = history if history is not None else PolicyHistory()
-        self._probe_cache = LRUCache(PROBE_CACHE_SIZE)
 
     # -- probing -----------------------------------------------------------
 
-    def probe(
-        self,
-        a,
-        contact_groups: list[np.ndarray] | None = None,
-        *,
-        cache_key: Any = None,
-    ) -> ProblemProbe:
-        if cache_key is None:
-            return probe_problem(a, contact_groups)
-        p = self._probe_cache.get(cache_key)
-        if p is None:
-            p = probe_problem(a, contact_groups)
-            self._probe_cache.put(cache_key, p)
-        return p
+    def probe(self, a, contact_groups: list[np.ndarray] | None = None) -> ProblemProbe:
+        return probe_problem(a, contact_groups)
 
     # -- deciding ----------------------------------------------------------
 
     def decide(
-        self,
-        a,
-        contact_groups: list[np.ndarray] | None = None,
-        *,
-        cache_key: Any = None,
-        eps: float = 1e-8,
+        self, a, contact_groups: list[np.ndarray] | None = None
     ) -> PolicyDecision:
-        """Rank the ladder for one problem; cheap when the probe is cached.
-
-        *eps* is the tolerance the solve will stop at: the cost model
-        prices each family's iteration count at it."""
+        """The ladder order for one problem: the family table's, with
+        Diagonal scaling first below :data:`DIAG_FIRST_BELOW`."""
         t0 = time.perf_counter()
-        probe = self.probe(a, contact_groups, cache_key=cache_key)
-        costs = candidate_costs(probe, eps=eps)
-        decision = PolicyDecision(
-            order=tuple(c.family for c in costs), probe=probe, costs=costs
-        )
+        probe = self.probe(a, contact_groups)
+        order = ladder_families(probe.n_groups, probe.block_ok)
+        if probe.penalty_ratio < DIAG_FIRST_BELOW:
+            # the table's order always ends in its Diagonal backstop
+            order = (order[-1], *order[:-1])
+        decision = PolicyDecision(order=order, probe=probe)
         obs.record_span(
             "policy.decide",
             time.perf_counter() - t0,
@@ -153,7 +122,6 @@ class SolverPolicy:
         a,
         contact_groups: list[np.ndarray] | None = None,
         *,
-        cache_key: Any = None,
         b: int = 3,
     ) -> tuple[list[FallbackStage], PolicyDecision]:
         """Decide, then build a ResilientSolver ladder in the decided order.
@@ -163,7 +131,7 @@ class SolverPolicy:
         IC factorization and the Diagonal rung that is always last (no decision can
         remove the unbreakable backstop) are those of every ladder.
         """
-        decision = self.decide(a, contact_groups, cache_key=cache_key)
+        decision = self.decide(a, contact_groups)
         return build_ladder(a, contact_groups, decision.order, b=b), decision
 
     # -- outcomes ----------------------------------------------------------
@@ -179,7 +147,7 @@ class SolverPolicy:
         stage: str | None = None,
     ) -> None:
         """Tally one attempted rung of *family* and emit it as a
-        ``policy.outcome`` span beside the cost model's prediction.
+        ``policy.outcome`` span.
 
         Hung off ``ResilientSolver(on_stage_result=...)`` it takes the
         stage's own :attr:`~repro.resilience.resilient.FallbackStage.family`
@@ -191,12 +159,6 @@ class SolverPolicy:
         self.history.record(
             fp, family, seconds=seconds, converged=converged, iterations=iterations
         )
-        # what the cost model said about this family, next to what happened
-        cost = decision.cost_of(family)
-        predicted = {} if cost is None else {
-            "predicted_iterations": cost.predicted_iterations,
-            "predicted_seconds": cost.predicted_seconds,
-        }
         obs.record_span(
             "policy.outcome",
             seconds,
@@ -205,5 +167,4 @@ class SolverPolicy:
             stage=stage or family,
             converged=converged,
             iterations=iterations,
-            **predicted,
         )

@@ -25,8 +25,8 @@ Determinism contract: requests are journaled *before* any solving, and
 by solve key in first-appearance order.  A replay after a crash therefore
 reassembles exactly the coalesced solves of the original run — same
 groups, same RHS column order, and for ``precond="auto"`` the same
-family, because the cost model decides from the operator and the
-tolerance alone — so resumed answers are bit-for-bit what the
+family, because the policy decides from the operator and from
+nothing else — so resumed answers are bit-for-bit what the
 uninterrupted server would have returned.  A worker pool preserves
 this: concurrency is across groups, never inside one.  Group commit does
 not touch it: which jobs run together is decided before the commit and

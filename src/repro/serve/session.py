@@ -199,7 +199,7 @@ class SolverSession:
 
     def __init__(self, capacity: int = 8) -> None:
         self.workspace = Workspace(capacity)
-        # resolves precond="auto" requests through the cost model and
+        # resolves precond="auto" requests through the solver policy and
         # tallies their outcomes in the workspace
         self.policy = SolverPolicy(history=self.workspace.policy_history)
         self.jobs_served = 0
@@ -260,15 +260,11 @@ class SolverSession:
                     # the factor cache) see real preconditioner names.
                     # The probe reads the materialized operator, so it
                     # runs under the structure lock like any other
-                    # ``system`` access; the policy caches it per
-                    # operator fingerprint, so repeat traffic pays once.
-                    # The ranking depends on the operator and the
-                    # tolerance only, so a journal replay decides the same.
+                    # ``system`` access.  The decision depends on the
+                    # operator only, so a journal replay decides the same.
                     with self._lock_for(("structure", req.model, req.scale)):
                         a = s.system(req.penalty)
-                        decision = self.policy.decide(
-                            a, s.groups, cache_key=fp, eps=req.eps
-                        )
+                        decision = self.policy.decide(a, s.groups)
                     precond = decision.order[0]
             except Exception as exc:  # malformed request must not kill the batch
                 reason = (

@@ -1,5 +1,4 @@
-"""A bounded least-recently-used map, shared by the serve workspace
-tiers and the solver policy's probe cache."""
+"""A bounded least-recently-used map: the serve workspace's cache tiers."""
 
 from __future__ import annotations
 

@@ -43,9 +43,15 @@ _FORK_LOCK = threading.Lock()
 process-wide, and a pool replaces workers from several threads."""
 
 
+_OPENBLAS_CONTROLS: dict[str, list[tuple]] = {}
+"""Each OpenBLAS library's ``(get, set)`` thread-count pairs, by path:
+looked up once per process, not once per fork."""
+
+
 def _openblas_thread_controls() -> list[tuple]:
     """``(get_num_threads, set_num_threads)`` of every OpenBLAS loaded
-    into this process (numpy and scipy each ship one)."""
+    into this process (numpy and scipy each ship one).  The maps are
+    read on every call, because a library can be loaded later."""
     try:
         with open("/proc/self/maps") as maps:
             libs = {line.split()[-1] for line in maps if "openblas" in line}
@@ -53,15 +59,23 @@ def _openblas_thread_controls() -> list[tuple]:
         return []
     controls = []
     for path in sorted(libs):
-        lib = ctypes.CDLL(path)
-        for prefix in ("", "scipy_"):
-            for suffix in ("", "64_"):
-                get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
-                set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
-                if get is not None and set_ is not None:
-                    get.argtypes, get.restype = [], ctypes.c_int
-                    set_.argtypes, set_.restype = [ctypes.c_int], None
-                    controls.append((get, set_))
+        if path not in _OPENBLAS_CONTROLS:
+            _OPENBLAS_CONTROLS[path] = _library_controls(ctypes.CDLL(path))
+        controls += _OPENBLAS_CONTROLS[path]
+    return controls
+
+
+def _library_controls(lib) -> list[tuple]:
+    """The ``(get, set)`` thread-count pairs one OpenBLAS exports."""
+    controls = []
+    for prefix in ("", "scipy_"):
+        for suffix in ("", "64_"):
+            get = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
     return controls
 
 

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sp
 
 from repro.analysis import preconditioned_spectrum
+from repro.experiments.workloads import swjapan_problem
 from repro.fem.model import build_contact_problem
 from repro.precond import DiagonalScaling, bic, sb_bic0
 
@@ -45,6 +46,16 @@ class TestSpectrum:
             s = preconditioned_spectrum(prob.a, m, dense_threshold=2000)
             kappas.append(s.kappa)
         assert 0.3 < kappas[1] / kappas[0] < 3.0
+
+    def test_sb_emax_holds_at_extreme_penalty(self):
+        """The dense path works from M^-1, not from a materialized M whose
+        ~lambda entries beside ~1 ones round the extremes off: SB-BIC(0)
+        on swjapan 0.5 has the same Emax at lambda = 1e6 and 1e10."""
+        emax = []
+        for lam in (1e6, 1e10):
+            p = swjapan_problem(0.5, lam)
+            emax.append(preconditioned_spectrum(p.a, sb_bic0(p.a, p.groups)).emax)
+        assert emax[1] == pytest.approx(emax[0], rel=0.01)
 
     def test_lanczos_path_agrees_with_dense(self, block_problem_small):
         p = block_problem_small

@@ -5,9 +5,11 @@ memory and start-up time, whether it runs it or not.  The solver path --
 ``import repro``, assembling a model, building SB-BIC(0), CG serial or
 over real rank processes, ``repro solve`` -- must therefore not load the
 dense/sparse direct-solver packages of scipy, the eigen-analysis, the
-solver policy, the serve layer or any experiment harness.  Each case runs
-in a fresh interpreter, so nothing imported by another test hides a
-regression.
+solver policy, the serve layer or any experiment harness.  A served
+``precond: "auto"`` request loads the policy and the serve layer, but
+still neither the direct-solver packages, the eigen-analysis nor the
+machine model.  Each case runs in a fresh interpreter, so nothing
+imported by another test hides a regression.
 """
 
 from __future__ import annotations
@@ -23,6 +25,9 @@ SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 OFF_PATH = ("scipy.linalg", "scipy.sparse.linalg", "repro.analysis", "repro.policy", "repro.serve")
 """Packages no solver-path process may hold in ``sys.modules``."""
+
+SERVE_OFF_PATH = ("scipy.linalg", "scipy.sparse.linalg", "repro.analysis", "repro.perfmodel")
+"""Packages a serving process may not hold, ``auto`` requests included."""
 
 MODEL_BUILDERS = "repro.experiments.workloads"
 """The one ``repro.experiments`` module a solve may load; every other
@@ -54,7 +59,15 @@ from repro.cli import main
 with contextlib.redirect_stdout(io.StringIO()):
     assert main(["solve", "--precond", "sbbic0", "--scale", "0.25"]) == 0
 """,
+    "serve_auto": """
+import repro.serve
+from repro.serve import SolveRequest, SolverSession
+resp = SolverSession().solve(SolveRequest(
+    job_id="auto", model="block", scale=0.25, penalty=1e6, precond="auto", rhs="model"))
+assert resp.ok and resp.converged
+""",
 }
+OFF_PATH_OF = {"serve_auto": SERVE_OFF_PATH}
 
 REPORT = """
 import json, sys
@@ -74,9 +87,10 @@ def _loaded(case: str) -> list[str]:
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_solver_path_loads_no_off_path_layer(case):
     modules = _loaded(case)
+    forbidden = OFF_PATH_OF.get(case, OFF_PATH)
     off_path = [
         m for m in modules
-        if any(m == pkg or m.startswith(pkg + ".") for pkg in OFF_PATH)
+        if any(m == pkg or m.startswith(pkg + ".") for pkg in forbidden)
         or (m.startswith("repro.experiments.") and m != MODEL_BUILDERS)
     ]
     assert off_path == [], f"{case} loaded {off_path}"

@@ -109,9 +109,8 @@ class TestIterationTime:
     def test_degenerate_census_reports_zero_not_division_error(self):
         """Regression: a census with no phases (or all-zero loop
         lengths) has zero elapsed time; ``work_ratio_percent`` and
-        ``gflops_total`` used to raise ZeroDivisionError on it.  The
-        policy layer's cost probes can legitimately produce such a
-        census, so the degenerate case must report 0.0."""
+        ``gflops_total`` used to raise ZeroDivisionError on it; the
+        degenerate case must report 0.0."""
         empty = SolverOpCensus(ndof_node=0, phases=[])
         t = estimate_iteration_time(empty, EARTH_SIMULATOR, "hybrid", 1)
         assert t.total_seconds == 0.0

@@ -3,6 +3,7 @@ serve pool run on (:mod:`repro.utils.workers`): what a worker inherits,
 what forking does to the driver's BLAS, and what a dropped pool leaves
 behind."""
 
+import ctypes
 import gc
 import multiprocessing as mp
 import os
@@ -13,6 +14,7 @@ import threading
 import pytest
 
 from repro.serve import SolverSession, WorkerPool
+from repro.utils import workers as workers_module
 from repro.utils.workers import Workers, _openblas_thread_controls
 
 
@@ -116,6 +118,29 @@ def test_concurrent_replacements_keep_the_drivers_blas_threads():
         workers.close()
         for (_, set_threads), n in zip(controls, before):
             set_threads(n)
+
+
+def test_forks_look_each_blas_library_up_once(monkeypatch):
+    """The thread-count controls are resolved once per library and
+    process: a second fork reads the maps but loads no library again."""
+    if not _openblas_thread_controls():
+        pytest.skip("no OpenBLAS loaded")
+    loads: dict[str, int] = {}
+    real_cdll = ctypes.CDLL
+
+    def counting_cdll(path, *args, **kwargs):
+        loads[path] = loads.get(path, 0) + 1
+        return real_cdll(path, *args, **kwargs)
+
+    monkeypatch.setattr(workers_module, "_OPENBLAS_CONTROLS", {}, raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", counting_cdll)
+    workers = Workers(1, _nothing, name="repro-test-worker")
+    try:
+        for _ in range(2):
+            assert workers.replace([0]) == [("done", None, [])]
+    finally:
+        workers.close()
+    assert loads and all(n == 1 for n in loads.values()), loads
 
 
 def test_a_dropped_pool_leaves_no_live_worker():
