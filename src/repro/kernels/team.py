@@ -68,7 +68,7 @@ import numpy as np
 from scipy.sparse import _sparsetools
 
 from repro.kernels.plans import SubstitutionPlan
-from repro.utils.workers import Workers
+from repro.utils.workers import Workers, one_blas_thread
 
 __all__ = ["DEADLINE_S", "NO_TEAM", "TEAM_NNZ", "Team", "sharing", "size", "team_for"]
 
@@ -173,19 +173,23 @@ def team_for(a, plan=None, cols: int = 0):
     if not isinstance(plan, SubstitutionPlan):  # a preconditioner without one
         plan = None
     try:
-        try:
-            team = Team(a, plan, cols)
-        except OSError:  # no fork here (process or memory limits): one process
-            team = None
-        if team is None:
-            yield None
-            return
-        try:
-            yield team
-        except BaseException:
-            team.close(kill=True)
-            raise
-        team.close()
+        # the caller's BLAS runs one thread while the team lives: an
+        # OpenBLAS pool's threads would compete with the partner for its
+        # CPU (a block 1.5 solve 10x slower)
+        with one_blas_thread():
+            try:
+                team = Team(a, plan, cols)
+            except OSError:  # no fork here (process or memory limits): one process
+                team = None
+            if team is None:
+                yield None
+                return
+            try:
+                yield team
+            except BaseException:
+                team.close(kill=True)
+                raise
+            team.close()
     finally:
         _FORMING.release()
 

@@ -354,7 +354,7 @@ def requests_table(source) -> str:
     *source* is either a live :class:`Tracer` or an iterable of flat
     JSONL records (see :func:`load_jsonl_records`).  Shows, per job, the
     operator fingerprint, which cache tier answered (structure hit/miss,
-    factor hit / refactor / numeric / build), the setup-counter deltas
+    factor hit / swap / refactor / numeric / build), the setup-counter deltas
     the job caused, coalescing width, iterations, wall time, and — for
     requests the serving layer refused or quarantined — the failure
     reason (``overloaded``, ``request_timeout``, ``worker_crash``,

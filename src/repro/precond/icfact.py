@@ -46,7 +46,11 @@ escalation) without redoing any pattern work.  One symbolic object can
 be shared by any number of factorizations via the ``symbolic=``
 constructor argument; the invalidation rule is simple: a changed
 sparsity pattern requires a new symbolic object (``refactor`` raises on
-a pattern mismatch).
+a pattern mismatch).  A factorization keeps at most two value sets on its
+symbolic object: :meth:`BlockICFactorization.swap_values` trades the
+current one for a spare, so a caller that returns to the values it just
+replaced (the serve workspace, DESIGN.md section 14) swaps buffers
+instead of refactoring.
 """
 
 from __future__ import annotations
@@ -795,10 +799,12 @@ class BlockICFactorization(Preconditioner):
         self.nnz_fill = symbolic.nnz_fill
 
         # numeric state (per-instance): allocated here, refilled in place
-        # by every refactor
+        # by every refactor; a second value set, the spare, is allocated
+        # by the first :meth:`swap_values`
         self.L = symbolic.new_vbr()
         self._dinv = np.zeros(symbolic.dinv_size)
         self._plan = new_plan(symbolic, self._dinv)
+        self._spare: tuple | None = None
         self._shift = float(shift)
         self.numeric_setup_count = 0
         self.refactor(a, check_pattern=check)
@@ -871,6 +877,34 @@ class BlockICFactorization(Preconditioner):
         )
         return self
 
+    def swap_values(self) -> None:
+        """Exchange the whole numeric state with the spare value set.
+
+        The numeric state is ``L``'s values, ``Dinv`` (the plan's
+        ``dinv_data``), the plan's two sweep data arrays, the pivot-nudge
+        census, and the operator and shift they were factored from.  The
+        arrays trade places; nothing is copied.  The spare is allocated,
+        zero, on the first call, so a factor swapped onto it holds no
+        factor until :meth:`refactor` fills it; swapped back, a value set
+        applies exactly as it did when it was swapped out.  Not a
+        numeric phase: ``numeric_setup_count`` does not move.
+        """
+        plan = self._plan
+        current = (
+            self.L.data, self._dinv, plan.fwd.data, plan.bwd.data,
+            self.breakdown_count, self.nudged_block_sizes, self._a, self._shift,
+        )
+        spare = self._spare
+        if spare is None:
+            spare = (*(np.zeros_like(x) for x in current[:4]), *current[4:])
+        (
+            self.L.data, self._dinv, plan.fwd.data, plan.bwd.data,
+            self.breakdown_count, self.nudged_block_sizes, self._a, self._shift,
+        ) = spare
+        plan.dinv_data = self._dinv
+        self._spare = current
+        self._m_factors = None  # apply_m's copy of the swapped-out factor
+
     def _invert_group_diag(self, g: int) -> None:
         """Invert the (current) diagonal blocks of schedule group *g*."""
         # one call per bucket, unchunked: a nudge is sized by the largest
@@ -936,6 +970,7 @@ class BlockICFactorization(Preconditioner):
             "numeric_seconds": self.numeric_seconds,
             "symbolic_bytes": self.symbolic.memory_bytes(),
             "plan_bytes": self.plan_bytes(),
+            "spare_bytes": self.spare_bytes(),
         }
 
     def _warn_on_pivot_nudges(self) -> None:
@@ -1026,7 +1061,8 @@ class BlockICFactorization(Preconditioner):
         Needed by the eigenvalue analysis of Appendix A (generalized
         problem ``A x = lambda M x``).  Input/output in original DOF
         numbering, like :meth:`apply`; the two factors, renumbered, are
-        built on the first call and kept until the next :meth:`refactor`.
+        built on the first call and kept until the next :meth:`refactor`
+        or :meth:`swap_values`.
         """
         if self._m_factors is None:
             n, old, perm, plan = self.ndof, self.perm_dof, self.symbolic.plan_perm, self._plan
@@ -1054,10 +1090,19 @@ class BlockICFactorization(Preconditioner):
     def plan_bytes(self) -> int:
         """Bytes of the substitution plan's arrays that belong to this
         factorization: its two sweep data arrays and its two sweep
-        vectors.  The plan's structure is the symbolic object's and its
-        ``Dinv`` data is the factor's, each counted there."""
+        vectors, and the spare value set's two sweep data arrays once
+        :meth:`swap_values` made one.  The plan's structure is the
+        symbolic object's and its ``Dinv`` data is the factor's, each
+        counted there."""
         plan = self._plan
-        return plan.fwd.data.nbytes + plan.bwd.data.nbytes + plan.t.nbytes + plan.y.nbytes
+        spare = 0 if self._spare is None else self._spare[2].nbytes + self._spare[3].nbytes
+        return plan.fwd.data.nbytes + plan.bwd.data.nbytes + plan.t.nbytes + plan.y.nbytes + spare
+
+    def spare_bytes(self) -> int:
+        """Bytes of the spare value set — ``L``'s values, ``Dinv`` and the
+        two sweep data arrays :meth:`swap_values` keeps beside the
+        current ones — or 0 before the first swap."""
+        return 0 if self._spare is None else sum(x.nbytes for x in self._spare[:4])
 
     def group_sizes(self) -> np.ndarray:
         """Rows per schedule group (the vector-loop lengths, pre-DJDS)."""

@@ -18,8 +18,10 @@ own hits, misses and evictions):
 - **symbolics** — ``(model, scale, precond)`` -> ``ICSymbolic`` so a
   factor-cache miss after eviction still skips all pattern work;
 - **factors** — ``(model, scale, precond)`` -> ``(preconditioner,
-  operator fingerprint)``; fingerprint match = pure hit (zero setups),
-  mismatch = numeric ``refactor``.
+  operator fingerprint, spare fingerprint)``; fingerprint match = pure
+  hit (zero setups), a match of the spare value set = a buffer swap
+  (zero setups), neither = numeric ``refactor`` into the spare, so the
+  values it replaces become the spare.
 
 :class:`SolverSession` adds request handling on top: it resolves RHS
 specs, groups a batch by ``(fingerprint, precond, eps, max_iter)``,
@@ -71,6 +73,8 @@ class Workspace:
         self.structures = LRUCache(capacity)
         self.symbolics = LRUCache(capacity)
         self.factors = LRUCache(capacity)
+        self.swaps = 0  # "swap" events: value sets swapped back
+        self._swaps_lock = threading.Lock()
         # (fingerprint -> family -> measured cost) tally of every
         # policy-resolved solve: the census of what `auto` chose
         self.policy_history = PolicyHistory()
@@ -107,9 +111,18 @@ class Workspace:
         """Return ``(m, event, setups)`` with event one of:
 
         - ``"hit"``      — cached factor, fingerprint matched: 0 setups;
+        - ``"swap"``     — cached factor whose spare value set was
+          factored at this fingerprint: swapped back, 0 setups;
         - ``"refactor"`` — cached factor, new values: numeric only;
         - ``"numeric"``  — no factor but cached symbolic: numeric only;
         - ``"build"``    — cold: symbolic + numeric.
+
+        An IC factor keeps two value sets, the current one and the one
+        it replaced last (``swap_values``): a refactor swaps first and
+        fills the spare, so the values it replaces become the spare, and
+        a refactor that raises leaves the current values untouched.
+        Diagonal scaling, whose set-up is one pass over the diagonal,
+        refactors in place.
 
         ``setups`` is the census of what *this call* did — symbolic and
         numeric phases read off the factor's own counters, plus the
@@ -122,12 +135,29 @@ class Workspace:
         if entry is not None and entry[1] == fingerprint:
             return entry[0], "hit", {"symbolic": 0, "numeric": 0, "evictions": 0}
         symbolic_built = evicted = 0
+        spare = None
         if entry is not None:
-            m, event = entry[0], "refactor"
-            # Diagonal scaling counts no setup phases
+            m, current, spare = entry
+            # Diagonal scaling counts no setup phases and keeps one value set
             numeric_before = getattr(m, "numeric_setup_count", 0)
-            with obs.span("serve.refactor", precond=precond):
-                m.refactor(a)
+            two_sets = family.has_symbolic
+            if two_sets:
+                m.swap_values()
+            if spare == fingerprint:
+                event = "swap"
+                with self._swaps_lock:
+                    self.swaps += 1
+            else:
+                event = "refactor"
+                try:
+                    with obs.span("serve.refactor", precond=precond):
+                        m.refactor(a)
+                except BaseException:
+                    if two_sets:  # back to the untouched current values
+                        m.swap_values()
+                        self.factors.put(key, (m, current, None))
+                    raise
+            spare = current if two_sets else None
         else:
             symbolic = self.symbolics.get(key) if family.has_symbolic else None
             event = "numeric" if symbolic is not None else "build"
@@ -137,7 +167,7 @@ class Workspace:
             if family.has_symbolic and symbolic is None:
                 symbolic_built = 1
                 evicted = self.symbolics.put(key, m.symbolic)
-        evicted += self.factors.put(key, (m, fingerprint))
+        evicted += self.factors.put(key, (m, fingerprint, spare))
         return m, event, {
             "symbolic": symbolic_built,
             "numeric": getattr(m, "numeric_setup_count", 0) - numeric_before,
@@ -149,6 +179,16 @@ class Workspace:
             "structures": self.structures.stats(),
             "symbolics": self.symbolics.stats(),
             "factors": self.factors.stats(),
+        }
+
+    def value_stats(self) -> dict[str, int]:
+        """The factors' value sets: how many requests swapped one back,
+        and the bytes the cached factors' spares hold."""
+        return {
+            "swaps": self.swaps,
+            "spare_bytes": sum(
+                m.spare_bytes() for m, *_ in self.factors.values() if hasattr(m, "spare_bytes")
+            ),
         }
 
 
@@ -193,8 +233,9 @@ class SolverSession:
       them when no pool is attached);
     - a *factor* lock per ``(model, scale, precond)`` — held for the
       whole group solve, because the cached factorization object is
-      ``refactor``-ed **in place** on a penalty change and must not be
-      re-valued while another group is applying it.
+      ``refactor``-ed or swapped to its other value set **in place** on
+      a penalty change and must not be re-valued while another group is
+      applying it.
     """
 
     def __init__(self, capacity: int = 8) -> None:
@@ -446,5 +487,6 @@ class SolverSession:
         return {
             "jobs_served": self.jobs_served,
             "caches": self.workspace.stats(),
+            "values": self.workspace.value_stats(),
             "policy": {"history_classes": len(self.workspace.policy_history)},
         }

@@ -50,6 +50,12 @@ class LRUCache:
                 self.evictions += 1
             return evicted
 
+    def values(self) -> list[Any]:
+        """The entries, least recently used first (a snapshot; counts no
+        hit or miss)."""
+        with self._lock:
+            return list(self._data.values())
+
     def __len__(self) -> int:
         with self._lock:
             return len(self._data)

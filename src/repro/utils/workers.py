@@ -18,6 +18,7 @@ its pipe, which :meth:`Workers.receive` reports as None.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import multiprocessing as mp
 import os
@@ -32,15 +33,16 @@ from types import SimpleNamespace
 
 from repro import obs
 
-__all__ = ["REAP_GRACE_S", "Workers"]
+__all__ = ["REAP_GRACE_S", "Workers", "one_blas_thread"]
 
 REAP_GRACE_S = 0.5
 """How long a driver waits for workers to come back to (or leave) their
 command loop before it SIGKILLs them."""
 
 _FORK_LOCK = threading.Lock()
-"""Serialises forks: the BLAS thread count held around one is
-process-wide, and a pool replaces workers from several threads."""
+"""Serialises forks and the BLAS holds: the BLAS thread count held
+around a fork is process-wide, and a pool replaces workers from several
+threads."""
 
 
 _OPENBLAS_CONTROLS: dict[str, list[tuple]] = {}
@@ -63,6 +65,40 @@ def _openblas_thread_controls() -> list[tuple]:
             _OPENBLAS_CONTROLS[path] = _library_controls(ctypes.CDLL(path))
         controls += _OPENBLAS_CONTROLS[path]
     return controls
+
+
+_BLAS_SAVED: dict[int, tuple] = {}
+"""While a hold of one BLAS thread is alive: each held library's
+``set_num_threads`` and the count the hold found, by the id of the
+setter (ctypes functions do not hash; :data:`_OPENBLAS_CONTROLS` keeps
+them alive)."""
+
+_blas_depth = 0
+"""How many holds are alive (under ``_FORK_LOCK``)."""
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Hold every loaded OpenBLAS at one thread for the block.  Holds
+    nest: each library keeps the count the first live hold found, and
+    gets it back when the last one ends, so a fork started inside a
+    block does not restore it under that block."""
+    global _blas_depth
+    with _FORK_LOCK:
+        for get, set_threads in _openblas_thread_controls():
+            if id(set_threads) not in _BLAS_SAVED:
+                _BLAS_SAVED[id(set_threads)] = (set_threads, get())
+                set_threads(1)
+        _blas_depth += 1
+    try:
+        yield
+    finally:
+        with _FORK_LOCK:
+            _blas_depth -= 1
+            if _blas_depth == 0:
+                for set_threads, n in _BLAS_SAVED.values():
+                    set_threads(n)
+                _BLAS_SAVED.clear()
 
 
 def _library_controls(lib) -> list[tuple]:
@@ -226,17 +262,9 @@ class Workers:
         # one-CPU rank spins against itself (10x slower on a 44k-DOF
         # solve), and limiting it *in* the child spawns a pool thread that
         # spins there for 0.1 s.
-        with _FORK_LOCK:
-            blas = _openblas_thread_controls()
-            threads = [get() for get, _ in blas]
-            for _, set_threads in blas:
-                set_threads(1)
-            try:
-                for i in ids:
-                    self._slots[i] = self._fork(i)
-            finally:
-                for (_, set_threads), n in zip(blas, threads):
-                    set_threads(n)
+        with one_blas_thread(), _FORK_LOCK:
+            for i in ids:
+                self._slots[i] = self._fork(i)
 
     def _fork(self, i: int) -> tuple:
         driver_end, worker_end = self._ctx.Pipe()

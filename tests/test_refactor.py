@@ -23,6 +23,8 @@ from repro.fem.generators import simple_block_model
 from repro.fem.model import build_contact_problem
 from repro.fem.nonlinear import solve_nonlinear_contact
 from repro.precond import bic, sb_bic0, scalar_ic0
+from repro.precond.icfact import BlockICFactorization
+from repro.resilience import PivotNudgeWarning
 from repro.sparse.patterns import (
     csr_extract_map,
     csr_position_map,
@@ -127,6 +129,67 @@ class TestRefactorAgreesWithFresh:
         fresh = sb_bic0(p3.a, p3.groups)
         assert not np.allclose(m.apply_m(v), at_p6)
         assert np.array_equal(m.apply_m(v), fresh.apply_m(v))
+
+
+class TestValueSets:
+    """``swap_values``: a factor keeps the value set it replaced last
+    and trades it back without a numeric phase."""
+
+    def test_swapped_back_applies_as_a_fresh_refactor_bit_for_bit(self, problems):
+        p6, p3 = problems[1e6], problems[1e3]
+        m = sb_bic0(p6.a, p6.groups)
+        m.swap_values()
+        m.refactor(p3.a)
+        with obs.observe() as tracer:
+            m.swap_values()
+        assert _setups(tracer) == {"symbolic": 0, "numeric": 0}
+        assert m.factorization_stats()["numeric_setups"] == 2
+        fresh = sb_bic0(p3.a, p3.groups, symbolic=m.symbolic).refactor(p6.a)
+        rng = np.random.default_rng(9)
+        r, block = rng.standard_normal(p6.ndof), rng.standard_normal((p6.ndof, 3))
+        assert np.array_equal(m.apply(r), fresh.apply(r))
+        assert np.array_equal(m.apply_block(block), fresh.apply_block(block))
+        for ours, theirs in ((m.L.data, fresh.L.data), (m._dinv, fresh._dinv),
+                             (m.plan.fwd.data, fresh.plan.fwd.data),
+                             (m.plan.bwd.data, fresh.plan.bwd.data)):
+            assert np.array_equal(ours, theirs)
+        assert m.plan.dinv_data is m._dinv
+        m.swap_values()  # and the other set is the λ=1e3 factor
+        assert np.array_equal(m.apply(r), sb_bic0(p3.a, p3.groups).apply(r))
+
+    def test_the_pivot_census_and_apply_m_follow_the_values(self):
+        """A nudged value set swapped back brings its nudges back, and
+        ``apply_m`` describes the swapped-in factor."""
+        rows, cols = [0, 1, 1, 2, 2], [0, 1, 2, 1, 2]
+
+        def op(d0):  # the zero pivot is stored: one pattern for both
+            return sp.csr_matrix(([d0, 4.0, 1.0, 1.0, 4.0], (rows, cols)), shape=(3, 3))
+
+        parts = [np.array([0]), np.array([1, 2])]
+        with pytest.warns(PivotNudgeWarning):
+            m = BlockICFactorization(op(0.0), parts)
+        with pytest.warns(PivotNudgeWarning):
+            nudged = BlockICFactorization(op(0.0), parts)
+        v = np.array([1.0, -2.0, 0.5])
+        m.swap_values()
+        m.refactor(op(2.0))
+        assert m.factorization_stats()["pivot_nudges"] == 0
+        assert np.array_equal(m.apply_m(v), BlockICFactorization(op(2.0), parts).apply_m(v))
+        m.swap_values()
+        assert m.breakdown_count == 1 and m.nudged_block_sizes == [1]
+        assert np.array_equal(m.apply_m(v), nudged.apply_m(v))
+
+    def test_the_spare_is_counted_once_it_exists(self, problems):
+        p = problems[1e6]
+        m = sb_bic0(p.a, p.groups)
+        before, factor = m.factorization_stats(), m.memory_bytes()
+        assert before["spare_bytes"] == 0
+        m.swap_values()
+        after, plan = m.factorization_stats(), m.plan
+        sweeps = plan.fwd.data.nbytes + plan.bwd.data.nbytes
+        assert after["spare_bytes"] == m.L.data.nbytes + m._dinv.nbytes + sweeps
+        assert after["plan_bytes"] == before["plan_bytes"] + sweeps
+        assert m.memory_bytes() == factor  # Tables 2 and 4 count one factor
 
 
 class TestInvalidation:

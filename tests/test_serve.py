@@ -24,6 +24,7 @@ import numpy as np
 import pytest
 
 from repro import obs
+from repro.precond.icfact import BlockICFactorization
 from repro.serve import (
     JobQueue,
     LRUCache,
@@ -129,6 +130,55 @@ class TestSessionCaching:
         warm = sess.solve(_req(penalty=1e4))
         assert warm.cache == {"structure": "hit", "factor": "refactor"}
         assert warm.setups["symbolic"] == 0 and warm.setups["numeric"] == 1
+
+    def test_back_at_the_previous_penalty_swaps_instead_of_refactoring(self):
+        sess = SolverSession(capacity=4)
+        with obs.observe() as tracer:
+            hot = sess.solve(_req(job_id="hot", penalty=1e6))
+            sess.solve(_req(job_id="new", penalty=1e4))
+            back = sess.solve(_req(job_id="back", penalty=1e6))
+        assert back.cache == {"structure": "hit", "factor": "swap"}
+        assert back.setups == {"symbolic": 0, "numeric": 0, "evictions": 0}
+        assert tracer.count("ic_numeric") == 2  # the build and the new penalty
+        assert back.x_sha256 == hot.x_sha256 and back.iterations == hot.iterations
+        assert "hit/swap" in obs.requests_table(tracer)
+
+    def test_two_value_sets_and_no_more(self):
+        """A third distinct penalty refactors, and its refactor replaces
+        the oldest set: the first penalty then refactors too."""
+        sess = SolverSession(capacity=4)
+        events = [sess.solve(_req(penalty=lam)).cache["factor"]
+                  for lam in (1e6, 1e4, 1e5, 1e6, 1e5)]
+        assert events == ["build", "refactor", "refactor", "refactor", "swap"]
+
+    def test_value_stats_sit_beside_the_cache_tiers(self):
+        sess = SolverSession(capacity=4)
+        assert sess.stats()["values"] == {"swaps": 0, "spare_bytes": 0}
+        for lam in (1e6, 1e4, 1e6):
+            sess.solve(_req(penalty=lam))
+        sess.solve(_req(penalty=1e4, precond="diag"))
+        sess.solve(_req(penalty=1e6, precond="diag"))  # refactored in place
+        st = sess.stats()
+        spares = [m.spare_bytes() for m, *_ in sess.workspace.factors.values()
+                  if hasattr(m, "spare_bytes")]
+        assert st["values"] == {"swaps": 1, "spare_bytes": sum(spares)} and sum(spares) > 0
+        assert set(st["caches"]) == {"structures", "symbolics", "factors"}
+
+    def test_a_refactor_that_raises_leaves_the_cached_factor_intact(self, monkeypatch):
+        sess = SolverSession(capacity=4)
+        hot = sess.solve(_req(penalty=1e6))
+
+        def broken(self):  # fails halfway: some pivots inverted, then a raise
+            self._dinv[: self._dinv.size // 2] = np.nan
+            raise FloatingPointError("injected")
+
+        monkeypatch.setattr(BlockICFactorization, "_factor_dmod", broken)
+        failed = sess.solve(_req(penalty=1e4))
+        assert not failed.ok and "injected" in failed.error
+        monkeypatch.undo()
+        again = sess.solve(_req(penalty=1e6))
+        assert again.cache["factor"] == "hit" and again.x_sha256 == hot.x_sha256
+        assert sess.solve(_req(penalty=1e4)).cache["factor"] == "refactor"
 
     @staticmethod
     def _three_families_in_two_slots(sess: SolverSession) -> None:

@@ -503,6 +503,32 @@ def test_pooled_setups_census_matches_serial(workers):
     assert [r.setups for r in pooled] == [r.setups for r in serial]
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pooled_swap_schedule_matches_serial(workers):
+    """Back and forth between penalties, one batch each: the serial
+    session swaps value sets back, a pool's workers (each with its own
+    workspace: one worker sees the serial schedule, two see half of it
+    each) swap, refactor or hit as their own caches say, and every
+    answer is the same to the bit."""
+    schedule = (1e4, 1e6, 1e4, 1e5, 1e4, 1e5)
+
+    def batches():
+        return [[_req(job_id=f"swap-{i}", penalty=lam)] for i, lam in enumerate(schedule)]
+
+    serial_session = SolverSession()
+    serial = [serial_session.solve_batch(b)[0] for b in batches()]
+    assert [r.cache["factor"] for r in serial] == [
+        "build", "refactor", "swap", "refactor", "swap", "swap",
+    ]
+    with WorkerPool(SolverSession(), workers=workers) as pool:
+        pooled = [pool.solve_batch(b)[0] for b in batches()]
+    assert all(r.ok and r.converged for r in pooled)
+    if workers == 1:
+        assert [r.cache for r in pooled] == [r.cache for r in serial]
+    assert [r.x_sha256 for r in pooled] == [r.x_sha256 for r in serial]
+    assert [r.iterations for r in pooled] == [r.iterations for r in serial]
+
+
 # -- queue + pool integration --------------------------------------------------
 
 

@@ -148,6 +148,41 @@ def test_a_partner_killed_mid_solve_costs_nothing_but_the_team(problem, teams_on
     assert team._active is None
 
 
+def test_the_team_holds_blas_at_one_thread_for_its_life(problem, teams_on):
+    """With OpenBLAS at two threads, every ``apply`` of a teamed solve
+    sees one (a pool's threads would compete with the partner for its
+    CPU), and the solve gives the two back when its team closes."""
+    from repro.utils.workers import _openblas_thread_controls
+
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS thread controls in this process")
+    m = bic(problem.a, fill_level=0)
+
+    class Recording:
+        name, setup_seconds, plan, seen = "recording", 0.0, m.plan, []
+
+        def apply(self, r, out=None):
+            self.seen.append([get() for get, _ in controls])
+            return m.apply(r, out=out)
+
+    found = [get() for get, _ in controls]
+    try:
+        for _, set_threads in controls:
+            set_threads(2)
+        mine = [get() for get, _ in controls]
+        rec = Recording()
+        _, attrs = _solve(problem, rec)
+        after = [get() for get, _ in controls]
+    finally:
+        for (_, set_threads), n in zip(controls, found):
+            set_threads(n)
+    assert mine == [2] * len(controls)
+    assert attrs["team"] == 2 and rec.seen
+    assert all(counts == [1] * len(controls) for counts in rec.seen)
+    assert after == mine
+
+
 def _serving(live):
     end = time.monotonic() + 30
     while not live.ready():

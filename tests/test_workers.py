@@ -15,7 +15,7 @@ import pytest
 
 from repro.serve import SolverSession, WorkerPool
 from repro.utils import workers as workers_module
-from repro.utils.workers import Workers, _openblas_thread_controls
+from repro.utils.workers import Workers, _openblas_thread_controls, one_blas_thread
 
 
 def _nothing(i, state):
@@ -118,6 +118,34 @@ def test_concurrent_replacements_keep_the_drivers_blas_threads():
         workers.close()
         for (_, set_threads), n in zip(controls, before):
             set_threads(n)
+
+
+def test_a_fork_inside_a_blas_hold_leaves_the_hold_in_place():
+    """A fork started while a hold is alive (a pool replacing a worker
+    during a teamed solve) must not give BLAS its threads back under the
+    hold; the hold's own end does."""
+    controls = _openblas_thread_controls()
+    if not controls:
+        pytest.skip("no OpenBLAS loaded")
+    before = [get() for get, _ in controls]
+    workers = Workers(1, _nothing, name="repro-test-worker")
+    try:
+        for _, set_threads in controls:
+            set_threads(2)
+        mine = [get() for get, _ in controls]
+        with one_blas_thread():
+            with one_blas_thread():
+                assert [get() for get, _ in controls] == [1] * len(controls)
+            assert workers.replace([0]) == [("done", None, [])]
+            held = [get() for get, _ in controls]
+        after = [get() for get, _ in controls]
+    finally:
+        workers.close()
+        for (_, set_threads), n in zip(controls, before):
+            set_threads(n)
+    assert mine == [2] * len(controls)
+    assert held == [1] * len(controls)
+    assert after == mine
 
 
 def test_forks_look_each_blas_library_up_once(monkeypatch):
