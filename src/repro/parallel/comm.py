@@ -9,7 +9,7 @@ one process — the mpi4py buffer-communication idiom without the runtime.
 
 :class:`LockstepComm` speaks the same command contract as the process
 transport (:class:`~repro.parallel.transport.ProcessTransport`):
-``start(setup)`` runs every rank's set-up and keeps its state,
+``start(setup, factory)`` runs every rank's set-up and keeps its state,
 ``run(fn, *args)`` runs a command on every rank — advancing the ranks in
 lockstep when it is a rank program — and ``inject_kill`` /
 ``inject_worker_fault`` arm the same one-shot faults.  Both transports
@@ -143,15 +143,16 @@ class LockstepComm:
 
     # -- the command contract ---------------------------------------------
 
-    def start(self, setup) -> list:
-        """Rank *r* runs ``setup(r, state)`` and keeps *state*; returns
-        what the set-ups returned, by rank."""
-        self._setup = setup
+    def start(self, setup, factory) -> list:
+        """Rank *r* runs ``setup(r, state, domains[r], factory)`` and keeps
+        *state*; returns what the set-ups returned, by rank."""
+        self._setup = setup, factory
         return [self._start_rank(rank) for rank in range(self.size)]
 
     def _start_rank(self, rank: int):
+        setup, factory = self._setup
         self._states[rank] = SimpleNamespace()
-        return self._setup(rank, self._states[rank])
+        return setup(rank, self._states[rank], self.domains[rank], factory)
 
     def scratch(self):
         """The allocator of the next command's arrays."""

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse import _sparsetools
 
 from repro.utils.indexing import SETUP_CHUNK, chunks
 from repro.utils.validate import check_index_array, check_square_csr
@@ -92,8 +93,18 @@ class LocalDomain:
         return (np.asarray(local_nodes)[:, None] * self.b + np.arange(self.b)).reshape(-1)
 
 
+def as_partition(node_domain, n_nodes: int) -> np.ndarray:
+    """*node_domain* (any integer sequence) as an int64 array of one
+    domain id per node; raises ``ValueError`` on a wrong length — an
+    empty partition included — or a negative id."""
+    node_domain = np.asarray(node_domain, dtype=np.int64).reshape(-1)
+    if node_domain.size != n_nodes or not n_nodes:
+        raise ValueError(f"{node_domain.size} domain ids for {n_nodes} nodes")
+    return check_index_array(node_domain, int(node_domain.max()) + 1, "node_domain")
+
+
 def build_domains(
-    a, node_domain: np.ndarray, b: int = 3
+    a, node_domain, b: int = 3, *, alloc=np.empty
 ) -> list[LocalDomain]:
     """Cut the global matrix into GeoFEM local data structures.
 
@@ -103,28 +114,38 @@ def build_domains(
     ``a_local`` is a row gather of ``a`` whose column indices are
     renumbered into the local numbering (``a`` is canonicalized first, so
     duplicate entries are summed before the cut).
+
+    ``alloc(n, dtype)`` (``np.empty``'s contract) makes each domain's
+    internal node ids and the three arrays of its ``a_local``: the
+    process transport passes its shared arena's, so that a rank worker
+    reads its matrix as the very pages the cut wrote.
     """
     a = check_square_csr(a)
     n_nodes = a.shape[0] // b
-    node_domain = check_index_array(
-        np.asarray(node_domain, dtype=np.int64),
-        int(node_domain.max()) + 1,
-        "node_domain",
-    )
-    if node_domain.size != n_nodes:
-        raise ValueError(f"{node_domain.size} domain ids for {n_nodes} nodes")
+    node_domain = as_partition(node_domain, n_nodes)
     ndomains = int(node_domain.max()) + 1
+    index = a.indptr.dtype  # scipy keeps indptr and indices alike
 
     domains: list[LocalDomain] = []
     for d in range(ndomains):
-        internal = np.flatnonzero(node_domain == d).astype(np.int64)
-        if internal.size == 0:
+        members = np.flatnonzero(node_domain == d)
+        if members.size == 0:
             raise ValueError(f"domain {d} is empty")
-        rows_dof = (internal[:, None] * b + np.arange(b)).reshape(-1)
-        sub = a[rows_dof]  # my rows, global column numbering
+        internal = alloc(members.size, np.int64)
+        internal[:] = members
+        rows_dof = (internal[:, None] * b + np.arange(b)).reshape(-1).astype(index)
+        # my rows, global column numbering: scipy's row gather, into alloc's arrays
+        indptr = alloc(rows_dof.size + 1, index)
+        indptr[0] = 0
+        np.cumsum(np.diff(a.indptr)[rows_dof], out=indptr[1:])
+        nnz = int(indptr[-1])
+        indices, data = alloc(nnz, index), alloc(nnz, a.data.dtype)
+        _sparsetools.csr_row_index(
+            rows_dof.size, rows_dof, a.indptr, a.indices, a.data, indices, data
+        )
         # external nodes: columns of my rows owned elsewhere
         referenced = np.zeros(n_nodes * b, dtype=bool)
-        referenced[sub.indices] = True
+        referenced[indices] = True
         referenced = referenced.reshape(n_nodes, b).any(axis=1)
         referenced[internal] = False
         ext = np.flatnonzero(referenced)
@@ -133,17 +154,15 @@ def build_domains(
         glob2loc[ext] = internal.size + np.arange(ext.size)
         # global DOF column -> local DOF column (negative: neither kind),
         # renumbered in place a run of entries at a time
-        dof2loc = (glob2loc[:, None] * b + np.arange(b)).reshape(-1).astype(sub.indices.dtype)
-        for c in chunks(sub.nnz, max(sub.nnz // 16, SETUP_CHUNK)):
-            local_cols = dof2loc.take(sub.indices[c])
+        dof2loc = (glob2loc[:, None] * b + np.arange(b)).reshape(-1).astype(index)
+        for c in chunks(nnz, max(nnz // 16, SETUP_CHUNK)):
+            local_cols = dof2loc.take(indices[c])
             if local_cols.size and local_cols.min() < 0:
                 raise AssertionError("row references a node that is neither internal nor external")
-            sub.indices[c] = local_cols
+            indices[c] = local_cols
         nloc = internal.size + ext.size
-        a_local = sp.csr_matrix(
-            (sub.data, sub.indices, sub.indptr), shape=(rows_dof.size, nloc * b)
-        )
-        a_local.sort_indices()
+        a_local = sp.csr_matrix((data, indices, indptr), shape=(rows_dof.size, nloc * b))
+        a_local.sort_indices()  # in place: the arrays stay alloc's
 
         # receive tables: external nodes grouped by owner
         recv: dict[int, np.ndarray] = {}

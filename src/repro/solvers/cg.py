@@ -199,6 +199,7 @@ def cg_program(
         p[:] = z
     else:
         it, rz, bnorm, z = resume.iteration, resume.rz, resume.bnorm, None
+    w = np.empty_like(x)  # alpha p, then alpha q: the products the updates add
     while it < max_iter:
         if store is not None and store.due(it) and (resume is None or it > resume.iteration):
             store.save(rank, it, (x, r, p), rz, bnorm)
@@ -210,12 +211,13 @@ def cg_program(
             # matrix or preconditioner lost positive definiteness
             return failed(FailureReason.BREAKDOWN_INDEFINITE, f"p.q = {pq:.3e}")
         alpha = rz / pq
-        x += alpha * p
-        r -= alpha * q
+        x += np.multiply(alpha, p, out=w)
+        r -= np.multiply(alpha, q, out=w)
         it += 1
         # z's buffer is recycled across iterations when the preconditioner
-        # supports it; p is updated in place — the loop body then allocates
-        # nothing beyond the matvec output
+        # supports it; p is updated in place and the updates' products go
+        # through w — the loop body then allocates no vector beyond the
+        # matvec output
         z = m.apply(r, out=z) if reuse_z and z is not None else m.apply(r)
         sums = yield np.array([r @ r, r @ z])
         relres = np.sqrt(sums[0]) / bnorm

@@ -15,10 +15,15 @@ from repro.fem.model import build_contact_problem
 def _no_worker_outlives_the_session():
     """Forked command workers (process-transport ranks, serve pool
     workers; all named ``repro-*``) outlive solves, so a system or pool
-    that is never closed (nor dropped) would leak them: fail the run if
-    any is still alive when the session ends."""
+    that is never closed (nor dropped) would leak them: stop the rank
+    workers parked for the next system, then fail the run if any worker
+    is still alive when the session ends."""
     yield
     import multiprocessing as mp
+
+    from repro.parallel.transport import shutdown
+
+    shutdown()
 
     alive = [
         f"{p.name} (pid {p.pid})"

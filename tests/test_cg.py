@@ -10,7 +10,7 @@ from repro.parallel import DistributedSystem, parallel_cg
 from repro.precond import DiagonalScaling
 from repro.precond.base import IdentityPreconditioner
 from repro.resilience import FailureReason, SolveReport
-from repro.solvers.cg import cg_solve
+from repro.solvers.cg import cg_program, cg_solve
 
 
 def spd(n, seed, density=0.3):
@@ -220,3 +220,41 @@ class TestOneBody:
             tracemalloc.stop()
         assert res.converged and res.iterations <= 4
         assert peak < 10 * n * 8
+
+    def test_iteration_allocates_no_vector_after_the_matvec(self):
+        """Between the ``p.q`` reduction and the next one an iteration
+        updates ``x`` and ``r`` and applies the preconditioner into the
+        ``z`` it reuses: not even half a vector is allocated there."""
+        n = 40_000
+        a = sp.diags(
+            [np.full(n - 1, -1.0), np.full(n, 2.5), np.full(n - 1, -1.0)], [-1, 0, 1]
+        ).tocsr()
+        b = np.random.default_rng(6).normal(size=n)
+        x, r, p = np.empty(n), np.empty(n), np.empty(n)
+
+        def matvec(v):
+            return a @ v
+            yield  # a generator function, as cg_program's matvec is
+
+        program = cg_program(
+            matvec, DiagonalScaling(a), b, x, r, p, [],
+            eps=1e-12, max_iter=30, stagnation_window=0,
+        )
+        updates = []
+        tracemalloc.start()
+        try:
+            request = program.send(None)
+            while True:  # one rank: every reduction is its own contribution
+                scalar = isinstance(request, float)  # p.q: the updates follow
+                if scalar:
+                    tracemalloc.reset_peak()
+                    base, _ = tracemalloc.get_traced_memory()
+                request = program.send(request)
+                if scalar:
+                    updates.append(tracemalloc.get_traced_memory()[1] - base)
+        except StopIteration as stop:
+            outcome = stop.value
+        finally:
+            tracemalloc.stop()
+        assert outcome.iterations == len(updates) == 30
+        assert max(updates) < n * 8 // 2

@@ -79,7 +79,7 @@ class TestLockstepComm:
     ):
         part = partition_nodes_rcb(block_problem_small.mesh.coords, 2)
         comm = LockstepComm(build_domains(block_problem_small.a, part))
-        assert comm.start(lambda rank, state: rank) == [0, 1]
+        assert comm.start(lambda rank, state, dom, factory: rank, None) == [0, 1]
         comm.inject_kill(1, at_exchange=1)
         vectors = [np.ones(d.n_local * 3) for d in comm.domains]
         comm.exchange_external(vectors)  # exchange 0: before the kill

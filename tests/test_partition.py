@@ -204,6 +204,35 @@ class TestBuildDomains:
         with pytest.raises(ValueError, match="empty"):
             build_domains(box_problem.a, part)
 
+    def test_list_partition_cuts_like_the_array(self, box_problem):
+        part = partition_nodes_rcb(box_problem.mesh.coords, 4)
+        _assert_domains_identical(
+            build_domains(box_problem.a, part.tolist()), build_domains(box_problem.a, part)
+        )
+
+    @pytest.mark.parametrize("empty", [[], np.array([], dtype=np.int64)])
+    def test_empty_partition_names_the_mismatch(self, box_problem, empty):
+        n = box_problem.mesh.n_nodes
+        with pytest.raises(ValueError, match=f"0 domain ids for {n} nodes"):
+            build_domains(box_problem.a, empty)
+
+    def test_cut_through_a_given_allocator(self, box_problem):
+        """The node ids and the local matrices live in what *alloc*
+        handed out (the process transport's shared arena), and the cut
+        is the one ``np.empty`` gives."""
+        part = partition_nodes_rcb(box_problem.mesh.coords, 3)
+        handed = []
+
+        def alloc(n, dtype):
+            handed.append(np.empty(n, dtype))
+            return handed[-1]
+
+        got = build_domains(box_problem.a, part, alloc=alloc)
+        _assert_domains_identical(got, build_domains(box_problem.a, part))
+        for dom in got:
+            for arr in (dom.internal_nodes, dom.a_local.data, dom.a_local.indices, dom.a_local.indptr):
+                assert any(np.shares_memory(arr, h) for h in handed)
+
     def test_boundary_nodes_subset_of_internal(self, box_problem):
         part = partition_nodes_rcb(box_problem.mesh.coords, 4)
         domains = build_domains(box_problem.a, part)
