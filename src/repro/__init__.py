@@ -54,9 +54,9 @@ from repro.parallel import (
 )
 from repro.precond import (
     BlockICFactorization,
+    CoarseCorrection,
     DiagonalScaling,
     LocalizedPreconditioner,
-    TwoLevelPreconditioner,
     bic,
     sb_bic0,
     scalar_ic0,
@@ -88,6 +88,7 @@ __all__ = [
     "parallel_cg",
     "partition_nodes_rcb",
     "BlockICFactorization",
+    "CoarseCorrection",
     "DiagonalScaling",
     "LocalizedPreconditioner",
     "bic",
@@ -97,7 +98,6 @@ __all__ = [
     "cg_solve",
     "BlockCGResult",
     "block_cg_solve",
-    "TwoLevelPreconditioner",
     "BCSRMatrix",
     "VBRMatrix",
     "kernels",

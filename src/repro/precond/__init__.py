@@ -26,7 +26,7 @@ from repro.precond.ic0 import scalar_ic0
 from repro.precond.bic import bic
 from repro.precond.sbbic import sb_bic0
 from repro.precond.localized import LocalizedPreconditioner
-from repro.precond.twolevel import TwoLevelPreconditioner
+from repro.precond.twolevel import CoarseCorrection, rigid_body_operator
 from repro.precond.families import DEFAULT_FAMILY, FAMILY_TABLE, PRECONDS, Family, ladder_families
 
 __all__ = [
@@ -35,7 +35,8 @@ __all__ = [
     "Family",
     "PRECONDS",
     "ladder_families",
-    "TwoLevelPreconditioner",
+    "CoarseCorrection",
+    "rigid_body_operator",
     "Preconditioner",
     "IdentityPreconditioner",
     "DiagonalScaling",

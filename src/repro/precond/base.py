@@ -18,6 +18,10 @@ class Preconditioner:
     def apply(self, r: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def start(self, b: np.ndarray, x0: np.ndarray | None) -> np.ndarray | None:
+        """The start iterate CG needs from the caller's *x0* (``None``: zero)."""
+        return x0
+
     def memory_bytes(self) -> int:
         """Storage attributable to the preconditioner (Table 2 census)."""
         return 0

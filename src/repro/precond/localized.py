@@ -57,22 +57,16 @@ class LocalizedPreconditioner(Preconditioner):
     factory:
         Builds the local preconditioner from ``(local_matrix,
         domain_nodes)``; ``domain_nodes`` are global node ids in local
-        order, letting the factory restrict contact groups etc.
-    b:
-        DOFs per node.
+        order, letting the factory restrict contact groups etc.  Nodes
+        carry 3 DOFs.
     """
 
-    def __init__(
-        self,
-        a,
-        node_domain: np.ndarray,
-        factory: PrecondFactory,
-        b: int = 3,
-        name: str = "localized",
-    ) -> None:
+    name = "localized"
+
+    def __init__(self, a, node_domain: np.ndarray, factory: PrecondFactory) -> None:
         t0 = time.perf_counter()
         a = check_square_csr(a)
-        n_nodes = a.shape[0] // b
+        n_nodes = a.shape[0] // 3
         node_domain = check_index_array(
             np.asarray(node_domain), int(node_domain.max()) + 1, "node_domain"
         )
@@ -80,7 +74,6 @@ class LocalizedPreconditioner(Preconditioner):
             raise ValueError(
                 f"node_domain has {node_domain.size} entries for {n_nodes} nodes"
             )
-        self.name = name
         self.ndomains = int(node_domain.max()) + 1
         self._locals: list[Preconditioner] = []
         self._dofs: list[np.ndarray] = []
@@ -88,7 +81,7 @@ class LocalizedPreconditioner(Preconditioner):
             nodes = np.flatnonzero(node_domain == d).astype(np.int64)
             if nodes.size == 0:
                 raise ValueError(f"domain {d} is empty")
-            dofs = (nodes[:, None] * b + np.arange(b)).reshape(-1)
+            dofs = (nodes[:, None] * 3 + np.arange(3)).reshape(-1)
             sub, _ = csr_extract_map(a, dofs)
             self._dofs.append(dofs)
             self._locals.append(factory(sub, nodes))

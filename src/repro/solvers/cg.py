@@ -270,6 +270,8 @@ def cg_solve(
         Iteration cap; default ``10 * ndof`` but at least 1000, so the
         paper's "> 1000 iterations = No Conv." experiments are expressible
         by passing ``max_iter=1000``.
+    x0:
+        Start iterate (zero when omitted), passed through the preconditioner's ``start``.
     stagnation_window:
         When > 0, stop with ``reason=STAGNATION`` if the best relative
         residual of the last *window* iterations did not improve on the
@@ -305,6 +307,7 @@ def cg_solve(
             return csr_matvec(a_csr, v) if team is None or v is not p else team.product(v)
             yield
 
+        x0 = m.start(b, x0) if hasattr(m, "start") else x0  # a duck-typed m starts as given
         with obs_span("cg_iterations"):
             program = cg_program(
                 matvec, m, b, x, r, p, history,

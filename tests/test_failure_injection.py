@@ -110,12 +110,7 @@ class TestDegenerateStructures:
         part_dofs = np.arange(mesh.n_nodes)  # per-node (3-DOF blocks)
         i_diag = cg_solve(prob.a, prob.b, DiagonalScaling(prob.a), max_iter=20000).iterations
         # per-DOF localization on the scalar level:
-        lp = LocalizedPreconditioner(
-            prob.a,
-            part_dofs,
-            lambda s, n: scalar_ic0(s),
-            b=3,
-        )
+        lp = LocalizedPreconditioner(prob.a, part_dofs, lambda s, n: scalar_ic0(s))
         # per-node localization is nearly (not exactly) diagonal scaling;
         # both must land in the same small band:
         i_loc = cg_solve(prob.a, prob.b, lp, max_iter=20000).iterations
