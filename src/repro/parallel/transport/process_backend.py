@@ -369,11 +369,11 @@ def _cpu_s() -> float:
 
 
 def _set_up_rank(rank, state, fab: _Fabric, setup, cpus, trace):
-    """This rank's part of a new system, on a worker that kept nothing of
-    the previous one: pin to its CPU of the driver's mask, start the
-    rank's own trace session when there is one and run ``setup(rank,
-    state, domain, factory)`` with the factory the worker was forked
-    with.  Replies ``(value, CPU s)``."""
+    """This rank's part of a new system, on a worker that kept of the
+    previous one at most what :func:`_forget` keeps: pin to its CPU of
+    the driver's mask, start the rank's own trace session when there is
+    one and run ``setup(rank, state, domain, factory)`` with the factory
+    the worker was forked with.  Replies ``(value, CPU s)``."""
     cpu0 = _cpu_s()
     obs.disable()
     state.trace = None
@@ -386,8 +386,7 @@ def _set_up_rank(rank, state, fab: _Fabric, setup, cpus, trace):
         os.sched_setaffinity(0, {cpus[rank % len(cpus)]})
     state.link = _RankLink(rank, fab)
     try:
-        with span("rank.setup", rank=rank):
-            value = state.link.run(setup, state, (fab.domains[rank], state.factory))
+        value = state.link.run(setup, state, (fab.domains[rank], state.factory))
         return value, _cpu_s() - cpu0
     finally:
         _export_trace(rank, state)
@@ -409,13 +408,20 @@ def _rank_setup(rank, state, message: bytes):
     return _set_up_rank(rank, state, *state.arena.loads(message))
 
 
+_KEPT = ("arena", "factory", "kept")
+"""What a parked worker keeps: the arena and the factory that every
+system it serves shares, and its rank's last preconditioner with the
+internal node ids it was built for, which the next system's set-up
+refactors when its rank has the same nodes and block pattern
+(:func:`~repro.parallel.distributed._rank_setup`)."""
+
+
 def _forget(rank, state) -> None:
     """The parking command: the worker drops its system — domain views,
-    factor, link, trace session — and keeps only the arena and the
-    factory that every system it serves shares."""
-    arena, factory = state.arena, state.factory
+    link, trace session — and keeps only :data:`_KEPT`."""
+    kept = {name: value for name, value in vars(state).items() if name in _KEPT}
     vars(state).clear()
-    state.arena, state.factory = arena, factory
+    vars(state).update(kept)
     obs.disable()
 
 
@@ -586,11 +592,12 @@ class ProcessTransport:
     genuine SIGKILL, plus a ``delay``.
 
     The workers outlive the transport: :meth:`close` has them drop the
-    system and parks them with their arena in this process's pool (one
-    set), and the next transport with as many ranks and the same factory
-    takes them instead of forking (see :meth:`cut`); :func:`shutdown`
-    stops them.  A parked worker keeps the heap its system freed (the
-    next set-up reuses it) and the arena its pages.  ``rank_cpu_s`` adds up, per rank, the
+    system but their rank's factor (:data:`_KEPT`) and parks them with
+    their arena in this process's pool (one set), and the next transport
+    with as many ranks and the same factory takes them instead of
+    forking (see :meth:`cut`); :func:`shutdown` stops them.  A parked
+    worker keeps the heap its system freed (the next set-up reuses it)
+    and the arena its pages.  ``rank_cpu_s`` adds up, per rank, the
     CPU seconds its worker spent in this transport's commands, set-up
     included.
 
@@ -878,7 +885,8 @@ class ProcessTransport:
 
     def close(self) -> None:
         """Park the rank workers and their arena in the pool for the next
-        system, each worker having dropped this system's state — or stop
+        system, each worker having dropped this system's state but its
+        factor (:func:`_forget`) — or stop
         them, when a set-up or a command did not complete; the census
         stays readable.  Idempotent; a transport collected without it
         stops its workers."""

@@ -32,8 +32,12 @@ def rigid_body_operator(coords, aggregate, fixed_dofs) -> sp.csr_matrix:
     translations alone 231 and 491.
     """
     aggregate = check_index_array(np.asarray(aggregate), len(coords), "aggregate")
+    counts = np.bincount(aggregate)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size:
+        raise ValueError(f"aggregate {empty[0]} is empty")
     sums = np.stack([np.bincount(aggregate, c) for c in coords.T], 1)
-    dx, dy, dz = (coords - (sums / np.bincount(aggregate)[:, None])[aggregate]).T
+    dx, dy, dz = (coords - (sums / counts[:, None])[aggregate]).T
     o, z = np.ones_like(dx), np.zeros_like(dx)
     # modes[k, c]: mode k's displacement component c at every node
     modes = np.array([[o, z, z], [z, o, z], [z, z, o], [z, -dz, dy], [dz, z, -dx], [-dy, dx, z]])

@@ -66,6 +66,14 @@ class TestRigidBodyOperator:
         assert np.linalg.norm(r.T @ coef - u) <= 1e-10 * np.linalg.norm(u)
         assert np.allclose(coef[np.arange(24) // 6 != 2], 0.0, atol=1e-12)
 
+    def test_an_aggregate_with_no_nodes_is_rejected(self, block_problem_small):
+        """Ids {0, 2}: aggregate 1 would have no centroid (NaN) and a
+        singular coarse matrix; it is named instead."""
+        p = block_problem_small
+        part = 2 * partition_nodes_rcb(p.mesh.coords, 2)
+        with pytest.raises(ValueError, match="aggregate 1 is empty"):
+            rigid_body_operator(p.mesh.coords, part, p.fixed_dofs)
+
 
 class TestTwoLevel:
     def test_galerkin_property(self, block_problem_small):
