@@ -44,8 +44,6 @@ ALLOWED = {
     "sparse/bcsr.py::BCSRMatrix.is_symmetric": "oracle: assembled operator symmetry",
     "utils/validate.py::check_symmetric": "oracle: operator symmetry",
     "perfmodel/machines.py::VectorPipeline.rate": "oracle: the Hockney law time_for_loops vectorises",
-    # seams: what a test needs to reach inside a running system
-    "parallel/transport/process_backend.py::ProcessTransport.pids": "seam: kill a rank worker",
 }
 
 def _defs(tree: ast.Module):
