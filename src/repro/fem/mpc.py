@@ -62,9 +62,7 @@ def reduce_system(
     if a.shape[0] != n_nodes * b:
         raise ValueError(f"matrix dimension {a.shape[0]} != {n_nodes} nodes x {b}")
     t = tied_contact_transformation(groups, n_nodes, b=b)
-    a_red = (t.T @ a @ t).tocsr()
-    a_red.sum_duplicates()
-    a_red.sort_indices()
+    a_red = check_square_csr(t.T @ a @ t)
     return a_red, t.T @ np.asarray(b_vec, dtype=np.float64), t
 
 

@@ -37,6 +37,7 @@ from repro.resilience.checkpoint import AlmJournal, fingerprint_arrays
 from repro.sparse.patterns import csr_position_map, csr_union_pattern
 from repro.resilience.taxonomy import FailureReason, SolveReport
 from repro.solvers.cg import cg_solve
+from repro.utils.validate import check_square_csr
 
 # inner-solve failures that penalty back-off can plausibly cure; MAX_ITER
 # is excluded — it means "not enough iterations", not "broken system"
@@ -143,12 +144,8 @@ def solve_nonlinear_contact(
     if report is None:
         report = SolveReport()
     c = constraint_matrix(groups, n_nodes)
-    ctc = (c.T @ c).tocsr()
-    ctc.sum_duplicates()
-    ctc.sort_indices()
-    a_free = sp.csr_matrix(a_free)
-    a_free.sum_duplicates()
-    a_free.sort_indices()
+    ctc = check_square_csr(c.T @ c)
+    a_free = check_square_csr(a_free)
 
     # The augmented pattern union(A_free, C^T C) is fixed across all
     # penalty updates; build it once and make every build_system a pure

@@ -65,17 +65,6 @@ class _CommFaultDetected(Exception):
         self.mismatch = mismatch
 
 
-def _rows_dof(dom: LocalDomain) -> np.ndarray:
-    """Global DOF ids of a domain's internal rows."""
-    return (dom.internal_nodes[:, None] * dom.b + np.arange(dom.b)).reshape(-1)
-
-
-def _internal_block(dom: LocalDomain) -> sp.csr_matrix:
-    """A domain's rows restricted to its own DOFs: external couplings
-    dropped, the localized preconditioning of paper section 2.2."""
-    return dom.a_local[:, : dom.n_internal * dom.b].tocsr()
-
-
 @dataclass(frozen=True)
 class RankHandle:
     """The driver's view of a localized preconditioner that lives with
@@ -108,7 +97,7 @@ def _rank_setup(rank: int, state, dom: LocalDomain, factory):
     copy: the arena the domain may live in is rewritten by the next
     system, and a kept array must not change under the check."""
     t0 = time.perf_counter()
-    block = _internal_block(dom)
+    block = dom.internal_block()
     m, nodes = getattr(state, "kept", (None, None))
     reuse = (
         getattr(m, "symbolic", None) is not None
@@ -215,7 +204,7 @@ class DistributedSystem:
             domains=comm.domains,
             comm=comm,
             preconds=preconds,
-            b_parts=[b_vec[_rows_dof(dom)] for dom in comm.domains],
+            b_parts=[b_vec[dom.rows_dof] for dom in comm.domains],
             node_domain=node_domain,
             ndof=int(b_vec.size),
             b=b,
@@ -277,7 +266,7 @@ class DistributedSystem:
         """Assemble the global solution from internal parts."""
         out = np.empty(self.ndof)
         for dom, xp in zip(self.domains, x_parts):
-            out[_rows_dof(dom)] = xp
+            out[dom.rows_dof] = xp
         return out
 
     @property

@@ -69,8 +69,9 @@ class LocalDomain:
 
     The local numbering places the ``n_internal`` internal nodes first,
     followed by the external nodes.  ``a_local`` holds the rows of the
-    internal nodes with columns in local numbering.  Communication tables
-    map neighbor rank -> local node indices.
+    internal nodes with columns in local numbering, canonical (sorted, no
+    duplicates).  Communication tables map neighbor rank -> local node
+    indices.
     """
 
     rank: int
@@ -89,8 +90,22 @@ class LocalDomain:
     def n_local(self) -> int:
         return int(self.internal_nodes.size + self.external_nodes.size)
 
+    @property
+    def rows_dof(self) -> np.ndarray:
+        """Global DOF ids of the internal rows."""
+        return (self.internal_nodes[:, None] * self.b + np.arange(self.b)).reshape(-1)
+
     def local_dofs(self, local_nodes: np.ndarray) -> np.ndarray:
         return (np.asarray(local_nodes)[:, None] * self.b + np.arange(self.b)).reshape(-1)
+
+    def internal_block(self) -> sp.csr_matrix:
+        """The internal rows restricted to the domain's own DOFs: external
+        couplings dropped, the localized preconditioning of paper section
+        2.2.  A copy, sharing no memory with ``a_local``, and canonical:
+        a column slice of rows cut from a canonical matrix."""
+        block = self.a_local[:, : self.n_internal * self.b].tocsr()
+        block.has_canonical_format = True
+        return block
 
 
 def as_partition(node_domain, n_nodes: int) -> np.ndarray:

@@ -5,8 +5,8 @@ contract of :class:`~repro.parallel.comm.LockstepComm`: ``start(setup, factory)`
 and ``run(fn, *args)`` on every rank, ``revive(rank)``, ``scratch()``,
 ``halo``, ``close()``, the fault plans ``inject_kill`` /
 ``inject_worker_fault``, the census ``log`` and the one-collective
-surface (``exchange_external``, ``allreduce_sum``, ``allreduce_sum_vec``,
-``halo_mismatch``).  This package provides it over a fabric where the
+surface (``exchange_external``, ``allreduce_sum_vec``, ``halo_mismatch``).
+This package provides it over a fabric where the
 failure modes are real:
 :mod:`~repro.parallel.transport.process_backend`, one resident forked OS
 worker per rank, which builds that rank's factor and runs its CG for

@@ -586,10 +586,10 @@ class ProcessTransport:
     :meth:`start` runs each rank's set-up in its own worker; :meth:`run`
     sends every command after that — the command contract of
     :class:`~repro.parallel.comm.LockstepComm`, whose collectives
-    (``exchange_external`` / ``allreduce_sum`` / ``allreduce_sum_vec``
-    / ``halo_mismatch``) are kept on top, each a command of one
-    collective, as are its census (``log``) and its fault plans — here a
-    genuine SIGKILL, plus a ``delay``.
+    (``exchange_external`` / ``allreduce_sum_vec`` / ``halo_mismatch``)
+    are kept on top, each a command of one collective, as are its census
+    (``log``) and its fault plans — here a genuine SIGKILL, plus a
+    ``delay``.
 
     The workers outlive the transport: :meth:`close` has them drop the
     system but their rank's factor (:data:`_KEPT`) and parks them with

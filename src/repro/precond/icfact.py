@@ -80,22 +80,6 @@ __all__ = [
 ]
 
 
-def _canonical_csr(a) -> sp.csr_matrix:
-    """*a* itself when it already is a canonical square ``csr_matrix``,
-    else :func:`check_square_csr`'s coercion of it.
-
-    ``check_square_csr`` wraps even a canonical operand in a new
-    ``csr_matrix`` (sharing its arrays); the numeric phase promises to
-    build no scipy object, and a factor that holds the caller's matrix
-    instead of a second handle on its arrays measured 50 MB less
-    resident peak on the ``cold_solve`` benchmark (217 vs 267 MB; same
-    Python-level allocations, the arrays are just freed in one place).
-    """
-    if isinstance(a, sp.csr_matrix) and a.has_canonical_format and a.shape[0] == a.shape[1]:
-        return a
-    return check_square_csr(a)
-
-
 def _take(arr: np.ndarray, start: np.ndarray, width: int, unit: int) -> np.ndarray:
     """The blocks of *width* values of the flat *arr* that start at
     ``start * unit``, one block per row.
@@ -249,7 +233,7 @@ class ICSymbolic:
         ncolors: int = 0,
     ) -> None:
         laps = Laps()
-        a = _canonical_csr(a)
+        a = check_square_csr(a)
         self.variant = "dmod" if fill_level == 0 else "full"
         self.fill_level = fill_level
         self.ndof = a.shape[0]
@@ -760,7 +744,7 @@ class BlockICFactorization(Preconditioner):
         symbolic: ICSymbolic | None = None,
     ) -> None:
         t0 = time.perf_counter()
-        a = _canonical_csr(a)
+        a = check_square_csr(a)
         if symbolic is None:
             if supernodes is None:
                 raise ValueError(
@@ -838,7 +822,7 @@ class BlockICFactorization(Preconditioner):
         if a is None:
             a = self._a
         else:
-            a = _canonical_csr(a)
+            a = check_square_csr(a)
         if check_pattern and not self.symbolic.pattern_matches(a):
             raise ValueError(
                 "matrix sparsity pattern differs from the cached symbolic "

@@ -18,9 +18,8 @@ from typing import Callable
 import numpy as np
 import scipy.sparse as sp
 
+from repro.parallel.partition import build_domains
 from repro.precond.base import Preconditioner
-from repro.sparse.patterns import csr_extract_map
-from repro.utils.validate import check_index_array, check_square_csr
 
 PrecondFactory = Callable[[sp.csr_matrix, np.ndarray], Preconditioner]
 
@@ -53,38 +52,28 @@ class LocalizedPreconditioner(Preconditioner):
     a:
         Global SPD matrix (scalar CSR).
     node_domain:
-        ``(n_nodes,)`` domain id per finite-element node.
+        ``(n_nodes,)`` domain id per finite-element node: any integer
+        sequence, checked by :func:`~repro.parallel.partition.as_partition`.
     factory:
         Builds the local preconditioner from ``(local_matrix,
         domain_nodes)``; ``domain_nodes`` are global node ids in local
         order, letting the factory restrict contact groups etc.  Nodes
         carry 3 DOFs.
+
+    The domains are those :func:`~repro.parallel.partition.build_domains`
+    cuts, and each local factor is built as a rank's set-up builds it —
+    ``factory(dom.internal_block(), dom.internal_nodes)`` — so the two
+    are the same factor.
     """
 
     name = "localized"
 
-    def __init__(self, a, node_domain: np.ndarray, factory: PrecondFactory) -> None:
+    def __init__(self, a, node_domain, factory: PrecondFactory) -> None:
         t0 = time.perf_counter()
-        a = check_square_csr(a)
-        n_nodes = a.shape[0] // 3
-        node_domain = check_index_array(
-            np.asarray(node_domain), int(node_domain.max()) + 1, "node_domain"
-        )
-        if node_domain.size != n_nodes:
-            raise ValueError(
-                f"node_domain has {node_domain.size} entries for {n_nodes} nodes"
-            )
-        self.ndomains = int(node_domain.max()) + 1
-        self._locals: list[Preconditioner] = []
-        self._dofs: list[np.ndarray] = []
-        for d in range(self.ndomains):
-            nodes = np.flatnonzero(node_domain == d).astype(np.int64)
-            if nodes.size == 0:
-                raise ValueError(f"domain {d} is empty")
-            dofs = (nodes[:, None] * 3 + np.arange(3)).reshape(-1)
-            sub, _ = csr_extract_map(a, dofs)
-            self._dofs.append(dofs)
-            self._locals.append(factory(sub, nodes))
+        domains = build_domains(a, node_domain)
+        self.ndomains = len(domains)
+        self._dofs = [dom.rows_dof for dom in domains]
+        self._locals = [factory(dom.internal_block(), dom.internal_nodes) for dom in domains]
         self.setup_seconds = time.perf_counter() - t0
 
     def apply(self, r: np.ndarray) -> np.ndarray:

@@ -1,21 +1,12 @@
 """Sparsity-pattern utilities for the symbolic/numeric setup split.
 
-The nonlinear contact driver and the distributed/localized
-preconditioners all share one observation (DESIGN.md section 9): across
-ALM penalty updates and refactorizations the *pattern* of every derived
-matrix — the augmented system ``A + lambda C^T C``, each domain's
-sub-matrix — is fixed, only the values change.  The helpers here turn
-each pattern-dependent extraction into a one-time index map so repeated
-updates become pure ``data`` gathers with no CSR canonicalization,
-slicing or duplicate-summing on the hot path.
-
-The maps are built with the *position-as-data* trick: run the structural
-operation once on a copy of the matrix whose data array holds 1-based
-entry positions (exact in float64 below 2**53), then read the surviving
-positions back as the gather index.  Any operation that is value-linear
-and duplicate-free — slicing, injective relabeling — preserves them
-exactly; a collision (two entries summed) is detected by the nnz check
-and raised, never silently absorbed.
+The nonlinear contact driver rests on one observation (DESIGN.md
+section 9): across ALM penalty updates and refactorizations the
+*pattern* of the augmented system ``A + lambda C^T C`` is fixed, only the
+values change.  The helpers here build that pattern once and map each
+term's entries into it, so repeated updates become pure ``data``
+scatters with no CSR canonicalization or duplicate-summing on the hot
+path.
 """
 
 from __future__ import annotations
@@ -24,36 +15,9 @@ import numpy as np
 import scipy.sparse as sp
 
 __all__ = [
-    "csr_extract_map",
     "csr_position_map",
     "csr_union_pattern",
-    "position_matrix",
 ]
-
-
-def position_matrix(a: sp.csr_matrix) -> sp.csr_matrix:
-    """CSR with *a*'s pattern and data = 1-based entry positions.
-
-    Push it through any value-linear, duplicate-free structural pipeline
-    and the output data identifies, per surviving entry, its source
-    position in ``a.data``.
-    """
-    if a.nnz >= 2**53:
-        raise ValueError("matrix too large for float64-exact position tracking")
-    return sp.csr_matrix(
-        (np.arange(a.nnz, dtype=np.float64) + 1.0, a.indices, a.indptr),
-        shape=a.shape,
-    )
-
-
-def positions_from_data(data: np.ndarray, expected_nnz: int) -> np.ndarray:
-    """Recover the 0-based positions from a position-matrix data array."""
-    if data.size != expected_nnz:
-        raise ValueError(
-            f"structural pipeline changed the entry count ({expected_nnz} -> "
-            f"{data.size}); position tracking is invalid"
-        )
-    return np.asarray(np.rint(data), dtype=np.int64) - 1
 
 
 def csr_union_pattern(*mats: sp.csr_matrix) -> sp.csr_matrix:
@@ -103,25 +67,3 @@ def csr_position_map(sup: sp.csr_matrix, sub: sp.csr_matrix) -> np.ndarray:
     if (pos >= sup_keys.size).any() or not np.array_equal(sup_keys[pos], sub_keys):
         raise ValueError("sub-matrix has entries outside the super-matrix pattern")
     return pos.astype(np.int64)
-
-
-def csr_extract_map(a: sp.csr_matrix, idx: np.ndarray):
-    """Canonical ``a[idx][:, idx]`` plus the gather map that rebuilds it.
-
-    Returns ``(sub, gather)`` where ``sub`` is the canonical CSR
-    sub-matrix and ``gather`` satisfies ``sub.data == a.data[gather]``
-    for the *current* values — and keeps satisfying it for any later
-    values on the same pattern, so repeated extractions are a single
-    fancy index instead of two CSR slicings.
-    """
-    idx = np.asarray(idx, dtype=np.int64)
-    sub_pos = position_matrix(a)[idx][:, idx].tocsr()
-    nnz_before = sub_pos.nnz
-    sub_pos.sum_duplicates()
-    sub_pos.sort_indices()
-    gather = positions_from_data(sub_pos.data, nnz_before)
-    sub = sp.csr_matrix(
-        (a.data[gather], sub_pos.indices, sub_pos.indptr),
-        shape=sub_pos.shape,
-    )
-    return sub, gather

@@ -173,10 +173,35 @@ class TestLockstepComm:
         assert comm.halo_mismatch(vectors) == 0.0
 
 
+class TestCanonicalScans:
+    def test_from_global_scans_no_global_entries(self, monkeypatch):
+        """The global operator's canonical form is checked by a flag
+        test, never a scan of its entries: ``from_global`` and the cut it
+        makes get the caller's own matrix back from ``check_square_csr``,
+        and each domain's block is canonical by construction."""
+        import scipy.sparse._compressed as compressed
+
+        from repro.experiments.workloads import block_problem
+
+        p = block_problem(1.0)
+        scanned = []
+        scan = compressed.csr_has_canonical_format
+        monkeypatch.setattr(
+            compressed, "csr_has_canonical_format",
+            lambda m, indptr, indices: scanned.append(int(indptr[-1])) or scan(m, indptr, indices),
+        )
+        part = partition_nodes_rcb(p.mesh.coords, 2)
+        DistributedSystem.from_global(p.a, p.b, part, lambda sub, nodes: bic(sub, fill_level=0))
+        assert p.a.nnz == 242_905
+        assert max(scanned, default=0) < p.a.nnz // 4
+
+
 class TestParallelCG:
     def test_matches_sequential_localized(self, block_problem_small):
         """The lockstep distributed CG must agree with the sequential CG
-        preconditioned by the equivalent LocalizedPreconditioner."""
+        preconditioned by the equivalent LocalizedPreconditioner, whose
+        local factors are the ranks' own: the same domains, the same
+        blocks, the same ``apply`` to the bit."""
         p = block_problem_small
         part = contact_aware_partition(p.mesh.coords, p.groups, 4)
 
@@ -188,6 +213,12 @@ class TestParallelCG:
 
         lp = LocalizedPreconditioner(p.a, part, factory)
         res_seq = cg_solve(p.a, p.b, lp)
+
+        rng = np.random.default_rng(5)
+        kept = system.comm.run(lambda rank, state: state.kept[0])
+        for dom, mine, theirs in zip(system.domains, kept, lp._locals):
+            r = rng.normal(size=dom.n_internal * dom.b)
+            assert np.array_equal(mine.apply(r), theirs.apply(r))
 
         assert res_par.converged and res_seq.converged
         assert abs(res_par.iterations - res_seq.iterations) <= 1

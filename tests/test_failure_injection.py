@@ -122,5 +122,17 @@ class TestValidationErrors:
         mesh = box_mesh(2, 2, 2)
         prob = build_contact_problem(mesh, penalty=0.0)
         bad = np.zeros(mesh.n_nodes - 1, dtype=int)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="domain ids for"):
             LocalizedPreconditioner(prob.a, bad, lambda s, n: bic(s, fill_level=0))
+
+    def test_localized_accepts_a_list_partition(self):
+        """Any integer sequence partitions, as in ``from_global``."""
+        mesh = box_mesh(3, 3, 3)
+        prob = build_contact_problem(mesh, penalty=0.0)
+        part = partition_nodes_rcb(mesh.coords, 2)
+        r = np.random.default_rng(3).normal(size=prob.a.shape[0])
+        z = [
+            LocalizedPreconditioner(prob.a, nd, lambda s, n: bic(s, fill_level=0)).apply(r)
+            for nd in (part, part.tolist())
+        ]
+        assert np.array_equal(z[0], z[1])

@@ -25,11 +25,7 @@ from repro.fem.nonlinear import solve_nonlinear_contact
 from repro.precond import bic, sb_bic0, scalar_ic0
 from repro.precond.icfact import BlockICFactorization
 from repro.resilience import PivotNudgeWarning
-from repro.sparse.patterns import (
-    csr_extract_map,
-    csr_position_map,
-    csr_union_pattern,
-)
+from repro.sparse.patterns import csr_position_map, csr_union_pattern
 
 from .conftest import paper_ladder
 from .ic_oracle import reference_apply
@@ -386,19 +382,6 @@ class TestPatternUtilities:
         full = sp.csr_matrix(np.ones((4, 4)))
         with pytest.raises(ValueError):
             csr_position_map(a, full)
-
-    def test_extract_map_regathers(self):
-        rng = np.random.default_rng(14)
-        a = sp.random(40, 40, density=0.15, random_state=7).tocsr()
-        a = (a + a.T).tocsr()
-        a.sum_duplicates()
-        a.sort_indices()
-        idx = np.array([3, 5, 8, 13, 21, 34])
-        sub, gather = csr_extract_map(a, idx)
-        assert sub.toarray() == pytest.approx(a[idx][:, idx].toarray())
-        a.data *= -3.0
-        sub.data[:] = a.data[gather]
-        assert sub.toarray() == pytest.approx(a[idx][:, idx].toarray())
 
     def test_vbr_empty_like_shares_structure(self, problems):
         p = problems[1e6]

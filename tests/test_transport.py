@@ -733,12 +733,10 @@ assert not np.array_equal(check(late), x0)
         """A rank's factor never holds the arena's pages through its
         block: the column slice copies, at full width too (one domain,
         no external columns)."""
-        from repro.parallel.distributed import _internal_block
-
         prob, mesh = problem
         for ndomains in (1, 4):
             for dom in build_domains(prob.a, partition_nodes_rcb(mesh.coords, ndomains)):
-                block = _internal_block(dom)
+                block = dom.internal_block()
                 for mine in (block.data, block.indices, block.indptr):
                     for theirs in (dom.a_local.data, dom.a_local.indices, dom.a_local.indptr):
                         assert not np.may_share_memory(mine, theirs)

@@ -135,6 +135,22 @@ class TestCheckSquareCsr:
     def test_rejects_rectangular(self):
         with pytest.raises(ValueError, match="square"):
             check_square_csr(sp.random(3, 4, density=0.5))
+        with pytest.raises(ValueError, match="square"):
+            check_square_csr(sp.csr_matrix(np.ones((3, 4))))
+
+    def test_canonical_operand_is_returned(self):
+        a = sp.csr_matrix(np.eye(3) + np.eye(3, k=1))
+        assert a.has_canonical_format and check_square_csr(a) is a
+
+    def test_duplicates_summed_and_sorted(self):
+        a = sp.csr_matrix(
+            (np.array([1.0, 2.0, 3.0, 4.0]), np.array([1, 0, 1, 1]), np.array([0, 3, 4])),
+            shape=(2, 2),
+        )
+        c = check_square_csr(a)
+        assert c.has_canonical_format and c.nnz == 3
+        assert c.indices.tolist() == [0, 1, 1]
+        assert c.toarray().tolist() == [[2.0, 4.0], [0.0, 4.0]]
 
 
 class TestCheckSymmetric:
