@@ -44,20 +44,19 @@ def assemble_blocks(
     mesh: Mesh,
     materials: IsotropicElastic | dict[int, IsotropicElastic] | None,
     groups: list[np.ndarray],
-    penalty: float,
     laps: Laps,
-) -> tuple[BCSRMatrix, np.ndarray, int]:
-    """Elastic stiffness of *mesh* plus *penalty* times the Laplacian of
-    the contact *groups*, reduced while it is produced.
+) -> tuple[BCSRMatrix, int]:
+    """Elastic stiffness of *mesh*, reduced while it is produced, on a
+    pattern that also holds the blocks the contact *groups*' penalty
+    couples (zero here).
 
     The slot of every (element, node pair) and every penalty pair comes
     first, from connectivity alone; then the element matrices are added
     into their slots batch by batch (:func:`stiffness_batches`, one
-    kernel run per distinct element shape) in mesh order, the penalty
-    last — the order of one sum over all the triplets, which are never
-    held together.  Returns the matrix, the ``(n_nodes, 3)`` diagonal of
-    its stiffness part (read before the penalty pass) and the number of
-    distinct element shapes; *laps* times the slot and element phases.
+    kernel run per distinct element shape) in mesh order — the order of
+    one sum over all the triplets, which are never held together.
+    Returns the matrix and the number of distinct element shapes; *laps*
+    times the slot and element phases.
 
     Parameters
     ----------
@@ -68,7 +67,7 @@ def assemble_blocks(
     """
     check_finite_coords(mesh.coords)
     dtable, material = _constitutive_table(mesh, materials)
-    prows, pcols, pblocks = penalty_coo_blocks(groups, penalty, mesh.n_nodes)
+    prows, pcols, _ = penalty_coo_blocks(groups, 1.0, mesh.n_nodes)
     # the 64 node pairs of every hexahedron, in element order, then the penalty's
     hexes = mesh.hexes
     k, slot = BCSRMatrix.from_block_pairs(
@@ -81,10 +80,8 @@ def assemble_blocks(
         # element matrices as 3x3 node-pair blocks, then one per element
         blocks = ke.reshape(-1, 8, 3, 8, 3).transpose(0, 1, 3, 2, 4).reshape(-1, 64, 3, 3)
         k.add_blocks(slot[64 * e0 : 64 * e1], blocks.take(which, axis=0).reshape(-1, 3, 3))
-    diag = k.to_bsr().diagonal().reshape(mesh.n_nodes, 3)
     laps.lap("assembly.element")
-    k.add_blocks(slot[hexes.size * 8 :], pblocks)
-    return k, diag, first.size
+    return k, first.size
 
 
 # A stiffness scalar is a sum of 8 Gauss-point terms in each of at most 8
@@ -103,9 +100,8 @@ def stored_scalars(k: BCSRMatrix, diag: np.ndarray) -> np.ndarray:
     The one rule of what ``fem`` keeps of a stiffness matrix: a scalar is
     dropped when it is indistinguishable from the round-off of its own
     sum, ``|k_ij| <= ROUNDOFF_TERMS * eps * sqrt(k_ii k_jj)`` with the
-    ``(n, b)`` stiffness diagonal *diag* — passed in, so that a matrix
-    that already carries a contact penalty is judged as its stiffness
-    part and the kept pattern does not depend on the penalty.  Diagonal
+    ``(n, b)`` stiffness diagonal *diag*; the contact penalty is added
+    later, so the kept pattern does not depend on it.  Diagonal
     scalars always stay, and ``(i, j)`` stays when either triangle
     passes, so the pattern is symmetric whatever the round-off did.
     """
@@ -151,7 +147,7 @@ def assemble_stiffness(
     *materials* as for :func:`assemble_blocks`.
     """
     laps = Laps()
-    k, _diag, n_shapes = assemble_blocks(mesh, materials, [], 0.0, laps)
+    k, n_shapes = assemble_blocks(mesh, materials, [], laps)
     record_assembly_span(mesh, laps, n_shapes)
     return k
 

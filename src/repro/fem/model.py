@@ -26,8 +26,8 @@ from repro.fem.bc import (
 from repro.fem.contact import assemble_penalty_groups, penalty_scalars
 from repro.fem.material import IsotropicElastic
 from repro.fem.mesh import Mesh
+from repro.sparse.affine import AffineOperator
 from repro.sparse.bcsr import BCSRMatrix
-from repro.sparse.patterns import csr_position_map
 from repro.utils.timing import Laps
 
 
@@ -79,40 +79,15 @@ def build_contact_problem(
         Apply ``u_x = 0`` at ``xmin`` and ``u_y = 0`` at ``ymin``
         (disabled for the Southwest Japan model, per section 5.1).
     """
-    a, b, fixed_dofs = _assemble(mesh, penalty, materials, load, load_magnitude, symmetry)
+    s = build_contact_structure(mesh, materials, load, load_magnitude, symmetry)
     return ContactProblem(
         mesh=mesh,
-        a=a,
-        b=b,
-        groups=mesh.contact_groups,
+        a=s.system(penalty),
+        b=s.b,
+        groups=s.groups,
         penalty=penalty,
-        fixed_dofs=fixed_dofs,
+        fixed_dofs=s.fixed_dofs,
     )
-
-
-def _assemble(mesh: Mesh, penalty: float, materials, load, load_magnitude, symmetry):
-    """The eliminated system of stiffness plus *penalty* times the group
-    Laplacian, on the scalars worth storing: ``(a, b, fixed_dofs)``.
-
-    The penalty is added last to the stiffness sums (what
-    :meth:`ContactStructure.system` reproduces).  The mask of stored
-    scalars — :func:`stored_scalars` of the stiffness part, what the
-    penalty writes, minus what the elimination removes — ignores
-    *penalty*.
-    """
-    f, fixed_dofs = _load_and_fixed_dofs(mesh, load, load_magnitude, symmetry)
-    laps = Laps()
-    k, diag, n_shapes = assemble_blocks(mesh, materials, mesh.contact_groups, penalty, laps)
-    keep = stored_scalars(k, diag)
-    keep |= penalty_scalars(k, mesh.contact_groups)
-    dropped = keep.size - int(np.count_nonzero(keep))
-    laps.lap("assembly.mask")
-    keep &= dirichlet_scalars(k, fixed_dofs)
-    a = k.to_csr(keep)
-    f[fixed_dofs] = 0.0  # homogeneous conditions: nothing moves to the right-hand side
-    laps.lap("assembly.dirichlet")
-    record_assembly_span(mesh, laps, n_shapes, nnz_stored=a.nnz, nnz_dropped=dropped)
-    return a, f, fixed_dofs
 
 
 def _load_and_fixed_dofs(
@@ -146,42 +121,22 @@ class ContactStructure:
     which is exactly what the serve workspace caches: a request at a new
     penalty re-gathers values into the fixed pattern (:meth:`system`) and
     numerically refactors the preconditioner, with zero pattern work.
-
-    ``a0`` lives on the system's pattern (explicit zeros where only the
-    penalty writes); ``a1`` is the penalty's own entries, at ``map1``.
-
-    ``system`` always writes into the *same* CSR object, so an IC-family
-    ``refactor`` hits its identity pattern-check fast path; callers must
-    finish with one system before materializing the next.
     """
 
     mesh: Mesh
     groups: list[np.ndarray]
-    a0: sp.csr_matrix
-    a1: sp.csr_matrix
+    operator: AffineOperator
     b: np.ndarray
     fixed_dofs: np.ndarray
-    pattern: sp.csr_matrix
-    map1: np.ndarray
 
     @property
     def ndof(self) -> int:
-        return int(self.a0.shape[0])
-
-    @property
-    def n_nodes(self) -> int:
-        return int(self.mesh.n_nodes)
+        return int(self.operator.a0.shape[0])
 
     def system(self, penalty: float) -> sp.csr_matrix:
-        """Values-only materialization of ``A(penalty)`` on the cached
-        pattern (one copy and one fancy-index update, no allocation of
-        the operator's size)."""
-        if penalty < 0:
-            raise ValueError(f"penalty must be non-negative, got {penalty}")
-        a = self.pattern
-        a.data[:] = self.a0.data
-        a.data[self.map1] += penalty * self.a1.data
-        return a
+        """``A(penalty)``, written into the operator's one CSR object
+        (:meth:`AffineOperator.at`)."""
+        return self.operator.at(penalty)
 
 
 def build_contact_structure(
@@ -198,20 +153,32 @@ def build_contact_structure(
     the result materializes ``A(penalty)`` for any penalty via
     :meth:`ContactStructure.system` without re-assembling, re-eliminating
     or re-analyzing anything.
+
+    ``A0`` is the eliminated stiffness on the scalars worth storing:
+    :func:`stored_scalars` of the stiffness, plus the explicit zeros
+    where the penalty writes (:func:`penalty_scalars`), minus what the
+    elimination removes.  The penalty is added last to the stiffness
+    sums, as one pass over all the triplets would add it.
     """
-    # the system at penalty zero is the stiffness on the system's pattern
-    a0, b, fixed_dofs = _assemble(mesh, 0.0, materials, load, load_magnitude, symmetry)
+    f, fixed_dofs = _load_and_fixed_dofs(mesh, load, load_magnitude, symmetry)
+    laps = Laps()
+    k, n_shapes = assemble_blocks(mesh, materials, mesh.contact_groups, laps)
+    keep = stored_scalars(k, k.to_bsr().diagonal().reshape(k.n, k.b))
+    keep |= penalty_scalars(k, mesh.contact_groups)
+    dropped = keep.size - int(np.count_nonzero(keep))
+    laps.lap("assembly.mask")
+    keep &= dirichlet_scalars(k, fixed_dofs)
+    a0 = k.to_csr(keep)
+    del k, keep  # the block values and the mask go before A1 and the operator exist
+    f[fixed_dofs] = 0.0  # homogeneous conditions: nothing moves to the right-hand side
+    laps.lap("assembly.dirichlet")
+    record_assembly_span(mesh, laps, n_shapes, nnz_stored=a0.nnz, nnz_dropped=dropped)
     p1 = assemble_penalty_groups(mesh.contact_groups, 1.0, mesh.n_nodes)
     a1 = p1.to_csr(penalty_scalars(p1, mesh.contact_groups) & dirichlet_scalars(p1, fixed_dofs))
-    pattern = sp.csr_matrix((np.zeros_like(a0.data), a0.indices, a0.indptr), shape=a0.shape)
-    pattern.has_canonical_format = True
     return ContactStructure(
         mesh=mesh,
         groups=mesh.contact_groups,
-        a0=a0,
-        a1=a1,
-        b=b,
+        operator=AffineOperator(a0, a1),
+        b=f,
         fixed_dofs=fixed_dofs,
-        pattern=pattern,
-        map1=csr_position_map(pattern, a1),
     )

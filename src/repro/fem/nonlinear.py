@@ -34,9 +34,9 @@ from repro.fem.mesh import Mesh
 from repro.obs import span as obs_span
 from repro.precond.base import Preconditioner
 from repro.resilience.checkpoint import AlmJournal, fingerprint_arrays
-from repro.sparse.patterns import csr_position_map, csr_union_pattern
 from repro.resilience.taxonomy import FailureReason, SolveReport
 from repro.solvers.cg import cg_solve
+from repro.sparse.affine import AffineOperator
 from repro.utils.validate import check_square_csr
 
 # inner-solve failures that penalty back-off can plausibly cure; MAX_ITER
@@ -144,24 +144,15 @@ def solve_nonlinear_contact(
     if report is None:
         report = SolveReport()
     c = constraint_matrix(groups, n_nodes)
-    ctc = check_square_csr(c.T @ c)
     a_free = check_square_csr(a_free)
 
-    # The augmented pattern union(A_free, C^T C) is fixed across all
-    # penalty updates; build it once and make every build_system a pure
-    # values gather into the same arrays.  Reusing the same CSR object
-    # also lets the preconditioner's symbolic pattern check hit its
-    # identity fast path on refactor.
-    a_aug = csr_union_pattern(a_free, ctc)
-    map_free = csr_position_map(a_aug, a_free)
-    map_ctc = csr_position_map(a_aug, ctc)
+    # A_free + lambda C^T C: every penalty, back-offs included, is a
+    # values-only write into the same CSR object
+    operator = AffineOperator(a_free, c.T @ c)
 
     def build_system(lam_penalty: float):
         with obs_span("alm_build_system", penalty=lam_penalty):
-            a_aug.data[:] = 0.0
-            a_aug.data[map_free] = a_free.data
-            a_aug.data[map_ctc] += lam_penalty * ctc.data
-        return a_aug
+            return operator.at(lam_penalty)
 
     journal = None
     state = None

@@ -117,6 +117,9 @@ class SolveRequest:
         self.scale = float(self.scale)
         self.penalty = float(self.penalty)
         self.eps = float(self.eps)
+        for name in ("scale", "penalty", "eps"):
+            if not np.isfinite(getattr(self, name)):
+                raise ProtocolError(f"{name} must be finite, got {getattr(self, name)}")
         if self.scale <= 0:
             raise ProtocolError(f"scale must be positive, got {self.scale}")
         if self.penalty < 0:

@@ -89,9 +89,9 @@ class Workspace:
             return entry[0], entry[1], "hit"
         with obs.span("serve.build_structure", model=model, scale=scale):
             s = _structure_builders()[model](scale)
+        op = s.operator
         content = fingerprint_arrays(
-            "structure-v1", model, scale,
-            s.pattern.indptr, s.pattern.indices, s.a0.data, s.a1.data, s.b,
+            "structure-v1", model, scale, op.a0.indptr, op.a0.indices, op.a0.data, op.a1.data, s.b
         )
         self.structures.put(key, (s, content))
         return s, content, "miss"

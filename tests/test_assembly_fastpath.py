@@ -297,17 +297,22 @@ class TestSinglePassAssembly:
     "structure, problem",
     [(block_structure, block_problem), (swjapan_structure, swjapan_problem)],
 )
-def test_affine_system_is_bitwise_the_direct_assembly(structure, problem):
-    """``A0 + lambda * A1`` and the one-pass assembly add the penalty last
-    to the same stiffness sums, so they agree to the bit."""
+def test_affine_system_matches_the_add_penalty_oracle(structure, problem):
+    """``A0 + lambda * A1`` against the multi-pass composition (the
+    stiffness plus :func:`add_penalty`, then the elimination): the
+    pattern the problem builder stores, and values within the round-off
+    bound of the stiffness sums (the scalars the assembly drops)."""
     s = structure(0.6)
+    stiffness = assemble_stiffness(s.mesh)
     for penalty in (1e2, 1e6, 4.2e6, 1e10):
         p = problem(0.6, penalty)
         a = s.system(penalty)
         assert np.array_equal(a.indptr, p.a.indptr)
         assert np.array_equal(a.indices, p.a.indices)
-        assert np.array_equal(a.data, p.a.data)
         assert np.array_equal(s.b, p.b)
+        k = add_penalty(stiffness, s.groups, penalty)
+        oracle, _ = apply_dirichlet(k.to_csr(), s.b, s.fixed_dofs)
+        assert abs(oracle - a).max() <= 64 * np.finfo(float).eps * abs(a.diagonal()).max()
 
 
 # ---------------------------------------------------------------------

@@ -20,12 +20,12 @@ from repro import obs
 from repro.fem.assembly import assemble_stiffness
 from repro.fem.bc import all_dofs, apply_dirichlet, component_dofs, surface_load
 from repro.fem.generators import simple_block_model
-from repro.fem.model import build_contact_problem
+from repro.fem.model import build_contact_problem, build_contact_structure
 from repro.fem.nonlinear import solve_nonlinear_contact
 from repro.precond import bic, sb_bic0, scalar_ic0
 from repro.precond.icfact import BlockICFactorization
 from repro.resilience import PivotNudgeWarning
-from repro.sparse.patterns import csr_position_map, csr_union_pattern
+from repro.sparse.affine import AffineOperator
 
 from .conftest import paper_ladder
 from .ic_oracle import reference_apply
@@ -300,27 +300,21 @@ class TestSingleSymbolicSetupInALM:
         assert _setups(tracer) == {"symbolic": 1, "numeric": 1}
 
     def test_build_system_matches_explicit_sum(self, alm_system):
-        """The values-only union-pattern build equals A_free + lam C^T C
-        for every penalty, including after an in-place penalty change."""
+        """The ALM's operator on the union pattern equals A_free + lam C^T C
+        for every penalty of a back-off sequence, written each time into
+        the same CSR object."""
         from repro.fem.contact import constraint_matrix
 
         mesh, a_free, b = alm_system
         c = constraint_matrix(mesh.contact_groups, mesh.n_nodes)
-        ctc = (c.T @ c).tocsr()
-        ctc.sum_duplicates()
-        ctc.sort_indices()
-        af = sp.csr_matrix(a_free)
-        af.sum_duplicates()
-        af.sort_indices()
-        u = csr_union_pattern(af, ctc)
-        mf = csr_position_map(u, af)
-        mc = csr_position_map(u, ctc)
+        ctc = c.T @ c
+        op = AffineOperator(a_free, ctc)
+        first = op.at(1e4)
         for lam in (1e4, 1e3, 1e2):  # mirrors a back-off sequence
-            u.data[:] = 0.0
-            u.data[mf] = af.data
-            u.data[mc] += lam * ctc.data
+            a = op.at(lam)
+            assert a is first
             explicit = (a_free + lam * ctc).tocsr()
-            assert abs(u - explicit).max() <= 1e-12 * abs(explicit).max()
+            assert abs(a - explicit).max() <= 1e-12 * abs(explicit).max()
 
 
 class TestLadderSharesSymbolic:
@@ -354,34 +348,45 @@ class TestLadderSharesSymbolic:
         assert m.apply(r) == pytest.approx(fresh.apply(r), rel=1e-13)
 
 
+@pytest.mark.parametrize("lam", [-1.0, float("nan"), float("inf"), float("-inf")])
+def test_negative_or_non_finite_penalty_rejected(lam, alm_system):
+    """``AffineOperator.at`` refuses the penalty, whichever caller passes it."""
+    mesh, a_free, b = alm_system
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        AffineOperator(a_free, sp.identity(a_free.shape[0], format="csr")).at(lam)
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        build_contact_structure(mesh).system(lam)
+    with pytest.raises(ValueError, match="non-negative and finite"):
+        solve_nonlinear_contact(
+            a_free, b, mesh.contact_groups, mesh.n_nodes, penalty=lam,
+            precond_factory=lambda a: bic(a, fill_level=0),
+        )
+
+
 class TestPatternUtilities:
+    """The union pattern and position map of :class:`AffineOperator`, and
+    the structure a VBR twin shares."""
+
     def test_union_pattern_and_position_maps(self):
         rng = np.random.default_rng(13)
         a = sp.random(30, 30, density=0.1, random_state=42).tocsr()
-        a.sum_duplicates()
-        a.sort_indices()
         d = sp.diags(rng.standard_normal(30)).tocsr()
-        u = csr_union_pattern(a, d)
-        ma = csr_position_map(u, a)
-        md = csr_position_map(u, d)
-        u.data[:] = 0.0
-        u.data[ma] = a.data
-        u.data[md] += 2.5 * d.data
-        dense = (a + 2.5 * d).toarray()
-        assert u.toarray() == pytest.approx(dense)
+        op = AffineOperator(a, d)
+        assert op.at(2.5).toarray() == pytest.approx((a + 2.5 * d).toarray())
 
     def test_union_keeps_exact_cancellations(self):
         a = sp.csr_matrix(np.array([[1.0, 2.0], [0.0, 3.0]]))
         b = sp.csr_matrix(np.array([[-1.0, -2.0], [0.0, 0.0]]))
         b.eliminate_zeros()
-        u = csr_union_pattern(a, b)
-        assert u.nnz == 3  # (0,0),(0,1),(1,1) survive despite value cancel
+        assert AffineOperator(a, b).at(1.0).nnz == 3  # (0,0),(0,1),(1,1) survive despite value cancel
 
-    def test_position_map_rejects_foreign_entries(self):
-        a = sp.identity(4, format="csr")
-        full = sp.csr_matrix(np.ones((4, 4)))
-        with pytest.raises(ValueError):
-            csr_position_map(a, full)
+    def test_a1_inside_a0_keeps_a0_itself(self):
+        a0 = sp.csr_matrix(np.array([[2.0, -1.0, 0.0], [-1.0, 2.0, -1.0], [0.0, -1.0, 2.0]]))
+        inside = AffineOperator(a0, sp.identity(3, format="csr"))
+        assert inside.a0 is a0
+        assert inside.at(0.5).toarray() == pytest.approx(a0.toarray() + 0.5 * np.eye(3))
+        outside = AffineOperator(sp.identity(3, format="csr"), sp.csr_matrix(np.ones((3, 3))))
+        assert outside.a0.nnz == 9 and np.array_equal(outside.a0.toarray(), np.eye(3))
 
     def test_vbr_empty_like_shares_structure(self, problems):
         p = problems[1e6]

@@ -101,6 +101,12 @@ class TestProtocol:
         with pytest.raises(ProtocolError):
             SolveRequest.from_json_line(line)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+    @pytest.mark.parametrize("name", ["scale", "penalty", "eps"])
+    def test_non_finite_numbers_rejected(self, name, value):
+        with pytest.raises(ProtocolError, match=f"{name} must be"):
+            SolveRequest.from_json_line(f'{{"{name}": {value}}}')
+
     def test_response_hides_x_unless_requested(self):
         from repro.serve.protocol import SolveResponse
 
